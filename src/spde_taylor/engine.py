@@ -12,10 +12,11 @@ of size h over a fine mesh of substeps r_j = j * h_fine works term by term:
 
 Arguments of multilinear terms are evaluated as trajectories on the same
 mesh (value at each left point), so iterated stochastic integrals reuse the
-increments that drive the outer integral.  The fine-mesh reference solution
-iterates the one-substep exponential scheme built from exactly this
-machinery, which makes scheme-versus-reference comparisons on shared noise
-bit-consistent.
+increments that drive the outer integral.  A plan bound to (model, h,
+h_fine, workspace) holds everything that depends only on those; :func:`step`
+evaluates every scheme through such a bound plan, and the fine-mesh
+reference solution iterates the exponential Euler plan bound at h_fine, which
+makes scheme-versus-reference comparisons on shared noise bit-consistent.
 
 Monte-Carlo streams come from a counter-based generator: path p draws from
 ``Philox(key=seed, counter=p << 128)``, so any path's noise can be
@@ -24,7 +25,9 @@ regenerated independently of evaluation order or threading.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -214,52 +217,137 @@ def builtin_scheme(name: str) -> CompiledScheme:
     return compile_scheme(psi(wood), source_wood=wood)
 
 
+def _window_substeps(h: float, h_fine: float) -> int:
+    ratio = h / h_fine
+    substeps = int(round(ratio))
+    if substeps < 1 or abs(ratio - substeps) > 1e-9 * max(1.0, ratio):
+        raise MeshMismatchError(
+            f"step {h} is not a whole number of substeps of {h_fine}"
+        )
+    return substeps
+
+
+def _window(h: float, path: NoisePath) -> np.ndarray:
+    """The increments of the first h / h_fine substeps of the path."""
+    substeps = _window_substeps(h, path.h_fine)
+    if substeps > path.substeps:
+        raise MeshMismatchError(
+            f"step needs {substeps} substeps, path provides {path.substeps}"
+        )
+    return path.increments[:substeps]
+
+
+def _check_shapes(u0: SpectralState, path: NoisePath, model: ModelSpec) -> None:
+    if u0.modes != model.modes:
+        raise EngineError(f"state has {u0.modes} modes, model {model.modes}")
+    if path.noise_modes != model.noise_modes:
+        raise EngineError(
+            f"path drives {path.noise_modes} noise modes, model {model.noise_modes}"
+        )
+
+
+class BoundPlan:
+    """A compiled scheme bound to a model, a step h on a mesh of h_fine and
+    a workspace.
+
+    Everything that depends only on those is computed once here: the
+    semigroup factors of the step, the exact end weights of the left-point
+    sums and the time factors of the deterministic trajectories.
+    :meth:`advance` then evaluates the plan from a start state on one window
+    of noise prepared by :meth:`prepare_noise`.  :func:`step` runs every
+    scheme through this class and :func:`reference_solve` runs the
+    exponential Euler plan bound at h_fine once per substep, so a coarse run
+    of that scheme at h_fine equals the reference by construction.
+    """
+
+    def __init__(
+        self,
+        scheme: CompiledScheme,
+        model: ModelSpec,
+        h: float,
+        h_fine: float,
+        workspace: GridWorkspace,
+    ):
+        _check_model_orders(scheme.required_orders, model)
+        self.scheme = scheme
+        self.model = model
+        self.workspace = workspace
+        self.h_fine = h_fine
+        self.substeps = _window_substeps(h, h_fine)
+        self.names = tuple(render_compact(t) for t in scheme.terms)
+        lam = model.eigenvalues
+        self.times = np.arange(self.substeps) * h_fine
+        self.decay_fine = np.exp(-lam * h_fine)
+        # end_weights[i, j] = exp(-lambda_i (h - r_j))
+        self.end_weights = np.exp(-lam[:, None] * (h - self.times[None, :]))
+        self.flow = np.expm1(-lam * h)
+        self.drift_flow = -self.flow / lam
+
+    # Trajectory factors; only plans with an inner I^0_0 or I^0_1 need them.
+    @cached_property
+    def flow_at(self) -> np.ndarray:
+        """e^{-lambda_i r_j} - 1, indexed [j, i]."""
+        return np.expm1(-np.outer(self.times, self.model.eigenvalues))
+
+    @cached_property
+    def drift_flow_at(self) -> np.ndarray:
+        """(1 - e^{-lambda_i r_j}) / lambda_i, indexed [j, i]."""
+        return -self.flow_at / self.model.eigenvalues[None, :]
+
+    def prepare_noise(self, increments: np.ndarray) -> np.ndarray | None:
+        """The window's increments in the form the diffusion consumes, one
+        row per substep (for the multiplication model: grid values); None
+        for plans that never apply the diffusion."""
+        if not self.scheme.required_orders["B"]:
+            return None
+        return self.model.diffusion.prepare_noise(increments, self.workspace)
+
+    def advance(
+        self, u0: np.ndarray, noise: np.ndarray | None
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """u0 plus the sum of the plan's terms, and the term values in plan
+        order, over the window whose prepared noise is ``noise``."""
+        evaluator = _PlanEvaluator(self, u0, noise)
+        values = [evaluator.final_value(term) for term in self.scheme.terms]
+        total = u0
+        for value in values:
+            total = total + value
+        return total, values
+
+    def nonfinite(self, values: list[np.ndarray]) -> NonfiniteValueError:
+        """The error for a non-finite sum: names the first non-finite term."""
+        for name, value in zip(self.names, values):
+            if not np.all(np.isfinite(value)):
+                return NonfiniteValueError(name)
+        return NonfiniteValueError("sum of plan terms")
+
+
 class _PlanEvaluator:
-    """Evaluates plan terms for one step over one noise window.
+    """Evaluates the terms of a bound plan for one start state and one noise
+    window.
 
     Trajectories (term values at the substep left points) are cached per
     term so shared subterms, e.g. the inner convolution of an iterated
     integral, are computed once.
     """
 
-    def __init__(
-        self,
-        model: ModelSpec,
-        workspace: GridWorkspace,
-        u0: np.ndarray,
-        h: float,
-        path: NoisePath,
-    ):
-        self.model = model
-        self.workspace = workspace
+    def __init__(self, plan: BoundPlan, u0: np.ndarray, noise: np.ndarray | None):
+        self.plan = plan
+        self.model = plan.model
         self.u0 = u0
-        self.h = h
-        self.dw = path.increments
-        self.h_fine = path.h_fine
-        self.substeps = path.substeps
-        self.times = np.arange(self.substeps) * self.h_fine
-        lam = model.eigenvalues
-        self.decay_fine = np.exp(-lam * self.h_fine)
-        # end_weights[i, j] = exp(-lambda_i (h - r_j))
-        self.end_weights = np.exp(-lam[:, None] * (h - self.times[None, :]))
+        self.noise = noise
         self._trajectories: dict[TermExpr, np.ndarray] = {}
 
     # -- contributions ----------------------------------------------------
-    def _factorial(self, order: int) -> float:
-        out = 1.0
-        for k in range(2, order + 1):
-            out *= k
-        return out
-
     def _stochastic_rows(self, order: int, args: tuple[TermExpr, ...]) -> np.ndarray | None:
         arg_rows = [self.trajectory(a) for a in args]
         rows = self.model.diffusion.rows_against_noise(
-            order, self.u0, arg_rows, self.dw, self.workspace, self.model.modes
+            order, self.u0, arg_rows, self.noise, self.plan.workspace, self.model.modes
         )
         if rows is None:
             return None
         if order >= 2:
-            rows = rows / self._factorial(order)
+            rows = rows / math.factorial(order)
         return rows
 
     def _drift_rows(self, order: int, args: tuple[TermExpr, ...]) -> np.ndarray | None:
@@ -267,20 +355,18 @@ class _PlanEvaluator:
         rows = self.model.drift.derivative_rows(order, self.u0, arg_rows)
         if rows is None:
             return None
-        return rows * (self.h_fine / self._factorial(order))
+        return rows * (self.plan.h_fine / math.factorial(order))
 
     # -- evaluation -------------------------------------------------------
     def final_value(self, term: TermExpr) -> np.ndarray:
-        lam = self.model.eigenvalues
-        zeros = np.zeros(self.model.modes)
         if isinstance(term, I0):
             if term.j is NodeLabel.ZERO:
-                return np.expm1(-lam * self.h) * self.u0
+                return self.plan.flow * self.u0
             if term.j is NodeLabel.ONE:
                 value = self.model.drift.value(self.u0)
                 if value is None:
-                    return zeros
-                return -np.expm1(-lam * self.h) / lam * value
+                    return np.zeros(self.model.modes)
+                return self.plan.drift_flow * value
             if term.j is NodeLabel.TWO:
                 rows = self._stochastic_rows(0, ())
                 return self._weighted_sum(rows)
@@ -297,7 +383,7 @@ class _PlanEvaluator:
     def _weighted_sum(self, rows: np.ndarray | None) -> np.ndarray:
         if rows is None:
             return np.zeros(self.model.modes)
-        return np.einsum("ns,sn->n", self.end_weights, rows)
+        return np.einsum("ns,sn->n", self.plan.end_weights, rows)
 
     def trajectory(self, term: TermExpr) -> np.ndarray:
         """Values at the left points r_0..r_{S-1}; Ito style, so the row at
@@ -305,15 +391,15 @@ class _PlanEvaluator:
         cached = self._trajectories.get(term)
         if cached is not None:
             return cached
-        lam = self.model.eigenvalues
+        substeps, modes = self.plan.substeps, self.model.modes
         if isinstance(term, I0) and term.j is NodeLabel.ZERO:
-            out = np.expm1(-np.outer(self.times, lam)) * self.u0[None, :]
+            out = self.plan.flow_at * self.u0[None, :]
         elif isinstance(term, I0) and term.j is NodeLabel.ONE:
             value = self.model.drift.value(self.u0)
             if value is None:
-                out = np.zeros((self.substeps, self.model.modes))
+                out = np.zeros((substeps, modes))
             else:
-                out = -np.expm1(-np.outer(self.times, lam)) / lam[None, :] * value
+                out = self.plan.drift_flow_at * value
         else:
             if isinstance(term, I0):
                 order, args, kind = 0, (), term.j
@@ -325,28 +411,14 @@ class _PlanEvaluator:
                 rows = self._drift_rows(order, args)
             else:
                 raise NotImplementableError(f"cannot evaluate starred {kind}")
-            out = np.zeros((self.substeps, self.model.modes))
+            out = np.zeros((substeps, modes))
             if rows is not None:
-                running = np.zeros(self.model.modes)
-                for j in range(self.substeps):
+                running = np.zeros(modes)
+                for j in range(substeps):
                     out[j] = running
-                    running = self.decay_fine * (running + rows[j])
+                    running = self.plan.decay_fine * (running + rows[j])
         self._trajectories[term] = out
         return out
-
-
-def _resolve_window(h: float, path: NoisePath) -> NoisePath:
-    ratio = h / path.h_fine
-    substeps = int(round(ratio))
-    if substeps < 1 or abs(ratio - substeps) > 1e-9 * max(1.0, ratio):
-        raise MeshMismatchError(
-            f"step {h} is not a whole number of substeps of {path.h_fine}"
-        )
-    if substeps > path.substeps:
-        raise MeshMismatchError(
-            f"step needs {substeps} substeps, path provides {path.substeps}"
-        )
-    return path.prefix(substeps)
 
 
 def step(
@@ -358,27 +430,14 @@ def step(
     workspace: GridWorkspace | None = None,
 ) -> StepResult:
     """One-step approximation at time h from u0 on the given noise window."""
-    if u0.modes != model.modes:
-        raise EngineError(f"state has {u0.modes} modes, model {model.modes}")
-    if path.noise_modes != model.noise_modes:
-        raise EngineError(
-            f"path drives {path.noise_modes} noise modes, model {model.noise_modes}"
-        )
-    _check_model_orders(scheme.required_orders, model)
-    window = _resolve_window(h, path)
-    workspace = workspace or model.workspace()
-    evaluator = _PlanEvaluator(model, workspace, u0.coeffs, h, window)
-    total = u0.coeffs.copy()
-    diagnostics: dict[str, float] = {}
-    for term in scheme.terms:
-        value = evaluator.final_value(term)
-        name = render_compact(term)
-        if not np.all(np.isfinite(value)):
-            raise NonfiniteValueError(name)
-        diagnostics[name] = float(np.linalg.norm(value))
-        total = total + value
+    _check_shapes(u0, path, model)
+    plan = BoundPlan(scheme, model, h, path.h_fine, workspace or model.workspace())
+    total, values = plan.advance(u0.coeffs, plan.prepare_noise(_window(h, path)))
     if not np.all(np.isfinite(total)):
-        raise NonfiniteValueError("sum of plan terms")
+        raise plan.nonfinite(values)
+    diagnostics = {
+        name: float(np.linalg.norm(value)) for name, value in zip(plan.names, values)
+    }
     return StepResult(state=SpectralState(total), diagnostics=diagnostics)
 
 
@@ -397,28 +456,32 @@ def reference_solve(
 
     Iterates the exponential one-step scheme (semigroup flow, frozen-drift
     convolution, frozen-diffusion stochastic convolution) over every fine
-    substep.  Implemented by stepping the compiled exponential Euler plan one
-    substep at a time, so a coarse run of that scheme at h = h_fine is
-    bitwise identical to this reference.  ``record_substeps`` requests
-    snapshots after the given substep counts.
+    substep.  The exponential Euler plan is bound once at h = h_fine and the
+    window's increments are prepared (moved to the grid) in one batch; each
+    substep then advances the state through that bound plan, the same
+    evaluator :func:`step` uses, so a coarse run of that scheme at
+    h = h_fine is bitwise identical to this reference.  ``record_substeps``
+    requests snapshots after the given substep counts.
     """
-    window = _resolve_window(t_end, path)
-    workspace = workspace or model.workspace()
+    _check_shapes(u0, path, model)
+    plan = BoundPlan(
+        _REFERENCE_SCHEME, model, path.h_fine, path.h_fine,
+        workspace or model.workspace(),
+    )
+    increments = _window(t_end, path)
+    noise = plan.prepare_noise(increments)
     wanted = set(record_substeps)
     recorded: dict[int, SpectralState] = {}
-    state = u0
+    state = u0.coeffs
     if 0 in wanted:
-        recorded[0] = state
-    for j in range(window.substeps):
-        piece = NoisePath(
-            increments=window.increments[j : j + 1], h_fine=window.h_fine
-        )
-        state = step(
-            _REFERENCE_SCHEME, state, window.h_fine, piece, model, workspace
-        ).state
+        recorded[0] = u0
+    for j in range(len(increments)):
+        state, values = plan.advance(state, noise[j : j + 1])
+        if not np.all(np.isfinite(state)):
+            raise plan.nonfinite(values)
         if j + 1 in wanted:
-            recorded[j + 1] = state
-    return state, recorded
+            recorded[j + 1] = SpectralState(state)
+    return SpectralState(state), recorded
 
 
 def multi_step_solve(

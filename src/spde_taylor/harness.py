@@ -244,19 +244,18 @@ def _row_statistics(h: float, values: list[float], n_excluded: int, p: float) ->
                     n_paths=int(n), n_excluded=n_excluded)
 
 
-def _regression_slope(rows, floor: float = 0.0) -> tuple[float, int]:
+def _regression_slope(rows) -> tuple[float, int]:
     """OLS slope of log error against log h.
 
     Rows whose error is non-finite, exactly zero, or within three standard
-    errors of the coupling floor (the residual noise of the fine-mesh
-    surrogate; zero for exactly coupled one-step runs) are excluded.
+    errors of zero are excluded.
     """
     usable = [
         row
         for row in rows
         if np.isfinite(row.error)
         and row.error > 0.0
-        and row.error - 3.0 * row.stderr > floor
+        and row.error - 3.0 * row.stderr > 0.0
     ]
     if len(usable) < 2:
         raise HarnessError("fewer than two usable ladder points for regression")

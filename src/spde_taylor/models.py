@@ -3,9 +3,21 @@
 States live in the sine eigenbasis e_i(x) = sqrt(2) sin(i pi x) on (0, 1),
 truncated to N modes, so the H-norm of a state is the Euclidean norm of its
 coefficient vector.  The linear part is diagonal (eigenvalues lambda_i > 0),
-which makes the semigroup exact per mode.  Nonlinear diffusion operators are
-evaluated pseudospectrally: transform to an odd-extension grid of P >= 2N
-collocation points, multiply pointwise, transform back and truncate.
+which makes the semigroup exact per mode.
+
+Nonlinear diffusion operators are evaluated by collocation: both factors go
+to the grid x_m = m/(P+1), are multiplied pointwise, and the product is
+replaced by the sine coefficients of its odd trigonometric interpolant on
+that grid, truncated to N modes.  This is not the Galerkin projection.  A
+product of two sine series is a cosine series, so its sine coefficients
+<e_i e_k, e_n> are an infinite series that no grid of any size resolves
+exactly; the collocated coefficients converge to them like P^-4.  Against
+the closed-form triple products, the relative error of the N x M diffusion
+matrix at the default P = 255 for N = M = 64 is at most 2e-4 for white
+base states and 4e-6 for the smooth start state (measured in
+``tests/test_models.py``), far below the Monte-Carlo error of the order
+studies.  The default P + 1 has no prime factor above 11, so the DST-I stays
+on the FFT's fast radices.
 
 Two concrete models are provided: the heat equation with multiplication
 noise (B(v)(w) = v*w pointwise, F = 0, lambda_i = pi^2 i^2) and an additive
@@ -19,7 +31,7 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fft import dst, next_fast_len
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -76,9 +88,9 @@ class GridWorkspace:
     """Collocation grid x_m = m/(P+1), m = 1..P, with DST-I transforms.
 
     The type-I discrete sine transform is its own inverse up to the factor
-    2(P+1), which fixes the normalisations below.  Evaluating products of
-    two N-mode functions needs P >= 2N so the retained modes stay clear of
-    the aliased band.
+    2(P+1), which fixes the normalisations below.  Products of functions
+    are collocated on this grid (see the module docstring): the result
+    converges to the Galerkin product as P grows but never equals it.
     """
 
     grid_points: int
@@ -98,11 +110,7 @@ class GridWorkspace:
         n = coeffs.shape[-1]
         if n > self.grid_points:
             raise ValueError(f"{n} modes exceed {self.grid_points} grid points")
-        pad = self.grid_points - n
-        if pad:
-            width = [(0, 0)] * (coeffs.ndim - 1) + [(0, pad)]
-            coeffs = np.pad(coeffs, width)
-        return dst(coeffs, type=1, axis=-1) / SQRT2
+        return dst(coeffs, type=1, n=self.grid_points, axis=-1) / SQRT2
 
     def to_coeffs(self, values: np.ndarray, modes: int) -> np.ndarray:
         """Sine coefficients of the odd trigonometric interpolant, truncated."""
@@ -119,7 +127,12 @@ class GridWorkspace:
 
 
 def default_workspace(modes: int, noise_modes: int = 0) -> GridWorkspace:
-    return GridWorkspace(grid_points=4 * max(modes, noise_modes))
+    """At least 4 max(N, M) - 1 grid points, with P + 1 11-smooth.
+
+    The DST-I of P points runs as an FFT of length 2(P + 1); a large prime
+    factor in P + 1 (P = 256 gives 257) throws it off the fast radices.
+    """
+    return GridWorkspace(grid_points=next_fast_len(4 * max(modes, noise_modes)) - 1)
 
 
 class DriftOperator(Protocol):
@@ -131,14 +144,26 @@ class DriftOperator(Protocol):
 
 
 class DiffusionOperator(Protocol):
+    """B and its derivatives against batches of noise functions.
+
+    ``prepare_noise`` turns noise coefficient rows (one row per noise
+    function) into the form ``rows_against_noise`` consumes, keeping one
+    row per noise function, so a caller can prepare a whole window of
+    increments once and hand out row slices of it.
+    """
+
     max_order: int | None
+
+    def prepare_noise(
+        self, noise_rows: np.ndarray, workspace: GridWorkspace
+    ) -> np.ndarray: ...
 
     def rows_against_noise(
         self,
         order: int,
         base: np.ndarray,
         arg_rows: Sequence[np.ndarray],
-        noise_rows: np.ndarray,
+        noise: np.ndarray,
         workspace: GridWorkspace,
         modes: int,
     ) -> np.ndarray | None: ...
@@ -157,31 +182,39 @@ class ZeroDrift:
 class MultiplicationDiffusion:
     """B(v)(w) = v*w pointwise; linear in v, so B' is v-independent.
 
-    ``rows_against_noise`` evaluates B^(n)(base)(args)(xi) for a batch of
-    noise functions xi, one per row; returning ``None`` means identically
-    zero (every order n >= 2 here).
+    The prepared noise is the grid values of the noise functions.
+    ``rows_against_noise`` evaluates B^(n)(base)(args)(xi) for that batch of
+    noise functions xi, one per row, by collocation; returning ``None``
+    means identically zero (every order n >= 2 here).
     """
 
     max_order: int | None = None
 
-    def rows_against_noise(self, order, base, arg_rows, noise_rows, workspace, modes):
+    @staticmethod
+    def _check_band(workspace: GridWorkspace, band: int) -> None:
+        # An input check, not an accuracy guarantee: below twice the band in
+        # grid points, frequencies of the product beyond P + 1 fold back
+        # onto the retained ones.
+        if workspace.grid_points < 2 * band:
+            raise ValueError(
+                f"{workspace.grid_points} grid points cannot resolve products "
+                f"of {band}-mode functions; need at least {2 * band}"
+            )
+
+    def prepare_noise(self, noise_rows, workspace):
+        noise_rows = np.asarray(noise_rows)
+        self._check_band(workspace, noise_rows.shape[-1])
+        return workspace.to_grid(noise_rows)
+
+    def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
         if order >= 2:
             return None
         if order == 0:
             multiplier = workspace.to_grid(base)
         else:
             multiplier = workspace.to_grid(np.asarray(arg_rows[0]))
-        noise_rows = np.asarray(noise_rows)
-        # Products of band-limited factors need twice the band in grid
-        # points, or the aliased image lands on retained modes.
-        band = max(modes, np.shape(base)[-1], noise_rows.shape[-1])
-        if workspace.grid_points < 2 * band:
-            raise ValueError(
-                f"{workspace.grid_points} grid points cannot resolve products "
-                f"of {band}-mode functions; need at least {2 * band}"
-            )
-        noise_grid = workspace.to_grid(noise_rows)
-        return workspace.to_coeffs(multiplier * noise_grid, modes)
+        self._check_band(workspace, max(modes, np.shape(base)[-1]))
+        return workspace.to_coeffs(multiplier * noise, modes)
 
 
 class DiagonalDiffusion:
@@ -192,13 +225,15 @@ class DiagonalDiffusion:
     def __init__(self, weights: np.ndarray):
         self.weights = np.asarray(weights, dtype=float)
 
-    def rows_against_noise(self, order, base, arg_rows, noise_rows, workspace, modes):
+    def prepare_noise(self, noise_rows, workspace):
+        return np.atleast_2d(np.asarray(noise_rows, dtype=float))
+
+    def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
         if order >= 1:
             return None
-        noise_rows = np.atleast_2d(np.asarray(noise_rows, dtype=float))
-        weighted = noise_rows * self.weights[None, :]
+        weighted = noise * self.weights[None, :]
         m = self.weights.size
-        out = np.zeros(noise_rows.shape[:-1] + (modes,))
+        out = np.zeros(noise.shape[:-1] + (modes,))
         keep = min(m, modes)
         out[..., :keep] = weighted[..., :keep]
         return out
@@ -318,19 +353,13 @@ def heat_additive_model(
     )
 
 
-MODEL_FACTORIES = {
-    "heat-mult": heat_multiplicative_model,
-    "heat-add": heat_additive_model,
-}
-
-
 def build_model(name: str, modes: int, noise_modes: int, r: float) -> ModelSpec:
     if name == "heat-mult":
         return heat_multiplicative_model(modes, noise_modes, r=r)
     if name == "heat-add":
         return heat_additive_model(modes, noise_modes)
     raise BadParameterError(
-        f"unknown model {name!r}; available: {sorted(MODEL_FACTORIES)}"
+        f"unknown model {name!r}; available: ['heat-add', 'heat-mult']"
     )
 
 
@@ -369,7 +398,7 @@ def apply_diffusion(
         order,
         base.coeffs,
         [a.coeffs for a in args],
-        unit[None, :],
+        spec.diffusion.prepare_noise(unit[None, :], workspace),
         workspace,
         spec.modes,
     )
@@ -387,7 +416,7 @@ def diffusion_matrix(
         0,
         base.coeffs,
         [],
-        np.eye(spec.noise_modes),
+        spec.diffusion.prepare_noise(np.eye(spec.noise_modes), workspace),
         workspace,
         spec.modes,
     )

@@ -265,6 +265,15 @@ class TestReference:
         )
         np.testing.assert_array_equal(ref.coeffs, stepped.coeffs)
 
+    def test_blow_up_raises_nonfinite(self, mult):
+        # Increments of order 1e198 overflow the state within two substeps.
+        path = draw_path(mult, 8, seed=4)
+        wild = NoisePath(path.increments * 1e200, h_fine=H_FINE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonfiniteValueError) as info:
+                reference_solve(mult.initial, 8 * H_FINE, wild, mult)
+        assert info.value.term == "I^0_2"
+
     def test_recording_matches_prefix_runs(self, mult):
         u0 = mult.initial
         path = draw_path(mult, 32, seed=2)

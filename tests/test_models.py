@@ -14,6 +14,7 @@ from spde_taylor.models import (
     apply_diffusion,
     apply_semigroup,
     convolution_variances,
+    default_workspace,
     diffusion_matrix,
     heat_additive_model,
     heat_multiplicative_model,
@@ -38,6 +39,36 @@ def mult():
 @pytest.fixture(scope="module")
 def additive():
     return heat_additive_model(modes=8, noise_modes=8)
+
+
+def galerkin_triple_products(modes: int, noise_modes: int) -> np.ndarray:
+    """T[j, k, n] = int_0^1 e_j e_k e_n dx for e_i = sqrt(2) sin(i pi x).
+
+    sin(a) sin(b) = (cos(a - b) - cos(a + b)) / 2, and int_0^1 sin(n pi x)
+    cos(p pi x) dx is n (1 - (-1)^(n+p)) / (pi (n^2 - p^2)), or 0 at n = p.
+    """
+
+    def sine_cosine(n, p):
+        n, p = np.broadcast_arrays(n.astype(float), p.astype(float))
+        out = np.zeros(n.shape)
+        off = n != p
+        out[off] = (
+            n[off] * (1.0 - (-1.0) ** (n[off] + p[off]))
+            / (np.pi * (n[off] ** 2 - p[off] ** 2))
+        )
+        return out
+
+    j = np.arange(1, modes + 1)[:, None, None]
+    k = np.arange(1, noise_modes + 1)[None, :, None]
+    n = np.arange(1, modes + 1)[None, None, :]
+    return SQRT2 * (sine_cosine(n, np.abs(j - k)) - sine_cosine(n, j + k))
+
+
+def is_11_smooth(n: int) -> bool:
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 class TestSpectralState:
@@ -150,6 +181,26 @@ class TestMultiplicativeDiffusion:
     def test_noise_mode_out_of_range(self, mult):
         with pytest.raises(OutOfRangeError):
             apply_diffusion(mult, 0, unit_state(64, 1), [], 65)
+
+    def test_collocation_against_galerkin_triple_products(self, mult):
+        # <B(v) e_k, e_n> = sum_j v_j <e_j e_k, e_n>, and the triple product
+        # has a closed form, so the collocated matrix can be measured against
+        # the Galerkin one.  Measured at the default P = 255 (N = M = 64)
+        # over seeds 0..19: relative Frobenius error 2.6e-5..1.8e-4 for white
+        # bases, 3.5e-6 for the smooth start state; it falls like P^-4.  The
+        # lower bound pins that collocation is not the Galerkin projection.
+        tensor = galerkin_triple_products(64, 64)
+        assert mult.workspace().grid_points == 255
+        errors = []
+        for seed in range(20):
+            v = np.random.default_rng(seed).standard_normal(64)
+            got = diffusion_matrix(mult, SpectralState(v))
+            want = np.einsum("j,jkn->nk", v, tensor)
+            errors.append(np.linalg.norm(got - want) / np.linalg.norm(want))
+        assert 1e-5 < max(errors) < 3e-4
+        got = diffusion_matrix(mult, mult.initial)
+        want = np.einsum("j,jkn->nk", mult.initial.coeffs, tensor)
+        assert np.linalg.norm(got - want) < 1e-5 * np.linalg.norm(want)
 
     def test_undersized_grid_rejected_for_products(self, mult):
         cramped = GridWorkspace(grid_points=64)
@@ -264,6 +315,18 @@ class TestGridWorkspace:
         ws = GridWorkspace(grid_points=4 * modes)
         grid_norm = ws.quadrature_l2_norm(ws.to_grid(coeffs))
         assert abs(grid_norm - np.linalg.norm(coeffs)) < 1e-10
+
+
+class TestDefaultWorkspace:
+    def test_grid_is_large_enough_with_smooth_dst_length(self):
+        # The DST-I of P points is an FFT of length 2(P + 1); a large prime
+        # factor of P + 1 (P = 4 * 64 = 256 gives 257) makes it many times
+        # slower, so P + 1 must have no prime factor above 11.
+        for modes in range(1, 129):
+            for noise_modes in range(1, 129):
+                p = default_workspace(modes, noise_modes).grid_points
+                assert p >= 2 * max(modes, noise_modes)
+                assert is_11_smooth(p + 1), (modes, noise_modes, p)
 
 
 def test_multiplication_on_grid_values(mult):
