@@ -13,10 +13,16 @@ of size h over a fine mesh of substeps r_j = j * h_fine works term by term:
 Arguments of multilinear terms are evaluated as trajectories on the same
 mesh (value at each left point), so iterated stochastic integrals reuse the
 increments that drive the outer integral.  A plan bound to (model, h,
-h_fine, workspace) holds everything that depends only on those; :func:`step`
-evaluates every scheme through such a bound plan, and the fine-mesh
-reference solution iterates the exponential Euler plan bound at h_fine, which
-makes scheme-versus-reference comparisons on shared noise bit-consistent.
+h_fine, workspace) holds everything that depends only on those.
+
+One stepping loop runs every evaluation: it binds the plan once, prepares
+the noise of the whole window [0, t_end] once (for the multiplication model:
+moves it to the grid) and advances the state through consecutive h-long row
+slices of it.  :func:`step` is that loop for a single step,
+:func:`multi_step_solve` for t_end / h steps, and the fine-mesh reference
+:func:`reference_solve` is the loop over the exponential Euler plan at
+h = h_fine, which makes scheme-versus-reference comparisons on shared noise
+bit-consistent.
 
 Monte-Carlo streams come from a counter-based generator: path p draws from
 ``Philox(key=seed, counter=p << 128)``, so any path's noise can be
@@ -34,7 +40,6 @@ import numpy as np
 from .models import GridWorkspace, ModelSpec, SpectralState
 from .terms import (
     I0,
-    In,
     TermExpr,
     contains_starred,
     psi,
@@ -105,10 +110,6 @@ class NoisePath:
     @property
     def noise_modes(self) -> int:
         return self.increments.shape[1]
-
-    @property
-    def duration(self) -> float:
-        return self.substeps * self.h_fine
 
     @staticmethod
     def draw(
@@ -217,24 +218,13 @@ def builtin_scheme(name: str) -> CompiledScheme:
     return compile_scheme(psi(wood), source_wood=wood)
 
 
-def _window_substeps(h: float, h_fine: float) -> int:
-    ratio = h / h_fine
-    substeps = int(round(ratio))
-    if substeps < 1 or abs(ratio - substeps) > 1e-9 * max(1.0, ratio):
-        raise MeshMismatchError(
-            f"step {h} is not a whole number of substeps of {h_fine}"
-        )
-    return substeps
-
-
-def _window(h: float, path: NoisePath) -> np.ndarray:
-    """The increments of the first h / h_fine substeps of the path."""
-    substeps = _window_substeps(h, path.h_fine)
-    if substeps > path.substeps:
-        raise MeshMismatchError(
-            f"step needs {substeps} substeps, path provides {path.substeps}"
-        )
-    return path.increments[:substeps]
+def _whole_count(span: float, unit: float, message: str) -> int:
+    """span / unit, which must be a positive whole number."""
+    ratio = span / unit
+    count = int(round(ratio))
+    if count < 1 or abs(ratio - count) > 1e-9 * max(1.0, ratio):
+        raise MeshMismatchError(message)
+    return count
 
 
 def _check_shapes(u0: SpectralState, path: NoisePath, model: ModelSpec) -> None:
@@ -254,10 +244,10 @@ class BoundPlan:
     semigroup factors of the step, the exact end weights of the left-point
     sums and the time factors of the deterministic trajectories.
     :meth:`advance` then evaluates the plan from a start state on one window
-    of noise prepared by :meth:`prepare_noise`.  :func:`step` runs every
-    scheme through this class and :func:`reference_solve` runs the
-    exponential Euler plan bound at h_fine once per substep, so a coarse run
-    of that scheme at h_fine equals the reference by construction.
+    of noise prepared by :meth:`prepare_noise`.  The stepping loop behind
+    :func:`step`, :func:`multi_step_solve` and :func:`reference_solve` binds
+    one of these per call, so a coarse run of exponential Euler at h_fine
+    equals the reference by construction.
     """
 
     def __init__(
@@ -273,7 +263,9 @@ class BoundPlan:
         self.model = model
         self.workspace = workspace
         self.h_fine = h_fine
-        self.substeps = _window_substeps(h, h_fine)
+        self.substeps = _whole_count(
+            h, h_fine, f"step {h} is not a whole number of substeps of {h_fine}"
+        )
         self.names = tuple(render_compact(t) for t in scheme.terms)
         lam = model.eigenvalues
         self.times = np.arange(self.substeps) * h_fine
@@ -326,9 +318,10 @@ class _PlanEvaluator:
     """Evaluates the terms of a bound plan for one start state and one noise
     window.
 
-    Trajectories (term values at the substep left points) are cached per
-    term so shared subterms, e.g. the inner convolution of an iterated
-    integral, are computed once.
+    The per-substep contributions of each integral term and the trajectories
+    (term values at the substep left points) are cached per term, so shared
+    subterms, e.g. the inner convolution of an iterated integral, are
+    computed once.
     """
 
     def __init__(self, plan: BoundPlan, u0: np.ndarray, noise: np.ndarray | None):
@@ -336,51 +329,44 @@ class _PlanEvaluator:
         self.model = plan.model
         self.u0 = u0
         self.noise = noise
+        self._row_cache: dict[TermExpr, np.ndarray | None] = {}
         self._trajectories: dict[TermExpr, np.ndarray] = {}
 
-    # -- contributions ----------------------------------------------------
-    def _stochastic_rows(self, order: int, args: tuple[TermExpr, ...]) -> np.ndarray | None:
+    def _rows(self, term: TermExpr) -> np.ndarray | None:
+        """Contribution of each substep to a left-point sum term (``I^0_2``
+        or ``I^i_j``), one row per substep; None means identically zero."""
+        if term in self._row_cache:
+            return self._row_cache[term]
+        if isinstance(term, I0):
+            order, args = 0, ()
+        else:
+            order, args = term.order, term.args
         arg_rows = [self.trajectory(a) for a in args]
-        rows = self.model.diffusion.rows_against_noise(
-            order, self.u0, arg_rows, self.noise, self.plan.workspace, self.model.modes
-        )
-        if rows is None:
-            return None
-        if order >= 2:
-            rows = rows / math.factorial(order)
+        if term.j is NodeLabel.TWO:
+            rows = self.model.diffusion.rows_against_noise(
+                order, self.u0, arg_rows, self.noise, self.plan.workspace,
+                self.model.modes,
+            )
+            if rows is not None and order >= 2:
+                rows = rows / math.factorial(order)
+        elif term.j is NodeLabel.ONE:
+            rows = self.model.drift.derivative_rows(order, self.u0, arg_rows)
+            if rows is not None:
+                rows = rows * (self.plan.h_fine / math.factorial(order))
+        else:
+            raise NotImplementableError(f"cannot evaluate starred {term.j}")
+        self._row_cache[term] = rows
         return rows
 
-    def _drift_rows(self, order: int, args: tuple[TermExpr, ...]) -> np.ndarray | None:
-        arg_rows = [self.trajectory(a) for a in args]
-        rows = self.model.drift.derivative_rows(order, self.u0, arg_rows)
-        if rows is None:
-            return None
-        return rows * (self.plan.h_fine / math.factorial(order))
-
-    # -- evaluation -------------------------------------------------------
     def final_value(self, term: TermExpr) -> np.ndarray:
-        if isinstance(term, I0):
-            if term.j is NodeLabel.ZERO:
-                return self.plan.flow * self.u0
-            if term.j is NodeLabel.ONE:
-                value = self.model.drift.value(self.u0)
-                if value is None:
-                    return np.zeros(self.model.modes)
-                return self.plan.drift_flow * value
-            if term.j is NodeLabel.TWO:
-                rows = self._stochastic_rows(0, ())
-                return self._weighted_sum(rows)
-            raise NotImplementableError(f"cannot evaluate starred {term.j}")
-        assert isinstance(term, In)
-        if term.j is NodeLabel.TWO:
-            rows = self._stochastic_rows(term.order, term.args)
-            return self._weighted_sum(rows)
-        if term.j is NodeLabel.ONE:
-            rows = self._drift_rows(term.order, term.args)
-            return self._weighted_sum(rows)
-        raise NotImplementableError(f"cannot evaluate starred {term.j}")
-
-    def _weighted_sum(self, rows: np.ndarray | None) -> np.ndarray:
+        if isinstance(term, I0) and term.j is NodeLabel.ZERO:
+            return self.plan.flow * self.u0
+        if isinstance(term, I0) and term.j is NodeLabel.ONE:
+            value = self.model.drift.value(self.u0)
+            if value is None:
+                return np.zeros(self.model.modes)
+            return self.plan.drift_flow * value
+        rows = self._rows(term)
         if rows is None:
             return np.zeros(self.model.modes)
         return np.einsum("ns,sn->n", self.plan.end_weights, rows)
@@ -401,16 +387,7 @@ class _PlanEvaluator:
             else:
                 out = self.plan.drift_flow_at * value
         else:
-            if isinstance(term, I0):
-                order, args, kind = 0, (), term.j
-            else:
-                order, args, kind = term.order, term.args, term.j
-            if kind is NodeLabel.TWO:
-                rows = self._stochastic_rows(order, args)
-            elif kind is NodeLabel.ONE:
-                rows = self._drift_rows(order, args)
-            else:
-                raise NotImplementableError(f"cannot evaluate starred {kind}")
+            rows = self._rows(term)
             out = np.zeros((substeps, modes))
             if rows is not None:
                 running = np.zeros(modes)
@@ -421,6 +398,50 @@ class _PlanEvaluator:
         return out
 
 
+def _solve(
+    scheme: CompiledScheme,
+    u0: SpectralState,
+    t_end: float,
+    h: float,
+    path: NoisePath,
+    model: ModelSpec,
+    workspace: GridWorkspace | None,
+    record_steps: tuple[int, ...] = (),
+) -> tuple[np.ndarray, dict[str, np.ndarray], dict[int, SpectralState]]:
+    """The stepping loop behind :func:`step`, :func:`reference_solve` and
+    :func:`multi_step_solve`.
+
+    Binds the plan once at step h, prepares the noise of the whole window
+    [0, t_end] once, and advances u0 through consecutive h-long row slices
+    of it.  Returns the end coefficients, the term values of the last step
+    keyed by term name, and snapshots after the step counts in
+    ``record_steps``.  A step whose result is not finite raises
+    :class:`NonfiniteValueError` naming its first non-finite term.
+    """
+    _check_shapes(u0, path, model)
+    plan = BoundPlan(scheme, model, h, path.h_fine, workspace or model.workspace())
+    steps = _whole_count(
+        t_end, h, f"t_end {t_end} is not a whole number of steps of h = {h}"
+    )
+    per_step = plan.substeps
+    if steps * per_step > path.substeps:
+        raise MeshMismatchError(
+            f"[0, {t_end}] needs {steps * per_step} substeps, "
+            f"path provides {path.substeps}"
+        )
+    noise = plan.prepare_noise(path.increments[: steps * per_step])
+    recorded = {0: u0} if 0 in record_steps else {}
+    state, values = u0.coeffs, []
+    for n in range(steps):
+        rows = None if noise is None else noise[n * per_step : (n + 1) * per_step]
+        state, values = plan.advance(state, rows)
+        if not np.all(np.isfinite(state)):
+            raise plan.nonfinite(values)
+        if n + 1 in record_steps:
+            recorded[n + 1] = SpectralState(state)
+    return state, dict(zip(plan.names, values)), recorded
+
+
 def step(
     scheme: CompiledScheme,
     u0: SpectralState,
@@ -429,16 +450,11 @@ def step(
     model: ModelSpec,
     workspace: GridWorkspace | None = None,
 ) -> StepResult:
-    """One-step approximation at time h from u0 on the given noise window."""
-    _check_shapes(u0, path, model)
-    plan = BoundPlan(scheme, model, h, path.h_fine, workspace or model.workspace())
-    total, values = plan.advance(u0.coeffs, plan.prepare_noise(_window(h, path)))
-    if not np.all(np.isfinite(total)):
-        raise plan.nonfinite(values)
-    diagnostics = {
-        name: float(np.linalg.norm(value)) for name, value in zip(plan.names, values)
-    }
-    return StepResult(state=SpectralState(total), diagnostics=diagnostics)
+    """One-step approximation at time h from u0 on the first h / h_fine
+    increments of the path; the diagnostics hold each plan term's norm."""
+    state, values, _ = _solve(scheme, u0, h, h, path, model, workspace)
+    diagnostics = {name: float(np.linalg.norm(v)) for name, v in values.items()}
+    return StepResult(state=SpectralState(state), diagnostics=diagnostics)
 
 
 _REFERENCE_SCHEME = builtin_scheme("exp-euler")
@@ -456,31 +472,15 @@ def reference_solve(
 
     Iterates the exponential one-step scheme (semigroup flow, frozen-drift
     convolution, frozen-diffusion stochastic convolution) over every fine
-    substep.  The exponential Euler plan is bound once at h = h_fine and the
-    window's increments are prepared (moved to the grid) in one batch; each
-    substep then advances the state through that bound plan, the same
-    evaluator :func:`step` uses, so a coarse run of that scheme at
-    h = h_fine is bitwise identical to this reference.  ``record_substeps``
+    substep of [0, t_end]: the stepping loop of :func:`multi_step_solve`
+    with that scheme at h = h_fine.  A coarse run of the scheme at h_fine is
+    therefore bitwise identical to this reference.  ``record_substeps``
     requests snapshots after the given substep counts.
     """
-    _check_shapes(u0, path, model)
-    plan = BoundPlan(
-        _REFERENCE_SCHEME, model, path.h_fine, path.h_fine,
-        workspace or model.workspace(),
+    state, _, recorded = _solve(
+        _REFERENCE_SCHEME, u0, t_end, path.h_fine, path, model, workspace,
+        record_substeps,
     )
-    increments = _window(t_end, path)
-    noise = plan.prepare_noise(increments)
-    wanted = set(record_substeps)
-    recorded: dict[int, SpectralState] = {}
-    state = u0.coeffs
-    if 0 in wanted:
-        recorded[0] = u0
-    for j in range(len(increments)):
-        state, values = plan.advance(state, noise[j : j + 1])
-        if not np.all(np.isfinite(state)):
-            raise plan.nonfinite(values)
-        if j + 1 in wanted:
-            recorded[j + 1] = SpectralState(state)
     return SpectralState(state), recorded
 
 
@@ -493,17 +493,12 @@ def multi_step_solve(
     model: ModelSpec,
     workspace: GridWorkspace | None = None,
 ) -> SpectralState:
-    """Iterate the one-step scheme over [0, t_end] with coarse step h."""
-    per_step = int(round(h / path.h_fine))
-    steps = int(round(t_end / h))
-    if steps * per_step > path.substeps:
-        raise MeshMismatchError("path does not cover the requested horizon")
-    workspace = workspace or model.workspace()
-    state = u0
-    for n in range(steps):
-        piece = NoisePath(
-            increments=path.increments[n * per_step : (n + 1) * per_step],
-            h_fine=path.h_fine,
-        )
-        state = step(scheme, state, h, piece, model, workspace).state
-    return state
+    """Iterate the one-step scheme over [0, t_end] with coarse step h.
+
+    The plan is bound once, the increments of [0, t_end] are prepared once,
+    and step n consumes rows n h / h_fine .. (n + 1) h / h_fine of them.
+    Raises :class:`MeshMismatchError` unless t_end is a whole number of
+    steps h, h is a whole number of substeps and the path covers [0, t_end].
+    """
+    state, _, _ = _solve(scheme, u0, t_end, h, path, model, workspace)
+    return SpectralState(state)

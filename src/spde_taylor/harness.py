@@ -1,13 +1,15 @@
 """Monte-Carlo strong-order experiments and machine-readable reports.
 
-The default experiment measures one-step errors: from a fixed start state,
-each path couples one coarse step of size h against the fine-mesh reference
-on the same increments, for every h on a dyadic ladder.  The L2 (or Lp)
-error per h is regressed against h in log-log coordinates and the slope is
-compared with the order predicted by the scheme's wood.  A multi-step mode
-iterating the scheme to a fixed horizon is available behind a flag; it
-carries no order guarantee and is excluded from the pass/fail verdict
-policy's intended use.
+One routine couples the scheme with the fine-mesh reference on every path:
+for each h on a dyadic ladder it iterates the scheme with step h from a
+fixed start state up to a horizon and compares the end state with the
+reference snapshot at that horizon, on the same increments.  The default
+horizon is h itself, so the experiment measures one-step errors; the L2 (or
+Lp) error per h is regressed against h in log-log coordinates and the slope
+is compared with the order predicted by the scheme's wood.  Behind a flag
+the horizon is t_end for every h, which measures global errors of the
+iterated scheme; the wood predicts no order for those, so the verdict of a
+multi-step run does not test the paper's claim.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .engine import (
     multi_step_solve,
     path_generator,
     reference_solve,
-    step,
 )
 from .models import ModelSpec, build_model
 from .terms import psi, render_compact
@@ -157,65 +158,46 @@ def predicted_order(wood_or_name: str | SWood, gamma: float, delta: float) -> fl
     return order_wood(wood).evaluate(gamma, delta)
 
 
-def _one_step_errors(
+def _ladder_errors(
     config: ExperimentConfig, scheme: CompiledScheme, model: ModelSpec
 ):
-    """Per-h absolute endpoint errors of single coarse steps from t = 0."""
+    """Per-h absolute endpoint errors against the fine-mesh reference.
+
+    Every ladder entry h iterates the scheme with step h up to its horizon
+    (h itself for one-step errors, t_end in multi-step mode) and compares
+    with the reference snapshot at that horizon, on the same increments.
+    Paths whose scheme run is not finite are counted as excluded.
+    """
     ladder = sorted(config.ladder, reverse=True)
-    substeps_per_h = {h: int(round(h / config.h_fine)) for h in ladder}
-    max_substeps = substeps_per_h[ladder[0]]
+    horizon = {h: config.t_end if config.multi_step else h for h in ladder}
+    substeps = {h: int(round(horizon[h] / config.h_fine)) for h in ladder}
     workspace = model.workspace()
     u0 = model.initial
     errors: dict[float, list[float]] = {h: [] for h in ladder}
     excluded: dict[float, int] = {h: 0 for h in ladder}
+    longest = ladder[0]
     for index in range(config.paths):
         rng = path_generator(config.seed, index)
-        path = NoisePath.draw(rng, max_substeps, model.noise_modes, config.h_fine)
+        path = NoisePath.draw(
+            rng, substeps[longest], model.noise_modes, config.h_fine
+        )
         _, recorded = reference_solve(
             u0,
-            ladder[0],
+            horizon[longest],
             path,
             model,
             workspace,
-            record_substeps=tuple(substeps_per_h.values()),
+            record_substeps=tuple(substeps.values()),
         )
-        for h in ladder:
-            reference = recorded[substeps_per_h[h]]
-            try:
-                approx = step(
-                    scheme, u0, h, path.prefix(substeps_per_h[h]), model, workspace
-                ).state
-            except NonfiniteValueError:
-                excluded[h] += 1
-                continue
-            errors[h].append(
-                float(np.linalg.norm(approx.coeffs - reference.coeffs))
-            )
-    return errors, excluded
-
-
-def _multi_step_errors(
-    config: ExperimentConfig, scheme: CompiledScheme, model: ModelSpec
-):
-    """Per-h global endpoint errors of the iterated scheme at t_end."""
-    ladder = sorted(config.ladder, reverse=True)
-    total_substeps = 2**config.fine_log2
-    workspace = model.workspace()
-    u0 = model.initial
-    errors: dict[float, list[float]] = {h: [] for h in ladder}
-    excluded: dict[float, int] = {h: 0 for h in ladder}
-    for index in range(config.paths):
-        rng = path_generator(config.seed, index)
-        path = NoisePath.draw(rng, total_substeps, model.noise_modes, config.h_fine)
-        reference, _ = reference_solve(u0, config.t_end, path, model, workspace)
         for h in ladder:
             try:
                 approx = multi_step_solve(
-                    scheme, u0, config.t_end, h, path, model, workspace
+                    scheme, u0, horizon[h], h, path, model, workspace
                 )
             except NonfiniteValueError:
                 excluded[h] += 1
                 continue
+            reference = recorded[substeps[h]]
             errors[h].append(
                 float(np.linalg.norm(approx.coeffs - reference.coeffs))
             )
@@ -270,8 +252,7 @@ def run_convergence(config: ExperimentConfig) -> ErrorReport:
     model = build_model(config.model, config.modes, config.noise_modes, config.r)
     scheme, wood = resolve_scheme(config.scheme)
     predicted = order_wood(wood).evaluate(model.gamma, model.delta)
-    runner = _multi_step_errors if config.multi_step else _one_step_errors
-    errors, excluded = runner(config, scheme, model)
+    errors, excluded = _ladder_errors(config, scheme, model)
     rows = tuple(
         _row_statistics(h, errors[h], excluded[h], config.p_norm)
         for h in sorted(errors, reverse=True)

@@ -191,14 +191,6 @@ def validate(tree: STree) -> ValidationResult:
     return ValidationResult(True)
 
 
-def validate_wood(wood: SWood) -> ValidationResult:
-    for i, tree in enumerate(wood.trees, start=1):
-        result = validate(tree)
-        if not result:
-            return ValidationResult(False, f"tree {i}: {result.message}")
-    return ValidationResult(True)
-
-
 def active_nodes(wood: SWood) -> tuple[ActiveNode, ...]:
     """All starred (tree, node) pairs in lexicographic order."""
     found = []
@@ -309,8 +301,7 @@ class OrderValue:
 
     def evaluate(self, gamma: float, delta: float) -> float:
         _check_exponents(gamma, delta)
-        n1, n0, n2 = self.triple
-        return n1 + n0 * gamma + n2 * delta
+        return _triple_value(self.triple, gamma, delta)
 
 
 def _check_exponents(gamma: float, delta: float) -> None:
@@ -330,6 +321,7 @@ def order_tree(tree: STree) -> OrderValue:
 
 
 def _triple_value(triple: OrderTriple, gamma, delta):
+    """The linear form n1 + n0*gamma + n2*delta (scalars or arrays)."""
     n1, n0, n2 = triple
     return n1 + n0 * gamma + n2 * delta
 
@@ -348,9 +340,7 @@ _PROBE_GAMMA, _PROBE_DELTA = (
 def _prune_triples(triples: frozenset[OrderTriple]) -> frozenset[OrderTriple]:
     """Drop candidates that are nowhere strictly below the min of the rest."""
     kept = sorted(triples)
-    values = _np.array(
-        [n1 + n0 * _PROBE_GAMMA + n2 * _PROBE_DELTA for n1, n0, n2 in kept]
-    )
+    values = _np.array([_triple_value(t, _PROBE_GAMMA, _PROBE_DELTA) for t in kept])
     keep_mask = [True] * len(kept)
     for index in range(len(kept)):
         if sum(keep_mask) == 1:

@@ -265,6 +265,28 @@ class TestReference:
         )
         np.testing.assert_array_equal(ref.coeffs, stepped.coeffs)
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
+    def test_single_step_run_equals_step_bitwise(self, name, mult):
+        # The one-step order study runs each ladder entry as a multi-step
+        # run of horizon h; that must reproduce step() to the last bit.
+        scheme = builtin_scheme(name)
+        u0 = mult.initial
+        path = draw_path(mult, 256, seed=9)
+        for substeps in (1, 16, 256):
+            h = substeps * H_FINE
+            run = multi_step_solve(scheme, u0, h, h, path, mult)
+            single = step(scheme, u0, h, path, mult).state
+            assert run.coeffs.tobytes() == single.coeffs.tobytes()
+
+    def test_multi_step_rejects_partial_last_step(self, mult):
+        # 4 substeps do not split into steps of 3: no silent truncation.
+        path = draw_path(mult, 8)
+        with pytest.raises(MeshMismatchError, match="t_end .* whole number of steps of h"):
+            multi_step_solve(
+                builtin_scheme("exp-euler"), mult.initial, 4 * H_FINE, 3 * H_FINE,
+                path, mult,
+            )
+
     def test_blow_up_raises_nonfinite(self, mult):
         # Increments of order 1e198 overflow the state within two substeps.
         path = draw_path(mult, 8, seed=4)

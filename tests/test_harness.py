@@ -21,7 +21,7 @@ from spde_taylor.harness import (
     resolve_scheme,
     run_convergence,
     symbolic_report,
-    _multi_step_errors,
+    _ladder_errors,
 )
 from spde_taylor.models import build_model
 
@@ -190,7 +190,7 @@ class TestRunConvergence:
             multi_step=True,
         )
         model = build_model("heat-mult", 8, 8, 0.005)
-        errors, _ = _multi_step_errors(config, builtin_scheme("exp-euler"), model)
+        errors, _ = _ladder_errors(config, builtin_scheme("exp-euler"), model)
         assert errors[config.ladder[0]] == [0.0, 0.0, 0.0]
 
     def test_multi_step_mode_runs(self):
