@@ -23,14 +23,12 @@ from .trees import (  # noqa: E402,F401
     order_wood,
     parse,
     serialize,
-    subtrees,
     validate,
 )
 from .terms import (  # noqa: E402,F401
     phi,
     phi_wood,
     psi,
-    render,
     rewrite_expand,
 )
 from .models import (  # noqa: E402,F401
@@ -57,7 +55,6 @@ from .engine import (  # noqa: E402,F401
 from .harness import (  # noqa: E402,F401
     ErrorReport,
     ExperimentConfig,
-    predicted_order,
     report_emit,
     run_convergence,
     symbolic_report,

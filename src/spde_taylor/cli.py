@@ -29,22 +29,6 @@ from .engine import EngineError
 from .models import ModelError
 from .trees import TreeError
 
-_CONFIG_KEYS = {
-    "model": str,
-    "scheme": str,
-    "t_end": float,
-    "fine": int,
-    "ladder": str,
-    "paths": int,
-    "seed": int,
-    "r": float,
-    "p": float,
-    "multi_step": bool,
-    "modes": int,
-    "noise_modes": int,
-    "out": str,
-}
-
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -55,8 +39,44 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _parse_ladder(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
+    except ValueError as exc:
+        raise ConfigError(f"bad ladder {text!r}: {exc}") from exc
+
+
+#: Every converge option once: config key -> (ExperimentConfig field, text
+#: parser, help).  The flag is the key with ``-`` for ``_``; options left
+#: unset fall back to the ExperimentConfig defaults.
+_OPTIONS = {
+    "model": ("model", str, "heat-mult or heat-add"),
+    "scheme": ("scheme", str, "builtin scheme name or wood text"),
+    "paths": ("paths", int, "Monte-Carlo path count"),
+    "seed": ("seed", int, "master seed"),
+    "fine": ("fine_log2", int, "log2 fine substeps over [0, t_end]"),
+    "ladder": (
+        "ladder_log2",
+        _parse_ladder,
+        "comma-separated log2 step denominators, e.g. 4,5,6,7,8",
+    ),
+    "out": ("out_dir", str, "output directory for report files"),
+    "multi_step": (
+        "multi_step",
+        _parse_bool,
+        "iterate the scheme to t_end (global error) instead of one step",
+    ),
+    "p": ("p_norm", float, "Lp norm exponent (default 2)"),
+    "r": ("r", float, "exponent offset for heat-mult"),
+    "t_end": ("t_end", float, "time horizon (default 1)"),
+    "modes": ("modes", int, "spectral modes (default 64)"),
+    "noise_modes": ("noise_modes", int, "noise modes (default 64)"),
+}
+
+
 def load_config_file(path: str) -> dict:
-    """Read ``key = value`` lines; unknown keys are an error."""
+    """Read ``key = value`` lines into parsed values; unknown keys and
+    unparsable values are errors that name the file and line."""
     values: dict = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -66,21 +86,13 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _OPTIONS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = _CONFIG_KEYS[key]
             try:
-                values[key] = _parse_bool(text) if kind is bool else kind(text)
-            except ValueError as exc:
+                values[key] = _OPTIONS[key][1](text)
+            except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
-
-
-def _parse_ladder(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
-    except ValueError as exc:
-        raise ConfigError(f"bad ladder {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,81 +107,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     converge = sub.add_parser("converge", help="run a strong-order experiment")
     converge.add_argument("--config", help="key = value config file")
-    converge.add_argument("--model", help="heat-mult or heat-add")
-    scheme = converge.add_mutually_exclusive_group()
-    scheme.add_argument("--scheme", help="builtin scheme name or wood text")
-    scheme.add_argument("--wood", help="wood text (alias for --scheme)")
-    converge.add_argument("--paths", type=int, help="Monte-Carlo path count")
-    converge.add_argument("--seed", type=int, help="master seed")
-    converge.add_argument(
-        "--fine", type=int, help="log2 fine substeps over [0, t_end]"
-    )
-    converge.add_argument(
-        "--ladder",
-        help="comma-separated log2 step denominators, e.g. 4,5,6,7,8",
-    )
-    converge.add_argument("--out", help="output directory for report files")
-    converge.add_argument(
-        "--multi-step",
-        action="store_true",
-        default=None,
-        help="iterate the scheme to t_end (global error) instead of one step",
-    )
-    converge.add_argument("--p", type=float, help="Lp norm exponent (default 2)")
-    converge.add_argument("--r", type=float, help="exponent offset for heat-mult")
-    converge.add_argument("--t-end", type=float, help="time horizon (default 1)")
-    converge.add_argument("--modes", type=int, help="spectral modes (default 64)")
-    converge.add_argument(
-        "--noise-modes", type=int, help="noise modes (default 64)"
-    )
+    for key, (_, parse, text) in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _parse_bool:
+            converge.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            # A ConfigError from the parser escapes argparse, so a bad
+            # --ladder exits 1 like a bad config value; a bad number stays
+            # an argparse usage error.
+            converge.add_argument(flag, type=parse, help=text)
     return parser
 
 
 def _converge_config(args: argparse.Namespace) -> ExperimentConfig:
     values = load_config_file(args.config) if args.config else {}
-    flags = {
-        "model": args.model,
-        "scheme": args.scheme if args.scheme is not None else args.wood,
-        "paths": args.paths,
-        "seed": args.seed,
-        "fine": args.fine,
-        "ladder": args.ladder,
-        "out": args.out,
-        "multi_step": args.multi_step,
-        "p": args.p,
-        "r": args.r,
-        "t_end": args.t_end,
-        "modes": args.modes,
-        "noise_modes": args.noise_modes,
-    }
-    for key, value in flags.items():
-        if value is not None:
-            values[key] = value
-    defaults = ExperimentConfig()
-    ladder = values.get("ladder")
-    return ExperimentConfig(
-        model=values.get("model", defaults.model),
-        scheme=values.get("scheme", defaults.scheme),
-        t_end=float(values.get("t_end", defaults.t_end)),
-        fine_log2=int(values.get("fine", defaults.fine_log2)),
-        ladder_log2=_parse_ladder(ladder) if isinstance(ladder, str) else (
-            ladder or defaults.ladder_log2
-        ),
-        paths=int(values.get("paths", defaults.paths)),
-        seed=int(values.get("seed", defaults.seed)),
-        r=float(values.get("r", defaults.r)),
-        p_norm=float(values.get("p", defaults.p_norm)),
-        multi_step=bool(values.get("multi_step", defaults.multi_step)),
-        modes=int(values.get("modes", defaults.modes)),
-        noise_modes=int(values.get("noise_modes", defaults.noise_modes)),
-        out_dir=values.get("out", defaults.out_dir),
-    )
+    for key in _OPTIONS:
+        flag = getattr(args, key)
+        if flag is not None:
+            values[key] = flag
+    return ExperimentConfig(**{_OPTIONS[key][0]: value for key, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "symbolic":
             print(symbolic_report(args.wood))
             return 0

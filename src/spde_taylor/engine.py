@@ -163,15 +163,11 @@ def _check_model_orders(required: dict, model: ModelSpec) -> None:
                 )
 
 
-def compile_scheme(
-    expr: TermExpr,
-    model: ModelSpec | None = None,
-    source_wood: SWood | None = None,
-) -> CompiledScheme:
+def compile_scheme(expr: TermExpr, source_wood: SWood | None = None) -> CompiledScheme:
     """Turn a star-free term sum into an executable plan.
 
-    Terms are kept in canonical order.  When a model is supplied its
-    derivative support is checked here; :func:`step` re-checks at use.
+    Terms are kept in canonical order.  A model's derivative support is
+    checked when the plan is bound to it (:class:`BoundPlan`).
     """
     if contains_starred(expr):
         offending = next(
@@ -180,11 +176,10 @@ def compile_scheme(
         raise NotImplementableError(
             f"term {offending} depends on the unknown solution path"
         )
-    required = required_derivative_orders(expr)
-    if model is not None:
-        _check_model_orders(required, model)
     return CompiledScheme(
-        terms=summands(expr), required_orders=required, source_wood=source_wood
+        terms=summands(expr),
+        required_orders=required_derivative_orders(expr),
+        source_wood=source_wood,
     )
 
 
@@ -415,8 +410,9 @@ def _solve(
     [0, t_end] once, and advances u0 through consecutive h-long row slices
     of it.  Returns the end coefficients, the term values of the last step
     keyed by term name, and snapshots after the step counts in
-    ``record_steps``.  A step whose result is not finite raises
-    :class:`NonfiniteValueError` naming its first non-finite term.
+    ``record_steps``, each of which must lie in 0..t_end / h.  A step whose
+    result is not finite raises :class:`NonfiniteValueError` naming its
+    first non-finite term.
     """
     _check_shapes(u0, path, model)
     plan = BoundPlan(scheme, model, h, path.h_fine, workspace or model.workspace())
@@ -428,6 +424,11 @@ def _solve(
         raise MeshMismatchError(
             f"[0, {t_end}] needs {steps * per_step} substeps, "
             f"path provides {path.substeps}"
+        )
+    outside = sorted(n for n in record_steps if not 0 <= n <= steps)
+    if outside:
+        raise MeshMismatchError(
+            f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
         )
     noise = plan.prepare_noise(path.increments[: steps * per_step])
     recorded = {0: u0} if 0 in record_steps else {}
@@ -475,7 +476,8 @@ def reference_solve(
     substep of [0, t_end]: the stepping loop of :func:`multi_step_solve`
     with that scheme at h = h_fine.  A coarse run of the scheme at h_fine is
     therefore bitwise identical to this reference.  ``record_substeps``
-    requests snapshots after the given substep counts.
+    requests snapshots after the given substep counts; a count outside
+    0..t_end / h_fine raises :class:`MeshMismatchError`.
     """
     state, _, recorded = _solve(
         _REFERENCE_SCHEME, u0, t_end, path.h_fine, path, model, workspace,

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("fine_log2 must be >= 0")
         if not self.ladder_log2:
             raise ConfigError("ladder must not be empty")
+        if len(set(self.ladder_log2)) != len(self.ladder_log2):
+            raise ConfigError(f"ladder {self.ladder_log2} repeats an entry")
         for k in self.ladder_log2:
             if k < 0 or k > self.fine_log2:
                 raise ConfigError(
@@ -97,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError("p_norm must be >= 1")
         if self.modes < 1 or self.noise_modes < 1:
             raise ConfigError("mode counts must be >= 1")
+        if not 0 <= self.seed < 2**128:  # a Philox key is 128 bits
+            raise ConfigError(f"seed must lie in 0..2**128 - 1, got {self.seed}")
 
     @property
     def h_fine(self) -> float:
@@ -145,17 +149,6 @@ def resolve_scheme(name_or_wood: str) -> tuple[CompiledScheme, SWood]:
         return scheme, scheme.source_wood
     wood = parse(name_or_wood)
     return compile_scheme(psi(wood), source_wood=wood), wood
-
-
-def predicted_order(wood_or_name: str | SWood, gamma: float, delta: float) -> float:
-    """Numeric order of a wood (or builtin scheme name) at given exponents."""
-    if isinstance(wood_or_name, SWood):
-        wood = wood_or_name
-    elif wood_or_name in BUILTIN_WOODS:
-        wood = BUILTIN_WOODS[wood_or_name]
-    else:
-        wood = parse(wood_or_name)
-    return order_wood(wood).evaluate(gamma, delta)
 
 
 def _ladder_errors(

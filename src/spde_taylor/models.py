@@ -437,27 +437,6 @@ def smoothed_diffusion_hs_norm(
     return float(np.sqrt(np.sum(decay[:, None] * mat * mat)))
 
 
-def state_to_csv(state: SpectralState) -> str:
-    """CSV text with one (mode index, coefficient) row per mode."""
-    lines = ["mode,coefficient"]
-    for index, value in enumerate(state.coeffs, start=1):
-        lines.append(f"{index},{float(value)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def state_from_csv(text: str) -> SpectralState:
-    lines = [line for line in text.strip().splitlines() if line]
-    if not lines or lines[0] != "mode,coefficient":
-        raise ValueError("expected a 'mode,coefficient' header")
-    coeffs = []
-    for expected, line in enumerate(lines[1:], start=1):
-        mode_text, value_text = line.split(",", 1)
-        if int(mode_text) != expected:
-            raise ValueError(f"mode rows out of order at {mode_text}")
-        coeffs.append(float(value_text))
-    return SpectralState(np.asarray(coeffs))
-
-
 def convolution_variances(spec: ModelSpec, h: float) -> np.ndarray:
     """Per-mode variance of int_0^h e^{A(h-s)} B dW_s for the diagonal model.
 

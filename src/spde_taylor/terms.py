@@ -81,15 +81,6 @@ class TermSum:
     terms: tuple[TermExpr, ...]
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    """One application of the expansion identity: where, and what replaced it."""
-
-    target: TermPath
-    replaced: TermExpr
-    replacement: tuple[TermExpr, ...]
-
-
 def integral(order: int, j: NodeLabel, args: tuple[TermExpr, ...] = ()) -> TermExpr:
     """Canonical operator constructor; sorts multilinear arguments."""
     if order == 0:
@@ -119,14 +110,6 @@ def summands(expr: TermExpr) -> tuple[TermExpr, ...]:
     return (expr,)
 
 
-def render(expr: TermExpr, style: str = "compact") -> str:
-    if style == "compact":
-        return render_compact(expr)
-    if style == "latex":
-        return _render_latex(expr)
-    raise ValueError(f"unknown render style {style!r}")
-
-
 def render_compact(expr: TermExpr) -> str:
     if isinstance(expr, I0):
         return f"I^0_{expr.j}"
@@ -136,26 +119,6 @@ def render_compact(expr: TermExpr) -> str:
     if not expr.terms:
         return "0"
     return " + ".join(render_compact(t) for t in expr.terms)
-
-
-_LATEX_SUBSCRIPT = {
-    NodeLabel.ZERO: "0",
-    NodeLabel.ONE: "1",
-    NodeLabel.TWO: "2",
-    NodeLabel.ONE_STAR: "1^*",
-    NodeLabel.TWO_STAR: "2^*",
-}
-
-
-def _render_latex(expr: TermExpr) -> str:
-    if isinstance(expr, I0):
-        return f"I^{{0}}_{{{_LATEX_SUBSCRIPT[expr.j]}}}"
-    if isinstance(expr, In):
-        inner = ", ".join(_render_latex(a) for a in expr.args)
-        return f"I^{{{expr.order}}}_{{{_LATEX_SUBSCRIPT[expr.j]}}}[{inner}]"
-    if not expr.terms:
-        return "0"
-    return " + ".join(_render_latex(t) for t in expr.terms)
 
 
 def contains_starred(expr: TermExpr) -> bool:
@@ -185,20 +148,13 @@ def phi(tree: STree) -> TermExpr:
     return integral(len(parts), k, tuple(parts))
 
 
-def psi_tree(tree: STree) -> TermExpr | None:
-    """Computable part of a tree's term: dropped entirely when active."""
-    if tree.is_active:
-        return None
-    return phi(tree)
-
-
 def phi_wood(wood: SWood) -> TermExpr:
     return term_sum(phi(tree) for tree in wood.trees)
 
 
 def psi(wood: SWood) -> TermExpr:
-    kept = [term for term in (psi_tree(t) for t in wood.trees) if term is not None]
-    return term_sum(kept)
+    """Computable part of the wood's term: active trees are dropped whole."""
+    return term_sum(phi(tree) for tree in wood.trees if not tree.is_active)
 
 
 def phi_with_slot(tree: STree, node: int) -> tuple[TermExpr, TermPath]:
@@ -294,27 +250,6 @@ def _rewrite_term(term: TermExpr, path: TermPath) -> tuple[TermExpr, ...]:
     return tuple(out)
 
 
-def subterm_at(expr: TermExpr, path: TermPath) -> TermExpr:
-    node = expr
-    for index in path:
-        if isinstance(node, TermSum):
-            parts: tuple[TermExpr, ...] = node.terms
-        elif isinstance(node, In):
-            parts = node.args
-        else:
-            raise BadPathError(f"path descends into {render_compact(node)}")
-        if not 0 <= index < len(parts):
-            raise BadPathError(f"index {index} out of range at {path}")
-        node = parts[index]
-    return node
-
-
-def describe_rewrite(expr: TermExpr, path: TermPath) -> RewriteStep:
-    """The rewrite at ``path`` as a record, without applying it."""
-    target = subterm_at(expr, path)
-    return RewriteStep(target=path, replaced=target, replacement=expansion_of(target))
-
-
 def rewrite_expand(expr: TermExpr, path: TermPath) -> TermExpr:
     """Expand the starred subterm at ``path``; multilinearity keeps sums flat.
 
@@ -378,19 +313,14 @@ __all__ = [
     "I0",
     "In",
     "TermSum",
-    "RewriteStep",
     "NotStarredError",
     "BadPathError",
     "integral",
-    "subterm_at",
-    "describe_rewrite",
     "term_sum",
     "summands",
-    "render",
     "render_compact",
     "contains_starred",
     "phi",
-    "psi_tree",
     "phi_wood",
     "psi",
     "phi_with_slot",

@@ -253,23 +253,6 @@ def subtrees_with_nodes(tree: STree) -> list[tuple[STree, tuple[int, ...]]]:
     return result
 
 
-def subtrees(tree: STree) -> tuple[STree, ...]:
-    return tuple(sub for sub, _ in subtrees_with_nodes(tree))
-
-
-def assemble(root_label: NodeLabel, parts: tuple[STree, ...]) -> STree:
-    """Inverse of :func:`subtrees` up to canonical node renumbering."""
-    labels = [root_label]
-    parents: list[int] = []
-    for part in parts:
-        offset = len(labels)
-        labels.extend(part.labels)
-        parents.append(1)
-        for j in range(2, part.length + 1):
-            parents.append(part.parent_of(j) + offset)
-    return STree(labels=tuple(labels), parents=tuple(parents))
-
-
 # --------------------------------------------------------------------------
 # Order functional
 # --------------------------------------------------------------------------

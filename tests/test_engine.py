@@ -105,10 +105,11 @@ class TestCompile:
             noise_modes=8,
             initial=initial_condition("first_mode", 8),
         )
-        expr = psi(BUILTIN_WOODS["full-2nd"])
+        scheme = compile_scheme(psi(BUILTIN_WOODS["full-2nd"]))
+        h = 4 * H_FINE
         with pytest.raises(UnsupportedDerivativeOrderError):
-            compile_scheme(expr, model=limited)
-        compile_scheme(expr, model=mult)  # full model accepts the plan
+            step(scheme, limited.initial, h, draw_path(limited, 4), limited)
+        step(scheme, mult.initial, h, draw_path(mult, 4), mult)  # full model runs it
 
 
 class TestNoisePath:
@@ -305,6 +306,14 @@ class TestReference:
         direct, _ = reference_solve(u0, 8 * H_FINE, path.prefix(8), mult)
         np.testing.assert_array_equal(recorded[8].coeffs, direct.coeffs)
         assert set(recorded) == {8, 32}
+
+    def test_recording_past_the_window_is_rejected(self, mult):
+        # A snapshot after 16 substeps of an 8-substep run cannot exist.
+        path = draw_path(mult, 8)
+        with pytest.raises(MeshMismatchError, match="record after \\[16\\] steps"):
+            reference_solve(
+                mult.initial, 8 * H_FINE, path, mult, record_substeps=(4, 16)
+            )
 
     def test_self_refinement_rate(self):
         # Halving the fine mesh moves the endpoint by about h_fine^(1/4)

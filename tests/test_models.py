@@ -339,17 +339,6 @@ def test_multiplication_on_grid_values(mult):
     )
 
 
-def test_state_csv_round_trip():
-    state = initial_condition("smooth_poly", 6)
-    from spde_taylor.models import state_from_csv, state_to_csv
-
-    text = state_to_csv(state)
-    assert text.startswith("mode,coefficient\n1,")
-    assert state_from_csv(text) == state
-    with pytest.raises(ValueError):
-        state_from_csv("nope\n1,2\n")
-
-
 def test_smoothing_hs_norm_decreases(mult):
     rng = np.random.default_rng(21)
     v = SpectralState(rng.standard_normal(64))

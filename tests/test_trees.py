@@ -14,7 +14,6 @@ from spde_taylor.trees import (
     STree,
     SWood,
     active_nodes,
-    assemble,
     expand,
     initial_wood,
     order_tree,
@@ -23,7 +22,6 @@ from spde_taylor.trees import (
     reachable_woods,
     serialize,
     serialize_tree,
-    subtrees,
     subtrees_with_nodes,
     validate,
 )
@@ -137,6 +135,10 @@ class TestExpand:
         wood = initial_wood()
         expand(wood, ActiveNode(3, 1))
         assert wood == initial_wood()
+
+
+def subtrees(tree):
+    return [sub for sub, _ in subtrees_with_nodes(tree)]
 
 
 class TestSubtrees:
@@ -269,15 +271,6 @@ class TestSerialization:
         assert text == "(2*[2*[0],0])"
         reparsed = parse(text)
         assert serialize(reparsed) == text
-
-
-def test_subtree_reassembly_on_worked_woods():
-    for wood in WOODS.values():
-        for tree in wood.trees:
-            if tree.length < 2:
-                continue
-            rebuilt = assemble(tree.label_of(1), subtrees(tree))
-            assert serialize_tree(rebuilt) == serialize_tree(tree)
 
 
 def test_reachable_enumeration_is_deterministic():
