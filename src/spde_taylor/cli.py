@@ -74,6 +74,15 @@ _OPTIONS = {
 }
 
 
+def _parse_option(key: str, text: str, where: str):
+    """``text`` through the parser of option ``key``; a bad value is a
+    ConfigError that starts with ``where``."""
+    try:
+        return _OPTIONS[key][1](text)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def load_config_file(path: str) -> dict:
     """Read ``key = value`` lines into parsed values; unknown keys and
     unparsable values are errors that name the file and line."""
@@ -88,10 +97,7 @@ def load_config_file(path: str) -> dict:
             key, text = (part.strip() for part in line.split("=", 1))
             if key not in _OPTIONS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _OPTIONS[key][1](text)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            values[key] = _parse_option(key, text, f"{path}:{lineno}")
     return values
 
 
@@ -107,24 +113,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     converge = sub.add_parser("converge", help="run a strong-order experiment")
     converge.add_argument("--config", help="key = value config file")
+    # Flags stay text here and go through the option parsers in main, so a
+    # bad value exits 1 like a bad config value instead of with argparse's
+    # usage error, whose exit code 2 is that of a failed verdict.
     for key, (_, parse, text) in _OPTIONS.items():
-        flag = "--" + key.replace("_", "-")
+        flag = _flag(key)
         if parse is _parse_bool:
-            converge.add_argument(flag, action="store_true", default=None, help=text)
+            converge.add_argument(flag, action="store_const", const="true", help=text)
         else:
-            # A ConfigError from the parser escapes argparse, so a bad
-            # --ladder exits 1 like a bad config value; a bad number stays
-            # an argparse usage error.
-            converge.add_argument(flag, type=parse, help=text)
+            converge.add_argument(flag, help=text)
     return parser
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _converge_config(args: argparse.Namespace) -> ExperimentConfig:
     values = load_config_file(args.config) if args.config else {}
     for key in _OPTIONS:
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = _parse_option(key, text, _flag(key))
     return ExperimentConfig(**{_OPTIONS[key][0]: value for key, value in values.items()})
 
 

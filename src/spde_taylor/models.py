@@ -16,8 +16,14 @@ the closed-form triple products, the relative error of the N x M diffusion
 matrix at the default P = 255 for N = M = 64 is at most 2e-4 for white
 base states and 4e-6 for the smooth start state (measured in
 ``tests/test_models.py``), far below the Monte-Carlo error of the order
-studies.  The default P + 1 has no prime factor above 11, so the DST-I stays
-on the FFT's fast radices.
+studies.
+
+The grid transforms are products with cached sine matrices (see
+:class:`GridWorkspace`) and equal the type-I discrete sine transform up to
+rounding.  On the single rows of the fine-mesh reference a product is
+several times faster than an FFT call, whose cost at these sizes is mostly
+dispatch; from about N = 200 up the O(N P) product loses, and no study here
+goes above N = 64.
 
 Two concrete models are provided: the heat equation with multiplication
 noise (B(v)(w) = v*w pointwise, F = 0, lambda_i = pi^2 i^2) and an additive
@@ -28,10 +34,11 @@ used as an exactly solvable test instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Protocol, Sequence
 
 import numpy as np
-from scipy.fft import dst, next_fast_len
+from scipy.fft import next_fast_len
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -83,12 +90,38 @@ class SpectralState:
         return hash(self.coeffs.tobytes())
 
 
+# A model needs at most three (P, modes) pairs; the bound keeps a sweep over
+# sizes from holding every matrix it has built.
+@lru_cache(maxsize=16)
+def _sine_matrix(grid_points: int, modes: int) -> np.ndarray:
+    """[sqrt(2) sin(i pi x_m)], i = 1..modes, m = 1..P: coefficients to grid
+    values.  The index product i m is reduced mod 2(P+1) before the sine, so
+    high modes are as accurate as low ones."""
+    p1 = grid_points + 1
+    phase = np.outer(np.arange(1, modes + 1), np.arange(1, p1)) % (2 * p1)
+    out = SQRT2 * np.sin(np.pi * phase / p1)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=16)
+def _interpolant_matrix(grid_points: int, modes: int) -> np.ndarray:
+    """The sine matrix transposed over P + 1: grid values to the first
+    ``modes`` coefficients of their odd interpolant."""
+    out = np.ascontiguousarray(_sine_matrix(grid_points, modes).T) / (grid_points + 1)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class GridWorkspace:
-    """Collocation grid x_m = m/(P+1), m = 1..P, with DST-I transforms.
+    """Collocation grid x_m = m/(P+1), m = 1..P, with its sine transforms.
 
-    The type-I discrete sine transform is its own inverse up to the factor
-    2(P+1), which fixes the normalisations below.  Products of functions
+    ``to_grid`` and ``to_coeffs`` are products with the (N, P) matrix
+    [sqrt(2) sin(i pi x_m)] and its (P, N) transpose over P + 1, cached per
+    (P, N) for the process, so every workspace of one size shares them.  On
+    the grid the sine vectors are orthogonal with squared norm P + 1, which
+    makes the second the left inverse of the first.  Products of functions
     are collocated on this grid (see the module docstring): the result
     converges to the Galerkin product as P grows but never equals it.
     """
@@ -110,15 +143,13 @@ class GridWorkspace:
         n = coeffs.shape[-1]
         if n > self.grid_points:
             raise ValueError(f"{n} modes exceed {self.grid_points} grid points")
-        return dst(coeffs, type=1, n=self.grid_points, axis=-1) / SQRT2
+        return coeffs @ _sine_matrix(self.grid_points, n)
 
     def to_coeffs(self, values: np.ndarray, modes: int) -> np.ndarray:
         """Sine coefficients of the odd trigonometric interpolant, truncated."""
         if modes > self.grid_points:
             raise ValueError(f"{modes} modes exceed {self.grid_points} grid points")
-        out = dst(np.asarray(values, dtype=float), type=1, axis=-1)
-        out /= SQRT2 * (self.grid_points + 1)
-        return out[..., :modes]
+        return np.asarray(values, dtype=float) @ _interpolant_matrix(self.grid_points, modes)
 
     def quadrature_l2_norm(self, values: np.ndarray) -> float:
         """Grid L2 norm, exact for sine polynomials of degree <= P."""
@@ -129,8 +160,9 @@ class GridWorkspace:
 def default_workspace(modes: int, noise_modes: int = 0) -> GridWorkspace:
     """At least 4 max(N, M) - 1 grid points, with P + 1 11-smooth.
 
-    The DST-I of P points runs as an FFT of length 2(P + 1); a large prime
-    factor in P + 1 (P = 256 gives 257) throws it off the fast radices.
+    P + 1 = ``next_fast_len(4 max(N, M))`` dates from FFT-based transforms
+    and stays so that the collocation grid, and every number computed on
+    it, is unchanged (P = 255 for N = M = 64).
     """
     return GridWorkspace(grid_points=next_fast_len(4 * max(modes, noise_modes)) - 1)
 

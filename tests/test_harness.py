@@ -364,6 +364,16 @@ class TestCli:
         assert code == 1
         assert "unknown model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["--paths", "--seed", "--fine", "--p", "--r", "--t-end", "--modes", "--noise-modes"],
+    )
+    def test_non_numeric_flag_is_error(self, flag, capsys):
+        # Exit 2 is a failed verdict; a bad flag value must not look like one.
+        code = main(["converge", flag, "x"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(

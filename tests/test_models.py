@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import dst
 from scipy.integrate import quad
 
 from spde_taylor.models import (
@@ -301,8 +302,10 @@ class TestGridWorkspace:
 
     def test_too_many_modes(self):
         ws = GridWorkspace(grid_points=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="5 modes exceed 4 grid points"):
             ws.to_grid(np.ones(5))
+        with pytest.raises(ValueError, match="5 modes exceed 4 grid points"):
+            ws.to_coeffs(np.ones(4), 5)
 
     @given(
         st.integers(min_value=1, max_value=48),
@@ -317,11 +320,39 @@ class TestGridWorkspace:
         assert abs(grid_norm - np.linalg.norm(coeffs)) < 1e-10
 
 
+class TestSineMatrixTransforms:
+    """The cached sine matrices against the type-I DST they replace: values
+    at the nodes are DST-I(c, n=P) / sqrt(2), and the interpolant's
+    coefficients are DST-I(v) / (sqrt(2) (P + 1)), truncated."""
+
+    @staticmethod
+    def assert_matches(got, want):
+        # Entries near zero carry the rounding of the whole sum, so the
+        # absolute tolerance scales with the largest entry.
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("grid_points, modes", [(63, 16), (255, 64), (255, 8)])
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 5)])
+    def test_match_dst_oracle(self, grid_points, modes, batch):
+        ws = GridWorkspace(grid_points=grid_points)
+        rng = np.random.default_rng(grid_points + modes + len(batch))
+        coeffs = rng.standard_normal(batch + (modes,))
+        values = rng.standard_normal(batch + (grid_points,))
+        self.assert_matches(
+            ws.to_grid(coeffs), dst(coeffs, type=1, n=grid_points, axis=-1) / SQRT2
+        )
+        oracle = dst(values, type=1, axis=-1) / (SQRT2 * (grid_points + 1))
+        self.assert_matches(ws.to_coeffs(values, modes), oracle[..., :modes])
+        np.testing.assert_allclose(
+            ws.to_coeffs(ws.to_grid(coeffs), modes), coeffs, rtol=1e-13, atol=1e-13
+        )
+
+
 class TestDefaultWorkspace:
     def test_grid_is_large_enough_with_smooth_dst_length(self):
-        # The DST-I of P points is an FFT of length 2(P + 1); a large prime
-        # factor of P + 1 (P = 4 * 64 = 256 gives 257) makes it many times
-        # slower, so P + 1 must have no prime factor above 11.
+        # P + 1 has no prime factor above 11 (P = 4 * 64 = 256 would give
+        # 257), as when the transforms were FFTs; keeping that rule keeps
+        # the collocation grid, and every result computed on it, unchanged.
         for modes in range(1, 129):
             for noise_modes in range(1, 129):
                 p = default_workspace(modes, noise_modes).grid_points
