@@ -101,8 +101,17 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it exits 1 like any other
+    bad input; argparse's own exit code 2 is that of a failed verdict."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spde-taylor",
         description="Tree-indexed Taylor schemes for semilinear SPDEs.",
     )

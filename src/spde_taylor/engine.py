@@ -12,13 +12,18 @@ of size h over a fine mesh of substeps r_j = j * h_fine works term by term:
 
 Arguments of multilinear terms are evaluated as trajectories on the same
 mesh (value at each left point), so iterated stochastic integrals reuse the
-increments that drive the outer integral.  A plan bound to (model, h,
-h_fine, workspace) holds everything that depends only on those.
+increments that drive the outer integral.
+
+A scheme is lowered once into nodes in dependency order, one per distinct
+term or subterm, so a shared subterm (the I^0_0 inside a Milstein term and
+the plan's own I^0_0) is evaluated once per step.  The per-mode factors
+depend only on (eigenvalues, h, h_fine); they are built once per process
+for each such triple and shared read-only.
 
 One stepping loop runs every evaluation: it binds the plan once, prepares
 the noise of the whole window [0, t_end] once (for the multiplication model:
 moves it to the grid) and advances the state through consecutive h-long row
-slices of it.  :func:`step` is that loop for a single step,
+blocks of it.  :func:`step` is that loop for a single step,
 :func:`multi_step_solve` for t_end / h steps, and the fine-mesh reference
 :func:`reference_solve` is the loop over the exponential Euler plan at
 h = h_fine, which makes scheme-versus-reference comparisons on shared noise
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,12 +87,20 @@ def path_generator(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class NoisePath:
     """Gaussian increments of the driving cylindrical process on a fine mesh.
 
     Row j holds the M per-mode increments over [j*h_fine, (j+1)*h_fine];
-    entries are i.i.d. N(0, h_fine).
+    entries are i.i.d. N(0, h_fine).  The increments are read-only: a
+    writeable array is copied, one that is already read-only (such as the
+    fresh array of :meth:`draw` or the row view of :meth:`prefix`) is taken
+    over as it is.
     """
 
     increments: np.ndarray
@@ -99,8 +112,8 @@ class NoisePath:
             raise ValueError("increments must be a (substeps, modes) array")
         if self.h_fine <= 0.0:
             raise ValueError("h_fine must be positive")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.flags.writeable:
+            arr = _frozen(arr.copy())
         object.__setattr__(self, "increments", arr)
 
     @property
@@ -115,8 +128,9 @@ class NoisePath:
     def draw(
         rng: np.random.Generator, substeps: int, noise_modes: int, h_fine: float
     ) -> "NoisePath":
-        increments = rng.standard_normal((substeps, noise_modes)) * np.sqrt(h_fine)
-        return NoisePath(increments=increments, h_fine=h_fine)
+        increments = rng.standard_normal((substeps, noise_modes))
+        increments *= np.sqrt(h_fine)
+        return NoisePath(increments=_frozen(increments), h_fine=h_fine)
 
     def prefix(self, substeps: int) -> "NoisePath":
         if substeps > self.substeps:
@@ -133,7 +147,9 @@ class NoisePath:
                 f"{self.substeps} substeps do not group into blocks of {factor}"
             )
         blocks = self.increments.reshape(self.substeps // factor, factor, -1)
-        return NoisePath(increments=blocks.sum(axis=1), h_fine=self.h_fine * factor)
+        return NoisePath(
+            increments=_frozen(blocks.sum(axis=1)), h_fine=self.h_fine * factor
+        )
 
 
 @dataclass(frozen=True)
@@ -144,6 +160,11 @@ class CompiledScheme:
 
     def describe(self) -> str:
         return " + ".join(render_compact(t) for t in self.terms) or "0"
+
+    @cached_property
+    def lowered(self) -> tuple[tuple[_Node, ...], tuple[int, ...], tuple[str, ...]]:
+        """The terms lowered once per scheme (see :func:`_lower`)."""
+        return _lower(self.terms)
 
 
 @dataclass(frozen=True)
@@ -231,18 +252,89 @@ def _check_shapes(u0: SpectralState, path: NoisePath, model: ModelSpec) -> None:
         )
 
 
+# Node kinds of a lowered plan: the semigroup flow I^0_0, the drift flow
+# I^0_1, and the left-point substep sums I^i_2 (i >= 0) and I^i_1 (i >= 1).
+_FLOW, _DRIFT_FLOW, _DIFFUSION, _DRIFT = "flow", "drift flow", "diffusion", "drift"
+
+#: (kind, derivative order, argument slots, trajectory needed)
+_Node = tuple[str, int, tuple[int, ...], bool]
+
+
+def _lower(
+    terms: tuple[TermExpr, ...],
+) -> tuple[tuple[_Node, ...], tuple[int, ...], tuple[str, ...]]:
+    """The distinct terms and subterms of ``terms`` as nodes in dependency
+    order, the slot and the name of each of ``terms``.  A node's argument
+    slots are all earlier; its trajectory is needed when a later node takes
+    it as an argument."""
+    slots: dict[TermExpr, int] = {}
+    specs: list[tuple[str, int, tuple[int, ...]]] = []
+
+    def visit(term: TermExpr) -> int:
+        if term not in slots:
+            order, args = (0, ()) if isinstance(term, I0) else (term.order, term.args)
+            arg_slots = tuple(visit(a) for a in args)
+            if term.j is NodeLabel.ZERO:
+                kind = _FLOW
+            elif term.j is NodeLabel.ONE:
+                kind = _DRIFT_FLOW if order == 0 else _DRIFT
+            elif term.j is NodeLabel.TWO:
+                kind = _DIFFUSION
+            else:
+                raise NotImplementableError(f"cannot evaluate starred {term.j}")
+            slots[term] = len(specs)
+            specs.append((kind, order, arg_slots))
+        return slots[term]
+
+    term_slots = tuple(visit(t) for t in terms)
+    read = {a for _, _, args in specs for a in args}
+    nodes = tuple((*spec, slot in read) for slot, spec in enumerate(specs))
+    return nodes, term_slots, tuple(render_compact(t) for t in terms)
+
+
+class _MeshTables:
+    """The per-mode factors of a step h on a mesh of h_fine, read-only."""
+
+    def __init__(self, lam: np.ndarray, h: float, h_fine: float, substeps: int):
+        self.lam = lam
+        self.times = _frozen(np.arange(substeps) * h_fine)
+        self.zeros = _frozen(np.zeros(lam.size))
+        self.decay_fine = _frozen(np.exp(-lam * h_fine))
+        # end_weights[i, j] = exp(-lambda_i (h - r_j))
+        self.end_weights = _frozen(np.exp(-lam[:, None] * (h - self.times[None, :])))
+        self.flow = _frozen(np.expm1(-lam * h))
+        self.drift_flow = _frozen(-self.flow / lam)
+
+    # Trajectory factors; only plans with an inner I^0_0 or I^0_1 need them.
+    @cached_property
+    def flow_at(self) -> np.ndarray:
+        """e^{-lambda_i r_j} - 1, indexed [j, i]."""
+        return _frozen(np.expm1(-np.outer(self.times, self.lam)))
+
+    @cached_property
+    def drift_flow_at(self) -> np.ndarray:
+        """(1 - e^{-lambda_i r_j}) / lambda_i, indexed [j, i]."""
+        return _frozen(-self.flow_at / self.lam[None, :])
+
+
+# A ladder study binds about six (h, h_fine) pairs per model; the bound keeps
+# a sweep over sizes from holding every table it has built.
+@lru_cache(maxsize=16)
+def _mesh_tables(eigenvalues: bytes, h: float, h_fine: float, substeps: int) -> _MeshTables:
+    """The shared tables for the eigenvalues whose float64 bytes are given."""
+    return _MeshTables(np.frombuffer(eigenvalues), h, h_fine, substeps)
+
+
 class BoundPlan:
     """A compiled scheme bound to a model, a step h on a mesh of h_fine and
     a workspace.
 
-    Everything that depends only on those is computed once here: the
-    semigroup factors of the step, the exact end weights of the left-point
-    sums and the time factors of the deterministic trajectories.
-    :meth:`advance` then evaluates the plan from a start state on one window
-    of noise prepared by :meth:`prepare_noise`.  The stepping loop behind
-    :func:`step`, :func:`multi_step_solve` and :func:`reference_solve` binds
-    one of these per call, so a coarse run of exponential Euler at h_fine
-    equals the reference by construction.
+    It holds the scheme's lowered nodes and the shared mesh tables of
+    (eigenvalues, h, h_fine).  :meth:`advance` walks the nodes from a start
+    state on one window of noise prepared by :meth:`prepare_noise`.  The
+    stepping loop behind :func:`step`, :func:`multi_step_solve` and
+    :func:`reference_solve` binds one of these per call, so a coarse run of
+    exponential Euler at h_fine equals the reference by construction.
     """
 
     def __init__(
@@ -257,29 +349,13 @@ class BoundPlan:
         self.scheme = scheme
         self.model = model
         self.workspace = workspace
+        self.modes = model.modes
         self.h_fine = h_fine
         self.substeps = _whole_count(
             h, h_fine, f"step {h} is not a whole number of substeps of {h_fine}"
         )
-        self.names = tuple(render_compact(t) for t in scheme.terms)
-        lam = model.eigenvalues
-        self.times = np.arange(self.substeps) * h_fine
-        self.decay_fine = np.exp(-lam * h_fine)
-        # end_weights[i, j] = exp(-lambda_i (h - r_j))
-        self.end_weights = np.exp(-lam[:, None] * (h - self.times[None, :]))
-        self.flow = np.expm1(-lam * h)
-        self.drift_flow = -self.flow / lam
-
-    # Trajectory factors; only plans with an inner I^0_0 or I^0_1 need them.
-    @cached_property
-    def flow_at(self) -> np.ndarray:
-        """e^{-lambda_i r_j} - 1, indexed [j, i]."""
-        return np.expm1(-np.outer(self.times, self.model.eigenvalues))
-
-    @cached_property
-    def drift_flow_at(self) -> np.ndarray:
-        """(1 - e^{-lambda_i r_j}) / lambda_i, indexed [j, i]."""
-        return -self.flow_at / self.model.eigenvalues[None, :]
+        self.nodes, self.term_slots, self.names = scheme.lowered
+        self.tables = _mesh_tables(model.eigenvalues.tobytes(), h, h_fine, self.substeps)
 
     def prepare_noise(self, increments: np.ndarray) -> np.ndarray | None:
         """The window's increments in the form the diffusion consumes, one
@@ -287,110 +363,80 @@ class BoundPlan:
         for plans that never apply the diffusion."""
         if not self.scheme.required_orders["B"]:
             return None
-        return self.model.diffusion.prepare_noise(increments, self.workspace)
+        return self.model.diffusion.prepare_noise(increments, self.workspace, self.modes)
 
     def advance(
         self, u0: np.ndarray, noise: np.ndarray | None
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """u0 plus the sum of the plan's terms, and the term values in plan
-        order, over the window whose prepared noise is ``noise``."""
-        evaluator = _PlanEvaluator(self, u0, noise)
-        values = [evaluator.final_value(term) for term in self.scheme.terms]
+        """u0 plus the sum of the plan's terms over the window whose prepared
+        noise is ``noise``, and the end value of every node by slot (see
+        :meth:`term_values`).
+
+        Sum nodes reduce their per-substep contributions with the end
+        weights.  A node's trajectory holds its values at the left points
+        r_0..r_{S-1}, Ito style: the row at r_j has the contributions
+        strictly before r_j."""
+        tables, model = self.tables, self.model
+        values: list = []
+        paths: list = []
+        for kind, order, arg_slots, trajectory in self.nodes:
+            path = None
+            if kind is _FLOW:
+                value = tables.flow * u0
+                if trajectory:
+                    path = tables.flow_at * u0[None, :]
+            elif kind is _DRIFT_FLOW:
+                base = model.drift.value(u0)
+                value = tables.zeros if base is None else tables.drift_flow * base
+                if trajectory:
+                    path = self._running_sum(None) if base is None else tables.drift_flow_at * base
+            else:
+                args = [paths[a] for a in arg_slots]
+                if kind is _DIFFUSION:
+                    rows = model.diffusion.rows_against_noise(
+                        order, u0, args, noise, self.workspace, self.modes
+                    )
+                    if rows is not None and order >= 2:
+                        rows = rows / math.factorial(order)
+                else:
+                    rows = model.drift.derivative_rows(order, u0, args)
+                    if rows is not None:
+                        rows = rows * (self.h_fine / math.factorial(order))
+                value = tables.zeros
+                if rows is not None:
+                    value = np.einsum("ns,sn->n", tables.end_weights, rows)
+                if trajectory:
+                    path = self._running_sum(rows)
+            values.append(value)
+            paths.append(path)
         total = u0
-        for value in values:
-            total = total + value
+        for slot in self.term_slots:
+            total = total + values[slot]
         return total, values
+
+    def term_values(self, values: list[np.ndarray]) -> dict[str, np.ndarray]:
+        """The plan terms' end values by name, from the node values that
+        :meth:`advance` returns."""
+        return {name: values[slot] for name, slot in zip(self.names, self.term_slots)}
+
+    def _running_sum(self, rows: np.ndarray | None) -> np.ndarray:
+        """Trajectory of a sum node: the decayed sum of the rows before each
+        left point; zero for ``None`` rows."""
+        out = np.zeros((self.substeps, self.modes))
+        if rows is not None:
+            running = np.zeros(self.modes)
+            decay = self.tables.decay_fine
+            for j, row in enumerate(rows[:-1], start=1):
+                running = decay * (running + row)
+                out[j] = running
+        return out
 
     def nonfinite(self, values: list[np.ndarray]) -> NonfiniteValueError:
         """The error for a non-finite sum: names the first non-finite term."""
-        for name, value in zip(self.names, values):
+        for name, value in self.term_values(values).items():
             if not np.all(np.isfinite(value)):
                 return NonfiniteValueError(name)
         return NonfiniteValueError("sum of plan terms")
-
-
-class _PlanEvaluator:
-    """Evaluates the terms of a bound plan for one start state and one noise
-    window.
-
-    The per-substep contributions of each integral term and the trajectories
-    (term values at the substep left points) are cached per term, so shared
-    subterms, e.g. the inner convolution of an iterated integral, are
-    computed once.
-    """
-
-    def __init__(self, plan: BoundPlan, u0: np.ndarray, noise: np.ndarray | None):
-        self.plan = plan
-        self.model = plan.model
-        self.u0 = u0
-        self.noise = noise
-        self._row_cache: dict[TermExpr, np.ndarray | None] = {}
-        self._trajectories: dict[TermExpr, np.ndarray] = {}
-
-    def _rows(self, term: TermExpr) -> np.ndarray | None:
-        """Contribution of each substep to a left-point sum term (``I^0_2``
-        or ``I^i_j``), one row per substep; None means identically zero."""
-        if term in self._row_cache:
-            return self._row_cache[term]
-        if isinstance(term, I0):
-            order, args = 0, ()
-        else:
-            order, args = term.order, term.args
-        arg_rows = [self.trajectory(a) for a in args]
-        if term.j is NodeLabel.TWO:
-            rows = self.model.diffusion.rows_against_noise(
-                order, self.u0, arg_rows, self.noise, self.plan.workspace,
-                self.model.modes,
-            )
-            if rows is not None and order >= 2:
-                rows = rows / math.factorial(order)
-        elif term.j is NodeLabel.ONE:
-            rows = self.model.drift.derivative_rows(order, self.u0, arg_rows)
-            if rows is not None:
-                rows = rows * (self.plan.h_fine / math.factorial(order))
-        else:
-            raise NotImplementableError(f"cannot evaluate starred {term.j}")
-        self._row_cache[term] = rows
-        return rows
-
-    def final_value(self, term: TermExpr) -> np.ndarray:
-        if isinstance(term, I0) and term.j is NodeLabel.ZERO:
-            return self.plan.flow * self.u0
-        if isinstance(term, I0) and term.j is NodeLabel.ONE:
-            value = self.model.drift.value(self.u0)
-            if value is None:
-                return np.zeros(self.model.modes)
-            return self.plan.drift_flow * value
-        rows = self._rows(term)
-        if rows is None:
-            return np.zeros(self.model.modes)
-        return np.einsum("ns,sn->n", self.plan.end_weights, rows)
-
-    def trajectory(self, term: TermExpr) -> np.ndarray:
-        """Values at the left points r_0..r_{S-1}; Ito style, so the row at
-        r_j accumulates contributions strictly before r_j."""
-        cached = self._trajectories.get(term)
-        if cached is not None:
-            return cached
-        substeps, modes = self.plan.substeps, self.model.modes
-        if isinstance(term, I0) and term.j is NodeLabel.ZERO:
-            out = self.plan.flow_at * self.u0[None, :]
-        elif isinstance(term, I0) and term.j is NodeLabel.ONE:
-            value = self.model.drift.value(self.u0)
-            if value is None:
-                out = np.zeros((substeps, modes))
-            else:
-                out = self.plan.drift_flow_at * value
-        else:
-            rows = self._rows(term)
-            out = np.zeros((substeps, modes))
-            if rows is not None:
-                running = np.zeros(modes)
-                for j in range(substeps):
-                    out[j] = running
-                    running = self.plan.decay_fine * (running + rows[j])
-        self._trajectories[term] = out
-        return out
 
 
 def _solve(
@@ -430,17 +476,20 @@ def _solve(
         raise MeshMismatchError(
             f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
         )
-    noise = plan.prepare_noise(path.increments[: steps * per_step])
     recorded = {0: u0} if 0 in record_steps else {}
     state, values = u0.coeffs, []
-    for n in range(steps):
-        rows = None if noise is None else noise[n * per_step : (n + 1) * per_step]
-        state, values = plan.advance(state, rows)
-        if not np.all(np.isfinite(state)):
-            raise plan.nonfinite(values)
-        if n + 1 in record_steps:
-            recorded[n + 1] = SpectralState(state)
-    return state, dict(zip(plan.names, values)), recorded
+    # A blow-up surfaces as NonfiniteValueError below, not as warnings from
+    # the array operations that produced the inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = plan.prepare_noise(path.increments[: steps * per_step])
+        windows = [None] * steps if noise is None else noise.reshape(steps, per_step, -1)
+        for n, rows in enumerate(windows, start=1):
+            state, values = plan.advance(state, rows)
+            if not np.isfinite(state).all():
+                raise plan.nonfinite(values)
+            if n in record_steps:
+                recorded[n] = SpectralState(state)
+    return state, plan.term_values(values), recorded
 
 
 def step(

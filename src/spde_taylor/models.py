@@ -181,13 +181,15 @@ class DiffusionOperator(Protocol):
     ``prepare_noise`` turns noise coefficient rows (one row per noise
     function) into the form ``rows_against_noise`` consumes, keeping one
     row per noise function, so a caller can prepare a whole window of
-    increments once and hand out row slices of it.
+    increments once and hand out row slices of it.  It also checks once
+    that the workspace suits states of ``modes`` modes, which
+    ``rows_against_noise`` then takes for granted.
     """
 
     max_order: int | None
 
     def prepare_noise(
-        self, noise_rows: np.ndarray, workspace: GridWorkspace
+        self, noise_rows: np.ndarray, workspace: GridWorkspace, modes: int
     ) -> np.ndarray: ...
 
     def rows_against_noise(
@@ -233,9 +235,9 @@ class MultiplicationDiffusion:
                 f"of {band}-mode functions; need at least {2 * band}"
             )
 
-    def prepare_noise(self, noise_rows, workspace):
+    def prepare_noise(self, noise_rows, workspace, modes):
         noise_rows = np.asarray(noise_rows)
-        self._check_band(workspace, noise_rows.shape[-1])
+        self._check_band(workspace, max(modes, noise_rows.shape[-1]))
         return workspace.to_grid(noise_rows)
 
     def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
@@ -245,7 +247,6 @@ class MultiplicationDiffusion:
             multiplier = workspace.to_grid(base)
         else:
             multiplier = workspace.to_grid(np.asarray(arg_rows[0]))
-        self._check_band(workspace, max(modes, np.shape(base)[-1]))
         return workspace.to_coeffs(multiplier * noise, modes)
 
 
@@ -257,7 +258,7 @@ class DiagonalDiffusion:
     def __init__(self, weights: np.ndarray):
         self.weights = np.asarray(weights, dtype=float)
 
-    def prepare_noise(self, noise_rows, workspace):
+    def prepare_noise(self, noise_rows, workspace, modes):
         return np.atleast_2d(np.asarray(noise_rows, dtype=float))
 
     def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
@@ -430,7 +431,7 @@ def apply_diffusion(
         order,
         base.coeffs,
         [a.coeffs for a in args],
-        spec.diffusion.prepare_noise(unit[None, :], workspace),
+        spec.diffusion.prepare_noise(unit[None, :], workspace, spec.modes),
         workspace,
         spec.modes,
     )
@@ -448,7 +449,7 @@ def diffusion_matrix(
         0,
         base.coeffs,
         [],
-        spec.diffusion.prepare_noise(np.eye(spec.noise_modes), workspace),
+        spec.diffusion.prepare_noise(np.eye(spec.noise_modes), workspace, spec.modes),
         workspace,
         spec.modes,
     )

@@ -1,16 +1,20 @@
 """Scheme engine: compilation, stepping, reference coupling, noise streams."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from spde_taylor.engine import (
     BUILTIN_WOODS,
+    BoundPlan,
     EngineError,
     MeshMismatchError,
     NoisePath,
     NonfiniteValueError,
     NotImplementableError,
     UnsupportedDerivativeOrderError,
+    _mesh_tables,
     builtin_scheme,
     compile_scheme,
     multi_step_solve,
@@ -19,6 +23,7 @@ from spde_taylor.engine import (
     step,
 )
 from spde_taylor.models import (
+    GridWorkspace,
     ModelSpec,
     SpectralState,
     ZeroDrift,
@@ -135,6 +140,19 @@ class TestNoisePath:
         np.testing.assert_allclose(
             coarse.increments[0], path.increments[:4].sum(axis=0)
         )
+
+    def test_only_writeable_arrays_are_copied(self):
+        path = NoisePath.draw(path_generator(1, 0), 8, 2, H_FINE)
+        head = path.prefix(4)
+        assert np.shares_memory(head.increments, path.increments)
+        assert not path.increments.flags.writeable
+        assert not head.increments.flags.writeable
+        own = np.ones((4, 2))
+        copied = NoisePath(own, h_fine=H_FINE)
+        assert not np.shares_memory(copied.increments, own)
+        assert own.flags.writeable and not copied.increments.flags.writeable
+        own[:] = 7.0
+        np.testing.assert_array_equal(copied.increments, np.ones((4, 2)))
 
     def test_prefix_too_long(self):
         path = NoisePath.draw(path_generator(1, 0), 8, 2, H_FINE)
@@ -289,13 +307,48 @@ class TestReference:
             )
 
     def test_blow_up_raises_nonfinite(self, mult):
-        # Increments of order 1e198 overflow the state within two substeps.
+        # Increments of order 1e198 overflow the state within two substeps,
+        # and the iterated term of one full-2nd step.  The blow-up surfaces
+        # as the error alone, with no numpy warning on the way.
         path = draw_path(mult, 8, seed=4)
         wild = NoisePath(path.increments * 1e200, h_fine=H_FINE)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonfiniteValueError) as stepped:
+                step(builtin_scheme("full-2nd"), mult.initial, 8 * H_FINE, wild, mult)
             with pytest.raises(NonfiniteValueError) as info:
                 reference_solve(mult.initial, 8 * H_FINE, wild, mult)
+        assert stepped.value.term == "I^1_2[I^0_2]"
         assert info.value.term == "I^0_2"
+
+    def test_reference_is_the_exponential_euler_recurrence(self):
+        # Pins the reference's arithmetic: the same products, summed in the
+        # same order, give the same bytes.
+        model = heat_multiplicative_model(64, 64)
+        ws = model.workspace()
+        h_fine = 2.0**-12
+        path = NoisePath.draw(path_generator(2024, 0), 64, 64, h_fine)
+        lam = model.eigenvalues
+        flow, weight = np.expm1(-lam * h_fine), np.exp(-lam[:, None] * h_fine)
+        u = model.initial.coeffs
+        for row in ws.to_grid(path.increments):
+            rows = ws.to_coeffs(ws.to_grid(u) * row[None, :], model.modes)
+            drift = np.zeros(model.modes)
+            u = u + flow * u + drift + np.einsum("ns,sn->n", weight, rows)
+        got, _ = reference_solve(model.initial, 64 * h_fine, path, model, ws)
+        assert got.coeffs.tobytes() == u.tobytes()
+
+    def test_band_check_rejects_a_coarse_grid(self):
+        # 48 grid points resolve products of the 16 noise modes but not of
+        # the 32 state modes.
+        model = heat_multiplicative_model(32, 16)
+        coarse = GridWorkspace(grid_points=48)
+        path = draw_path(model, 8)
+        message = "48 grid points cannot resolve products of 32-mode functions"
+        with pytest.raises(ValueError, match=message):
+            step(builtin_scheme("exp-euler"), model.initial, 8 * H_FINE, path, model, coarse)
+        with pytest.raises(ValueError, match=message):
+            reference_solve(model.initial, 8 * H_FINE, path, model, coarse)
 
     def test_recording_matches_prefix_runs(self, mult):
         u0 = mult.initial
@@ -335,6 +388,42 @@ class TestReference:
             fine_sq.append(np.sum((x_m.coeffs - x_f.coeffs) ** 2))
         ratio = np.sqrt(np.mean(coarse_sq) / np.mean(fine_sq))
         assert 2**0.05 < ratio < 2**0.5
+
+
+def test_mesh_tables_are_keyed_by_eigenvalues_and_read_only():
+    # heat-mult at N = 16 and N = 64 and heat-add at N = 16 bind the same
+    # (h, h_fine); interleaved through one table cache, each must give the
+    # bytes it gives alone.
+    h = 16 * H_FINE
+    specs = [
+        heat_multiplicative_model(16, 16),
+        heat_multiplicative_model(64, 64),
+        heat_additive_model(16, 16),
+    ]
+    paths = [draw_path(spec, 16, seed=3) for spec in specs]
+    scheme = builtin_scheme("full-2nd")
+
+    def run(i):
+        out = step(scheme, specs[i].initial, h, paths[i], specs[i])
+        return out.state.coeffs.tobytes()
+
+    alone = []
+    for i in range(3):
+        _mesh_tables.cache_clear()
+        alone.append(run(i))
+    _mesh_tables.cache_clear()
+    for i in (0, 1, 2, 1, 0, 2, 2, 1, 0):
+        assert run(i) == alone[i]
+    plans = [BoundPlan(scheme, s, h, H_FINE, s.workspace()) for s in specs]
+    assert plans[0].tables is plans[2].tables  # equal eigenvalues
+    assert plans[0].tables is not plans[1].tables
+    for plan in plans:
+        tables = plan.tables
+        for table in (
+            tables.times, tables.zeros, tables.decay_fine, tables.end_weights, tables.flow,
+            tables.drift_flow, tables.flow_at, tables.drift_flow_at,
+        ):
+            assert not table.flags.writeable
 
 
 def test_custom_wood_compiles_and_steps(mult):

@@ -365,6 +365,24 @@ class TestCli:
         assert "unknown model" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["converge", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["symbolic"], "the following arguments are required: --wood"),
+        ],
+    )
+    def test_usage_error_is_error(self, argv, message, capsys):
+        # argparse alone would exit 2, the code of a failed verdict.
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["converge", "--help"])
+        assert info.value.code == 0
+        assert "--noise-modes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "flag",
         ["--paths", "--seed", "--fine", "--p", "--r", "--t-end", "--modes", "--noise-modes"],
     )
