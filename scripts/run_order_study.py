@@ -16,6 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from spde_taylor.cli import REPORTED_ERRORS, _parse_ladder
 from spde_taylor.harness import ExperimentConfig, report_emit, run_convergence
 
 SCHEMES = ["taylor-delta", "exp-euler", "milstein-b0", "full-2nd"]
@@ -30,8 +31,16 @@ def main() -> int:
     parser.add_argument("--r", type=float, default=0.005)
     parser.add_argument("--out", default=None, help="directory for report files")
     args = parser.parse_args()
-    ladder = tuple(int(k) for k in args.ladder.split(","))
+    try:
+        return study(args)
+    except REPORTED_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def study(args: argparse.Namespace) -> int:
+    """Run every scheme of SCHEMES and print the tables and the summary."""
+    ladder = _parse_ladder(args.ladder)
     summaries = []
     for scheme in SCHEMES:
         config = ExperimentConfig(

@@ -47,7 +47,6 @@ from .engine import (  # noqa: E402,F401
     StepResult,
     builtin_scheme,
     compile_scheme,
-    multi_step_solve,
     path_generator,
     reference_solve,
     step,

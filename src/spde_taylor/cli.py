@@ -30,6 +30,10 @@ from .models import ModelError
 from .trees import TreeError
 
 
+#: The errors :func:`main` reports as ``error: ...`` with exit code 1.
+REPORTED_ERRORS = (HarnessError, EngineError, ModelError, TreeError, OSError)
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -169,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             csv_path, json_path = report_emit(report, config.out_dir)
             print(f"wrote {csv_path} and {json_path}")
         return 0 if report.verdict else 2
-    except (HarnessError, EngineError, ModelError, TreeError, OSError) as exc:
+    except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,14 +20,14 @@ the plan's own I^0_0) is evaluated once per step.  The per-mode factors
 depend only on (eigenvalues, h, h_fine); they are built once per process
 for each such triple and shared read-only.
 
-One stepping loop runs every evaluation: it binds the plan once, prepares
-the noise of the whole window [0, t_end] once (for the multiplication model:
-moves it to the grid) and advances the state through consecutive h-long row
-blocks of it.  :func:`step` is that loop for a single step,
-:func:`multi_step_solve` for t_end / h steps, and the fine-mesh reference
-:func:`reference_solve` is the loop over the exponential Euler plan at
-h = h_fine, which makes scheme-versus-reference comparisons on shared noise
-bit-consistent.
+One stepping loop runs every evaluation, for one path or for a batch of
+paths, one row each: a plan bound once advances the states through
+consecutive h-long row blocks of their noise windows, prepared once (for
+the multiplication model: moved to the grid).  :func:`step` is that loop for
+one step of one path, and the fine-mesh reference :func:`reference_solve` is
+the loop over the exponential Euler plan at h = h_fine, which makes
+scheme-versus-reference comparisons on shared noise bit-consistent.  The
+order study (``harness``) runs the loop on chunks of paths.
 
 Monte-Carlo streams come from a counter-based generator: path p draws from
 ``Philox(key=seed, counter=p << 128)``, so any path's noise can be
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from .terms import (
     contains_starred,
     psi,
     render_compact,
-    required_derivative_orders,
     summands,
 )
 from .trees import NodeLabel, SWood, expand, initial_wood
@@ -63,10 +63,6 @@ class EngineError(Exception):
 
 class NotImplementableError(EngineError):
     """The term sum still contains a starred operator."""
-
-
-class UnsupportedDerivativeOrderError(EngineError):
-    """The model does not provide a derivative the plan requires."""
 
 
 class MeshMismatchError(EngineError):
@@ -152,10 +148,16 @@ class NoisePath:
         )
 
 
+class RequiredOrders(NamedTuple):
+    """Orders of the drift (F) and diffusion (B) derivatives a plan applies."""
+
+    drift: frozenset[int]
+    diffusion: frozenset[int]
+
+
 @dataclass(frozen=True)
 class CompiledScheme:
     terms: tuple[TermExpr, ...]
-    required_orders: dict
     source_wood: SWood | None = None
 
     def describe(self) -> str:
@@ -166,6 +168,16 @@ class CompiledScheme:
         """The terms lowered once per scheme (see :func:`_lower`)."""
         return _lower(self.terms)
 
+    @cached_property
+    def required_orders(self) -> RequiredOrders:
+        """The derivative orders of the lowered nodes: ``I^0_1`` and
+        ``I^0_2`` apply the order-0 maps, ``I^i_j`` the order-i ones."""
+        nodes = self.lowered[0]
+        return RequiredOrders(
+            drift=frozenset(o for kind, o, _, _ in nodes if kind in (_DRIFT_FLOW, _DRIFT)),
+            diffusion=frozenset(o for kind, o, _, _ in nodes if kind is _DIFFUSION),
+        )
+
 
 @dataclass(frozen=True)
 class StepResult:
@@ -173,22 +185,10 @@ class StepResult:
     diagnostics: dict[str, float]
 
 
-def _check_model_orders(required: dict, model: ModelSpec) -> None:
-    max_order = getattr(model.diffusion, "max_order", None)
-    if max_order is not None:
-        for order in sorted(required["B"]):
-            if order > max_order:
-                raise UnsupportedDerivativeOrderError(
-                    f"model {model.name!r} provides diffusion derivatives up to "
-                    f"order {max_order}, plan needs order {order}"
-                )
-
-
 def compile_scheme(expr: TermExpr, source_wood: SWood | None = None) -> CompiledScheme:
     """Turn a star-free term sum into an executable plan.
 
-    Terms are kept in canonical order.  A model's derivative support is
-    checked when the plan is bound to it (:class:`BoundPlan`).
+    Terms are kept in canonical order.
     """
     if contains_starred(expr):
         offending = next(
@@ -197,11 +197,7 @@ def compile_scheme(expr: TermExpr, source_wood: SWood | None = None) -> Compiled
         raise NotImplementableError(
             f"term {offending} depends on the unknown solution path"
         )
-    return CompiledScheme(
-        terms=summands(expr),
-        required_orders=required_derivative_orders(expr),
-        source_wood=source_wood,
-    )
+    return CompiledScheme(terms=summands(expr), source_wood=source_wood)
 
 
 def _builtin_woods() -> dict[str, SWood]:
@@ -330,11 +326,11 @@ class BoundPlan:
     a workspace.
 
     It holds the scheme's lowered nodes and the shared mesh tables of
-    (eigenvalues, h, h_fine).  :meth:`advance` walks the nodes from a start
-    state on one window of noise prepared by :meth:`prepare_noise`.  The
-    stepping loop behind :func:`step`, :func:`multi_step_solve` and
-    :func:`reference_solve` binds one of these per call, so a coarse run of
-    exponential Euler at h_fine equals the reference by construction.
+    (eigenvalues, h, h_fine).  :meth:`advance` walks the nodes from the
+    start state of one path, (N,), or of a batch of paths, (paths, N), on
+    their windows of noise prepared by :meth:`prepare_noise`.  The stepping
+    loop :func:`_run` advances them through consecutive steps; a coarse run
+    of exponential Euler at h_fine equals the reference by construction.
     """
 
     def __init__(
@@ -345,7 +341,6 @@ class BoundPlan:
         h_fine: float,
         workspace: GridWorkspace,
     ):
-        _check_model_orders(scheme.required_orders, model)
         self.scheme = scheme
         self.model = model
         self.workspace = workspace
@@ -358,19 +353,24 @@ class BoundPlan:
         self.tables = _mesh_tables(model.eigenvalues.tobytes(), h, h_fine, self.substeps)
 
     def prepare_noise(self, increments: np.ndarray) -> np.ndarray | None:
-        """The window's increments in the form the diffusion consumes, one
-        row per substep (for the multiplication model: grid values); None
-        for plans that never apply the diffusion."""
-        if not self.scheme.required_orders["B"]:
+        """The increments, (substeps, M) or (paths, substeps, M), in the
+        form the diffusion consumes, one row per substep (for the
+        multiplication model: grid values); None for plans that never apply
+        the diffusion."""
+        if not self.scheme.required_orders.diffusion:
             return None
-        return self.model.diffusion.prepare_noise(increments, self.workspace, self.modes)
+        # Overflow shows up as a non-finite state in the stepping loop.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.model.diffusion.prepare_noise(increments, self.workspace, self.modes)
 
     def advance(
         self, u0: np.ndarray, noise: np.ndarray | None
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """u0 plus the sum of the plan's terms over the window whose prepared
         noise is ``noise``, and the end value of every node by slot (see
-        :meth:`term_values`).
+        :meth:`term_values`).  ``u0`` is one state, (N,), or one per path,
+        (paths, N), and ``noise`` the window of each, (substeps, ·) or
+        (paths, substeps, ·).
 
         Sum nodes reduce their per-substep contributions with the end
         weights.  A node's trajectory holds its values at the left points
@@ -378,20 +378,24 @@ class BoundPlan:
         strictly before r_j."""
         tables, model = self.tables, self.model
         values: list = []
-        paths: list = []
+        trajectories: list = []
         for kind, order, arg_slots, trajectory in self.nodes:
             path = None
             if kind is _FLOW:
                 value = tables.flow * u0
                 if trajectory:
-                    path = tables.flow_at * u0[None, :]
+                    path = tables.flow_at * u0[..., None, :]
             elif kind is _DRIFT_FLOW:
                 base = model.drift.value(u0)
                 value = tables.zeros if base is None else tables.drift_flow * base
                 if trajectory:
-                    path = self._running_sum(None) if base is None else tables.drift_flow_at * base
+                    path = (
+                        self._running_sum(None)
+                        if base is None
+                        else tables.drift_flow_at * base[..., None, :]
+                    )
             else:
-                args = [paths[a] for a in arg_slots]
+                args = [trajectories[a] for a in arg_slots]
                 if kind is _DIFFUSION:
                     rows = model.diffusion.rows_against_noise(
                         order, u0, args, noise, self.workspace, self.modes
@@ -404,11 +408,11 @@ class BoundPlan:
                         rows = rows * (self.h_fine / math.factorial(order))
                 value = tables.zeros
                 if rows is not None:
-                    value = np.einsum("ns,sn->n", tables.end_weights, rows)
+                    value = np.einsum("ns,...sn->...n", tables.end_weights, rows)
                 if trajectory:
                     path = self._running_sum(rows)
             values.append(value)
-            paths.append(path)
+            trajectories.append(path)
         total = u0
         for slot in self.term_slots:
             total = total + values[slot]
@@ -421,22 +425,61 @@ class BoundPlan:
 
     def _running_sum(self, rows: np.ndarray | None) -> np.ndarray:
         """Trajectory of a sum node: the decayed sum of the rows before each
-        left point; zero for ``None`` rows."""
-        out = np.zeros((self.substeps, self.modes))
-        if rows is not None:
-            running = np.zeros(self.modes)
-            decay = self.tables.decay_fine
-            for j, row in enumerate(rows[:-1], start=1):
-                running = decay * (running + row)
-                out[j] = running
+        left point, per path; zero for ``None`` rows."""
+        if rows is None:
+            return np.zeros((self.substeps, self.modes))
+        out = np.zeros(rows.shape)
+        running = out[..., 0, :]
+        decay = self.tables.decay_fine
+        by_substep = zip(np.moveaxis(rows, -2, 0)[:-1], np.moveaxis(out, -2, 0)[1:])
+        for row, after in by_substep:
+            running = np.multiply(decay, running + row, out=after)
         return out
 
-    def nonfinite(self, values: list[np.ndarray]) -> NonfiniteValueError:
-        """The error for a non-finite sum: names the first non-finite term."""
+    def nonfinite(self, values: list[np.ndarray], row: int) -> NonfiniteValueError:
+        """The error for the path in ``row`` of a batch (any row of a single
+        path) whose state is not finite: names its first non-finite term."""
         for name, value in self.term_values(values).items():
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value if value.ndim == 1 else value[row]).all():
                 return NonfiniteValueError(name)
         return NonfiniteValueError("sum of plan terms")
+
+
+def _run(
+    plan: BoundPlan,
+    states: np.ndarray,
+    noise: np.ndarray | None,
+    steps: int,
+    record_steps: tuple[int, ...] = (),
+) -> tuple[np.ndarray, list[np.ndarray], dict[int, np.ndarray], dict[int, NonfiniteValueError]]:
+    """The stepping loop: advances the states through ``steps`` consecutive
+    h-long row blocks of ``noise``, their prepared windows, or None for
+    plans without diffusion.  The shapes are those of
+    :meth:`BoundPlan.advance`: a single path runs unbatched, which spares
+    it the cost of broadcasting against the (N,) mesh tables.
+
+    Returns the end states, the node values of the last step, the states
+    after each step count in ``record_steps``, and, keyed by row (0 for a
+    single path), the error naming the first non-finite term of each path
+    whose state went non-finite.  Such a path runs on, non-finite; the
+    others never see it.
+    """
+    per_step = plan.substeps
+    recorded = {0: states} if 0 in record_steps else {}
+    failed: dict[int, NonfiniteValueError] = {}
+    values: list[np.ndarray] = []
+    # A blow-up surfaces in ``failed``, not as warnings from the array
+    # operations that produced the inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, steps + 1):
+            window = None if noise is None else noise[..., (n - 1) * per_step : n * per_step, :]
+            states, values = plan.advance(states, window)
+            if not np.isfinite(states).all():
+                for row in np.flatnonzero(~np.isfinite(states).all(axis=-1)):
+                    failed.setdefault(int(row), plan.nonfinite(values, row))
+            if n in record_steps:
+                recorded[n] = states
+    return states, values, recorded, failed
 
 
 def _solve(
@@ -449,47 +492,37 @@ def _solve(
     workspace: GridWorkspace | None,
     record_steps: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, dict[str, np.ndarray], dict[int, SpectralState]]:
-    """The stepping loop behind :func:`step`, :func:`reference_solve` and
-    :func:`multi_step_solve`.
+    """One path through :func:`_run`, behind :func:`step` and
+    :func:`reference_solve`.
 
     Binds the plan once at step h, prepares the noise of the whole window
-    [0, t_end] once, and advances u0 through consecutive h-long row slices
-    of it.  Returns the end coefficients, the term values of the last step
-    keyed by term name, and snapshots after the step counts in
-    ``record_steps``, each of which must lie in 0..t_end / h.  A step whose
-    result is not finite raises :class:`NonfiniteValueError` naming its
-    first non-finite term.
+    [0, t_end] once, and runs t_end / h steps.  Returns the end
+    coefficients, the term values of the last step keyed by term name, and
+    snapshots after the step counts in ``record_steps``, each of which must
+    lie in 0..t_end / h.  A step whose result is not finite raises
+    :class:`NonfiniteValueError` naming its first non-finite term.
     """
     _check_shapes(u0, path, model)
     plan = BoundPlan(scheme, model, h, path.h_fine, workspace or model.workspace())
     steps = _whole_count(
         t_end, h, f"t_end {t_end} is not a whole number of steps of h = {h}"
     )
-    per_step = plan.substeps
-    if steps * per_step > path.substeps:
+    substeps = steps * plan.substeps
+    if substeps > path.substeps:
         raise MeshMismatchError(
-            f"[0, {t_end}] needs {steps * per_step} substeps, "
-            f"path provides {path.substeps}"
+            f"[0, {t_end}] needs {substeps} substeps, path provides {path.substeps}"
         )
     outside = sorted(n for n in record_steps if not 0 <= n <= steps)
     if outside:
         raise MeshMismatchError(
             f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
         )
-    recorded = {0: u0} if 0 in record_steps else {}
-    state, values = u0.coeffs, []
-    # A blow-up surfaces as NonfiniteValueError below, not as warnings from
-    # the array operations that produced the inf or nan.
-    with np.errstate(over="ignore", invalid="ignore"):
-        noise = plan.prepare_noise(path.increments[: steps * per_step])
-        windows = [None] * steps if noise is None else noise.reshape(steps, per_step, -1)
-        for n, rows in enumerate(windows, start=1):
-            state, values = plan.advance(state, rows)
-            if not np.isfinite(state).all():
-                raise plan.nonfinite(values)
-            if n in record_steps:
-                recorded[n] = SpectralState(state)
-    return state, plan.term_values(values), recorded
+    noise = plan.prepare_noise(path.increments[:substeps])
+    state, values, recorded, failed = _run(plan, u0.coeffs, noise, steps, record_steps)
+    if failed:
+        raise failed[0]
+    snapshots = {n: SpectralState(s) for n, s in recorded.items()}
+    return state, plan.term_values(values), snapshots
 
 
 def step(
@@ -522,34 +555,14 @@ def reference_solve(
 
     Iterates the exponential one-step scheme (semigroup flow, frozen-drift
     convolution, frozen-diffusion stochastic convolution) over every fine
-    substep of [0, t_end]: the stepping loop of :func:`multi_step_solve`
-    with that scheme at h = h_fine.  A coarse run of the scheme at h_fine is
-    therefore bitwise identical to this reference.  ``record_substeps``
-    requests snapshots after the given substep counts; a count outside
-    0..t_end / h_fine raises :class:`MeshMismatchError`.
+    substep of [0, t_end]: the stepping loop with that scheme at
+    h = h_fine.  A coarse run of the scheme at h_fine is therefore bitwise
+    identical to this reference.  ``record_substeps`` requests snapshots
+    after the given substep counts; a count outside 0..t_end / h_fine
+    raises :class:`MeshMismatchError`.
     """
     state, _, recorded = _solve(
         _REFERENCE_SCHEME, u0, t_end, path.h_fine, path, model, workspace,
         record_substeps,
     )
     return SpectralState(state), recorded
-
-
-def multi_step_solve(
-    scheme: CompiledScheme,
-    u0: SpectralState,
-    t_end: float,
-    h: float,
-    path: NoisePath,
-    model: ModelSpec,
-    workspace: GridWorkspace | None = None,
-) -> SpectralState:
-    """Iterate the one-step scheme over [0, t_end] with coarse step h.
-
-    The plan is bound once, the increments of [0, t_end] are prepared once,
-    and step n consumes rows n h / h_fine .. (n + 1) h / h_fine of them.
-    Raises :class:`MeshMismatchError` unless t_end is a whole number of
-    steps h, h is a whole number of substeps and the path covers [0, t_end].
-    """
-    state, _, _ = _solve(scheme, u0, t_end, h, path, model, workspace)
-    return SpectralState(state)

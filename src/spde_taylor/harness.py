@@ -3,7 +3,10 @@
 One routine couples the scheme with the fine-mesh reference on every path:
 for each h on a dyadic ladder it iterates the scheme with step h from a
 fixed start state up to a horizon and compares the end state with the
-reference snapshot at that horizon, on the same increments.  The default
+reference snapshot at that horizon, on the same increments.  It runs the
+engine's stepping loop on chunks of paths: each chunk's increments are
+prepared once, the reference runs once over them, and every ladder entry
+runs on a row prefix of the same prepared window.  The default
 horizon is h itself, so the experiment measures one-step errors; the L2 (or
 Lp) error per h is regressed against h in log-log coordinates and the slope
 is compared with the order predicted by the scheme's wood.  Behind a flag
@@ -15,6 +18,7 @@ multi-step run does not test the paper's claim.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from hashlib import sha256
 from pathlib import Path
@@ -23,15 +27,15 @@ import numpy as np
 
 from . import __version__
 from .engine import (
+    _REFERENCE_SCHEME,
     BUILTIN_WOODS,
+    BoundPlan,
     CompiledScheme,
     NoisePath,
-    NonfiniteValueError,
+    _run,
     builtin_scheme,
     compile_scheme,
-    multi_step_solve,
     path_generator,
-    reference_solve,
 )
 from .models import ModelSpec, build_model
 from .terms import psi, render_compact
@@ -79,8 +83,8 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        if self.t_end <= 0.0:
-            raise ConfigError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if self.paths < 2:
             raise ConfigError("need at least 2 paths")
         if self.fine_log2 < 0:
@@ -95,8 +99,8 @@ class ExperimentConfig:
                     f"ladder entry {k} must lie in 0..fine_log2={self.fine_log2} "
                     "so coarse steps are multiples of the fine step"
                 )
-        if self.p_norm < 1.0:
-            raise ConfigError("p_norm must be >= 1")
+        if not 1.0 <= self.p_norm < math.inf:
+            raise ConfigError(f"p_norm must be finite and >= 1, got {self.p_norm}")
         if self.modes < 1 or self.noise_modes < 1:
             raise ConfigError("mode counts must be >= 1")
         if not 0 <= self.seed < 2**128:  # a Philox key is 128 bits
@@ -151,6 +155,14 @@ def resolve_scheme(name_or_wood: str) -> tuple[CompiledScheme, SWood]:
     return compile_scheme(psi(wood), source_wood=wood), wood
 
 
+#: Bytes of increments drawn per chunk of paths: 8 paths of the one-step
+#: study at h_fine = 2^-12 (256 substeps of 64 modes), one path of a
+#: multi-step run over 2^12 substeps.  At P = 255 a path's prepared grid
+#: noise and step temporaries take about 2.4 MB, so such a chunk holds
+#: about 20 MB.
+_CHUNK_BYTES = 1 << 20
+
+
 def _ladder_errors(
     config: ExperimentConfig, scheme: CompiledScheme, model: ModelSpec
 ):
@@ -159,40 +171,46 @@ def _ladder_errors(
     Every ladder entry h iterates the scheme with step h up to its horizon
     (h itself for one-step errors, t_end in multi-step mode) and compares
     with the reference snapshot at that horizon, on the same increments.
-    Paths whose scheme run is not finite are counted as excluded.
+    Paths run in chunks of a fixed byte budget: the reference and one plan
+    per h are bound once, and each chunk's increments, drawn path by path
+    with :meth:`NoisePath.draw` and stacked, are prepared once and run
+    through the reference once.  Paths whose scheme run is not finite are
+    counted as excluded; a non-finite reference raises
+    :class:`NonfiniteValueError`.
     """
+    h_fine, workspace = config.h_fine, model.workspace()
     ladder = sorted(config.ladder, reverse=True)
-    horizon = {h: config.t_end if config.multi_step else h for h in ladder}
-    substeps = {h: int(round(horizon[h] / config.h_fine)) for h in ladder}
-    workspace = model.workspace()
-    u0 = model.initial
+    reference = BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine, workspace)
+    plans = {h: BoundPlan(scheme, model, h, h_fine, workspace) for h in ladder}
+    steps = {h: round(config.t_end / h) if config.multi_step else 1 for h in ladder}
+    horizon = {h: steps[h] * plans[h].substeps for h in ladder}  # in substeps
+    window = max(horizon.values())
+    chunk = max(1, _CHUNK_BYTES // (8 * window * model.noise_modes))
     errors: dict[float, list[float]] = {h: [] for h in ladder}
     excluded: dict[float, int] = {h: 0 for h in ladder}
-    longest = ladder[0]
-    for index in range(config.paths):
-        rng = path_generator(config.seed, index)
-        path = NoisePath.draw(
-            rng, substeps[longest], model.noise_modes, config.h_fine
+    for first in range(0, config.paths, chunk):
+        indices = range(first, min(first + chunk, config.paths))
+        increments = np.stack([
+            NoisePath.draw(
+                path_generator(config.seed, index), window, model.noise_modes, h_fine
+            ).increments
+            for index in indices
+        ])
+        noise = reference.prepare_noise(increments)
+        u0 = np.tile(model.initial.coeffs, (len(indices), 1))
+        _, _, recorded, failed = _run(
+            reference, u0, noise, window, tuple(horizon.values())
         )
-        _, recorded = reference_solve(
-            u0,
-            horizon[longest],
-            path,
-            model,
-            workspace,
-            record_substeps=tuple(substeps.values()),
-        )
+        if failed:
+            raise failed[min(failed)]
         for h in ladder:
-            try:
-                approx = multi_step_solve(
-                    scheme, u0, horizon[h], h, path, model, workspace
-                )
-            except NonfiniteValueError:
-                excluded[h] += 1
-                continue
-            reference = recorded[substeps[h]]
-            errors[h].append(
-                float(np.linalg.norm(approx.coeffs - reference.coeffs))
+            approx, _, _, failed = _run(plans[h], u0, noise[:, : horizon[h]], steps[h])
+            excluded[h] += len(failed)
+            snapshot = recorded[horizon[h]]
+            errors[h].extend(
+                float(np.linalg.norm(approx[row] - snapshot[row]))
+                for row in range(len(indices))
+                if row not in failed
             )
     return errors, excluded
 
@@ -340,8 +358,8 @@ def symbolic_report(wood_text: str) -> str:
     computable = psi(wood)
     lines.append(f"computable terms: {render_compact(computable)}")
     required = compile_scheme(computable).required_orders
-    drift = sorted(required["F"])
-    diffusion = sorted(required["B"])
+    drift = sorted(required.drift)
+    diffusion = sorted(required.diffusion)
     lines.append(f"required drift derivative orders: {drift or 'none'}")
     lines.append(f"required diffusion derivative orders: {diffusion or 'none'}")
     lines.append(f"canonical text: {serialize(wood)}")

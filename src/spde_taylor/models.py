@@ -183,10 +183,10 @@ class DiffusionOperator(Protocol):
     row per noise function, so a caller can prepare a whole window of
     increments once and hand out row slices of it.  It also checks once
     that the workspace suits states of ``modes`` modes, which
-    ``rows_against_noise`` then takes for granted.
+    ``rows_against_noise`` then takes for granted.  Leading axes are
+    batch axes: a base of shape (..., N) goes with noise rows of shape
+    (..., S, ·), one window per base.
     """
-
-    max_order: int | None
 
     def prepare_noise(
         self, noise_rows: np.ndarray, workspace: GridWorkspace, modes: int
@@ -222,8 +222,6 @@ class MultiplicationDiffusion:
     means identically zero (every order n >= 2 here).
     """
 
-    max_order: int | None = None
-
     @staticmethod
     def _check_band(workspace: GridWorkspace, band: int) -> None:
         # An input check, not an accuracy guarantee: below twice the band in
@@ -244,7 +242,7 @@ class MultiplicationDiffusion:
         if order >= 2:
             return None
         if order == 0:
-            multiplier = workspace.to_grid(base)
+            multiplier = workspace.to_grid(base[..., None, :])
         else:
             multiplier = workspace.to_grid(np.asarray(arg_rows[0]))
         return workspace.to_coeffs(multiplier * noise, modes)
@@ -252,8 +250,6 @@ class MultiplicationDiffusion:
 
 class DiagonalDiffusion:
     """Constant B mapping noise mode k to b_k times state mode k."""
-
-    max_order: int | None = None
 
     def __init__(self, weights: np.ndarray):
         self.weights = np.asarray(weights, dtype=float)

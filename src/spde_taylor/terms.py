@@ -275,38 +275,6 @@ def expansion_matches_rewrite(wood: SWood, at: ActiveNode, expanded: SWood) -> b
     return phi_wood(expanded) == rewrite_expand(phi_wood(wood), path)
 
 
-def required_derivative_orders(expr: TermExpr) -> dict[str, frozenset[int]]:
-    """Derivative orders of the drift (F) and diffusion (B) an evaluator needs.
-
-    ``I^0_1``/``I^0_2`` need the order-0 maps; ``I^i_j`` needs order ``i``.
-    The starred operators are excluded by construction wherever this is
-    called on computable terms, but counting them would be identical.
-    """
-    drift: set[int] = set()
-    diffusion: set[int] = set()
-
-    def visit(term: TermExpr) -> None:
-        if isinstance(term, I0):
-            if term.j in (NodeLabel.ONE, NodeLabel.ONE_STAR):
-                drift.add(0)
-            elif term.j in (NodeLabel.TWO, NodeLabel.TWO_STAR):
-                diffusion.add(0)
-            return
-        if isinstance(term, In):
-            if term.j in (NodeLabel.ONE, NodeLabel.ONE_STAR):
-                drift.add(term.order)
-            else:
-                diffusion.add(term.order)
-            for arg in term.args:
-                visit(arg)
-            return
-        for part in term.terms:
-            visit(part)
-
-    visit(expr)
-    return {"F": frozenset(drift), "B": frozenset(diffusion)}
-
-
 __all__ = [
     "TermExpr",
     "TermPath",
@@ -328,5 +296,4 @@ __all__ = [
     "expansion_of",
     "rewrite_expand",
     "expansion_matches_rewrite",
-    "required_derivative_orders",
 ]

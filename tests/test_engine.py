@@ -13,11 +13,11 @@ from spde_taylor.engine import (
     NoisePath,
     NonfiniteValueError,
     NotImplementableError,
-    UnsupportedDerivativeOrderError,
     _mesh_tables,
+    _run,
+    _solve,
     builtin_scheme,
     compile_scheme,
-    multi_step_solve,
     path_generator,
     reference_solve,
     step,
@@ -26,7 +26,6 @@ from spde_taylor.models import (
     GridWorkspace,
     ModelSpec,
     SpectralState,
-    ZeroDrift,
     apply_semigroup,
     convolution_variances,
     dirichlet_eigenvalues,
@@ -34,7 +33,7 @@ from spde_taylor.models import (
     heat_multiplicative_model,
     initial_condition,
 )
-from spde_taylor.terms import I0, integral, phi_wood, psi, render_compact
+from spde_taylor.terms import I0, integral, phi_wood, render_compact
 from spde_taylor.trees import NodeLabel, initial_wood
 
 L = {name.value: name for name in NodeLabel}
@@ -57,6 +56,15 @@ def draw_path(model, substeps, seed=0, index=0, h_fine=H_FINE):
     return NoisePath.draw(rng, substeps, model.noise_modes, h_fine)
 
 
+def chunk_increments(model, paths, substeps, seed=0):
+    """The increments of paths 0..paths - 1 as one (paths, substeps, M) array."""
+    return np.stack([draw_path(model, substeps, seed, i).increments for i in range(paths)])
+
+
+def start_states(model, paths):
+    return np.tile(model.initial.coeffs, (paths, 1))
+
+
 class TestCompile:
     def test_plan_terms_of_builtins(self):
         assert builtin_scheme("exp-euler").describe() == "I^0_0 + I^0_1 + I^0_2"
@@ -70,18 +78,23 @@ class TestCompile:
         )
 
     def test_required_orders(self):
-        assert builtin_scheme("exp-euler").required_orders == {
-            "F": frozenset({0}),
-            "B": frozenset({0}),
-        }
-        assert builtin_scheme("full-2nd").required_orders == {
-            "F": frozenset({0}),
-            "B": frozenset({0, 1}),
-        }
-        assert builtin_scheme("taylor-delta").required_orders == {
-            "F": frozenset(),
-            "B": frozenset(),
-        }
+        assert builtin_scheme("exp-euler").required_orders == (
+            frozenset({0}),
+            frozenset({0}),
+        )
+        full = builtin_scheme("full-2nd").required_orders
+        assert full.drift == frozenset({0})
+        assert full.diffusion == frozenset({0, 1})
+        assert builtin_scheme("taylor-delta").required_orders == (
+            frozenset(),
+            frozenset(),
+        )
+
+    def test_scheme_hashes_and_keys_a_dict(self):
+        names = {builtin_scheme(name): name for name in BUILTIN_WOODS}
+        assert names[builtin_scheme("exp-euler")] == "exp-euler"
+        assert len(names) == len(BUILTIN_WOODS)
+        assert hash(builtin_scheme("full-2nd")) == hash(builtin_scheme("full-2nd"))
 
     def test_starred_term_not_implementable(self):
         with pytest.raises(NotImplementableError, match="I\\^0_1\\*"):
@@ -92,29 +105,6 @@ class TestCompile:
     def test_unknown_builtin(self):
         with pytest.raises(EngineError, match="unknown scheme"):
             builtin_scheme("heun")
-
-    def test_unsupported_derivative_order(self, mult):
-        class FirstOrderOnly:
-            max_order = 0
-
-            def rows_against_noise(self, *args):
-                return None
-
-        limited = ModelSpec(
-            name="limited",
-            eigenvalues=dirichlet_eigenvalues(8),
-            drift=ZeroDrift(),
-            diffusion=FirstOrderOnly(),
-            gamma=0.245,
-            delta=0.25,
-            noise_modes=8,
-            initial=initial_condition("first_mode", 8),
-        )
-        scheme = compile_scheme(psi(BUILTIN_WOODS["full-2nd"]))
-        h = 4 * H_FINE
-        with pytest.raises(UnsupportedDerivativeOrderError):
-            step(scheme, limited.initial, h, draw_path(limited, 4), limited)
-        step(scheme, mult.initial, h, draw_path(mult, 4), mult)  # full model runs it
 
 
 class TestNoisePath:
@@ -274,36 +264,74 @@ class TestReference:
 
     def test_multi_step_exponential_euler_matches_reference_bitwise(self, mult):
         # The reference IS the fine-mesh iteration of this scheme, so a
-        # coupled run at h = h_fine must agree to the last bit.
-        u0 = mult.initial
-        path = draw_path(mult, 64, seed=21)
-        t_end = 64 * H_FINE
-        ref, _ = reference_solve(u0, t_end, path, mult)
-        stepped = multi_step_solve(
-            builtin_scheme("exp-euler"), u0, t_end, H_FINE, path, mult
+        # coupled run of a chunk of paths at h = h_fine must agree with the
+        # reference of each path to the last bit.
+        increments = chunk_increments(mult, 3, 64, seed=21)
+        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE, mult.workspace())
+        states, _, _, failed = _run(
+            plan, start_states(mult, 3), plan.prepare_noise(increments), 64
         )
-        np.testing.assert_array_equal(ref.coeffs, stepped.coeffs)
+        assert not failed
+        for row in range(3):
+            path = NoisePath(increments[row], h_fine=H_FINE)
+            ref, _ = reference_solve(mult.initial, 64 * H_FINE, path, mult)
+            assert states[row].tobytes() == ref.coeffs.tobytes()
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
     def test_single_step_run_equals_step_bitwise(self, name, mult):
-        # The one-step order study runs each ladder entry as a multi-step
-        # run of horizon h; that must reproduce step() to the last bit.
+        # One step of a chunk of paths on their prepared windows gives each
+        # path the bytes of step().  The one-step order study instead runs
+        # every ladder entry on a row prefix of one prepared 256-substep
+        # window: there each path gets the bytes of its run alone, and
+        # step() up to rounding, since BLAS blocks a product's rows by height.
         scheme = builtin_scheme(name)
-        u0 = mult.initial
-        path = draw_path(mult, 256, seed=9)
+        increments = chunk_increments(mult, 3, 256, seed=9)
         for substeps in (1, 16, 256):
-            h = substeps * H_FINE
-            run = multi_step_solve(scheme, u0, h, h, path, mult)
-            single = step(scheme, u0, h, path, mult).state
-            assert run.coeffs.tobytes() == single.coeffs.tobytes()
+            plan = BoundPlan(scheme, mult, substeps * H_FINE, H_FINE, mult.workspace())
+            exact, _, _, _ = _run(
+                plan, start_states(mult, 3), plan.prepare_noise(increments[:, :substeps]), 1
+            )
+            noise = plan.prepare_noise(increments)
+            window = None if noise is None else noise[:, :substeps]
+            shared, _, _, _ = _run(plan, start_states(mult, 3), window, 1)
+            for row in range(3):
+                path = NoisePath(increments[row], h_fine=H_FINE)
+                single = step(scheme, mult.initial, substeps * H_FINE, path, mult).state
+                assert exact[row].tobytes() == single.coeffs.tobytes()
+                alone = plan.prepare_noise(increments[row : row + 1])
+                solo, _, _, _ = _run(
+                    plan, start_states(mult, 1), None if alone is None else alone[:, :substeps], 1
+                )
+                assert shared[row].tobytes() == solo[0].tobytes()
+                np.testing.assert_allclose(shared[row], single.coeffs, rtol=1e-13, atol=1e-16)
+
+    def test_blow_up_stays_in_its_row(self, mult):
+        # Path 1's increments overflow the iterated term; the other paths of
+        # the chunk end where they end alone.
+        increments = chunk_increments(mult, 3, 16, seed=4)
+        increments[1] *= 1e200
+        plan = BoundPlan(builtin_scheme("full-2nd"), mult, 16 * H_FINE, H_FINE, mult.workspace())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, _, _, failed = _run(
+                plan, start_states(mult, 3), plan.prepare_noise(increments), 1
+            )
+        assert set(failed) == {1}
+        assert failed[1].term == "I^1_2[I^0_2]"
+        for row in (0, 2):
+            solo, _, _, alone = _run(
+                plan, start_states(mult, 1), plan.prepare_noise(increments[row : row + 1]), 1
+            )
+            assert not alone
+            assert states[row].tobytes() == solo[0].tobytes()
 
     def test_multi_step_rejects_partial_last_step(self, mult):
         # 4 substeps do not split into steps of 3: no silent truncation.
         path = draw_path(mult, 8)
         with pytest.raises(MeshMismatchError, match="t_end .* whole number of steps of h"):
-            multi_step_solve(
+            _solve(
                 builtin_scheme("exp-euler"), mult.initial, 4 * H_FINE, 3 * H_FINE,
-                path, mult,
+                path, mult, None,
             )
 
     def test_blow_up_raises_nonfinite(self, mult):

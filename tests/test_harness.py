@@ -1,13 +1,18 @@
 """Harness: predicted orders, reports, reproducibility, CLI contract."""
 
+import dataclasses
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spde_taylor import harness
 from spde_taylor.cli import load_config_file, main
-from spde_taylor.engine import builtin_scheme
+from spde_taylor.engine import NoisePath, NonfiniteValueError, builtin_scheme, step
 from spde_taylor.harness import (
     ConfigError,
     ErrorReport,
@@ -24,8 +29,10 @@ from spde_taylor.harness import (
     _ladder_errors,
 )
 from spde_taylor.models import (
+    MultiplicationDiffusion,
     apply_semigroup,
     build_model,
+    heat_multiplicative_model,
     smoothed_diffusion_hs_norm,
 )
 from spde_taylor.trees import order_wood
@@ -78,6 +85,10 @@ class TestConfigValidation:
             dict(ladder_log2=()),
             dict(ladder_log2=(13,)),  # finer than the fine mesh
             dict(p_norm=0.5),
+            dict(t_end=float("nan")),
+            dict(t_end=float("inf")),
+            dict(p_norm=float("nan")),
+            dict(p_norm=float("inf")),  # every error would read 1.0
             dict(ladder_log2=(4, 4, 5)),  # a repeated h would count its paths twice
             dict(seed=-1),  # Philox keys lie in 0..2**128 - 1
             dict(seed=2**128),
@@ -256,6 +267,109 @@ class TestRunConvergence:
         assert not report.verdict  # the iterated semigroup has no h-gain
 
 
+class ConstantMultiplier(MultiplicationDiffusion):
+    """A test double: B(v) multiplies by 1 whatever v, while B' multiplies
+    as for multiplication noise.  The reference is then linear in the noise
+    and the iterated term I^1_2[I^0_2] quadratic, so scaled increments can
+    overflow a coarse run and leave the reference finite."""
+
+    def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
+        if order == 0:
+            return workspace.to_coeffs(noise, modes)
+        return super().rows_against_noise(order, base, arg_rows, noise, workspace, modes)
+
+
+def scale_path(monkeypatch, index, factor):
+    """Multiply the increments the harness draws for path ``index``."""
+    draw, generator = NoisePath.draw, harness.path_generator
+
+    def tagged(seed, path_index):
+        return path_index, generator(seed, path_index)
+
+    def scaled(tagged_rng, *args):
+        path_index, rng = tagged_rng
+        path = draw(rng, *args)
+        if path_index != index:
+            return path
+        return NoisePath(path.increments * factor, h_fine=path.h_fine)
+
+    monkeypatch.setattr(harness, "path_generator", tagged)
+    monkeypatch.setattr(NoisePath, "draw", staticmethod(scaled))
+
+
+def chunk_heights(monkeypatch, paths_per_chunk, config):
+    """Set the chunk budget to ``paths_per_chunk`` paths of ``config``'s
+    window and record the height of every batch the stepping loop runs."""
+    window = 2 ** (config.fine_log2 - min(config.ladder_log2))
+    monkeypatch.setattr(
+        harness, "_CHUNK_BYTES", paths_per_chunk * 8 * window * config.noise_modes
+    )
+    heights = []
+    run = harness._run
+
+    def spy(plan, states, *args):
+        heights.append(len(states))
+        return run(plan, states, *args)
+
+    monkeypatch.setattr(harness, "_run", spy)
+    return heights
+
+
+class TestChunks:
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        config = dataclasses.replace(TINY, scheme="full-2nd")
+        reports, seen = [], []
+        for per_chunk in (1, 3, config.paths):
+            with monkeypatch.context() as patch:
+                heights = chunk_heights(patch, per_chunk, config)
+                reports.append(run_convergence(config))
+            seen.append(sorted(set(heights)))
+        assert seen == [[1], [2, 3], [config.paths]]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_a_blow_up_is_excluded_exactly_where_its_run_is_not_finite(
+        self, monkeypatch
+    ):
+        # Path 2's increments, scaled by 2.8e154, overflow the full-2nd
+        # runs of 64 and 32 substeps but not of 16; the reference of the
+        # test double stays finite.  The finite run's error (and the norms
+        # of step()'s diagnostics) overflow in the norm.
+        config = dataclasses.replace(TINY, scheme="full-2nd")
+        model = dataclasses.replace(
+            heat_multiplicative_model(16, 16), diffusion=ConstantMultiplier()
+        )
+        scheme = builtin_scheme("full-2nd")
+        with monkeypatch.context() as patch:
+            chunk_heights(patch, 1, config)
+            alone, _ = harness._ladder_errors(config, scheme, model)
+        with monkeypatch.context() as patch, np.errstate(over="ignore"):
+            heights = chunk_heights(patch, config.paths, config)
+            scale_path(patch, 2, 2.8e154)
+            errors, excluded = harness._ladder_errors(config, scheme, model)
+        assert set(heights) == {config.paths}
+        path = NoisePath.draw(harness.path_generator(config.seed, 2), 64, 16, config.h_fine)
+        blown = {}
+        for h in config.ladder:
+            scaled = path.increments[: round(h / config.h_fine)] * 2.8e154
+            prefix = NoisePath(scaled, config.h_fine)
+            try:
+                with np.errstate(over="ignore"):
+                    step(scheme, model.initial, h, prefix, model)
+                blown[h] = False
+            except NonfiniteValueError:
+                blown[h] = True
+            assert excluded[h] == blown[h]
+            others = errors[h] if blown[h] else errors[h][:2] + errors[h][3:]
+            assert others == alone[h][:2] + alone[h][3:]
+        assert set(blown.values()) == {True, False}
+
+    def test_reference_blow_up_fails_the_run(self, monkeypatch):
+        scale_path(monkeypatch, 3, 1e200)
+        with pytest.raises(NonfiniteValueError) as info:
+            run_convergence(TINY)
+        assert info.value.term == "I^0_2"
+
+
 class TestReports:
     def make_report(self):
         return run_convergence(TINY)
@@ -375,6 +489,29 @@ class TestCli:
         # argparse alone would exit 2, the code of a failed verdict.
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--t-end", "nan", "t_end must be positive and finite"),
+         ("--p", "inf", "p_norm must be finite and >= 1"),
+         ("--p", "nan", "p_norm must be finite and >= 1")],
+    )
+    def test_non_finite_value_is_error(self, flag, value, message, capsys):
+        code = main(["converge", flag, value, "--paths", "4"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv", [["--paths", "1"], ["--ladder", "4,x"], ["--ladder", "4,4"]]
+    )
+    def test_order_study_script_reports_bad_input(self, argv):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_order_study.py"
+        done = subprocess.run(
+            [sys.executable, str(script), *argv], capture_output=True, text=True
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:

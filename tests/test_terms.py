@@ -17,7 +17,6 @@ from spde_taylor.terms import (
     phi_wood,
     psi,
     render_compact,
-    required_derivative_orders,
     rewrite_expand,
     term_sum,
     wood_slot,
@@ -190,17 +189,6 @@ class TestRender:
             for term in (phi_wood(wood), psi(wood)):
                 text = render_compact(term)
                 assert seen.setdefault(text, term) == term
-
-
-def test_required_derivative_orders():
-    assert required_derivative_orders(psi(WOODS["w2"])) == {
-        "F": frozenset({0}),
-        "B": frozenset({0}),
-    }
-    assert required_derivative_orders(psi(WOODS["w5"])) == {
-        "F": frozenset({0}),
-        "B": frozenset({0, 1}),
-    }
 
 
 # --------------------------------------------------------------------------
