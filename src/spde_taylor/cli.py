@@ -19,6 +19,7 @@ import sys
 
 from .harness import (
     ConfigError,
+    ErrorReport,
     ExperimentConfig,
     HarnessError,
     report_emit,
@@ -151,6 +152,20 @@ def _converge_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**{_OPTIONS[key][0]: value for key, value in values.items()})
 
 
+def print_report(report: ErrorReport) -> None:
+    """Print the report's per-h rows and its slope verdict."""
+    for row in report.rows:
+        print(
+            f"h={row.h:.6g}  error={row.error:.6e}  stderr={row.stderr:.2e}  "
+            f"paths={row.n_paths}  excluded={row.n_excluded}"
+        )
+    print(
+        f"slope={report.slope:.4f}  predicted={report.predicted:.4f}  "
+        f"window=[{report.lower_bound:.4f}, {report.upper_bound:.4f}]  "
+        f"verdict={'pass' if report.verdict else 'fail'}"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -159,16 +174,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         config = _converge_config(args)
         report = run_convergence(config)
-        for row in report.rows:
-            print(
-                f"h={row.h:.6g}  error={row.error:.6e}  stderr={row.stderr:.2e}  "
-                f"paths={row.n_paths}  excluded={row.n_excluded}"
-            )
-        print(
-            f"slope={report.slope:.4f}  predicted={report.predicted:.4f}  "
-            f"window=[{report.lower_bound:.4f}, {report.upper_bound:.4f}]  "
-            f"verdict={'pass' if report.verdict else 'fail'}"
-        )
+        print_report(report)
         if config.out_dir:
             csv_path, json_path = report_emit(report, config.out_dir)
             print(f"wrote {csv_path} and {json_path}")

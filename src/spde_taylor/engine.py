@@ -182,7 +182,6 @@ class CompiledScheme:
 @dataclass(frozen=True)
 class StepResult:
     state: SpectralState
-    diagnostics: dict[str, float]
 
 
 def compile_scheme(expr: TermExpr, source_wood: SWood | None = None) -> CompiledScheme:
@@ -368,7 +367,7 @@ class BoundPlan:
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """u0 plus the sum of the plan's terms over the window whose prepared
         noise is ``noise``, and the end value of every node by slot (see
-        :meth:`term_values`).  ``u0`` is one state, (N,), or one per path,
+        :meth:`nonfinite`).  ``u0`` is one state, (N,), or one per path,
         (paths, N), and ``noise`` the window of each, (substeps, ·) or
         (paths, substeps, ·).
 
@@ -418,11 +417,6 @@ class BoundPlan:
             total = total + values[slot]
         return total, values
 
-    def term_values(self, values: list[np.ndarray]) -> dict[str, np.ndarray]:
-        """The plan terms' end values by name, from the node values that
-        :meth:`advance` returns."""
-        return {name: values[slot] for name, slot in zip(self.names, self.term_slots)}
-
     def _running_sum(self, rows: np.ndarray | None) -> np.ndarray:
         """Trajectory of a sum node: the decayed sum of the rows before each
         left point, per path; zero for ``None`` rows."""
@@ -438,8 +432,10 @@ class BoundPlan:
 
     def nonfinite(self, values: list[np.ndarray], row: int) -> NonfiniteValueError:
         """The error for the path in ``row`` of a batch (any row of a single
-        path) whose state is not finite: names its first non-finite term."""
-        for name, value in self.term_values(values).items():
+        path) whose state is not finite: names its first non-finite term,
+        from the node values that :meth:`advance` returns."""
+        for name, slot in zip(self.names, self.term_slots):
+            value = values[slot]
             if not np.isfinite(value if value.ndim == 1 else value[row]).all():
                 return NonfiniteValueError(name)
         return NonfiniteValueError("sum of plan terms")
@@ -451,23 +447,21 @@ def _run(
     noise: np.ndarray | None,
     steps: int,
     record_steps: tuple[int, ...] = (),
-) -> tuple[np.ndarray, list[np.ndarray], dict[int, np.ndarray], dict[int, NonfiniteValueError]]:
+) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, NonfiniteValueError]]:
     """The stepping loop: advances the states through ``steps`` consecutive
     h-long row blocks of ``noise``, their prepared windows, or None for
     plans without diffusion.  The shapes are those of
     :meth:`BoundPlan.advance`: a single path runs unbatched, which spares
     it the cost of broadcasting against the (N,) mesh tables.
 
-    Returns the end states, the node values of the last step, the states
-    after each step count in ``record_steps``, and, keyed by row (0 for a
-    single path), the error naming the first non-finite term of each path
-    whose state went non-finite.  Such a path runs on, non-finite; the
-    others never see it.
+    Returns the end states, the states after each step count in
+    ``record_steps``, and, keyed by row (0 for a single path), the error
+    naming the first non-finite term of each path whose state went
+    non-finite.  Such a path runs on, non-finite; the others never see it.
     """
     per_step = plan.substeps
     recorded = {0: states} if 0 in record_steps else {}
     failed: dict[int, NonfiniteValueError] = {}
-    values: list[np.ndarray] = []
     # A blow-up surfaces in ``failed``, not as warnings from the array
     # operations that produced the inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -479,7 +473,7 @@ def _run(
                     failed.setdefault(int(row), plan.nonfinite(values, row))
             if n in record_steps:
                 recorded[n] = states
-    return states, values, recorded, failed
+    return states, recorded, failed
 
 
 def _solve(
@@ -491,16 +485,16 @@ def _solve(
     model: ModelSpec,
     workspace: GridWorkspace | None,
     record_steps: tuple[int, ...] = (),
-) -> tuple[np.ndarray, dict[str, np.ndarray], dict[int, SpectralState]]:
+) -> tuple[np.ndarray, dict[int, SpectralState]]:
     """One path through :func:`_run`, behind :func:`step` and
     :func:`reference_solve`.
 
     Binds the plan once at step h, prepares the noise of the whole window
     [0, t_end] once, and runs t_end / h steps.  Returns the end
-    coefficients, the term values of the last step keyed by term name, and
-    snapshots after the step counts in ``record_steps``, each of which must
-    lie in 0..t_end / h.  A step whose result is not finite raises
-    :class:`NonfiniteValueError` naming its first non-finite term.
+    coefficients and snapshots after the step counts in ``record_steps``,
+    each of which must lie in 0..t_end / h.  A step whose result is not
+    finite raises :class:`NonfiniteValueError` naming its first non-finite
+    term.
     """
     _check_shapes(u0, path, model)
     plan = BoundPlan(scheme, model, h, path.h_fine, workspace or model.workspace())
@@ -518,11 +512,10 @@ def _solve(
             f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
         )
     noise = plan.prepare_noise(path.increments[:substeps])
-    state, values, recorded, failed = _run(plan, u0.coeffs, noise, steps, record_steps)
+    state, recorded, failed = _run(plan, u0.coeffs, noise, steps, record_steps)
     if failed:
         raise failed[0]
-    snapshots = {n: SpectralState(s) for n, s in recorded.items()}
-    return state, plan.term_values(values), snapshots
+    return state, {n: SpectralState(s) for n, s in recorded.items()}
 
 
 def step(
@@ -533,11 +526,10 @@ def step(
     model: ModelSpec,
     workspace: GridWorkspace | None = None,
 ) -> StepResult:
-    """One-step approximation at time h from u0 on the first h / h_fine
-    increments of the path; the diagnostics hold each plan term's norm."""
-    state, values, _ = _solve(scheme, u0, h, h, path, model, workspace)
-    diagnostics = {name: float(np.linalg.norm(v)) for name, v in values.items()}
-    return StepResult(state=SpectralState(state), diagnostics=diagnostics)
+    """The one-step approximation at time h from u0 on the first h / h_fine
+    increments of the path, as the result's state."""
+    state, _ = _solve(scheme, u0, h, h, path, model, workspace)
+    return StepResult(state=SpectralState(state))
 
 
 _REFERENCE_SCHEME = builtin_scheme("exp-euler")
@@ -561,7 +553,7 @@ def reference_solve(
     after the given substep counts; a count outside 0..t_end / h_fine
     raises :class:`MeshMismatchError`.
     """
-    state, _, recorded = _solve(
+    state, recorded = _solve(
         _REFERENCE_SCHEME, u0, t_end, path.h_fine, path, model, workspace,
         record_substeps,
     )

@@ -174,9 +174,11 @@ def _ladder_errors(
     Paths run in chunks of a fixed byte budget: the reference and one plan
     per h are bound once, and each chunk's increments, drawn path by path
     with :meth:`NoisePath.draw` and stacked, are prepared once and run
-    through the reference once.  Paths whose scheme run is not finite are
-    counted as excluded; a non-finite reference raises
-    :class:`NonfiniteValueError`.
+    through the reference once.  Returns each h's Euclidean error norms of
+    the included paths in path order, computed with ``np.hypot`` so that
+    finite differences never overflow, and each h's count of excluded
+    paths, those whose scheme run is not finite; a non-finite reference
+    raises :class:`NonfiniteValueError`.
     """
     h_fine, workspace = config.h_fine, model.workspace()
     ladder = sorted(config.ladder, reverse=True)
@@ -198,20 +200,14 @@ def _ladder_errors(
         ])
         noise = reference.prepare_noise(increments)
         u0 = np.tile(model.initial.coeffs, (len(indices), 1))
-        _, _, recorded, failed = _run(
-            reference, u0, noise, window, tuple(horizon.values())
-        )
+        _, recorded, failed = _run(reference, u0, noise, window, tuple(horizon.values()))
         if failed:
             raise failed[min(failed)]
         for h in ladder:
-            approx, _, _, failed = _run(plans[h], u0, noise[:, : horizon[h]], steps[h])
+            approx, _, failed = _run(plans[h], u0, noise[:, : horizon[h]], steps[h])
             excluded[h] += len(failed)
-            snapshot = recorded[horizon[h]]
-            errors[h].extend(
-                float(np.linalg.norm(approx[row] - snapshot[row]))
-                for row in range(len(indices))
-                if row not in failed
-            )
+            norms = np.hypot.reduce(approx - recorded[horizon[h]], axis=-1)
+            errors[h].extend(np.delete(norms, list(failed)).tolist())
     return errors, excluded
 
 

@@ -21,7 +21,6 @@ term sets a structural comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 from .trees import ActiveNode, NodeLabel, STree, SWood, subtrees_with_nodes
@@ -205,33 +204,22 @@ def wood_slot(wood: SWood, at: ActiveNode) -> TermPath:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _seed_arguments() -> tuple[TermExpr, ...]:
-    return (
-        I0(NodeLabel.ZERO),
-        I0(NodeLabel.ONE_STAR),
-        I0(NodeLabel.TWO_STAR),
-    )
+#: The first arguments of the grown terms: I^0_0, I^0_{1*} and I^0_{2*}.
+_SEEDS = (I0(NodeLabel.ZERO), I0(NodeLabel.ONE_STAR), I0(NodeLabel.TWO_STAR))
 
 
 def expansion_of(term: TermExpr) -> tuple[TermExpr, ...]:
-    """The four-term replacement of a starred operator."""
-    if isinstance(term, I0):
-        if not term.is_starred:
-            raise NotStarredError(f"{render_compact(term)} is not starred")
-        destarred: TermExpr = I0(term.j.destarred())
-        grown = tuple(integral(1, term.j, (seed,)) for seed in _seed_arguments())
-        return (destarred,) + grown
-    if isinstance(term, In):
-        if not term.is_starred:
-            raise NotStarredError(f"{render_compact(term)} is not starred")
-        destarred = integral(term.order, term.j.destarred(), term.args)
-        grown = tuple(
-            integral(term.order + 1, term.j, (seed,) + term.args)
-            for seed in _seed_arguments()
-        )
-        return (destarred,) + grown
-    raise NotStarredError("a sum cannot be expanded; address one of its terms")
+    """The four-term replacement of a starred operator; ``I^0_j`` reads as
+    order 0 with no arguments."""
+    if isinstance(term, TermSum):
+        raise NotStarredError("a sum cannot be expanded; address one of its terms")
+    if not term.is_starred:
+        raise NotStarredError(f"{render_compact(term)} is not starred")
+    order, args = (0, ()) if isinstance(term, I0) else (term.order, term.args)
+    destarred = integral(order, term.j.destarred(), args)
+    return (destarred,) + tuple(
+        integral(order + 1, term.j, (seed,) + args) for seed in _SEEDS
+    )
 
 
 def _rewrite_term(term: TermExpr, path: TermPath) -> tuple[TermExpr, ...]:

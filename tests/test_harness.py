@@ -332,8 +332,8 @@ class TestChunks:
     ):
         # Path 2's increments, scaled by 2.8e154, overflow the full-2nd
         # runs of 64 and 32 substeps but not of 16; the reference of the
-        # test double stays finite.  The finite run's error (and the norms
-        # of step()'s diagnostics) overflow in the norm.
+        # test double stays finite.  The finite run's error norm, of a
+        # state near 1e154 or above, must not overflow.
         config = dataclasses.replace(TINY, scheme="full-2nd")
         model = dataclasses.replace(
             heat_multiplicative_model(16, 16), diffusion=ConstantMultiplier()
@@ -342,7 +342,7 @@ class TestChunks:
         with monkeypatch.context() as patch:
             chunk_heights(patch, 1, config)
             alone, _ = harness._ladder_errors(config, scheme, model)
-        with monkeypatch.context() as patch, np.errstate(over="ignore"):
+        with monkeypatch.context() as patch:
             heights = chunk_heights(patch, config.paths, config)
             scale_path(patch, 2, 2.8e154)
             errors, excluded = harness._ladder_errors(config, scheme, model)
@@ -353,12 +353,12 @@ class TestChunks:
             scaled = path.increments[: round(h / config.h_fine)] * 2.8e154
             prefix = NoisePath(scaled, config.h_fine)
             try:
-                with np.errstate(over="ignore"):
-                    step(scheme, model.initial, h, prefix, model)
+                step(scheme, model.initial, h, prefix, model)
                 blown[h] = False
             except NonfiniteValueError:
                 blown[h] = True
             assert excluded[h] == blown[h]
+            assert np.isfinite(errors[h]).all()
             others = errors[h] if blown[h] else errors[h][:2] + errors[h][3:]
             assert others == alone[h][:2] + alone[h][3:]
         assert set(blown.values()) == {True, False}
@@ -502,15 +502,25 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
-        "argv", [["--paths", "1"], ["--ladder", "4,x"], ["--ladder", "4,4"]]
+        "argv, usage",
+        [
+            pytest.param(["--paths", "1"], False, id="argv0"),
+            pytest.param(["--ladder", "4,x"], False, id="argv1"),
+            pytest.param(["--ladder", "4,4"], False, id="argv2"),
+            pytest.param(["--paths", "x"], False, id="argv3"),
+            # argparse's own usage error comes after the usage.
+            pytest.param(["--bogus", "1"], True, id="argv4"),
+        ],
     )
-    def test_order_study_script_reports_bad_input(self, argv):
+    def test_order_study_script_reports_bad_input(self, argv, usage):
+        # Exit 2 is a failed verdict; bad input must not look like one.
         script = Path(__file__).resolve().parent.parent / "scripts" / "run_order_study.py"
         done = subprocess.run(
             [sys.executable, str(script), *argv], capture_output=True, text=True
         )
         assert done.returncode == 1
-        assert done.stderr.startswith("error: ")
+        assert done.stderr.startswith("usage: " if usage else "error: ")
+        assert done.stderr.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in done.stderr
 
     def test_help_exits_0(self, capsys):
