@@ -260,11 +260,11 @@ class DiagonalDiffusion:
     def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
         if order >= 1:
             return None
-        weighted = noise * self.weights[None, :]
         m = self.weights.size
+        if m >= modes:
+            return noise[..., :modes] * self.weights[:modes]
         out = np.zeros(noise.shape[:-1] + (modes,))
-        keep = min(m, modes)
-        out[..., :keep] = weighted[..., :keep]
+        out[..., :m] = noise * self.weights
         return out
 
 

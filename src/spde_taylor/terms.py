@@ -16,11 +16,21 @@ expanded wood, which is the identity the test suite checks term-by-term.
 Sums are flat and canonically ordered; multilinear arguments are sorted,
 reflecting the symmetry of the operators.  Canonical forms make equality of
 term sets a structural comparison.
+
+The sort key is the canonical rendering of :func:`render_compact`.  Every
+``I0`` and ``In`` computes it once, at construction, from its arguments'
+stored keys, and keeps it in the field ``key``, which takes no part in
+``==``, ``hash`` or ``repr``; rendering or sorting never walks a subterm.
+:func:`phi` is a pure function of an immutable tree and is memoised across
+calls in a bounded least-recently-used cache: the trees of a wood share
+most of their subtrees, and :func:`psi`, :func:`phi_wood` and
+:func:`phi_with_slot` meet the same trees again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 from .trees import ActiveNode, NodeLabel, STree, SWood, subtrees_with_nodes
@@ -47,6 +57,10 @@ class BadPathError(TermErrorBase):
 @dataclass(frozen=True)
 class I0:
     j: NodeLabel
+    key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", f"I^0_{self.j.value}")
 
     @property
     def is_starred(self) -> bool:
@@ -58,6 +72,7 @@ class In:
     order: int
     j: NodeLabel
     args: tuple[TermExpr, ...]
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -69,6 +84,8 @@ class In:
                 f"I^{self.order}_{self.j} expects {self.order} arguments, "
                 f"got {len(self.args)}"
             )
+        inner = ",".join(render_compact(a) for a in self.args)
+        object.__setattr__(self, "key", f"I^{self.order}_{self.j.value}[{inner}]")
 
     @property
     def is_starred(self) -> bool:
@@ -110,14 +127,10 @@ def summands(expr: TermExpr) -> tuple[TermExpr, ...]:
 
 
 def render_compact(expr: TermExpr) -> str:
-    if isinstance(expr, I0):
-        return f"I^0_{expr.j}"
-    if isinstance(expr, In):
-        inner = ",".join(render_compact(a) for a in expr.args)
-        return f"I^{expr.order}_{expr.j}[{inner}]"
-    if not expr.terms:
-        return "0"
-    return " + ".join(render_compact(t) for t in expr.terms)
+    """``I^0_j``, ``I^i_j[arg,...]``, and summands joined by `` + ``."""
+    if isinstance(expr, TermSum):
+        return " + ".join(render_compact(t) for t in expr.terms) or "0"
+    return expr.key
 
 
 def contains_starred(expr: TermExpr) -> bool:
@@ -133,6 +146,10 @@ def contains_starred(expr: TermExpr) -> bool:
 # --------------------------------------------------------------------------
 
 
+# 1024 entries hold the trees and subtrees of the last few depth-10 woods
+# (about 1 MB of terms) and keep a long run over distinct woods from
+# holding every term it has built.
+@lru_cache(maxsize=1024)
 def phi(tree: STree) -> TermExpr:
     """Term of one tree: ``I^0_k`` at the base, multilinear recursion above.
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as _np
@@ -27,19 +28,14 @@ class NodeLabel(enum.Enum):
     ONE_STAR = "1*"
     TWO_STAR = "2*"
 
-    @property
-    def is_active(self) -> bool:
-        return self in (NodeLabel.ONE_STAR, NodeLabel.TWO_STAR)
-
-    @property
-    def is_drift(self) -> bool:
-        """Counts toward the unit weight of the order functional."""
-        return self in (NodeLabel.ONE, NodeLabel.ONE_STAR)
-
-    @property
-    def is_diffusion(self) -> bool:
-        """Counts toward the delta weight of the order functional."""
-        return self in (NodeLabel.TWO, NodeLabel.TWO_STAR)
+    def __init__(self, text: str) -> None:
+        # Plain member attributes, not properties: the tree queries read
+        # them once per node.
+        self.is_active = text.endswith("*")
+        #: Counts toward the unit weight of the order functional.
+        self.is_drift = text.startswith("1")
+        #: Counts toward the delta weight of the order functional.
+        self.is_diffusion = text.startswith("2")
 
     def destarred(self) -> "NodeLabel":
         if self is NodeLabel.ONE_STAR:
@@ -49,7 +45,7 @@ class NodeLabel(enum.Enum):
         raise ValueError(f"label {self.value} carries no star")
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 LABELS_BY_TEXT = {label.value: label for label in NodeLabel}
@@ -92,10 +88,35 @@ class STree:
     parent of node ``k + 2``.  Node 1 is always the root.  Construction does
     not validate the parent map (so that :func:`validate` has something to
     diagnose); every other operation assumes a valid tree.
+
+    The hash, the child lists and the starred node ids are computed on first
+    use and kept on the instance; pickling drops them.
     """
 
     labels: tuple[NodeLabel, ...]
     parents: tuple[int, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return STree, (self.labels, self.parents)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.labels, self.parents))
+
+    @cached_property
+    def _children(self) -> dict[int, tuple[int, ...]]:
+        children: dict[int, list[int]] = {}
+        for j, p in enumerate(self.parents, start=2):
+            children.setdefault(p, []).append(j)
+        return {p: tuple(js) for p, js in children.items()}
+
+    @cached_property
+    def _active(self) -> tuple[int, ...]:
+        """Ids of the starred nodes, increasing."""
+        return tuple(j for j, label in enumerate(self.labels, start=1) if label.is_active)
 
     @staticmethod
     def single(label: NodeLabel) -> "STree":
@@ -112,13 +133,11 @@ class STree:
         return self.parents[node - 2]
 
     def children_of(self, node: int) -> tuple[int, ...]:
-        return tuple(
-            j for j in range(2, self.length + 1) if self.parents[j - 2] == node
-        )
+        return self._children.get(node, ())
 
     @property
     def is_active(self) -> bool:
-        return any(label.is_active for label in self.labels)
+        return bool(self._active)
 
     def with_label(self, node: int, label: NodeLabel) -> "STree":
         labels = list(self.labels)
@@ -193,12 +212,11 @@ def validate(tree: STree) -> ValidationResult:
 
 def active_nodes(wood: SWood) -> tuple[ActiveNode, ...]:
     """All starred (tree, node) pairs in lexicographic order."""
-    found = []
-    for i, tree in enumerate(wood.trees, start=1):
-        for j, label in enumerate(tree.labels, start=1):
-            if label.is_active:
-                found.append(ActiveNode(i, j))
-    return tuple(found)
+    return tuple(
+        ActiveNode(i, j)
+        for i, tree in enumerate(wood.trees, start=1)
+        for j in tree._active
+    )
 
 
 def expand(wood: SWood, at: ActiveNode) -> SWood:
@@ -236,20 +254,21 @@ def subtrees_with_nodes(tree: STree) -> list[tuple[STree, tuple[int, ...]]]:
     """
     if tree.length < 2:
         raise DegenerateTreeError("single-node tree has no subtrees")
-    # Map every non-root node to the root child it descends from.
-    anchor = {}
-    for j in range(2, tree.length + 1):
-        k = j
-        while tree.parent_of(k) != 1:
-            k = tree.parent_of(k)
-        anchor[j] = k
+    # anchor[j] is the root child that node j descends from; parents come
+    # before their children, so one pass in id order fills it and groups
+    # the members of each subtree in increasing order.
+    anchor = [0, 0]
+    groups: dict[int, list[int]] = {}
+    for j, p in enumerate(tree.parents, start=2):
+        top = j if p == 1 else anchor[p]
+        anchor.append(top)
+        groups.setdefault(top, []).append(j)
     result = []
-    for child in tree.children_of(1):
-        members = tuple(sorted(j for j in anchor if anchor[j] == child))
-        local = {orig: pos + 1 for pos, orig in enumerate(members)}
-        labels = tuple(tree.label_of(orig) for orig in members)
-        parents = tuple(local[tree.parent_of(orig)] for orig in members[1:])
-        result.append((STree(labels=labels, parents=parents), members))
+    for members in groups.values():
+        local = {orig: pos for pos, orig in enumerate(members, start=1)}
+        labels = tuple(tree.labels[orig - 1] for orig in members)
+        parents = tuple(local[tree.parents[orig - 2]] for orig in members[1:])
+        result.append((STree(labels=labels, parents=parents), tuple(members)))
     return result
 
 

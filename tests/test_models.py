@@ -242,6 +242,21 @@ class TestAdditiveDiffusion:
             )
             assert got[i] == pytest.approx(b * b * integral, rel=1e-9)
 
+    @pytest.mark.parametrize("noise_modes", [5, 8, 12])
+    def test_rows_equal_the_zero_padded_product(self, noise_modes):
+        # Fewer noise modes than state modes pad with zeros; at least as
+        # many keep the first 8.  Both equal the product copied into zeros.
+        model = heat_additive_model(modes=8, noise_modes=noise_modes)
+        diffusion, workspace = model.diffusion, model.workspace()
+        raw = np.random.default_rng(5).standard_normal((3, 7, noise_modes))
+        noise = diffusion.prepare_noise(raw, workspace, 8)
+        rows = diffusion.rows_against_noise(0, None, (), noise, workspace, 8)
+        padded = np.zeros((3, 7, 8))
+        keep = min(8, noise_modes)
+        padded[..., :keep] = (noise * diffusion.weights)[..., :keep]
+        assert rows.shape == padded.shape and rows.dtype == padded.dtype
+        assert rows.tobytes() == padded.tobytes()
+
     def test_variances_need_diagonal_model(self, mult):
         with pytest.raises(ModelError):
             convolution_variances(mult, 0.1)

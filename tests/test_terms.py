@@ -1,5 +1,6 @@
 """Term calculus: tree-to-term maps, rewrite rule, canonical forms."""
 
+import copy
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from spde_taylor.terms import (
     I0,
     BadPathError,
+    In,
     NotStarredError,
     contains_starred,
     expansion_matches_rewrite,
@@ -18,6 +20,7 @@ from spde_taylor.terms import (
     psi,
     render_compact,
     rewrite_expand,
+    summands,
     term_sum,
     wood_slot,
 )
@@ -225,3 +228,74 @@ def test_psi_star_free_random(seed, depth):
     for _ in range(depth):
         wood = expand(wood, rnd.choice(active_nodes(wood)))
     assert not contains_starred(psi(wood))
+
+
+# --------------------------------------------------------------------------
+# Stored keys and the phi memo
+# --------------------------------------------------------------------------
+
+
+def rendered(expr) -> str:
+    """The canonical rendering, recomputed from the structure alone."""
+    if isinstance(expr, I0):
+        return f"I^0_{expr.j.value}"
+    if isinstance(expr, In):
+        inner = ",".join(rendered(a) for a in expr.args)
+        return f"I^{expr.order}_{expr.j.value}[{inner}]"
+    return " + ".join(rendered(t) for t in expr.terms) or "0"
+
+
+def operators(expr):
+    """Every ``I0`` and ``In`` inside ``expr``, each before its arguments."""
+    for term in summands(expr):
+        yield term
+        if isinstance(term, In):
+            for arg in term.args:
+                yield from operators(arg)
+
+
+def symbolic_pass(wood):
+    """The terms of every tree, phi_wood and psi; the slot of every active node."""
+    terms = [phi(tree) for tree in wood.trees] + [phi_wood(wood), psi(wood)]
+    return terms, [wood_slot(wood, at) for at in active_nodes(wood)]
+
+
+def random_wood(rnd, depth):
+    wood = initial_wood()
+    for _ in range(depth):
+        wood = expand(wood, rnd.choice(active_nodes(wood)))
+    return wood
+
+
+@given(st.integers(min_value=0, max_value=2**30), st.integers(0, 7))
+@settings(max_examples=40, deadline=None)
+def test_stored_keys_and_phi_memo_match_a_cold_computation(seed, depth):
+    wood = random_wood(random.Random(seed), depth)
+    warm = symbolic_pass(wood)
+    phi.cache_clear()
+    cold = symbolic_pass(wood)
+    assert warm == cold
+    assert [render_compact(t) for t in warm[0]] == [rendered(t) for t in cold[0]]
+    for term in operators(warm[0][-2]):
+        assert term.key == rendered(term) == render_compact(term)
+        # The key takes no part in ==, hash or repr.
+        twin = copy.copy(term)
+        object.__setattr__(twin, "key", "unrelated")
+        assert twin == term and hash(twin) == hash(term)
+        assert repr(twin) == repr(term)
+        if isinstance(term, I0):
+            assert repr(term) == f"I0(j={term.j!r})"
+            assert hash(term) == hash((term.j,))
+        else:
+            assert repr(term) == f"In(order={term.order!r}, j={term.j!r}, args={term.args!r})"
+            assert hash(term) == hash((term.order, term.j, term.args))
+
+
+def test_phi_memo_stays_within_its_bound():
+    bound = phi.cache_info().maxsize
+    phi.cache_clear()
+    rnd = random.Random(11)
+    while phi.cache_info().misses <= 3 * bound:
+        phi_wood(random_wood(rnd, 8))
+        assert phi.cache_info().currsize <= bound
+    assert phi.cache_info().currsize == bound

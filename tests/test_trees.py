@@ -1,5 +1,7 @@
 """Tree algebra: construction, expansion, orders, serialization."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -346,3 +348,40 @@ def test_round_trip_through_canonical_form(wood):
     once = parse(serialize(wood))
     assert parse(serialize(once)) == once
     assert active_nodes(once) != () or not any(t.is_active for t in wood.trees)
+
+
+@given(expansion_sequences(max_depth=7))
+@settings(max_examples=80, deadline=None)
+def test_tree_queries_match_the_parent_and_label_maps(wood):
+    starred_labels = (NodeLabel.ONE_STAR, NodeLabel.TWO_STAR)
+    expected_active = []
+    for i, tree in enumerate(wood.trees, start=1):
+        nodes = range(1, tree.length + 1)
+        for node in range(tree.length + 2):
+            assert tree.children_of(node) == tuple(
+                j for j in nodes if j > 1 and tree.parents[j - 2] == node
+            )
+        starred = [j for j in nodes if tree.labels[j - 1] in starred_labels]
+        assert tree.is_active == bool(starred)
+        expected_active += [(i, j) for j in starred]
+        if tree.length > 1:
+            # Each non-root node belongs to the root child it climbs to.
+            def top(j):
+                while tree.parents[j - 2] != 1:
+                    j = tree.parents[j - 2]
+                return j
+
+            children = [j for j in nodes if j > 1 and tree.parents[j - 2] == 1]
+            groups = [tuple(j for j in nodes if j > 1 and top(j) == c) for c in children]
+            assert [m for _, m in subtrees_with_nodes(tree)] == groups
+    assert active_nodes(wood) == tuple(expected_active)
+
+
+def test_pickling_drops_the_cached_queries():
+    # The cached hash mixes in string hashes, which differ between
+    # processes; a pickle must not carry it.
+    tree = expand(initial_wood(), ActiveNode(3, 1)).tree(4)
+    assert hash(tree) == hash((tree.labels, tree.parents))
+    assert tree.children_of(1) == (2,) and tree.is_active
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree and not {"_hash", "_children", "_active"} & set(vars(copy))
