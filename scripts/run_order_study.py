@@ -5,8 +5,8 @@ Runs the four reference schemes through the Monte-Carlo harness and prints
 each scheme's per-step error table and verdict, then a summary line per
 scheme.  With no arguments this reproduces the full-size experiment (200
 paths, fine mesh 2^-12, ladder 2^-4..2^-8); pass --paths or --ladder to
-scale it down.  Exit codes: 0 when every verdict passes, 2 when one fails,
-1 on any error.
+scale it down.  Exit codes: 0 when no verdict fails (a multi-step run has
+none), 2 when one fails, 1 on any error.
 
     python3 scripts/run_order_study.py --paths 40
     python3 scripts/run_order_study.py --ladder 8,9,10,11,12 --fine 16
@@ -18,7 +18,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from spde_taylor import cli
-from spde_taylor.harness import ExperimentConfig, report_emit, run_convergence
+from spde_taylor.harness import (
+    ExperimentConfig,
+    report_emit,
+    run_convergence,
+    verdict_text,
+)
 
 SCHEMES = ["taylor-delta", "exp-euler", "milstein-b0", "full-2nd"]
 
@@ -61,12 +66,12 @@ def study(values: dict, out: str | None) -> int:
 
     print("\n== summary ==")
     for scheme, result in results.items():
-        status = "pass" if result.verdict else "fail"
+        status = verdict_text(result.verdict) or "none"
         print(
             f"  {scheme:<14} slope {result.slope:.4f}  "
             f"predicted {result.predicted:.4f}  {status}"
         )
-    return 0 if all(result.verdict for result in results.values()) else 2
+    return 2 if any(result.verdict is False for result in results.values()) else 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ Two subcommands:
 
 A config file of ``key = value`` lines (``#`` comments allowed) may supply
 any converge option; explicit flags win.  Exit codes: 0 when the verdict is
-pass, 2 when it is fail, 1 on any error.
+pass or when a multi-step run has none, 2 when it is fail, 1 on any error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .harness import (
     report_emit,
     run_convergence,
     symbolic_report,
+    verdict_text,
 )
 from .engine import EngineError
 from .models import ModelError
@@ -162,7 +163,7 @@ def print_report(report: ErrorReport) -> None:
     print(
         f"slope={report.slope:.4f}  predicted={report.predicted:.4f}  "
         f"window=[{report.lower_bound:.4f}, {report.upper_bound:.4f}]  "
-        f"verdict={'pass' if report.verdict else 'fail'}"
+        f"verdict={verdict_text(report.verdict) or 'none (multi-step: no predicted order)'}"
     )
 
 
@@ -178,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         if config.out_dir:
             csv_path, json_path = report_emit(report, config.out_dir)
             print(f"wrote {csv_path} and {json_path}")
-        return 0 if report.verdict else 2
+        return 2 if report.verdict is False else 0
     except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

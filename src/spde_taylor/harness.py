@@ -11,8 +11,8 @@ horizon is h itself, so the experiment measures one-step errors; the L2 (or
 Lp) error per h is regressed against h in log-log coordinates and the slope
 is compared with the order predicted by the scheme's wood.  Behind a flag
 the horizon is t_end for every h, which measures global errors of the
-iterated scheme; the wood predicts no order for those, so the verdict of a
-multi-step run does not test the paper's claim.
+iterated scheme; the wood predicts no order for those, so a multi-step run
+reports no verdict and no margin.
 """
 
 from __future__ import annotations
@@ -130,8 +130,9 @@ class ErrorReport:
     rows: tuple[ErrorRow, ...]
     slope: float
     predicted: float
-    verdict: bool
-    margin: float
+    #: None for a multi-step run, which has no predicted order.
+    verdict: bool | None
+    margin: float | None
     gamma: float
     delta: float
     regression_rows: int
@@ -265,14 +266,18 @@ def run_convergence(config: ExperimentConfig) -> ErrorReport:
         for h in sorted(errors, reverse=True)
     )
     slope, used = _regression_slope(rows)
-    verdict = predicted - SLOPE_BELOW <= slope <= predicted + SLOPE_ABOVE
+    if config.multi_step:
+        verdict = margin = None
+    else:
+        verdict = predicted - SLOPE_BELOW <= slope <= predicted + SLOPE_ABOVE
+        margin = slope - (predicted - SLOPE_BELOW)
     return ErrorReport(
         config=config,
         rows=rows,
         slope=slope,
         predicted=predicted,
         verdict=verdict,
-        margin=slope - (predicted - SLOPE_BELOW),
+        margin=margin,
         gamma=model.gamma,
         delta=model.delta,
         regression_rows=used,
@@ -284,6 +289,13 @@ def run_convergence(config: ExperimentConfig) -> ErrorReport:
 # --------------------------------------------------------------------------
 
 CSV_HEADER = "h,error,stderr,n_paths,n_excluded"
+
+
+def verdict_text(verdict: bool | None) -> str | None:
+    """``pass``, ``fail``, or None for a run without a verdict."""
+    if verdict is None:
+        return None
+    return "pass" if verdict else "fail"
 
 
 def render_csv(report: ErrorReport) -> str:
@@ -318,7 +330,7 @@ def render_json(report: ErrorReport) -> str:
         "predicted_order": report.predicted,
         "slope": report.slope,
         "regression_rows": report.regression_rows,
-        "verdict": "pass" if report.verdict else "fail",
+        "verdict": verdict_text(report.verdict),
         "margin": report.margin,
         "bounds": [report.lower_bound, report.upper_bound],
         "rows": [asdict(row) for row in report.rows],

@@ -155,7 +155,10 @@ def phi(tree: STree) -> TermExpr:
 
     The base case fires when the root label is 0 or the tree is a single
     node; otherwise the root label indexes the operator and the subtrees
-    supply the arguments.
+    supply the arguments.  The recursion goes one level per tree level, so a
+    tree nested deeper than a few hundred levels below non-zero labels
+    exceeds Python's default recursion limit (``parse`` and ``serialize``
+    take any depth).
     """
     k = tree.label_of(1)
     if k is NodeLabel.ZERO or tree.length == 1:
@@ -169,7 +172,10 @@ def phi_wood(wood: SWood) -> TermExpr:
 
 
 def psi(wood: SWood) -> TermExpr:
-    """Computable part of the wood's term: active trees are dropped whole."""
+    """Computable part of the wood's term: active trees are dropped whole.
+
+    Built by :func:`phi`, so it shares that function's recursion depth.
+    """
     return term_sum(phi(tree) for tree in wood.trees if not tree.is_active)
 
 
@@ -208,8 +214,12 @@ def phi_with_slot(tree: STree, node: int) -> tuple[TermExpr, TermPath]:
 
 def wood_slot(wood: SWood, at: ActiveNode) -> TermPath:
     """Path inside ``phi_wood(wood)`` addressing the starred slot of ``at``."""
+    return _slot_in(phi_wood(wood), wood, at)
+
+
+def _slot_in(total: TermExpr, wood: SWood, at: ActiveNode) -> TermPath:
+    """:func:`wood_slot` with the wood's term sum ``total`` supplied."""
     term, path = phi_with_slot(wood.tree(at.tree_index), at.node_index)
-    total = phi_wood(wood)
     if isinstance(total, TermSum):
         index = total.terms.index(term)
         return (index,) + path
@@ -276,8 +286,8 @@ def rewrite_expand(expr: TermExpr, path: TermPath) -> TermExpr:
 def expansion_matches_rewrite(wood: SWood, at: ActiveNode, expanded: SWood) -> bool:
     """Term-level identity check: expanding the wood and rewriting its term
     set at the corresponding slot must produce the same canonical sum."""
-    path = wood_slot(wood, at)
-    return phi_wood(expanded) == rewrite_expand(phi_wood(wood), path)
+    total = phi_wood(wood)
+    return phi_wood(expanded) == rewrite_expand(total, _slot_in(total, wood, at))
 
 
 __all__ = [

@@ -14,8 +14,8 @@ Everything here is an immutable value; all operations are pure functions.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as _np
@@ -36,6 +36,9 @@ class NodeLabel(enum.Enum):
         self.is_drift = text.startswith("1")
         #: Counts toward the delta weight of the order functional.
         self.is_diffusion = text.startswith("2")
+
+    # Identity hash: enum's own __hash__ is a Python-level call.
+    __hash__ = object.__hash__
 
     def destarred(self) -> "NodeLabel":
         if self is NodeLabel.ONE_STAR:
@@ -80,6 +83,21 @@ class ParseError(TreeError):
         self.column = column
 
 
+class _cached:
+    """``functools.cached_property`` without its lock (Python 3.11): the
+    value computed on first access goes into the instance dict, which later
+    lookups read before this non-data descriptor."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class STree:
     """Rooted tree with 1-based node ids.
@@ -89,8 +107,10 @@ class STree:
     not validate the parent map (so that :func:`validate` has something to
     diagnose); every other operation assumes a valid tree.
 
-    The hash, the child lists and the starred node ids are computed on first
-    use and kept on the instance; pickling drops them.
+    The hash and the starred node ids are computed on first use and stored
+    in the instance ``__dict__`` (``_hash``, ``_active``) by a lock-free
+    non-data descriptor, so later reads are plain attribute hits; pickling
+    drops them.
     """
 
     labels: tuple[NodeLabel, ...]
@@ -102,18 +122,11 @@ class STree:
     def __reduce__(self):
         return STree, (self.labels, self.parents)
 
-    @cached_property
+    @_cached
     def _hash(self) -> int:
         return hash((self.labels, self.parents))
 
-    @cached_property
-    def _children(self) -> dict[int, tuple[int, ...]]:
-        children: dict[int, list[int]] = {}
-        for j, p in enumerate(self.parents, start=2):
-            children.setdefault(p, []).append(j)
-        return {p: tuple(js) for p, js in children.items()}
-
-    @cached_property
+    @_cached
     def _active(self) -> tuple[int, ...]:
         """Ids of the starred nodes, increasing."""
         return tuple(j for j, label in enumerate(self.labels, start=1) if label.is_active)
@@ -133,7 +146,7 @@ class STree:
         return self.parents[node - 2]
 
     def children_of(self, node: int) -> tuple[int, ...]:
-        return self._children.get(node, ())
+        return tuple(j for j, p in enumerate(self.parents, start=2) if p == node)
 
     @property
     def is_active(self) -> bool:
@@ -212,11 +225,13 @@ def validate(tree: STree) -> ValidationResult:
 
 def active_nodes(wood: SWood) -> tuple[ActiveNode, ...]:
     """All starred (tree, node) pairs in lexicographic order."""
-    return tuple(
-        ActiveNode(i, j)
+    # tuple.__new__ skips the named tuple's Python-level constructor.
+    new = tuple.__new__
+    return tuple([
+        new(ActiveNode, (i, j))
         for i, tree in enumerate(wood.trees, start=1)
         for j in tree._active
-    )
+    ])
 
 
 def expand(wood: SWood, at: ActiveNode) -> SWood:
@@ -427,97 +442,95 @@ def order_wood(wood: SWood) -> WoodOrder:
 # (0);(1*);(2);(2*[0]);(2*[1*]);(2*[2*]).  Parsing assigns node ids in
 # preorder, so serialize . parse canonicalises the numbering; all woods
 # reachable in the worked examples are already in that canonical form.
+#
+# Tokens are '1*', '2*' and every other single non-whitespace character;
+# whitespace may separate tokens.  A starred label is one token, so '1 *'
+# is the label 1 and a stray '*', an error.  Parse and serialize are
+# iterative, so any nesting depth works.  Parse errors name the expected
+# token and the one found, with its line and column.
 
 
 def serialize_tree(tree: STree) -> str:
-    def walk(node: int) -> str:
-        text = str(tree.label_of(node))
-        children = tree.children_of(node)
+    # Parents have smaller ids than their children, so one pass from the
+    # last node to the root finishes every subtree's text before its
+    # parent's; ``inner`` collects child texts, last child first.
+    text = [label._value_ for label in tree.labels]
+    parents = tree.parents
+    inner: dict[int, list[str]] = {}
+    for j in range(len(text), 0, -1):
+        children = inner.pop(j, None)
         if children:
-            text += "[" + ",".join(walk(c) for c in children) + "]"
-        return text
-
-    return "(" + walk(1) + ")"
+            children.reverse()
+            text[j - 1] += "[" + ",".join(children) + "]"
+        if j > 1:
+            inner.setdefault(parents[j - 2], []).append(text[j - 1])
+    return "(" + text[0] + ")"
 
 
 def serialize(wood: SWood) -> str:
     return ";".join(serialize_tree(t) for t in wood.trees)
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_TOKEN = re.compile(r"1\*|2\*|\S")
 
-    def _position(self) -> tuple[int, int]:
-        consumed = self.text[: self.pos]
-        line = consumed.count("\n") + 1
-        column = self.pos - (consumed.rfind("\n") + 1) + 1
-        return line, column
 
-    def error(self, message: str) -> ParseError:
-        line, column = self._position()
-        return ParseError(message, line, column)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            found = self.peek() or "end of input"
-            raise self.error(f"expected '{char}', found {found!r}")
-        self.pos += 1
-
-    def label(self) -> NodeLabel:
-        self.skip_ws()
-        for text in ("1*", "2*", "0", "1", "2"):
-            if self.text.startswith(text, self.pos):
-                self.pos += len(text)
-                return LABELS_BY_TEXT[text]
-        found = self.peek() or "end of input"
-        raise self.error(f"expected a label in {{0,1,2,1*,2*}}, found {found!r}")
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+def _parse_error(text: str, index: int, expected: str) -> ParseError:
+    """The error at token ``index`` of ``text`` (the end when past the last)."""
+    tokens = list(_TOKEN.finditer(text))
+    if index < len(tokens):
+        # A starred label is reported by its first character.
+        pos, found = tokens[index].start(), tokens[index].group()[0]
+    else:
+        pos, found = len(text), "end of input"
+    line = text.count("\n", 0, pos) + 1
+    column = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    return ParseError(f"expected {expected}, found {found!r}", line, column)
 
 
 def parse(text: str) -> SWood:
     """Parse wood text; raises :class:`ParseError` with position info."""
-    scanner = _Scanner(text)
-    trees = [_parse_tree(scanner)]
-    while not scanner.at_end():
-        scanner.expect(";")
-        trees.append(_parse_tree(scanner))
-    return SWood(trees=tuple(trees))
-
-
-def _parse_tree(scanner: _Scanner) -> STree:
-    scanner.expect("(")
-    labels: list[NodeLabel] = []
-    parents: list[int] = []
-
-    def node(parent: int) -> None:
-        labels.append(scanner.label())
-        this = len(labels)
-        if parent:
-            parents.append(parent)
-        if scanner.peek() == "[":
-            scanner.expect("[")
-            node(this)
-            while scanner.peek() == ",":
-                scanner.expect(",")
-                node(this)
-            scanner.expect("]")
-
-    node(0)
-    scanner.expect(")")
-    return STree(labels=tuple(labels), parents=tuple(parents))
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # end of input
+    trees = []
+    i = 0
+    while True:
+        if tokens[i] != "(":
+            raise _parse_error(text, i, "'('")
+        i += 1
+        labels: list[NodeLabel] = []
+        parents: list[int] = []
+        open_nodes: list[int] = []  # nodes whose child list is open
+        while True:
+            label = LABELS_BY_TEXT.get(tokens[i])
+            if label is None:
+                raise _parse_error(text, i, "a label in {0,1,2,1*,2*}")
+            labels.append(label)
+            if open_nodes:
+                parents.append(open_nodes[-1])
+            i += 1
+            if tokens[i] == "[":
+                open_nodes.append(len(labels))
+                i += 1
+                continue
+            while open_nodes:
+                if tokens[i] == ",":
+                    i += 1
+                    break
+                if tokens[i] != "]":
+                    raise _parse_error(text, i, "']'")
+                open_nodes.pop()
+                i += 1
+            else:  # no list left open: the root node is complete
+                break
+        if tokens[i] != ")":
+            raise _parse_error(text, i, "')'")
+        trees.append(STree(labels=tuple(labels), parents=tuple(parents)))
+        i += 1
+        if not tokens[i]:
+            return SWood(trees=tuple(trees))
+        if tokens[i] != ";":
+            raise _parse_error(text, i, "';'")
+        i += 1
 
 
 def reachable_woods(depth: int) -> Iterator[SWood]:

@@ -264,7 +264,8 @@ class TestRunConvergence:
         report = run_convergence(config)
         assert all(np.isfinite(row.error) for row in report.rows)
         assert all(row.error > 0 for row in report.rows)
-        assert not report.verdict  # the iterated semigroup has no h-gain
+        # The wood predicts no order for global errors.
+        assert report.verdict is None and report.margin is None
 
 
 class ConstantMultiplier(MultiplicationDiffusion):
@@ -472,6 +473,28 @@ class TestCli:
         payload = json.loads((out_dir / "report.json").read_text())
         assert code == (0 if payload["verdict"] == "pass" else 2)
         assert (out_dir / "report.csv").exists()
+
+    def test_multi_step_run_has_no_verdict_and_exits_0(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code = main(
+            [
+                "converge",
+                "--model", "heat-add",
+                "--scheme", "taylor-delta",
+                "--paths", "16",
+                "--seed", "5",
+                "--fine", "8",
+                "--ladder", "4,5",
+                "--modes", "8",
+                "--noise-modes", "8",
+                "--multi-step",
+                "--out", str(out_dir),
+            ]
+        )
+        assert code == 0
+        assert "verdict=none (multi-step: no predicted order)" in capsys.readouterr().out
+        payload = json.loads((out_dir / "report.json").read_text())
+        assert payload["verdict"] is None and payload["margin"] is None
 
     def test_converge_bad_model_is_error(self, capsys):
         code = main(["converge", "--model", "wave", "--paths", "4"])

@@ -1,7 +1,9 @@
 """Term calculus: tree-to-term maps, rewrite rule, canonical forms."""
 
 import copy
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,3 +301,16 @@ def test_phi_memo_stays_within_its_bound():
         phi_wood(random_wood(rnd, 8))
         assert phi.cache_info().currsize <= bound
     assert phi.cache_info().currsize == bound
+
+
+def test_symbolic_digest_is_unchanged():
+    # The ``woods`` digest of scripts/symbolic_digest.py over the builtins
+    # and the first 200 random woods: text, round trip, psi, phi_wood and
+    # compiled schemes stay byte-identical across refactors of the layer.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "symbolic_digest.py"
+    spec = importlib.util.spec_from_file_location("symbolic_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.woods_digest(200) == (
+        "b36eb6e7cf80c3a632f441918f79f09e5b6a4869b3ff4116ce959abe3bc1fc3b"
+    )

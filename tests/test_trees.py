@@ -1,6 +1,7 @@
 """Tree algebra: construction, expansion, orders, serialization."""
 
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,6 +276,61 @@ class TestSerialization:
         assert serialize(reparsed) == text
 
 
+LABEL_EXPECTED = "expected a label in {0,1,2,1*,2*}"
+
+
+@pytest.mark.parametrize(
+    "text,message,line,column",
+    [
+        ("(3)", f"{LABEL_EXPECTED}, found '3'", 1, 2),
+        ("(12)", "expected ')', found '2'", 1, 3),
+        ("(1**)", "expected ')', found '*'", 1, 4),
+        ("(1 *)", "expected ')', found '*'", 1, 4),
+        ("(0 2*)", "expected ')', found '2'", 1, 4),
+        ("(2*[0)", "expected ']', found ')'", 1, 6),
+        ("(1*[])", f"{LABEL_EXPECTED}, found ']'", 1, 5),
+        ("(1*[0,])", f"{LABEL_EXPECTED}, found ']'", 1, 7),
+        ("(1*[1*]]", "expected ')', found ']'", 1, 8),
+        ("(1*[0][1])", "expected ')', found '['", 1, 7),
+        ("(1*[0]", "expected ')', found 'end of input'", 1, 7),
+        ("((0))", f"{LABEL_EXPECTED}, found '('", 1, 2),
+        ("(0)(1)", "expected ';', found '('", 1, 4),
+        ("(0);;(1)", "expected '(', found ';'", 1, 5),
+        ("(0)x", "expected ';', found 'x'", 1, 4),
+        ("(0)1*", "expected ';', found '1'", 1, 4),
+        ("0", "expected '(', found '0'", 1, 1),
+        ("", "expected '(', found 'end of input'", 1, 1),
+        ("  \n\t ", "expected '(', found 'end of input'", 2, 3),
+        ("(0);", "expected '(', found 'end of input'", 1, 5),
+        ("(0);\n(4)", f"{LABEL_EXPECTED}, found '4'", 2, 2),
+        ("(0);\n(1*[0,\n  2*[5]])", f"{LABEL_EXPECTED}, found '5'", 3, 6),
+        ("(0)\n;(1*)\n;(2*[0 1])", "expected ']', found '1'", 3, 8),
+        ("(0);\r\n(1*[)", f"{LABEL_EXPECTED}, found ')'", 2, 5),
+    ],
+)
+def test_parse_error_message_and_position(text, message, line, column):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (line {line}, column {column})"
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("shape", ["chain", "star"])
+def test_deep_and_wide_text_round_trips(shape):
+    # Parse and serialize keep no Python frame per tree level.
+    nodes = 5000
+    assert sys.getrecursionlimit() < nodes
+    if shape == "chain":
+        text = "(" + "1[" * (nodes - 1) + "2*" + "]" * (nodes - 1) + ")"
+        parents = tuple(range(1, nodes))
+    else:
+        text = "(2*[" + ",".join(["0"] * (nodes - 1)) + "])"
+        parents = (1,) * (nodes - 1)
+    wood = parse(text)
+    assert wood.length == 1 and wood.tree(1).parents == parents
+    assert serialize(wood) == text
+
+
 def test_reachable_enumeration_is_deterministic():
     first = [serialize(w) for w in reachable_woods(2)]
     second = [serialize(w) for w in reachable_woods(2)]
@@ -384,4 +440,4 @@ def test_pickling_drops_the_cached_queries():
     assert hash(tree) == hash((tree.labels, tree.parents))
     assert tree.children_of(1) == (2,) and tree.is_active
     copy = pickle.loads(pickle.dumps(tree))
-    assert copy == tree and not {"_hash", "_children", "_active"} & set(vars(copy))
+    assert copy == tree and not {"_hash", "_active"} & set(vars(copy))
