@@ -38,7 +38,7 @@ from .engine import (
     path_generator,
 )
 from .models import ModelSpec, build_model
-from .terms import psi, render_compact
+from .terms import psi
 from .trees import (
     NoActiveTreeError,
     SWood,
@@ -153,7 +153,21 @@ def resolve_scheme(name_or_wood: str) -> tuple[CompiledScheme, SWood]:
         assert scheme.source_wood is not None
         return scheme, scheme.source_wood
     wood = parse(name_or_wood)
-    return compile_scheme(psi(wood), source_wood=wood), wood
+    return _compile_wood(wood), wood
+
+
+def _compile_wood(wood: SWood) -> CompiledScheme:
+    """The lowered plan of the wood's computable terms.  The star check,
+    the lowering and term equality recurse once per nesting level, so a
+    wood nested past Python's recursion limit is an error here."""
+    try:
+        scheme = compile_scheme(psi(wood), source_wood=wood)
+        scheme.lowered  # lower now, so that a too-deep wood fails in this try
+    except RecursionError:
+        raise HarnessError(
+            "wood nested too deeply: its terms exceed Python's recursion limit"
+        ) from None
+    return scheme
 
 
 #: Bytes of increments drawn per chunk of paths: 8 paths of the one-step
@@ -363,9 +377,9 @@ def symbolic_report(wood_text: str) -> str:
         lines.append(f"order: {order_wood(wood).symbolic()}")
     except NoActiveTreeError:
         lines.append("order: undefined (no active tree)")
-    computable = psi(wood)
-    lines.append(f"computable terms: {render_compact(computable)}")
-    required = compile_scheme(computable).required_orders
+    scheme = _compile_wood(wood)
+    lines.append(f"computable terms: {scheme.describe()}")
+    required = scheme.required_orders
     drift = sorted(required.drift)
     diffusion = sorted(required.diffusion)
     lines.append(f"required drift derivative orders: {drift or 'none'}")

@@ -21,10 +21,12 @@ The sort key is the canonical rendering of :func:`render_compact`.  Every
 ``I0`` and ``In`` computes it once, at construction, from its arguments'
 stored keys, and keeps it in the field ``key``, which takes no part in
 ``==``, ``hash`` or ``repr``; rendering or sorting never walks a subterm.
-:func:`phi` is a pure function of an immutable tree and is memoised across
-calls in a bounded least-recently-used cache: the trees of a wood share
-most of their subtrees, and :func:`psi`, :func:`phi_wood` and
-:func:`phi_with_slot` meet the same trees again.
+The tree-to-term maps read one table per tree, built in one pass from the
+last node to the root: the term of every node's subtree and every node's
+argument slot in its parent's term.  The table is a pure function of an
+immutable tree and is memoised across calls in a bounded
+least-recently-used cache, since :func:`psi`, :func:`phi_wood` and
+:func:`phi_with_slot` meet the same trees again.  The maps take any depth.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
-from .trees import ActiveNode, NodeLabel, STree, SWood, subtrees_with_nodes
+from .trees import ActiveNode, NodeLabel, STree, SWood
 
 TermExpr = Union["I0", "In", "TermSum"]
 
@@ -146,25 +148,53 @@ def contains_starred(expr: TermExpr) -> bool:
 # --------------------------------------------------------------------------
 
 
-# 1024 entries hold the trees and subtrees of the last few depth-10 woods
-# (about 1 MB of terms) and keep a long run over distinct woods from
-# holding every term it has built.
-@lru_cache(maxsize=1024)
-def phi(tree: STree) -> TermExpr:
-    """Term of one tree: ``I^0_k`` at the base, multilinear recursion above.
+#: One shared ``I^0_k`` per label: most nodes are leaves.
+_LEAVES = {label: I0(label) for label in NodeLabel}
 
-    The base case fires when the root label is 0 or the tree is a single
-    node; otherwise the root label indexes the operator and the subtrees
-    supply the arguments.  The recursion goes one level per tree level, so a
-    tree nested deeper than a few hundred levels below non-zero labels
-    exceeds Python's default recursion limit (``parse`` and ``serialize``
-    take any depth).
+
+# 1024 entries hold the trees of the last thirty or so depth-10 woods and
+# keep a long run over distinct woods from holding every term it built.
+@lru_cache(maxsize=1024)
+def _tree_table(tree: STree) -> tuple[tuple[TermExpr, ...], tuple[int | None, ...]]:
+    """The term of every node's subtree and every node's argument slot.
+
+    ``terms[j - 1]`` is the term of the subtree rooted at node ``j``: ``I^0_k``
+    when its label k is 0 or it has no children, else ``I^i_k`` over the
+    terms of its i children.  The arguments are sorted by key, stably, so
+    equal siblings keep their id order (the order :func:`integral` gives);
+    ``slots[j - 1]`` is node j's index among them, ``None`` for the root and
+    for the children of a 0-labelled node, which do not surface.  Parents
+    have smaller ids than their children, so one pass from the last node to
+    the root finishes every child before its parent: any depth works.
     """
-    k = tree.label_of(1)
-    if k is NodeLabel.ZERO or tree.length == 1:
-        return I0(k)
-    parts = [phi(sub) for sub, _ in subtrees_with_nodes(tree)]
-    return integral(len(parts), k, tuple(parts))
+    labels, parents = tree.labels, tree.parents
+    terms: list = [None] * len(labels)
+    slots: list[int | None] = [None] * len(labels)
+    children: dict[int, list[int]] = {}  # child ids, last child first
+    for j in range(len(labels), 0, -1):
+        label = labels[j - 1]
+        below = children.pop(j, None)
+        if label is NodeLabel.ZERO or below is None:
+            terms[j - 1] = _LEAVES[label]
+        else:
+            below = sorted(reversed(below), key=lambda c: terms[c - 1].key)
+            for slot, child in enumerate(below):
+                slots[child - 1] = slot
+            args = tuple(terms[c - 1] for c in below)
+            terms[j - 1] = In(order=len(args), j=label, args=args)
+        if j > 1:
+            children.setdefault(parents[j - 2], []).append(j)
+    return tuple(terms), tuple(slots)
+
+
+def phi(tree: STree) -> TermExpr:
+    """Term of one tree: ``I^0_k`` at the base, multilinear nesting above.
+
+    The base case holds when the root label is 0 or the tree is a single
+    node; otherwise the root label indexes the operator and the subtrees
+    below the root supply the arguments.
+    """
+    return _tree_table(tree)[0][0]
 
 
 def phi_wood(wood: SWood) -> TermExpr:
@@ -172,44 +202,30 @@ def phi_wood(wood: SWood) -> TermExpr:
 
 
 def psi(wood: SWood) -> TermExpr:
-    """Computable part of the wood's term: active trees are dropped whole.
-
-    Built by :func:`phi`, so it shares that function's recursion depth.
-    """
+    """Computable part of the wood's term: active trees are dropped whole."""
     return term_sum(phi(tree) for tree in wood.trees if not tree.is_active)
 
 
 def phi_with_slot(tree: STree, node: int) -> tuple[TermExpr, TermPath]:
     """Term of ``tree`` plus the path to the subterm owned by ``node``.
 
-    Only nodes that actually surface in the term are addressable: below a
-    0-labelled root the recursion short-circuits and inner nodes have no
-    slot.  Woods built by repeated expansion never hide active nodes that
-    way (0-labelled nodes stay leaves there).
+    Only nodes that actually surface in the term are addressable: a
+    0-labelled node's term is ``I^0_0`` whatever lies below it, so the
+    nodes under it have no slot.  Woods built by repeated expansion never
+    hide active nodes that way (0-labelled nodes stay leaves there).
     """
     if not 1 <= node <= tree.length:
         raise BadPathError(f"node {node} outside tree of {tree.length} nodes")
-    if node == 1:
-        return phi(tree), ()
-    k = tree.label_of(1)
-    if k is NodeLabel.ZERO:
-        raise BadPathError("nodes below a 0-labelled root have no term slot")
-    parts = subtrees_with_nodes(tree)
-    arg_terms = []
-    home = None
-    for index, (sub, members) in enumerate(parts):
-        if node in members:
-            local = members.index(node) + 1
-            sub_term, sub_path = phi_with_slot(sub, local)
-            home = (index, sub_path)
-            arg_terms.append(sub_term)
-        else:
-            arg_terms.append(phi(sub))
-    assert home is not None
-    order = sorted(range(len(arg_terms)), key=lambda i: render_compact(arg_terms[i]))
-    slot = order.index(home[0])
-    term = In(order=len(arg_terms), j=k, args=tuple(arg_terms[i] for i in order))
-    return term, (slot,) + home[1]
+    terms, slots = _tree_table(tree)
+    path = []
+    while node > 1:
+        slot = slots[node - 1]
+        if slot is None:
+            raise BadPathError("nodes below a 0-labelled node have no term slot")
+        path.append(slot)
+        node = tree.parents[node - 2]
+    path.reverse()
+    return terms[0], tuple(path)
 
 
 def wood_slot(wood: SWood, at: ActiveNode) -> TermPath:

@@ -66,10 +66,6 @@ class OutOfRangeError(TreeError):
     """Raised when a (tree, node) pair does not index into the wood."""
 
 
-class DegenerateTreeError(TreeError):
-    """Raised when subtrees are requested from a single-node tree."""
-
-
 class NoActiveTreeError(TreeError):
     """Raised when a wood order is requested but no tree is active."""
 
@@ -141,9 +137,6 @@ class STree:
 
     def label_of(self, node: int) -> NodeLabel:
         return self.labels[node - 1]
-
-    def parent_of(self, node: int) -> int:
-        return self.parents[node - 2]
 
     def children_of(self, node: int) -> tuple[int, ...]:
         return tuple(j for j, p in enumerate(self.parents, start=2) if p == node)
@@ -258,33 +251,6 @@ def expand(wood: SWood, at: ActiveNode) -> SWood:
     )
     trees = wood.trees[: i - 1] + (relabelled,) + wood.trees[i:] + appended
     return SWood(trees=trees)
-
-
-def subtrees_with_nodes(tree: STree) -> list[tuple[STree, tuple[int, ...]]]:
-    """Subtrees below the root, each paired with its original node ids.
-
-    One subtree per root child, in increasing child order.  Nodes inside a
-    subtree are renumbered 1..l following the increasing order of their
-    original ids, which also puts the subtree root first.
-    """
-    if tree.length < 2:
-        raise DegenerateTreeError("single-node tree has no subtrees")
-    # anchor[j] is the root child that node j descends from; parents come
-    # before their children, so one pass in id order fills it and groups
-    # the members of each subtree in increasing order.
-    anchor = [0, 0]
-    groups: dict[int, list[int]] = {}
-    for j, p in enumerate(tree.parents, start=2):
-        top = j if p == 1 else anchor[p]
-        anchor.append(top)
-        groups.setdefault(top, []).append(j)
-    result = []
-    for members in groups.values():
-        local = {orig: pos for pos, orig in enumerate(members, start=1)}
-        labels = tuple(tree.labels[orig - 1] for orig in members)
-        parents = tuple(local[tree.parents[orig - 2]] for orig in members[1:])
-        result.append((STree(labels=labels, parents=parents), tuple(members)))
-    return result
 
 
 # --------------------------------------------------------------------------

@@ -454,6 +454,21 @@ class TestCli:
         assert main(["symbolic", "--wood", "(3)"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        ["symbolic --wood", "converge --paths 4 --scheme"],
+        ids=["symbolic", "converge"],
+    )
+    def test_wood_nested_too_deeply_is_error(self, command, capsys):
+        # 1000 levels below non-zero labels parse, but the star check, the
+        # lowering and term equality recurse once per level.
+        text = "(" + "1[" * 999 + "0" + "]" * 999 + ")"
+        assert main(command.split() + [text]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: wood nested too deeply: its terms exceed Python's recursion limit\n"
+        )
+
     def test_converge_exit_code_matches_verdict(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         code = main(

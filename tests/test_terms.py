@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,13 @@ from spde_taylor.terms import (
     BadPathError,
     In,
     NotStarredError,
+    _tree_table,
     contains_starred,
     expansion_matches_rewrite,
     expansion_of,
     integral,
     phi,
+    phi_with_slot,
     phi_wood,
     psi,
     render_compact,
@@ -33,6 +36,7 @@ from spde_taylor.trees import (
     active_nodes,
     expand,
     initial_wood,
+    parse,
     reachable_woods,
     serialize,
 )
@@ -233,7 +237,7 @@ def test_psi_star_free_random(seed, depth):
 
 
 # --------------------------------------------------------------------------
-# Stored keys and the phi memo
+# Stored keys and the tree table's memo
 # --------------------------------------------------------------------------
 
 
@@ -274,7 +278,7 @@ def random_wood(rnd, depth):
 def test_stored_keys_and_phi_memo_match_a_cold_computation(seed, depth):
     wood = random_wood(random.Random(seed), depth)
     warm = symbolic_pass(wood)
-    phi.cache_clear()
+    _tree_table.cache_clear()
     cold = symbolic_pass(wood)
     assert warm == cold
     assert [render_compact(t) for t in warm[0]] == [rendered(t) for t in cold[0]]
@@ -294,23 +298,50 @@ def test_stored_keys_and_phi_memo_match_a_cold_computation(seed, depth):
 
 
 def test_phi_memo_stays_within_its_bound():
-    bound = phi.cache_info().maxsize
-    phi.cache_clear()
+    info = _tree_table.cache_info
+    bound = info().maxsize
+    _tree_table.cache_clear()
     rnd = random.Random(11)
-    while phi.cache_info().misses <= 3 * bound:
+    while info().misses <= 3 * bound:
         phi_wood(random_wood(rnd, 8))
-        assert phi.cache_info().currsize <= bound
-    assert phi.cache_info().currsize == bound
+        assert info().currsize <= bound
+    assert info().currsize == bound
+
+
+def test_tree_to_term_maps_take_any_depth():
+    # The table keeps no Python frame per tree level.
+    nodes = 5000
+    assert sys.getrecursionlimit() < nodes
+    wood = parse("(" + "1[" * (nodes - 1) + "2*" + "]" * (nodes - 1) + ")")
+    tree = wood.tree(1)
+    try:
+        term = phi(tree)
+        assert render_compact(term) == (
+            "I^1_1[" * (nodes - 1) + "I^0_2*" + "]" * (nodes - 1)
+        )
+        # Identity, not ==: term equality still recurses per level.
+        assert phi_wood(wood) is term
+        assert render_compact(psi(wood)) == "0"
+        owner, path = phi_with_slot(tree, nodes)
+        assert owner is term and path == (0,) * (nodes - 1)
+    finally:
+        # The chain's stored keys take about 90 MB; do not keep them.
+        _tree_table.cache_clear()
 
 
 def test_symbolic_digest_is_unchanged():
     # The ``woods`` digest of scripts/symbolic_digest.py over the builtins
     # and the first 200 random woods: text, round trip, psi, phi_wood and
     # compiled schemes stay byte-identical across refactors of the layer.
+    # The ``slots`` digest over the first 100 depth-8 woods pins every
+    # active node's term slot and every wood order the same way.
     path = Path(__file__).resolve().parent.parent / "scripts" / "symbolic_digest.py"
     spec = importlib.util.spec_from_file_location("symbolic_digest", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.woods_digest(200) == (
         "b36eb6e7cf80c3a632f441918f79f09e5b6a4869b3ff4116ce959abe3bc1fc3b"
+    )
+    assert module.slots_digest(100) == (
+        "149fe249087cde4024bc5ad471dcbd6db252f23d6a371e1570e12e7708a79ecc"
     )

@@ -6,9 +6,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spde_taylor.terms import BadPathError, phi, phi_with_slot, render_compact
 from spde_taylor.trees import (
     ActiveNode,
-    DegenerateTreeError,
     NoActiveTreeError,
     NodeLabel,
     NotActiveError,
@@ -25,7 +25,6 @@ from spde_taylor.trees import (
     reachable_woods,
     serialize,
     serialize_tree,
-    subtrees_with_nodes,
     validate,
 )
 
@@ -140,36 +139,27 @@ class TestExpand:
         assert wood == initial_wood()
 
 
-def subtrees(tree):
-    return [sub for sub, _ in subtrees_with_nodes(tree)]
+class TestSevenNodeTerms:
+    # Values recorded before the tree-to-term maps were rebuilt.
+    def test_zero_root_hides_its_subtrees(self):
+        assert render_compact(phi(SEVEN_NODE)) == "I^0_0"
+        for node in (5, 7):  # the starred nodes
+            with pytest.raises(BadPathError, match="0-labelled"):
+                phi_with_slot(SEVEN_NODE, node)
 
-
-class TestSubtrees:
     def test_seven_node_reference_tree(self):
-        parts = subtrees(SEVEN_NODE)
-        assert [serialize_tree(p) for p in parts] == [
-            "(0)", "(2)", "(1[1,2*])", "(1*)",
-        ]
-
-    def test_two_node_tree(self):
-        tree = STree(labels=(L["2*"], L["0"]), parents=(1,))
-        assert [serialize_tree(p) for p in subtrees(tree)] == ["(0)"]
-
-    def test_three_node_chain(self):
-        chain = STree(labels=(L["1"], L["2"], L["0"]), parents=(1, 2))
-        parts = subtrees(chain)
-        assert len(parts) == 1
-        assert parts[0].length == 2
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateTreeError):
-            subtrees(STree.single(L["0"]))
-
-    def test_node_maps_partition_non_root_nodes(self):
-        all_members = []
-        for _, members in subtrees_with_nodes(SEVEN_NODE):
-            all_members.extend(members)
-        assert sorted(all_members) == list(range(2, 8))
+        # With the root relabelled 1, the root's subtrees (0), (2), (1[1,2*])
+        # and (1*) are its arguments, sorted by their terms.
+        tree = SEVEN_NODE.with_label(1, L["1"])
+        term = phi(tree)
+        assert render_compact(term) == "I^4_1[I^0_0,I^0_1*,I^0_2,I^2_1[I^0_1,I^0_2*]]"
+        paths = {}
+        for node in range(1, tree.length + 1):
+            owner, paths[node] = phi_with_slot(tree, node)
+            assert owner == term
+        assert paths == {
+            1: (), 2: (0,), 3: (2,), 4: (3,), 5: (1,), 6: (3, 0), 7: (3, 1),
+        }
 
 
 class TestOrderTree:
@@ -420,16 +410,6 @@ def test_tree_queries_match_the_parent_and_label_maps(wood):
         starred = [j for j in nodes if tree.labels[j - 1] in starred_labels]
         assert tree.is_active == bool(starred)
         expected_active += [(i, j) for j in starred]
-        if tree.length > 1:
-            # Each non-root node belongs to the root child it climbs to.
-            def top(j):
-                while tree.parents[j - 2] != 1:
-                    j = tree.parents[j - 2]
-                return j
-
-            children = [j for j in nodes if j > 1 and tree.parents[j - 2] == 1]
-            groups = [tuple(j for j in nodes if j > 1 and top(j) == c) for c in children]
-            assert [m for _, m in subtrees_with_nodes(tree)] == groups
     assert active_nodes(wood) == tuple(expected_active)
 
 
