@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Strong-order study for the heat equation with multiplication noise.
 
-Runs the four reference schemes through the Monte-Carlo harness and prints
-each scheme's per-step error table and verdict, then a summary line per
-scheme.  With no arguments this reproduces the full-size experiment (200
-paths, fine mesh 2^-12, ladder 2^-4..2^-8); pass --paths or --ladder to
-scale it down.  Exit codes: 0 when no verdict fails (a multi-step run has
+Runs the four reference schemes as one Monte-Carlo study, on shared noise
+and one reference run per chunk of paths, and prints each scheme's per-step
+error table and verdict, then a summary line per scheme.  With no arguments
+this reproduces the full-size experiment (200 paths, fine mesh 2^-12,
+ladder 2^-4..2^-8); pass --paths or --ladder to scale it down.  Exit codes: 0 when no verdict fails (a multi-step run has
 none), 2 when one fails, 1 on any error.
 
     python3 scripts/run_order_study.py --paths 40
@@ -21,11 +21,11 @@ from spde_taylor import cli
 from spde_taylor.harness import (
     ExperimentConfig,
     report_emit,
-    run_convergence,
+    run_study,
     verdict_text,
 )
 
-SCHEMES = ["taylor-delta", "exp-euler", "milstein-b0", "full-2nd"]
+SCHEMES = ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd")
 
 #: The script's flags, converge options of the CLI, with their defaults.
 DEFAULTS = {
@@ -54,24 +54,23 @@ def main() -> int:
 
 
 def study(values: dict, out: str | None) -> int:
-    """Run every scheme of SCHEMES and print the tables and the summary."""
-    results = {}
-    for scheme in SCHEMES:
-        result = run_convergence(ExperimentConfig(model="heat-mult", scheme=scheme, **values))
-        print(f"\n== {scheme} ==")
+    """Run the schemes of SCHEMES as one study and print the tables and the
+    summary."""
+    results = run_study(ExperimentConfig(model="heat-mult", **values), SCHEMES)
+    for result in results:
+        print(f"\n== {result.config.scheme} ==")
         cli.print_report(result)
         if out:
-            report_emit(result, Path(out) / scheme)
-        results[scheme] = result
+            report_emit(result, Path(out) / result.config.scheme)
 
     print("\n== summary ==")
-    for scheme, result in results.items():
+    for result in results:
         status = verdict_text(result.verdict) or "none"
         print(
-            f"  {scheme:<14} slope {result.slope:.4f}  "
+            f"  {result.config.scheme:<14} slope {result.slope:.4f}  "
             f"predicted {result.predicted:.4f}  {status}"
         )
-    return 2 if any(result.verdict is False for result in results.values()) else 0
+    return 2 if any(result.verdict is False for result in results) else 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Monte-Carlo strong-order experiments and machine-readable reports.
 
-One routine couples the scheme with the fine-mesh reference on every path:
-for each h on a dyadic ladder it iterates the scheme with step h from a
+A study couples each of its schemes with the fine-mesh reference on every
+path: for each h on a dyadic ladder it iterates a scheme with step h from a
 fixed start state up to a horizon and compares the end state with the
 reference snapshot at that horizon, on the same increments.  It runs the
 engine's stepping loop on chunks of paths: each chunk's increments are
-prepared once, the reference runs once over them, and every ladder entry
-runs on a row prefix of the same prepared window.  The default
+drawn and prepared once, the reference runs once over them, and every
+(scheme, h) plan runs on a row prefix of the same prepared window, so the
+schemes of a study share one noise draw and one reference run.
+:func:`run_convergence` is the study of one scheme.  The default
 horizon is h itself, so the experiment measures one-step errors; the L2 (or
 Lp) error per h is regressed against h in log-log coordinates and the slope
 is compared with the order predicted by the scheme's wood.  Behind a flag
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from hashlib import sha256
 from pathlib import Path
 
@@ -33,7 +35,6 @@ from .engine import (
     CompiledScheme,
     NoisePath,
     _run,
-    builtin_scheme,
     compile_scheme,
     path_generator,
 )
@@ -148,17 +149,13 @@ class ErrorReport:
 
 def resolve_scheme(name_or_wood: str) -> tuple[CompiledScheme, SWood]:
     """A builtin scheme name, or wood text to compile on the fly."""
-    if name_or_wood in BUILTIN_WOODS:
-        scheme = builtin_scheme(name_or_wood)
-        assert scheme.source_wood is not None
-        return scheme, scheme.source_wood
-    wood = parse(name_or_wood)
+    wood = BUILTIN_WOODS.get(name_or_wood) or parse(name_or_wood)
     return _compile_wood(wood), wood
 
 
 def _compile_wood(wood: SWood) -> CompiledScheme:
-    """The lowered plan of the wood's computable terms.  The star check,
-    the lowering and term equality recurse once per nesting level, so a
+    """The lowered plan of the wood's computable terms.  The lowering and
+    the hashing and equality of terms recurse once per nesting level, so a
     wood nested past Python's recursion limit is an error here."""
     try:
         scheme = compile_scheme(psi(wood), source_wood=wood)
@@ -179,32 +176,33 @@ _CHUNK_BYTES = 1 << 20
 
 
 def _ladder_errors(
-    config: ExperimentConfig, scheme: CompiledScheme, model: ModelSpec
+    config: ExperimentConfig, schemes: tuple[CompiledScheme, ...], model: ModelSpec
 ):
-    """Per-h absolute endpoint errors against the fine-mesh reference.
+    """Per-scheme, per-h absolute endpoint errors against the fine-mesh
+    reference.
 
-    Every ladder entry h iterates the scheme with step h up to its horizon
-    (h itself for one-step errors, t_end in multi-step mode) and compares
-    with the reference snapshot at that horizon, on the same increments.
-    Paths run in chunks of a fixed byte budget: the reference and one plan
-    per h are bound once, and each chunk's increments, drawn path by path
-    with :meth:`NoisePath.draw` and stacked, are prepared once and run
-    through the reference once.  Returns each h's Euclidean error norms of
-    the included paths in path order, computed with ``np.hypot`` so that
-    finite differences never overflow, and each h's count of excluded
-    paths, those whose scheme run is not finite; a non-finite reference
-    raises :class:`NonfiniteValueError`.
+    Every scheme and every ladder entry h iterates the scheme with step h up
+    to its horizon (h itself for one-step errors, t_end in multi-step mode)
+    and compares with the reference snapshot at that horizon, on the same
+    increments.  Paths run in chunks of a fixed byte budget: the reference
+    and one plan per (scheme, h) are bound once, and each chunk's
+    increments, drawn path by path with :meth:`NoisePath.draw` and stacked,
+    are prepared once and run through the reference once for all schemes.
+    Returns, per scheme, each h's Euclidean error norms of the included
+    paths in path order, computed with ``np.hypot`` so that finite
+    differences never overflow, and each h's count of excluded paths, those
+    whose scheme run is not finite; a non-finite reference raises
+    :class:`NonfiniteValueError`.
     """
     h_fine, workspace = config.h_fine, model.workspace()
     ladder = sorted(config.ladder, reverse=True)
     reference = BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine, workspace)
-    plans = {h: BoundPlan(scheme, model, h, h_fine, workspace) for h in ladder}
+    plans = [{h: BoundPlan(s, model, h, h_fine, workspace) for h in ladder} for s in schemes]
     steps = {h: round(config.t_end / h) if config.multi_step else 1 for h in ladder}
-    horizon = {h: steps[h] * plans[h].substeps for h in ladder}  # in substeps
+    horizon = {h: steps[h] * round(h / h_fine) for h in ladder}  # in substeps
     window = max(horizon.values())
     chunk = max(1, _CHUNK_BYTES // (8 * window * model.noise_modes))
-    errors: dict[float, list[float]] = {h: [] for h in ladder}
-    excluded: dict[float, int] = {h: 0 for h in ladder}
+    results = [({h: [] for h in ladder}, {h: 0 for h in ladder}) for _ in schemes]
     for first in range(0, config.paths, chunk):
         indices = range(first, min(first + chunk, config.paths))
         increments = np.stack([
@@ -218,12 +216,13 @@ def _ladder_errors(
         _, recorded, failed = _run(reference, u0, noise, window, tuple(horizon.values()))
         if failed:
             raise failed[min(failed)]
-        for h in ladder:
-            approx, _, failed = _run(plans[h], u0, noise[:, : horizon[h]], steps[h])
-            excluded[h] += len(failed)
-            norms = np.hypot.reduce(approx - recorded[horizon[h]], axis=-1)
-            errors[h].extend(np.delete(norms, list(failed)).tolist())
-    return errors, excluded
+        for by_h, (errors, excluded) in zip(plans, results):
+            for h, plan in by_h.items():
+                approx, _, failed = _run(plan, u0, noise[:, : horizon[h]], steps[h])
+                excluded[h] += len(failed)
+                norms = np.hypot.reduce(approx - recorded[horizon[h]], axis=-1)
+                errors[h].extend(np.delete(norms, list(failed)).tolist())
+    return results
 
 
 def _row_statistics(h: float, values: list[float], n_excluded: int, p: float) -> ErrorRow:
@@ -269,33 +268,38 @@ def _regression_slope(rows) -> tuple[float, int]:
     return slope, len(usable)
 
 
-def run_convergence(config: ExperimentConfig) -> ErrorReport:
+def run_study(config: ExperimentConfig, schemes: tuple[str, ...]) -> tuple[ErrorReport, ...]:
+    """One report per scheme, a builtin name or wood text, all on the same
+    paths: every scheme reads each chunk's one noise window and reference
+    run.  Each report equals ``run_convergence`` of the config with its
+    scheme set to that name."""
     config.validate()
     model = build_model(config.model, config.modes, config.noise_modes, config.r)
-    scheme, wood = resolve_scheme(config.scheme)
-    predicted = order_wood(wood).evaluate(model.gamma, model.delta)
-    errors, excluded = _ladder_errors(config, scheme, model)
-    rows = tuple(
-        _row_statistics(h, errors[h], excluded[h], config.p_norm)
-        for h in sorted(errors, reverse=True)
-    )
-    slope, used = _regression_slope(rows)
-    if config.multi_step:
+    resolved = [resolve_scheme(name) for name in schemes]
+    predicted = [order_wood(wood).evaluate(model.gamma, model.delta) for _, wood in resolved]
+    results = _ladder_errors(config, tuple(scheme for scheme, _ in resolved), model)
+    reports = []
+    for name, order, (errors, excluded) in zip(schemes, predicted, results):
+        rows = tuple(
+            _row_statistics(h, errors[h], excluded[h], config.p_norm)
+            for h in sorted(errors, reverse=True)
+        )
+        slope, used = _regression_slope(rows)
         verdict = margin = None
-    else:
-        verdict = predicted - SLOPE_BELOW <= slope <= predicted + SLOPE_ABOVE
-        margin = slope - (predicted - SLOPE_BELOW)
-    return ErrorReport(
-        config=config,
-        rows=rows,
-        slope=slope,
-        predicted=predicted,
-        verdict=verdict,
-        margin=margin,
-        gamma=model.gamma,
-        delta=model.delta,
-        regression_rows=used,
-    )
+        if not config.multi_step:
+            verdict = order - SLOPE_BELOW <= slope <= order + SLOPE_ABOVE
+            margin = slope - (order - SLOPE_BELOW)
+        reports.append(ErrorReport(
+            config=replace(config, scheme=name), rows=rows, slope=slope, predicted=order,
+            verdict=verdict, margin=margin, gamma=model.gamma, delta=model.delta,
+            regression_rows=used,
+        ))
+    return tuple(reports)
+
+
+def run_convergence(config: ExperimentConfig) -> ErrorReport:
+    """The study of ``config.scheme`` alone."""
+    return run_study(config, (config.scheme,))[0]
 
 
 # --------------------------------------------------------------------------

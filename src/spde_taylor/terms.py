@@ -136,11 +136,17 @@ def render_compact(expr: TermExpr) -> str:
 
 
 def contains_starred(expr: TermExpr) -> bool:
-    if isinstance(expr, I0):
-        return expr.is_starred
-    if isinstance(expr, In):
-        return expr.is_starred or any(contains_starred(a) for a in expr.args)
-    return any(contains_starred(t) for t in expr.terms)
+    """Whether an operator of ``expr`` is starred; walks without recursion."""
+    stack = [expr]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, TermSum):
+            stack.extend(term.terms)
+        elif term.is_starred:
+            return True
+        elif isinstance(term, In):
+            stack.extend(term.args)
+    return False
 
 
 # --------------------------------------------------------------------------

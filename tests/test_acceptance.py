@@ -3,7 +3,8 @@
 Each case prints a PASS/FAIL line before asserting, so a red criterion still
 leaves a readable record in the log.  Criterion 3 runs the full-size order
 experiment (N = M = 64, fine mesh 2^-12, ladder 2^-4..2^-8, 200 paths,
-fixed seed 2024) and takes a few minutes.
+fixed seed 2024) as one study of its four schemes, whose reports the four
+cases share.
 """
 
 import random
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from spde_taylor.engine import NoisePath, builtin_scheme, path_generator, step
-from spde_taylor.harness import ExperimentConfig, render_csv, run_convergence
+from spde_taylor.harness import ExperimentConfig, render_csv, run_convergence, run_study
 from spde_taylor.models import (
     GridWorkspace,
     SpectralState,
@@ -127,13 +128,11 @@ def test_criterion_2_phi_invariance():
 HEAT_SCHEMES = ["taylor-delta", "exp-euler", "milstein-b0", "full-2nd"]
 
 
-@pytest.mark.parametrize("scheme", HEAT_SCHEMES)
-def test_criterion_3_heat_equation_orders(scheme):
-    """Regression slope within [predicted - 0.10, predicted + 0.20] at the
-    stated defaults."""
+@pytest.fixture(scope="module")
+def heat_study():
+    """The four heat schemes' reports from one study on shared paths."""
     config = ExperimentConfig(
         model="heat-mult",
-        scheme=scheme,
         t_end=1.0,
         fine_log2=12,
         ladder_log2=(4, 5, 6, 7, 8),
@@ -141,7 +140,14 @@ def test_criterion_3_heat_equation_orders(scheme):
         seed=ACCEPTANCE_SEED,
         r=0.005,
     )
-    result = run_convergence(config)
+    return dict(zip(HEAT_SCHEMES, run_study(config, HEAT_SCHEMES)))
+
+
+@pytest.mark.parametrize("scheme", HEAT_SCHEMES)
+def test_criterion_3_heat_equation_orders(scheme, heat_study):
+    """Regression slope within [predicted - 0.10, predicted + 0.20] at the
+    stated defaults."""
+    result = heat_study[scheme]
     ok = result.lower_bound <= result.slope <= result.upper_bound
     report(
         f"3 heat orders [{scheme}]",

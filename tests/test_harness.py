@@ -12,7 +12,14 @@ import pytest
 
 from spde_taylor import harness
 from spde_taylor.cli import load_config_file, main
-from spde_taylor.engine import NoisePath, NonfiniteValueError, builtin_scheme, step
+from spde_taylor.engine import (
+    BUILTIN_WOODS,
+    _REFERENCE_SCHEME,
+    NoisePath,
+    NonfiniteValueError,
+    builtin_scheme,
+    step,
+)
 from spde_taylor.harness import (
     ConfigError,
     ErrorReport,
@@ -25,6 +32,7 @@ from spde_taylor.harness import (
     report_emit,
     resolve_scheme,
     run_convergence,
+    run_study,
     symbolic_report,
     _ladder_errors,
 )
@@ -35,7 +43,7 @@ from spde_taylor.models import (
     heat_multiplicative_model,
     smoothed_diffusion_hs_norm,
 )
-from spde_taylor.trees import order_wood
+from spde_taylor.trees import ParseError, order_wood
 
 W1_TEXT = "(0);(1*);(2);(2*[0]);(2*[1*]);(2*[2*])"
 
@@ -71,6 +79,10 @@ class TestPredictedOrder:
         by_text, wood_text = resolve_scheme(W1_TEXT)
         assert by_name.describe() == by_text.describe() == "I^0_0 + I^0_2"
         assert wood_name == wood_text
+        for name in BUILTIN_WOODS:
+            resolved, builtin = resolve_scheme(name)[0], builtin_scheme(name)
+            assert resolved == builtin
+            assert resolved.describe() == builtin.describe()
 
 
 class TestConfigValidation:
@@ -243,7 +255,7 @@ class TestRunConvergence:
             multi_step=True,
         )
         model = build_model("heat-mult", 8, 8, 0.005)
-        errors, _ = _ladder_errors(config, builtin_scheme("exp-euler"), model)
+        [(errors, _)] = _ladder_errors(config, (builtin_scheme("exp-euler"),), model)
         assert errors[config.ladder[0]] == [0.0, 0.0, 0.0]
 
     def test_multi_step_mode_runs(self):
@@ -266,6 +278,27 @@ class TestRunConvergence:
         assert all(row.error > 0 for row in report.rows)
         # The wood predicts no order for global errors.
         assert report.verdict is None and report.margin is None
+
+
+class TestStudy:
+    @pytest.mark.parametrize("multi_step", [False, True], ids=["one-step", "multi-step"])
+    def test_each_report_equals_its_one_scheme_run(self, multi_step):
+        config = dataclasses.replace(TINY, multi_step=multi_step)
+        names = tuple(BUILTIN_WOODS)
+        reports = run_study(config, names)
+        assert [report.config.scheme for report in reports] == list(names)
+        for name, report in zip(names, reports):
+            alone = run_convergence(dataclasses.replace(config, scheme=name))
+            assert report == alone
+            assert render_json(report) == render_json(alone)
+            assert render_csv(report) == render_csv(alone)
+
+    def test_malformed_scheme_fails_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "_run", lambda *args: runs.append(args))
+        with pytest.raises(ParseError):
+            run_study(TINY, ("exp-euler", "full-2nd", "(0[1]"))
+        assert runs == []
 
 
 class ConstantMultiplier(MultiplicationDiffusion):
@@ -298,35 +331,43 @@ def scale_path(monkeypatch, index, factor):
     monkeypatch.setattr(NoisePath, "draw", staticmethod(scaled))
 
 
-def chunk_heights(monkeypatch, paths_per_chunk, config):
+def chunk_runs(monkeypatch, paths_per_chunk, config):
     """Set the chunk budget to ``paths_per_chunk`` paths of ``config``'s
-    window and record the height of every batch the stepping loop runs."""
+    window and record the scheme and the height of every batch the stepping
+    loop runs."""
     window = 2 ** (config.fine_log2 - min(config.ladder_log2))
     monkeypatch.setattr(
         harness, "_CHUNK_BYTES", paths_per_chunk * 8 * window * config.noise_modes
     )
-    heights = []
+    runs = []
     run = harness._run
 
     def spy(plan, states, *args):
-        heights.append(len(states))
+        runs.append((plan.scheme, len(states)))
         return run(plan, states, *args)
 
     monkeypatch.setattr(harness, "_run", spy)
-    return heights
+    return runs
 
 
 class TestChunks:
     def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
-        config = dataclasses.replace(TINY, scheme="full-2nd")
-        reports, seen = [], []
-        for per_chunk in (1, 3, config.paths):
+        # A two-scheme study runs the reference once per chunk, not once
+        # per scheme and chunk.
+        names = ("full-2nd", "milstein-b0")
+        studies, seen, references = [], [], []
+        for per_chunk in (1, 3, TINY.paths):
             with monkeypatch.context() as patch:
-                heights = chunk_heights(patch, per_chunk, config)
-                reports.append(run_convergence(config))
-            seen.append(sorted(set(heights)))
-        assert seen == [[1], [2, 3], [config.paths]]
-        assert reports[0] == reports[1] == reports[2]
+                runs = chunk_runs(patch, per_chunk, TINY)
+                studies.append(run_study(TINY, names))
+            seen.append(sorted({height for _, height in runs}))
+            references.append(sum(scheme is _REFERENCE_SCHEME for scheme, _ in runs))
+            assert len(runs) == references[-1] * (1 + len(names) * len(TINY.ladder))
+        assert seen == [[1], [2, 3], [TINY.paths]]
+        assert references == [8, 3, 1]
+        assert studies[0] == studies[1] == studies[2]
+        for report in studies[0]:
+            assert report == run_convergence(report.config)
 
     def test_a_blow_up_is_excluded_exactly_where_its_run_is_not_finite(
         self, monkeypatch
@@ -341,13 +382,13 @@ class TestChunks:
         )
         scheme = builtin_scheme("full-2nd")
         with monkeypatch.context() as patch:
-            chunk_heights(patch, 1, config)
-            alone, _ = harness._ladder_errors(config, scheme, model)
+            chunk_runs(patch, 1, config)
+            [(alone, _)] = harness._ladder_errors(config, (scheme,), model)
         with monkeypatch.context() as patch:
-            heights = chunk_heights(patch, config.paths, config)
+            runs = chunk_runs(patch, config.paths, config)
             scale_path(patch, 2, 2.8e154)
-            errors, excluded = harness._ladder_errors(config, scheme, model)
-        assert set(heights) == {config.paths}
+            [(errors, excluded)] = harness._ladder_errors(config, (scheme,), model)
+        assert {height for _, height in runs} == {config.paths}
         path = NoisePath.draw(harness.path_generator(config.seed, 2), 64, 16, config.h_fine)
         blown = {}
         for h in config.ladder:
@@ -469,6 +510,16 @@ class TestCli:
             "error: wood nested too deeply: its terms exceed Python's recursion limit\n"
         )
 
+    def test_wood_nested_below_the_term_hashing_limit_is_reported(self, capsys):
+        # The star check walks without recursion, so a chain of 400 nodes
+        # below non-zero labels compiles; the lowering and term hashing
+        # still recurse once per level.
+        text = "(" + "1[" * 399 + "0" + "]" * 399 + ")"
+        assert main(["symbolic", "--wood", text]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("trees: 1\n")
+        assert f"canonical text: {text}" in out
+
     def test_converge_exit_code_matches_verdict(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
         code = main(
@@ -560,6 +611,27 @@ class TestCli:
         assert done.stderr.startswith("usage: " if usage else "error: ")
         assert done.stderr.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in done.stderr
+
+    def test_order_study_script_writes_each_schemes_one_scheme_report(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_order_study.py"
+        out = tmp_path / "study"
+        done = subprocess.run(
+            [sys.executable, str(script), "--paths", "8", "--fine", "9",
+             "--ladder", "3,4,5", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert done.stderr == ""
+        verdicts = []
+        for name in ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd"):
+            report = run_convergence(ExperimentConfig(
+                model="heat-mult", scheme=name, paths=8, seed=2024, fine_log2=9,
+                ladder_log2=(3, 4, 5), r=0.005,
+            ))
+            assert (out / name / "report.json").read_text() == render_json(report)
+            assert (out / name / "report.csv").read_text() == render_csv(report)
+            assert f"\n== {name} ==\n" in done.stdout
+            verdicts.append(report.verdict)
+        assert done.returncode == (2 if False in verdicts else 0)
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
