@@ -16,9 +16,12 @@ increments that drive the outer integral.
 
 A scheme is lowered once into nodes in dependency order, one per distinct
 term or subterm, so a shared subterm (the I^0_0 inside a Milstein term and
-the plan's own I^0_0) is evaluated once per step.  The per-mode factors
-depend only on (eigenvalues, h, h_fine); they are built once per process
-for each such triple and shared read-only.
+the plan's own I^0_0) is evaluated once per step.  Only a node whose
+trajectory a later node reads builds its per-substep rows; every other
+diffusion node asks the model for the end-weighted sum alone, and a term
+whose operator vanishes adds nothing.  The per-mode factors depend only on
+(eigenvalues, h, h_fine); they are built once per process for each such
+triple and shared read-only.
 
 One stepping loop runs every evaluation, for one path or for a batch of
 paths, one row each: a plan bound once advances the states through
@@ -43,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import GridWorkspace, ModelSpec, SpectralState
+from .models import GridWorkspace, ModelSpec, SpectralState, end_weighted_sum
 from .terms import (
     I0,
     TermExpr,
@@ -293,7 +296,6 @@ class _MeshTables:
     def __init__(self, lam: np.ndarray, h: float, h_fine: float, substeps: int):
         self.lam = lam
         self.times = _frozen(np.arange(substeps) * h_fine)
-        self.zeros = _frozen(np.zeros(lam.size))
         self.decay_fine = _frozen(np.exp(-lam * h_fine))
         # end_weights[i, j] = exp(-lambda_i (h - r_j))
         self.end_weights = _frozen(np.exp(-lam[:, None] * (h - self.times[None, :])))
@@ -364,57 +366,59 @@ class BoundPlan:
 
     def advance(
         self, u0: np.ndarray, noise: np.ndarray | None
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
         """u0 plus the sum of the plan's terms over the window whose prepared
-        noise is ``noise``, and the end value of every node by slot (see
-        :meth:`nonfinite`).  ``u0`` is one state, (N,), or one per path,
-        (paths, N), and ``noise`` the window of each, (substeps, ·) or
-        (paths, substeps, ·).
+        noise is ``noise``, and the end value of every node by slot, None
+        where it vanishes (see :meth:`nonfinite`).  ``u0`` is one state,
+        (N,), or one per path, (paths, N), and ``noise`` the window of each,
+        (substeps, ·) or (paths, substeps, ·).
 
         Sum nodes reduce their per-substep contributions with the end
-        weights.  A node's trajectory holds its values at the left points
-        r_0..r_{S-1}, Ito style: the row at r_j has the contributions
-        strictly before r_j."""
-        tables, model = self.tables, self.model
+        weights; a diffusion node whose trajectory no later node reads
+        takes the reduced sum from the model, without the rows.  A node's
+        trajectory holds its values at the left points r_0..r_{S-1}, Ito
+        style: the row at r_j has the contributions strictly before r_j."""
+        tables, model, diffusion = self.tables, self.model, self.model.diffusion
+        weights, ws, modes = tables.end_weights, self.workspace, self.modes
         values: list = []
         trajectories: list = []
         for kind, order, arg_slots, trajectory in self.nodes:
-            path = None
+            value = path = rows = None
             if kind is _FLOW:
                 value = tables.flow * u0
                 if trajectory:
                     path = tables.flow_at * u0[..., None, :]
             elif kind is _DRIFT_FLOW:
                 base = model.drift.value(u0)
-                value = tables.zeros if base is None else tables.drift_flow * base
-                if trajectory:
-                    path = (
-                        self._running_sum(None)
-                        if base is None
-                        else tables.drift_flow_at * base[..., None, :]
-                    )
+                if base is not None:
+                    value = tables.drift_flow * base
+                    path = tables.drift_flow_at * base[..., None, :] if trajectory else None
+                elif trajectory:
+                    path = self._running_sum(None)
             else:
                 args = [trajectories[a] for a in arg_slots]
-                if kind is _DIFFUSION:
-                    rows = model.diffusion.rows_against_noise(
-                        order, u0, args, noise, self.workspace, self.modes
-                    )
-                    if rows is not None and order >= 2:
-                        rows = rows / math.factorial(order)
-                else:
+                if kind is _DRIFT:
                     rows = model.drift.derivative_rows(order, u0, args)
                     if rows is not None:
                         rows = rows * (self.h_fine / math.factorial(order))
-                value = tables.zeros
+                elif trajectory:
+                    rows = diffusion.rows_against_noise(order, u0, args, noise, ws, modes)
+                    if rows is not None and order >= 2:
+                        rows = rows / math.factorial(order)
+                else:
+                    value = diffusion.weighted_sum(order, u0, args, noise, weights, ws, modes)
+                    if value is not None and order >= 2:
+                        value = value / math.factorial(order)
                 if rows is not None:
-                    value = np.einsum("ns,...sn->...n", tables.end_weights, rows)
+                    value = end_weighted_sum(weights, rows)
                 if trajectory:
                     path = self._running_sum(rows)
             values.append(value)
             trajectories.append(path)
         total = u0
         for slot in self.term_slots:
-            total = total + values[slot]
+            if values[slot] is not None:
+                total = total + values[slot]
         return total, values
 
     def _running_sum(self, rows: np.ndarray | None) -> np.ndarray:
@@ -430,13 +434,14 @@ class BoundPlan:
             running = np.multiply(decay, running + row, out=after)
         return out
 
-    def nonfinite(self, values: list[np.ndarray], row: int) -> NonfiniteValueError:
-        """The error for the path in ``row`` of a batch (any row of a single
+    def nonfinite(self, values: list[np.ndarray | None], row: int) -> NonfiniteValueError:
+        """The error for the path in ``row`` of a batch (row 0 of a single
         path) whose state is not finite: names its first non-finite term,
-        from the node values that :meth:`advance` returns."""
+        from the node values that :meth:`advance` returns (``None`` for a
+        term that vanishes)."""
         for name, slot in zip(self.names, self.term_slots):
             value = values[slot]
-            if not np.isfinite(value if value.ndim == 1 else value[row]).all():
+            if value is not None and not np.isfinite(np.atleast_2d(value)[row]).all():
                 return NonfiniteValueError(name)
         return NonfiniteValueError("sum of plan terms")
 
@@ -468,7 +473,8 @@ def _run(
         for n in range(1, steps + 1):
             window = None if noise is None else noise[..., (n - 1) * per_step : n * per_step, :]
             states, values = plan.advance(states, window)
-            if not np.isfinite(states).all():
+            flat = states.ravel()  # an inf or nan makes the sum of squares non-finite
+            if not np.isfinite(flat @ flat):
                 for row in np.flatnonzero(~np.isfinite(states).all(axis=-1)):
                     failed.setdefault(int(row), plan.nonfinite(values, row))
             if n in record_steps:

@@ -179,13 +179,17 @@ class DiffusionOperator(Protocol):
     """B and its derivatives against batches of noise functions.
 
     ``prepare_noise`` turns noise coefficient rows (one row per noise
-    function) into the form ``rows_against_noise`` consumes, keeping one
-    row per noise function, so a caller can prepare a whole window of
-    increments once and hand out row slices of it.  It also checks once
-    that the workspace suits states of ``modes`` modes, which
-    ``rows_against_noise`` then takes for granted.  Leading axes are
-    batch axes: a base of shape (..., N) goes with noise rows of shape
-    (..., S, ·), one window per base.
+    function) into the form the other methods consume, keeping one row per
+    noise function, so a caller can prepare a whole window of increments
+    once and hand out row slices of it.  It also checks once that the
+    workspace suits states of ``modes`` modes.  Leading axes are batch
+    axes: a base of shape (..., N) goes with noise rows of shape (..., S, ·).
+
+    ``rows_against_noise`` gives the rows B^(k)(base)(args)(xi_s), (..., S, N),
+    and ``weighted_sum`` only sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n],
+    (..., N), for (N, S) weights; ``None`` means identically zero.  The engine
+    asks for the rows only where a later node reads the trajectory (its
+    running sum needs them), else for the sum, and divides either by k!.
     """
 
     def prepare_noise(
@@ -193,14 +197,22 @@ class DiffusionOperator(Protocol):
     ) -> np.ndarray: ...
 
     def rows_against_noise(
-        self,
-        order: int,
-        base: np.ndarray,
-        arg_rows: Sequence[np.ndarray],
-        noise: np.ndarray,
-        workspace: GridWorkspace,
-        modes: int,
+        self, order: int, base: np.ndarray, arg_rows: Sequence[np.ndarray],
+        noise: np.ndarray, workspace: GridWorkspace, modes: int,
     ) -> np.ndarray | None: ...
+
+    def weighted_sum(
+        self, order: int, base: np.ndarray, arg_rows: Sequence[np.ndarray],
+        noise: np.ndarray, weights: np.ndarray, workspace: GridWorkspace, modes: int,
+    ) -> np.ndarray | None: ...
+
+
+def end_weighted_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_s weights[n, s] rows[..., s, n]; a single row is multiplied by the
+    weight column, which gives the einsum's bytes but for the sign of a zero."""
+    if rows.shape[-2] == 1:
+        return rows[..., 0, :] * weights[:, 0]
+    return np.einsum("ns,...sn->...n", weights, rows)
 
 
 class ZeroDrift:
@@ -247,6 +259,10 @@ class MultiplicationDiffusion:
             multiplier = workspace.to_grid(np.asarray(arg_rows[0]))
         return workspace.to_coeffs(multiplier * noise, modes)
 
+    def weighted_sum(self, order, base, arg_rows, noise, weights, workspace, modes):
+        rows = self.rows_against_noise(order, base, arg_rows, noise, workspace, modes)
+        return None if rows is None else end_weighted_sum(weights, rows)
+
 
 class DiagonalDiffusion:
     """Constant B mapping noise mode k to b_k times state mode k."""
@@ -260,11 +276,19 @@ class DiagonalDiffusion:
     def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
         if order >= 1:
             return None
-        m = self.weights.size
-        if m >= modes:
-            return noise[..., :modes] * self.weights[:modes]
+        k = min(modes, self.weights.size)
         out = np.zeros(noise.shape[:-1] + (modes,))
-        out[..., :m] = noise * self.weights
+        np.multiply(noise[..., :k], self.weights[:k], out=out[..., :k])
+        return out
+
+    def weighted_sum(self, order, base, arg_rows, noise, weights, workspace, modes):
+        # One contraction over views into the first min(N, M) modes: no rows.
+        if order >= 1:
+            return None
+        k = min(modes, self.weights.size)
+        out = np.zeros(noise.shape[:-2] + (modes,))
+        np.einsum("n,...sn,ns->...n", self.weights[:k], noise[..., :k], weights[:k],
+                  out=out[..., :k])
         return out
 
 

@@ -1,5 +1,7 @@
 """Scheme engine: compilation, stepping, reference coupling, noise streams."""
 
+import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -248,6 +250,44 @@ class TestStep:
         assert np.all(np.abs(var - expected) < 4.0 * stderr)
 
 
+# The 64 end states below, in path order, at the arithmetic of the rows
+# reduced by an einsum; the fused sum of the diagonal model keeps it.
+VARIANCE_SHAPE_SHA256 = "dd191cab5360d005ba3160a90eff258737aa7df2143f873e858fc27dc398a4d0"
+
+
+class TestVarianceShape:
+    """Criterion 4's shape: one exp-euler-nodrift step of h = 2^-4 from zero
+    over 8192 substeps of the diagonal model."""
+
+    H, H_FINE, SUBSTEPS = 2.0**-4, 2.0**-17, 8192
+
+    def test_end_states_are_pinned(self):
+        model = heat_additive_model(8, 8)
+        scheme, zero = builtin_scheme("exp-euler-nodrift"), SpectralState(np.zeros(8))
+        digest = hashlib.sha256()
+        for index in range(64):
+            path = NoisePath.draw(path_generator(2024, index), self.SUBSTEPS, 8, self.H_FINE)
+            digest.update(step(scheme, zero, self.H, path, model).state.coeffs.tobytes())
+        assert digest.hexdigest() == VARIANCE_SHAPE_SHA256
+
+    @pytest.mark.parametrize("modes, noise_modes", [(8, 8), (8, 4), (4, 8)])
+    def test_step_builds_no_window_sized_array(self, modes, noise_modes):
+        # The path's increments take 256 or 512 KiB; the step reads them
+        # through views, so it allocates a few KiB once the mesh tables
+        # exist.
+        model = heat_additive_model(modes, noise_modes)
+        scheme, zero = builtin_scheme("exp-euler-nodrift"), SpectralState(np.zeros(modes))
+        path = NoisePath.draw(path_generator(2024, 0), self.SUBSTEPS, noise_modes, self.H_FINE)
+        step(scheme, zero, self.H, path, model)
+        tracemalloc.start()
+        try:
+            step(scheme, zero, self.H, path, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
 class TestReference:
     def test_zero_noise_is_pure_decay(self, mult):
         u0 = mult.initial
@@ -315,6 +355,42 @@ class TestReference:
         for row in (0, 2):
             solo, _, alone = _run(
                 plan, start_states(mult, 1), plan.prepare_noise(increments[row : row + 1]), 1
+            )
+            assert not alone
+            assert states[row].tobytes() == solo[0].tobytes()
+
+    def test_finite_states_whose_squares_overflow_run_on(self, additive):
+        # States near 1e200 overflow the sum of squares that screens each
+        # step for non-finite values; the elementwise check then finds
+        # every state finite, and no path is flagged.
+        increments = chunk_increments(additive, 3, 16, seed=6)
+        plan = BoundPlan(builtin_scheme("exp-euler"), additive, 4 * H_FINE, H_FINE, additive.workspace())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, _, failed = _run(
+                plan, start_states(additive, 3) * 1e200, plan.prepare_noise(increments), 4
+            )
+        assert not failed
+        assert np.isfinite(states).all() and np.abs(states).max() > 1e160
+
+    def test_nan_is_flagged_at_its_step_and_stays_in_its_row(self, mult):
+        # A NaN in path 1's increments at substep 5 makes the reference's
+        # sixth step non-finite; paths 0 and 2 end where they end alone.
+        increments = chunk_increments(mult, 3, 8, seed=8)
+        increments[1, 5, 3] = np.nan
+        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE, mult.workspace())
+        noise = plan.prepare_noise(increments)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before, _, clean = _run(plan, start_states(mult, 3), noise, 5)
+            states, recorded, failed = _run(plan, start_states(mult, 3), noise, 8, (5, 6))
+        assert not clean and np.isfinite(before).all()
+        assert set(failed) == {1} and failed[1].term == "I^0_2"
+        assert np.isfinite(recorded[5][1]).all()
+        assert not np.isfinite(recorded[6][1]).any()
+        for row in (0, 2):
+            solo, _, alone = _run(
+                plan, start_states(mult, 1), plan.prepare_noise(increments[row : row + 1]), 8
             )
             assert not alone
             assert states[row].tobytes() == solo[0].tobytes()
@@ -442,7 +518,7 @@ def test_mesh_tables_are_keyed_by_eigenvalues_and_read_only():
     for plan in plans:
         tables = plan.tables
         for table in (
-            tables.times, tables.zeros, tables.decay_fine, tables.end_weights, tables.flow,
+            tables.times, tables.decay_fine, tables.end_weights, tables.flow,
             tables.drift_flow, tables.flow_at, tables.drift_flow_at,
         ):
             assert not table.flags.writeable

@@ -262,6 +262,60 @@ class TestAdditiveDiffusion:
             convolution_variances(mult, 0.1)
 
 
+# The shapes of the fused-sum tests: leading batch axes, substeps per window
+# and (state, noise) mode counts.
+LEADING = [(), (3,), (8,)]
+SUBSTEPS = [1, 16, 256, 8192]
+MODE_PAIRS = [(8, 8), (8, 4), (4, 8), (64, 64)]
+SHAPES = [
+    (lead, s, n, m) for lead in LEADING for s in SUBSTEPS for (n, m) in MODE_PAIRS
+]
+
+
+def grid_values(lead, substeps, modes, noise_modes):
+    return int(np.prod(lead)) * substeps * default_workspace(modes, noise_modes).grid_points
+
+
+class TestWeightedSum:
+    """``weighted_sum`` gives the bytes of its rows reduced by the einsum
+    with the end weights, at orders 0 and 1, with ``None`` for both where
+    the derivative vanishes."""
+
+    @staticmethod
+    def check(model, order, lead, substeps):
+        diffusion, workspace, modes = model.diffusion, model.workspace(), model.modes
+        rng = np.random.default_rng([order, substeps, modes, model.noise_modes, len(lead)])
+        raw = rng.standard_normal(lead + (substeps, model.noise_modes))
+        noise = diffusion.prepare_noise(raw, workspace, modes)
+        base = rng.standard_normal(lead + (modes,))
+        args = [rng.standard_normal(lead + (substeps, modes))][:order]
+        weights = rng.uniform(0.5, 1.0, (modes, substeps))
+        rows = diffusion.rows_against_noise(order, base, args, noise, workspace, modes)
+        got = diffusion.weighted_sum(order, base, args, noise, weights, workspace, modes)
+        if rows is None:
+            assert got is None
+            return
+        want = np.einsum("ns,...sn->...n", weights, rows)
+        assert got.shape == want.shape == lead + (modes,)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("lead, substeps, modes, noise_modes", SHAPES)
+    def test_diagonal(self, order, lead, substeps, modes, noise_modes):
+        self.check(heat_additive_model(modes, noise_modes), order, lead, substeps)
+
+    # The multiplication rows live on the grid: windows above 2^21 grid
+    # values (16 MiB; the two batched 8192-substep windows at 64 modes)
+    # are left out to keep the test's memory small.
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize(
+        "lead, substeps, modes, noise_modes",
+        [shape for shape in SHAPES if grid_values(*shape) <= 2**21],
+    )
+    def test_multiplication(self, order, lead, substeps, modes, noise_modes):
+        self.check(heat_multiplicative_model(modes, noise_modes), order, lead, substeps)
+
+
 class TestInitialConditions:
     def test_first_mode(self):
         state = initial_condition("first_mode", 16)
