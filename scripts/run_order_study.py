@@ -5,11 +5,13 @@ Runs the four reference schemes as one Monte-Carlo study, on shared noise
 and one reference run per chunk of paths, and prints each scheme's per-step
 error table and verdict, then a summary line per scheme.  With no arguments
 this reproduces the full-size experiment (200 paths, fine mesh 2^-12,
-ladder 2^-4..2^-8); pass --paths or --ladder to scale it down.  Exit codes: 0 when no verdict fails (a multi-step run has
-none), 2 when one fails, 1 on any error.
+ladder 2^-4..2^-8); pass --paths or --ladder to scale it down:
 
     python3 scripts/run_order_study.py --paths 40
     python3 scripts/run_order_study.py --ladder 8,9,10,11,12 --fine 16
+
+Exit codes: 0 when no verdict fails or a multi-step run has no verdict, 2
+when one fails, and 1 on any error.
 """
 
 import sys

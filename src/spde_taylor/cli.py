@@ -32,8 +32,9 @@ from .models import ModelError
 from .trees import TreeError
 
 
-#: The errors :func:`main` reports as ``error: ...`` with exit code 1.
-REPORTED_ERRORS = (HarnessError, EngineError, ModelError, TreeError, OSError)
+#: The errors :func:`main` reports as ``error: ...`` with exit code 1; a
+#: MemoryError is a study too large for the host.
+REPORTED_ERRORS = (HarnessError, EngineError, ModelError, TreeError, OSError, MemoryError)
 
 
 def _parse_bool(text: str) -> bool:

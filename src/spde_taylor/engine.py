@@ -23,6 +23,15 @@ whose operator vanishes adds nothing.  The per-mode factors depend only on
 (eigenvalues, h, h_fine); they are built once per process for each such
 triple and shared read-only.
 
+Binding a plan to a model, a step h and a workspace turns each node into a
+step function that holds everything the node reads: its rows of those
+factors, its k! scale, and the model operator bound to the workspace's
+sine matrices.  A step then runs the nodes' arithmetic and nothing else:
+no dispatch on the node kind, no argument checks and no cache lookups.
+For the reference at h = h_fine that is, per substep, the two matrix
+products of the diffusion, one pointwise and two per-mode products, and
+the sum of two terms.
+
 One stepping loop runs every evaluation, for one path or for a batch of
 paths, one row each: a plan bound once advances the states through
 consecutive h-long row blocks of their noise windows, prepared once (for
@@ -39,14 +48,15 @@ regenerated independently of evaluation order or threading.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .models import GridWorkspace, ModelSpec, SpectralState, end_weighted_sum
+from .models import GridWorkspace, ModelSpec, SpectralState, bind_end_sum
 from .terms import (
     I0,
     TermExpr,
@@ -233,11 +243,12 @@ def builtin_scheme(name: str) -> CompiledScheme:
 
 
 def _whole_count(span: float, unit: float, message: str) -> int:
-    """span / unit, which must be a positive whole number."""
+    """span / unit, which must be a positive whole number; else the error
+    is ``message`` formatted with span and unit."""
     ratio = span / unit
     count = int(round(ratio))
     if count < 1 or abs(ratio - count) > 1e-9 * max(1.0, ratio):
-        raise MeshMismatchError(message)
+        raise MeshMismatchError(message.format(span, unit))
     return count
 
 
@@ -326,12 +337,15 @@ class BoundPlan:
     """A compiled scheme bound to a model, a step h on a mesh of h_fine and
     a workspace.
 
-    It holds the scheme's lowered nodes and the shared mesh tables of
-    (eigenvalues, h, h_fine).  :meth:`advance` walks the nodes from the
-    start state of one path, (N,), or of a batch of paths, (paths, N), on
-    their windows of noise prepared by :meth:`prepare_noise`.  The stepping
-    loop :func:`_run` advances them through consecutive steps; a coarse run
-    of exponential Euler at h_fine equals the reference by construction.
+    Binding lowers each of the scheme's nodes once into a step that holds
+    everything the node reads: its rows of the shared mesh tables of
+    (eigenvalues, h, h_fine), its k! scale, the model operator and, through
+    the operator's binding, the sine matrices of the workspace.
+    :meth:`advance` runs the steps in turn from the start state of one path,
+    (N,), or of a batch of paths, (paths, N), on their windows of noise
+    prepared by :meth:`prepare_noise`.  The stepping loop :func:`_run`
+    advances them through consecutive steps; a coarse run of exponential
+    Euler at h_fine equals the reference by construction.
     """
 
     def __init__(
@@ -348,10 +362,69 @@ class BoundPlan:
         self.modes = model.modes
         self.h_fine = h_fine
         self.substeps = _whole_count(
-            h, h_fine, f"step {h} is not a whole number of substeps of {h_fine}"
+            h, h_fine, "step {} is not a whole number of substeps of {}"
         )
-        self.nodes, self.term_slots, self.names = scheme.lowered
+        nodes, self.term_slots, self.names = scheme.lowered
         self.tables = _mesh_tables(model.eigenvalues.tobytes(), h, h_fine, self.substeps)
+        self.steps = tuple(self._bind(*node) for node in nodes)
+
+    def _bind(self, kind: str, order: int, arg_slots: tuple[int, ...], trajectory: bool):
+        """The node as a step ``(u0, noise, trajectories) -> (value,
+        trajectory)``: its end value, None where it vanishes, and, when a
+        later node reads it, its trajectory, else None.  ``trajectories``
+        holds those of the earlier nodes by slot.
+
+        Sum nodes reduce their per-substep contributions with the end
+        weights; a diffusion node whose trajectory no later node reads
+        takes the reduced sum from the model, without the rows.  A node's
+        trajectory holds its values at the left points r_0..r_{S-1}, Ito
+        style: the row at r_j has the contributions strictly before r_j."""
+        # The steps hold no reference to the plan, so a plan is freed as soon
+        # as its last user drops it, not by the cycle collector.
+        tables, model = self.tables, self.model
+        if kind is _FLOW:
+            flow = tables.flow
+            if not trajectory:
+                return lambda u0, noise, paths: (flow * u0, None)
+            flow_at = tables.flow_at
+            return lambda u0, noise, paths: (flow * u0, flow_at * u0[..., None, :])
+        diffusion, ws, modes = model.diffusion, self.workspace, self.modes
+        if kind is _DIFFUSION and not trajectory:
+            total = _over_factorial(order, diffusion.bind_sum(order, ws, modes, tables.end_weights))
+            if total is None:
+                return lambda u0, noise, paths: (None, None)
+            return lambda u0, noise, paths: (total(u0, [paths[a] for a in arg_slots], noise), None)
+        zeros = partial(np.zeros, (self.substeps, modes))  # a vanishing node's trajectory
+        if kind is _DRIFT_FLOW:
+            drift, drift_flow = model.drift.value, tables.drift_flow
+
+            def drift_flow_step(u0, noise, paths):
+                base = drift(u0)
+                if base is None:
+                    return None, zeros() if trajectory else None
+                path = tables.drift_flow_at * base[..., None, :] if trajectory else None
+                return drift_flow * base, path
+
+            return drift_flow_step
+        if kind is _DIFFUSION:
+            rows_of = _over_factorial(order, diffusion.bind_rows(order, ws, modes))
+            rows_of = rows_of or (lambda u0, args, noise: None)
+        else:
+            derivative, scale = model.drift.derivative_rows, self.h_fine / math.factorial(order)
+
+            def rows_of(u0, args, noise):
+                rows = derivative(order, u0, args)
+                return None if rows is None else rows * scale
+
+        end_sum, decay = bind_end_sum(tables.end_weights), tables.decay_fine
+
+        def sum_step(u0, noise, paths):
+            rows = rows_of(u0, [paths[a] for a in arg_slots], noise)
+            if rows is None:
+                return None, zeros() if trajectory else None
+            return end_sum(rows), _running_sum(rows, decay) if trajectory else None
+
+        return sum_step
 
     def prepare_noise(self, increments: np.ndarray) -> np.ndarray | None:
         """The increments, (substeps, M) or (paths, substeps, M), in the
@@ -371,48 +444,11 @@ class BoundPlan:
         noise is ``noise``, and the end value of every node by slot, None
         where it vanishes (see :meth:`nonfinite`).  ``u0`` is one state,
         (N,), or one per path, (paths, N), and ``noise`` the window of each,
-        (substeps, ·) or (paths, substeps, ·).
-
-        Sum nodes reduce their per-substep contributions with the end
-        weights; a diffusion node whose trajectory no later node reads
-        takes the reduced sum from the model, without the rows.  A node's
-        trajectory holds its values at the left points r_0..r_{S-1}, Ito
-        style: the row at r_j has the contributions strictly before r_j."""
-        tables, model, diffusion = self.tables, self.model, self.model.diffusion
-        weights, ws, modes = tables.end_weights, self.workspace, self.modes
+        (substeps, ·) or (paths, substeps, ·)."""
         values: list = []
         trajectories: list = []
-        for kind, order, arg_slots, trajectory in self.nodes:
-            value = path = rows = None
-            if kind is _FLOW:
-                value = tables.flow * u0
-                if trajectory:
-                    path = tables.flow_at * u0[..., None, :]
-            elif kind is _DRIFT_FLOW:
-                base = model.drift.value(u0)
-                if base is not None:
-                    value = tables.drift_flow * base
-                    path = tables.drift_flow_at * base[..., None, :] if trajectory else None
-                elif trajectory:
-                    path = self._running_sum(None)
-            else:
-                args = [trajectories[a] for a in arg_slots]
-                if kind is _DRIFT:
-                    rows = model.drift.derivative_rows(order, u0, args)
-                    if rows is not None:
-                        rows = rows * (self.h_fine / math.factorial(order))
-                elif trajectory:
-                    rows = diffusion.rows_against_noise(order, u0, args, noise, ws, modes)
-                    if rows is not None and order >= 2:
-                        rows = rows / math.factorial(order)
-                else:
-                    value = diffusion.weighted_sum(order, u0, args, noise, weights, ws, modes)
-                    if value is not None and order >= 2:
-                        value = value / math.factorial(order)
-                if rows is not None:
-                    value = end_weighted_sum(weights, rows)
-                if trajectory:
-                    path = self._running_sum(rows)
+        for run in self.steps:
+            value, path = run(u0, noise, trajectories)
             values.append(value)
             trajectories.append(path)
         total = u0
@@ -420,19 +456,6 @@ class BoundPlan:
             if values[slot] is not None:
                 total = total + values[slot]
         return total, values
-
-    def _running_sum(self, rows: np.ndarray | None) -> np.ndarray:
-        """Trajectory of a sum node: the decayed sum of the rows before each
-        left point, per path; zero for ``None`` rows."""
-        if rows is None:
-            return np.zeros((self.substeps, self.modes))
-        out = np.zeros(rows.shape)
-        running = out[..., 0, :]
-        decay = self.tables.decay_fine
-        by_substep = zip(np.moveaxis(rows, -2, 0)[:-1], np.moveaxis(out, -2, 0)[1:])
-        for row, after in by_substep:
-            running = np.multiply(decay, running + row, out=after)
-        return out
 
     def nonfinite(self, values: list[np.ndarray | None], row: int) -> NonfiniteValueError:
         """The error for the path in ``row`` of a batch (row 0 of a single
@@ -444,6 +467,25 @@ class BoundPlan:
             if value is not None and not np.isfinite(np.atleast_2d(value)[row]).all():
                 return NonfiniteValueError(name)
         return NonfiniteValueError("sum of plan terms")
+
+
+def _running_sum(rows: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """Trajectory of a sum node: the sum of the rows before each left point,
+    decayed by ``decay`` per substep, per path."""
+    out = np.zeros(rows.shape)
+    running = out[..., 0, :]
+    by_substep = zip(rows.swapaxes(-2, 0)[:-1], out.swapaxes(-2, 0)[1:])
+    for row, after in by_substep:
+        running = np.multiply(decay, running + row, out=after)
+    return out
+
+
+def _over_factorial(order: int, bound):
+    """A bound diffusion function divided by ``order``! from order 2 up."""
+    if bound is None or order < 2:
+        return bound
+    divisor = math.factorial(order)
+    return lambda *args: bound(*args) / divisor
 
 
 def _run(
@@ -464,17 +506,22 @@ def _run(
     naming the first non-finite term of each path whose state went
     non-finite.  Such a path runs on, non-finite; the others never see it.
     """
-    per_step = plan.substeps
+    if noise is None:
+        windows = itertools.repeat(None, steps)
+    else:
+        # Step n's window is view n of the leading axis: no copies.
+        blocks = noise[..., : steps * plan.substeps, :]
+        blocks = blocks.reshape(blocks.shape[:-2] + (steps, plan.substeps, blocks.shape[-1]))
+        windows = blocks.swapaxes(-3, 0)
     recorded = {0: states} if 0 in record_steps else {}
     failed: dict[int, NonfiniteValueError] = {}
     # A blow-up surfaces in ``failed``, not as warnings from the array
     # operations that produced the inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, steps + 1):
-            window = None if noise is None else noise[..., (n - 1) * per_step : n * per_step, :]
+        for n, window in enumerate(windows, 1):
             states, values = plan.advance(states, window)
             flat = states.ravel()  # an inf or nan makes the sum of squares non-finite
-            if not np.isfinite(flat @ flat):
+            if not math.isfinite(flat @ flat):
                 for row in np.flatnonzero(~np.isfinite(states).all(axis=-1)):
                     failed.setdefault(int(row), plan.nonfinite(values, row))
             if n in record_steps:
@@ -504,9 +551,7 @@ def _solve(
     """
     _check_shapes(u0, path, model)
     plan = BoundPlan(scheme, model, h, path.h_fine, workspace or model.workspace())
-    steps = _whole_count(
-        t_end, h, f"t_end {t_end} is not a whole number of steps of h = {h}"
-    )
+    steps = _whole_count(t_end, h, "t_end {} is not a whole number of steps of h = {}")
     substeps = steps * plan.substeps
     if substeps > path.substeps:
         raise MeshMismatchError(

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -87,7 +86,8 @@ class SpectralState:
         )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs.tobytes())
+        # Adding 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash((self.coeffs + 0.0).tobytes())
 
 
 # A model needs at most three (P, modes) pairs; the bound keeps a sweep over
@@ -145,6 +145,13 @@ class GridWorkspace:
             raise ValueError(f"{n} modes exceed {self.grid_points} grid points")
         return coeffs @ _sine_matrix(self.grid_points, n)
 
+    def transforms(self, modes: int) -> tuple[np.ndarray, np.ndarray]:
+        """The matrices of ``to_grid`` and ``to_coeffs`` for states of
+        ``modes`` modes, for a caller that fetches them once."""
+        if modes > self.grid_points:
+            raise ValueError(f"{modes} modes exceed {self.grid_points} grid points")
+        return _sine_matrix(self.grid_points, modes), _interpolant_matrix(self.grid_points, modes)
+
     def to_coeffs(self, values: np.ndarray, modes: int) -> np.ndarray:
         """Sine coefficients of the odd trigonometric interpolant, truncated."""
         if modes > self.grid_points:
@@ -157,14 +164,28 @@ class GridWorkspace:
         return float(np.sqrt(np.sum(values * values) / (self.grid_points + 1)))
 
 
+def next_smooth(target: int) -> int:
+    """The least n >= target, for target >= 1, with no prime factor above
+    11: the length ``scipy.fft.next_fast_len`` gives for complex FFTs."""
+    n = target
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 def default_workspace(modes: int, noise_modes: int = 0) -> GridWorkspace:
     """At least 4 max(N, M) - 1 grid points, with P + 1 11-smooth.
 
-    P + 1 = ``next_fast_len(4 max(N, M))`` dates from FFT-based transforms
+    P + 1 = ``next_smooth(4 max(N, M))`` dates from FFT-based transforms
     and stays so that the collocation grid, and every number computed on
     it, is unchanged (P = 255 for N = M = 64).
     """
-    return GridWorkspace(grid_points=next_fast_len(4 * max(modes, noise_modes)) - 1)
+    return GridWorkspace(grid_points=next_smooth(4 * max(modes, noise_modes)) - 1)
 
 
 class DriftOperator(Protocol):
@@ -185,34 +206,43 @@ class DiffusionOperator(Protocol):
     workspace suits states of ``modes`` modes.  Leading axes are batch
     axes: a base of shape (..., N) goes with noise rows of shape (..., S, ·).
 
-    ``rows_against_noise`` gives the rows B^(k)(base)(args)(xi_s), (..., S, N),
-    and ``weighted_sum`` only sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n],
-    (..., N), for (N, S) weights; ``None`` means identically zero.  The engine
-    asks for the rows only where a later node reads the trajectory (its
-    running sum needs them), else for the sum, and divides either by k!.
+    ``bind_rows`` and ``bind_sum`` fetch once what B^(k) reads for states of
+    ``modes`` modes on the workspace's grid, and return a function of
+    ``(base, arg_rows, noise)``: the rows B^(k)(base)(args)(xi_s),
+    (..., S, N), or only sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n],
+    (..., N), for the (N, S) weights they were bound to; ``None`` means
+    identically zero.  The engine binds the rows only where a later node
+    reads the trajectory (its running sum needs them), else the sum, and
+    divides either by k!.  ``rows_against_noise`` is the bound rows applied
+    once.
     """
 
     def prepare_noise(
         self, noise_rows: np.ndarray, workspace: GridWorkspace, modes: int
     ) -> np.ndarray: ...
 
+    def bind_rows(
+        self, order: int, workspace: GridWorkspace, modes: int
+    ) -> Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.ndarray] | None: ...
+
+    def bind_sum(
+        self, order: int, workspace: GridWorkspace, modes: int, weights: np.ndarray
+    ) -> Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.ndarray] | None: ...
+
     def rows_against_noise(
         self, order: int, base: np.ndarray, arg_rows: Sequence[np.ndarray],
         noise: np.ndarray, workspace: GridWorkspace, modes: int,
     ) -> np.ndarray | None: ...
 
-    def weighted_sum(
-        self, order: int, base: np.ndarray, arg_rows: Sequence[np.ndarray],
-        noise: np.ndarray, weights: np.ndarray, workspace: GridWorkspace, modes: int,
-    ) -> np.ndarray | None: ...
 
-
-def end_weighted_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_s weights[n, s] rows[..., s, n]; a single row is multiplied by the
-    weight column, which gives the einsum's bytes but for the sign of a zero."""
-    if rows.shape[-2] == 1:
-        return rows[..., 0, :] * weights[:, 0]
-    return np.einsum("ns,...sn->...n", weights, rows)
+def bind_end_sum(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """rows -> sum_s weights[n, s] rows[..., s, n] for (N, S) weights; a
+    single row is multiplied by the weight column, which gives the einsum's
+    bytes but for the sign of a zero."""
+    if weights.shape[1] == 1:
+        column = weights[:, 0]
+        return lambda rows: rows[..., 0, :] * column
+    return lambda rows: np.einsum("ns,...sn->...n", weights, rows)
 
 
 class ZeroDrift:
@@ -228,10 +258,10 @@ class ZeroDrift:
 class MultiplicationDiffusion:
     """B(v)(w) = v*w pointwise; linear in v, so B' is v-independent.
 
-    The prepared noise is the grid values of the noise functions.
-    ``rows_against_noise`` evaluates B^(n)(base)(args)(xi) for that batch of
-    noise functions xi, one per row, by collocation; returning ``None``
-    means identically zero (every order n >= 2 here).
+    The prepared noise is the grid values of the noise functions.  The
+    bound rows evaluate B^(n)(base)(args)(xi) for that batch of noise
+    functions xi, one per row, by collocation: two products with the sine
+    matrices fetched at binding.  Every order n >= 2 is identically zero.
     """
 
     @staticmethod
@@ -250,18 +280,35 @@ class MultiplicationDiffusion:
         self._check_band(workspace, max(modes, noise_rows.shape[-1]))
         return workspace.to_grid(noise_rows)
 
-    def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
+    def bind_rows(self, order, workspace, modes):
         if order >= 2:
             return None
+        sine, interpolant = workspace.transforms(modes)
         if order == 0:
-            multiplier = workspace.to_grid(base[..., None, :])
+            def rows(base, arg_rows, noise):
+                return ((base[..., None, :] @ sine) * noise) @ interpolant
         else:
-            multiplier = workspace.to_grid(np.asarray(arg_rows[0]))
-        return workspace.to_coeffs(multiplier * noise, modes)
+            def rows(base, arg_rows, noise):
+                multiplier = arg_rows[0] @ sine
+                # A trajectory of the window's own rows gives a fresh window-
+                # sized multiplier, which the product can overwrite.
+                if multiplier.shape == noise.shape:
+                    multiplier *= noise
+                else:
+                    multiplier = multiplier * noise
+                return multiplier @ interpolant
+        return rows
 
-    def weighted_sum(self, order, base, arg_rows, noise, weights, workspace, modes):
-        rows = self.rows_against_noise(order, base, arg_rows, noise, workspace, modes)
-        return None if rows is None else end_weighted_sum(weights, rows)
+    def bind_sum(self, order, workspace, modes, weights):
+        rows = self.bind_rows(order, workspace, modes)
+        if rows is None:
+            return None
+        end_sum = bind_end_sum(weights)
+        return lambda base, arg_rows, noise: end_sum(rows(base, arg_rows, noise))
+
+    def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
+        rows = self.bind_rows(order, workspace, modes)
+        return None if rows is None else rows(base, arg_rows, noise)
 
 
 class DiagonalDiffusion:
@@ -273,23 +320,36 @@ class DiagonalDiffusion:
     def prepare_noise(self, noise_rows, workspace, modes):
         return np.atleast_2d(np.asarray(noise_rows, dtype=float))
 
-    def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
+    def bind_rows(self, order, workspace, modes):
         if order >= 1:
             return None
         k = min(modes, self.weights.size)
-        out = np.zeros(noise.shape[:-1] + (modes,))
-        np.multiply(noise[..., :k], self.weights[:k], out=out[..., :k])
-        return out
+        b = self.weights[:k]
 
-    def weighted_sum(self, order, base, arg_rows, noise, weights, workspace, modes):
+        def rows(base, arg_rows, noise):
+            out = np.zeros(noise.shape[:-1] + (modes,))
+            np.multiply(noise[..., :k], b, out=out[..., :k])
+            return out
+
+        return rows
+
+    def bind_sum(self, order, workspace, modes, weights):
         # One contraction over views into the first min(N, M) modes: no rows.
         if order >= 1:
             return None
         k = min(modes, self.weights.size)
-        out = np.zeros(noise.shape[:-2] + (modes,))
-        np.einsum("n,...sn,ns->...n", self.weights[:k], noise[..., :k], weights[:k],
-                  out=out[..., :k])
-        return out
+        b, w = self.weights[:k], weights[:k]
+
+        def weighted_sum(base, arg_rows, noise):
+            out = np.zeros(noise.shape[:-2] + (modes,))
+            np.einsum("n,...sn,ns->...n", b, noise[..., :k], w, out=out[..., :k])
+            return out
+
+        return weighted_sum
+
+    def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
+        rows = self.bind_rows(order, workspace, modes)
+        return None if rows is None else rows(base, arg_rows, noise)
 
 
 @dataclass(frozen=True)

@@ -288,6 +288,38 @@ class TestVarianceShape:
         assert peak < 64 * 1024
 
 
+# Paths 0..7, in path order: the reference snapshots, then each scheme's
+# one-step states from h = 2^-4 down to 2^-8.
+ORDER_SHAPE_SHA256 = "112bc6a909e5a6cb993fbde96c50b310229dffd3cf2bc481c9300dbe655831b8"
+
+
+class TestOrderShape:
+    """Criterion 3's shape, as the order study's benchmark op builds it: on
+    heat-mult at N = M = 64 and h_fine = 2^-12, one path's reference to
+    2^-4 and one step of each scheme on the path's prefix."""
+
+    H_FINE, SUBSTEPS = 2.0**-12, (256, 128, 64, 32, 16)
+    SCHEMES = ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd")
+
+    def test_reference_and_steps_are_pinned(self):
+        model = heat_multiplicative_model(64, 64)
+        ws, u0 = model.workspace(), model.initial
+        schemes = [builtin_scheme(name) for name in self.SCHEMES]
+        digest = hashlib.sha256()
+        for index in range(8):
+            path = NoisePath.draw(path_generator(2024, index), 256, 64, self.H_FINE)
+            _, recorded = reference_solve(
+                u0, 256 * self.H_FINE, path, model, ws, record_substeps=self.SUBSTEPS
+            )
+            for k in sorted(self.SUBSTEPS):
+                digest.update(recorded[k].coeffs.tobytes())
+            for scheme in schemes:
+                for k in self.SUBSTEPS:
+                    state = step(scheme, u0, k * self.H_FINE, path.prefix(k), model, ws).state
+                    digest.update(state.coeffs.tobytes())
+        assert digest.hexdigest() == ORDER_SHAPE_SHA256
+
+
 class TestReference:
     def test_zero_noise_is_pure_decay(self, mult):
         u0 = mult.initial

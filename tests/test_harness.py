@@ -307,10 +307,10 @@ class ConstantMultiplier(MultiplicationDiffusion):
     and the iterated term I^1_2[I^0_2] quadratic, so scaled increments can
     overflow a coarse run and leave the reference finite."""
 
-    def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
+    def bind_rows(self, order, workspace, modes):
         if order == 0:
-            return workspace.to_coeffs(noise, modes)
-        return super().rows_against_noise(order, base, arg_rows, noise, workspace, modes)
+            return lambda base, arg_rows, noise: workspace.to_coeffs(noise, modes)
+        return super().bind_rows(order, workspace, modes)
 
 
 def scale_path(monkeypatch, index, factor):
@@ -566,6 +566,14 @@ class TestCli:
         code = main(["converge", "--model", "wave", "--paths", "4"])
         assert code == 1
         assert "unknown model" in capsys.readouterr().err
+
+    def test_study_too_large_to_allocate_is_error(self, capsys):
+        # 2^56 substeps fit in no address space: the first allocation of
+        # that size fails at once, and no traceback is printed.
+        code = main(["converge", "--fine", "60", "--ladder", "4", "--paths", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.fft import dst
+from scipy.fft import dst, next_fast_len
 from scipy.integrate import quad
 
 from spde_taylor.models import (
@@ -20,6 +20,7 @@ from spde_taylor.models import (
     heat_additive_model,
     heat_multiplicative_model,
     initial_condition,
+    next_smooth,
     smoothed_diffusion_hs_norm,
 )
 
@@ -85,6 +86,11 @@ class TestSpectralState:
         state = SpectralState(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             state.coeffs[0] = 7.0
+
+    def test_equal_states_hash_equal_across_signed_zeros(self):
+        plus, minus = SpectralState([0.0, 1.0]), SpectralState([-0.0, 1.0])
+        assert plus == minus and hash(plus) == hash(minus)
+        assert len({plus, minus}) == 1
 
 
 class TestModelParameters:
@@ -277,9 +283,9 @@ def grid_values(lead, substeps, modes, noise_modes):
 
 
 class TestWeightedSum:
-    """``weighted_sum`` gives the bytes of its rows reduced by the einsum
-    with the end weights, at orders 0 and 1, with ``None`` for both where
-    the derivative vanishes."""
+    """The bound sum gives the bytes of the rows reduced by the einsum with
+    the end weights, at orders 0 and 1, with ``None`` for both where the
+    derivative vanishes."""
 
     @staticmethod
     def check(model, order, lead, substeps):
@@ -291,10 +297,11 @@ class TestWeightedSum:
         args = [rng.standard_normal(lead + (substeps, modes))][:order]
         weights = rng.uniform(0.5, 1.0, (modes, substeps))
         rows = diffusion.rows_against_noise(order, base, args, noise, workspace, modes)
-        got = diffusion.weighted_sum(order, base, args, noise, weights, workspace, modes)
+        total = diffusion.bind_sum(order, workspace, modes, weights)
         if rows is None:
-            assert got is None
+            assert total is None
             return
+        got = total(base, args, noise)
         want = np.einsum("ns,...sn->...n", weights, rows)
         assert got.shape == want.shape == lead + (modes,)
         assert got.tobytes() == want.tobytes()
@@ -427,6 +434,11 @@ class TestDefaultWorkspace:
                 p = default_workspace(modes, noise_modes).grid_points
                 assert p >= 2 * max(modes, noise_modes)
                 assert is_11_smooth(p + 1), (modes, noise_modes, p)
+
+    def test_smooth_length_is_scipys_fast_length(self):
+        assert [next_smooth(n) for n in range(1, 20001)] == [
+            next_fast_len(n) for n in range(1, 20001)
+        ]
 
 
 def test_multiplication_on_grid_values(mult):
