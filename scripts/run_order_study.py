@@ -10,8 +10,9 @@ ladder 2^-4..2^-8); pass --paths or --ladder to scale it down:
     python3 scripts/run_order_study.py --paths 40
     python3 scripts/run_order_study.py --ladder 8,9,10,11,12 --fine 16
 
-Exit codes: 0 when no verdict fails or a multi-step run has no verdict, 2
-when one fails, and 1 on any error.
+Exit codes: 0 when no verdict fails (a multi-step run, or a scheme that
+equals the reference to rounding, has none), 2 when one fails, and 1 on any
+error.
 """
 
 import sys
@@ -67,9 +68,9 @@ def study(values: dict, out: str | None) -> int:
 
     print("\n== summary ==")
     for result in results:
-        status = verdict_text(result.verdict) or "none"
+        status = verdict_text(result.verdict) or result.reason or "none"
         print(
-            f"  {result.config.scheme:<14} slope {result.slope:.4f}  "
+            f"  {result.config.scheme:<14} slope {cli.slope_text(result)}  "
             f"predicted {result.predicted:.4f}  {status}"
         )
     return 2 if any(result.verdict is False for result in results) else 0

@@ -9,7 +9,8 @@ Two subcommands:
 
 A config file of ``key = value`` lines (``#`` comments allowed) may supply
 any converge option; explicit flags win.  Exit codes: 0 when the verdict is
-pass or when a multi-step run has none, 2 when it is fail, 1 on any error.
+pass or when the run has none (a multi-step run, or a scheme that equals the
+reference to rounding), 2 when it is fail, 1 on any error.
 """
 
 from __future__ import annotations
@@ -154,17 +155,24 @@ def _converge_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**{_OPTIONS[key][0]: value for key, value in values.items()})
 
 
+def slope_text(report: ErrorReport) -> str:
+    """The slope to four digits, or ``none`` for a report without one."""
+    return "none" if report.slope is None else f"{report.slope:.4f}"
+
+
 def print_report(report: ErrorReport) -> None:
-    """Print the report's per-h rows and its slope verdict."""
+    """Print the report's per-h rows and its slope verdict, or the reason
+    it has none."""
     for row in report.rows:
         print(
             f"h={row.h:.6g}  error={row.error:.6e}  stderr={row.stderr:.2e}  "
             f"paths={row.n_paths}  excluded={row.n_excluded}"
         )
+    missing = report.reason or "multi-step: no predicted order"
     print(
-        f"slope={report.slope:.4f}  predicted={report.predicted:.4f}  "
+        f"slope={slope_text(report)}  predicted={report.predicted:.4f}  "
         f"window=[{report.lower_bound:.4f}, {report.upper_bound:.4f}]  "
-        f"verdict={verdict_text(report.verdict) or 'none (multi-step: no predicted order)'}"
+        f"verdict={verdict_text(report.verdict) or f'none ({missing})'}"
     )
 
 

@@ -148,18 +148,6 @@ class NoisePath:
             )
         return NoisePath(increments=self.increments[:substeps], h_fine=self.h_fine)
 
-    def coarsened(self, factor: int) -> "NoisePath":
-        """Sum consecutive increments; the same Brownian path on a mesh
-        ``factor`` times coarser."""
-        if self.substeps % factor:
-            raise MeshMismatchError(
-                f"{self.substeps} substeps do not group into blocks of {factor}"
-            )
-        blocks = self.increments.reshape(self.substeps // factor, factor, -1)
-        return NoisePath(
-            increments=_frozen(blocks.sum(axis=1)), h_fine=self.h_fine * factor
-        )
-
 
 class RequiredOrders(NamedTuple):
     """Orders of the drift (F) and diffusion (B) derivatives a plan applies."""

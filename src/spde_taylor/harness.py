@@ -14,7 +14,9 @@ Lp) error per h is regressed against h in log-log coordinates and the slope
 is compared with the order predicted by the scheme's wood.  Behind a flag
 the horizon is t_end for every h, which measures global errors of the
 iterated scheme; the wood predicts no order for those, so a multi-step run
-reports no verdict and no margin.
+reports no verdict and no margin.  A scheme whose rows lie at or below a
+rounding floor equals the reference to rounding: its report gives the
+reason instead of a slope and a verdict.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ class ReportError(HarnessError):
 #: Verdict window around the predicted order, in slope units.
 SLOPE_BELOW = 0.10
 SLOPE_ABOVE = 0.20
+
+#: A row at or below this many epsilons times the Lp size of the reference
+#: states at its horizon is rounding.  Rounding rows measured up to 27 on
+#: heat-add, with 8192 substeps per window; taylor-delta's rows there, 1e15.
+ROUNDING_FLOOR_EPS = 1024.0
+ROUNDING_REASON = "equals the reference to rounding: under two ladder rows above the floor"
 
 
 @dataclass(frozen=True)
@@ -129,14 +137,17 @@ class ErrorRow:
 class ErrorReport:
     config: ExperimentConfig
     rows: tuple[ErrorRow, ...]
-    slope: float
+    #: None when the rows are rounding (see ``reason``).
+    slope: float | None
     predicted: float
-    #: None for a multi-step run, which has no predicted order.
+    #: None for a multi-step run, which has no predicted order, or a reason.
     verdict: bool | None
     margin: float | None
     gamma: float
     delta: float
     regression_rows: int
+    #: ``ROUNDING_REASON`` when the slope is None, else None.
+    reason: str | None = None
 
     @property
     def lower_bound(self) -> float:
@@ -191,7 +202,8 @@ def _ladder_errors(
     Returns, per scheme, each h's Euclidean error norms of the included
     paths in path order, computed with ``np.hypot`` so that finite
     differences never overflow, and each h's count of excluded paths, those
-    whose scheme run is not finite; a non-finite reference raises
+    whose scheme run is not finite; then each h's Euclidean norms of the
+    reference states of every path.  A non-finite reference raises
     :class:`NonfiniteValueError`.
     """
     h_fine, workspace = config.h_fine, model.workspace()
@@ -203,6 +215,7 @@ def _ladder_errors(
     window = max(horizon.values())
     chunk = max(1, _CHUNK_BYTES // (8 * window * model.noise_modes))
     results = [({h: [] for h in ladder}, {h: 0 for h in ladder}) for _ in schemes]
+    reference_norms: dict[float, list[float]] = {h: [] for h in ladder}
     for first in range(0, config.paths, chunk):
         indices = range(first, min(first + chunk, config.paths))
         increments = np.stack([
@@ -216,13 +229,15 @@ def _ladder_errors(
         _, recorded, failed = _run(reference, u0, noise, window, tuple(horizon.values()))
         if failed:
             raise failed[min(failed)]
+        for h in ladder:
+            reference_norms[h].extend(np.hypot.reduce(recorded[horizon[h]], axis=-1).tolist())
         for by_h, (errors, excluded) in zip(plans, results):
             for h, plan in by_h.items():
                 approx, _, failed = _run(plan, u0, noise[:, : horizon[h]], steps[h])
                 excluded[h] += len(failed)
                 norms = np.hypot.reduce(approx - recorded[horizon[h]], axis=-1)
                 errors[h].extend(np.delete(norms, list(failed)).tolist())
-    return results
+    return results, reference_norms
 
 
 def _row_statistics(h: float, values: list[float], n_excluded: int, p: float) -> ErrorRow:
@@ -247,20 +262,22 @@ def _row_statistics(h: float, values: list[float], n_excluded: int, p: float) ->
                     n_paths=int(n), n_excluded=n_excluded)
 
 
-def _regression_slope(rows) -> tuple[float, int]:
-    """OLS slope of log error against log h.
+def _regression_slope(rows, floors) -> tuple[float | None, int]:
+    """OLS slope of log error against log h, and the count of rows fitted.
 
-    Rows whose error is non-finite, exactly zero, or within three standard
-    errors of zero are excluded.
+    Rows whose error is non-finite, at or below the row's rounding floor in
+    ``floors`` (which covers exact zeros), or within three standard errors
+    of zero are excluded.  When fewer than two rows remain but two or more
+    would without the floor, the scheme equals the reference to rounding on
+    this ladder and the slope is None; any other shortfall raises
+    :class:`HarnessError`.
     """
-    usable = [
-        row
-        for row in rows
-        if np.isfinite(row.error)
-        and row.error > 0.0
-        and row.error - 3.0 * row.stderr > 0.0
-    ]
+    finite = [(row, floor) for row, floor in zip(rows, floors) if np.isfinite(row.error)]
+    above = [row for row, floor in finite if row.error > floor]
+    usable = [row for row in above if row.error - 3.0 * row.stderr > 0.0]
     if len(usable) < 2:
+        if len(usable) + len(finite) - len(above) >= 2:
+            return None, len(usable)
         raise HarnessError("fewer than two usable ladder points for regression")
     xs = np.log([row.h for row in usable])
     ys = np.log([row.error for row in usable])
@@ -277,22 +294,25 @@ def run_study(config: ExperimentConfig, schemes: tuple[str, ...]) -> tuple[Error
     model = build_model(config.model, config.modes, config.noise_modes, config.r)
     resolved = [resolve_scheme(name) for name in schemes]
     predicted = [order_wood(wood).evaluate(model.gamma, model.delta) for _, wood in resolved]
-    results = _ladder_errors(config, tuple(scheme for scheme, _ in resolved), model)
+    results, references = _ladder_errors(config, tuple(s for s, _ in resolved), model)
+    ladder = sorted(references, reverse=True)
+    # Each row's floor scales the Lp size of the reference states it compares with.
+    unit = ROUNDING_FLOOR_EPS * float(np.finfo(float).eps)
+    floors = [unit * _row_statistics(h, references[h], 0, config.p_norm).error for h in ladder]
     reports = []
     for name, order, (errors, excluded) in zip(schemes, predicted, results):
-        rows = tuple(
-            _row_statistics(h, errors[h], excluded[h], config.p_norm)
-            for h in sorted(errors, reverse=True)
-        )
-        slope, used = _regression_slope(rows)
-        verdict = margin = None
-        if not config.multi_step:
+        rows = tuple(_row_statistics(h, errors[h], excluded[h], config.p_norm) for h in ladder)
+        slope, used = _regression_slope(rows, floors)
+        verdict = margin = reason = None
+        if slope is None:
+            reason = ROUNDING_REASON
+        elif not config.multi_step:
             verdict = order - SLOPE_BELOW <= slope <= order + SLOPE_ABOVE
             margin = slope - (order - SLOPE_BELOW)
         reports.append(ErrorReport(
             config=replace(config, scheme=name), rows=rows, slope=slope, predicted=order,
             verdict=verdict, margin=margin, gamma=model.gamma, delta=model.delta,
-            regression_rows=used,
+            regression_rows=used, reason=reason,
         ))
     return tuple(reports)
 
@@ -353,6 +373,8 @@ def render_json(report: ErrorReport) -> str:
         "bounds": [report.lower_bound, report.upper_bound],
         "rows": [asdict(row) for row in report.rows],
     }
+    if report.reason is not None:  # the key is absent from reports with a slope
+        payload["reason"] = report.reason
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -117,13 +117,16 @@ def _interpolant_matrix(grid_points: int, modes: int) -> np.ndarray:
 class GridWorkspace:
     """Collocation grid x_m = m/(P+1), m = 1..P, with its sine transforms.
 
-    ``to_grid`` and ``to_coeffs`` are products with the (N, P) matrix
-    [sqrt(2) sin(i pi x_m)] and its (P, N) transpose over P + 1, cached per
-    (P, N) for the process, so every workspace of one size shares them.  On
-    the grid the sine vectors are orthogonal with squared norm P + 1, which
-    makes the second the left inverse of the first.  Products of functions
-    are collocated on this grid (see the module docstring): the result
-    converges to the Galerkin product as P grows but never equals it.
+    The transforms are the (N, P) matrix [sqrt(2) sin(i pi x_m)], which
+    takes coefficients to grid values, and its (P, N) transpose over P + 1,
+    which takes grid values to the coefficients of their odd interpolant;
+    both are cached per (P, N) for the process, so every workspace of one
+    size shares them.  On the grid the sine vectors are orthogonal with
+    squared norm P + 1, which makes the second the left inverse of the
+    first.  ``to_grid`` applies the first; the diffusion operators fetch
+    both once through ``transforms``.  Products of functions are collocated
+    on this grid (see the module docstring): the result converges to the
+    Galerkin product as P grows but never equals it.
     """
 
     grid_points: int
@@ -146,17 +149,13 @@ class GridWorkspace:
         return coeffs @ _sine_matrix(self.grid_points, n)
 
     def transforms(self, modes: int) -> tuple[np.ndarray, np.ndarray]:
-        """The matrices of ``to_grid`` and ``to_coeffs`` for states of
-        ``modes`` modes, for a caller that fetches them once."""
+        """The sine matrix of ``to_grid`` and the interpolant matrix, grid
+        values to the first ``modes`` coefficients, for states of ``modes``
+        modes: the one accessor of both, for a caller that fetches them
+        once."""
         if modes > self.grid_points:
             raise ValueError(f"{modes} modes exceed {self.grid_points} grid points")
         return _sine_matrix(self.grid_points, modes), _interpolant_matrix(self.grid_points, modes)
-
-    def to_coeffs(self, values: np.ndarray, modes: int) -> np.ndarray:
-        """Sine coefficients of the odd trigonometric interpolant, truncated."""
-        if modes > self.grid_points:
-            raise ValueError(f"{modes} modes exceed {self.grid_points} grid points")
-        return np.asarray(values, dtype=float) @ _interpolant_matrix(self.grid_points, modes)
 
     def quadrature_l2_norm(self, values: np.ndarray) -> float:
         """Grid L2 norm, exact for sine polynomials of degree <= P."""
@@ -213,8 +212,8 @@ class DiffusionOperator(Protocol):
     (..., N), for the (N, S) weights they were bound to; ``None`` means
     identically zero.  The engine binds the rows only where a later node
     reads the trajectory (its running sum needs them), else the sum, and
-    divides either by k!.  ``rows_against_noise`` is the bound rows applied
-    once.
+    divides either by k!.  ``apply_diffusion`` and ``diffusion_matrix``
+    apply the bound rows once, to unit noise vectors.
     """
 
     def prepare_noise(
@@ -228,11 +227,6 @@ class DiffusionOperator(Protocol):
     def bind_sum(
         self, order: int, workspace: GridWorkspace, modes: int, weights: np.ndarray
     ) -> Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.ndarray] | None: ...
-
-    def rows_against_noise(
-        self, order: int, base: np.ndarray, arg_rows: Sequence[np.ndarray],
-        noise: np.ndarray, workspace: GridWorkspace, modes: int,
-    ) -> np.ndarray | None: ...
 
 
 def bind_end_sum(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -306,10 +300,6 @@ class MultiplicationDiffusion:
         end_sum = bind_end_sum(weights)
         return lambda base, arg_rows, noise: end_sum(rows(base, arg_rows, noise))
 
-    def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
-        rows = self.bind_rows(order, workspace, modes)
-        return None if rows is None else rows(base, arg_rows, noise)
-
 
 class DiagonalDiffusion:
     """Constant B mapping noise mode k to b_k times state mode k."""
@@ -346,10 +336,6 @@ class DiagonalDiffusion:
             return out
 
         return weighted_sum
-
-    def rows_against_noise(self, order, base, arg_rows, noise, workspace, modes):
-        rows = self.bind_rows(order, workspace, modes)
-        return None if rows is None else rows(base, arg_rows, noise)
 
 
 @dataclass(frozen=True)
@@ -483,13 +469,22 @@ def apply_semigroup(state: SpectralState, t: float, spec: ModelSpec) -> Spectral
     return SpectralState(np.exp(-spec.eigenvalues * t) * state.coeffs)
 
 
+def _rows_against_unit_noise(
+    spec: ModelSpec, order: int, base: SpectralState, args: Sequence[SpectralState],
+    noise_rows: np.ndarray,
+) -> np.ndarray | None:
+    """The rows B^(order)(base)(args)(xi_s), (S, N), for the noise
+    coefficient rows xi_s of ``noise_rows``, (S, M), on the model's
+    workspace; None where the derivative vanishes identically."""
+    diffusion, workspace = spec.diffusion, spec.workspace()
+    noise = diffusion.prepare_noise(noise_rows, workspace, spec.modes)
+    rows = diffusion.bind_rows(order, workspace, spec.modes)
+    return None if rows is None else rows(base.coeffs, [a.coeffs for a in args], noise)
+
+
 def apply_diffusion(
-    spec: ModelSpec,
-    order: int,
-    base: SpectralState,
-    args: Sequence[SpectralState],
+    spec: ModelSpec, order: int, base: SpectralState, args: Sequence[SpectralState],
     noise_mode: int,
-    workspace: GridWorkspace | None = None,
 ) -> SpectralState:
     """Coefficients of B^(order)(base)(args...) applied to basis vector e_k.
 
@@ -504,48 +499,27 @@ def apply_diffusion(
         )
     if len(args) != order:
         raise ValueError(f"order {order} needs exactly {order} argument states")
-    workspace = workspace or spec.workspace()
     unit = np.zeros(spec.noise_modes)
     unit[noise_mode - 1] = 1.0
-    rows = spec.diffusion.rows_against_noise(
-        order,
-        base.coeffs,
-        [a.coeffs for a in args],
-        spec.diffusion.prepare_noise(unit[None, :], workspace, spec.modes),
-        workspace,
-        spec.modes,
-    )
+    rows = _rows_against_unit_noise(spec, order, base, args, unit[None, :])
     if rows is None:
         return SpectralState(np.zeros(spec.modes))
     return SpectralState(rows[0])
 
 
-def diffusion_matrix(
-    spec: ModelSpec, base: SpectralState, workspace: GridWorkspace | None = None
-) -> np.ndarray:
+def diffusion_matrix(spec: ModelSpec, base: SpectralState) -> np.ndarray:
     """Matrix [ <B(base) e_k, e_i> ]_{i,k} over the N x M truncation."""
-    workspace = workspace or spec.workspace()
-    rows = spec.diffusion.rows_against_noise(
-        0,
-        base.coeffs,
-        [],
-        spec.diffusion.prepare_noise(np.eye(spec.noise_modes), workspace, spec.modes),
-        workspace,
-        spec.modes,
-    )
+    rows = _rows_against_unit_noise(spec, 0, base, [], np.eye(spec.noise_modes))
     if rows is None:
         return np.zeros((spec.modes, spec.noise_modes))
     return rows.T
 
 
-def smoothed_diffusion_hs_norm(
-    spec: ModelSpec,
-    base: SpectralState,
-    t: float,
-    workspace: GridWorkspace | None = None,
-) -> float:
-    """Hilbert-Schmidt norm of e^{At} B(base) over the truncation."""
-    mat = diffusion_matrix(spec, base, workspace)
+def smoothed_diffusion_hs_norm(spec: ModelSpec, base: SpectralState, t: float) -> float:
+    """Hilbert-Schmidt norm of e^{At} B(base) over the truncation, t >= 0."""
+    if t < 0.0:
+        raise ValueError(f"smoothing time must be >= 0, got {t}")
+    mat = diffusion_matrix(spec, base)
     decay = np.exp(-2.0 * spec.eigenvalues * t)
     return float(np.sqrt(np.sum(decay[:, None] * mat * mat)))
 
@@ -555,8 +529,10 @@ def convolution_variances(spec: ModelSpec, h: float) -> np.ndarray:
 
     By the Ito isometry the i-th mode is Gaussian with variance
     b_i^2 (1 - e^{-2 lambda_i h}) / (2 lambda_i); modes beyond the noise
-    truncation carry no variance.
+    truncation carry no variance.  A negative h is an error.
     """
+    if h < 0.0:
+        raise ValueError(f"convolution time must be >= 0, got {h}")
     diffusion = spec.diffusion
     if not isinstance(diffusion, DiagonalDiffusion):
         raise ModelError("closed-form variances need the diagonal model")

@@ -270,11 +270,10 @@ class TestCriterion5Properties:
 def test_criterion_6_smoothing_exponent():
     """Log-log slope of |e^{Ah} B(v)|_HS within 0.05 of -1/4."""
     model = heat_multiplicative_model(modes=64, noise_modes=64)
-    workspace = model.workspace()
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     v = SpectralState(rng.standard_normal(64))
     ladder = [2.0**-k for k in range(10, 15)]
-    norms = [smoothed_diffusion_hs_norm(model, v, h, workspace) for h in ladder]
+    norms = [smoothed_diffusion_hs_norm(model, v, h) for h in ladder]
     slope = float(np.polyfit(np.log(ladder), np.log(norms), 1)[0])
     ok = abs(slope - (-0.25)) <= 0.05
     report("6 smoothing exponent", ok, f"slope {slope:.4f}")

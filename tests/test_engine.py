@@ -67,6 +67,13 @@ def start_states(model, paths):
     return np.tile(model.initial.coeffs, (paths, 1))
 
 
+def coarsened(path, factor):
+    """The same Brownian path on a mesh ``factor`` times coarser: sums of
+    consecutive increments."""
+    blocks = path.increments.reshape(path.substeps // factor, factor, -1)
+    return NoisePath(blocks.sum(axis=1), h_fine=path.h_fine * factor)
+
+
 class TestCompile:
     def test_plan_terms_of_builtins(self):
         assert builtin_scheme("exp-euler").describe() == "I^0_0 + I^0_1 + I^0_2"
@@ -123,15 +130,9 @@ class TestNoisePath:
         np.testing.assert_array_equal(a.increments, b.increments)
         assert not np.array_equal(a.increments, c.increments)
 
-    def test_prefix_and_coarsen(self):
+    def test_prefix(self):
         path = NoisePath.draw(path_generator(1, 0), 8, 2, H_FINE)
         assert path.prefix(4).substeps == 4
-        coarse = path.coarsened(4)
-        assert coarse.substeps == 2
-        assert coarse.h_fine == 4 * H_FINE
-        np.testing.assert_allclose(
-            coarse.increments[0], path.increments[:4].sum(axis=0)
-        )
 
     def test_only_writeable_arrays_are_copied(self):
         path = NoisePath.draw(path_generator(1, 0), 8, 2, H_FINE)
@@ -150,11 +151,6 @@ class TestNoisePath:
         path = NoisePath.draw(path_generator(1, 0), 8, 2, H_FINE)
         with pytest.raises(MeshMismatchError):
             path.prefix(9)
-
-    def test_coarsen_misaligned(self):
-        path = NoisePath.draw(path_generator(1, 0), 9, 2, H_FINE)
-        with pytest.raises(MeshMismatchError):
-            path.coarsened(4)
 
 
 class TestStep:
@@ -461,8 +457,9 @@ class TestReference:
         lam = model.eigenvalues
         flow, weight = np.expm1(-lam * h_fine), np.exp(-lam[:, None] * h_fine)
         u = model.initial.coeffs
+        interpolant = ws.transforms(model.modes)[1]
         for row in ws.to_grid(path.increments):
-            rows = ws.to_coeffs(ws.to_grid(u) * row[None, :], model.modes)
+            rows = (ws.to_grid(u) * row[None, :]) @ interpolant
             drift = np.zeros(model.modes)
             u = u + flow * u + drift + np.einsum("ns,sn->n", weight, rows)
         got, _ = reference_solve(model.initial, 64 * h_fine, path, model, ws)
@@ -512,8 +509,8 @@ class TestReference:
                 path_generator(5, p), int(t_end / h_fine), 48, h_fine
             )
             x_f, _ = reference_solve(u0, t_end, fine_path, spec, ws)
-            x_m, _ = reference_solve(u0, t_end, fine_path.coarsened(2), spec, ws)
-            x_c, _ = reference_solve(u0, t_end, fine_path.coarsened(4), spec, ws)
+            x_m, _ = reference_solve(u0, t_end, coarsened(fine_path, 2), spec, ws)
+            x_c, _ = reference_solve(u0, t_end, coarsened(fine_path, 4), spec, ws)
             coarse_sq.append(np.sum((x_c.coeffs - x_m.coeffs) ** 2))
             fine_sq.append(np.sum((x_m.coeffs - x_f.coeffs) ** 2))
         ratio = np.sqrt(np.mean(coarse_sq) / np.mean(fine_sq))

@@ -206,14 +206,13 @@ class TestRunConvergence:
         config = ExperimentConfig(scheme="taylor-delta", paths=60, seed=12345)
         report = run_convergence(config)
         spec = build_model(config.model, config.modes, config.noise_modes, config.r)
-        ws = spec.workspace()
         nodes, weights = np.polynomial.legendre.leggauss(64)
         oracle = []
         for row in report.rows:
             s, w = row.h * (nodes + 1) / 2, weights * row.h / 2
             hs_sq = [
                 smoothed_diffusion_hs_norm(
-                    spec, apply_semigroup(spec.initial, t, spec), row.h - t, ws
+                    spec, apply_semigroup(spec.initial, t, spec), row.h - t
                 ) ** 2
                 for t in s
             ]
@@ -226,7 +225,8 @@ class TestRunConvergence:
 
     def test_exact_scheme_has_no_usable_rows(self):
         # The additive model makes the exponential Euler step exact, so every
-        # coupled error is zero and the regression has nothing to fit.
+        # coupled error is rounding: below the floor, the rows leave the
+        # regression, and the report gives the reason instead of a slope.
         config = ExperimentConfig(
             model="heat-add",
             scheme="exp-euler",
@@ -237,8 +237,29 @@ class TestRunConvergence:
             modes=8,
             noise_modes=8,
         )
+        report = run_convergence(config)
+        assert report.slope is None and report.verdict is None and report.margin is None
+        assert report.reason == harness.ROUNDING_REASON
+        assert report.regression_rows == 0
+        payload = json.loads(render_json(report))
+        assert payload["slope"] is None and payload["verdict"] is None
+        assert payload["reason"] == harness.ROUNDING_REASON
+
+    def test_rows_dropped_by_noise_or_non_finite_rules_still_raise(self):
+        # Rows within 3 sigma of zero or not finite leave the regression as
+        # before; with fewer than two left and none below the rounding
+        # floor, that is an error, not a rounding outcome.
+        rows = (
+            ErrorRow(h=0.25, error=1e-3, stderr=1e-4, n_paths=4, n_excluded=0),
+            ErrorRow(h=0.125, error=1e-3, stderr=1e-3, n_paths=4, n_excluded=0),
+            ErrorRow(h=0.0625, error=float("nan"), stderr=float("nan"), n_paths=0, n_excluded=4),
+        )
+        floors = [1e-15] * 3
         with pytest.raises(HarnessError, match="usable ladder points"):
-            run_convergence(config)
+            harness._regression_slope(rows, floors)
+        # One usable row and one below its floor: the floor made the
+        # shortfall, so there is no slope and no error.
+        assert harness._regression_slope(rows[:1] + rows[:1], [1e-15, 1e-2]) == (None, 1)
 
     def test_multi_step_coupling_floor_is_zero(self):
         # Iterating the scheme the reference is built from, at the fine step,
@@ -255,7 +276,7 @@ class TestRunConvergence:
             multi_step=True,
         )
         model = build_model("heat-mult", 8, 8, 0.005)
-        [(errors, _)] = _ladder_errors(config, (builtin_scheme("exp-euler"),), model)
+        [(errors, _)], _ = _ladder_errors(config, (builtin_scheme("exp-euler"),), model)
         assert errors[config.ladder[0]] == [0.0, 0.0, 0.0]
 
     def test_multi_step_mode_runs(self):
@@ -309,7 +330,8 @@ class ConstantMultiplier(MultiplicationDiffusion):
 
     def bind_rows(self, order, workspace, modes):
         if order == 0:
-            return lambda base, arg_rows, noise: workspace.to_coeffs(noise, modes)
+            interpolant = workspace.transforms(modes)[1]
+            return lambda base, arg_rows, noise: noise @ interpolant
         return super().bind_rows(order, workspace, modes)
 
 
@@ -383,11 +405,11 @@ class TestChunks:
         scheme = builtin_scheme("full-2nd")
         with monkeypatch.context() as patch:
             chunk_runs(patch, 1, config)
-            [(alone, _)] = harness._ladder_errors(config, (scheme,), model)
+            [(alone, _)], _ = harness._ladder_errors(config, (scheme,), model)
         with monkeypatch.context() as patch:
             runs = chunk_runs(patch, config.paths, config)
             scale_path(patch, 2, 2.8e154)
-            [(errors, excluded)] = harness._ladder_errors(config, (scheme,), model)
+            [(errors, excluded)], _ = harness._ladder_errors(config, (scheme,), model)
         assert {height for _, height in runs} == {config.paths}
         path = NoisePath.draw(harness.path_generator(config.seed, 2), 64, 16, config.h_fine)
         blown = {}
@@ -561,6 +583,20 @@ class TestCli:
         assert "verdict=none (multi-step: no predicted order)" in capsys.readouterr().out
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["verdict"] is None and payload["margin"] is None
+
+    def test_scheme_equal_to_the_reference_has_no_verdict_and_exits_0(self, capsys):
+        # On heat-add, exp-euler equals the reference up to rounding: its
+        # rows of 3e-17 to 9e-17 lie below the floor, so the CLI prints the
+        # reason instead of a slope and exits 0.
+        argv = [
+            "converge", "--model", "heat-add", "--paths", "50", "--fine", "10",
+            "--ladder", "4,5,6,7", "--modes", "16", "--noise-modes", "16",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "slope=none" in out and f"verdict=none ({harness.ROUNDING_REASON})" in out
+        assert main(argv + ["--scheme", "taylor-delta"]) == 2
+        assert "slope=0.2836" in capsys.readouterr().out
 
     def test_converge_bad_model_is_error(self, capsys):
         code = main(["converge", "--model", "wave", "--paths", "4"])

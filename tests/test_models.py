@@ -212,7 +212,7 @@ class TestMultiplicativeDiffusion:
     def test_undersized_grid_rejected_for_products(self, mult):
         cramped = GridWorkspace(grid_points=64)
         with pytest.raises(ValueError, match="grid points"):
-            apply_diffusion(mult, 0, unit_state(64, 1), [], 1, cramped)
+            mult.diffusion.prepare_noise(np.eye(64)[:1], cramped, 64)
 
     def test_negative_order_rejected(self, mult):
         with pytest.raises(ValueError):
@@ -256,12 +256,17 @@ class TestAdditiveDiffusion:
         diffusion, workspace = model.diffusion, model.workspace()
         raw = np.random.default_rng(5).standard_normal((3, 7, noise_modes))
         noise = diffusion.prepare_noise(raw, workspace, 8)
-        rows = diffusion.rows_against_noise(0, None, (), noise, workspace, 8)
+        rows = diffusion.bind_rows(0, workspace, 8)(None, (), noise)
         padded = np.zeros((3, 7, 8))
         keep = min(8, noise_modes)
         padded[..., :keep] = (noise * diffusion.weights)[..., :keep]
         assert rows.shape == padded.shape and rows.dtype == padded.dtype
         assert rows.tobytes() == padded.tobytes()
+
+    def test_variances_reject_negative_time(self, additive):
+        # The closed form at h < 0 gives negative variances.
+        with pytest.raises(ValueError, match="convolution time must be >= 0"):
+            convolution_variances(additive, -0.1)
 
     def test_variances_need_diagonal_model(self, mult):
         with pytest.raises(ModelError):
@@ -296,11 +301,12 @@ class TestWeightedSum:
         base = rng.standard_normal(lead + (modes,))
         args = [rng.standard_normal(lead + (substeps, modes))][:order]
         weights = rng.uniform(0.5, 1.0, (modes, substeps))
-        rows = diffusion.rows_against_noise(order, base, args, noise, workspace, modes)
+        bound = diffusion.bind_rows(order, workspace, modes)
         total = diffusion.bind_sum(order, workspace, modes, weights)
-        if rows is None:
+        if bound is None:
             assert total is None
             return
+        rows = bound(base, args, noise)
         got = total(base, args, noise)
         want = np.einsum("ns,...sn->...n", weights, rows)
         assert got.shape == want.shape == lead + (modes,)
@@ -366,7 +372,7 @@ class TestGridWorkspace:
         ws = GridWorkspace(grid_points=64)
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal(16)
-        back = ws.to_coeffs(ws.to_grid(coeffs), 16)
+        back = ws.to_grid(coeffs) @ ws.transforms(16)[1]
         np.testing.assert_allclose(back, coeffs, atol=1e-12)
 
     def test_single_mode_values(self):
@@ -381,7 +387,7 @@ class TestGridWorkspace:
         with pytest.raises(ValueError, match="5 modes exceed 4 grid points"):
             ws.to_grid(np.ones(5))
         with pytest.raises(ValueError, match="5 modes exceed 4 grid points"):
-            ws.to_coeffs(np.ones(4), 5)
+            ws.transforms(5)
 
     @given(
         st.integers(min_value=1, max_value=48),
@@ -418,9 +424,10 @@ class TestSineMatrixTransforms:
             ws.to_grid(coeffs), dst(coeffs, type=1, n=grid_points, axis=-1) / SQRT2
         )
         oracle = dst(values, type=1, axis=-1) / (SQRT2 * (grid_points + 1))
-        self.assert_matches(ws.to_coeffs(values, modes), oracle[..., :modes])
+        interpolant = ws.transforms(modes)[1]
+        self.assert_matches(values @ interpolant, oracle[..., :modes])
         np.testing.assert_allclose(
-            ws.to_coeffs(ws.to_grid(coeffs), modes), coeffs, rtol=1e-13, atol=1e-13
+            ws.to_grid(coeffs) @ interpolant, coeffs, rtol=1e-13, atol=1e-13
         )
 
 
@@ -454,6 +461,11 @@ def test_multiplication_on_grid_values(mult):
 def test_smoothing_hs_norm_decreases(mult):
     rng = np.random.default_rng(21)
     v = SpectralState(rng.standard_normal(64))
-    ws = mult.workspace()
-    hs = [smoothed_diffusion_hs_norm(mult, v, 2.0**-k, ws) for k in (6, 8, 10)]
+    hs = [smoothed_diffusion_hs_norm(mult, v, 2.0**-k) for k in (6, 8, 10)]
     assert hs[0] < hs[1] < hs[2]
+
+
+def test_smoothing_hs_norm_rejects_negative_time(mult):
+    # e^{At} at t < 0 grows like e^{lambda_N |t|}: 4.7e26 at t = -0.1.
+    with pytest.raises(ValueError, match="smoothing time must be >= 0"):
+        smoothed_diffusion_hs_norm(mult, mult.initial, -0.1)
