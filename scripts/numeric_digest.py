@@ -25,9 +25,11 @@ listed below, with no separators: a state as its float64 coefficients
     unbatched, in the same order;
   - ``reference_solve`` over 256 substeps of path 0: the end state, then
     the snapshots after 1, 16 and 64 substeps.
-* ``order_shape`` and ``variance_shape``: the bytes that
-  ``ORDER_SHAPE_SHA256`` and ``VARIANCE_SHAPE_SHA256`` of
-  ``tests/test_engine.py`` pin, built the same way.
+* ``order_shape``: paths 0..7 of criterion 3's shape (heat-mult at
+  N = M = 64, h_fine = 2^-12, seed 2024), the reference snapshots, then
+  each scheme's one-step states from h = 2^-4 down to 2^-8;
+  ``variance_shape``: criterion 4's shape, the one-step states of 64
+  paths (see the functions below).
 * Reports: ``run_convergence`` of each builtin in sorted name order at
   N = M = 16, fine 2^-8, ladder 2^-2..2^-4, 6 paths and seed 11, one-step
   (``False``) and multi-step (``True``).  A scheme whose study raises
@@ -106,7 +108,7 @@ def _state_bytes(build, modes, noise_modes):
     for name in NAMES:
         scheme = builtin_scheme(name)
         for substeps in (1, 4, 64):
-            plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE, model.workspace())
+            plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE)
             window = increments[:, : 4 * substeps]
             for batch, states in ((window, np.tile(u0.coeffs, (3, 1))), (window[0], u0.coeffs)):
                 end, recorded, _ = _run(plan, states, plan.prepare_noise(batch), 4, (1, 2))

@@ -23,11 +23,11 @@ whose operator vanishes adds nothing.  The per-mode factors depend only on
 (eigenvalues, h, h_fine); they are built once per process for each such
 triple and shared read-only.
 
-Binding a plan to a model, a step h and a workspace turns each node into a
-step function that holds everything the node reads: its rows of those
-factors, its k! scale, and the model operator bound to the workspace's
-sine matrices.  A step then runs the nodes' arithmetic and nothing else:
-no dispatch on the node kind, no argument checks and no cache lookups.
+Binding a plan to a model and a step h turns each node into a step
+function that holds everything the node reads: its rows of those factors,
+its k! scale, and the model operator bound to its order.  A step then runs
+the nodes' arithmetic and nothing else: no dispatch on the node kind, no
+argument checks and no cache lookups.
 For the reference at h = h_fine that is, per substep, the two matrix
 products of the diffusion, one pointwise and two per-mode products, and
 the sum of two terms.
@@ -263,27 +263,32 @@ def _lower(
     """The distinct terms and subterms of ``terms`` as nodes in dependency
     order, the slot and the name of each of ``terms``.  A node's argument
     slots are all earlier; its trajectory is needed when a later node takes
-    it as an argument."""
+    it as an argument.  The walk keeps its own stack, so any depth works."""
     slots: dict[TermExpr, int] = {}
     specs: list[tuple[str, int, tuple[int, ...]]] = []
-
-    def visit(term: TermExpr) -> int:
-        if term not in slots:
-            order, args = (0, ()) if isinstance(term, I0) else (term.order, term.args)
-            arg_slots = tuple(visit(a) for a in args)
-            if term.j is NodeLabel.ZERO:
-                kind = _FLOW
-            elif term.j is NodeLabel.ONE:
-                kind = _DRIFT_FLOW if order == 0 else _DRIFT
-            elif term.j is NodeLabel.TWO:
-                kind = _DIFFUSION
-            else:
-                raise NotImplementableError(f"cannot evaluate starred {term.j}")
-            slots[term] = len(specs)
-            specs.append((kind, order, arg_slots))
-        return slots[term]
-
-    term_slots = tuple(visit(t) for t in terms)
+    stack = list(reversed(terms))
+    while stack:
+        term = stack[-1]
+        if term in slots:
+            stack.pop()
+            continue
+        order, args = (0, ()) if isinstance(term, I0) else (term.order, term.args)
+        pending = [a for a in args if a not in slots]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        if term.j is NodeLabel.ZERO:
+            kind = _FLOW
+        elif term.j is NodeLabel.ONE:
+            kind = _DRIFT_FLOW if order == 0 else _DRIFT
+        elif term.j is NodeLabel.TWO:
+            kind = _DIFFUSION
+        else:
+            raise NotImplementableError(f"cannot evaluate starred {term.j}")
+        slots[term] = len(specs)
+        specs.append((kind, order, tuple(slots[a] for a in args)))
+    term_slots = tuple(slots[t] for t in terms)
     read = {a for _, _, args in specs for a in args}
     nodes = tuple((*spec, slot in read) for slot, spec in enumerate(specs))
     return nodes, term_slots, tuple(render_compact(t) for t in terms)
@@ -322,13 +327,12 @@ def _mesh_tables(eigenvalues: bytes, h: float, h_fine: float, substeps: int) -> 
 
 
 class BoundPlan:
-    """A compiled scheme bound to a model, a step h on a mesh of h_fine and
-    a workspace.
+    """A compiled scheme bound to a model and a step h on a mesh of h_fine.
 
     Binding lowers each of the scheme's nodes once into a step that holds
     everything the node reads: its rows of the shared mesh tables of
-    (eigenvalues, h, h_fine), its k! scale, the model operator and, through
-    the operator's binding, the sine matrices of the workspace.
+    (eigenvalues, h, h_fine), its k! scale and the model operator bound to
+    the node's order.
     :meth:`advance` runs the steps in turn from the start state of one path,
     (N,), or of a batch of paths, (paths, N), on their windows of noise
     prepared by :meth:`prepare_noise`.  The stepping loop :func:`_run`
@@ -336,18 +340,9 @@ class BoundPlan:
     Euler at h_fine equals the reference by construction.
     """
 
-    def __init__(
-        self,
-        scheme: CompiledScheme,
-        model: ModelSpec,
-        h: float,
-        h_fine: float,
-        workspace: GridWorkspace,
-    ):
+    def __init__(self, scheme: CompiledScheme, model: ModelSpec, h: float, h_fine: float):
         self.scheme = scheme
         self.model = model
-        self.workspace = workspace
-        self.modes = model.modes
         self.h_fine = h_fine
         self.substeps = _whole_count(
             h, h_fine, "step {} is not a whole number of substeps of {}"
@@ -376,13 +371,13 @@ class BoundPlan:
                 return lambda u0, noise, paths: (flow * u0, None)
             flow_at = tables.flow_at
             return lambda u0, noise, paths: (flow * u0, flow_at * u0[..., None, :])
-        diffusion, ws, modes = model.diffusion, self.workspace, self.modes
+        diffusion = model.diffusion
         if kind is _DIFFUSION and not trajectory:
-            total = _over_factorial(order, diffusion.bind_sum(order, ws, modes, tables.end_weights))
+            total = _over_factorial(order, diffusion.bind_sum(order, tables.end_weights))
             if total is None:
                 return lambda u0, noise, paths: (None, None)
             return lambda u0, noise, paths: (total(u0, [paths[a] for a in arg_slots], noise), None)
-        zeros = partial(np.zeros, (self.substeps, modes))  # a vanishing node's trajectory
+        zeros = partial(np.zeros, (self.substeps, model.modes))  # a vanishing node's trajectory
         if kind is _DRIFT_FLOW:
             drift, drift_flow = model.drift.value, tables.drift_flow
 
@@ -395,7 +390,7 @@ class BoundPlan:
 
             return drift_flow_step
         if kind is _DIFFUSION:
-            rows_of = _over_factorial(order, diffusion.bind_rows(order, ws, modes))
+            rows_of = _over_factorial(order, diffusion.bind_rows(order))
             rows_of = rows_of or (lambda u0, args, noise: None)
         else:
             derivative, scale = model.drift.derivative_rows, self.h_fine / math.factorial(order)
@@ -423,7 +418,7 @@ class BoundPlan:
             return None
         # Overflow shows up as a non-finite state in the stepping loop.
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.model.diffusion.prepare_noise(increments, self.workspace, self.modes)
+            return self.model.diffusion.prepare_noise(increments)
 
     def advance(
         self, u0: np.ndarray, noise: np.ndarray | None
@@ -535,10 +530,16 @@ def _solve(
     coefficients and snapshots after the step counts in ``record_steps``,
     each of which must lie in 0..t_end / h.  A step whose result is not
     finite raises :class:`NonfiniteValueError` naming its first non-finite
-    term.
+    term.  ``workspace`` is None or ``model.workspace()``, the grid the
+    model's diffusion owns; any other grid is an :class:`EngineError`.
     """
     _check_shapes(u0, path, model)
-    plan = BoundPlan(scheme, model, h, path.h_fine, workspace or model.workspace())
+    if workspace is not None and workspace != model.workspace():
+        raise EngineError(
+            f"the model computes on its own grid of {model.workspace().grid_points} "
+            f"points, not on {workspace.grid_points}"
+        )
+    plan = BoundPlan(scheme, model, h, path.h_fine)
     steps = _whole_count(t_end, h, "t_end {} is not a whole number of steps of h = {}")
     substeps = steps * plan.substeps
     if substeps > path.substeps:

@@ -16,7 +16,9 @@ the horizon is t_end for every h, which measures global errors of the
 iterated scheme; the wood predicts no order for those, so a multi-step run
 reports no verdict and no margin.  A scheme whose rows lie at or below a
 rounding floor equals the reference to rounding: its report gives the
-reason instead of a slope and a verdict.
+reason instead of a slope and a verdict.  So does a multi-step run with
+under two rows three standard errors above zero; in a one-step run that
+shortfall is an error.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ SLOPE_ABOVE = 0.20
 #: heat-add, with 8192 substeps per window; taylor-delta's rows there, 1e15.
 ROUNDING_FLOOR_EPS = 1024.0
 ROUNDING_REASON = "equals the reference to rounding: under two ladder rows above the floor"
+#: The reason of a multi-step report whose rows leave under two for the fit.
+SHORTFALL_REASON = "under two finite ladder rows lie three standard errors above zero"
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ class ErrorRow:
 class ErrorReport:
     config: ExperimentConfig
     rows: tuple[ErrorRow, ...]
-    #: None when the rows are rounding (see ``reason``).
+    #: None when under two rows are fit for the regression (see ``reason``).
     slope: float | None
     predicted: float
     #: None for a multi-step run, which has no predicted order, or a reason.
@@ -146,7 +150,7 @@ class ErrorReport:
     gamma: float
     delta: float
     regression_rows: int
-    #: ``ROUNDING_REASON`` when the slope is None, else None.
+    #: ``ROUNDING_REASON`` or ``SHORTFALL_REASON`` when the slope is None.
     reason: str | None = None
 
     @property
@@ -161,21 +165,7 @@ class ErrorReport:
 def resolve_scheme(name_or_wood: str) -> tuple[CompiledScheme, SWood]:
     """A builtin scheme name, or wood text to compile on the fly."""
     wood = BUILTIN_WOODS.get(name_or_wood) or parse(name_or_wood)
-    return _compile_wood(wood), wood
-
-
-def _compile_wood(wood: SWood) -> CompiledScheme:
-    """The lowered plan of the wood's computable terms.  The lowering and
-    the hashing and equality of terms recurse once per nesting level, so a
-    wood nested past Python's recursion limit is an error here."""
-    try:
-        scheme = compile_scheme(psi(wood), source_wood=wood)
-        scheme.lowered  # lower now, so that a too-deep wood fails in this try
-    except RecursionError:
-        raise HarnessError(
-            "wood nested too deeply: its terms exceed Python's recursion limit"
-        ) from None
-    return scheme
+    return compile_scheme(psi(wood), source_wood=wood), wood
 
 
 #: Bytes of increments drawn per chunk of paths: 8 paths of the one-step
@@ -206,10 +196,10 @@ def _ladder_errors(
     reference states of every path.  A non-finite reference raises
     :class:`NonfiniteValueError`.
     """
-    h_fine, workspace = config.h_fine, model.workspace()
+    h_fine = config.h_fine
     ladder = sorted(config.ladder, reverse=True)
-    reference = BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine, workspace)
-    plans = [{h: BoundPlan(s, model, h, h_fine, workspace) for h in ladder} for s in schemes]
+    reference = BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine)
+    plans = [{h: BoundPlan(s, model, h, h_fine) for h in ladder} for s in schemes]
     steps = {h: round(config.t_end / h) if config.multi_step else 1 for h in ladder}
     horizon = {h: steps[h] * round(h / h_fine) for h in ladder}  # in substeps
     window = max(horizon.values())
@@ -262,27 +252,31 @@ def _row_statistics(h: float, values: list[float], n_excluded: int, p: float) ->
                     n_paths=int(n), n_excluded=n_excluded)
 
 
-def _regression_slope(rows, floors) -> tuple[float | None, int]:
-    """OLS slope of log error against log h, and the count of rows fitted.
+def _regression_slope(rows, floors, multi_step=False) -> tuple[float | None, int, str | None]:
+    """OLS slope of log error against log h, the count of rows fitted, and
+    the reason when there is no slope.
 
     Rows whose error is non-finite, at or below the row's rounding floor in
     ``floors`` (which covers exact zeros), or within three standard errors
     of zero are excluded.  When fewer than two rows remain but two or more
     would without the floor, the scheme equals the reference to rounding on
-    this ladder and the slope is None; any other shortfall raises
-    :class:`HarnessError`.
+    this ladder: the slope is None with ``ROUNDING_REASON``.  Any other
+    shortfall is ``SHORTFALL_REASON`` in a multi-step run, which gives no
+    verdict, and raises :class:`HarnessError` in a one-step run.
     """
     finite = [(row, floor) for row, floor in zip(rows, floors) if np.isfinite(row.error)]
     above = [row for row, floor in finite if row.error > floor]
     usable = [row for row in above if row.error - 3.0 * row.stderr > 0.0]
     if len(usable) < 2:
         if len(usable) + len(finite) - len(above) >= 2:
-            return None, len(usable)
+            return None, len(usable), ROUNDING_REASON
+        if multi_step:
+            return None, len(usable), SHORTFALL_REASON
         raise HarnessError("fewer than two usable ladder points for regression")
     xs = np.log([row.h for row in usable])
     ys = np.log([row.error for row in usable])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope, len(usable)
+    return slope, len(usable), None
 
 
 def run_study(config: ExperimentConfig, schemes: tuple[str, ...]) -> tuple[ErrorReport, ...]:
@@ -302,11 +296,9 @@ def run_study(config: ExperimentConfig, schemes: tuple[str, ...]) -> tuple[Error
     reports = []
     for name, order, (errors, excluded) in zip(schemes, predicted, results):
         rows = tuple(_row_statistics(h, errors[h], excluded[h], config.p_norm) for h in ladder)
-        slope, used = _regression_slope(rows, floors)
-        verdict = margin = reason = None
-        if slope is None:
-            reason = ROUNDING_REASON
-        elif not config.multi_step:
+        slope, used, reason = _regression_slope(rows, floors, config.multi_step)
+        verdict = margin = None
+        if slope is not None and not config.multi_step:
             verdict = order - SLOPE_BELOW <= slope <= order + SLOPE_ABOVE
             margin = slope - (order - SLOPE_BELOW)
         reports.append(ErrorReport(
@@ -403,7 +395,7 @@ def symbolic_report(wood_text: str) -> str:
         lines.append(f"order: {order_wood(wood).symbolic()}")
     except NoActiveTreeError:
         lines.append("order: undefined (no active tree)")
-    scheme = _compile_wood(wood)
+    scheme = compile_scheme(psi(wood), source_wood=wood)
     lines.append(f"computable terms: {scheme.describe()}")
     required = scheme.required_orders
     drift = sorted(required.drift)

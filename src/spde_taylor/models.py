@@ -5,11 +5,14 @@ truncated to N modes, so the H-norm of a state is the Euclidean norm of its
 coefficient vector.  The linear part is diagonal (eigenvalues lambda_i > 0),
 which makes the semigroup exact per mode.
 
-Nonlinear diffusion operators are evaluated by collocation: both factors go
-to the grid x_m = m/(P+1), are multiplied pointwise, and the product is
-replaced by the sine coefficients of its odd trigonometric interpolant on
-that grid, truncated to N modes.  This is not the Galerkin projection.  A
-product of two sine series is a cosine series, so its sine coefficients
+Each diffusion operator is built on its model's truncation (N, M) and
+chooses how to discretise B; callers pass it no grid and no mode count.
+The multiplication model collocates on the grid of ``default_workspace(N,
+M)``, which it owns: both factors go to the grid x_m = m/(P+1), are
+multiplied pointwise, and the product is replaced by the sine coefficients
+of its odd trigonometric interpolant on that grid, truncated to N modes.
+This is not the Galerkin projection.  A product of two sine series is a
+cosine series, so its sine coefficients
 <e_i e_k, e_n> are an infinite series that no grid of any size resolves
 exactly; the collocated coefficients converge to them like P^-4.  Against
 the closed-form triple products, the relative error of the N x M diffusion
@@ -123,10 +126,11 @@ class GridWorkspace:
     both are cached per (P, N) for the process, so every workspace of one
     size shares them.  On the grid the sine vectors are orthogonal with
     squared norm P + 1, which makes the second the left inverse of the
-    first.  ``to_grid`` applies the first; the diffusion operators fetch
-    both once through ``transforms``.  Products of functions are collocated
-    on this grid (see the module docstring): the result converges to the
-    Galerkin product as P grows but never equals it.
+    first.  ``to_grid`` applies the first; the multiplication model, which
+    owns its grid, fetches both once, when built, through ``transforms``.
+    Products of functions are collocated on this grid (see the module
+    docstring): the result converges to the Galerkin product as P grows
+    but never equals it.
     """
 
     grid_points: int
@@ -195,38 +199,36 @@ class DriftOperator(Protocol):
     ) -> np.ndarray | None: ...
 
 
+#: A bound B^(k): ``(base, arg_rows, noise) -> rows or their weighted sum``.
+BoundDiffusion = Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.ndarray]
+
+
 class DiffusionOperator(Protocol):
-    """B and its derivatives against batches of noise functions.
+    """B and its derivatives against batches of noise functions, for the
+    N state modes and M noise modes of the model the operator is built for
+    (the multiplication model also builds its grid then).
 
     ``prepare_noise`` turns noise coefficient rows (one row per noise
     function) into the form the other methods consume, keeping one row per
     noise function, so a caller can prepare a whole window of increments
-    once and hand out row slices of it.  It also checks once that the
-    workspace suits states of ``modes`` modes.  Leading axes are batch
-    axes: a base of shape (..., N) goes with noise rows of shape (..., S, ·).
+    once and hand out row slices of it.  Leading axes are batch axes: a
+    base of shape (..., N) goes with noise rows of shape (..., S, ·).
 
-    ``bind_rows`` and ``bind_sum`` fetch once what B^(k) reads for states of
-    ``modes`` modes on the workspace's grid, and return a function of
-    ``(base, arg_rows, noise)``: the rows B^(k)(base)(args)(xi_s),
-    (..., S, N), or only sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n],
-    (..., N), for the (N, S) weights they were bound to; ``None`` means
-    identically zero.  The engine binds the rows only where a later node
-    reads the trajectory (its running sum needs them), else the sum, and
-    divides either by k!.  ``apply_diffusion`` and ``diffusion_matrix``
-    apply the bound rows once, to unit noise vectors.
+    ``bind_rows`` and ``bind_sum`` return a function of ``(base, arg_rows,
+    noise)``: the rows B^(k)(base)(args)(xi_s), (..., S, N), or only
+    sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n], (..., N), for the
+    (N, S) weights they were bound to; ``None`` means identically zero.
+    The engine binds the rows only where a later node reads the trajectory
+    (its running sum needs them), else the sum, and divides either by k!.
+    ``apply_diffusion`` and ``diffusion_matrix`` apply the bound rows once,
+    to unit noise vectors.
     """
 
-    def prepare_noise(
-        self, noise_rows: np.ndarray, workspace: GridWorkspace, modes: int
-    ) -> np.ndarray: ...
+    def prepare_noise(self, noise_rows: np.ndarray) -> np.ndarray: ...
 
-    def bind_rows(
-        self, order: int, workspace: GridWorkspace, modes: int
-    ) -> Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.ndarray] | None: ...
+    def bind_rows(self, order: int) -> BoundDiffusion | None: ...
 
-    def bind_sum(
-        self, order: int, workspace: GridWorkspace, modes: int, weights: np.ndarray
-    ) -> Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.ndarray] | None: ...
+    def bind_sum(self, order: int, weights: np.ndarray) -> BoundDiffusion | None: ...
 
 
 def bind_end_sum(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -252,32 +254,26 @@ class ZeroDrift:
 class MultiplicationDiffusion:
     """B(v)(w) = v*w pointwise; linear in v, so B' is v-independent.
 
-    The prepared noise is the grid values of the noise functions.  The
-    bound rows evaluate B^(n)(base)(args)(xi) for that batch of noise
-    functions xi, one per row, by collocation: two products with the sine
-    matrices fetched at binding.  Every order n >= 2 is identically zero.
+    Built for N state and M noise modes on the grid of
+    ``default_workspace(N, M)``, P >= 4 max(N, M) - 1 points, so no
+    frequency of a product folds back onto the retained modes.  The
+    prepared noise is the grid values of the noise functions.  The bound
+    rows evaluate B^(n)(base)(args)(xi) for that batch of noise functions
+    xi, one per row, by collocation: two products with the sine matrices
+    fetched at construction.  Every order n >= 2 is identically zero.
     """
 
-    @staticmethod
-    def _check_band(workspace: GridWorkspace, band: int) -> None:
-        # An input check, not an accuracy guarantee: below twice the band in
-        # grid points, frequencies of the product beyond P + 1 fold back
-        # onto the retained ones.
-        if workspace.grid_points < 2 * band:
-            raise ValueError(
-                f"{workspace.grid_points} grid points cannot resolve products "
-                f"of {band}-mode functions; need at least {2 * band}"
-            )
+    def __init__(self, modes: int, noise_modes: int):
+        self.workspace = default_workspace(modes, noise_modes)
+        self.sine, self.interpolant = self.workspace.transforms(modes)
 
-    def prepare_noise(self, noise_rows, workspace, modes):
-        noise_rows = np.asarray(noise_rows)
-        self._check_band(workspace, max(modes, noise_rows.shape[-1]))
-        return workspace.to_grid(noise_rows)
+    def prepare_noise(self, noise_rows):
+        return self.workspace.to_grid(noise_rows)
 
-    def bind_rows(self, order, workspace, modes):
+    def bind_rows(self, order):
         if order >= 2:
             return None
-        sine, interpolant = workspace.transforms(modes)
+        sine, interpolant = self.sine, self.interpolant
         if order == 0:
             def rows(base, arg_rows, noise):
                 return ((base[..., None, :] @ sine) * noise) @ interpolant
@@ -293,8 +289,8 @@ class MultiplicationDiffusion:
                 return multiplier @ interpolant
         return rows
 
-    def bind_sum(self, order, workspace, modes, weights):
-        rows = self.bind_rows(order, workspace, modes)
+    def bind_sum(self, order, weights):
+        rows = self.bind_rows(order)
         if rows is None:
             return None
         end_sum = bind_end_sum(weights)
@@ -302,18 +298,20 @@ class MultiplicationDiffusion:
 
 
 class DiagonalDiffusion:
-    """Constant B mapping noise mode k to b_k times state mode k."""
+    """Constant B mapping noise mode k to b_k times state mode k, for
+    states of ``modes`` modes; it needs no grid."""
 
-    def __init__(self, weights: np.ndarray):
+    def __init__(self, weights: np.ndarray, modes: int):
         self.weights = np.asarray(weights, dtype=float)
+        self.modes = modes
 
-    def prepare_noise(self, noise_rows, workspace, modes):
+    def prepare_noise(self, noise_rows):
         return np.atleast_2d(np.asarray(noise_rows, dtype=float))
 
-    def bind_rows(self, order, workspace, modes):
+    def bind_rows(self, order):
         if order >= 1:
             return None
-        k = min(modes, self.weights.size)
+        modes, k = self.modes, min(self.modes, self.weights.size)
         b = self.weights[:k]
 
         def rows(base, arg_rows, noise):
@@ -323,11 +321,11 @@ class DiagonalDiffusion:
 
         return rows
 
-    def bind_sum(self, order, workspace, modes, weights):
+    def bind_sum(self, order, weights):
         # One contraction over views into the first min(N, M) modes: no rows.
         if order >= 1:
             return None
-        k = min(modes, self.weights.size)
+        modes, k = self.modes, min(self.modes, self.weights.size)
         b, w = self.weights[:k], weights[:k]
 
         def weighted_sum(base, arg_rows, noise):
@@ -370,6 +368,8 @@ class ModelSpec:
         return self.eigenvalues.size
 
     def workspace(self) -> GridWorkspace:
+        """The default grid of the truncation, which the multiplication
+        model owns; ``engine.step`` accepts it or None, no other grid."""
         return default_workspace(self.modes, self.noise_modes)
 
 
@@ -416,7 +416,7 @@ def heat_multiplicative_model(
         name="heat-mult",
         eigenvalues=dirichlet_eigenvalues(modes),
         drift=ZeroDrift(),
-        diffusion=MultiplicationDiffusion(),
+        diffusion=MultiplicationDiffusion(modes, noise_modes),
         gamma=0.25 - r,
         delta=0.25,
         noise_modes=noise_modes,
@@ -444,7 +444,7 @@ def heat_additive_model(
         name="heat-add",
         eigenvalues=dirichlet_eigenvalues(modes),
         drift=ZeroDrift(),
-        diffusion=DiagonalDiffusion(weights),
+        diffusion=DiagonalDiffusion(weights, modes),
         gamma=0.5,
         delta=0.5,
         noise_modes=noise_modes,
@@ -474,11 +474,10 @@ def _rows_against_unit_noise(
     noise_rows: np.ndarray,
 ) -> np.ndarray | None:
     """The rows B^(order)(base)(args)(xi_s), (S, N), for the noise
-    coefficient rows xi_s of ``noise_rows``, (S, M), on the model's
-    workspace; None where the derivative vanishes identically."""
-    diffusion, workspace = spec.diffusion, spec.workspace()
-    noise = diffusion.prepare_noise(noise_rows, workspace, spec.modes)
-    rows = diffusion.bind_rows(order, workspace, spec.modes)
+    coefficient rows xi_s of ``noise_rows``, (S, M); None where the
+    derivative vanishes identically."""
+    noise = spec.diffusion.prepare_noise(noise_rows)
+    rows = spec.diffusion.bind_rows(order)
     return None if rows is None else rows(base.coeffs, [a.coeffs for a in args], noise)
 
 

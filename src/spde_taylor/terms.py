@@ -19,8 +19,9 @@ term sets a structural comparison.
 
 The sort key is the canonical rendering of :func:`render_compact`.  Every
 ``I0`` and ``In`` computes it once, at construction, from its arguments'
-stored keys, and keeps it in the field ``key``, which takes no part in
-``==``, ``hash`` or ``repr``; rendering or sorting never walks a subterm.
+stored keys, and keeps it in the field ``key``.  The rendering is
+injective, so terms compare and hash by their keys alone: rendering,
+sorting, ``==`` and ``hash`` never walk a subterm, and any depth works.
 The tree-to-term maps read one table per tree, built in one pass from the
 last node to the root: the term of every node's subtree and every node's
 argument slot in its parent's term.  The table is a pure function of an
@@ -56,10 +57,11 @@ class BadPathError(TermErrorBase):
     """A path does not address a subterm of the expression."""
 
 
+# Only the key takes part in == and hash (see the module docstring).
 @dataclass(frozen=True)
 class I0:
-    j: NodeLabel
-    key: str = field(init=False, repr=False, compare=False)
+    j: NodeLabel = field(compare=False)
+    key: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", f"I^0_{self.j.value}")
@@ -71,10 +73,10 @@ class I0:
 
 @dataclass(frozen=True)
 class In:
-    order: int
-    j: NodeLabel
-    args: tuple[TermExpr, ...]
-    key: str = field(init=False, repr=False, compare=False)
+    order: int = field(compare=False)
+    j: NodeLabel = field(compare=False)
+    args: tuple[TermExpr, ...] = field(compare=False)
+    key: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.order < 1:

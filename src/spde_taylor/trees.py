@@ -419,18 +419,20 @@ def order_wood(wood: SWood) -> WoodOrder:
 def serialize_tree(tree: STree) -> str:
     # Parents have smaller ids than their children, so one pass from the
     # last node to the root finishes every subtree's text before its
-    # parent's; ``inner`` collects child texts, last child first.
-    text = [label._value_ for label in tree.labels]
+    # parent's; ``inner`` collects child texts, last child first.  A text
+    # is held only until its parent's is built: memory linear in the size.
+    labels = [label._value_ for label in tree.labels]
     parents = tree.parents
     inner: dict[int, list[str]] = {}
-    for j in range(len(text), 0, -1):
+    for j in range(len(labels), 0, -1):
+        text = labels.pop()
         children = inner.pop(j, None)
         if children:
             children.reverse()
-            text[j - 1] += "[" + ",".join(children) + "]"
+            text += "[" + ",".join(children) + "]"
         if j > 1:
-            inner.setdefault(parents[j - 2], []).append(text[j - 1])
-    return "(" + text[0] + ")"
+            inner.setdefault(parents[j - 2], []).append(text)
+    return "(" + text + ")"
 
 
 def serialize(wood: SWood) -> str:

@@ -1,6 +1,5 @@
 """Scheme engine: compilation, stepping, reference coupling, noise streams."""
 
-import hashlib
 import tracemalloc
 import warnings
 
@@ -246,25 +245,12 @@ class TestStep:
         assert np.all(np.abs(var - expected) < 4.0 * stderr)
 
 
-# The 64 end states below, in path order, at the arithmetic of the rows
-# reduced by an einsum; the fused sum of the diagonal model keeps it.
-VARIANCE_SHAPE_SHA256 = "dd191cab5360d005ba3160a90eff258737aa7df2143f873e858fc27dc398a4d0"
-
-
 class TestVarianceShape:
     """Criterion 4's shape: one exp-euler-nodrift step of h = 2^-4 from zero
-    over 8192 substeps of the diagonal model."""
+    over 8192 substeps of the diagonal model.  ``tests/test_numeric_digest.py``
+    pins its end states."""
 
     H, H_FINE, SUBSTEPS = 2.0**-4, 2.0**-17, 8192
-
-    def test_end_states_are_pinned(self):
-        model = heat_additive_model(8, 8)
-        scheme, zero = builtin_scheme("exp-euler-nodrift"), SpectralState(np.zeros(8))
-        digest = hashlib.sha256()
-        for index in range(64):
-            path = NoisePath.draw(path_generator(2024, index), self.SUBSTEPS, 8, self.H_FINE)
-            digest.update(step(scheme, zero, self.H, path, model).state.coeffs.tobytes())
-        assert digest.hexdigest() == VARIANCE_SHAPE_SHA256
 
     @pytest.mark.parametrize("modes, noise_modes", [(8, 8), (8, 4), (4, 8)])
     def test_step_builds_no_window_sized_array(self, modes, noise_modes):
@@ -284,38 +270,6 @@ class TestVarianceShape:
         assert peak < 64 * 1024
 
 
-# Paths 0..7, in path order: the reference snapshots, then each scheme's
-# one-step states from h = 2^-4 down to 2^-8.
-ORDER_SHAPE_SHA256 = "112bc6a909e5a6cb993fbde96c50b310229dffd3cf2bc481c9300dbe655831b8"
-
-
-class TestOrderShape:
-    """Criterion 3's shape, as the order study's benchmark op builds it: on
-    heat-mult at N = M = 64 and h_fine = 2^-12, one path's reference to
-    2^-4 and one step of each scheme on the path's prefix."""
-
-    H_FINE, SUBSTEPS = 2.0**-12, (256, 128, 64, 32, 16)
-    SCHEMES = ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd")
-
-    def test_reference_and_steps_are_pinned(self):
-        model = heat_multiplicative_model(64, 64)
-        ws, u0 = model.workspace(), model.initial
-        schemes = [builtin_scheme(name) for name in self.SCHEMES]
-        digest = hashlib.sha256()
-        for index in range(8):
-            path = NoisePath.draw(path_generator(2024, index), 256, 64, self.H_FINE)
-            _, recorded = reference_solve(
-                u0, 256 * self.H_FINE, path, model, ws, record_substeps=self.SUBSTEPS
-            )
-            for k in sorted(self.SUBSTEPS):
-                digest.update(recorded[k].coeffs.tobytes())
-            for scheme in schemes:
-                for k in self.SUBSTEPS:
-                    state = step(scheme, u0, k * self.H_FINE, path.prefix(k), model, ws).state
-                    digest.update(state.coeffs.tobytes())
-        assert digest.hexdigest() == ORDER_SHAPE_SHA256
-
-
 class TestReference:
     def test_zero_noise_is_pure_decay(self, mult):
         u0 = mult.initial
@@ -329,7 +283,7 @@ class TestReference:
         # coupled run of a chunk of paths at h = h_fine must agree with the
         # reference of each path to the last bit.
         increments = chunk_increments(mult, 3, 64, seed=21)
-        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE, mult.workspace())
+        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
         states, _, failed = _run(
             plan, start_states(mult, 3), plan.prepare_noise(increments), 64
         )
@@ -349,7 +303,7 @@ class TestReference:
         scheme = builtin_scheme(name)
         increments = chunk_increments(mult, 3, 256, seed=9)
         for substeps in (1, 16, 256):
-            plan = BoundPlan(scheme, mult, substeps * H_FINE, H_FINE, mult.workspace())
+            plan = BoundPlan(scheme, mult, substeps * H_FINE, H_FINE)
             exact, _, _ = _run(
                 plan, start_states(mult, 3), plan.prepare_noise(increments[:, :substeps]), 1
             )
@@ -372,7 +326,7 @@ class TestReference:
         # the chunk end where they end alone.
         increments = chunk_increments(mult, 3, 16, seed=4)
         increments[1] *= 1e200
-        plan = BoundPlan(builtin_scheme("full-2nd"), mult, 16 * H_FINE, H_FINE, mult.workspace())
+        plan = BoundPlan(builtin_scheme("full-2nd"), mult, 16 * H_FINE, H_FINE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, _, failed = _run(
@@ -392,7 +346,7 @@ class TestReference:
         # step for non-finite values; the elementwise check then finds
         # every state finite, and no path is flagged.
         increments = chunk_increments(additive, 3, 16, seed=6)
-        plan = BoundPlan(builtin_scheme("exp-euler"), additive, 4 * H_FINE, H_FINE, additive.workspace())
+        plan = BoundPlan(builtin_scheme("exp-euler"), additive, 4 * H_FINE, H_FINE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, _, failed = _run(
@@ -406,7 +360,7 @@ class TestReference:
         # sixth step non-finite; paths 0 and 2 end where they end alone.
         increments = chunk_increments(mult, 3, 8, seed=8)
         increments[1, 5, 3] = np.nan
-        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE, mult.workspace())
+        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
         noise = plan.prepare_noise(increments)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -465,17 +419,21 @@ class TestReference:
         got, _ = reference_solve(model.initial, 64 * h_fine, path, model, ws)
         assert got.coeffs.tobytes() == u.tobytes()
 
-    def test_band_check_rejects_a_coarse_grid(self):
-        # 48 grid points resolve products of the 16 noise modes but not of
-        # the 32 state modes.
+    def test_a_grid_other_than_the_models_is_rejected(self):
+        # The diffusion computes on the model's own grid of 127 points; the
+        # workspace parameter accepts that grid or None, nothing else.
         model = heat_multiplicative_model(32, 16)
-        coarse = GridWorkspace(grid_points=48)
         path = draw_path(model, 8)
-        message = "48 grid points cannot resolve products of 32-mode functions"
-        with pytest.raises(ValueError, match=message):
-            step(builtin_scheme("exp-euler"), model.initial, 8 * H_FINE, path, model, coarse)
-        with pytest.raises(ValueError, match=message):
-            reference_solve(model.initial, 8 * H_FINE, path, model, coarse)
+        scheme = builtin_scheme("exp-euler")
+        own = step(scheme, model.initial, 8 * H_FINE, path, model).state
+        same = step(scheme, model.initial, 8 * H_FINE, path, model, GridWorkspace(127)).state
+        assert same.coeffs.tobytes() == own.coeffs.tobytes()
+        for grid_points in (48, 255):
+            other = GridWorkspace(grid_points=grid_points)
+            with pytest.raises(EngineError, match=f"own grid of 127 points, not on {grid_points}"):
+                step(scheme, model.initial, 8 * H_FINE, path, model, other)
+            with pytest.raises(EngineError, match=f"own grid of 127 points, not on {grid_points}"):
+                reference_solve(model.initial, 8 * H_FINE, path, model, other)
 
     def test_recording_matches_prefix_runs(self, mult):
         u0 = mult.initial
@@ -541,7 +499,7 @@ def test_mesh_tables_are_keyed_by_eigenvalues_and_read_only():
     _mesh_tables.cache_clear()
     for i in (0, 1, 2, 1, 0, 2, 2, 1, 0):
         assert run(i) == alone[i]
-    plans = [BoundPlan(scheme, s, h, H_FINE, s.workspace()) for s in specs]
+    plans = [BoundPlan(scheme, s, h, H_FINE) for s in specs]
     assert plans[0].tables is plans[2].tables  # equal eigenvalues
     assert plans[0].tables is not plans[1].tables
     for plan in plans:

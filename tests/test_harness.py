@@ -259,7 +259,9 @@ class TestRunConvergence:
             harness._regression_slope(rows, floors)
         # One usable row and one below its floor: the floor made the
         # shortfall, so there is no slope and no error.
-        assert harness._regression_slope(rows[:1] + rows[:1], [1e-15, 1e-2]) == (None, 1)
+        assert harness._regression_slope(rows[:1] + rows[:1], [1e-15, 1e-2]) == (
+            None, 1, harness.ROUNDING_REASON
+        )
 
     def test_multi_step_coupling_floor_is_zero(self):
         # Iterating the scheme the reference is built from, at the fine step,
@@ -300,6 +302,24 @@ class TestRunConvergence:
         # The wood predicts no order for global errors.
         assert report.verdict is None and report.margin is None
 
+    def test_multi_step_shortfall_reports_its_rows_and_the_reason(self):
+        # Rows 2.6e-3 +- 1.2e-3, 2.1e-5 +- 7.5e-6 and 5.1e-6 +- 1.5e-6: only
+        # the last lies three standard errors above zero.  A multi-step run
+        # has no verdict to withhold, so it reports the rows with the reason
+        # where a one-step run would raise.
+        config = ExperimentConfig(
+            model="heat-mult", fine_log2=8, ladder_log2=(2, 3, 4), paths=6, seed=11,
+            modes=16, noise_modes=16, multi_step=True,
+        )
+        for name in ("exp-euler", "exp-euler-nodrift"):
+            report = run_convergence(dataclasses.replace(config, scheme=name))
+            assert report.slope is None and report.verdict is None and report.margin is None
+            assert report.reason == harness.SHORTFALL_REASON
+            assert report.regression_rows == 1
+            assert [row.n_paths for row in report.rows] == [6, 6, 6]
+            payload = json.loads(render_json(report))
+            assert payload["slope"] is None and payload["reason"] == harness.SHORTFALL_REASON
+
 
 class TestStudy:
     @pytest.mark.parametrize("multi_step", [False, True], ids=["one-step", "multi-step"])
@@ -328,11 +348,11 @@ class ConstantMultiplier(MultiplicationDiffusion):
     and the iterated term I^1_2[I^0_2] quadratic, so scaled increments can
     overflow a coarse run and leave the reference finite."""
 
-    def bind_rows(self, order, workspace, modes):
+    def bind_rows(self, order):
         if order == 0:
-            interpolant = workspace.transforms(modes)[1]
+            interpolant = self.interpolant
             return lambda base, arg_rows, noise: noise @ interpolant
-        return super().bind_rows(order, workspace, modes)
+        return super().bind_rows(order)
 
 
 def scale_path(monkeypatch, index, factor):
@@ -400,7 +420,7 @@ class TestChunks:
         # state near 1e154 or above, must not overflow.
         config = dataclasses.replace(TINY, scheme="full-2nd")
         model = dataclasses.replace(
-            heat_multiplicative_model(16, 16), diffusion=ConstantMultiplier()
+            heat_multiplicative_model(16, 16), diffusion=ConstantMultiplier(16, 16)
         )
         scheme = builtin_scheme("full-2nd")
         with monkeypatch.context() as patch:
@@ -523,19 +543,32 @@ class TestCli:
         ids=["symbolic", "converge"],
     )
     def test_wood_nested_too_deeply_is_error(self, command, capsys):
-        # 1000 levels below non-zero labels parse, but the star check, the
-        # lowering and term equality recurse once per level.
+        # 1000 levels below non-zero labels parse, and nothing recurses per
+        # level any more: the star check and the lowering keep their own
+        # stacks, and terms compare and hash by their keys.  The symbolic
+        # report is printed; the study stops at the order of a wood
+        # without an active tree, as it would for a shallow one.
         text = "(" + "1[" * 999 + "0" + "]" * 999 + ")"
-        assert main(command.split() + [text]) == 1
+        code = main(command.split() + [text])
         out, err = capsys.readouterr()
-        assert out == "" and err == (
-            "error: wood nested too deeply: its terms exceed Python's recursion limit\n"
-        )
+        if command.startswith("symbolic"):
+            assert code == 0 and err == "" and f"canonical text: {text}" in out
+        else:
+            assert code == 1 and out == ""
+            assert err == "error: wood has no active tree; its order is undefined\n"
+
+    def test_chain_of_5000_nodes_is_reported(self, capsys):
+        # Five times the depth at which the terms' recursive dataclass
+        # equality and hashing used to fail.
+        text = "(" + "1[" * 4999 + "2" + "]" * 4999 + ");(2*)"
+        assert main(["symbolic", "--wood", text]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("trees: 2\nactive nodes: (2,1)\norder: δ\n")
+        assert f"canonical text: {text}" in out
 
     def test_wood_nested_below_the_term_hashing_limit_is_reported(self, capsys):
-        # The star check walks without recursion, so a chain of 400 nodes
-        # below non-zero labels compiles; the lowering and term hashing
-        # still recurse once per level.
+        # A chain of 400 nodes below non-zero labels compiles, as it did
+        # when the lowering and term hashing still recursed once per level.
         text = "(" + "1[" * 399 + "0" + "]" * 399 + ")"
         assert main(["symbolic", "--wood", text]) == 0
         out, err = capsys.readouterr()
@@ -583,6 +616,17 @@ class TestCli:
         assert "verdict=none (multi-step: no predicted order)" in capsys.readouterr().out
         payload = json.loads((out_dir / "report.json").read_text())
         assert payload["verdict"] is None and payload["margin"] is None
+
+    def test_multi_step_shortfall_prints_the_reason_and_exits_0(self, capsys):
+        argv = [
+            "converge", "--model", "heat-mult", "--fine", "8", "--ladder", "2,3,4",
+            "--paths", "6", "--seed", "11", "--modes", "16", "--noise-modes", "16",
+            "--multi-step",
+        ]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "slope=none" in out
+        assert f"verdict=none ({harness.SHORTFALL_REASON})" in out
 
     def test_scheme_equal_to_the_reference_has_no_verdict_and_exits_0(self, capsys):
         # On heat-add, exp-euler equals the reference up to rounding: its

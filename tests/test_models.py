@@ -209,10 +209,17 @@ class TestMultiplicativeDiffusion:
         want = np.einsum("j,jkn->nk", mult.initial.coeffs, tensor)
         assert np.linalg.norm(got - want) < 1e-5 * np.linalg.norm(want)
 
-    def test_undersized_grid_rejected_for_products(self, mult):
-        cramped = GridWorkspace(grid_points=64)
-        with pytest.raises(ValueError, match="grid points"):
-            mult.diffusion.prepare_noise(np.eye(64)[:1], cramped, 64)
+    @pytest.mark.parametrize("modes, noise_modes", [(64, 64), (32, 16), (8, 16), (1, 1)])
+    def test_products_run_on_the_models_grid(self, modes, noise_modes):
+        # The diffusion owns its grid: the model's, with at least twice the
+        # band of N and M in points, so no frequency of a product folds back
+        # onto the retained ones.
+        model = heat_multiplicative_model(modes, noise_modes)
+        grid = model.diffusion.workspace
+        assert grid == model.workspace()
+        assert grid.grid_points >= 2 * max(modes, noise_modes)
+        noise = model.diffusion.prepare_noise(np.eye(noise_modes))
+        assert noise.shape == (noise_modes, grid.grid_points)
 
     def test_negative_order_rejected(self, mult):
         with pytest.raises(ValueError):
@@ -253,10 +260,10 @@ class TestAdditiveDiffusion:
         # Fewer noise modes than state modes pad with zeros; at least as
         # many keep the first 8.  Both equal the product copied into zeros.
         model = heat_additive_model(modes=8, noise_modes=noise_modes)
-        diffusion, workspace = model.diffusion, model.workspace()
+        diffusion = model.diffusion
         raw = np.random.default_rng(5).standard_normal((3, 7, noise_modes))
-        noise = diffusion.prepare_noise(raw, workspace, 8)
-        rows = diffusion.bind_rows(0, workspace, 8)(None, (), noise)
+        noise = diffusion.prepare_noise(raw)
+        rows = diffusion.bind_rows(0)(None, (), noise)
         padded = np.zeros((3, 7, 8))
         keep = min(8, noise_modes)
         padded[..., :keep] = (noise * diffusion.weights)[..., :keep]
@@ -294,15 +301,15 @@ class TestWeightedSum:
 
     @staticmethod
     def check(model, order, lead, substeps):
-        diffusion, workspace, modes = model.diffusion, model.workspace(), model.modes
+        diffusion, modes = model.diffusion, model.modes
         rng = np.random.default_rng([order, substeps, modes, model.noise_modes, len(lead)])
         raw = rng.standard_normal(lead + (substeps, model.noise_modes))
-        noise = diffusion.prepare_noise(raw, workspace, modes)
+        noise = diffusion.prepare_noise(raw)
         base = rng.standard_normal(lead + (modes,))
         args = [rng.standard_normal(lead + (substeps, modes))][:order]
         weights = rng.uniform(0.5, 1.0, (modes, substeps))
-        bound = diffusion.bind_rows(order, workspace, modes)
-        total = diffusion.bind_sum(order, workspace, modes, weights)
+        bound = diffusion.bind_rows(order)
+        total = diffusion.bind_sum(order, weights)
         if bound is None:
             assert total is None
             return

@@ -8,8 +8,6 @@ family moved and why, and takes the new pin.
 import importlib.util
 from pathlib import Path
 
-from test_engine import ORDER_SHAPE_SHA256, VARIANCE_SHAPE_SHA256
-
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "numeric_digest.py"
 _spec = importlib.util.spec_from_file_location("numeric_digest", SCRIPT)
 numeric_digest = importlib.util.module_from_spec(_spec)
@@ -23,12 +21,17 @@ PINNED = {
     "add8": "d7af0edeb4bf0a484b21568a3e9c46751900f969a61b045c8c85fe7a2cc085f4",
     "add8x4": "a1c3b03d156749c4653fa35e76e1feb233c87fcfa6f3c66c14703045219f9480",
     "add4x8": "dbc4dcc397e59311d42860bc1e854ccd2b7a2cb69633995a6ff33f2da872d1cd",
-    "order_shape": ORDER_SHAPE_SHA256,
-    "variance_shape": VARIANCE_SHAPE_SHA256,
+    # Criterion 3's shape, as the order study's benchmark op builds it, and
+    # criterion 4's, the variance op's: the end states at the arithmetic of
+    # the rows reduced by an einsum, which the fused diagonal sum keeps.
+    "order_shape": "112bc6a909e5a6cb993fbde96c50b310229dffd3cf2bc481c9300dbe655831b8",
+    "variance_shape": "dd191cab5360d005ba3160a90eff258737aa7df2143f873e858fc27dc398a4d0",
     "report-heat-mult-False-json": "12ebe62380c9dd7390a451d7df6db8b0620f9fb094b8443401b3eac5c5520227",
     "report-heat-mult-False-csv": "967112ae129d743679c480c2b18c49e29320212080e66f9137ddb85c2e682838",
-    "report-heat-mult-True-json": "c988cdc8e89550457bfe4009fffa60d88dc98944d4fca7de744ec78ce807d794",
-    "report-heat-mult-True-csv": "6d4428fc9fde5ea4ed1db0a0c3e5492ca99724f5d3b9fbc4147240243bf75a6e",
+    # exp-euler and exp-euler-nodrift leave one row three standard errors
+    # above zero: their multi-step reports give the reason, not a slope.
+    "report-heat-mult-True-json": "c2c2b8d8ecc77b73684aaf3eb7dfbcfd76082bdfbc9b377ce1bff7c15a1f4655",
+    "report-heat-mult-True-csv": "15945cc96fd82912ac19fee2e39a1ac5683b9b8f7b29a56e11dc64099b4439cc",
     # Four of the five heat-add schemes equal the reference to rounding and
     # report the reason instead of a slope.
     "report-heat-add-False-json": "f362d481c1eb191a1fc01d41d2d4b2a323e908d6ec4e13fa1d10940b146d87ce",
