@@ -37,21 +37,36 @@ listed below, with no separators: a state as its float64 coefficients
   JSON holds the package and numpy versions, so its digests move with
   either.
 
+BLAS products of one shape can round differently with the thread count,
+so the script runs BLAS and its kin on one thread, as ``perfbench/run.py``
+does: it reads that script's ``THREAD_VARS`` from its source and sets each
+of them to 1 before it imports numpy.
+
     python3 scripts/numeric_digest.py            # every family
     python3 scripts/numeric_digest.py add8 mult16x8
 """
 
+import ast
 import hashlib
+import os
 import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = next(
+    ast.literal_eval(node.value)
+    for node in ast.parse((ROOT / "perfbench" / "run.py").read_text()).body
+    if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "THREAD_VARS"
+)
+os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import numpy as np  # noqa: E402
 
-from spde_taylor.engine import (
+sys.path.insert(0, str(ROOT / "src"))
+
+from spde_taylor.engine import (  # noqa: E402
     BUILTIN_WOODS,
     BoundPlan,
     NoisePath,
@@ -61,14 +76,18 @@ from spde_taylor.engine import (
     reference_solve,
     step,
 )
-from spde_taylor.harness import (
+from spde_taylor.harness import (  # noqa: E402
     ExperimentConfig,
     HarnessError,
     render_csv,
     render_json,
     run_convergence,
 )
-from spde_taylor.models import SpectralState, heat_additive_model, heat_multiplicative_model
+from spde_taylor.models import (  # noqa: E402
+    SpectralState,
+    heat_additive_model,
+    heat_multiplicative_model,
+)
 
 SEED, H_FINE, WINDOW = 11, 2.0**-10, 256
 NAMES = sorted(BUILTIN_WOODS)

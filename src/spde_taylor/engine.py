@@ -18,28 +18,32 @@ A scheme is lowered once into nodes in dependency order, one per distinct
 term or subterm, so a shared subterm (the I^0_0 inside a Milstein term and
 the plan's own I^0_0) is evaluated once per step.  Only a node whose
 trajectory a later node reads builds its per-substep rows; every other
-diffusion node asks the model for the end-weighted sum alone, and a term
-whose operator vanishes adds nothing.  The per-mode factors depend only on
-(eigenvalues, h, h_fine); they are built once per process for each such
-triple and shared read-only.
+diffusion node asks the model for the end-weighted sum alone.  The
+per-mode factors depend only on (eigenvalues, h, h_fine); they are built
+once per process for each such triple and shared read-only.
 
 Binding a plan to a model and a step h turns each node into a step
 function that holds everything the node reads: its rows of those factors,
-its k! scale, and the model operator bound to its order.  A step then runs
+its k! scale, and the model operator bound to its order.  A node whose
+operator the model binds to None, identically zero (the zero drift's
+drift flow), is dropped then and costs nothing per step.  A step then runs
 the nodes' arithmetic and nothing else: no dispatch on the node kind, no
-argument checks and no cache lookups.
-For the reference at h = h_fine that is, per substep, the two matrix
-products of the diffusion, one pointwise and two per-mode products, and
-the sum of two terms.
+argument checks and no cache lookups.  For the reference at h = h_fine
+that is, per substep, the two matrix products of the diffusion, one
+pointwise and two per-mode products, and the sum of two terms.
 
 One stepping loop runs every evaluation, for one path or for a batch of
 paths, one row each: a plan bound once advances the states through
 consecutive h-long row blocks of their noise windows, prepared once (for
-the multiplication model: moved to the grid).  :func:`step` is that loop for
-one step of one path, and the fine-mesh reference :func:`reference_solve` is
-the loop over the exponential Euler plan at h = h_fine, which makes
-scheme-versus-reference comparisons on shared noise bit-consistent.  The
-order study (``harness``) runs the loop on chunks of paths.
+the multiplication model: moved to the grid), and tests the end states
+for inf and nan once per run.  :func:`step` is that loop for one step of
+one path, and the fine-mesh reference :func:`reference_solve` is the loop
+over the exponential Euler plan at h = h_fine, which makes
+scheme-versus-reference comparisons on shared noise bit-consistent.  A
+drawn :class:`NoisePath` is prepared once, and its prefixes read the rows
+of that one prepared window, so ``step()`` on a prefix has the bytes of
+the order study (``harness``), which runs the loop on chunks of paths
+over their whole windows.
 
 Monte-Carlo streams come from a counter-based generator: path p draws from
 ``Philox(key=seed, counter=p << 128)``, so any path's noise can be
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
@@ -101,6 +105,17 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class _Window:
+    """A drawn path's increments and their prepared form per diffusion
+    operator, computed on first use; shared by the path and its prefixes."""
+
+    __slots__ = ("increments", "prepared")
+
+    def __init__(self, increments: np.ndarray):
+        self.increments = increments
+        self.prepared: dict[object, np.ndarray] = {}
+
+
 @dataclass(frozen=True)
 class NoisePath:
     """Gaussian increments of the driving cylindrical process on a fine mesh.
@@ -110,10 +125,25 @@ class NoisePath:
     writeable array is copied, one that is already read-only (such as the
     fresh array of :meth:`draw` or the row view of :meth:`prefix`) is taken
     over as it is.
+
+    A path built from an array is its own root window; :meth:`prefix`
+    shares it.  The root's increments are prepared for a diffusion
+    operator once, on first use, and every prefix reads the first rows of
+    that prepared window.  So a prefix stepped before or after the
+    reference of the whole path gets the same bytes, and those of the
+    order study, which prepares whole windows too.
+
+    The first use prepares the whole drawn window, however few rows it
+    reads, and the path keeps that form as long as it lives.  For the
+    multiplication model it has one column per grid point, about
+    4*max(N, M) of them against M for the increments: a 2^17-substep path
+    at N = M = 64 holds about 267 MB after one step on ``prefix(1)``.
+    Draw a path only as long as the horizon it is stepped over.
     """
 
     increments: np.ndarray
     h_fine: float
+    _window: _Window = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.increments, dtype=float)
@@ -124,6 +154,7 @@ class NoisePath:
         if arr.flags.writeable:
             arr = _frozen(arr.copy())
         object.__setattr__(self, "increments", arr)
+        object.__setattr__(self, "_window", _Window(arr))
 
     @property
     def substeps(self) -> int:
@@ -146,7 +177,22 @@ class NoisePath:
             raise MeshMismatchError(
                 f"requested {substeps} substeps from a path of {self.substeps}"
             )
-        return NoisePath(increments=self.increments[:substeps], h_fine=self.h_fine)
+        out = NoisePath(increments=self.increments[:substeps], h_fine=self.h_fine)
+        object.__setattr__(out, "_window", self._window)
+        return out
+
+    def _prepared_noise(self, plan: "BoundPlan", substeps: int) -> np.ndarray | None:
+        """The first ``substeps`` rows of the root window's noise prepared
+        by ``plan`` (see :meth:`BoundPlan.prepare_noise`), a view; None for
+        plans that never apply the diffusion."""
+        if not plan.scheme.required_orders.diffusion:
+            return None
+        window, diffusion = self._window, plan.model.diffusion
+        noise = window.prepared.get(diffusion)
+        if noise is None:
+            noise = _frozen(plan.prepare_noise(window.increments))
+            window.prepared[diffusion] = noise
+        return noise[:substeps]
 
 
 class RequiredOrders(NamedTuple):
@@ -332,7 +378,7 @@ class BoundPlan:
     Binding lowers each of the scheme's nodes once into a step that holds
     everything the node reads: its rows of the shared mesh tables of
     (eigenvalues, h, h_fine), its k! scale and the model operator bound to
-    the node's order.
+    the node's order; a node that vanishes identically is dropped.
     :meth:`advance` runs the steps in turn from the start state of one path,
     (N,), or of a batch of paths, (paths, N), on their windows of noise
     prepared by :meth:`prepare_noise`.  The stepping loop :func:`_run`
@@ -353,9 +399,11 @@ class BoundPlan:
 
     def _bind(self, kind: str, order: int, arg_slots: tuple[int, ...], trajectory: bool):
         """The node as a step ``(u0, noise, trajectories) -> (value,
-        trajectory)``: its end value, None where it vanishes, and, when a
-        later node reads it, its trajectory, else None.  ``trajectories``
-        holds those of the earlier nodes by slot.
+        trajectory)``: its end value and, when a later node reads it, its
+        trajectory, else None.  ``trajectories`` holds those of the earlier
+        nodes by slot.  A node whose operator vanishes identically, as the
+        model's binders say, is None when no later node reads it, else a
+        step whose value is None and whose trajectory is zero.
 
         Sum nodes reduce their per-substep contributions with the end
         weights; a diffusion node whose trajectory no later node reads
@@ -371,40 +419,42 @@ class BoundPlan:
                 return lambda u0, noise, paths: (flow * u0, None)
             flow_at = tables.flow_at
             return lambda u0, noise, paths: (flow * u0, flow_at * u0[..., None, :])
+        zeros = partial(np.zeros, (self.substeps, model.modes))
+        vanishing = (lambda u0, noise, paths: (None, zeros())) if trajectory else None
         diffusion = model.diffusion
         if kind is _DIFFUSION and not trajectory:
             total = _over_factorial(order, diffusion.bind_sum(order, tables.end_weights))
             if total is None:
-                return lambda u0, noise, paths: (None, None)
+                return None
             return lambda u0, noise, paths: (total(u0, [paths[a] for a in arg_slots], noise), None)
-        zeros = partial(np.zeros, (self.substeps, model.modes))  # a vanishing node's trajectory
         if kind is _DRIFT_FLOW:
-            drift, drift_flow = model.drift.value, tables.drift_flow
+            drift = model.drift.bind_value()
+            if drift is None:
+                return vanishing
+            drift_flow = tables.drift_flow
+            if not trajectory:
+                return lambda u0, noise, paths: (drift_flow * drift(u0), None)
+            drift_flow_at = tables.drift_flow_at
 
             def drift_flow_step(u0, noise, paths):
                 base = drift(u0)
-                if base is None:
-                    return None, zeros() if trajectory else None
-                path = tables.drift_flow_at * base[..., None, :] if trajectory else None
-                return drift_flow * base, path
+                return drift_flow * base, drift_flow_at * base[..., None, :]
 
             return drift_flow_step
         if kind is _DIFFUSION:
             rows_of = _over_factorial(order, diffusion.bind_rows(order))
-            rows_of = rows_of or (lambda u0, args, noise: None)
         else:
-            derivative, scale = model.drift.derivative_rows, self.h_fine / math.factorial(order)
-
-            def rows_of(u0, args, noise):
-                rows = derivative(order, u0, args)
-                return None if rows is None else rows * scale
-
+            derivative = model.drift.bind_rows(order)
+            scale = self.h_fine / math.factorial(order)
+            rows_of = None if derivative is None else (
+                lambda u0, args, noise: derivative(u0, args) * scale
+            )
+        if rows_of is None:
+            return vanishing
         end_sum, decay = bind_end_sum(tables.end_weights), tables.decay_fine
 
         def sum_step(u0, noise, paths):
             rows = rows_of(u0, [paths[a] for a in arg_slots], noise)
-            if rows is None:
-                return None, zeros() if trajectory else None
             return end_sum(rows), _running_sum(rows, decay) if trajectory else None
 
         return sum_step
@@ -431,7 +481,7 @@ class BoundPlan:
         values: list = []
         trajectories: list = []
         for run in self.steps:
-            value, path = run(u0, noise, trajectories)
+            value, path = (None, None) if run is None else run(u0, noise, trajectories)
             values.append(value)
             trajectories.append(path)
         total = u0
@@ -471,6 +521,16 @@ def _over_factorial(order: int, bound):
     return lambda *args: bound(*args) / divisor
 
 
+def _windows(plan: BoundPlan, noise: np.ndarray | None, steps: int):
+    """The prepared noise of each of ``steps`` consecutive steps: view n of
+    the leading axis is step n's window, with no copies."""
+    if noise is None:
+        return itertools.repeat(None, steps)
+    blocks = noise[..., : steps * plan.substeps, :]
+    blocks = blocks.reshape(blocks.shape[:-2] + (steps, plan.substeps, blocks.shape[-1]))
+    return blocks.swapaxes(-3, 0)
+
+
 def _run(
     plan: BoundPlan,
     states: np.ndarray,
@@ -488,28 +548,48 @@ def _run(
     ``record_steps``, and, keyed by row (0 for a single path), the error
     naming the first non-finite term of each path whose state went
     non-finite.  Such a path runs on, non-finite; the others never see it.
+
+    The loop runs only the plan's arithmetic and tests the end states for
+    inf and nan once.  That test is exact: every step returns u0 plus its
+    terms, and IEEE addition never turns an inf or a nan finite, so an
+    entry that goes non-finite at some step is non-finite at the end.
+    Only when the end states are not all finite are the rows that failed
+    replayed step by step, node by node, to name each one's first
+    non-finite term at its first non-finite step.
     """
-    if noise is None:
-        windows = itertools.repeat(None, steps)
-    else:
-        # Step n's window is view n of the leading axis: no copies.
-        blocks = noise[..., : steps * plan.substeps, :]
-        blocks = blocks.reshape(blocks.shape[:-2] + (steps, plan.substeps, blocks.shape[-1]))
-        windows = blocks.swapaxes(-3, 0)
+    start = states
     recorded = {0: states} if 0 in record_steps else {}
-    failed: dict[int, NonfiniteValueError] = {}
     # A blow-up surfaces in ``failed``, not as warnings from the array
     # operations that produced the inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, window in enumerate(windows, 1):
-            states, values = plan.advance(states, window)
-            flat = states.ravel()  # an inf or nan makes the sum of squares non-finite
-            if not math.isfinite(flat @ flat):
-                for row in np.flatnonzero(~np.isfinite(states).all(axis=-1)):
-                    failed.setdefault(int(row), plan.nonfinite(values, row))
+        for n, window in enumerate(_windows(plan, noise, steps), 1):
+            states = plan.advance(states, window)[0]
             if n in record_steps:
                 recorded[n] = states
+        failed = {}
+        if not np.isfinite(states).all():
+            failed = _first_failures(plan, start, noise, states, steps)
     return states, recorded, failed
+
+
+def _first_failures(
+    plan: BoundPlan, start: np.ndarray, noise: np.ndarray | None, end: np.ndarray, steps: int
+) -> dict[int, NonfiniteValueError]:
+    """Keyed by row, the error naming the first non-finite term of each row
+    of a run's ``end`` states that is not finite, at its first non-finite
+    step.  Replays the run of those rows alone from ``start``: a batch's
+    products are stacks of one-path products, so each row replays with the
+    bytes it ran with."""
+    rows = (0,)
+    if end.ndim > 1:
+        rows = np.flatnonzero(~np.isfinite(end).all(axis=-1))
+        start, noise = start[rows], None if noise is None else noise[rows]
+    failed: dict[int, NonfiniteValueError] = {}
+    for window in _windows(plan, noise, steps):
+        start, values = plan.advance(start, window)
+        for row in np.flatnonzero(~np.isfinite(start).all(axis=-1)):
+            failed.setdefault(int(rows[row]), plan.nonfinite(values, row))
+    return failed
 
 
 def _solve(
@@ -525,8 +605,9 @@ def _solve(
     """One path through :func:`_run`, behind :func:`step` and
     :func:`reference_solve`.
 
-    Binds the plan once at step h, prepares the noise of the whole window
-    [0, t_end] once, and runs t_end / h steps.  Returns the end
+    Binds the plan once at step h, reads the noise of the window [0, t_end]
+    from the path's prepared root window (see :class:`NoisePath`), and runs
+    t_end / h steps.  Returns the end
     coefficients and snapshots after the step counts in ``record_steps``,
     each of which must lie in 0..t_end / h.  A step whose result is not
     finite raises :class:`NonfiniteValueError` naming its first non-finite
@@ -551,7 +632,7 @@ def _solve(
         raise MeshMismatchError(
             f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
         )
-    noise = plan.prepare_noise(path.increments[:substeps])
+    noise = path._prepared_noise(plan, substeps)
     state, recorded, failed = _run(plan, u0.coeffs, noise, steps, record_steps)
     if failed:
         raise failed[0]

@@ -192,11 +192,21 @@ def default_workspace(modes: int, noise_modes: int = 0) -> GridWorkspace:
 
 
 class DriftOperator(Protocol):
-    def value(self, base: np.ndarray) -> np.ndarray | None: ...
+    """F and its derivatives, bound once per plan node.
 
-    def derivative_rows(
-        self, order: int, base: np.ndarray, arg_rows: Sequence[np.ndarray]
-    ) -> np.ndarray | None: ...
+    ``bind_value()`` returns ``base -> F(base)``, and ``bind_rows(order)``
+    returns ``(base, arg_rows) -> rows`` F^(k)(base)(args), (..., S, N),
+    for argument trajectories of shape (..., S, N).  ``None`` means
+    identically zero, as for the diffusion's ``bind_rows``/``bind_sum``:
+    the engine then drops the node when it binds the plan, and a node
+    whose trajectory a later node reads gets a zero trajectory.
+    """
+
+    def bind_value(self) -> Callable[[np.ndarray], np.ndarray] | None: ...
+
+    def bind_rows(
+        self, order: int
+    ) -> Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray] | None: ...
 
 
 #: A bound B^(k): ``(base, arg_rows, noise) -> rows or their weighted sum``.
@@ -205,8 +215,9 @@ BoundDiffusion = Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.nda
 
 class DiffusionOperator(Protocol):
     """B and its derivatives against batches of noise functions, for the
-    N state modes and M noise modes of the model the operator is built for
-    (the multiplication model also builds its grid then).
+    N = ``modes`` state modes and M = ``noise_modes`` noise modes of the
+    model the operator is built for (the multiplication model also builds
+    its grid then); :class:`ModelSpec` checks that they are its own.
 
     ``prepare_noise`` turns noise coefficient rows (one row per noise
     function) into the form the other methods consume, keeping one row per
@@ -223,6 +234,9 @@ class DiffusionOperator(Protocol):
     ``apply_diffusion`` and ``diffusion_matrix`` apply the bound rows once,
     to unit noise vectors.
     """
+
+    modes: int
+    noise_modes: int
 
     def prepare_noise(self, noise_rows: np.ndarray) -> np.ndarray: ...
 
@@ -244,10 +258,10 @@ def bind_end_sum(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 class ZeroDrift:
     """F identically zero, with all derivatives zero."""
 
-    def value(self, base: np.ndarray) -> None:
+    def bind_value(self) -> None:
         return None
 
-    def derivative_rows(self, order, base, arg_rows) -> None:
+    def bind_rows(self, order) -> None:
         return None
 
 
@@ -264,6 +278,7 @@ class MultiplicationDiffusion:
     """
 
     def __init__(self, modes: int, noise_modes: int):
+        self.modes, self.noise_modes = modes, noise_modes
         self.workspace = default_workspace(modes, noise_modes)
         self.sine, self.interpolant = self.workspace.transforms(modes)
 
@@ -299,11 +314,13 @@ class MultiplicationDiffusion:
 
 class DiagonalDiffusion:
     """Constant B mapping noise mode k to b_k times state mode k, for
-    states of ``modes`` modes; it needs no grid."""
+    states of ``modes`` modes and one noise mode per weight; it needs no
+    grid, and the prepared noise is the rows themselves, with no copy."""
 
     def __init__(self, weights: np.ndarray, modes: int):
         self.weights = np.asarray(weights, dtype=float)
         self.modes = modes
+        self.noise_modes = self.weights.size
 
     def prepare_noise(self, noise_rows):
         return np.atleast_2d(np.asarray(noise_rows, dtype=float))
@@ -359,6 +376,12 @@ class ModelSpec:
             raise BadParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not 0.0 < self.delta <= 0.5:
             raise BadParameterError(f"delta must lie in (0, 1/2], got {self.delta}")
+        built = (self.diffusion.modes, self.diffusion.noise_modes)
+        if built != (lam.size, self.noise_modes):
+            raise ModelError(
+                f"diffusion is built for {built[0]} state and {built[1]} noise modes, "
+                f"the model has {lam.size} and {self.noise_modes}"
+            )
         lam = lam.copy()
         lam.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)

@@ -151,6 +151,23 @@ class TestNoisePath:
         with pytest.raises(MeshMismatchError):
             path.prefix(9)
 
+    def test_a_short_prefix_prepares_and_keeps_the_whole_path(self):
+        # The cost the docstring of NoisePath names: one step on a prefix of
+        # 4 substeps prepares the path's whole window, P = 63 grid columns
+        # a row against M = 16 increments at N = M = 16, and the path holds
+        # it after the step: 2 MiB for 2^12 substeps.
+        model = heat_multiplicative_model(16, 16)
+        scheme, path = builtin_scheme("exp-euler"), draw_path(model, 2**12)
+        prepared = path.substeps * model.diffusion.workspace.grid_points * 8
+        step(scheme, model.initial, 4 * H_FINE, draw_path(model, 4, index=1), model)
+        tracemalloc.start()
+        try:
+            step(scheme, model.initial, 4 * H_FINE, path.prefix(4), model)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prepared <= held <= peak < prepared + 64 * 1024
+
 
 class TestStep:
     def test_taylor_delta_is_the_semigroup_flow(self, mult):
@@ -295,11 +312,12 @@ class TestReference:
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
     def test_single_step_run_equals_step_bitwise(self, name, mult):
-        # One step of a chunk of paths on their prepared windows gives each
-        # path the bytes of step().  The one-step order study instead runs
-        # every ladder entry on a row prefix of one prepared 256-substep
-        # window: there each path gets the bytes of its run alone, and
-        # step() up to rounding, since BLAS blocks a product's rows by height.
+        # step() reads its rows from the prepared window of the whole drawn
+        # path, as the one-step order study reads each ladder entry from the
+        # prepared window of its chunk: a path gets the same bytes alone,
+        # in a chunk and from step().  Noise prepared on the prefix alone
+        # agrees up to rounding, since BLAS blocks a product's rows by
+        # their count.
         scheme = builtin_scheme(name)
         increments = chunk_increments(mult, 3, 256, seed=9)
         for substeps in (1, 16, 256):
@@ -313,13 +331,13 @@ class TestReference:
             for row in range(3):
                 path = NoisePath(increments[row], h_fine=H_FINE)
                 single = step(scheme, mult.initial, substeps * H_FINE, path, mult).state
-                assert exact[row].tobytes() == single.coeffs.tobytes()
                 alone = plan.prepare_noise(increments[row : row + 1])
                 solo, _, _ = _run(
                     plan, start_states(mult, 1), None if alone is None else alone[:, :substeps], 1
                 )
                 assert shared[row].tobytes() == solo[0].tobytes()
-                np.testing.assert_allclose(shared[row], single.coeffs, rtol=1e-13, atol=1e-16)
+                assert single.coeffs.tobytes() == solo[0].tobytes()
+                np.testing.assert_allclose(exact[row], single.coeffs, rtol=1e-13, atol=1e-16)
 
     def test_blow_up_stays_in_its_row(self, mult):
         # Path 1's increments overflow the iterated term; the other paths of
@@ -376,6 +394,28 @@ class TestReference:
             )
             assert not alone
             assert states[row].tobytes() == solo[0].tobytes()
+
+    def test_failures_are_named_at_each_rows_first_non_finite_step(self, mult):
+        # Eight full-2nd steps of 8 substeps: path 1's increments of step 3
+        # overflow the iterated term there, and a NaN in path 2's makes
+        # step 6 non-finite.  From step 4 on, path 1's flow term is not
+        # finite either; each error names the term of the row's first
+        # non-finite step, as the run checked step by step named it.
+        increments = chunk_increments(mult, 3, 64, seed=12)
+        increments[1, 16:24] *= 1e200
+        increments[2, 45, 0] = np.nan
+        plan = BoundPlan(builtin_scheme("full-2nd"), mult, 8 * H_FINE, H_FINE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, recorded, failed = _run(
+                plan, start_states(mult, 3), plan.prepare_noise(increments), 8, tuple(range(9))
+            )
+        assert {row: error.term for row, error in failed.items()} == {
+            1: "I^1_2[I^0_2]", 2: "I^0_2",
+        }
+        finite = [[bool(np.isfinite(recorded[n][row]).all()) for n in range(9)] for row in range(3)]
+        assert finite == [[True] * 9, [True] * 3 + [False] * 6, [True] * 6 + [False] * 3]
+        assert recorded[8] is states
 
     def test_multi_step_rejects_partial_last_step(self, mult):
         # 4 substeps do not split into steps of 3: no silent truncation.
@@ -529,10 +569,10 @@ class ConstantDrift:
     def __init__(self, f0):
         self.f0 = np.asarray(f0, dtype=float)
 
-    def value(self, base):
-        return self.f0
+    def bind_value(self):
+        return lambda base: self.f0
 
-    def derivative_rows(self, order, base, arg_rows):
+    def bind_rows(self, order):
         return None
 
 
@@ -542,13 +582,13 @@ class DiagonalLinearDrift:
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
 
-    def value(self, base):
-        return self.weights * base
+    def bind_value(self):
+        return lambda base: self.weights * base
 
-    def derivative_rows(self, order, base, arg_rows):
+    def bind_rows(self, order):
         if order != 1:
             return None
-        return self.weights[None, :] * np.asarray(arg_rows[0])
+        return lambda base, arg_rows: self.weights[None, :] * np.asarray(arg_rows[0])
 
 
 def drift_model(drift, modes=8):

@@ -18,6 +18,7 @@ from spde_taylor.engine import (
     NoisePath,
     NonfiniteValueError,
     builtin_scheme,
+    reference_solve,
     step,
 )
 from spde_taylor.harness import (
@@ -410,6 +411,63 @@ class TestChunks:
         assert studies[0] == studies[1] == studies[2]
         for report in studies[0]:
             assert report == run_convergence(report.config)
+
+    @pytest.mark.parametrize("per_chunk", [1, 8])
+    def test_step_has_the_studys_bytes_in_either_call_order(self, monkeypatch, per_chunk):
+        # A prefix of a drawn path reads the rows of the path's one prepared
+        # window, as the study's runs read those of their chunk's: each
+        # one-step state and each reference snapshot of step() and
+        # reference_solve() has the bytes of the study's run of that path,
+        # whether the prefixes are stepped before or after the reference.
+        config = dataclasses.replace(
+            TINY, fine_log2=10, ladder_log2=(2, 3, 4), modes=64, noise_modes=64
+        )
+        names = sorted(BUILTIN_WOODS)
+        schemes = tuple(builtin_scheme(name) for name in names)
+        model = build_model(config.model, config.modes, config.noise_modes, config.r)
+        study: dict = {}
+        with monkeypatch.context() as patch:
+            chunk_runs(patch, per_chunk, config)
+            run = harness._run
+
+            def keep(plan, states, noise, steps, record_steps=()):
+                out = run(plan, states, noise, steps, record_steps)
+                if plan.scheme is _REFERENCE_SCHEME:
+                    for k in record_steps:
+                        study.setdefault(("reference", k), []).extend(out[1][k])
+                else:
+                    name = names[schemes.index(plan.scheme)]
+                    study.setdefault((name, plan.substeps), []).extend(out[0])
+                return out
+
+            patch.setattr(harness, "_run", keep)
+            harness._ladder_errors(config, schemes, model)
+        window = max(k for _, k in study)
+        horizons = sorted({k for name, k in study if name != "reference"})
+        u0 = model.initial
+        for index in range(config.paths):
+            for reference_first in (True, False):
+                path = NoisePath.draw(
+                    harness.path_generator(config.seed, index), window,
+                    model.noise_modes, config.h_fine,
+                )
+                got = {}
+                if reference_first:
+                    _, recorded = reference_solve(
+                        u0, window * config.h_fine, path, model, record_substeps=horizons
+                    )
+                for name, scheme in zip(names, schemes):
+                    for k in horizons:
+                        state = step(scheme, u0, k * config.h_fine, path.prefix(k), model).state
+                        got[name, k] = state.coeffs
+                if not reference_first:
+                    _, recorded = reference_solve(
+                        u0, window * config.h_fine, path, model, record_substeps=horizons
+                    )
+                got.update({("reference", k): recorded[k].coeffs for k in horizons})
+                assert got.keys() == study.keys()
+                for key, coeffs in got.items():
+                    assert coeffs.tobytes() == study[key][index].tobytes(), key
 
     def test_a_blow_up_is_excluded_exactly_where_its_run_is_not_finite(
         self, monkeypatch

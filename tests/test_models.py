@@ -1,5 +1,7 @@
 """Spectral models: transforms, diffusion oracles, semigroup, initial data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,10 @@ from scipy.integrate import quad
 
 from spde_taylor.models import (
     BadParameterError,
+    DiagonalDiffusion,
     GridWorkspace,
     ModelError,
+    MultiplicationDiffusion,
     OutOfRangeError,
     SpectralState,
     apply_diffusion,
@@ -107,6 +111,20 @@ class TestModelParameters:
             heat_multiplicative_model(modes=8, noise_modes=8, r=0.3)
         with pytest.raises(BadParameterError):
             heat_multiplicative_model(modes=8, noise_modes=8, r=0.0)
+
+    @pytest.mark.parametrize(
+        "build, diffusion, message",
+        [
+            (heat_multiplicative_model, MultiplicationDiffusion(16, 16), "16 state and 16 noise"),
+            (heat_multiplicative_model, MultiplicationDiffusion(32, 16), "32 state and 16 noise"),
+            (heat_additive_model, DiagonalDiffusion(np.ones(8), 32), "32 state and 8 noise"),
+        ],
+    )
+    def test_diffusion_built_for_another_truncation_is_rejected(self, build, diffusion, message):
+        # The operator's products are sized for its own (N, M): a model of
+        # another truncation would fail later, inside a matrix product.
+        with pytest.raises(ModelError, match=f"{message} modes, the model has 32 and 32"):
+            dataclasses.replace(build(32, 32), diffusion=diffusion)
 
 
 class TestSemigroup:
