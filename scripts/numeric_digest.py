@@ -42,10 +42,22 @@ so the script runs BLAS and its kin on one thread, as ``perfbench/run.py``
 does: it reads that script's ``THREAD_VARS`` from its source and sets each
 of them to 1 before it imports numpy.
 
+With ``--values DIR`` the script also writes each family's float64
+values to ``DIR/<family>.npy``: the states of a state or shape family in
+digest order, and each report's slope, margin and rows' errors and
+standard errors for a report family (NaN for None).  ``--compare DIR_A
+DIR_B`` prints, for each family dumped in both, the largest relative
+change |b - a| / |a| of any value: the number a change that moves a
+digest states.
+
     python3 scripts/numeric_digest.py            # every family
     python3 scripts/numeric_digest.py add8 mult16x8
+    python3 scripts/numeric_digest.py --values before/    # at the parent
+    python3 scripts/numeric_digest.py --values after/     # at the change
+    python3 scripts/numeric_digest.py --compare before/ after/
 """
 
+import argparse
 import ast
 import hashlib
 import os
@@ -127,7 +139,7 @@ def _state_bytes(build, modes, noise_modes):
     for name in NAMES:
         scheme = builtin_scheme(name)
         for substeps in (1, 4, 64):
-            plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE)
+            plan = BoundPlan(scheme, model, (substeps * H_FINE,), H_FINE)
             window = increments[:, : 4 * substeps]
             for batch, states in ((window, np.tile(u0.coeffs, (3, 1))), (window[0], u0.coeffs)):
                 end, recorded, _ = _run(plan, states, plan.prepare_noise(batch), 4, (1, 2))
@@ -141,55 +153,58 @@ def _state_bytes(build, modes, noise_modes):
         yield snapshots[k].coeffs.tobytes()
 
 
-def state_digest(name: str) -> dict[str, str]:
-    """The digest of the state family ``name``."""
-    return {name: _digest(_state_bytes(*STATE_FAMILIES[name]))}
+def _floats(chunks: list[bytes]) -> np.ndarray:
+    return np.frombuffer(b"".join(chunks), dtype=float)
 
 
-def order_shape_digest() -> str:
+def state_family(name: str):
+    """The digest and the values of the state family ``name``."""
+    chunks = list(_state_bytes(*STATE_FAMILIES[name]))
+    return {name: _digest(chunks)}, _floats(chunks)
+
+
+def _order_shape_bytes():
     """Paths 0..7 of criterion 3's shape: the reference snapshots, then each
     scheme's one-step states from h = 2^-4 down to 2^-8."""
     model = heat_multiplicative_model(64, 64)
     u0, h_fine, substeps = model.initial, 2.0**-12, (256, 128, 64, 32, 16)
     names = ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd")
     schemes = [builtin_scheme(name) for name in names]
-
-    def chunks():
-        for index in range(8):
-            path = NoisePath.draw(path_generator(2024, index), 256, 64, h_fine)
-            _, recorded = reference_solve(
-                u0, 256 * h_fine, path, model, record_substeps=substeps
-            )
-            for k in sorted(substeps):
-                yield recorded[k].coeffs.tobytes()
-            for scheme in schemes:
-                for k in substeps:
-                    state = step(scheme, u0, k * h_fine, path.prefix(k), model).state
-                    yield state.coeffs.tobytes()
-
-    return _digest(chunks())
+    for index in range(8):
+        path = NoisePath.draw(path_generator(2024, index), 256, 64, h_fine)
+        _, recorded = reference_solve(u0, 256 * h_fine, path, model, record_substeps=substeps)
+        for k in sorted(substeps):
+            yield recorded[k].coeffs.tobytes()
+        for scheme in schemes:
+            for k in substeps:
+                state = step(scheme, u0, k * h_fine, path.prefix(k), model).state
+                yield state.coeffs.tobytes()
 
 
-def variance_shape_digest() -> str:
+def _variance_shape_bytes():
     """Criterion 4's shape: the one-step states of 64 paths, in path order."""
     model = heat_additive_model(8, 8)
     scheme, zero = builtin_scheme("exp-euler-nodrift"), SpectralState(np.zeros(8))
-    return _digest(
-        step(
-            scheme, zero, 2.0**-4,
-            NoisePath.draw(path_generator(2024, index), 8192, 8, 2.0**-17), model,
-        ).state.coeffs.tobytes()
-        for index in range(64)
-    )
+    for index in range(64):
+        path = NoisePath.draw(path_generator(2024, index), 8192, 8, 2.0**-17)
+        yield step(scheme, zero, 2.0**-4, path, model).state.coeffs.tobytes()
 
 
-def report_digests(model: str, multi_step: bool) -> dict[str, str]:
-    """The JSON and CSV digests of one report family."""
+def shape_family(name: str, outputs):
+    chunks = list(outputs())
+    return {name: _digest(chunks)}, _floats(chunks)
+
+
+def report_family(model: str, multi_step: bool):
+    """The JSON and CSV digests of one report family, and its values: each
+    report's slope, margin and rows' errors and standard errors, NaN for
+    None."""
     config = ExperimentConfig(
         model=model, fine_log2=8, ladder_log2=(2, 3, 4), paths=6, seed=SEED,
         modes=16, noise_modes=16, multi_step=multi_step,
     )
-    texts = {"json": [], "csv": []}
+    texts: dict[str, list[str]] = {"json": [], "csv": []}
+    values: list[float | None] = []
     for name in NAMES:
         try:
             report = run_convergence(replace(config, scheme=name))
@@ -199,37 +214,84 @@ def report_digests(model: str, multi_step: bool) -> dict[str, str]:
             continue
         texts["json"].append(render_json(report))
         texts["csv"].append(render_csv(report))
+        values += [report.slope, report.margin]
+        values += [x for row in report.rows for x in (row.error, row.stderr)]
     prefix = f"report-{model}-{multi_step}"
-    return {
+    digests = {
         f"{prefix}-{kind}": _digest(text.encode("utf-8") for text in parts)
         for kind, parts in texts.items()
     }
+    return digests, np.array([np.nan if v is None else v for v in values], dtype=float)
 
 
-#: Family name -> a function returning its digests by name.
+#: Family name -> a function returning its digests by name and its values.
 FAMILIES = {
-    **{name: partial(state_digest, name) for name in STATE_FAMILIES},
-    "order_shape": lambda: {"order_shape": order_shape_digest()},
-    "variance_shape": lambda: {"variance_shape": variance_shape_digest()},
-    **{f"report-{model}-{multi_step}": partial(report_digests, model, multi_step)
+    **{name: partial(state_family, name) for name in STATE_FAMILIES},
+    "order_shape": partial(shape_family, "order_shape", _order_shape_bytes),
+    "variance_shape": partial(shape_family, "variance_shape", _variance_shape_bytes),
+    **{f"report-{model}-{multi_step}": partial(report_family, model, multi_step)
        for model in ("heat-mult", "heat-add") for multi_step in (False, True)},
 }
 
 
-def digests(names=None) -> dict[str, str]:
-    """Every digest of the named families (all by default), in order."""
+def digests(names=None, values_dir: Path | None = None) -> dict[str, str]:
+    """Every digest of the named families (all by default), in order; with
+    ``values_dir``, each family's values go to ``<family>.npy`` there."""
     out: dict[str, str] = {}
     for name in names or FAMILIES:
-        out.update(FAMILIES[name]())
+        family, values = FAMILIES[name]()
+        out.update(family)
+        if values_dir is not None:
+            np.save(values_dir / f"{name}.npy", values)
     return out
 
 
+def largest_relative_change(before: np.ndarray, after: np.ndarray) -> float:
+    """max |after - before| / |before| over the values; equal values,
+    NaNs included, change by 0, and a zero that moves by inf."""
+    same = (before == after) | (np.isnan(before) & np.isnan(after))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        change = np.where(same, 0.0, np.abs(after - before) / np.abs(before))
+    return float(np.nan_to_num(change, nan=np.inf).max(initial=0.0))
+
+
+def compare(before_dir: Path, after_dir: Path) -> list[str]:
+    """One line per family dumped in both directories: its name and the
+    largest relative change of any of its values."""
+    lines = []
+    for path in sorted(before_dir.glob("*.npy")):
+        other = after_dir / path.name
+        if not other.exists():
+            lines.append(f"{path.stem} missing from {after_dir}")
+            continue
+        before, after = np.load(path), np.load(other)
+        if before.shape != after.shape:
+            lines.append(f"{path.stem} has {before.size} values, then {after.size}")
+            continue
+        lines.append(f"{path.stem} {largest_relative_change(before, after):.3g}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
-    unknown = [name for name in argv if name not in FAMILIES]
+    parser = argparse.ArgumentParser(
+        description="Print the numeric digests, dump or compare the values behind them."
+    )
+    parser.add_argument("families", nargs="*", help="families to run (default: all)")
+    parser.add_argument("--values", type=Path, metavar="DIR",
+                        help="also write each family's float64 values to DIR/<family>.npy")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="print each family's largest relative change from DIR_A to DIR_B")
+    args = parser.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return 0
+    unknown = [name for name in args.families if name not in FAMILIES]
     if unknown:
         print(f"unknown families {unknown}; available: {list(FAMILIES)}", file=sys.stderr)
         return 1
-    for name, hexdigest in digests(argv).items():
+    if args.values is not None:
+        args.values.mkdir(parents=True, exist_ok=True)
+    for name, hexdigest in digests(args.families, args.values).items():
         print(f"{name} {hexdigest}")
     return 0
 

@@ -16,34 +16,41 @@ increments that drive the outer integral.
 
 A scheme is lowered once into nodes in dependency order, one per distinct
 term or subterm, so a shared subterm (the I^0_0 inside a Milstein term and
-the plan's own I^0_0) is evaluated once per step.  Only a node whose
-trajectory a later node reads builds its per-substep rows; every other
-diffusion node asks the model for the end-weighted sum alone.  The
+the plan's own I^0_0) is evaluated once per step.  A sum node's
+per-substep rows, and the trajectory a later node reads, depend on the left
+points r_j, the start state and the noise before r_j, not on h: only the
+end weights and the flow factors do.  So a plan is bound to a ladder of
+step sizes over one window of noise: each node builds its rows once over
+the window and contracts each h's end weights with the first h / h_fine of
+them, and a store of rows by term lets plans that share terms build each
+once.  A diffusion node whose trajectory no later node reads and whose
+model fuses the end-weighted sum (the diagonal model) builds no rows.  The
 per-mode factors depend only on (eigenvalues, h, h_fine); they are built
 once per process for each such triple and shared read-only.
 
-Binding a plan to a model and a step h turns each node into a step
-function that holds everything the node reads: its rows of those factors,
-its k! scale, and the model operator bound to its order.  A node whose
-operator the model binds to None, identically zero (the zero drift's
-drift flow), is dropped then and costs nothing per step.  A step then runs
-the nodes' arithmetic and nothing else: no dispatch on the node kind, no
-argument checks and no cache lookups.  For the reference at h = h_fine
-that is, per substep, the two matrix products of the diffusion, one
-pointwise and two per-mode products, and the sum of two terms.
+Binding a plan turns each node into a step function that holds everything
+the node reads: its rows of those factors, its k! scale, and the model
+operator bound to its order.  A node whose operator the model binds to
+None, identically zero (the zero drift's drift flow), is dropped then and
+costs nothing per step.  A step then runs the nodes' arithmetic and
+nothing else: no dispatch on the node kind, no argument checks and no
+cache lookups.  For the reference at h = h_fine that is, per substep, the
+two matrix products of the diffusion, one pointwise and two per-mode
+products, and the sum of two terms.
 
-One stepping loop runs every evaluation, for one path or for a batch of
-paths, one row each: a plan bound once advances the states through
+Multi-step runs go through one stepping loop, for one path or for a batch
+of paths, one row each: a plan bound to one h advances the states through
 consecutive h-long row blocks of their noise windows, prepared once (for
 the multiplication model: moved to the grid), and tests the end states
-for inf and nan once per run.  :func:`step` is that loop for one step of
-one path, and the fine-mesh reference :func:`reference_solve` is the loop
-over the exponential Euler plan at h = h_fine, which makes
-scheme-versus-reference comparisons on shared noise bit-consistent.  A
-drawn :class:`NoisePath` is prepared once, and its prefixes read the rows
-of that one prepared window, so ``step()`` on a prefix has the bytes of
-the order study (``harness``), which runs the loop on chunks of paths
-over their whole windows.
+for inf and nan once per run.  The fine-mesh reference
+:func:`reference_solve` is that loop over the exponential Euler plan at
+h = h_fine, which makes scheme-versus-reference comparisons on shared
+noise bit-consistent.  :func:`step` is one step of a ladder of one h over
+the whole window of a drawn :class:`NoisePath`, which is prepared once
+and keeps each term's rows per model and start state, so the steps of
+several h on its prefixes build the rows once and have the bytes of the
+order study (``harness``), which builds them once per chunk of paths over
+the chunk's whole window.
 
 Monte-Carlo streams come from a counter-based generator: path p draws from
 ``Philox(key=seed, counter=p << 128)``, so any path's noise can be
@@ -106,17 +113,24 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class _Window:
-    """A drawn path's increments and their prepared form per diffusion
-    operator, computed on first use; shared by the path and its prefixes."""
+    """A drawn path's increments and what is built from them on first use,
+    shared by the path and its prefixes: their prepared form per diffusion
+    operator, and per model and start state the (S, N) rows of each term
+    that :func:`step` has evaluated over the whole window of S substeps."""
 
-    __slots__ = ("increments", "prepared")
+    __slots__ = ("increments", "prepared", "rows")
 
     def __init__(self, increments: np.ndarray):
         self.increments = increments
         self.prepared: dict[object, np.ndarray] = {}
+        self.rows: dict[tuple[ModelSpec, bytes], dict[TermExpr, np.ndarray]] = {}
+
+    @property
+    def substeps(self) -> int:
+        return self.increments.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisePath:
     """Gaussian increments of the driving cylindrical process on a fine mesh.
 
@@ -124,21 +138,26 @@ class NoisePath:
     entries are i.i.d. N(0, h_fine).  The increments are read-only: a
     writeable array is copied, one that is already read-only (such as the
     fresh array of :meth:`draw` or the row view of :meth:`prefix`) is taken
-    over as it is.
+    over as it is.  Paths compare and hash by identity.
 
     A path built from an array is its own root window; :meth:`prefix`
     shares it.  The root's increments are prepared for a diffusion
     operator once, on first use, and every prefix reads the first rows of
-    that prepared window.  So a prefix stepped before or after the
-    reference of the whole path gets the same bytes, and those of the
-    order study, which prepares whole windows too.
+    that prepared window.  :func:`step` builds each term's per-substep rows
+    over the whole root window once per model and start state, and a step
+    of any h on the path or a prefix contracts the first h / h_fine of
+    them.  So a prefix stepped before or after the reference of the whole
+    path, or after a step of another h, gets the same bytes, and those of
+    the order study, which builds its rows over whole windows too.
 
     The first use prepares the whole drawn window, however few rows it
-    reads, and the path keeps that form as long as it lives.  For the
-    multiplication model it has one column per grid point, about
-    4*max(N, M) of them against M for the increments: a 2^17-substep path
-    at N = M = 64 holds about 267 MB after one step on ``prefix(1)``.
-    Draw a path only as long as the horizon it is stepped over.
+    reads, and the path keeps that form, and one (S, N) row block per term
+    and start state, as long as it lives.  For the multiplication model
+    the prepared form has one column per grid point, about 4*max(N, M) of
+    them against M for the increments: a 2^17-substep path at N = M = 64
+    holds about 267 MB after one step on ``prefix(1)``, and 64 MB more per
+    term of the scheme.  Draw a path only as long as the horizon it is
+    stepped over.
     """
 
     increments: np.ndarray
@@ -194,6 +213,11 @@ class NoisePath:
             window.prepared[diffusion] = noise
         return noise[:substeps]
 
+    def _rows(self, model: ModelSpec, u0: np.ndarray) -> dict[TermExpr, np.ndarray]:
+        """The term rows that steps from ``u0`` under ``model`` have built
+        over the root window, by term; filled in by :meth:`BoundPlan.advance`."""
+        return self._window.rows.setdefault((model, u0.tobytes()), {})
+
 
 class RequiredOrders(NamedTuple):
     """Orders of the drift (F) and diffusion (B) derivatives a plan applies."""
@@ -221,8 +245,8 @@ class CompiledScheme:
         ``I^0_2`` apply the order-0 maps, ``I^i_j`` the order-i ones."""
         nodes = self.lowered[0]
         return RequiredOrders(
-            drift=frozenset(o for kind, o, _, _ in nodes if kind in (_DRIFT_FLOW, _DRIFT)),
-            diffusion=frozenset(o for kind, o, _, _ in nodes if kind is _DIFFUSION),
+            drift=frozenset(o for kind, o, *_ in nodes if kind in (_DRIFT_FLOW, _DRIFT)),
+            diffusion=frozenset(o for kind, o, *_ in nodes if kind is _DIFFUSION),
         )
 
 
@@ -286,21 +310,12 @@ def _whole_count(span: float, unit: float, message: str) -> int:
     return count
 
 
-def _check_shapes(u0: SpectralState, path: NoisePath, model: ModelSpec) -> None:
-    if u0.modes != model.modes:
-        raise EngineError(f"state has {u0.modes} modes, model {model.modes}")
-    if path.noise_modes != model.noise_modes:
-        raise EngineError(
-            f"path drives {path.noise_modes} noise modes, model {model.noise_modes}"
-        )
-
-
 # Node kinds of a lowered plan: the semigroup flow I^0_0, the drift flow
 # I^0_1, and the left-point substep sums I^i_2 (i >= 0) and I^i_1 (i >= 1).
 _FLOW, _DRIFT_FLOW, _DIFFUSION, _DRIFT = "flow", "drift flow", "diffusion", "drift"
 
-#: (kind, derivative order, argument slots, trajectory needed)
-_Node = tuple[str, int, tuple[int, ...], bool]
+#: (kind, derivative order, argument slots, trajectory needed, term)
+_Node = tuple[str, int, tuple[int, ...], bool, TermExpr]
 
 
 def _lower(
@@ -312,6 +327,7 @@ def _lower(
     it as an argument.  The walk keeps its own stack, so any depth works."""
     slots: dict[TermExpr, int] = {}
     specs: list[tuple[str, int, tuple[int, ...]]] = []
+    lowered: list[TermExpr] = []
     stack = list(reversed(terms))
     while stack:
         term = stack[-1]
@@ -334,9 +350,12 @@ def _lower(
             raise NotImplementableError(f"cannot evaluate starred {term.j}")
         slots[term] = len(specs)
         specs.append((kind, order, tuple(slots[a] for a in args)))
+        lowered.append(term)
     term_slots = tuple(slots[t] for t in terms)
     read = {a for _, _, args in specs for a in args}
-    nodes = tuple((*spec, slot in read) for slot, spec in enumerate(specs))
+    nodes = tuple(
+        (*spec, slot in read, term) for slot, (spec, term) in enumerate(zip(specs, lowered))
+    )
     return nodes, term_slots, tuple(render_compact(t) for t in terms)
 
 
@@ -344,15 +363,19 @@ class _MeshTables:
     """The per-mode factors of a step h on a mesh of h_fine, read-only."""
 
     def __init__(self, lam: np.ndarray, h: float, h_fine: float, substeps: int):
-        self.lam = lam
+        self.lam, self.h = lam, h
         self.times = _frozen(np.arange(substeps) * h_fine)
         self.decay_fine = _frozen(np.exp(-lam * h_fine))
-        # end_weights[i, j] = exp(-lambda_i (h - r_j))
-        self.end_weights = _frozen(np.exp(-lam[:, None] * (h - self.times[None, :])))
         self.flow = _frozen(np.expm1(-lam * h))
         self.drift_flow = _frozen(-self.flow / lam)
 
-    # Trajectory factors; only plans with an inner I^0_0 or I^0_1 need them.
+    # Only the ladder's tables need the end weights, and only plans with an
+    # inner I^0_0 or I^0_1 the window's trajectory factors.
+    @cached_property
+    def end_weights(self) -> np.ndarray:
+        """e^{-lambda_i (h - r_j)}, indexed [i, j]."""
+        return _frozen(np.exp(-self.lam[:, None] * (self.h - self.times[None, :])))
+
     @cached_property
     def flow_at(self) -> np.ndarray:
         """e^{-lambda_i r_j} - 1, indexed [j, i]."""
@@ -373,89 +396,177 @@ def _mesh_tables(eigenvalues: bytes, h: float, h_fine: float, substeps: int) -> 
 
 
 class BoundPlan:
-    """A compiled scheme bound to a model and a step h on a mesh of h_fine.
+    """A compiled scheme bound to a model and a ladder of step sizes h on a
+    mesh of h_fine, for one step from a start state over a window of noise.
 
-    Binding lowers each of the scheme's nodes once into a step that holds
-    everything the node reads: its rows of the shared mesh tables of
-    (eigenvalues, h, h_fine), its k! scale and the model operator bound to
-    the node's order; a node that vanishes identically is dropped.
-    :meth:`advance` runs the steps in turn from the start state of one path,
-    (N,), or of a batch of paths, (paths, N), on their windows of noise
-    prepared by :meth:`prepare_noise`.  The stepping loop :func:`_run`
-    advances them through consecutive steps; a coarse run of exponential
-    Euler at h_fine equals the reference by construction.
+    Of a node's one-step evaluation only the end weights e^{-lambda (h -
+    r_j)} and the flow factors depend on h.  Its per-substep rows and its
+    trajectory depend on the left points r_j, the start state and the
+    noise before r_j alone, so each node builds them once over the window,
+    ``window`` substeps (by default those of the longest h), and contracts
+    each h's end weights with the first h / h_fine rows.  Binding lowers
+    each of the scheme's nodes once into a step that holds everything the
+    node reads: the shared mesh tables of each h and of the window, its k!
+    scale and the model operator bound to the node's order; a node that
+    vanishes identically is dropped.  :meth:`advance` runs the steps in
+    turn from the start state of one path, (N,), or of a batch of paths,
+    (paths, N), on their windows of noise prepared by
+    :meth:`prepare_noise`, and returns one state per h.
+
+    A multi-step run and the reference bind a ladder of one h, whose
+    window is one step: the stepping loop :func:`_run` advances the states
+    through consecutive windows, and a run of exponential Euler at h_fine
+    equals the reference by construction.
     """
 
-    def __init__(self, scheme: CompiledScheme, model: ModelSpec, h: float, h_fine: float):
+    def __init__(
+        self,
+        scheme: CompiledScheme,
+        model: ModelSpec,
+        ladder: tuple[float, ...],
+        h_fine: float,
+        window: int | None = None,
+    ):
         self.scheme = scheme
         self.model = model
         self.h_fine = h_fine
-        self.substeps = _whole_count(
-            h, h_fine, "step {} is not a whole number of substeps of {}"
+        self.substeps = tuple(
+            _whole_count(h, h_fine, "step {} is not a whole number of substeps of {}")
+            for h in ladder
         )
+        self.window = max(self.substeps) if window is None else window
+        if self.window < max(self.substeps):
+            raise MeshMismatchError(
+                f"a window of {self.window} substeps is shorter than a step of "
+                f"{max(self.substeps)}"
+            )
         nodes, self.term_slots, self.names = scheme.lowered
-        self.tables = _mesh_tables(model.eigenvalues.tobytes(), h, h_fine, self.substeps)
-        self.steps = tuple(self._bind(*node) for node in nodes)
+        lam = model.eigenvalues.tobytes()
+        entries = [_mesh_tables(lam, h, h_fine, k) for h, k in zip(ladder, self.substeps)]
+        # The window's tables give the trajectory factors.
+        self.tables = _mesh_tables(lam, self.window * h_fine, h_fine, self.window)
+        self.entries = range(len(entries))
+        #: Per slot, ``(u0, part) -> trajectory`` of the node, or None.
+        self.paths: list = []
+        # Each h contracts the first h / h_fine rows, all of them for None.
+        cuts = [None if k == self.window else k for k in self.substeps]
+        self.steps = tuple(self._bind(entries, cuts, *node) for node in nodes)
 
-    def _bind(self, kind: str, order: int, arg_slots: tuple[int, ...], trajectory: bool):
-        """The node as a step ``(u0, noise, trajectories) -> (value,
-        trajectory)``: its end value and, when a later node reads it, its
-        trajectory, else None.  ``trajectories`` holds those of the earlier
-        nodes by slot.  A node whose operator vanishes identically, as the
-        model's binders say, is None when no later node reads it, else a
-        step whose value is None and whose trajectory is zero.
+    def _bind(
+        self,
+        entries: list[_MeshTables],
+        cuts: list[int | None],
+        kind: str,
+        order: int,
+        arg_slots: tuple[int, ...],
+        trajectory: bool,
+        term: TermExpr,
+    ):
+        """The node as a step ``(u0, noise, parts, known, rows) -> values``:
+        its end value at each h, or None where it vanishes.  Appends to
+        ``self.paths`` the function that makes the node's trajectory, None
+        where no later node reads it.  A node that a later node reads leaves
+        in ``parts``, under its slot, what its trajectory is made from (its
+        rows, for a sum node); ``known`` holds the trajectories made so far
+        by slot, a reader making each on first read.  ``rows`` is None or the store of
+        sum-node rows by term (see :meth:`advance`).
 
-        Sum nodes reduce their per-substep contributions with the end
-        weights; a diffusion node whose trajectory no later node reads
-        takes the reduced sum from the model, without the rows.  A node's
-        trajectory holds its values at the left points r_0..r_{S-1}, Ito
-        style: the row at r_j has the contributions strictly before r_j."""
+        A node whose operator vanishes identically, as the model's binders
+        say, is None when no later node reads it, else a step whose values
+        are None and whose trajectory is zero.  Sum nodes reduce their
+        per-substep rows with each h's end weights; a diffusion node whose
+        trajectory no later node reads takes the reduced sum of each h from
+        the model, without the rows, where the model fuses it
+        (``bind_sum``).  A node's trajectory holds its values at the left
+        points r_0..r_{S-1}, Ito style: the row at r_j has the
+        contributions strictly before r_j."""
         # The steps hold no reference to the plan, so a plan is freed as soon
         # as its last user drops it, not by the cycle collector.
-        tables, model = self.tables, self.model
+        tables, model, paths, slot = self.tables, self.model, self.paths, len(self.paths)
+        paths.append(None)
+        if trajectory:
+            zeros = partial(np.zeros, (self.window, model.modes))
+            paths[slot] = lambda u0, part: zeros()
         if kind is _FLOW:
-            flow = tables.flow
+            # One h and no trajectory, as in the reference: spare each
+            # substep the call through _each.
+            if not trajectory and len(entries) == 1:
+                flow = entries[0].flow
+                return lambda u0, noise, parts, known, rows: [flow * u0]
+            flows = _each([t.flow.__mul__ for t in entries])
             if not trajectory:
-                return lambda u0, noise, paths: (flow * u0, None)
+                return lambda u0, noise, parts, known, rows: flows(u0)
             flow_at = tables.flow_at
-            return lambda u0, noise, paths: (flow * u0, flow_at * u0[..., None, :])
-        zeros = partial(np.zeros, (self.substeps, model.modes))
-        vanishing = (lambda u0, noise, paths: (None, zeros())) if trajectory else None
-        diffusion = model.diffusion
-        if kind is _DIFFUSION and not trajectory:
-            total = _over_factorial(order, diffusion.bind_sum(order, tables.end_weights))
-            if total is None:
-                return None
-            return lambda u0, noise, paths: (total(u0, [paths[a] for a in arg_slots], noise), None)
+            paths[slot] = lambda u0, part: flow_at * u0[..., None, :]
+
+            def flow_step(u0, noise, parts, known, rows):
+                parts[slot] = u0
+                return flows(u0)
+
+            return flow_step
+        vanishing = _vanishing if trajectory else None
         if kind is _DRIFT_FLOW:
             drift = model.drift.bind_value()
             if drift is None:
                 return vanishing
-            drift_flow = tables.drift_flow
+            drift_flows = _each([t.drift_flow.__mul__ for t in entries])
             if not trajectory:
-                return lambda u0, noise, paths: (drift_flow * drift(u0), None)
+                return lambda u0, noise, parts, known, rows: drift_flows(drift(u0))
             drift_flow_at = tables.drift_flow_at
+            paths[slot] = lambda u0, base: drift_flow_at * base[..., None, :]
 
-            def drift_flow_step(u0, noise, paths):
-                base = drift(u0)
-                return drift_flow * base, drift_flow_at * base[..., None, :]
+            def drift_flow_step(u0, noise, parts, known, rows):
+                base = parts[slot] = drift(u0)
+                return drift_flows(base)
 
             return drift_flow_step
+        read = _reader(arg_slots, paths)
+        diffusion = model.diffusion
+        fused = None if trajectory else getattr(diffusion, "bind_sum", None)
+        if kind is _DIFFUSION and fused is not None:
+            totals = [_over_factorial(order, fused(order, t.end_weights)) for t in entries]
+            if totals[0] is None:
+                return None
+            windows = list(zip(totals, cuts))
+
+            def fused_step(u0, noise, parts, known, rows):
+                args = read(u0, parts, known)
+                return [
+                    total(u0, args, noise if cut is None else noise[..., :cut, :])
+                    for total, cut in windows
+                ]
+
+            return fused_step
         if kind is _DIFFUSION:
-            rows_of = _over_factorial(order, diffusion.bind_rows(order))
+            build = _over_factorial(order, diffusion.bind_rows(order))
         else:
             derivative = model.drift.bind_rows(order)
             scale = self.h_fine / math.factorial(order)
-            rows_of = None if derivative is None else (
+            build = None if derivative is None else (
                 lambda u0, args, noise: derivative(u0, args) * scale
             )
-        if rows_of is None:
+        if build is None:
             return vanishing
-        end_sum, decay = bind_end_sum(tables.end_weights), tables.decay_fine
+        kept = _each([_prefix_sum(t.end_weights, cut) for t, cut in zip(entries, cuts)])
+        # Rows that neither a store nor a later node keeps are scratch, which
+        # a one-column sum may overwrite.
+        scratch = kept if trajectory else _each([
+            _prefix_sum(t.end_weights, cut, overwrite=True) for t, cut in zip(entries, cuts)
+        ])
+        if trajectory:
+            decay = tables.decay_fine
+            paths[slot] = lambda u0, block: _running_sum(block, decay)
 
-        def sum_step(u0, noise, paths):
-            rows = rows_of(u0, [paths[a] for a in arg_slots], noise)
-            return end_sum(rows), _running_sum(rows, decay) if trajectory else None
+        def sum_step(u0, noise, parts, known, rows):
+            if rows is None:
+                block, sums = build(u0, read(u0, parts, known), noise), scratch
+            else:
+                block, sums = rows.get(term), kept
+                if block is None:
+                    block = rows[term] = _frozen(build(u0, read(u0, parts, known), noise))
+            if trajectory:
+                parts[slot] = block
+            return sums(block)
 
         return sum_step
 
@@ -471,35 +582,97 @@ class BoundPlan:
             return self.model.diffusion.prepare_noise(increments)
 
     def advance(
-        self, u0: np.ndarray, noise: np.ndarray | None
-    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
-        """u0 plus the sum of the plan's terms over the window whose prepared
-        noise is ``noise``, and the end value of every node by slot, None
-        where it vanishes (see :meth:`nonfinite`).  ``u0`` is one state,
-        (N,), or one per path, (paths, N), and ``noise`` the window of each,
-        (substeps, ·) or (paths, substeps, ·)."""
-        values: list = []
-        trajectories: list = []
-        for run in self.steps:
-            value, path = (None, None) if run is None else run(u0, noise, trajectories)
-            values.append(value)
-            trajectories.append(path)
-        total = u0
-        for slot in self.term_slots:
-            if values[slot] is not None:
-                total = total + values[slot]
-        return total, values
+        self, u0: np.ndarray, noise: np.ndarray | None, rows: dict | None = None
+    ) -> tuple[list[np.ndarray], list[list[np.ndarray] | None]]:
+        """One step from ``u0`` at each h of the ladder over the window whose
+        prepared noise is ``noise``: u0 plus the sum of the plan's terms at
+        each h, and each node's end values at each h by slot, None where
+        the node vanishes (see :meth:`nonfinite`).  ``u0`` is one state,
+        (N,), or one per path, (paths, N), and ``noise`` the window of
+        each, (window, ·) or (paths, window, ·).
 
-    def nonfinite(self, values: list[np.ndarray | None], row: int) -> NonfiniteValueError:
+        ``rows``, if given, stores the rows of sum nodes by term for this
+        start state and window: a node takes its rows from there if they
+        are there, else builds them and leaves them there, read-only, so
+        plans that share terms build each once.  Without it a node's rows
+        are scratch."""
+        parts: dict = {}
+        known: dict = {}
+        values: list = []
+        for run in self.steps:
+            values.append(None if run is None else run(u0, noise, parts, known, rows))
+        states = []
+        for entry in self.entries:
+            total = u0
+            for slot in self.term_slots:
+                value = values[slot]
+                if value is None:
+                    continue
+                if total is u0:
+                    total = u0 + value[entry]
+                else:
+                    total += value[entry]
+            states.append(total)
+        return states, values
+
+    def nonfinite(
+        self, values: list[list[np.ndarray] | None], row: int, entry: int = 0
+    ) -> NonfiniteValueError:
         """The error for the path in ``row`` of a batch (row 0 of a single
-        path) whose state is not finite: names its first non-finite term,
-        from the node values that :meth:`advance` returns (``None`` for a
-        term that vanishes)."""
+        path) whose state at ladder entry ``entry`` is not finite: names
+        its first non-finite term, from the node values that
+        :meth:`advance` returns (``None`` for a term that vanishes)."""
         for name, slot in zip(self.names, self.term_slots):
             value = values[slot]
-            if value is not None and not np.isfinite(np.atleast_2d(value)[row]).all():
+            if value is not None and not np.isfinite(np.atleast_2d(value[entry])[row]).all():
                 return NonfiniteValueError(name)
         return NonfiniteValueError("sum of plan terms")
+
+
+def _reader(arg_slots: tuple[int, ...], paths: list):
+    """``(u0, parts, known) -> trajectories`` of the nodes in ``arg_slots``,
+    each made on first read from the node's part by its function in
+    ``paths`` and kept in ``known``."""
+    if not arg_slots:
+        return _no_args
+
+    def read(u0, parts, known):
+        out = []
+        for slot in arg_slots:
+            path = known.get(slot)
+            if path is None:
+                path = known[slot] = paths[slot](u0, parts.get(slot))
+            out.append(path)
+        return out
+
+    return read
+
+
+def _no_args(u0, parts, known) -> tuple:
+    return ()
+
+
+def _vanishing(u0, noise, parts, known, rows) -> None:
+    """The step of a node that vanishes identically and that a later node
+    reads: no values; its trajectory is zero."""
+    return None
+
+
+def _each(functions: list):
+    """``x -> [f(x) for f in functions]``."""
+    if len(functions) == 1:
+        only = functions[0]
+        return lambda x: [only(x)]
+    return lambda x: [f(x) for f in functions]
+
+
+def _prefix_sum(weights: np.ndarray, cut: int | None, overwrite: bool = False):
+    """``rows -> `` the end-weighted sum (:func:`bind_end_sum`) of the
+    first ``cut`` rows, or of all for None."""
+    end_sum = bind_end_sum(weights, overwrite)
+    if cut is None:
+        return end_sum
+    return lambda rows: end_sum(rows[..., :cut, :])
 
 
 def _running_sum(rows: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -526,8 +699,8 @@ def _windows(plan: BoundPlan, noise: np.ndarray | None, steps: int):
     the leading axis is step n's window, with no copies."""
     if noise is None:
         return itertools.repeat(None, steps)
-    blocks = noise[..., : steps * plan.substeps, :]
-    blocks = blocks.reshape(blocks.shape[:-2] + (steps, plan.substeps, blocks.shape[-1]))
+    blocks = noise[..., : steps * plan.window, :]
+    blocks = blocks.reshape(blocks.shape[:-2] + (steps, plan.window, blocks.shape[-1]))
     return blocks.swapaxes(-3, 0)
 
 
@@ -538,11 +711,11 @@ def _run(
     steps: int,
     record_steps: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, NonfiniteValueError]]:
-    """The stepping loop: advances the states through ``steps`` consecutive
-    h-long row blocks of ``noise``, their prepared windows, or None for
-    plans without diffusion.  The shapes are those of
-    :meth:`BoundPlan.advance`: a single path runs unbatched, which spares
-    it the cost of broadcasting against the (N,) mesh tables.
+    """The stepping loop of a plan bound to one h: advances the states
+    through ``steps`` consecutive h-long row blocks of ``noise``, their
+    prepared windows, or None for plans without diffusion.  The shapes are
+    those of :meth:`BoundPlan.advance`: a single path runs unbatched, which
+    spares it the cost of broadcasting against the (N,) mesh tables.
 
     Returns the end states, the states after each step count in
     ``record_steps``, and, keyed by row (0 for a single path), the error
@@ -563,7 +736,7 @@ def _run(
     # operations that produced the inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
         for n, window in enumerate(_windows(plan, noise, steps), 1):
-            states = plan.advance(states, window)[0]
+            states = plan.advance(states, window)[0][0]
             if n in record_steps:
                 recorded[n] = states
         failed = {}
@@ -586,10 +759,40 @@ def _first_failures(
         start, noise = start[rows], None if noise is None else noise[rows]
     failed: dict[int, NonfiniteValueError] = {}
     for window in _windows(plan, noise, steps):
-        start, values = plan.advance(start, window)
+        (start,), values = plan.advance(start, window)
         for row in np.flatnonzero(~np.isfinite(start).all(axis=-1)):
             failed.setdefault(int(rows[row]), plan.nonfinite(values, row))
     return failed
+
+
+def _one_step(
+    plan: BoundPlan, u0: np.ndarray, noise: np.ndarray | None, rows: dict | None = None
+) -> tuple[list[np.ndarray], list[list[np.ndarray] | None]]:
+    """:meth:`BoundPlan.advance`, one step from ``u0`` at every h of the
+    plan's ladder over the prepared window ``noise``, with no numpy
+    warning: a blow-up leaves a non-finite state, and one confined to rows
+    past h / h_fine leaves the state at h finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return plan.advance(u0, noise, rows)
+
+
+def _check_inputs(
+    u0: SpectralState, path: NoisePath, model: ModelSpec, workspace: GridWorkspace | None
+) -> None:
+    """The state and the path fit the model; ``workspace`` is None or
+    ``model.workspace()``, the grid the model's diffusion owns, and any
+    other grid is an :class:`EngineError`."""
+    if u0.modes != model.modes:
+        raise EngineError(f"state has {u0.modes} modes, model {model.modes}")
+    if path.noise_modes != model.noise_modes:
+        raise EngineError(
+            f"path drives {path.noise_modes} noise modes, model {model.noise_modes}"
+        )
+    if workspace is not None and workspace != model.workspace():
+        raise EngineError(
+            f"the model computes on its own grid of {model.workspace().grid_points} "
+            f"points, not on {workspace.grid_points}"
+        )
 
 
 def _solve(
@@ -602,27 +805,19 @@ def _solve(
     workspace: GridWorkspace | None,
     record_steps: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, dict[int, SpectralState]]:
-    """One path through :func:`_run`, behind :func:`step` and
-    :func:`reference_solve`.
+    """One path through :func:`_run`, behind :func:`reference_solve`.
 
     Binds the plan once at step h, reads the noise of the window [0, t_end]
     from the path's prepared root window (see :class:`NoisePath`), and runs
-    t_end / h steps.  Returns the end
-    coefficients and snapshots after the step counts in ``record_steps``,
-    each of which must lie in 0..t_end / h.  A step whose result is not
-    finite raises :class:`NonfiniteValueError` naming its first non-finite
-    term.  ``workspace`` is None or ``model.workspace()``, the grid the
-    model's diffusion owns; any other grid is an :class:`EngineError`.
+    t_end / h steps.  Returns the end coefficients and snapshots after the
+    step counts in ``record_steps``, each of which must lie in
+    0..t_end / h.  A step whose result is not finite raises
+    :class:`NonfiniteValueError` naming its first non-finite term.
     """
-    _check_shapes(u0, path, model)
-    if workspace is not None and workspace != model.workspace():
-        raise EngineError(
-            f"the model computes on its own grid of {model.workspace().grid_points} "
-            f"points, not on {workspace.grid_points}"
-        )
-    plan = BoundPlan(scheme, model, h, path.h_fine)
+    _check_inputs(u0, path, model, workspace)
+    plan = BoundPlan(scheme, model, (h,), path.h_fine)
     steps = _whole_count(t_end, h, "t_end {} is not a whole number of steps of h = {}")
-    substeps = steps * plan.substeps
+    substeps = steps * plan.window
     if substeps > path.substeps:
         raise MeshMismatchError(
             f"[0, {t_end}] needs {substeps} substeps, path provides {path.substeps}"
@@ -648,8 +843,25 @@ def step(
     workspace: GridWorkspace | None = None,
 ) -> StepResult:
     """The one-step approximation at time h from u0 on the first h / h_fine
-    increments of the path, as the result's state."""
-    state, _ = _solve(scheme, u0, h, h, path, model, workspace)
+    increments of the path, as the result's state.
+
+    The plan's nodes build their rows over the path's whole root window,
+    once per model and start state, and keep them in the path's record
+    (see :class:`NoisePath`); a step of any h on the path or its prefixes
+    then contracts the first h / h_fine of them.  A non-finite state raises
+    :class:`NonfiniteValueError` naming the first non-finite term, and
+    ``workspace`` is None or ``model.workspace()``."""
+    _check_inputs(u0, path, model, workspace)
+    window = path._window
+    plan = BoundPlan(scheme, model, (h,), path.h_fine, window.substeps)
+    if plan.substeps[0] > path.substeps:
+        raise MeshMismatchError(
+            f"[0, {h}] needs {plan.substeps[0]} substeps, path provides {path.substeps}"
+        )
+    noise = path._prepared_noise(plan, plan.window)
+    (state,), values = _one_step(plan, u0.coeffs, noise, path._rows(model, u0.coeffs))
+    if not np.isfinite(state).all():
+        raise plan.nonfinite(values, 0)
     return StepResult(state=SpectralState(state))
 
 

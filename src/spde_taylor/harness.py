@@ -4,10 +4,13 @@ A study couples each of its schemes with the fine-mesh reference on every
 path: for each h on a dyadic ladder it iterates a scheme with step h from a
 fixed start state up to a horizon and compares the end state with the
 reference snapshot at that horizon, on the same increments.  It runs the
-engine's stepping loop on chunks of paths: each chunk's increments are
-drawn and prepared once, the reference runs once over them, and every
-(scheme, h) plan runs on a row prefix of the same prepared window, so the
-schemes of a study share one noise draw and one reference run.
+engine on chunks of paths: each chunk's increments are drawn and prepared
+once and the reference runs once over them, so the schemes of a study
+share one noise draw and one reference run.  One-step errors take one
+evaluation per scheme and chunk, bound to the whole ladder: each distinct
+term's rows are built once per chunk over the chunk's window, for all
+schemes, and contracted per h.  Multi-step errors run the stepping loop of
+each (scheme, h) on a row prefix of the same prepared window.
 :func:`run_convergence` is the study of one scheme.  The default
 horizon is h itself, so the experiment measures one-step errors; the L2 (or
 Lp) error per h is regressed against h in log-log coordinates and the slope
@@ -38,6 +41,7 @@ from .engine import (
     BoundPlan,
     CompiledScheme,
     NoisePath,
+    _one_step,
     _run,
     compile_scheme,
     path_generator,
@@ -186,20 +190,26 @@ def _ladder_errors(
     to its horizon (h itself for one-step errors, t_end in multi-step mode)
     and compares with the reference snapshot at that horizon, on the same
     increments.  Paths run in chunks of a fixed byte budget: the reference
-    and one plan per (scheme, h) are bound once, and each chunk's
-    increments, drawn path by path with :meth:`NoisePath.draw` and stacked,
-    are prepared once and run through the reference once for all schemes.
-    Returns, per scheme, each h's Euclidean error norms of the included
-    paths in path order, computed with ``np.hypot`` so that finite
-    differences never overflow, and each h's count of excluded paths, those
-    whose scheme run is not finite; then each h's Euclidean norms of the
-    reference states of every path.  A non-finite reference raises
-    :class:`NonfiniteValueError`.
+    and the plans are bound once, and each chunk's increments, drawn path by
+    path with :meth:`NoisePath.draw` and stacked, are prepared once and run
+    through the reference once for all schemes.  In one-step mode each
+    scheme's plan is bound to the whole ladder, and each distinct term's
+    rows are built once per chunk over its window and shared by every
+    scheme, which contracts them per h; in multi-step mode a plan per
+    (scheme, h) runs the stepping loop.  Returns, per scheme, each h's
+    Euclidean error norms of the included paths in path order, computed
+    with ``np.hypot`` so that finite differences never overflow, and each
+    h's count of excluded paths, those whose scheme state at that h is not
+    finite; then each h's Euclidean norms of the reference states of every
+    path.  A non-finite reference raises :class:`NonfiniteValueError`.
     """
     h_fine = config.h_fine
     ladder = sorted(config.ladder, reverse=True)
-    reference = BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine)
-    plans = [{h: BoundPlan(s, model, h, h_fine) for h in ladder} for s in schemes]
+    reference = BoundPlan(_REFERENCE_SCHEME, model, (h_fine,), h_fine)
+    if config.multi_step:
+        plans = [{h: BoundPlan(s, model, (h,), h_fine) for h in ladder} for s in schemes]
+    else:
+        plans = [BoundPlan(s, model, tuple(ladder), h_fine) for s in schemes]
     steps = {h: round(config.t_end / h) if config.multi_step else 1 for h in ladder}
     horizon = {h: steps[h] * round(h / h_fine) for h in ladder}  # in substeps
     window = max(horizon.values())
@@ -221,12 +231,17 @@ def _ladder_errors(
             raise failed[min(failed)]
         for h in ladder:
             reference_norms[h].extend(np.hypot.reduce(recorded[horizon[h]], axis=-1).tolist())
-        for by_h, (errors, excluded) in zip(plans, results):
-            for h, plan in by_h.items():
-                approx, _, failed = _run(plan, u0, noise[:, : horizon[h]], steps[h])
-                excluded[h] += len(failed)
+        rows: dict = {}  # the chunk's term rows, shared by the one-step plans
+        for plan, (errors, excluded) in zip(plans, results):
+            if config.multi_step:
+                states = [_run(plan[h], u0, noise[:, : horizon[h]], steps[h])[0] for h in ladder]
+            else:
+                states, _ = _one_step(plan, u0, noise, rows)
+            for h, approx in zip(ladder, states):
+                finite = np.isfinite(approx).all(axis=-1)
+                excluded[h] += int(finite.size - finite.sum())
                 norms = np.hypot.reduce(approx - recorded[horizon[h]], axis=-1)
-                errors[h].extend(np.delete(norms, list(failed)).tolist())
+                errors[h].extend(norms[finite].tolist())
     return results, reference_norms
 
 

@@ -197,7 +197,7 @@ class DriftOperator(Protocol):
     ``bind_value()`` returns ``base -> F(base)``, and ``bind_rows(order)``
     returns ``(base, arg_rows) -> rows`` F^(k)(base)(args), (..., S, N),
     for argument trajectories of shape (..., S, N).  ``None`` means
-    identically zero, as for the diffusion's ``bind_rows``/``bind_sum``:
+    identically zero, as for the diffusion's ``bind_rows``:
     the engine then drops the node when it binds the plan, and a node
     whose trajectory a later node reads gets a zero trajectory.
     """
@@ -225,14 +225,22 @@ class DiffusionOperator(Protocol):
     once and hand out row slices of it.  Leading axes are batch axes: a
     base of shape (..., N) goes with noise rows of shape (..., S, ·).
 
-    ``bind_rows`` and ``bind_sum`` return a function of ``(base, arg_rows,
-    noise)``: the rows B^(k)(base)(args)(xi_s), (..., S, N), or only
-    sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n], (..., N), for the
-    (N, S) weights they were bound to; ``None`` means identically zero.
-    The engine binds the rows only where a later node reads the trajectory
-    (its running sum needs them), else the sum, and divides either by k!.
+    ``bind_rows`` returns a function of ``(base, arg_rows, noise)``: the
+    rows B^(k)(base)(args)(xi_s), (..., S, N), as a fresh array that the
+    caller may overwrite; ``None`` means identically zero.  The engine
+    builds a node's rows once over a window of noise, contracts them with
+    the end weights of every step size and divides them by k!.
     ``apply_diffusion`` and ``diffusion_matrix`` apply the bound rows once,
     to unit noise vectors.
+
+    An operator whose end-weighted sum is cheaper than its rows may also
+    provide ``bind_sum(order, weights)``, a function of the same arguments
+    that gives only sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n],
+    (..., N), for the (N, S) weights it was bound to, or None where
+    ``bind_rows`` is None.  The engine takes it for a node whose trajectory
+    no later node reads, once per step size, and divides it by k!; the
+    diagonal model has one, the multiplication model, whose sum is only its
+    rows reduced, has none.
     """
 
     modes: int
@@ -242,16 +250,24 @@ class DiffusionOperator(Protocol):
 
     def bind_rows(self, order: int) -> BoundDiffusion | None: ...
 
-    def bind_sum(self, order: int, weights: np.ndarray) -> BoundDiffusion | None: ...
 
-
-def bind_end_sum(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def bind_end_sum(
+    weights: np.ndarray, overwrite: bool = False
+) -> Callable[[np.ndarray], np.ndarray]:
     """rows -> sum_s weights[n, s] rows[..., s, n] for (N, S) weights; a
     single row is multiplied by the weight column, which gives the einsum's
-    bytes but for the sign of a zero."""
+    bytes but for the sign of a zero, in place if ``overwrite`` is set."""
     if weights.shape[1] == 1:
         column = weights[:, 0]
-        return lambda rows: rows[..., 0, :] * column
+        if not overwrite:
+            return lambda rows: rows[..., 0, :] * column
+
+        def in_place(rows):
+            row = rows[..., 0, :]
+            row *= column
+            return row
+
+        return in_place
     return lambda rows: np.einsum("ns,...sn->...n", weights, rows)
 
 
@@ -291,6 +307,10 @@ class MultiplicationDiffusion:
         sine, interpolant = self.sine, self.interpolant
         if order == 0:
             def rows(base, arg_rows, noise):
+                # One path's products go to BLAS through np.dot, which costs
+                # less per call; a batch stays a stack of one-path products.
+                if base.ndim == 1:
+                    return np.dot(np.dot(base, sine) * noise, interpolant)
                 return ((base[..., None, :] @ sine) * noise) @ interpolant
         else:
             def rows(base, arg_rows, noise):
@@ -304,18 +324,13 @@ class MultiplicationDiffusion:
                 return multiplier @ interpolant
         return rows
 
-    def bind_sum(self, order, weights):
-        rows = self.bind_rows(order)
-        if rows is None:
-            return None
-        end_sum = bind_end_sum(weights)
-        return lambda base, arg_rows, noise: end_sum(rows(base, arg_rows, noise))
-
 
 class DiagonalDiffusion:
     """Constant B mapping noise mode k to b_k times state mode k, for
     states of ``modes`` modes and one noise mode per weight; it needs no
-    grid, and the prepared noise is the rows themselves, with no copy."""
+    grid, and the prepared noise is the rows themselves, with no copy.  Its
+    end-weighted sum (``bind_sum``) is one contraction over views of the
+    noise, with no rows."""
 
     def __init__(self, weights: np.ndarray, modes: int):
         self.weights = np.asarray(weights, dtype=float)
@@ -353,9 +368,10 @@ class DiagonalDiffusion:
         return weighted_sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Immutable bundle of the model data over a fixed truncation."""
+    """Immutable bundle of the model data over a fixed truncation; models
+    compare and hash by identity."""
 
     name: str
     eigenvalues: np.ndarray

@@ -1,5 +1,6 @@
 """Scheme engine: compilation, stepping, reference coupling, noise streams."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -15,6 +16,7 @@ from spde_taylor.engine import (
     NonfiniteValueError,
     NotImplementableError,
     _mesh_tables,
+    _one_step,
     _run,
     _solve,
     builtin_scheme,
@@ -146,6 +148,14 @@ class TestNoisePath:
         own[:] = 7.0
         np.testing.assert_array_equal(copied.increments, np.ones((4, 2)))
 
+    def test_paths_compare_and_hash_by_identity(self):
+        # A path's record holds what steps built from it, so two paths of
+        # equal increments are two paths.
+        path = NoisePath(np.zeros((2, 2)), h_fine=1.0)
+        twin = NoisePath(np.zeros((2, 2)), h_fine=1.0)
+        assert path == path and path != twin and path.prefix(2) != path
+        assert len({path, twin, path}) == 2
+
     def test_prefix_too_long(self):
         path = NoisePath.draw(path_generator(1, 0), 8, 2, H_FINE)
         with pytest.raises(MeshMismatchError):
@@ -154,11 +164,14 @@ class TestNoisePath:
     def test_a_short_prefix_prepares_and_keeps_the_whole_path(self):
         # The cost the docstring of NoisePath names: one step on a prefix of
         # 4 substeps prepares the path's whole window, P = 63 grid columns
-        # a row against M = 16 increments at N = M = 16, and the path holds
-        # it after the step: 2 MiB for 2^12 substeps.
+        # a row against M = 16 increments at N = M = 16, and builds the rows
+        # of the scheme's one diffusion term over it, N = 16 a row; the
+        # path holds both after the step, 2 MiB and 512 KiB for 2^12
+        # substeps.  The peak adds the (S, P) grid product of those rows.
         model = heat_multiplicative_model(16, 16)
         scheme, path = builtin_scheme("exp-euler"), draw_path(model, 2**12)
         prepared = path.substeps * model.diffusion.workspace.grid_points * 8
+        rows = path.substeps * model.modes * 8
         step(scheme, model.initial, 4 * H_FINE, draw_path(model, 4, index=1), model)
         tracemalloc.start()
         try:
@@ -166,7 +179,8 @@ class TestNoisePath:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert prepared <= held <= peak < prepared + 64 * 1024
+        assert prepared + rows <= held < prepared + rows + 64 * 1024
+        assert peak < 2 * prepared + rows + 64 * 1024
 
 
 class TestStep:
@@ -300,7 +314,7 @@ class TestReference:
         # coupled run of a chunk of paths at h = h_fine must agree with the
         # reference of each path to the last bit.
         increments = chunk_increments(mult, 3, 64, seed=21)
-        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
+        plan = BoundPlan(builtin_scheme("exp-euler"), mult, (H_FINE,), H_FINE)
         states, _, failed = _run(
             plan, start_states(mult, 3), plan.prepare_noise(increments), 64
         )
@@ -312,31 +326,39 @@ class TestReference:
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
     def test_single_step_run_equals_step_bitwise(self, name, mult):
-        # step() reads its rows from the prepared window of the whole drawn
-        # path, as the one-step order study reads each ladder entry from the
-        # prepared window of its chunk: a path gets the same bytes alone,
-        # in a chunk and from step().  Noise prepared on the prefix alone
-        # agrees up to rounding, since BLAS blocks a product's rows by
-        # their count.
+        # step() contracts rows built over the prepared window of the whole
+        # drawn path, as the one-step order study contracts rows built over
+        # the prepared window of its chunk: a path gets the same bytes
+        # alone, in a chunk and from step().  The stepping loop on a window
+        # of h / h_fine rows builds its rows there; it agrees up to
+        # rounding, since BLAS blocks a product's rows by their count, and
+        # its batched and single runs agree bitwise.
         scheme = builtin_scheme(name)
         increments = chunk_increments(mult, 3, 256, seed=9)
         for substeps in (1, 16, 256):
-            plan = BoundPlan(scheme, mult, substeps * H_FINE, H_FINE)
-            exact, _, _ = _run(
-                plan, start_states(mult, 3), plan.prepare_noise(increments[:, :substeps]), 1
-            )
+            h = substeps * H_FINE
+            plan = BoundPlan(scheme, mult, (h,), H_FINE, 256)
             noise = plan.prepare_noise(increments)
+            (chunk,), _ = _one_step(plan, start_states(mult, 3), noise, {})
+            loop_plan = BoundPlan(scheme, mult, (h,), H_FINE)
+            exact, _, _ = _run(
+                loop_plan, start_states(mult, 3),
+                loop_plan.prepare_noise(increments[:, :substeps]), 1,
+            )
             window = None if noise is None else noise[:, :substeps]
-            shared, _, _ = _run(plan, start_states(mult, 3), window, 1)
+            shared, _, _ = _run(loop_plan, start_states(mult, 3), window, 1)
             for row in range(3):
                 path = NoisePath(increments[row], h_fine=H_FINE)
-                single = step(scheme, mult.initial, substeps * H_FINE, path, mult).state
+                single = step(scheme, mult.initial, h, path, mult).state
                 alone = plan.prepare_noise(increments[row : row + 1])
-                solo, _, _ = _run(
-                    plan, start_states(mult, 1), None if alone is None else alone[:, :substeps], 1
+                (solo,), _ = _one_step(plan, start_states(mult, 1), alone, {})
+                loop, _, _ = _run(
+                    loop_plan, start_states(mult, 1),
+                    None if alone is None else alone[:, :substeps], 1,
                 )
-                assert shared[row].tobytes() == solo[0].tobytes()
+                assert chunk[row].tobytes() == solo[0].tobytes()
                 assert single.coeffs.tobytes() == solo[0].tobytes()
+                assert shared[row].tobytes() == loop[0].tobytes()
                 np.testing.assert_allclose(exact[row], single.coeffs, rtol=1e-13, atol=1e-16)
 
     def test_blow_up_stays_in_its_row(self, mult):
@@ -344,7 +366,7 @@ class TestReference:
         # the chunk end where they end alone.
         increments = chunk_increments(mult, 3, 16, seed=4)
         increments[1] *= 1e200
-        plan = BoundPlan(builtin_scheme("full-2nd"), mult, 16 * H_FINE, H_FINE)
+        plan = BoundPlan(builtin_scheme("full-2nd"), mult, (16 * H_FINE,), H_FINE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, _, failed = _run(
@@ -364,7 +386,7 @@ class TestReference:
         # step for non-finite values; the elementwise check then finds
         # every state finite, and no path is flagged.
         increments = chunk_increments(additive, 3, 16, seed=6)
-        plan = BoundPlan(builtin_scheme("exp-euler"), additive, 4 * H_FINE, H_FINE)
+        plan = BoundPlan(builtin_scheme("exp-euler"), additive, (4 * H_FINE,), H_FINE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, _, failed = _run(
@@ -378,7 +400,7 @@ class TestReference:
         # sixth step non-finite; paths 0 and 2 end where they end alone.
         increments = chunk_increments(mult, 3, 8, seed=8)
         increments[1, 5, 3] = np.nan
-        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
+        plan = BoundPlan(builtin_scheme("exp-euler"), mult, (H_FINE,), H_FINE)
         noise = plan.prepare_noise(increments)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -404,7 +426,7 @@ class TestReference:
         increments = chunk_increments(mult, 3, 64, seed=12)
         increments[1, 16:24] *= 1e200
         increments[2, 45, 0] = np.nan
-        plan = BoundPlan(builtin_scheme("full-2nd"), mult, 8 * H_FINE, H_FINE)
+        plan = BoundPlan(builtin_scheme("full-2nd"), mult, (8 * H_FINE,), H_FINE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, recorded, failed = _run(
@@ -515,6 +537,106 @@ class TestReference:
         assert 2**0.05 < ratio < 2**0.5
 
 
+class TestLadder:
+    """One step at every h of a ladder, contracted from rows built once over
+    the longest window, against the stepping loop of a plan bound to each h
+    alone on noise prepared from its own prefix."""
+
+    SUBSTEPS = (256, 64, 16, 4)
+    #: Where the two agree to the last bit on these shapes: the schemes with
+    #: no product or only the order-0 one, and the diagonal model, which
+    #: multiplies no matrices.
+    BITWISE = {
+        "heat-mult": {"taylor-delta", "exp-euler", "exp-euler-nodrift"},
+        "heat-add": set(BUILTIN_WOODS),
+    }
+
+    def ladder(self, scheme, model):
+        return BoundPlan(scheme, model, tuple(k * H_FINE for k in self.SUBSTEPS), H_FINE)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
+    @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
+    def test_each_h_equals_its_own_loop(self, name, model_name, mult, additive):
+        model = {"heat-mult": mult, "heat-add": additive}[model_name]
+        scheme = builtin_scheme(name)
+        increments = chunk_increments(model, 3, 256, seed=13)
+        plan = self.ladder(scheme, model)
+        states, _ = _one_step(plan, start_states(model, 3), plan.prepare_noise(increments), {})
+        assert len(states) == len(self.SUBSTEPS)
+        for k, state in zip(self.SUBSTEPS, states):
+            alone = BoundPlan(scheme, model, (k * H_FINE,), H_FINE)
+            loop, _, _ = _run(
+                alone, start_states(model, 3), alone.prepare_noise(increments[:, :k]), 1
+            )
+            np.testing.assert_allclose(state, loop, rtol=1e-13, atol=1e-16)
+            if name in self.BITWISE[model_name]:
+                assert state.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("constant_drift", [False, True], ids=["zero", "constant"])
+    def test_a_read_drift_flow_steps_as_its_loop(self, constant_drift, mult):
+        # I^1_2[I^0_1] reads the trajectory of the drift flow: zero for the
+        # zero drift, whose node vanishes, so the step leaves u0 as it is.
+        scheme = compile_scheme(integral(1, L["2"], (I0(L["1"]),)))
+        model = mult
+        if constant_drift:
+            model = dataclasses.replace(mult, drift=ConstantDrift(np.ones(mult.modes)))
+        increments = chunk_increments(model, 3, 256, seed=14)
+        plan = self.ladder(scheme, model)
+        states, _ = _one_step(plan, start_states(model, 3), plan.prepare_noise(increments), {})
+        path = NoisePath(increments[0], h_fine=H_FINE)
+        for k, state in zip(self.SUBSTEPS, states):
+            alone = BoundPlan(scheme, model, (k * H_FINE,), H_FINE)
+            loop, _, _ = _run(
+                alone, start_states(model, 3), alone.prepare_noise(increments[:, :k]), 1
+            )
+            np.testing.assert_allclose(state, loop, rtol=1e-13, atol=1e-16)
+            stepped = step(scheme, model.initial, k * H_FINE, path.prefix(k), model).state
+            assert stepped.coeffs.tobytes() == state[0].tobytes()
+            if not constant_drift:
+                assert (state == start_states(model, 3)).all()
+
+    def test_a_blow_up_past_an_h_leaves_that_h_finite(self, mult):
+        # Path 1's increments from substep 64 on overflow full-2nd's
+        # iterated term, and only its state at 256 substeps is not finite:
+        # the shorter steps contract rows before the blow-up, and have the
+        # bytes of the unscaled path, as have paths 0 and 2 at every h.
+        # exp-euler, with no iterated term, stays finite on the same rows.
+        increments = chunk_increments(mult, 3, 256, seed=13)
+        wild = increments.copy()
+        wild[1, 64:] *= 1e200
+        plans = [self.ladder(builtin_scheme(n), mult) for n in ("full-2nd", "exp-euler")]
+        noise, rows = plans[0].prepare_noise(wild), {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full, euler = (_one_step(p, start_states(mult, 3), noise, rows)[0] for p in plans)
+        clean, _ = _one_step(plans[0], start_states(mult, 3), plans[0].prepare_noise(increments))
+        assert [np.isfinite(s).all(axis=-1).tolist() for s in full] == [
+            [True, False, True], [True] * 3, [True] * 3, [True] * 3,
+        ]
+        assert all(np.isfinite(s).all() for s in euler)
+        for k, got, want in zip(self.SUBSTEPS, full, clean):
+            paths = [0, 2] if k > 64 else [0, 1, 2]
+            assert got[paths].tobytes() == want[paths].tobytes()
+
+    def test_step_on_a_prefix_before_a_blow_up_is_finite(self, mult):
+        # The same through step(): the path's rows overflow past substep
+        # 64, and its prefixes up to there step as on the unscaled path.
+        scheme = builtin_scheme("full-2nd")
+        increments = draw_path(mult, 256, seed=13).increments
+        wild = increments.copy()
+        wild[64:] *= 1e200
+        path, clean = NoisePath(wild, h_fine=H_FINE), NoisePath(increments, h_fine=H_FINE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (64, 16):
+                got = step(scheme, mult.initial, k * H_FINE, path.prefix(k), mult).state
+                want = step(scheme, mult.initial, k * H_FINE, clean.prefix(k), mult).state
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            with pytest.raises(NonfiniteValueError) as info:
+                step(scheme, mult.initial, 256 * H_FINE, path, mult)
+        assert info.value.term == "I^1_2[I^0_2]"
+
+
 def test_mesh_tables_are_keyed_by_eigenvalues_and_read_only():
     # heat-mult at N = 16 and N = 64 and heat-add at N = 16 bind the same
     # (h, h_fine); interleaved through one table cache, each must give the
@@ -539,7 +661,7 @@ def test_mesh_tables_are_keyed_by_eigenvalues_and_read_only():
     _mesh_tables.cache_clear()
     for i in (0, 1, 2, 1, 0, 2, 2, 1, 0):
         assert run(i) == alone[i]
-    plans = [BoundPlan(scheme, s, h, H_FINE) for s in specs]
+    plans = [BoundPlan(scheme, s, (h,), H_FINE) for s in specs]
     assert plans[0].tables is plans[2].tables  # equal eigenvalues
     assert plans[0].tables is not plans[1].tables
     for plan in plans:

@@ -1,5 +1,6 @@
 """Harness: predicted orders, reports, reproducibility, CLI contract."""
 
+import collections
 import dataclasses
 import json
 import re
@@ -377,20 +378,43 @@ def scale_path(monkeypatch, index, factor):
 def chunk_runs(monkeypatch, paths_per_chunk, config):
     """Set the chunk budget to ``paths_per_chunk`` paths of ``config``'s
     window and record the scheme and the height of every batch the stepping
-    loop runs."""
+    loop or the one-step ladder runs."""
     window = 2 ** (config.fine_log2 - min(config.ladder_log2))
     monkeypatch.setattr(
         harness, "_CHUNK_BYTES", paths_per_chunk * 8 * window * config.noise_modes
     )
     runs = []
-    run = harness._run
+    for name in ("_run", "_one_step"):
+        run = getattr(harness, name)
 
-    def spy(plan, states, *args):
-        runs.append((plan.scheme, len(states)))
-        return run(plan, states, *args)
+        def spy(plan, states, *args, run=run):
+            runs.append((plan.scheme, len(states)))
+            return run(plan, states, *args)
 
-    monkeypatch.setattr(harness, "_run", spy)
+        monkeypatch.setattr(harness, name, spy)
     return runs
+
+
+class CountingMultiplier(MultiplicationDiffusion):
+    """A test double: multiplication noise that counts, by derivative
+    order, the row blocks it builds over more than one substep (the
+    reference builds one row per substep)."""
+
+    def __init__(self, modes, noise_modes):
+        super().__init__(modes, noise_modes)
+        self.builds = collections.Counter()
+
+    def bind_rows(self, order):
+        rows = super().bind_rows(order)
+        if rows is None:
+            return None
+
+        def counted(base, arg_rows, noise):
+            if noise.shape[-2] > 1:
+                self.builds[order] += 1
+            return rows(base, arg_rows, noise)
+
+        return counted
 
 
 class TestChunks:
@@ -405,7 +429,8 @@ class TestChunks:
                 studies.append(run_study(TINY, names))
             seen.append(sorted({height for _, height in runs}))
             references.append(sum(scheme is _REFERENCE_SCHEME for scheme, _ in runs))
-            assert len(runs) == references[-1] * (1 + len(names) * len(TINY.ladder))
+            # One one-step ladder per scheme and chunk serves every h.
+            assert len(runs) == references[-1] * (1 + len(names))
         assert seen == [[1], [2, 3], [TINY.paths]]
         assert references == [8, 3, 1]
         assert studies[0] == studies[1] == studies[2]
@@ -414,11 +439,12 @@ class TestChunks:
 
     @pytest.mark.parametrize("per_chunk", [1, 8])
     def test_step_has_the_studys_bytes_in_either_call_order(self, monkeypatch, per_chunk):
-        # A prefix of a drawn path reads the rows of the path's one prepared
-        # window, as the study's runs read those of their chunk's: each
-        # one-step state and each reference snapshot of step() and
-        # reference_solve() has the bytes of the study's run of that path,
-        # whether the prefixes are stepped before or after the reference.
+        # A prefix of a drawn path contracts the rows built over the path's
+        # one prepared window, as the study's ladders contract those built
+        # over their chunk's: each one-step state and each reference
+        # snapshot of step() and reference_solve() has the bytes of the
+        # study's run of that path, whether the prefixes are stepped before
+        # or after the reference, from the longest h down or the shortest up.
         config = dataclasses.replace(
             TINY, fine_log2=10, ladder_log2=(2, 3, 4), modes=64, noise_modes=64
         )
@@ -428,25 +454,30 @@ class TestChunks:
         study: dict = {}
         with monkeypatch.context() as patch:
             chunk_runs(patch, per_chunk, config)
-            run = harness._run
+            run, one_step = harness._run, harness._one_step
 
-            def keep(plan, states, noise, steps, record_steps=()):
+            def keep_reference(plan, states, noise, steps, record_steps=()):
                 out = run(plan, states, noise, steps, record_steps)
-                if plan.scheme is _REFERENCE_SCHEME:
-                    for k in record_steps:
-                        study.setdefault(("reference", k), []).extend(out[1][k])
-                else:
-                    name = names[schemes.index(plan.scheme)]
-                    study.setdefault((name, plan.substeps), []).extend(out[0])
+                assert plan.scheme is _REFERENCE_SCHEME
+                for k in record_steps:
+                    study.setdefault(("reference", k), []).extend(out[1][k])
                 return out
 
-            patch.setattr(harness, "_run", keep)
+            def keep_ladder(plan, states, noise, rows):
+                out = one_step(plan, states, noise, rows)
+                name = names[schemes.index(plan.scheme)]
+                for k, approx in zip(plan.substeps, out[0]):
+                    study.setdefault((name, k), []).extend(approx)
+                return out
+
+            patch.setattr(harness, "_run", keep_reference)
+            patch.setattr(harness, "_one_step", keep_ladder)
             harness._ladder_errors(config, schemes, model)
         window = max(k for _, k in study)
         horizons = sorted({k for name, k in study if name != "reference"})
         u0 = model.initial
         for index in range(config.paths):
-            for reference_first in (True, False):
+            for reference_first, order in ((True, horizons[::-1]), (False, horizons)):
                 path = NoisePath.draw(
                     harness.path_generator(config.seed, index), window,
                     model.noise_modes, config.h_fine,
@@ -457,7 +488,7 @@ class TestChunks:
                         u0, window * config.h_fine, path, model, record_substeps=horizons
                     )
                 for name, scheme in zip(names, schemes):
-                    for k in horizons:
+                    for k in order:
                         state = step(scheme, u0, k * config.h_fine, path.prefix(k), model).state
                         got[name, k] = state.coeffs
                 if not reference_first:
@@ -468,6 +499,31 @@ class TestChunks:
                 assert got.keys() == study.keys()
                 for key, coeffs in got.items():
                     assert coeffs.tobytes() == study[key][index].tobytes(), key
+
+    def test_a_study_builds_each_terms_rows_once_per_chunk(self):
+        # Criterion 3's four schemes share three distinct diffusion terms,
+        # I^0_2 (order 0), I^1_2[I^0_0] and I^1_2[I^0_2] (order 1): each
+        # chunk builds each one's rows once, for every scheme and h.
+        # 16 paths make two chunks of 8.
+        config = ExperimentConfig(seed=2024, paths=16)
+        names = ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd")
+        diffusion = CountingMultiplier(config.modes, config.noise_modes)
+        model = dataclasses.replace(heat_multiplicative_model(), diffusion=diffusion)
+        harness._ladder_errors(config, tuple(builtin_scheme(n) for n in names), model)
+        assert diffusion.builds == {0: 2, 1: 4}
+
+    def test_steps_down_a_ladder_build_each_terms_rows_once(self):
+        # Five step()s of each scheme on prefixes of one drawn path build
+        # the rows of its three diffusion terms once, over the whole path,
+        # and contract them for every h after.
+        diffusion = CountingMultiplier(64, 64)
+        model = dataclasses.replace(heat_multiplicative_model(), diffusion=diffusion)
+        h_fine = 2.0**-12
+        path = NoisePath.draw(harness.path_generator(2024, 0), 256, 64, h_fine)
+        for name in ("full-2nd", "milstein-b0", "exp-euler", "taylor-delta"):
+            for k in (256, 128, 64, 32, 16):
+                step(builtin_scheme(name), model.initial, k * h_fine, path.prefix(k), model)
+            assert diffusion.builds == {0: 1, 1: 2}
 
     def test_a_blow_up_is_excluded_exactly_where_its_run_is_not_finite(
         self, monkeypatch

@@ -18,6 +18,7 @@ from spde_taylor.models import (
     SpectralState,
     apply_diffusion,
     apply_semigroup,
+    bind_end_sum,
     convolution_variances,
     default_workspace,
     diffusion_matrix,
@@ -313,9 +314,11 @@ def grid_values(lead, substeps, modes, noise_modes):
 
 
 class TestWeightedSum:
-    """The bound sum gives the bytes of the rows reduced by the einsum with
-    the end weights, at orders 0 and 1, with ``None`` for both where the
-    derivative vanishes."""
+    """The end-weighted sum the engine takes of a diffusion node, the
+    model's fused ``bind_sum`` where it has one and else ``bind_end_sum``
+    of the bound rows, in place or not, gives the bytes of the rows reduced
+    by the einsum with the end weights, at orders 0 and 1, with ``None``
+    for both where the derivative vanishes."""
 
     @staticmethod
     def check(model, order, lead, substeps):
@@ -327,15 +330,19 @@ class TestWeightedSum:
         args = [rng.standard_normal(lead + (substeps, modes))][:order]
         weights = rng.uniform(0.5, 1.0, (modes, substeps))
         bound = diffusion.bind_rows(order)
-        total = diffusion.bind_sum(order, weights)
+        fused = getattr(diffusion, "bind_sum", None)
+        total = fused and fused(order, weights)
         if bound is None:
             assert total is None
             return
         rows = bound(base, args, noise)
-        got = total(base, args, noise)
         want = np.einsum("ns,...sn->...n", weights, rows)
-        assert got.shape == want.shape == lead + (modes,)
-        assert got.tobytes() == want.tobytes()
+        sums = [bind_end_sum(weights)(rows), bind_end_sum(weights, overwrite=True)(rows.copy())]
+        if fused is not None:
+            sums.append(total(base, args, noise))
+        for got in sums:
+            assert got.shape == want.shape == lead + (modes,)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("lead, substeps, modes, noise_modes", SHAPES)
@@ -351,7 +358,10 @@ class TestWeightedSum:
         [shape for shape in SHAPES if grid_values(*shape) <= 2**21],
     )
     def test_multiplication(self, order, lead, substeps, modes, noise_modes):
-        self.check(heat_multiplicative_model(modes, noise_modes), order, lead, substeps)
+        # Its sum is only its rows reduced: the engine keeps the rows.
+        model = heat_multiplicative_model(modes, noise_modes)
+        assert not hasattr(model.diffusion, "bind_sum")
+        self.check(model, order, lead, substeps)
 
 
 class TestInitialConditions:

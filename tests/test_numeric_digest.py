@@ -11,20 +11,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "numeric_digest.py"
 
 PINNED = {
-    "mult32": "d31ffdb3d129199b76477eb45d77d1b87c3979bd2a35a8da69ede202a3e7e422",
-    "mult16x8": "68956eb036b50b1c8be85dd373329d4c1152b7ce339291b5ce74ef5bf14621d7",
-    "mult8x16": "bcba29e001cae59a52b519ca59a81b2a6e65453a5eb6961a9c135ae0c70f76fa",
-    "mult64": "cadea3a3f74c23aa048c12ddea302b70a430aa1bce7fd2fb9320e44d53f1af41",
+    "mult32": "73f25fef7efa23463fd10f3085a91e8d20c8fa72ca5f8f14f3e3ae4f97a9edd3",
+    "mult16x8": "18efb87d1b20d94dca1b69ea57d0dd5e84ee0cbbeca635999fa429580a1bf12d",
+    "mult8x16": "31e3e2405182e94590342700f3ca2635e8453ca6fe73dd6b9f61d21522a9e3df",
+    "mult64": "6792b5f720d028e379f3abb55ebae271ae80b7400401bed1994710305f051b6e",
     "add8": "d7af0edeb4bf0a484b21568a3e9c46751900f969a61b045c8c85fe7a2cc085f4",
     "add8x4": "a1c3b03d156749c4653fa35e76e1feb233c87fcfa6f3c66c14703045219f9480",
     "add4x8": "dbc4dcc397e59311d42860bc1e854ccd2b7a2cb69633995a6ff33f2da872d1cd",
     # Criterion 3's shape, as the order study's benchmark op builds it, and
     # criterion 4's, the variance op's: the end states at the arithmetic of
     # the rows reduced by an einsum, which the fused diagonal sum keeps.
-    "order_shape": "cb307d34c14b7bdb0b4ffb26b60d8bf7bd9de7fc403fbabed0a2589b7f4bc957",
+    "order_shape": "a6a3d2393b5dde10f5f7d0234aeb8477b0868801f4bbc35896a9260fc429205e",
     "variance_shape": "dd191cab5360d005ba3160a90eff258737aa7df2143f873e858fc27dc398a4d0",
     "report-heat-mult-False-json": "12ebe62380c9dd7390a451d7df6db8b0620f9fb094b8443401b3eac5c5520227",
     "report-heat-mult-False-csv": "967112ae129d743679c480c2b18c49e29320212080e66f9137ddb85c2e682838",
@@ -41,8 +43,28 @@ PINNED = {
 }
 
 
-def test_every_family_is_pinned():
+@pytest.fixture(scope="module")
+def dump(tmp_path_factory):
+    """The script's output, with every family's values written to a
+    directory, and that directory."""
+    values = tmp_path_factory.mktemp("values")
     run = subprocess.run(
-        [sys.executable, str(SCRIPT)], capture_output=True, text=True, check=True
+        [sys.executable, str(SCRIPT), "--values", str(values)],
+        capture_output=True, text=True, check=True,
     )
-    assert dict(line.split() for line in run.stdout.splitlines()) == PINNED
+    return run.stdout, values
+
+
+def test_every_family_is_pinned(dump):
+    stdout, _ = dump
+    assert dict(line.split() for line in stdout.splitlines()) == PINNED
+
+
+def test_a_dump_compared_with_itself_changes_by_zero(dump):
+    _, values = dump
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), "--compare", str(values), str(values)],
+        capture_output=True, text=True, check=True,
+    )
+    families = {name.rsplit("-", 1)[0] if name.startswith("report") else name for name in PINNED}
+    assert dict(line.split() for line in run.stdout.splitlines()) == dict.fromkeys(families, "0")
