@@ -48,7 +48,8 @@ digest order, and each report's slope, margin and rows' errors and
 standard errors for a report family (NaN for None).  ``--compare DIR_A
 DIR_B`` prints, for each family dumped in both, the largest relative
 change |b - a| / |a| of any value: the number a change that moves a
-digest states.
+digest states.  It exits 1 when a family moved, is missing from DIR_B or
+changed its count of values, and 0 when every family kept its values.
 
     python3 scripts/numeric_digest.py            # every family
     python3 scripts/numeric_digest.py add8 mult16x8
@@ -139,10 +140,10 @@ def _state_bytes(build, modes, noise_modes):
     for name in NAMES:
         scheme = builtin_scheme(name)
         for substeps in (1, 4, 64):
-            plan = BoundPlan(scheme, model, (substeps * H_FINE,), H_FINE)
+            plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE)
             window = increments[:, : 4 * substeps]
             for batch, states in ((window, np.tile(u0.coeffs, (3, 1))), (window[0], u0.coeffs)):
-                end, recorded, _ = _run(plan, states, plan.prepare_noise(batch), 4, (1, 2))
+                end, recorded = _run(plan, states, plan.prepare_noise(batch), 4, (1, 2))
                 for out in (end, recorded[1], recorded[2]):
                     yield out.tobytes()
     end, snapshots = reference_solve(
@@ -255,21 +256,27 @@ def largest_relative_change(before: np.ndarray, after: np.ndarray) -> float:
     return float(np.nan_to_num(change, nan=np.inf).max(initial=0.0))
 
 
-def compare(before_dir: Path, after_dir: Path) -> list[str]:
-    """One line per family dumped in both directories: its name and the
-    largest relative change of any of its values."""
-    lines = []
+def compare(before_dir: Path, after_dir: Path) -> tuple[list[str], bool]:
+    """One line per family dumped in ``before_dir``: its name and the
+    largest relative change of any of its values, or why there is none;
+    and whether any family moved, is missing from ``after_dir`` or changed
+    its count of values."""
+    lines, differ = [], False
     for path in sorted(before_dir.glob("*.npy")):
         other = after_dir / path.name
         if not other.exists():
             lines.append(f"{path.stem} missing from {after_dir}")
+            differ = True
             continue
         before, after = np.load(path), np.load(other)
         if before.shape != after.shape:
             lines.append(f"{path.stem} has {before.size} values, then {after.size}")
+            differ = True
             continue
-        lines.append(f"{path.stem} {largest_relative_change(before, after):.3g}")
-    return lines
+        change = largest_relative_change(before, after)
+        lines.append(f"{path.stem} {change:.3g}")
+        differ = differ or change != 0.0
+    return lines, differ
 
 
 def main(argv: list[str]) -> int:
@@ -280,11 +287,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--values", type=Path, metavar="DIR",
                         help="also write each family's float64 values to DIR/<family>.npy")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
-                        help="print each family's largest relative change from DIR_A to DIR_B")
+                        help="print each family's largest relative change from DIR_A to "
+                             "DIR_B; exit 1 if any family differs")
     args = parser.parse_args(argv)
     if args.compare:
-        print("\n".join(compare(*args.compare)))
-        return 0
+        lines, differ = compare(*args.compare)
+        print("\n".join(lines))
+        return 1 if differ else 0
     unknown = [name for name in args.families if name not in FAMILIES]
     if unknown:
         print(f"unknown families {unknown}; available: {list(FAMILIES)}", file=sys.stderr)

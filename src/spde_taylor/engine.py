@@ -19,14 +19,15 @@ term or subterm, so a shared subterm (the I^0_0 inside a Milstein term and
 the plan's own I^0_0) is evaluated once per step.  A sum node's
 per-substep rows, and the trajectory a later node reads, depend on the left
 points r_j, the start state and the noise before r_j, not on h: only the
-end weights and the flow factors do.  So a plan is bound to a ladder of
-step sizes over one window of noise: each node builds its rows once over
-the window and contracts each h's end weights with the first h / h_fine of
-them, and a store of rows by term lets plans that share terms build each
-once.  A diffusion node whose trajectory no later node reads and whose
-model fuses the end-weighted sum (the diagonal model) builds no rows.  The
-per-mode factors depend only on (eigenvalues, h, h_fine); they are built
-once per process for each such triple and shared read-only.
+end weights and the flow factors do.  So a plan is bound to one step size
+h over a window of noise at least h long: each node builds its rows over
+the window and contracts h's end weights with the first h / h_fine of
+them, and a store of rows by term, handed to plans of every h and every
+scheme on one window, builds each term's rows once.  A diffusion node
+whose trajectory no later node reads and whose model fuses the
+end-weighted sum (the diagonal model) builds no rows.  The per-mode
+factors depend only on (eigenvalues, h, h_fine); they are built once per
+process for each such triple and shared read-only.
 
 Binding a plan turns each node into a step function that holds everything
 the node reads: its rows of those factors, its k! scale, and the model
@@ -45,10 +46,10 @@ the multiplication model: moved to the grid), and tests the end states
 for inf and nan once per run.  The fine-mesh reference
 :func:`reference_solve` is that loop over the exponential Euler plan at
 h = h_fine, which makes scheme-versus-reference comparisons on shared
-noise bit-consistent.  :func:`step` is one step of a ladder of one h over
-the whole window of a drawn :class:`NoisePath`, which is prepared once
-and keeps each term's rows per model and start state, so the steps of
-several h on its prefixes build the rows once and have the bytes of the
+noise bit-consistent.  :func:`step` binds a plan to its h over the whole
+window of a drawn :class:`NoisePath`, which is prepared once and keeps
+each term's rows per model and start state, so the steps of several h and
+schemes on its prefixes build the rows once and have the bytes of the
 order study (``harness``), which builds them once per chunk of paths over
 the chunk's whole window.
 
@@ -192,7 +193,7 @@ class NoisePath:
         return NoisePath(increments=_frozen(increments), h_fine=h_fine)
 
     def prefix(self, substeps: int) -> "NoisePath":
-        if substeps > self.substeps:
+        if not 0 <= substeps <= self.substeps:
             raise MeshMismatchError(
                 f"requested {substeps} substeps from a path of {self.substeps}"
             )
@@ -369,8 +370,8 @@ class _MeshTables:
         self.flow = _frozen(np.expm1(-lam * h))
         self.drift_flow = _frozen(-self.flow / lam)
 
-    # Only the ladder's tables need the end weights, and only plans with an
-    # inner I^0_0 or I^0_1 the window's trajectory factors.
+    # Only the tables of a plan's h need the end weights, and only plans with
+    # an inner I^0_0 or I^0_1 the window's trajectory factors.
     @cached_property
     def end_weights(self) -> np.ndarray:
         """e^{-lambda_i (h - r_j)}, indexed [i, j]."""
@@ -396,89 +397,91 @@ def _mesh_tables(eigenvalues: bytes, h: float, h_fine: float, substeps: int) -> 
 
 
 class BoundPlan:
-    """A compiled scheme bound to a model and a ladder of step sizes h on a
-    mesh of h_fine, for one step from a start state over a window of noise.
+    """A compiled scheme bound to a model and a step size h on a mesh of
+    h_fine, for one step from a start state over a window of noise.
 
     Of a node's one-step evaluation only the end weights e^{-lambda (h -
     r_j)} and the flow factors depend on h.  Its per-substep rows and its
     trajectory depend on the left points r_j, the start state and the
-    noise before r_j alone, so each node builds them once over the window,
-    ``window`` substeps (by default those of the longest h), and contracts
-    each h's end weights with the first h / h_fine rows.  Binding lowers
-    each of the scheme's nodes once into a step that holds everything the
-    node reads: the shared mesh tables of each h and of the window, its k!
-    scale and the model operator bound to the node's order; a node that
-    vanishes identically is dropped.  :meth:`advance` runs the steps in
-    turn from the start state of one path, (N,), or of a batch of paths,
-    (paths, N), on their windows of noise prepared by
-    :meth:`prepare_noise`, and returns one state per h.
+    noise before r_j alone, so each node builds them over the window,
+    ``window`` substeps (by default h / h_fine), and contracts h's end
+    weights with the first h / h_fine rows.  Plans of several h bound to
+    one window share each term's rows through the store that
+    :meth:`advance` takes, whatever their scheme.  Binding lowers each of
+    the scheme's nodes once into a step that holds everything the node
+    reads: the shared mesh tables of h and of the window, its k! scale and
+    the model operator bound to the node's order; a node that vanishes
+    identically is dropped.  :meth:`advance` runs the steps in turn from
+    the start state of one path, (N,), or of a batch of paths, (paths,
+    N), on their windows of noise prepared by :meth:`prepare_noise`, and
+    returns the state at h.
 
-    A multi-step run and the reference bind a ladder of one h, whose
-    window is one step: the stepping loop :func:`_run` advances the states
-    through consecutive windows, and a run of exponential Euler at h_fine
-    equals the reference by construction.
+    A multi-step run and the reference bind the default window, one step:
+    the stepping loop :func:`_run` advances the states through consecutive
+    windows, and a run of exponential Euler at h_fine equals the reference
+    by construction.
     """
 
     def __init__(
         self,
         scheme: CompiledScheme,
         model: ModelSpec,
-        ladder: tuple[float, ...],
+        h: float,
         h_fine: float,
         window: int | None = None,
     ):
         self.scheme = scheme
         self.model = model
         self.h_fine = h_fine
-        self.substeps = tuple(
-            _whole_count(h, h_fine, "step {} is not a whole number of substeps of {}")
-            for h in ladder
+        self.substeps = _whole_count(
+            h, h_fine, "step {} is not a whole number of substeps of {}"
         )
-        self.window = max(self.substeps) if window is None else window
-        if self.window < max(self.substeps):
+        self.window = self.substeps if window is None else window
+        if self.window < self.substeps:
             raise MeshMismatchError(
                 f"a window of {self.window} substeps is shorter than a step of "
-                f"{max(self.substeps)}"
+                f"{self.substeps}"
             )
         nodes, self.term_slots, self.names = scheme.lowered
         lam = model.eigenvalues.tobytes()
-        entries = [_mesh_tables(lam, h, h_fine, k) for h, k in zip(ladder, self.substeps)]
+        at_h = _mesh_tables(lam, h, h_fine, self.substeps)
         # The window's tables give the trajectory factors.
         self.tables = _mesh_tables(lam, self.window * h_fine, h_fine, self.window)
-        self.entries = range(len(entries))
         #: Per slot, ``(u0, part) -> trajectory`` of the node, or None.
         self.paths: list = []
-        # Each h contracts the first h / h_fine rows, all of them for None.
-        cuts = [None if k == self.window else k for k in self.substeps]
-        self.steps = tuple(self._bind(entries, cuts, *node) for node in nodes)
+        # The step contracts the first h / h_fine rows, all of them for None.
+        cut = None if self.substeps == self.window else self.substeps
+        self.steps = tuple(self._bind(at_h, cut, *node) for node in nodes)
 
     def _bind(
         self,
-        entries: list[_MeshTables],
-        cuts: list[int | None],
+        at_h: _MeshTables,
+        cut: int | None,
         kind: str,
         order: int,
         arg_slots: tuple[int, ...],
         trajectory: bool,
         term: TermExpr,
     ):
-        """The node as a step ``(u0, noise, parts, known, rows) -> values``:
-        its end value at each h, or None where it vanishes.  Appends to
-        ``self.paths`` the function that makes the node's trajectory, None
-        where no later node reads it.  A node that a later node reads leaves
-        in ``parts``, under its slot, what its trajectory is made from (its
-        rows, for a sum node); ``known`` holds the trajectories made so far
-        by slot, a reader making each on first read.  ``rows`` is None or the store of
-        sum-node rows by term (see :meth:`advance`).
+        """The node as a step ``(u0, noise, parts, known, rows) -> value``:
+        its end value at h, or None where it vanishes; ``at_h`` holds the
+        factors of h and ``cut`` is h / h_fine, or None for the whole
+        window.  Appends to ``self.paths`` the function that makes the
+        node's trajectory, None where no later node reads it.  A node that
+        a later node reads leaves in ``parts``, under its slot, what its
+        trajectory is made from (its rows, for a sum node); ``known`` holds
+        the trajectories made so far by slot, a reader making each on first
+        read.  ``rows`` is None or the store of sum-node rows by term (see
+        :meth:`advance`).
 
         A node whose operator vanishes identically, as the model's binders
-        say, is None when no later node reads it, else a step whose values
-        are None and whose trajectory is zero.  Sum nodes reduce their
-        per-substep rows with each h's end weights; a diffusion node whose
-        trajectory no later node reads takes the reduced sum of each h from
-        the model, without the rows, where the model fuses it
-        (``bind_sum``).  A node's trajectory holds its values at the left
-        points r_0..r_{S-1}, Ito style: the row at r_j has the
+        say, is None when no later node reads it, else a step whose value
+        is None and whose trajectory is zero.  Sum nodes reduce their
+        per-substep rows with h's end weights; a diffusion node whose
+        trajectory no later node reads takes the reduced sum from the
+        model, without the rows, where the model fuses it (``bind_sum``).
+        A node's trajectory holds its values at the left points
+        r_0..r_{S-1} of the window, Ito style: the row at r_j has the
         contributions strictly before r_j."""
         # The steps hold no reference to the plan, so a plan is freed as soon
         # as its last user drops it, not by the cycle collector.
@@ -488,20 +491,15 @@ class BoundPlan:
             zeros = partial(np.zeros, (self.window, model.modes))
             paths[slot] = lambda u0, part: zeros()
         if kind is _FLOW:
-            # One h and no trajectory, as in the reference: spare each
-            # substep the call through _each.
-            if not trajectory and len(entries) == 1:
-                flow = entries[0].flow
-                return lambda u0, noise, parts, known, rows: [flow * u0]
-            flows = _each([t.flow.__mul__ for t in entries])
+            flow = at_h.flow
             if not trajectory:
-                return lambda u0, noise, parts, known, rows: flows(u0)
+                return lambda u0, noise, parts, known, rows: flow * u0
             flow_at = tables.flow_at
             paths[slot] = lambda u0, part: flow_at * u0[..., None, :]
 
             def flow_step(u0, noise, parts, known, rows):
                 parts[slot] = u0
-                return flows(u0)
+                return flow * u0
 
             return flow_step
         vanishing = _vanishing if trajectory else None
@@ -509,32 +507,28 @@ class BoundPlan:
             drift = model.drift.bind_value()
             if drift is None:
                 return vanishing
-            drift_flows = _each([t.drift_flow.__mul__ for t in entries])
+            drift_flow = at_h.drift_flow
             if not trajectory:
-                return lambda u0, noise, parts, known, rows: drift_flows(drift(u0))
+                return lambda u0, noise, parts, known, rows: drift_flow * drift(u0)
             drift_flow_at = tables.drift_flow_at
             paths[slot] = lambda u0, base: drift_flow_at * base[..., None, :]
 
             def drift_flow_step(u0, noise, parts, known, rows):
                 base = parts[slot] = drift(u0)
-                return drift_flows(base)
+                return drift_flow * base
 
             return drift_flow_step
         read = _reader(arg_slots, paths)
         diffusion = model.diffusion
         fused = None if trajectory else getattr(diffusion, "bind_sum", None)
         if kind is _DIFFUSION and fused is not None:
-            totals = [_over_factorial(order, fused(order, t.end_weights)) for t in entries]
-            if totals[0] is None:
+            total = _over_factorial(order, fused(order, at_h.end_weights))
+            if total is None:
                 return None
-            windows = list(zip(totals, cuts))
 
             def fused_step(u0, noise, parts, known, rows):
                 args = read(u0, parts, known)
-                return [
-                    total(u0, args, noise if cut is None else noise[..., :cut, :])
-                    for total, cut in windows
-                ]
+                return total(u0, args, noise if cut is None else noise[..., :cut, :])
 
             return fused_step
         if kind is _DIFFUSION:
@@ -547,26 +541,24 @@ class BoundPlan:
             )
         if build is None:
             return vanishing
-        kept = _each([_prefix_sum(t.end_weights, cut) for t, cut in zip(entries, cuts)])
+        kept = _prefix_sum(at_h.end_weights, cut)
         # Rows that neither a store nor a later node keeps are scratch, which
         # a one-column sum may overwrite.
-        scratch = kept if trajectory else _each([
-            _prefix_sum(t.end_weights, cut, overwrite=True) for t, cut in zip(entries, cuts)
-        ])
+        scratch = kept if trajectory else _prefix_sum(at_h.end_weights, cut, overwrite=True)
         if trajectory:
             decay = tables.decay_fine
             paths[slot] = lambda u0, block: _running_sum(block, decay)
 
         def sum_step(u0, noise, parts, known, rows):
             if rows is None:
-                block, sums = build(u0, read(u0, parts, known), noise), scratch
+                block, end_sum = build(u0, read(u0, parts, known), noise), scratch
             else:
-                block, sums = rows.get(term), kept
+                block, end_sum = rows.get(term), kept
                 if block is None:
                     block = rows[term] = _frozen(build(u0, read(u0, parts, known), noise))
             if trajectory:
                 parts[slot] = block
-            return sums(block)
+            return end_sum(block)
 
         return sum_step
 
@@ -583,48 +575,43 @@ class BoundPlan:
 
     def advance(
         self, u0: np.ndarray, noise: np.ndarray | None, rows: dict | None = None
-    ) -> tuple[list[np.ndarray], list[list[np.ndarray] | None]]:
-        """One step from ``u0`` at each h of the ladder over the window whose
-        prepared noise is ``noise``: u0 plus the sum of the plan's terms at
-        each h, and each node's end values at each h by slot, None where
-        the node vanishes (see :meth:`nonfinite`).  ``u0`` is one state,
-        (N,), or one per path, (paths, N), and ``noise`` the window of
-        each, (window, ·) or (paths, window, ·).
+    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
+        """One step of h from ``u0`` over the window whose prepared noise is
+        ``noise``: u0 plus the sum of the plan's terms at h, and each node's
+        end value by slot, None where the node vanishes (see
+        :meth:`nonfinite`).  ``u0`` is one state, (N,), or one per path,
+        (paths, N), and ``noise`` the window of each, (window, ·) or
+        (paths, window, ·).
 
         ``rows``, if given, stores the rows of sum nodes by term for this
         start state and window: a node takes its rows from there if they
         are there, else builds them and leaves them there, read-only, so
-        plans that share terms build each once.  Without it a node's rows
-        are scratch."""
+        plans of any h and any scheme on that window build each term's rows
+        once.  Without it a node's rows are scratch."""
         parts: dict = {}
         known: dict = {}
         values: list = []
         for run in self.steps:
             values.append(None if run is None else run(u0, noise, parts, known, rows))
-        states = []
-        for entry in self.entries:
-            total = u0
-            for slot in self.term_slots:
-                value = values[slot]
-                if value is None:
-                    continue
-                if total is u0:
-                    total = u0 + value[entry]
-                else:
-                    total += value[entry]
-            states.append(total)
-        return states, values
+        total = u0
+        for slot in self.term_slots:
+            value = values[slot]
+            if value is None:
+                continue
+            if total is u0:
+                total = u0 + value
+            else:
+                total += value
+        return total, values
 
-    def nonfinite(
-        self, values: list[list[np.ndarray] | None], row: int, entry: int = 0
-    ) -> NonfiniteValueError:
+    def nonfinite(self, values: list[np.ndarray | None], row: int) -> NonfiniteValueError:
         """The error for the path in ``row`` of a batch (row 0 of a single
-        path) whose state at ladder entry ``entry`` is not finite: names
-        its first non-finite term, from the node values that
-        :meth:`advance` returns (``None`` for a term that vanishes)."""
+        path) whose state is not finite: names its first non-finite term,
+        from the node values that :meth:`advance` returns (``None`` for a
+        term that vanishes)."""
         for name, slot in zip(self.names, self.term_slots):
             value = values[slot]
-            if value is not None and not np.isfinite(np.atleast_2d(value[entry])[row]).all():
+            if value is not None and not np.isfinite(np.atleast_2d(value)[row]).all():
                 return NonfiniteValueError(name)
         return NonfiniteValueError("sum of plan terms")
 
@@ -656,14 +643,6 @@ def _vanishing(u0, noise, parts, known, rows) -> None:
     """The step of a node that vanishes identically and that a later node
     reads: no values; its trajectory is zero."""
     return None
-
-
-def _each(functions: list):
-    """``x -> [f(x) for f in functions]``."""
-    if len(functions) == 1:
-        only = functions[0]
-        return lambda x: [only(x)]
-    return lambda x: [f(x) for f in functions]
 
 
 def _prefix_sum(weights: np.ndarray, cut: int | None, overwrite: bool = False):
@@ -710,68 +689,63 @@ def _run(
     noise: np.ndarray | None,
     steps: int,
     record_steps: tuple[int, ...] = (),
-) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, NonfiniteValueError]]:
-    """The stepping loop of a plan bound to one h: advances the states
-    through ``steps`` consecutive h-long row blocks of ``noise``, their
-    prepared windows, or None for plans without diffusion.  The shapes are
-    those of :meth:`BoundPlan.advance`: a single path runs unbatched, which
-    spares it the cost of broadcasting against the (N,) mesh tables.
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The stepping loop of a plan bound to its default window: advances
+    the states through ``steps`` consecutive h-long row blocks of
+    ``noise``, their prepared windows, or None for plans without
+    diffusion.  The shapes are those of :meth:`BoundPlan.advance`: a single
+    path runs unbatched, which spares it the cost of broadcasting against
+    the (N,) mesh tables.
 
-    Returns the end states, the states after each step count in
-    ``record_steps``, and, keyed by row (0 for a single path), the error
-    naming the first non-finite term of each path whose state went
-    non-finite.  Such a path runs on, non-finite; the others never see it.
-
-    The loop runs only the plan's arithmetic and tests the end states for
-    inf and nan once.  That test is exact: every step returns u0 plus its
-    terms, and IEEE addition never turns an inf or a nan finite, so an
-    entry that goes non-finite at some step is non-finite at the end.
-    Only when the end states are not all finite are the rows that failed
-    replayed step by step, node by node, to name each one's first
-    non-finite term at its first non-finite step.
+    Returns the end states and the states after each step count in
+    ``record_steps``.  A path whose state goes non-finite runs on,
+    non-finite; the others never see it.  The loop runs only the plan's
+    arithmetic and no test: every step returns u0 plus its terms, and IEEE
+    addition never turns an inf or a nan finite, so a path that goes
+    non-finite at some step is non-finite at the end, where a caller that
+    needs the failing term tests the end states and calls
+    :func:`_first_failures`.
     """
-    start = states
     recorded = {0: states} if 0 in record_steps else {}
-    # A blow-up surfaces in ``failed``, not as warnings from the array
+    # A blow-up surfaces in the end states, not as warnings from the array
     # operations that produced the inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
         for n, window in enumerate(_windows(plan, noise, steps), 1):
-            states = plan.advance(states, window)[0][0]
+            states = plan.advance(states, window)[0]
             if n in record_steps:
                 recorded[n] = states
-        failed = {}
-        if not np.isfinite(states).all():
-            failed = _first_failures(plan, start, noise, states, steps)
-    return states, recorded, failed
+    return states, recorded
 
 
 def _first_failures(
     plan: BoundPlan, start: np.ndarray, noise: np.ndarray | None, end: np.ndarray, steps: int
 ) -> dict[int, NonfiniteValueError]:
-    """Keyed by row, the error naming the first non-finite term of each row
-    of a run's ``end`` states that is not finite, at its first non-finite
-    step.  Replays the run of those rows alone from ``start``: a batch's
-    products are stacks of one-path products, so each row replays with the
-    bytes it ran with."""
+    """Keyed by row (0 for a single path), the error naming the first
+    non-finite term of each row of the ``end`` states of a :func:`_run`
+    from ``start`` that is not finite, at its first non-finite step.
+    Replays the run of those rows alone, step by step: a batch's products
+    are stacks of one-path products, so each row replays with the bytes it
+    ran with."""
     rows = (0,)
     if end.ndim > 1:
         rows = np.flatnonzero(~np.isfinite(end).all(axis=-1))
         start, noise = start[rows], None if noise is None else noise[rows]
     failed: dict[int, NonfiniteValueError] = {}
-    for window in _windows(plan, noise, steps):
-        (start,), values = plan.advance(start, window)
-        for row in np.flatnonzero(~np.isfinite(start).all(axis=-1)):
-            failed.setdefault(int(rows[row]), plan.nonfinite(values, row))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for window in _windows(plan, noise, steps):
+            start, values = plan.advance(start, window)
+            for row in np.flatnonzero(~np.isfinite(start).all(axis=-1)):
+                failed.setdefault(int(rows[row]), plan.nonfinite(values, row))
     return failed
 
 
 def _one_step(
     plan: BoundPlan, u0: np.ndarray, noise: np.ndarray | None, rows: dict | None = None
-) -> tuple[list[np.ndarray], list[list[np.ndarray] | None]]:
-    """:meth:`BoundPlan.advance`, one step from ``u0`` at every h of the
-    plan's ladder over the prepared window ``noise``, with no numpy
-    warning: a blow-up leaves a non-finite state, and one confined to rows
-    past h / h_fine leaves the state at h finite."""
+) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """:meth:`BoundPlan.advance`, one step of the plan's h from ``u0`` over
+    the prepared window ``noise``, with no numpy warning: a blow-up leaves
+    a non-finite state, and one confined to rows past h / h_fine leaves the
+    state finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         return plan.advance(u0, noise, rows)
 
@@ -795,45 +769,6 @@ def _check_inputs(
         )
 
 
-def _solve(
-    scheme: CompiledScheme,
-    u0: SpectralState,
-    t_end: float,
-    h: float,
-    path: NoisePath,
-    model: ModelSpec,
-    workspace: GridWorkspace | None,
-    record_steps: tuple[int, ...] = (),
-) -> tuple[np.ndarray, dict[int, SpectralState]]:
-    """One path through :func:`_run`, behind :func:`reference_solve`.
-
-    Binds the plan once at step h, reads the noise of the window [0, t_end]
-    from the path's prepared root window (see :class:`NoisePath`), and runs
-    t_end / h steps.  Returns the end coefficients and snapshots after the
-    step counts in ``record_steps``, each of which must lie in
-    0..t_end / h.  A step whose result is not finite raises
-    :class:`NonfiniteValueError` naming its first non-finite term.
-    """
-    _check_inputs(u0, path, model, workspace)
-    plan = BoundPlan(scheme, model, (h,), path.h_fine)
-    steps = _whole_count(t_end, h, "t_end {} is not a whole number of steps of h = {}")
-    substeps = steps * plan.window
-    if substeps > path.substeps:
-        raise MeshMismatchError(
-            f"[0, {t_end}] needs {substeps} substeps, path provides {path.substeps}"
-        )
-    outside = sorted(n for n in record_steps if not 0 <= n <= steps)
-    if outside:
-        raise MeshMismatchError(
-            f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
-        )
-    noise = path._prepared_noise(plan, substeps)
-    state, recorded, failed = _run(plan, u0.coeffs, noise, steps, record_steps)
-    if failed:
-        raise failed[0]
-    return state, {n: SpectralState(s) for n, s in recorded.items()}
-
-
 def step(
     scheme: CompiledScheme,
     u0: SpectralState,
@@ -852,14 +787,13 @@ def step(
     :class:`NonfiniteValueError` naming the first non-finite term, and
     ``workspace`` is None or ``model.workspace()``."""
     _check_inputs(u0, path, model, workspace)
-    window = path._window
-    plan = BoundPlan(scheme, model, (h,), path.h_fine, window.substeps)
-    if plan.substeps[0] > path.substeps:
+    plan = BoundPlan(scheme, model, h, path.h_fine, path._window.substeps)
+    if plan.substeps > path.substeps:
         raise MeshMismatchError(
-            f"[0, {h}] needs {plan.substeps[0]} substeps, path provides {path.substeps}"
+            f"[0, {h}] needs {plan.substeps} substeps, path provides {path.substeps}"
         )
     noise = path._prepared_noise(plan, plan.window)
-    (state,), values = _one_step(plan, u0.coeffs, noise, path._rows(model, u0.coeffs))
+    state, values = _one_step(plan, u0.coeffs, noise, path._rows(model, u0.coeffs))
     if not np.isfinite(state).all():
         raise plan.nonfinite(values, 0)
     return StepResult(state=SpectralState(state))
@@ -881,13 +815,31 @@ def reference_solve(
     Iterates the exponential one-step scheme (semigroup flow, frozen-drift
     convolution, frozen-diffusion stochastic convolution) over every fine
     substep of [0, t_end]: the stepping loop with that scheme at
-    h = h_fine.  A coarse run of the scheme at h_fine is therefore bitwise
-    identical to this reference.  ``record_substeps`` requests snapshots
-    after the given substep counts; a count outside 0..t_end / h_fine
-    raises :class:`MeshMismatchError`.
+    h = h_fine, on the first t_end / h_fine rows of the path's prepared
+    root window (see :class:`NoisePath`).  A coarse run of the scheme at
+    h_fine is therefore bitwise identical to this reference.
+    ``record_substeps`` requests snapshots after the given substep counts;
+    a t_end off the fine mesh or past the path, or a count outside
+    0..t_end / h_fine, raises :class:`MeshMismatchError`.  A substep whose
+    result is not finite raises :class:`NonfiniteValueError` naming its
+    first non-finite term.
     """
-    state, recorded = _solve(
-        _REFERENCE_SCHEME, u0, t_end, path.h_fine, path, model, workspace,
-        record_substeps,
+    _check_inputs(u0, path, model, workspace)
+    plan = BoundPlan(_REFERENCE_SCHEME, model, path.h_fine, path.h_fine)
+    steps = _whole_count(
+        t_end, path.h_fine, "t_end {} is not a whole number of steps of h = {}"
     )
-    return SpectralState(state), recorded
+    if steps > path.substeps:
+        raise MeshMismatchError(
+            f"[0, {t_end}] needs {steps} substeps, path provides {path.substeps}"
+        )
+    outside = sorted(n for n in record_substeps if not 0 <= n <= steps)
+    if outside:
+        raise MeshMismatchError(
+            f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
+        )
+    noise = path._prepared_noise(plan, steps)
+    state, recorded = _run(plan, u0.coeffs, noise, steps, record_substeps)
+    if not np.isfinite(state).all():
+        raise _first_failures(plan, u0.coeffs, noise, state, steps)[0]
+    return SpectralState(state), {n: SpectralState(s) for n, s in recorded.items()}

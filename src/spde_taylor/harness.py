@@ -6,11 +6,12 @@ fixed start state up to a horizon and compares the end state with the
 reference snapshot at that horizon, on the same increments.  It runs the
 engine on chunks of paths: each chunk's increments are drawn and prepared
 once and the reference runs once over them, so the schemes of a study
-share one noise draw and one reference run.  One-step errors take one
-evaluation per scheme and chunk, bound to the whole ladder: each distinct
-term's rows are built once per chunk over the chunk's window, for all
-schemes, and contracted per h.  Multi-step errors run the stepping loop of
-each (scheme, h) on a row prefix of the same prepared window.
+share one noise draw and one reference run.  Every (scheme, h) has a plan
+bound to its h.  One-step errors take one evaluation of each plan per
+chunk over the chunk's window, on one store of rows: each distinct term's
+rows are built once per chunk, for all schemes and every h, and each plan
+contracts them for its h.  Multi-step errors run the stepping loop of each
+plan on a row prefix of the same prepared window.
 :func:`run_convergence` is the study of one scheme.  The default
 horizon is h itself, so the experiment measures one-step errors; the L2 (or
 Lp) error per h is regressed against h in log-log coordinates and the slope
@@ -41,6 +42,7 @@ from .engine import (
     BoundPlan,
     CompiledScheme,
     NoisePath,
+    _first_failures,
     _one_step,
     _run,
     compile_scheme,
@@ -192,11 +194,11 @@ def _ladder_errors(
     increments.  Paths run in chunks of a fixed byte budget: the reference
     and the plans are bound once, and each chunk's increments, drawn path by
     path with :meth:`NoisePath.draw` and stacked, are prepared once and run
-    through the reference once for all schemes.  In one-step mode each
-    scheme's plan is bound to the whole ladder, and each distinct term's
-    rows are built once per chunk over its window and shared by every
-    scheme, which contracts them per h; in multi-step mode a plan per
-    (scheme, h) runs the stepping loop.  Returns, per scheme, each h's
+    through the reference once for all schemes.  A plan per (scheme, h)
+    then runs: in one-step mode one step over the chunk's window, from the
+    longest h down, on the chunk's one store of rows, so each distinct
+    term's rows are built once per chunk and shared by every scheme and h;
+    in multi-step mode the stepping loop.  Returns, per scheme, each h's
     Euclidean error norms of the included paths in path order, computed
     with ``np.hypot`` so that finite differences never overflow, and each
     h's count of excluded paths, those whose scheme state at that h is not
@@ -205,14 +207,13 @@ def _ladder_errors(
     """
     h_fine = config.h_fine
     ladder = sorted(config.ladder, reverse=True)
-    reference = BoundPlan(_REFERENCE_SCHEME, model, (h_fine,), h_fine)
-    if config.multi_step:
-        plans = [{h: BoundPlan(s, model, (h,), h_fine) for h in ladder} for s in schemes]
-    else:
-        plans = [BoundPlan(s, model, tuple(ladder), h_fine) for s in schemes]
     steps = {h: round(config.t_end / h) if config.multi_step else 1 for h in ladder}
     horizon = {h: steps[h] * round(h / h_fine) for h in ladder}  # in substeps
     window = max(horizon.values())
+    reference = BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine)
+    # One-step plans read the chunk's whole window, so that they share its rows.
+    one_step_window = None if config.multi_step else window
+    plans = [{h: BoundPlan(s, model, h, h_fine, one_step_window) for h in ladder} for s in schemes]
     chunk = max(1, _CHUNK_BYTES // (8 * window * model.noise_modes))
     results = [({h: [] for h in ladder}, {h: 0 for h in ladder}) for _ in schemes]
     reference_norms: dict[float, list[float]] = {h: [] for h in ladder}
@@ -226,18 +227,19 @@ def _ladder_errors(
         ])
         noise = reference.prepare_noise(increments)
         u0 = np.tile(model.initial.coeffs, (len(indices), 1))
-        _, recorded, failed = _run(reference, u0, noise, window, tuple(horizon.values()))
-        if failed:
+        end, recorded = _run(reference, u0, noise, window, tuple(horizon.values()))
+        if not np.isfinite(end).all():
+            failed = _first_failures(reference, u0, noise, end, window)
             raise failed[min(failed)]
         for h in ladder:
             reference_norms[h].extend(np.hypot.reduce(recorded[horizon[h]], axis=-1).tolist())
         rows: dict = {}  # the chunk's term rows, shared by the one-step plans
         for plan, (errors, excluded) in zip(plans, results):
-            if config.multi_step:
-                states = [_run(plan[h], u0, noise[:, : horizon[h]], steps[h])[0] for h in ladder]
-            else:
-                states, _ = _one_step(plan, u0, noise, rows)
-            for h, approx in zip(ladder, states):
+            for h in ladder:
+                if config.multi_step:
+                    approx = _run(plan[h], u0, noise[:, : horizon[h]], steps[h])[0]
+                else:
+                    approx = _one_step(plan[h], u0, noise, rows)[0]
                 finite = np.isfinite(approx).all(axis=-1)
                 excluded[h] += int(finite.size - finite.sum())
                 norms = np.hypot.reduce(approx - recorded[horizon[h]], axis=-1)

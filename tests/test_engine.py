@@ -15,10 +15,10 @@ from spde_taylor.engine import (
     NoisePath,
     NonfiniteValueError,
     NotImplementableError,
+    _first_failures,
     _mesh_tables,
     _one_step,
     _run,
-    _solve,
     builtin_scheme,
     compile_scheme,
     path_generator,
@@ -157,9 +157,11 @@ class TestNoisePath:
         assert len({path, twin, path}) == 2
 
     def test_prefix_too_long(self):
+        # A negative count must not wrap round through a negative slice.
         path = NoisePath.draw(path_generator(1, 0), 8, 2, H_FINE)
-        with pytest.raises(MeshMismatchError):
-            path.prefix(9)
+        for substeps in (9, -1):
+            with pytest.raises(MeshMismatchError):
+                path.prefix(substeps)
 
     def test_a_short_prefix_prepares_and_keeps_the_whole_path(self):
         # The cost the docstring of NoisePath names: one step on a prefix of
@@ -314,11 +316,9 @@ class TestReference:
         # coupled run of a chunk of paths at h = h_fine must agree with the
         # reference of each path to the last bit.
         increments = chunk_increments(mult, 3, 64, seed=21)
-        plan = BoundPlan(builtin_scheme("exp-euler"), mult, (H_FINE,), H_FINE)
-        states, _, failed = _run(
-            plan, start_states(mult, 3), plan.prepare_noise(increments), 64
-        )
-        assert not failed
+        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
+        states, _ = _run(plan, start_states(mult, 3), plan.prepare_noise(increments), 64)
+        assert np.isfinite(states).all()
         for row in range(3):
             path = NoisePath(increments[row], h_fine=H_FINE)
             ref, _ = reference_solve(mult.initial, 64 * H_FINE, path, mult)
@@ -337,22 +337,22 @@ class TestReference:
         increments = chunk_increments(mult, 3, 256, seed=9)
         for substeps in (1, 16, 256):
             h = substeps * H_FINE
-            plan = BoundPlan(scheme, mult, (h,), H_FINE, 256)
+            plan = BoundPlan(scheme, mult, h, H_FINE, 256)
             noise = plan.prepare_noise(increments)
-            (chunk,), _ = _one_step(plan, start_states(mult, 3), noise, {})
-            loop_plan = BoundPlan(scheme, mult, (h,), H_FINE)
-            exact, _, _ = _run(
+            chunk, _ = _one_step(plan, start_states(mult, 3), noise, {})
+            loop_plan = BoundPlan(scheme, mult, h, H_FINE)
+            exact, _ = _run(
                 loop_plan, start_states(mult, 3),
                 loop_plan.prepare_noise(increments[:, :substeps]), 1,
             )
             window = None if noise is None else noise[:, :substeps]
-            shared, _, _ = _run(loop_plan, start_states(mult, 3), window, 1)
+            shared, _ = _run(loop_plan, start_states(mult, 3), window, 1)
             for row in range(3):
                 path = NoisePath(increments[row], h_fine=H_FINE)
                 single = step(scheme, mult.initial, h, path, mult).state
                 alone = plan.prepare_noise(increments[row : row + 1])
-                (solo,), _ = _one_step(plan, start_states(mult, 1), alone, {})
-                loop, _, _ = _run(
+                solo, _ = _one_step(plan, start_states(mult, 1), alone, {})
+                loop, _ = _run(
                     loop_plan, start_states(mult, 1),
                     None if alone is None else alone[:, :substeps], 1,
                 )
@@ -366,33 +366,32 @@ class TestReference:
         # the chunk end where they end alone.
         increments = chunk_increments(mult, 3, 16, seed=4)
         increments[1] *= 1e200
-        plan = BoundPlan(builtin_scheme("full-2nd"), mult, (16 * H_FINE,), H_FINE)
+        plan = BoundPlan(builtin_scheme("full-2nd"), mult, 16 * H_FINE, H_FINE)
+        noise = plan.prepare_noise(increments)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states, _, failed = _run(
-                plan, start_states(mult, 3), plan.prepare_noise(increments), 1
-            )
+            states, _ = _run(plan, start_states(mult, 3), noise, 1)
+            failed = _first_failures(plan, start_states(mult, 3), noise, states, 1)
         assert set(failed) == {1}
         assert failed[1].term == "I^1_2[I^0_2]"
         for row in (0, 2):
-            solo, _, alone = _run(
+            solo, _ = _run(
                 plan, start_states(mult, 1), plan.prepare_noise(increments[row : row + 1]), 1
             )
-            assert not alone
+            assert np.isfinite(solo).all()
             assert states[row].tobytes() == solo[0].tobytes()
 
     def test_finite_states_whose_squares_overflow_run_on(self, additive):
-        # States near 1e200 overflow the sum of squares that screens each
-        # step for non-finite values; the elementwise check then finds
-        # every state finite, and no path is flagged.
+        # States near 1e200 overflow a sum of squares; the elementwise
+        # check of the end states finds every state finite, and the run
+        # raises no warning.
         increments = chunk_increments(additive, 3, 16, seed=6)
-        plan = BoundPlan(builtin_scheme("exp-euler"), additive, (4 * H_FINE,), H_FINE)
+        plan = BoundPlan(builtin_scheme("exp-euler"), additive, 4 * H_FINE, H_FINE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states, _, failed = _run(
+            states, _ = _run(
                 plan, start_states(additive, 3) * 1e200, plan.prepare_noise(increments), 4
             )
-        assert not failed
         assert np.isfinite(states).all() and np.abs(states).max() > 1e160
 
     def test_nan_is_flagged_at_its_step_and_stays_in_its_row(self, mult):
@@ -400,21 +399,22 @@ class TestReference:
         # sixth step non-finite; paths 0 and 2 end where they end alone.
         increments = chunk_increments(mult, 3, 8, seed=8)
         increments[1, 5, 3] = np.nan
-        plan = BoundPlan(builtin_scheme("exp-euler"), mult, (H_FINE,), H_FINE)
+        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
         noise = plan.prepare_noise(increments)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            before, _, clean = _run(plan, start_states(mult, 3), noise, 5)
-            states, recorded, failed = _run(plan, start_states(mult, 3), noise, 8, (5, 6))
-        assert not clean and np.isfinite(before).all()
+            before, _ = _run(plan, start_states(mult, 3), noise, 5)
+            states, recorded = _run(plan, start_states(mult, 3), noise, 8, (5, 6))
+            failed = _first_failures(plan, start_states(mult, 3), noise, states, 8)
+        assert np.isfinite(before).all()
         assert set(failed) == {1} and failed[1].term == "I^0_2"
         assert np.isfinite(recorded[5][1]).all()
         assert not np.isfinite(recorded[6][1]).any()
         for row in (0, 2):
-            solo, _, alone = _run(
+            solo, _ = _run(
                 plan, start_states(mult, 1), plan.prepare_noise(increments[row : row + 1]), 8
             )
-            assert not alone
+            assert np.isfinite(solo).all()
             assert states[row].tobytes() == solo[0].tobytes()
 
     def test_failures_are_named_at_each_rows_first_non_finite_step(self, mult):
@@ -426,12 +426,12 @@ class TestReference:
         increments = chunk_increments(mult, 3, 64, seed=12)
         increments[1, 16:24] *= 1e200
         increments[2, 45, 0] = np.nan
-        plan = BoundPlan(builtin_scheme("full-2nd"), mult, (8 * H_FINE,), H_FINE)
+        plan = BoundPlan(builtin_scheme("full-2nd"), mult, 8 * H_FINE, H_FINE)
+        noise = plan.prepare_noise(increments)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states, recorded, failed = _run(
-                plan, start_states(mult, 3), plan.prepare_noise(increments), 8, tuple(range(9))
-            )
+            states, recorded = _run(plan, start_states(mult, 3), noise, 8, tuple(range(9)))
+            failed = _first_failures(plan, start_states(mult, 3), noise, states, 8)
         assert {row: error.term for row, error in failed.items()} == {
             1: "I^1_2[I^0_2]", 2: "I^0_2",
         }
@@ -440,13 +440,10 @@ class TestReference:
         assert recorded[8] is states
 
     def test_multi_step_rejects_partial_last_step(self, mult):
-        # 4 substeps do not split into steps of 3: no silent truncation.
+        # 4.5 substeps end off the fine mesh: no silent truncation.
         path = draw_path(mult, 8)
         with pytest.raises(MeshMismatchError, match="t_end .* whole number of steps of h"):
-            _solve(
-                builtin_scheme("exp-euler"), mult.initial, 4 * H_FINE, 3 * H_FINE,
-                path, mult, None,
-            )
+            reference_solve(mult.initial, 4.5 * H_FINE, path, mult)
 
     def test_blow_up_raises_nonfinite(self, mult):
         # Increments of order 1e198 overflow the state within two substeps,
@@ -538,9 +535,10 @@ class TestReference:
 
 
 class TestLadder:
-    """One step at every h of a ladder, contracted from rows built once over
-    the longest window, against the stepping loop of a plan bound to each h
-    alone on noise prepared from its own prefix."""
+    """One step at every h of a ladder, by plans bound to each h over the
+    longest window that build each term's rows once in one shared store,
+    against the stepping loop of a plan bound to each h alone on noise
+    prepared from its own prefix."""
 
     SUBSTEPS = (256, 64, 16, 4)
     #: Where the two agree to the last bit on these shapes: the schemes with
@@ -552,7 +550,8 @@ class TestLadder:
     }
 
     def ladder(self, scheme, model):
-        return BoundPlan(scheme, model, tuple(k * H_FINE for k in self.SUBSTEPS), H_FINE)
+        window = self.SUBSTEPS[0]
+        return [BoundPlan(scheme, model, k * H_FINE, H_FINE, window) for k in self.SUBSTEPS]
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
     @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
@@ -560,12 +559,12 @@ class TestLadder:
         model = {"heat-mult": mult, "heat-add": additive}[model_name]
         scheme = builtin_scheme(name)
         increments = chunk_increments(model, 3, 256, seed=13)
-        plan = self.ladder(scheme, model)
-        states, _ = _one_step(plan, start_states(model, 3), plan.prepare_noise(increments), {})
-        assert len(states) == len(self.SUBSTEPS)
-        for k, state in zip(self.SUBSTEPS, states):
-            alone = BoundPlan(scheme, model, (k * H_FINE,), H_FINE)
-            loop, _, _ = _run(
+        plans = self.ladder(scheme, model)
+        noise, rows = plans[0].prepare_noise(increments), {}
+        for k, plan in zip(self.SUBSTEPS, plans):
+            state, _ = _one_step(plan, start_states(model, 3), noise, rows)
+            alone = BoundPlan(scheme, model, k * H_FINE, H_FINE)
+            loop, _ = _run(
                 alone, start_states(model, 3), alone.prepare_noise(increments[:, :k]), 1
             )
             np.testing.assert_allclose(state, loop, rtol=1e-13, atol=1e-16)
@@ -581,12 +580,13 @@ class TestLadder:
         if constant_drift:
             model = dataclasses.replace(mult, drift=ConstantDrift(np.ones(mult.modes)))
         increments = chunk_increments(model, 3, 256, seed=14)
-        plan = self.ladder(scheme, model)
-        states, _ = _one_step(plan, start_states(model, 3), plan.prepare_noise(increments), {})
+        plans = self.ladder(scheme, model)
+        noise, rows = plans[0].prepare_noise(increments), {}
         path = NoisePath(increments[0], h_fine=H_FINE)
-        for k, state in zip(self.SUBSTEPS, states):
-            alone = BoundPlan(scheme, model, (k * H_FINE,), H_FINE)
-            loop, _, _ = _run(
+        for k, plan in zip(self.SUBSTEPS, plans):
+            state, _ = _one_step(plan, start_states(model, 3), noise, rows)
+            alone = BoundPlan(scheme, model, k * H_FINE, H_FINE)
+            loop, _ = _run(
                 alone, start_states(model, 3), alone.prepare_noise(increments[:, :k]), 1
             )
             np.testing.assert_allclose(state, loop, rtol=1e-13, atol=1e-16)
@@ -604,19 +604,29 @@ class TestLadder:
         increments = chunk_increments(mult, 3, 256, seed=13)
         wild = increments.copy()
         wild[1, 64:] *= 1e200
-        plans = [self.ladder(builtin_scheme(n), mult) for n in ("full-2nd", "exp-euler")]
-        noise, rows = plans[0].prepare_noise(wild), {}
+        full, euler = (self.ladder(builtin_scheme(n), mult) for n in ("full-2nd", "exp-euler"))
+        noise, rows = full[0].prepare_noise(wild), {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            full, euler = (_one_step(p, start_states(mult, 3), noise, rows)[0] for p in plans)
-        clean, _ = _one_step(plans[0], start_states(mult, 3), plans[0].prepare_noise(increments))
-        assert [np.isfinite(s).all(axis=-1).tolist() for s in full] == [
+            wild_full, wild_euler = (
+                [_one_step(p, start_states(mult, 3), noise, rows)[0] for p in plans]
+                for plans in (full, euler)
+            )
+        clean = full[0].prepare_noise(increments)
+        assert [np.isfinite(s).all(axis=-1).tolist() for s in wild_full] == [
             [True, False, True], [True] * 3, [True] * 3, [True] * 3,
         ]
-        assert all(np.isfinite(s).all() for s in euler)
-        for k, got, want in zip(self.SUBSTEPS, full, clean):
+        assert all(np.isfinite(s).all() for s in wild_euler)
+        for k, plan, got in zip(self.SUBSTEPS, full, wild_full):
+            want, _ = _one_step(plan, start_states(mult, 3), clean)
             paths = [0, 2] if k > 64 else [0, 1, 2]
             assert got[paths].tobytes() == want[paths].tobytes()
+
+    def test_a_window_shorter_than_the_step_is_rejected(self, mult):
+        # A one-step plan contracts the first h / h_fine rows of its window.
+        message = "window of 8 substeps is shorter than a step of 16"
+        with pytest.raises(MeshMismatchError, match=message):
+            BoundPlan(builtin_scheme("exp-euler"), mult, 16 * H_FINE, H_FINE, 8)
 
     def test_step_on_a_prefix_before_a_blow_up_is_finite(self, mult):
         # The same through step(): the path's rows overflow past substep
@@ -661,7 +671,7 @@ def test_mesh_tables_are_keyed_by_eigenvalues_and_read_only():
     _mesh_tables.cache_clear()
     for i in (0, 1, 2, 1, 0, 2, 2, 1, 0):
         assert run(i) == alone[i]
-    plans = [BoundPlan(scheme, s, (h,), H_FINE) for s in specs]
+    plans = [BoundPlan(scheme, s, h, H_FINE) for s in specs]
     assert plans[0].tables is plans[2].tables  # equal eigenvalues
     assert plans[0].tables is not plans[1].tables
     for plan in plans:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spde_taylor import harness
+from spde_taylor import engine, harness
 from spde_taylor.cli import load_config_file, main
 from spde_taylor.engine import (
     BUILTIN_WOODS,
@@ -378,7 +378,7 @@ def scale_path(monkeypatch, index, factor):
 def chunk_runs(monkeypatch, paths_per_chunk, config):
     """Set the chunk budget to ``paths_per_chunk`` paths of ``config``'s
     window and record the scheme and the height of every batch the stepping
-    loop or the one-step ladder runs."""
+    loop or a one-step plan runs."""
     window = 2 ** (config.fine_log2 - min(config.ladder_log2))
     monkeypatch.setattr(
         harness, "_CHUNK_BYTES", paths_per_chunk * 8 * window * config.noise_modes
@@ -429,8 +429,8 @@ class TestChunks:
                 studies.append(run_study(TINY, names))
             seen.append(sorted({height for _, height in runs}))
             references.append(sum(scheme is _REFERENCE_SCHEME for scheme, _ in runs))
-            # One one-step ladder per scheme and chunk serves every h.
-            assert len(runs) == references[-1] * (1 + len(names))
+            # One one-step plan per scheme, h and chunk.
+            assert len(runs) == references[-1] * (1 + len(names) * len(TINY.ladder))
         assert seen == [[1], [2, 3], [TINY.paths]]
         assert references == [8, 3, 1]
         assert studies[0] == studies[1] == studies[2]
@@ -440,7 +440,7 @@ class TestChunks:
     @pytest.mark.parametrize("per_chunk", [1, 8])
     def test_step_has_the_studys_bytes_in_either_call_order(self, monkeypatch, per_chunk):
         # A prefix of a drawn path contracts the rows built over the path's
-        # one prepared window, as the study's ladders contract those built
+        # one prepared window, as the study's plans contract those built
         # over their chunk's: each one-step state and each reference
         # snapshot of step() and reference_solve() has the bytes of the
         # study's run of that path, whether the prefixes are stepped before
@@ -463,15 +463,14 @@ class TestChunks:
                     study.setdefault(("reference", k), []).extend(out[1][k])
                 return out
 
-            def keep_ladder(plan, states, noise, rows):
+            def keep_one_step(plan, states, noise, rows):
                 out = one_step(plan, states, noise, rows)
                 name = names[schemes.index(plan.scheme)]
-                for k, approx in zip(plan.substeps, out[0]):
-                    study.setdefault((name, k), []).extend(approx)
+                study.setdefault((name, plan.substeps), []).extend(out[0])
                 return out
 
             patch.setattr(harness, "_run", keep_reference)
-            patch.setattr(harness, "_one_step", keep_ladder)
+            patch.setattr(harness, "_one_step", keep_one_step)
             harness._ladder_errors(config, schemes, model)
         window = max(k for _, k in study)
         horizons = sorted({k for name, k in study if name != "reference"})
@@ -560,6 +559,30 @@ class TestChunks:
             others = errors[h] if blown[h] else errors[h][:2] + errors[h][3:]
             assert others == alone[h][:2] + alone[h][3:]
         assert set(blown.values()) == {True, False}
+
+    def test_a_multi_step_blow_up_is_excluded_without_a_replay(self, monkeypatch):
+        # Path 2's increments, scaled by 2.8e154, overflow the multi-step
+        # full-2nd runs at every h while the test double's reference stays
+        # finite.  The study excludes the path and names no term, so no run
+        # is replayed to find one.
+        config = dataclasses.replace(TINY, scheme="full-2nd", multi_step=True)
+        model = dataclasses.replace(
+            heat_multiplicative_model(16, 16), diffusion=ConstantMultiplier(16, 16)
+        )
+        scheme = builtin_scheme("full-2nd")
+        [(alone, _)], _ = harness._ladder_errors(config, (scheme,), model)
+        replays = []
+        replay = engine._first_failures
+        with monkeypatch.context() as patch:
+            scale_path(patch, 2, 2.8e154)
+            patch.setattr(
+                engine, "_first_failures", lambda *args: replays.append(args) or replay(*args)
+            )
+            [(errors, excluded)], _ = harness._ladder_errors(config, (scheme,), model)
+        assert replays == []
+        assert excluded == dict.fromkeys(config.ladder, 1)
+        for h in config.ladder:
+            assert errors[h] == alone[h][:2] + alone[h][3:]
 
     def test_reference_blow_up_fails_the_run(self, monkeypatch):
         scale_path(monkeypatch, 3, 1e200)

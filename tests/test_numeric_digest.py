@@ -7,10 +7,12 @@ A change that moves a digest moves numbers: it says which family moved
 and why, and takes the new pin.
 """
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "numeric_digest.py"
@@ -68,3 +70,21 @@ def test_a_dump_compared_with_itself_changes_by_zero(dump):
     )
     families = {name.rsplit("-", 1)[0] if name.startswith("report") else name for name in PINNED}
     assert dict(line.split() for line in run.stdout.splitlines()) == dict.fromkeys(families, "0")
+
+
+def test_a_value_moved_by_one_ulp_fails_the_compare(dump, tmp_path):
+    # Every line is still printed; the exit status says that one moved.
+    _, values = dump
+    moved = tmp_path / "moved"
+    shutil.copytree(values, moved)
+    family = np.load(moved / "mult32.npy")
+    family[0] = np.nextafter(family[0], np.inf)
+    np.save(moved / "mult32.npy", family)
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), "--compare", str(values), str(moved)],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 1
+    changes = dict(line.split() for line in run.stdout.splitlines())
+    assert float(changes.pop("mult32")) > 0.0
+    assert set(changes.values()) == {"0"}
