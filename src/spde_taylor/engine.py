@@ -19,15 +19,15 @@ term or subterm, so a shared subterm (the I^0_0 inside a Milstein term and
 the plan's own I^0_0) is evaluated once per step.  A sum node's
 per-substep rows, and the trajectory a later node reads, depend on the left
 points r_j, the start state and the noise before r_j, not on h: only the
-end weights and the flow factors do.  So a plan is bound to one step size
-h over a window of noise at least h long: each node builds its rows over
-the window and contracts h's end weights with the first h / h_fine of
-them, and a store of rows by term, handed to plans of every h and every
-scheme on one window, builds each term's rows once.  A diffusion node
-whose trajectory no later node reads and whose model fuses the
-end-weighted sum (the diagonal model) builds no rows.  The per-mode
-factors depend only on (eigenvalues, h, h_fine); they are built once per
-process for each such triple and shared read-only.
+end weights and the flow factors do.  So a plan binds (scheme, model, h,
+h_fine) alone: each node builds its rows over the window of noise it is
+handed and contracts h's end weights with the first h / h_fine of them,
+and a store of rows by term, handed to plans of every h and every scheme
+on one window, builds each term's rows once.  A diffusion node whose
+trajectory no later node reads and whose model fuses the end-weighted sum
+(the diagonal model) builds no rows.  The per-mode factors are built once
+per process for each (eigenvalues, h, h_fine) and shared read-only; a
+trajectory's factors are those of its window, looked up when it is made.
 
 Binding a plan turns each node into a step function that holds everything
 the node reads: its rows of those factors, its k! scale, and the model
@@ -46,12 +46,12 @@ the multiplication model: moved to the grid), and tests the end states
 for inf and nan once per run.  The fine-mesh reference
 :func:`reference_solve` is that loop over the exponential Euler plan at
 h = h_fine, which makes scheme-versus-reference comparisons on shared
-noise bit-consistent.  :func:`step` binds a plan to its h over the whole
-window of a drawn :class:`NoisePath`, which is prepared once and keeps
-each term's rows per model and start state, so the steps of several h and
-schemes on its prefixes build the rows once and have the bytes of the
-order study (``harness``), which builds them once per chunk of paths over
-the chunk's whole window.
+noise bit-consistent.  :func:`step` hands a plan of its h the whole
+prepared window of a drawn :class:`NoisePath`, which is prepared once and
+keeps each term's rows per model and start state, so the steps of several
+h and schemes on its prefixes build the rows once and have the bytes of
+the order study (``harness``), which builds them once per chunk of paths
+over the chunk's whole window.
 
 Monte-Carlo streams come from a counter-based generator: path p draws from
 ``Philox(key=seed, counter=p << 128)``, so any path's noise can be
@@ -60,7 +60,6 @@ regenerated independently of evaluation order or threading.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -126,10 +125,6 @@ class _Window:
         self.prepared: dict[object, np.ndarray] = {}
         self.rows: dict[tuple[ModelSpec, bytes], dict[TermExpr, np.ndarray]] = {}
 
-    @property
-    def substeps(self) -> int:
-        return self.increments.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class NoisePath:
@@ -143,13 +138,14 @@ class NoisePath:
 
     A path built from an array is its own root window; :meth:`prefix`
     shares it.  The root's increments are prepared for a diffusion
-    operator once, on first use, and every prefix reads the first rows of
-    that prepared window.  :func:`step` builds each term's per-substep rows
-    over the whole root window once per model and start state, and a step
-    of any h on the path or a prefix contracts the first h / h_fine of
-    them.  So a prefix stepped before or after the reference of the whole
-    path, or after a step of another h, gets the same bytes, and those of
-    the order study, which builds its rows over whole windows too.
+    operator once, on first use, and every plan stepped on the path or a
+    prefix is handed that whole prepared window.  :func:`step` builds each
+    term's per-substep rows over it once per model and start state, and a
+    plan of any h contracts the first h / h_fine of them; the reference
+    runs over its first t_end / h_fine rows.  So a prefix stepped before or
+    after the reference of the whole path, or after a step of another h,
+    gets the same bytes, and those of the order study, which builds its
+    rows over whole windows too.
 
     The first use prepares the whole drawn window, however few rows it
     reads, and the path keeps that form, and one (S, N) row block per term
@@ -169,8 +165,8 @@ class NoisePath:
         arr = np.asarray(self.increments, dtype=float)
         if arr.ndim != 2:
             raise ValueError("increments must be a (substeps, modes) array")
-        if self.h_fine <= 0.0:
-            raise ValueError("h_fine must be positive")
+        if not 0.0 < self.h_fine < math.inf:
+            raise ValueError(f"h_fine must be positive and finite, got {self.h_fine}")
         if arr.flags.writeable:
             arr = _frozen(arr.copy())
         object.__setattr__(self, "increments", arr)
@@ -201,18 +197,14 @@ class NoisePath:
         object.__setattr__(out, "_window", self._window)
         return out
 
-    def _prepared_noise(self, plan: "BoundPlan", substeps: int) -> np.ndarray | None:
-        """The first ``substeps`` rows of the root window's noise prepared
-        by ``plan`` (see :meth:`BoundPlan.prepare_noise`), a view; None for
-        plans that never apply the diffusion."""
-        if not plan.scheme.required_orders.diffusion:
-            return None
+    def _prepared_noise(self, plan: "BoundPlan") -> np.ndarray:
+        """The root window's noise prepared by ``plan`` (see
+        :meth:`BoundPlan.prepare_noise`), read-only: prepared on first use
+        per diffusion operator and kept."""
         window, diffusion = self._window, plan.model.diffusion
-        noise = window.prepared.get(diffusion)
-        if noise is None:
-            noise = _frozen(plan.prepare_noise(window.increments))
-            window.prepared[diffusion] = noise
-        return noise[:substeps]
+        if diffusion not in window.prepared:
+            window.prepared[diffusion] = _frozen(plan.prepare_noise(window.increments))
+        return window.prepared[diffusion]
 
     def _rows(self, model: ModelSpec, u0: np.ndarray) -> dict[TermExpr, np.ndarray]:
         """The term rows that steps from ``u0`` under ``model`` have built
@@ -305,6 +297,8 @@ def _whole_count(span: float, unit: float, message: str) -> int:
     """span / unit, which must be a positive whole number; else the error
     is ``message`` formatted with span and unit."""
     ratio = span / unit
+    if not math.isfinite(ratio):
+        raise MeshMismatchError(f"{span} / {unit} is not a finite count")
     count = int(round(ratio))
     if count < 1 or abs(ratio - count) > 1e-9 * max(1.0, ratio):
         raise MeshMismatchError(message.format(span, unit))
@@ -400,102 +394,74 @@ class BoundPlan:
     """A compiled scheme bound to a model and a step size h on a mesh of
     h_fine, for one step from a start state over a window of noise.
 
-    Of a node's one-step evaluation only the end weights e^{-lambda (h -
-    r_j)} and the flow factors depend on h.  Its per-substep rows and its
-    trajectory depend on the left points r_j, the start state and the
-    noise before r_j alone, so each node builds them over the window,
-    ``window`` substeps (by default h / h_fine), and contracts h's end
-    weights with the first h / h_fine rows.  Plans of several h bound to
-    one window share each term's rows through the store that
-    :meth:`advance` takes, whatever their scheme.  Binding lowers each of
-    the scheme's nodes once into a step that holds everything the node
-    reads: the shared mesh tables of h and of the window, its k! scale and
-    the model operator bound to the node's order; a node that vanishes
-    identically is dropped.  :meth:`advance` runs the steps in turn from
-    the start state of one path, (N,), or of a batch of paths, (paths,
-    N), on their windows of noise prepared by :meth:`prepare_noise`, and
-    returns the state at h.
+    A plan binds (scheme, model, h, h_fine) and nothing else.  Of a node's
+    one-step evaluation only the end weights e^{-lambda (h - r_j)} and the
+    flow factors depend on h; its per-substep rows and its trajectory
+    depend on the left points r_j, the start state and the noise before
+    r_j alone.  So each node builds them over whatever window of noise
+    :meth:`advance` is handed, at least h / h_fine rows, and contracts h's
+    end weights with the first h / h_fine rows; plans of several h and
+    schemes handed one window share each term's rows through the store
+    that :meth:`advance` takes.  Binding lowers each node once into a step
+    that holds what the node reads: the shared mesh tables of h, its k!
+    scale and the model operator bound to its order; a node that vanishes
+    identically is dropped.  A trajectory's factors come from the tables
+    of its window, looked up when the trajectory is made.
 
-    A multi-step run and the reference bind the default window, one step:
-    the stepping loop :func:`_run` advances the states through consecutive
-    windows, and a run of exponential Euler at h_fine equals the reference
-    by construction.
+    The stepping loop :func:`_run` hands the plan consecutive windows of
+    h / h_fine rows, so a run of exponential Euler at h_fine equals the
+    reference by construction.
     """
 
-    def __init__(
-        self,
-        scheme: CompiledScheme,
-        model: ModelSpec,
-        h: float,
-        h_fine: float,
-        window: int | None = None,
-    ):
+    def __init__(self, scheme: CompiledScheme, model: ModelSpec, h: float, h_fine: float):
         self.scheme = scheme
         self.model = model
         self.h_fine = h_fine
         self.substeps = _whole_count(
             h, h_fine, "step {} is not a whole number of substeps of {}"
         )
-        self.window = self.substeps if window is None else window
-        if self.window < self.substeps:
-            raise MeshMismatchError(
-                f"a window of {self.window} substeps is shorter than a step of "
-                f"{self.substeps}"
-            )
         nodes, self.term_slots, self.names = scheme.lowered
-        lam = model.eigenvalues.tobytes()
-        at_h = _mesh_tables(lam, h, h_fine, self.substeps)
-        # The window's tables give the trajectory factors.
-        self.tables = _mesh_tables(lam, self.window * h_fine, h_fine, self.window)
-        #: Per slot, ``(u0, part) -> trajectory`` of the node, or None.
+        self.tables = _mesh_tables(model.eigenvalues.tobytes(), h, h_fine, self.substeps)
+        #: Per slot, ``(u0, part, substeps) -> trajectory`` of the node, or None.
         self.paths: list = []
-        # The step contracts the first h / h_fine rows, all of them for None.
-        cut = None if self.substeps == self.window else self.substeps
-        self.steps = tuple(self._bind(at_h, cut, *node) for node in nodes)
+        self.steps = tuple(self._bind(*node) for node in nodes)
 
     def _bind(
-        self,
-        at_h: _MeshTables,
-        cut: int | None,
-        kind: str,
-        order: int,
-        arg_slots: tuple[int, ...],
-        trajectory: bool,
-        term: TermExpr,
+        self, kind: str, order: int, arg_slots: tuple[int, ...], trajectory: bool, term: TermExpr
     ):
         """The node as a step ``(u0, noise, parts, known, rows) -> value``:
-        its end value at h, or None where it vanishes; ``at_h`` holds the
-        factors of h and ``cut`` is h / h_fine, or None for the whole
-        window.  Appends to ``self.paths`` the function that makes the
-        node's trajectory, None where no later node reads it.  A node that
-        a later node reads leaves in ``parts``, under its slot, what its
-        trajectory is made from (its rows, for a sum node); ``known`` holds
-        the trajectories made so far by slot, a reader making each on first
-        read.  ``rows`` is None or the store of sum-node rows by term (see
+        its end value at h, or None where it vanishes.  Appends to
+        ``self.paths`` the function that makes the node's trajectory over a
+        window of the given number of substeps, None where no later node
+        reads it.  A node that a later node reads leaves in ``parts``,
+        under its slot, what its trajectory is made from (its rows, for a
+        sum node); ``known`` holds the trajectories made so far by slot, a
+        reader making each on first read over the window ``noise``.
+        ``rows`` is None or the store of sum-node rows by term (see
         :meth:`advance`).
 
         A node whose operator vanishes identically, as the model's binders
         say, is None when no later node reads it, else a step whose value
-        is None and whose trajectory is zero.  Sum nodes reduce their
-        per-substep rows with h's end weights; a diffusion node whose
-        trajectory no later node reads takes the reduced sum from the
-        model, without the rows, where the model fuses it (``bind_sum``).
-        A node's trajectory holds its values at the left points
-        r_0..r_{S-1} of the window, Ito style: the row at r_j has the
-        contributions strictly before r_j."""
+        is None and whose trajectory is zero.  Sum nodes reduce the first
+        h / h_fine of their per-substep rows with h's end weights; a
+        diffusion node whose trajectory no later node reads takes the
+        reduced sum from the model, without the rows, where the model fuses
+        it (``bind_sum``).  A node's trajectory holds its values at the
+        left points r_0..r_{S-1} of the window, Ito style: the row at r_j
+        has the contributions strictly before r_j."""
         # The steps hold no reference to the plan, so a plan is freed as soon
         # as its last user drops it, not by the cycle collector.
         tables, model, paths, slot = self.tables, self.model, self.paths, len(self.paths)
         paths.append(None)
         if trajectory:
-            zeros = partial(np.zeros, (self.window, model.modes))
-            paths[slot] = lambda u0, part: zeros()
+            modes, lam = model.modes, model.eigenvalues.tobytes()
+            paths[slot] = lambda u0, part, substeps: np.zeros((substeps, modes))
+            window = partial(_window_tables, lam, self.h_fine)
         if kind is _FLOW:
-            flow = at_h.flow
+            flow = tables.flow
             if not trajectory:
                 return lambda u0, noise, parts, known, rows: flow * u0
-            flow_at = tables.flow_at
-            paths[slot] = lambda u0, part: flow_at * u0[..., None, :]
+            paths[slot] = lambda u0, part, substeps: window(substeps).flow_at * u0[..., None, :]
 
             def flow_step(u0, noise, parts, known, rows):
                 parts[slot] = u0
@@ -507,11 +473,12 @@ class BoundPlan:
             drift = model.drift.bind_value()
             if drift is None:
                 return vanishing
-            drift_flow = at_h.drift_flow
+            drift_flow = tables.drift_flow
             if not trajectory:
                 return lambda u0, noise, parts, known, rows: drift_flow * drift(u0)
-            drift_flow_at = tables.drift_flow_at
-            paths[slot] = lambda u0, base: drift_flow_at * base[..., None, :]
+            paths[slot] = lambda u0, base, substeps: (
+                window(substeps).drift_flow_at * base[..., None, :]
+            )
 
             def drift_flow_step(u0, noise, parts, known, rows):
                 base = parts[slot] = drift(u0)
@@ -522,15 +489,12 @@ class BoundPlan:
         diffusion = model.diffusion
         fused = None if trajectory else getattr(diffusion, "bind_sum", None)
         if kind is _DIFFUSION and fused is not None:
-            total = _over_factorial(order, fused(order, at_h.end_weights))
+            total = _over_factorial(order, fused(order, tables.end_weights))
             if total is None:
                 return None
-
-            def fused_step(u0, noise, parts, known, rows):
-                args = read(u0, parts, known)
-                return total(u0, args, noise if cut is None else noise[..., :cut, :])
-
-            return fused_step
+            return lambda u0, noise, parts, known, rows: total(
+                u0, read(u0, noise, parts, known), noise
+            )
         if kind is _DIFFUSION:
             build = _over_factorial(order, diffusion.bind_rows(order))
         else:
@@ -541,47 +505,45 @@ class BoundPlan:
             )
         if build is None:
             return vanishing
-        kept = _prefix_sum(at_h.end_weights, cut)
+        kept = bind_end_sum(tables.end_weights)
         # Rows that neither a store nor a later node keeps are scratch, which
         # a one-column sum may overwrite.
-        scratch = kept if trajectory else _prefix_sum(at_h.end_weights, cut, overwrite=True)
+        scratch = kept if trajectory else bind_end_sum(tables.end_weights, overwrite=True)
         if trajectory:
             decay = tables.decay_fine
-            paths[slot] = lambda u0, block: _running_sum(block, decay)
+            paths[slot] = lambda u0, block, substeps: _running_sum(block, decay)
 
         def sum_step(u0, noise, parts, known, rows):
             if rows is None:
-                block, end_sum = build(u0, read(u0, parts, known), noise), scratch
+                block, end_sum = build(u0, read(u0, noise, parts, known), noise), scratch
             else:
                 block, end_sum = rows.get(term), kept
                 if block is None:
-                    block = rows[term] = _frozen(build(u0, read(u0, parts, known), noise))
+                    block = rows[term] = _frozen(build(u0, read(u0, noise, parts, known), noise))
             if trajectory:
                 parts[slot] = block
             return end_sum(block)
 
         return sum_step
 
-    def prepare_noise(self, increments: np.ndarray) -> np.ndarray | None:
+    def prepare_noise(self, increments: np.ndarray) -> np.ndarray:
         """The increments, (substeps, M) or (paths, substeps, M), in the
         form the diffusion consumes, one row per substep (for the
-        multiplication model: grid values); None for plans that never apply
-        the diffusion."""
-        if not self.scheme.required_orders.diffusion:
-            return None
+        multiplication model: grid values)."""
         # Overflow shows up as a non-finite state in the stepping loop.
         with np.errstate(over="ignore", invalid="ignore"):
             return self.model.diffusion.prepare_noise(increments)
 
     def advance(
-        self, u0: np.ndarray, noise: np.ndarray | None, rows: dict | None = None
+        self, u0: np.ndarray, noise: np.ndarray, rows: dict | None = None
     ) -> tuple[np.ndarray, list[np.ndarray | None]]:
         """One step of h from ``u0`` over the window whose prepared noise is
         ``noise``: u0 plus the sum of the plan's terms at h, and each node's
         end value by slot, None where the node vanishes (see
         :meth:`nonfinite`).  ``u0`` is one state, (N,), or one per path,
-        (paths, N), and ``noise`` the window of each, (window, ·) or
-        (paths, window, ·).
+        (paths, N), and ``noise`` the window of each, (S, ·) or (paths, S,
+        ·) for any S of at least h / h_fine: the nodes build their rows and
+        trajectories over all S rows and contract the first h / h_fine.
 
         ``rows``, if given, stores the rows of sum nodes by term for this
         start state and window: a node takes its rows from there if they
@@ -616,26 +578,31 @@ class BoundPlan:
         return NonfiniteValueError("sum of plan terms")
 
 
+def _window_tables(eigenvalues: bytes, h_fine: float, substeps: int) -> _MeshTables:
+    """The tables of a window of ``substeps`` rows: its trajectory factors."""
+    return _mesh_tables(eigenvalues, substeps * h_fine, h_fine, substeps)
+
+
 def _reader(arg_slots: tuple[int, ...], paths: list):
-    """``(u0, parts, known) -> trajectories`` of the nodes in ``arg_slots``,
-    each made on first read from the node's part by its function in
-    ``paths`` and kept in ``known``."""
+    """``(u0, noise, parts, known) -> trajectories`` of the nodes in
+    ``arg_slots`` over the window ``noise``, each made on first read from
+    the node's part by its function in ``paths`` and kept in ``known``."""
     if not arg_slots:
         return _no_args
 
-    def read(u0, parts, known):
+    def read(u0, noise, parts, known):
         out = []
         for slot in arg_slots:
             path = known.get(slot)
             if path is None:
-                path = known[slot] = paths[slot](u0, parts.get(slot))
+                path = known[slot] = paths[slot](u0, parts.get(slot), noise.shape[-2])
             out.append(path)
         return out
 
     return read
 
 
-def _no_args(u0, parts, known) -> tuple:
+def _no_args(u0, noise, parts, known) -> tuple:
     return ()
 
 
@@ -643,15 +610,6 @@ def _vanishing(u0, noise, parts, known, rows) -> None:
     """The step of a node that vanishes identically and that a later node
     reads: no values; its trajectory is zero."""
     return None
-
-
-def _prefix_sum(weights: np.ndarray, cut: int | None, overwrite: bool = False):
-    """``rows -> `` the end-weighted sum (:func:`bind_end_sum`) of the
-    first ``cut`` rows, or of all for None."""
-    end_sum = bind_end_sum(weights, overwrite)
-    if cut is None:
-        return end_sum
-    return lambda rows: end_sum(rows[..., :cut, :])
 
 
 def _running_sum(rows: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -673,29 +631,28 @@ def _over_factorial(order: int, bound):
     return lambda *args: bound(*args) / divisor
 
 
-def _windows(plan: BoundPlan, noise: np.ndarray | None, steps: int):
-    """The prepared noise of each of ``steps`` consecutive steps: view n of
-    the leading axis is step n's window, with no copies."""
-    if noise is None:
-        return itertools.repeat(None, steps)
-    blocks = noise[..., : steps * plan.window, :]
-    blocks = blocks.reshape(blocks.shape[:-2] + (steps, plan.window, blocks.shape[-1]))
+def _windows(plan: BoundPlan, noise: np.ndarray, steps: int):
+    """The prepared noise of each of ``steps`` consecutive steps of the
+    plan's h: view n of the leading axis is step n's window of h / h_fine
+    rows, with no copies."""
+    blocks = noise[..., : steps * plan.substeps, :]
+    blocks = blocks.reshape(blocks.shape[:-2] + (steps, plan.substeps, blocks.shape[-1]))
     return blocks.swapaxes(-3, 0)
 
 
 def _run(
     plan: BoundPlan,
     states: np.ndarray,
-    noise: np.ndarray | None,
+    noise: np.ndarray,
     steps: int,
     record_steps: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The stepping loop of a plan bound to its default window: advances
-    the states through ``steps`` consecutive h-long row blocks of
-    ``noise``, their prepared windows, or None for plans without
-    diffusion.  The shapes are those of :meth:`BoundPlan.advance`: a single
-    path runs unbatched, which spares it the cost of broadcasting against
-    the (N,) mesh tables.
+    """The stepping loop: advances the states through ``steps``
+    consecutive h-long row blocks of the prepared noise ``noise``, which
+    may run on past the last block, handing the plan one block per step.
+    The shapes are those of :meth:`BoundPlan.advance`: a single path runs
+    unbatched, which spares it the cost of broadcasting against the (N,)
+    mesh tables.
 
     Returns the end states and the states after each step count in
     ``record_steps``.  A path whose state goes non-finite runs on,
@@ -718,7 +675,7 @@ def _run(
 
 
 def _first_failures(
-    plan: BoundPlan, start: np.ndarray, noise: np.ndarray | None, end: np.ndarray, steps: int
+    plan: BoundPlan, start: np.ndarray, noise: np.ndarray, end: np.ndarray, steps: int
 ) -> dict[int, NonfiniteValueError]:
     """Keyed by row (0 for a single path), the error naming the first
     non-finite term of each row of the ``end`` states of a :func:`_run`
@@ -729,7 +686,7 @@ def _first_failures(
     rows = (0,)
     if end.ndim > 1:
         rows = np.flatnonzero(~np.isfinite(end).all(axis=-1))
-        start, noise = start[rows], None if noise is None else noise[rows]
+        start, noise = start[rows], noise[rows]
     failed: dict[int, NonfiniteValueError] = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for window in _windows(plan, noise, steps):
@@ -740,7 +697,7 @@ def _first_failures(
 
 
 def _one_step(
-    plan: BoundPlan, u0: np.ndarray, noise: np.ndarray | None, rows: dict | None = None
+    plan: BoundPlan, u0: np.ndarray, noise: np.ndarray, rows: dict | None = None
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """:meth:`BoundPlan.advance`, one step of the plan's h from ``u0`` over
     the prepared window ``noise``, with no numpy warning: a blow-up leaves
@@ -780,19 +737,20 @@ def step(
     """The one-step approximation at time h from u0 on the first h / h_fine
     increments of the path, as the result's state.
 
-    The plan's nodes build their rows over the path's whole root window,
-    once per model and start state, and keep them in the path's record
-    (see :class:`NoisePath`); a step of any h on the path or its prefixes
-    then contracts the first h / h_fine of them.  A non-finite state raises
-    :class:`NonfiniteValueError` naming the first non-finite term, and
-    ``workspace`` is None or ``model.workspace()``."""
+    The plan of h is handed the path's whole prepared root window: its
+    nodes build their rows over it, once per model and start state, and
+    keep them in the path's record (see :class:`NoisePath`); a step of any
+    h on the path or its prefixes then contracts the first h / h_fine of
+    them.  A non-finite state raises :class:`NonfiniteValueError` naming
+    the first non-finite term, and ``workspace`` is None or
+    ``model.workspace()``."""
     _check_inputs(u0, path, model, workspace)
-    plan = BoundPlan(scheme, model, h, path.h_fine, path._window.substeps)
+    plan = BoundPlan(scheme, model, h, path.h_fine)
     if plan.substeps > path.substeps:
         raise MeshMismatchError(
             f"[0, {h}] needs {plan.substeps} substeps, path provides {path.substeps}"
         )
-    noise = path._prepared_noise(plan, plan.window)
+    noise = path._prepared_noise(plan)
     state, values = _one_step(plan, u0.coeffs, noise, path._rows(model, u0.coeffs))
     if not np.isfinite(state).all():
         raise plan.nonfinite(values, 0)
@@ -838,7 +796,7 @@ def reference_solve(
         raise MeshMismatchError(
             f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
         )
-    noise = path._prepared_noise(plan, steps)
+    noise = path._prepared_noise(plan)
     state, recorded = _run(plan, u0.coeffs, noise, steps, record_substeps)
     if not np.isfinite(state).all():
         raise _first_failures(plan, u0.coeffs, noise, state, steps)[0]

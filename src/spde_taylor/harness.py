@@ -211,9 +211,7 @@ def _ladder_errors(
     horizon = {h: steps[h] * round(h / h_fine) for h in ladder}  # in substeps
     window = max(horizon.values())
     reference = BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine)
-    # One-step plans read the chunk's whole window, so that they share its rows.
-    one_step_window = None if config.multi_step else window
-    plans = [{h: BoundPlan(s, model, h, h_fine, one_step_window) for h in ladder} for s in schemes]
+    plans = [{h: BoundPlan(s, model, h, h_fine) for h in ladder} for s in schemes]
     chunk = max(1, _CHUNK_BYTES // (8 * window * model.noise_modes))
     results = [({h: [] for h in ladder}, {h: 0 for h in ladder}) for _ in schemes]
     reference_norms: dict[float, list[float]] = {h: [] for h in ladder}
@@ -237,7 +235,7 @@ def _ladder_errors(
         for plan, (errors, excluded) in zip(plans, results):
             for h in ladder:
                 if config.multi_step:
-                    approx = _run(plan[h], u0, noise[:, : horizon[h]], steps[h])[0]
+                    approx = _run(plan[h], u0, noise, steps[h])[0]
                 else:
                     approx = _one_step(plan[h], u0, noise, rows)[0]
                 finite = np.isfinite(approx).all(axis=-1)
@@ -252,11 +250,27 @@ def _row_statistics(h: float, values: list[float], n_excluded: int, p: float) ->
 
     The mean of |e|^p over paths has standard error sqrt(var/n); mapping
     through x -> x^(1/p) multiplies it by x^(1/p - 1)/p at the estimate.
+    Where the powers or their moments of finite errors overflow, both come
+    from the errors over the row's largest and are scaled back by it.
     """
     if not values:
         return ErrorRow(h=h, error=float("nan"), stderr=float("nan"),
                         n_paths=0, n_excluded=n_excluded)
-    powers = np.asarray(values, dtype=float) ** p
+    errors = np.asarray(values, dtype=float)
+    try:
+        with np.errstate(over="raise"):
+            estimate, stderr = _lp_estimate(errors, p)
+    except FloatingPointError:
+        scale = errors.max()
+        estimate, stderr = (float(x * scale) for x in _lp_estimate(errors / scale, p))
+    return ErrorRow(h=h, error=estimate, stderr=stderr,
+                    n_paths=errors.size, n_excluded=n_excluded)
+
+
+def _lp_estimate(errors: np.ndarray, p: float) -> tuple[float, float]:
+    """The Lp mean of ``errors`` and its standard error (see
+    :func:`_row_statistics`)."""
+    powers = errors ** p
     n = powers.size
     mean = float(powers.mean())
     estimate = mean ** (1.0 / p)
@@ -265,8 +279,7 @@ def _row_statistics(h: float, values: list[float], n_excluded: int, p: float) ->
         stderr = se_mean * estimate / (p * mean)
     else:
         stderr = 0.0
-    return ErrorRow(h=h, error=estimate, stderr=float(stderr),
-                    n_paths=int(n), n_excluded=n_excluded)
+    return estimate, float(stderr)
 
 
 def _regression_slope(rows, floors, multi_step=False) -> tuple[float | None, int, str | None]:

@@ -228,19 +228,19 @@ class DiffusionOperator(Protocol):
     ``bind_rows`` returns a function of ``(base, arg_rows, noise)``: the
     rows B^(k)(base)(args)(xi_s), (..., S, N), as a fresh array that the
     caller may overwrite; ``None`` means identically zero.  The engine
-    builds a node's rows once over a window of noise, contracts them with
-    the end weights of every step size and divides them by k!.
-    ``apply_diffusion`` and ``diffusion_matrix`` apply the bound rows once,
-    to unit noise vectors.
+    builds a node's rows once over the window of noise it is handed,
+    contracts the first h / h_fine of them with the end weights of each
+    step size h and divides them by k!.  ``apply_diffusion`` and
+    ``diffusion_matrix`` apply the bound rows once, to unit noise vectors.
 
     An operator whose end-weighted sum is cheaper than its rows may also
     provide ``bind_sum(order, weights)``, a function of the same arguments
     that gives only sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n],
-    (..., N), for the (N, S) weights it was bound to, or None where
-    ``bind_rows`` is None.  The engine takes it for a node whose trajectory
-    no later node reads, once per step size, and divides it by k!; the
-    diagonal model has one, the multiplication model, whose sum is only its
-    rows reduced, has none.
+    (..., N), over the first S noise rows for the (N, S) weights it was
+    bound to, or None where ``bind_rows`` is None.  The engine takes it for
+    a node whose trajectory no later node reads, once per step size, and
+    divides it by k!; the diagonal model has one, the multiplication model,
+    whose sum is only its rows reduced, has none.
     """
 
     modes: int
@@ -254,10 +254,12 @@ class DiffusionOperator(Protocol):
 def bind_end_sum(
     weights: np.ndarray, overwrite: bool = False
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """rows -> sum_s weights[n, s] rows[..., s, n] for (N, S) weights; a
-    single row is multiplied by the weight column, which gives the einsum's
-    bytes but for the sign of a zero, in place if ``overwrite`` is set."""
-    if weights.shape[1] == 1:
+    """rows -> sum_s weights[n, s] rows[..., s, n] over the first S rows,
+    for (N, S) weights and at least S rows; a single row is multiplied by
+    the weight column, which gives the einsum's bytes but for the sign of a
+    zero, in place if ``overwrite`` is set."""
+    substeps = weights.shape[1]
+    if substeps == 1:
         column = weights[:, 0]
         if not overwrite:
             return lambda rows: rows[..., 0, :] * column
@@ -268,7 +270,7 @@ def bind_end_sum(
             return row
 
         return in_place
-    return lambda rows: np.einsum("ns,...sn->...n", weights, rows)
+    return lambda rows: np.einsum("ns,...sn->...n", weights, rows[..., :substeps, :])
 
 
 class ZeroDrift:
@@ -330,7 +332,7 @@ class DiagonalDiffusion:
     states of ``modes`` modes and one noise mode per weight; it needs no
     grid, and the prepared noise is the rows themselves, with no copy.  Its
     end-weighted sum (``bind_sum``) is one contraction over views of the
-    noise, with no rows."""
+    first S noise rows, with no rows."""
 
     def __init__(self, weights: np.ndarray, modes: int):
         self.weights = np.asarray(weights, dtype=float)
@@ -354,15 +356,16 @@ class DiagonalDiffusion:
         return rows
 
     def bind_sum(self, order, weights):
-        # One contraction over views into the first min(N, M) modes: no rows.
+        # One contraction over views into the first S substeps and the first
+        # min(N, M) modes: no rows.
         if order >= 1:
             return None
         modes, k = self.modes, min(self.modes, self.weights.size)
-        b, w = self.weights[:k], weights[:k]
+        b, w, substeps = self.weights[:k], weights[:k], weights.shape[1]
 
         def weighted_sum(base, arg_rows, noise):
             out = np.zeros(noise.shape[:-2] + (modes,))
-            np.einsum("n,...sn,ns->...n", b, noise[..., :k], w, out=out[..., :k])
+            np.einsum("n,...sn,ns->...n", b, noise[..., :substeps, :k], w, out=out[..., :k])
             return out
 
         return weighted_sum
@@ -386,8 +389,8 @@ class ModelSpec:
         lam = np.asarray(self.eigenvalues, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must form a nonempty vector")
-        if lam.min() <= 0.0:
-            raise ValueError("eigenvalues must be strictly positive")
+        if not (np.isfinite(lam).all() and lam.min() > 0.0):
+            raise ValueError("eigenvalues must be finite and strictly positive")
         if not 0.0 < self.gamma < 1.0:
             raise BadParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not 0.0 < self.delta <= 0.5:
@@ -440,7 +443,6 @@ def heat_multiplicative_model(
     modes: int = 64,
     noise_modes: int = 64,
     r: float = 0.005,
-    initial: str = "smooth_poly",
 ) -> ModelSpec:
     """Dirichlet heat equation with pointwise multiplication noise.
 
@@ -459,15 +461,11 @@ def heat_multiplicative_model(
         gamma=0.25 - r,
         delta=0.25,
         noise_modes=noise_modes,
-        initial=initial_condition(initial, modes),
+        initial=initial_condition("smooth_poly", modes),
     )
 
 
-def heat_additive_model(
-    modes: int = 64,
-    noise_modes: int = 64,
-    initial: str = "smooth_poly",
-) -> ModelSpec:
+def heat_additive_model(modes: int = 64, noise_modes: int = 64) -> ModelSpec:
     """Heat equation with a fixed diagonal diffusion, weights b_k = 1/k.
 
     The summable weights keep the Hilbert-Schmidt norm of e^{At}B bounded
@@ -487,7 +485,7 @@ def heat_additive_model(
         gamma=0.5,
         delta=0.5,
         noise_modes=noise_modes,
-        initial=initial_condition(initial, modes),
+        initial=initial_condition("smooth_poly", modes),
     )
 
 

@@ -156,6 +156,11 @@ class TestNoisePath:
         assert path == path and path != twin and path.prefix(2) != path
         assert len({path, twin, path}) == 2
 
+    @pytest.mark.parametrize("h_fine", [0.0, -1.0, np.nan, np.inf])
+    def test_h_fine_must_be_positive_and_finite(self, h_fine):
+        with pytest.raises(ValueError, match="h_fine must be positive and finite"):
+            NoisePath(np.zeros((2, 2)), h_fine=h_fine)
+
     def test_prefix_too_long(self):
         # A negative count must not wrap round through a negative slice.
         path = NoisePath.draw(path_generator(1, 0), 8, 2, H_FINE)
@@ -220,6 +225,16 @@ class TestStep:
             step(builtin_scheme("exp-euler"), mult.initial, 8.3 * H_FINE, path, mult)
         with pytest.raises(MeshMismatchError):
             step(builtin_scheme("exp-euler"), mult.initial, 16 * H_FINE, path, mult)
+
+    @pytest.mark.parametrize("span", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_step_or_horizon_is_a_mesh_mismatch(self, span, mult):
+        # nan / h_fine and inf / h_fine are no count of substeps; neither
+        # entry point may fail converting them to an integer.
+        path = draw_path(mult, 8)
+        with pytest.raises(MeshMismatchError, match="is not a finite count"):
+            step(builtin_scheme("exp-euler"), mult.initial, span, path, mult)
+        with pytest.raises(MeshMismatchError, match="is not a finite count"):
+            reference_solve(mult.initial, span, path, mult)
 
     def test_nonfinite_detection_names_the_term(self, mult):
         wild = NoisePath(
@@ -337,25 +352,19 @@ class TestReference:
         increments = chunk_increments(mult, 3, 256, seed=9)
         for substeps in (1, 16, 256):
             h = substeps * H_FINE
-            plan = BoundPlan(scheme, mult, h, H_FINE, 256)
+            plan = BoundPlan(scheme, mult, h, H_FINE)
             noise = plan.prepare_noise(increments)
             chunk, _ = _one_step(plan, start_states(mult, 3), noise, {})
-            loop_plan = BoundPlan(scheme, mult, h, H_FINE)
             exact, _ = _run(
-                loop_plan, start_states(mult, 3),
-                loop_plan.prepare_noise(increments[:, :substeps]), 1,
+                plan, start_states(mult, 3), plan.prepare_noise(increments[:, :substeps]), 1
             )
-            window = None if noise is None else noise[:, :substeps]
-            shared, _ = _run(loop_plan, start_states(mult, 3), window, 1)
+            shared, _ = _run(plan, start_states(mult, 3), noise, 1)
             for row in range(3):
                 path = NoisePath(increments[row], h_fine=H_FINE)
                 single = step(scheme, mult.initial, h, path, mult).state
                 alone = plan.prepare_noise(increments[row : row + 1])
                 solo, _ = _one_step(plan, start_states(mult, 1), alone, {})
-                loop, _ = _run(
-                    loop_plan, start_states(mult, 1),
-                    None if alone is None else alone[:, :substeps], 1,
-                )
+                loop, _ = _run(plan, start_states(mult, 1), alone, 1)
                 assert chunk[row].tobytes() == solo[0].tobytes()
                 assert single.coeffs.tobytes() == solo[0].tobytes()
                 assert shared[row].tobytes() == loop[0].tobytes()
@@ -535,10 +544,10 @@ class TestReference:
 
 
 class TestLadder:
-    """One step at every h of a ladder, by plans bound to each h over the
-    longest window that build each term's rows once in one shared store,
-    against the stepping loop of a plan bound to each h alone on noise
-    prepared from its own prefix."""
+    """One step at every h of a ladder, by a plan of each h handed the
+    longest window, which build each term's rows once in one shared store,
+    against the stepping loop of the same plan on noise prepared from its
+    own prefix."""
 
     SUBSTEPS = (256, 64, 16, 4)
     #: Where the two agree to the last bit on these shapes: the schemes with
@@ -550,8 +559,7 @@ class TestLadder:
     }
 
     def ladder(self, scheme, model):
-        window = self.SUBSTEPS[0]
-        return [BoundPlan(scheme, model, k * H_FINE, H_FINE, window) for k in self.SUBSTEPS]
+        return [BoundPlan(scheme, model, k * H_FINE, H_FINE) for k in self.SUBSTEPS]
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
     @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
@@ -563,10 +571,7 @@ class TestLadder:
         noise, rows = plans[0].prepare_noise(increments), {}
         for k, plan in zip(self.SUBSTEPS, plans):
             state, _ = _one_step(plan, start_states(model, 3), noise, rows)
-            alone = BoundPlan(scheme, model, k * H_FINE, H_FINE)
-            loop, _ = _run(
-                alone, start_states(model, 3), alone.prepare_noise(increments[:, :k]), 1
-            )
+            loop, _ = _run(plan, start_states(model, 3), plan.prepare_noise(increments[:, :k]), 1)
             np.testing.assert_allclose(state, loop, rtol=1e-13, atol=1e-16)
             if name in self.BITWISE[model_name]:
                 assert state.tobytes() == loop.tobytes()
@@ -585,10 +590,7 @@ class TestLadder:
         path = NoisePath(increments[0], h_fine=H_FINE)
         for k, plan in zip(self.SUBSTEPS, plans):
             state, _ = _one_step(plan, start_states(model, 3), noise, rows)
-            alone = BoundPlan(scheme, model, k * H_FINE, H_FINE)
-            loop, _ = _run(
-                alone, start_states(model, 3), alone.prepare_noise(increments[:, :k]), 1
-            )
+            loop, _ = _run(plan, start_states(model, 3), plan.prepare_noise(increments[:, :k]), 1)
             np.testing.assert_allclose(state, loop, rtol=1e-13, atol=1e-16)
             stepped = step(scheme, model.initial, k * H_FINE, path.prefix(k), model).state
             assert stepped.coeffs.tobytes() == state[0].tobytes()
@@ -622,11 +624,16 @@ class TestLadder:
             paths = [0, 2] if k > 64 else [0, 1, 2]
             assert got[paths].tobytes() == want[paths].tobytes()
 
-    def test_a_window_shorter_than_the_step_is_rejected(self, mult):
-        # A one-step plan contracts the first h / h_fine rows of its window.
-        message = "window of 8 substeps is shorter than a step of 16"
-        with pytest.raises(MeshMismatchError, match=message):
-            BoundPlan(builtin_scheme("exp-euler"), mult, 16 * H_FINE, H_FINE, 8)
+    @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
+    def test_a_window_shorter_than_the_step_raises(self, model_name, mult, additive):
+        # A plan contracts the first h / h_fine rows of the window it is
+        # handed: 8 rows cannot give a step of 16 substeps a state, whether
+        # the rows are built (heat-mult) or summed by the model (heat-add).
+        model = {"heat-mult": mult, "heat-add": additive}[model_name]
+        plan = BoundPlan(builtin_scheme("exp-euler"), model, 16 * H_FINE, H_FINE)
+        noise = plan.prepare_noise(chunk_increments(model, 1, 8)[0])
+        with pytest.raises(ValueError):
+            _one_step(plan, model.initial.coeffs, noise)
 
     def test_step_on_a_prefix_before_a_blow_up_is_finite(self, mult):
         # The same through step(): the path's rows overflow past substep

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from spde_taylor.harness import (
     run_study,
     symbolic_report,
     _ladder_errors,
+    _row_statistics,
 )
 from spde_taylor.models import (
     MultiplicationDiffusion,
@@ -556,6 +558,10 @@ class TestChunks:
                 blown[h] = True
             assert excluded[h] == blown[h]
             assert np.isfinite(errors[h]).all()
+            # Errors up to 3e307 square past the float range; their
+            # statistics stay finite.
+            row = _row_statistics(h, errors[h], excluded[h], config.p_norm)
+            assert np.isfinite([row.error, row.stderr]).all()
             others = errors[h] if blown[h] else errors[h][:2] + errors[h][3:]
             assert others == alone[h][:2] + alone[h][3:]
         assert set(blown.values()) == {True, False}
@@ -589,6 +595,19 @@ class TestChunks:
         with pytest.raises(NonfiniteValueError) as info:
             run_convergence(TINY)
         assert info.value.term == "I^0_2"
+
+
+def test_row_statistics_of_errors_whose_powers_overflow():
+    # The squares of 1e200 and 2e200 overflow; the row scales its errors by
+    # the largest and gives the L2 mean sqrt(5 / 2) * 1e200, and the
+    # standard error of the errors 1 and 2 scaled by 1e200, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = _row_statistics(0.5, [1e200, 2e200], 0, 2.0)
+        unit = _row_statistics(0.5, [1.0, 2.0], 0, 2.0)
+    assert row.error == pytest.approx(1.5811388300841898e200, rel=1e-15)
+    assert row.stderr == pytest.approx(unit.stderr * 1e200, rel=1e-15)
+    assert (row.n_paths, row.n_excluded) == (2, 0)
 
 
 class TestReports:

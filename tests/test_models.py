@@ -113,6 +113,15 @@ class TestModelParameters:
         with pytest.raises(BadParameterError):
             heat_multiplicative_model(modes=8, noise_modes=8, r=0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_eigenvalues_must_be_finite_and_positive(self, bad, mult):
+        # An inf eigenvalue would make the flow factor e^{-lambda r} - 1
+        # nan at r = 0, and nan passes every comparison test.
+        lam = mult.eigenvalues.copy()
+        lam[3] = bad
+        with pytest.raises(ValueError, match="eigenvalues must be finite and strictly positive"):
+            dataclasses.replace(mult, eigenvalues=lam)
+
     @pytest.mark.parametrize(
         "build, diffusion, message",
         [
