@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Interleaved A/B timing of two ``spde_taylor`` source trees in one process.
+
+Separate processes on one host can time the same code tens of percent
+apart; rounds that alternate between two trees loaded side by side share
+the host's state, so their differences are the code's.  Each round imports
+both trees afresh under names of its own (the package imports itself
+relatively), with BLAS on one thread: two copies of one tree loaded once
+time up to 15 % apart for as long as they live, so each round draws the
+copies' layout anew and the medians average it out.  After a warm-up, each
+round times, on each side, with the side that goes first alternating from
+round to round:
+
+* ``reference``: one path's 256-substep reference (criterion 3's shape:
+  heat-mult at N = M = 64, h_fine = 2^-12), per path;
+* ``steps <scheme>``: the five ``step()`` calls of an order-heat-mult op
+  (h = 2^-4 down to 2^-8 on prefixes of a fresh path whose reference has
+  run), per path, for each of the four schemes;
+* ``ladder``: criterion 3's ``harness._ladder_errors`` over ``--paths``
+  paths, the four schemes at once.
+
+Each line prints the medians over the rounds, parent then change, the
+median of the rounds' ratios change / parent, and in how many rounds the
+change was faster::
+
+    python3 scripts/ab_timing.py PARENT/src src
+    python3 scripts/ab_timing.py PARENT/src src --paths 8 --rounds 4
+"""
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import blas_threads  # noqa: F401  (before the trees import numpy)
+
+SCHEMES = ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd")
+H_FINE, SUBSTEPS = 2.0**-12, (256, 128, 64, 32, 16)
+
+
+def load(name: str, src: Path):
+    """The ``spde_taylor`` package under ``src``, imported as ``name``."""
+    root = src.resolve() / "spde_taylor"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+class Side:
+    """The workloads of one tree."""
+
+    def __init__(self, name: str, src: Path, paths: int):
+        self.name = name
+        load(name, src)
+        self.engine = importlib.import_module(f"{name}.engine")
+        self.harness = importlib.import_module(f"{name}.harness")
+        models = importlib.import_module(f"{name}.models")
+        self.model = models.heat_multiplicative_model(64, 64)
+        self.schemes = {s: self.engine.builtin_scheme(s) for s in SCHEMES}
+        self.config = self.harness.ExperimentConfig(
+            model="heat-mult", t_end=1.0, fine_log2=12, ladder_log2=(4, 5, 6, 7, 8),
+            paths=paths, seed=2024, r=0.005, modes=64, noise_modes=64,
+        )
+        self.paths = paths
+
+    def _path(self, index: int):
+        engine = self.engine
+        generator = engine.path_generator(2024, index)
+        return engine.NoisePath.draw(generator, SUBSTEPS[0], 64, H_FINE)
+
+    def reference(self) -> float:
+        engine, model, u0 = self.engine, self.model, self.model.initial
+        paths = [self._path(i) for i in range(self.paths)]
+        start = time.perf_counter()
+        for path in paths:
+            engine.reference_solve(u0, SUBSTEPS[0] * H_FINE, path, model, None, SUBSTEPS)
+        return (time.perf_counter() - start) / self.paths
+
+    def steps(self, scheme_name: str) -> float:
+        engine, model, u0 = self.engine, self.model, self.model.initial
+        scheme, spent = self.schemes[scheme_name], 0.0
+        for index in range(self.paths):
+            path = self._path(index)
+            engine.reference_solve(u0, SUBSTEPS[0] * H_FINE, path, model, None, SUBSTEPS)
+            start = time.perf_counter()
+            for k in SUBSTEPS:
+                engine.step(scheme, u0, k * H_FINE, path.prefix(k), model)
+            spent += time.perf_counter() - start
+        return spent / self.paths
+
+    def ladder(self) -> float:
+        schemes = tuple(self.schemes.values())
+        start = time.perf_counter()
+        self.harness._ladder_errors(self.config, schemes, self.model)
+        return time.perf_counter() - start
+
+    def unload(self) -> None:
+        for module in [m for m in sys.modules if m.split(".")[0] == self.name]:
+            del sys.modules[module]
+
+
+def timed(run, side) -> float:
+    """``run(side)`` with the garbage collector off, as ``timeit`` runs: a
+    collection's cost depends on every object alive, both trees' included,
+    not on the code timed."""
+    gc.collect()
+    gc.disable()
+    try:
+        return run(side)
+    finally:
+        gc.enable()
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="the parent's src directory")
+    parser.add_argument("change", type=Path, help="the change's src directory")
+    parser.add_argument("--paths", type=int, default=32, help="paths per workload and round")
+    parser.add_argument("--rounds", type=int, default=20, help="rounds (alternating order)")
+    args = parser.parse_args(argv)
+    if args.paths < 1 or args.rounds < 1:
+        parser.error("--paths and --rounds must be at least 1")
+    workloads = {"reference": lambda side: side.reference()}
+    for name in SCHEMES:
+        workloads[f"steps {name}"] = lambda side, name=name: side.steps(name)
+    workloads["ladder"] = lambda side: side.ladder()
+    times = {name: ([], []) for name in workloads}
+    for round_ in range(args.rounds):
+        order = (0, 1) if round_ % 2 == 0 else (1, 0)
+        sides = {}
+        for which in order:
+            label, src = (("parent", args.parent), ("change", args.change))[which]
+            sides[which] = Side(f"{label}_spde_taylor_{round_}", src, args.paths)
+        for run in workloads.values():  # warm-up: caches, BLAS
+            for which in order:
+                run(sides[which])
+        for name, run in workloads.items():
+            for which in order:
+                times[name][which].append(timed(run, sides[which]))
+        for side in sides.values():
+            side.unload()
+    print(f"{'workload':22} {'parent ms':>10} {'change ms':>10} {'ratio':>7}  change won")
+    for name, (parent, change) in times.items():
+        a, b = statistics.median(parent), statistics.median(change)
+        ratio = statistics.median(c / p for p, c in zip(parent, change))
+        won = sum(c < p for p, c in zip(parent, change))
+        print(f"{name:22} {a * 1e3:10.3f} {b * 1e3:10.3f} {ratio:7.3f}  {won}/{args.rounds}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -39,8 +39,8 @@ listed below, with no separators: a state as its float64 coefficients
 
 BLAS products of one shape can round differently with the thread count,
 so the script runs BLAS and its kin on one thread, as ``perfbench/run.py``
-does: it reads that script's ``THREAD_VARS`` from its source and sets each
-of them to 1 before it imports numpy.
+does: it imports ``blas_threads`` before numpy, which sets each of that
+script's ``THREAD_VARS`` to 1.
 
 With ``--values DIR`` the script also writes each family's float64
 values to ``DIR/<family>.npy``: the states of a state or shape family in
@@ -59,23 +59,16 @@ changed its count of values, and 0 when every family kept its values.
 """
 
 import argparse
-import ast
 import hashlib
-import os
 import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-THREAD_VARS = next(
-    ast.literal_eval(node.value)
-    for node in ast.parse((ROOT / "perfbench" / "run.py").read_text()).body
-    if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "THREAD_VARS"
-)
-os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
-
+import blas_threads  # noqa: F401  (before numpy)
 import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
 
 sys.path.insert(0, str(ROOT / "src"))
 

@@ -21,23 +21,28 @@ per-substep rows, and the trajectory a later node reads, depend on the left
 points r_j, the start state and the noise before r_j, not on h: only the
 end weights and the flow factors do.  So a plan binds (scheme, model, h,
 h_fine) alone: each node builds its rows over the window of noise it is
-handed and contracts h's end weights with the first h / h_fine of them,
-and a store of rows by term, handed to plans of every h and every scheme
-on one window, builds each term's rows once.  A diffusion node whose
-trajectory no later node reads and whose model fuses the end-weighted sum
-(the diagonal model) builds no rows.  The per-mode factors are built once
-per process for each (eigenvalues, h, h_fine) and shared read-only; a
-trajectory's factors are those of its window, looked up when it is made.
+handed and contracts h's end weights with the first h / h_fine of them.
+One store per window and start state, a dict handed to the plans of every
+h and every scheme on that window, holds each summed term's rows under the
+term, so each is built once.  A node makes the trajectories it reads
+while it builds its rows, from u0 or from their rows in the store, and
+keeps none: its rows are then stored.  A diffusion node that no node
+reads, of a model that fuses the end-weighted sum (the diagonal model),
+builds no rows.  The per-mode factors are built once per process for
+each (eigenvalues, h, h_fine) and shared read-only; a trajectory's factors
+are those of its window, looked up when it is made.
 
-Binding a plan turns each node into a step function that holds everything
-the node reads: its rows of those factors, its k! scale, and the model
-operator bound to its order.  A node whose operator the model binds to
-None, identically zero (the zero drift's drift flow), is dropped then and
-costs nothing per step.  A step then runs the nodes' arithmetic and
-nothing else: no dispatch on the node kind, no argument checks and no
-cache lookups.  For the reference at h = h_fine that is, per substep, the
-two matrix products of the diffusion, one pointwise and two per-mode
-products, and the sum of two terms.
+Binding a plan turns each node into a step function ``(u0, noise, store)``
+that holds everything the node reads: its rows of those factors, its k!
+scale, the model operator bound to its order and the makers of its
+arguments' trajectories.  A node whose operator the model binds to None,
+identically zero (the zero drift's drift flow), or one of whose arguments
+vanishes, is dropped then: it costs nothing per step and reads nothing.
+A step runs the nodes' arithmetic and store lookups, with no dispatch on
+the node kind and no argument checks.  A plan that reads no trajectory
+steps without a store too, on scratch rows: for the reference at h =
+h_fine that is, per substep, the two matrix products of the diffusion,
+one pointwise and two per-mode products, and the sum of two terms.
 
 Multi-step runs go through one stepping loop, for one path or for a batch
 of paths, one row each: a plan bound to one h advances the states through
@@ -47,11 +52,11 @@ for inf and nan once per run.  The fine-mesh reference
 :func:`reference_solve` is that loop over the exponential Euler plan at
 h = h_fine, which makes scheme-versus-reference comparisons on shared
 noise bit-consistent.  :func:`step` hands a plan of its h the whole
-prepared window of a drawn :class:`NoisePath`, which is prepared once and
-keeps each term's rows per model and start state, so the steps of several
-h and schemes on its prefixes build the rows once and have the bytes of
-the order study (``harness``), which builds them once per chunk of paths
-over the chunk's whole window.
+prepared window of a drawn :class:`NoisePath`, which is prepared once, and
+the path's store for the model and start state, so the steps of several h
+and schemes on its prefixes build each term's rows once and have the
+bytes of the order study (``harness``), which builds them once per chunk
+of paths over the chunk's whole window, in the chunk's store.
 
 Monte-Carlo streams come from a counter-based generator: path p draws from
 ``Philox(key=seed, counter=p << 128)``, so any path's noise can be
@@ -62,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -115,15 +120,16 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class _Window:
     """A drawn path's increments and what is built from them on first use,
     shared by the path and its prefixes: their prepared form per diffusion
-    operator, and per model and start state the (S, N) rows of each term
-    that :func:`step` has evaluated over the whole window of S substeps."""
+    operator, and per model and start state the store of the (S, N) rows of
+    each term that :func:`step` has evaluated over the whole window of S
+    substeps (see :meth:`BoundPlan.advance`)."""
 
-    __slots__ = ("increments", "prepared", "rows")
+    __slots__ = ("increments", "prepared", "stores")
 
     def __init__(self, increments: np.ndarray):
         self.increments = increments
         self.prepared: dict[object, np.ndarray] = {}
-        self.rows: dict[tuple[ModelSpec, bytes], dict[TermExpr, np.ndarray]] = {}
+        self.stores: dict[tuple[ModelSpec, bytes], dict[TermExpr, np.ndarray]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,21 +146,22 @@ class NoisePath:
     shares it.  The root's increments are prepared for a diffusion
     operator once, on first use, and every plan stepped on the path or a
     prefix is handed that whole prepared window.  :func:`step` builds each
-    term's per-substep rows over it once per model and start state, and a
-    plan of any h contracts the first h / h_fine of them; the reference
-    runs over its first t_end / h_fine rows.  So a prefix stepped before or
-    after the reference of the whole path, or after a step of another h,
-    gets the same bytes, and those of the order study, which builds its
-    rows over whole windows too.
+    term's per-substep rows over it once per model and start state, in the
+    path's store for them, and a plan of any h contracts the first
+    h / h_fine of them; the reference runs over its first t_end / h_fine
+    rows.  So a prefix stepped before or after the reference of the whole
+    path, or after a step of another h, gets the same bytes, and those of
+    the order study, which builds its rows over whole windows too.
 
     The first use prepares the whole drawn window, however few rows it
-    reads, and the path keeps that form, and one (S, N) row block per term
-    and start state, as long as it lives.  For the multiplication model
-    the prepared form has one column per grid point, about 4*max(N, M) of
-    them against M for the increments: a 2^17-substep path at N = M = 64
-    holds about 267 MB after one step on ``prefix(1)``, and 64 MB more per
-    term of the scheme.  Draw a path only as long as the horizon it is
-    stepped over.
+    reads, and the path keeps that form, and one (S, N) row block per
+    summed term and start state, as long as it lives.  For the
+    multiplication model the prepared form has one column per grid point,
+    about 4*max(N, M) of them against M for the increments: a 2^17-substep
+    path at N = M = 64 holds about 267 MB after one step on ``prefix(1)``,
+    and 64 MB more per summed term of the scheme (I^0_2 and every I^i_j
+    with i >= 1).  Draw a path only as long as the horizon it is stepped
+    over.
     """
 
     increments: np.ndarray
@@ -205,11 +212,6 @@ class NoisePath:
         if diffusion not in window.prepared:
             window.prepared[diffusion] = _frozen(plan.prepare_noise(window.increments))
         return window.prepared[diffusion]
-
-    def _rows(self, model: ModelSpec, u0: np.ndarray) -> dict[TermExpr, np.ndarray]:
-        """The term rows that steps from ``u0`` under ``model`` have built
-        over the root window, by term; filled in by :meth:`BoundPlan.advance`."""
-        return self._window.rows.setdefault((model, u0.tobytes()), {})
 
 
 class RequiredOrders(NamedTuple):
@@ -293,6 +295,9 @@ def builtin_scheme(name: str) -> CompiledScheme:
     return compile_scheme(psi(wood), source_wood=wood)
 
 
+_STEP_MESSAGE = "step {} is not a whole number of substeps of {}"
+
+
 def _whole_count(span: float, unit: float, message: str) -> int:
     """span / unit, which must be a positive whole number; else the error
     is ``message`` formatted with span and unit."""
@@ -309,8 +314,8 @@ def _whole_count(span: float, unit: float, message: str) -> int:
 # I^0_1, and the left-point substep sums I^i_2 (i >= 0) and I^i_1 (i >= 1).
 _FLOW, _DRIFT_FLOW, _DIFFUSION, _DRIFT = "flow", "drift flow", "diffusion", "drift"
 
-#: (kind, derivative order, argument slots, trajectory needed, term)
-_Node = tuple[str, int, tuple[int, ...], bool, TermExpr]
+#: (kind, derivative order, argument slots, term)
+_Node = tuple[str, int, tuple[int, ...], TermExpr]
 
 
 def _lower(
@@ -318,11 +323,10 @@ def _lower(
 ) -> tuple[tuple[_Node, ...], tuple[int, ...], tuple[str, ...]]:
     """The distinct terms and subterms of ``terms`` as nodes in dependency
     order, the slot and the name of each of ``terms``.  A node's argument
-    slots are all earlier; its trajectory is needed when a later node takes
-    it as an argument.  The walk keeps its own stack, so any depth works."""
+    slots are all earlier.  The walk keeps its own stack, so any depth
+    works."""
     slots: dict[TermExpr, int] = {}
-    specs: list[tuple[str, int, tuple[int, ...]]] = []
-    lowered: list[TermExpr] = []
+    nodes: list[_Node] = []
     stack = list(reversed(terms))
     while stack:
         term = stack[-1]
@@ -343,15 +347,10 @@ def _lower(
             kind = _DIFFUSION
         else:
             raise NotImplementableError(f"cannot evaluate starred {term.j}")
-        slots[term] = len(specs)
-        specs.append((kind, order, tuple(slots[a] for a in args)))
-        lowered.append(term)
+        slots[term] = len(nodes)
+        nodes.append((kind, order, tuple(slots[a] for a in args), term))
     term_slots = tuple(slots[t] for t in terms)
-    read = {a for _, _, args in specs for a in args}
-    nodes = tuple(
-        (*spec, slot in read, term) for slot, (spec, term) in enumerate(zip(specs, lowered))
-    )
-    return nodes, term_slots, tuple(render_compact(t) for t in terms)
+    return tuple(nodes), term_slots, tuple(render_compact(t) for t in terms)
 
 
 class _MeshTables:
@@ -401,12 +400,15 @@ class BoundPlan:
     r_j alone.  So each node builds them over whatever window of noise
     :meth:`advance` is handed, at least h / h_fine rows, and contracts h's
     end weights with the first h / h_fine rows; plans of several h and
-    schemes handed one window share each term's rows through the store
-    that :meth:`advance` takes.  Binding lowers each node once into a step
-    that holds what the node reads: the shared mesh tables of h, its k!
-    scale and the model operator bound to its order; a node that vanishes
-    identically is dropped.  A trajectory's factors come from the tables
-    of its window, looked up when the trajectory is made.
+    schemes handed one window share the rows through its store.  Binding
+    lowers each node once into a step that holds what the node reads: the
+    shared mesh tables of h, its k! scale, the model operator bound to its
+    order and the makers of the trajectories it reads, which it makes when
+    it builds its rows.  A node whose operator the model binds to None,
+    identically zero, or one of whose arguments vanishes (the operators
+    are multilinear) is dropped; a node is read where a kept node takes it
+    as an argument.  A trajectory's factors come from the tables of its
+    window, looked up when it is made.
 
     The stepping loop :func:`_run` hands the plan consecutive windows of
     h / h_fine rows, so a run of exponential Euler at h_fine equals the
@@ -417,112 +419,96 @@ class BoundPlan:
         self.scheme = scheme
         self.model = model
         self.h_fine = h_fine
-        self.substeps = _whole_count(
-            h, h_fine, "step {} is not a whole number of substeps of {}"
-        )
+        self.substeps = _whole_count(h, h_fine, _STEP_MESSAGE)
         nodes, self.term_slots, self.names = scheme.lowered
         self.tables = _mesh_tables(model.eigenvalues.tobytes(), h, h_fine, self.substeps)
-        #: Per slot, ``(u0, part, substeps) -> trajectory`` of the node, or None.
-        self.paths: list = []
-        self.steps = tuple(self._bind(*node) for node in nodes)
+        operators: list = []
+        read: set[int] = set()
+        for kind, order, arg_slots, _ in nodes:
+            live = all(operators[a] is not None for a in arg_slots)
+            operators.append(self._operator(kind, order) if live else None)
+            if operators[-1] is not None:
+                read.update(arg_slots)
+        #: Whether a node reads a trajectory, which needs a store.
+        self.reads = bool(read)
+        steps = []
+        for slot, (operator, (kind, order, arg_slots, term)) in enumerate(zip(operators, nodes)):
+            run = None
+            if operator is not None:
+                args = [self._trajectory(operators[a], nodes[a]) for a in arg_slots]
+                run = self._bind(operator, kind, order, args, term, slot in read)
+            steps.append(run)
+        self.steps = tuple(steps)
+
+    def _operator(self, kind: str, order: int):
+        """What a node of ``kind`` and ``order`` applies, None where the
+        model binds it to None: the flow factor of h, F, or ``(u0, args,
+        noise) -> rows`` of B^(k) / k! or of F^(k) h_fine / k!."""
+        if kind is _FLOW:
+            return self.tables.flow
+        if kind is _DRIFT_FLOW:
+            return self.model.drift.bind_value()
+        if kind is _DIFFUSION:
+            return _over_factorial(order, self.model.diffusion.bind_rows(order))
+        derivative = self.model.drift.bind_rows(order)
+        if derivative is None:
+            return None
+        scale = self.h_fine / math.factorial(order)
+        return lambda u0, args, noise: derivative(u0, args) * scale
+
+    def _trajectory(self, operator, node: _Node):
+        """``(u0, noise, store) -> trajectory`` of a read node that applies
+        ``operator``, over the window ``noise``: its values at the left
+        points r_0..r_{S-1}, Ito style (the row at r_j has the contributions
+        strictly before r_j), a sum node's made from its rows in the store."""
+        kind, _, _, term = node
+        lam, h_fine, decay = self.model.eigenvalues.tobytes(), self.h_fine, self.tables.decay_fine
+
+        def window(noise):  # the trajectory factors of the window
+            return _mesh_tables(lam, noise.shape[-2] * h_fine, h_fine, noise.shape[-2])
+
+        if kind is _FLOW:
+            return lambda u0, noise, store: window(noise).flow_at * u0[..., None, :]
+        if kind is _DRIFT_FLOW:
+            return lambda u0, noise, store: (
+                window(noise).drift_flow_at * operator(u0)[..., None, :]
+            )
+        return lambda u0, noise, store: _running_sum(store[term], decay)
 
     def _bind(
-        self, kind: str, order: int, arg_slots: tuple[int, ...], trajectory: bool, term: TermExpr
+        self, operator, kind: str, order: int, args: list, term: TermExpr, read: bool
     ):
-        """The node as a step ``(u0, noise, parts, known, rows) -> value``:
-        its end value at h, or None where it vanishes.  Appends to
-        ``self.paths`` the function that makes the node's trajectory over a
-        window of the given number of substeps, None where no later node
-        reads it.  A node that a later node reads leaves in ``parts``,
-        under its slot, what its trajectory is made from (its rows, for a
-        sum node); ``known`` holds the trajectories made so far by slot, a
-        reader making each on first read over the window ``noise``.
-        ``rows`` is None or the store of sum-node rows by term (see
-        :meth:`advance`).
-
-        A node whose operator vanishes identically, as the model's binders
-        say, is None when no later node reads it, else a step whose value
-        is None and whose trajectory is zero.  Sum nodes reduce the first
-        h / h_fine of their per-substep rows with h's end weights; a
-        diffusion node whose trajectory no later node reads takes the
-        reduced sum from the model, without the rows, where the model fuses
-        it (``bind_sum``).  A node's trajectory holds its values at the
-        left points r_0..r_{S-1} of the window, Ito style: the row at r_j
-        has the contributions strictly before r_j."""
+        """The node that applies ``operator`` as a step ``(u0, noise, store)
+        -> value``, its end value at h (see :meth:`advance`), where ``args``
+        make the trajectories it reads (see :meth:`_trajectory`) and
+        ``read`` says whether a later node reads its own.  Sum nodes
+        reduce the first h / h_fine of their per-substep rows with h's end
+        weights; a diffusion node that no node reads takes the reduced sum
+        from the model, without the rows, where the model fuses it
+        (``bind_sum``)."""
         # The steps hold no reference to the plan, so a plan is freed as soon
         # as its last user drops it, not by the cycle collector.
-        tables, model, paths, slot = self.tables, self.model, self.paths, len(self.paths)
-        paths.append(None)
-        if trajectory:
-            modes, lam = model.modes, model.eigenvalues.tobytes()
-            paths[slot] = lambda u0, part, substeps: np.zeros((substeps, modes))
-            window = partial(_window_tables, lam, self.h_fine)
         if kind is _FLOW:
-            flow = tables.flow
-            if not trajectory:
-                return lambda u0, noise, parts, known, rows: flow * u0
-            paths[slot] = lambda u0, part, substeps: window(substeps).flow_at * u0[..., None, :]
-
-            def flow_step(u0, noise, parts, known, rows):
-                parts[slot] = u0
-                return flow * u0
-
-            return flow_step
-        vanishing = _vanishing if trajectory else None
+            return lambda u0, noise, store: operator * u0
         if kind is _DRIFT_FLOW:
-            drift = model.drift.bind_value()
-            if drift is None:
-                return vanishing
-            drift_flow = tables.drift_flow
-            if not trajectory:
-                return lambda u0, noise, parts, known, rows: drift_flow * drift(u0)
-            paths[slot] = lambda u0, base, substeps: (
-                window(substeps).drift_flow_at * base[..., None, :]
-            )
-
-            def drift_flow_step(u0, noise, parts, known, rows):
-                base = parts[slot] = drift(u0)
-                return drift_flow * base
-
-            return drift_flow_step
-        read = _reader(arg_slots, paths)
-        diffusion = model.diffusion
-        fused = None if trajectory else getattr(diffusion, "bind_sum", None)
+            drift_flow = self.tables.drift_flow
+            return lambda u0, noise, store: drift_flow * operator(u0)
+        fused = None if read else getattr(self.model.diffusion, "bind_sum", None)
         if kind is _DIFFUSION and fused is not None:
-            total = _over_factorial(order, fused(order, tables.end_weights))
-            if total is None:
-                return None
-            return lambda u0, noise, parts, known, rows: total(
-                u0, read(u0, noise, parts, known), noise
+            total = _over_factorial(order, fused(order, self.tables.end_weights))
+            return lambda u0, noise, store: total(
+                u0, [make(u0, noise, store) for make in args], noise
             )
-        if kind is _DIFFUSION:
-            build = _over_factorial(order, diffusion.bind_rows(order))
-        else:
-            derivative = model.drift.bind_rows(order)
-            scale = self.h_fine / math.factorial(order)
-            build = None if derivative is None else (
-                lambda u0, args, noise: derivative(u0, args) * scale
-            )
-        if build is None:
-            return vanishing
-        kept = bind_end_sum(tables.end_weights)
-        # Rows that neither a store nor a later node keeps are scratch, which
-        # a one-column sum may overwrite.
-        scratch = kept if trajectory else bind_end_sum(tables.end_weights, overwrite=True)
-        if trajectory:
-            decay = tables.decay_fine
-            paths[slot] = lambda u0, block, substeps: _running_sum(block, decay)
+        end_sum = bind_end_sum(self.tables.end_weights)
 
-        def sum_step(u0, noise, parts, known, rows):
+        def sum_step(u0, noise, store):
+            if store is None:  # a plan that reads nothing: scratch rows
+                return end_sum(operator(u0, (), noise))
+            rows = store.get(term)
             if rows is None:
-                block, end_sum = build(u0, read(u0, noise, parts, known), noise), scratch
-            else:
-                block, end_sum = rows.get(term), kept
-                if block is None:
-                    block = rows[term] = _frozen(build(u0, read(u0, noise, parts, known), noise))
-            if trajectory:
-                parts[slot] = block
-            return end_sum(block)
+                paths = [make(u0, noise, store) for make in args]
+                rows = store[term] = _frozen(operator(u0, paths, noise))
+            return end_sum(rows)
 
         return sum_step
 
@@ -535,7 +521,7 @@ class BoundPlan:
             return self.model.diffusion.prepare_noise(increments)
 
     def advance(
-        self, u0: np.ndarray, noise: np.ndarray, rows: dict | None = None
+        self, u0: np.ndarray, noise: np.ndarray, store: dict | None = None
     ) -> tuple[np.ndarray, list[np.ndarray | None]]:
         """One step of h from ``u0`` over the window whose prepared noise is
         ``noise``: u0 plus the sum of the plan's terms at h, and each node's
@@ -545,16 +531,20 @@ class BoundPlan:
         ·) for any S of at least h / h_fine: the nodes build their rows and
         trajectories over all S rows and contract the first h / h_fine.
 
-        ``rows``, if given, stores the rows of sum nodes by term for this
-        start state and window: a node takes its rows from there if they
-        are there, else builds them and leaves them there, read-only, so
-        plans of any h and any scheme on that window build each term's rows
-        once.  Without it a node's rows are scratch."""
-        parts: dict = {}
-        known: dict = {}
+        ``store`` is the dict of this window and start state, shared by the
+        plans of any h and any scheme stepped on it: it holds each summed
+        term's rows under the term, read-only.  A sum node takes its rows
+        from there, or builds them and leaves them there, so each term's
+        rows are built once, and the trajectories that it reads with them
+        are made once and kept by no one.  Without a store, a plan that
+        reads no trajectory builds scratch rows and touches no dict, as the
+        reference's substeps do; one that reads keeps its rows in a fresh
+        store for this step."""
+        if store is None and self.reads:
+            store = {}
         values: list = []
-        for run in self.steps:
-            values.append(None if run is None else run(u0, noise, parts, known, rows))
+        for run in self.steps:  # a loop: cheaper than a comprehension's frame
+            values.append(None if run is None else run(u0, noise, store))
         total = u0
         for slot in self.term_slots:
             value = values[slot]
@@ -576,40 +566,6 @@ class BoundPlan:
             if value is not None and not np.isfinite(np.atleast_2d(value)[row]).all():
                 return NonfiniteValueError(name)
         return NonfiniteValueError("sum of plan terms")
-
-
-def _window_tables(eigenvalues: bytes, h_fine: float, substeps: int) -> _MeshTables:
-    """The tables of a window of ``substeps`` rows: its trajectory factors."""
-    return _mesh_tables(eigenvalues, substeps * h_fine, h_fine, substeps)
-
-
-def _reader(arg_slots: tuple[int, ...], paths: list):
-    """``(u0, noise, parts, known) -> trajectories`` of the nodes in
-    ``arg_slots`` over the window ``noise``, each made on first read from
-    the node's part by its function in ``paths`` and kept in ``known``."""
-    if not arg_slots:
-        return _no_args
-
-    def read(u0, noise, parts, known):
-        out = []
-        for slot in arg_slots:
-            path = known.get(slot)
-            if path is None:
-                path = known[slot] = paths[slot](u0, parts.get(slot), noise.shape[-2])
-            out.append(path)
-        return out
-
-    return read
-
-
-def _no_args(u0, noise, parts, known) -> tuple:
-    return ()
-
-
-def _vanishing(u0, noise, parts, known, rows) -> None:
-    """The step of a node that vanishes identically and that a later node
-    reads: no values; its trajectory is zero."""
-    return None
 
 
 def _running_sum(rows: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -697,14 +653,14 @@ def _first_failures(
 
 
 def _one_step(
-    plan: BoundPlan, u0: np.ndarray, noise: np.ndarray, rows: dict | None = None
+    plan: BoundPlan, u0: np.ndarray, noise: np.ndarray, store: dict | None = None
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """:meth:`BoundPlan.advance`, one step of the plan's h from ``u0`` over
     the prepared window ``noise``, with no numpy warning: a blow-up leaves
     a non-finite state, and one confined to rows past h / h_fine leaves the
     state finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return plan.advance(u0, noise, rows)
+        return plan.advance(u0, noise, store)
 
 
 def _check_inputs(
@@ -737,21 +693,24 @@ def step(
     """The one-step approximation at time h from u0 on the first h / h_fine
     increments of the path, as the result's state.
 
-    The plan of h is handed the path's whole prepared root window: its
-    nodes build their rows over it, once per model and start state, and
-    keep them in the path's record (see :class:`NoisePath`); a step of any
-    h on the path or its prefixes then contracts the first h / h_fine of
-    them.  A non-finite state raises :class:`NonfiniteValueError` naming
-    the first non-finite term, and ``workspace`` is None or
-    ``model.workspace()``."""
+    The plan of h is handed the path's whole prepared root window and the
+    path's store for the model and start state: its nodes build their rows
+    over the window once and keep them there (see :class:`NoisePath`); a
+    step of any h on the path or its prefixes then contracts the first
+    h / h_fine of them.  A step past the path raises
+    :class:`MeshMismatchError` before the plan is bound, a non-finite state
+    :class:`NonfiniteValueError` naming the first non-finite term, and
+    ``workspace`` is None or ``model.workspace()``."""
     _check_inputs(u0, path, model, workspace)
-    plan = BoundPlan(scheme, model, h, path.h_fine)
-    if plan.substeps > path.substeps:
+    substeps = _whole_count(h, path.h_fine, _STEP_MESSAGE)
+    if substeps > path.substeps:
         raise MeshMismatchError(
-            f"[0, {h}] needs {plan.substeps} substeps, path provides {path.substeps}"
+            f"[0, {h}] needs {substeps} substeps, path provides {path.substeps}"
         )
+    plan = BoundPlan(scheme, model, h, path.h_fine)
     noise = path._prepared_noise(plan)
-    state, values = _one_step(plan, u0.coeffs, noise, path._rows(model, u0.coeffs))
+    store = path._window.stores.setdefault((model, u0.coeffs.tobytes()), {})
+    state, values = _one_step(plan, u0.coeffs, noise, store)
     if not np.isfinite(state).all():
         raise plan.nonfinite(values, 0)
     return StepResult(state=SpectralState(state))

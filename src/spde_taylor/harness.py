@@ -231,13 +231,13 @@ def _ladder_errors(
             raise failed[min(failed)]
         for h in ladder:
             reference_norms[h].extend(np.hypot.reduce(recorded[horizon[h]], axis=-1).tolist())
-        rows: dict = {}  # the chunk's term rows, shared by the one-step plans
+        store: dict = {}  # the chunk's term rows, shared by the one-step plans
         for plan, (errors, excluded) in zip(plans, results):
             for h in ladder:
                 if config.multi_step:
                     approx = _run(plan[h], u0, noise, steps[h])[0]
                 else:
-                    approx = _one_step(plan[h], u0, noise, rows)[0]
+                    approx = _one_step(plan[h], u0, noise, store)[0]
                 finite = np.isfinite(approx).all(axis=-1)
                 excluded[h] += int(finite.size - finite.sum())
                 norms = np.hypot.reduce(approx - recorded[horizon[h]], axis=-1)

@@ -198,8 +198,8 @@ class DriftOperator(Protocol):
     returns ``(base, arg_rows) -> rows`` F^(k)(base)(args), (..., S, N),
     for argument trajectories of shape (..., S, N).  ``None`` means
     identically zero, as for the diffusion's ``bind_rows``:
-    the engine then drops the node when it binds the plan, and a node
-    whose trajectory a later node reads gets a zero trajectory.
+    the engine then drops the node when it binds the plan, and every node
+    that takes it as an argument, since the derivatives are multilinear.
     """
 
     def bind_value(self) -> Callable[[np.ndarray], np.ndarray] | None: ...
@@ -227,7 +227,7 @@ class DiffusionOperator(Protocol):
 
     ``bind_rows`` returns a function of ``(base, arg_rows, noise)``: the
     rows B^(k)(base)(args)(xi_s), (..., S, N), as a fresh array that the
-    caller may overwrite; ``None`` means identically zero.  The engine
+    caller may keep; ``None`` means identically zero.  The engine
     builds a node's rows once over the window of noise it is handed,
     contracts the first h / h_fine of them with the end weights of each
     step size h and divides them by k!.  ``apply_diffusion`` and
@@ -251,25 +251,15 @@ class DiffusionOperator(Protocol):
     def bind_rows(self, order: int) -> BoundDiffusion | None: ...
 
 
-def bind_end_sum(
-    weights: np.ndarray, overwrite: bool = False
-) -> Callable[[np.ndarray], np.ndarray]:
+def bind_end_sum(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """rows -> sum_s weights[n, s] rows[..., s, n] over the first S rows,
-    for (N, S) weights and at least S rows; a single row is multiplied by
-    the weight column, which gives the einsum's bytes but for the sign of a
-    zero, in place if ``overwrite`` is set."""
+    for (N, S) weights and at least S rows, as a new array; a single row is
+    multiplied by the weight column, which gives the einsum's bytes but for
+    the sign of a zero."""
     substeps = weights.shape[1]
     if substeps == 1:
         column = weights[:, 0]
-        if not overwrite:
-            return lambda rows: rows[..., 0, :] * column
-
-        def in_place(rows):
-            row = rows[..., 0, :]
-            row *= column
-            return row
-
-        return in_place
+        return lambda rows: rows[..., 0, :] * column
     return lambda rows: np.einsum("ns,...sn->...n", weights, rows[..., :substeps, :])
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spde_taylor import engine
 from spde_taylor.engine import (
     BUILTIN_WOODS,
     BoundPlan,
@@ -226,6 +227,23 @@ class TestStep:
         with pytest.raises(MeshMismatchError):
             step(builtin_scheme("exp-euler"), mult.initial, 16 * H_FINE, path, mult)
 
+    def test_a_step_past_the_path_raises_before_binding(self):
+        # 64 / 2^-10 substeps on a path of 8: binding the plan would build
+        # the (32, 65536) end weights, 16 MiB, and keep them in the table
+        # cache.  The count is checked against the path first.
+        model = heat_multiplicative_model(32, 32)
+        path = draw_path(model, 8)
+        cached = _mesh_tables.cache_info().currsize
+        tracemalloc.start()
+        try:
+            with pytest.raises(MeshMismatchError, match="needs 65536 substeps, path provides 8"):
+                step(builtin_scheme("exp-euler"), model.initial, 64.0, path, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert _mesh_tables.cache_info().currsize == cached
+
     @pytest.mark.parametrize("span", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_step_or_horizon_is_a_mesh_mismatch(self, span, mult):
         # nan / h_fine and inf / h_fine are no count of substeps; neither
@@ -300,18 +318,24 @@ class TestVarianceShape:
 
     H, H_FINE, SUBSTEPS = 2.0**-4, 2.0**-17, 8192
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
     @pytest.mark.parametrize("modes, noise_modes", [(8, 8), (8, 4), (4, 8)])
-    def test_step_builds_no_window_sized_array(self, modes, noise_modes):
-        # The path's increments take 256 or 512 KiB; the step reads them
-        # through views, so it allocates a few KiB once the mesh tables
-        # exist.
+    def test_step_builds_no_window_sized_array(self, modes, noise_modes, name):
+        # The path's increments take 256 or 512 KiB; the first step on a
+        # path reads them through views, so it allocates a few KiB once the
+        # mesh tables exist.  The diagonal model binds every derivative of
+        # B to None, so no scheme reads I^0_2 there and each takes the
+        # fused sum.
         model = heat_additive_model(modes, noise_modes)
-        scheme, zero = builtin_scheme("exp-euler-nodrift"), SpectralState(np.zeros(modes))
-        path = NoisePath.draw(path_generator(2024, 0), self.SUBSTEPS, noise_modes, self.H_FINE)
-        step(scheme, zero, self.H, path, model)
+        scheme, zero = builtin_scheme(name), SpectralState(np.zeros(modes))
+        paths = [
+            NoisePath.draw(path_generator(2024, index), self.SUBSTEPS, noise_modes, self.H_FINE)
+            for index in range(2)
+        ]
+        step(scheme, zero, self.H, paths[0], model)
         tracemalloc.start()
         try:
-            step(scheme, zero, self.H, path, model)
+            step(scheme, zero, self.H, paths[1], model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -596,6 +620,31 @@ class TestLadder:
             assert stepped.coeffs.tobytes() == state[0].tobytes()
             if not constant_drift:
                 assert (state == start_states(model, 3)).all()
+
+    @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
+    def test_one_store_builds_each_trajectory_once(self, model_name, mult, additive, monkeypatch):
+        # milstein-b0 and full-2nd at four h on one store: full-2nd reads
+        # I^0_2's trajectory, a running sum, made once for all of them (on
+        # heat-add nothing reads it); their states have the bytes of plans
+        # that each keep their own store.
+        model = {"heat-mult": mult, "heat-add": additive}[model_name]
+        schemes = [builtin_scheme(n) for n in ("milstein-b0", "full-2nd")]
+        plans = [p for scheme in schemes for p in self.ladder(scheme, model)]
+        noise = plans[0].prepare_noise(chunk_increments(model, 3, 256, seed=15))
+        sums = []
+
+        def counted(*args):
+            sums.append(args)
+            return running_sum(*args)
+
+        running_sum = engine._running_sum
+        monkeypatch.setattr(engine, "_running_sum", counted)
+        store = {}
+        shared = [_one_step(p, start_states(model, 3), noise, store)[0] for p in plans]
+        assert len(sums) == (model_name == "heat-mult")
+        for plan, got in zip(plans, shared):
+            alone, _ = _one_step(plan, start_states(model, 3), noise, {})
+            assert got.tobytes() == alone.tobytes()
 
     def test_a_blow_up_past_an_h_leaves_that_h_finite(self, mult):
         # Path 1's increments from substep 64 on overflow full-2nd's
