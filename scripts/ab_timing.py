@@ -16,6 +16,9 @@ round to round:
 * ``steps <scheme>``: the five ``step()`` calls of an order-heat-mult op
   (h = 2^-4 down to 2^-8 on prefixes of a fresh path whose reference has
   run), per path, for each of the four schemes;
+* ``op <scheme>``: the whole op of those steps (the fresh path's draw, its
+  reference and the five ``step()`` calls), per path: a piece's gain
+  shrinks at the op by the share of the op that the piece takes;
 * ``ladder``: criterion 3's ``harness._ladder_errors`` over ``--paths``
   paths, the four schemes at once.
 
@@ -84,13 +87,16 @@ class Side:
             engine.reference_solve(u0, SUBSTEPS[0] * H_FINE, path, model, None, SUBSTEPS)
         return (time.perf_counter() - start) / self.paths
 
-    def steps(self, scheme_name: str) -> float:
+    def steps(self, scheme_name: str, whole: bool = False) -> float:
+        """The five ``step()`` calls per path, or with ``whole`` the op."""
         engine, model, u0 = self.engine, self.model, self.model.initial
         scheme, spent = self.schemes[scheme_name], 0.0
         for index in range(self.paths):
+            start = time.perf_counter()
             path = self._path(index)
             engine.reference_solve(u0, SUBSTEPS[0] * H_FINE, path, model, None, SUBSTEPS)
-            start = time.perf_counter()
+            if not whole:
+                start = time.perf_counter()
             for k in SUBSTEPS:
                 engine.step(scheme, u0, k * H_FINE, path.prefix(k), model)
             spent += time.perf_counter() - start
@@ -131,6 +137,7 @@ def main(argv: list[str]) -> int:
     workloads = {"reference": lambda side: side.reference()}
     for name in SCHEMES:
         workloads[f"steps {name}"] = lambda side, name=name: side.steps(name)
+        workloads[f"op {name}"] = lambda side, name=name: side.steps(name, whole=True)
     workloads["ladder"] = lambda side: side.ladder()
     times = {name: ([], []) for name in workloads}
     for round_ in range(args.rounds):

@@ -4,19 +4,22 @@ Two subcommands:
 
 * ``spde-taylor symbolic --wood <text>`` prints the tree count, active
   nodes, symbolic order and computable terms of a wood.
-* ``spde-taylor converge ...`` runs a Monte-Carlo order experiment and
-  writes report.csv / report.json.
+* ``spde-taylor converge ...`` runs a Monte-Carlo order study of one scheme,
+  or of a comma-separated list on shared noise, and writes report.csv /
+  report.json, a list's under ``<out>/<scheme>/`` after a summary.
 
 A config file of ``key = value`` lines (``#`` comments allowed) may supply
-any converge option; explicit flags win.  Exit codes: 0 when the verdict is
-pass or when the run has none (a multi-step run, or a scheme that equals the
-reference to rounding), 2 when it is fail, 1 on any error.
+any converge option; explicit flags win.  Exit codes: 0 when no verdict
+fails (a multi-step run, or a scheme that equals the reference to rounding,
+has none), 2 when one fails, 1 on any error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 from .harness import (
     ConfigError,
@@ -24,7 +27,7 @@ from .harness import (
     ExperimentConfig,
     HarnessError,
     report_emit,
-    run_convergence,
+    run_study,
     symbolic_report,
     verdict_text,
 )
@@ -54,12 +57,30 @@ def _parse_ladder(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad ladder {text!r}: {exc}") from exc
 
 
+def _parse_schemes(text: str) -> tuple[str, ...]:
+    """The scheme names or wood texts in ``text``, split at the commas
+    outside ``[...]``: a wood's own commas all sit inside brackets.  A
+    scheme named twice is an error, since its reports would overwrite each
+    other."""
+    schemes, depth, start = [], 0, 0
+    for at, char in enumerate(text):
+        depth += (char == "[") - (char == "]")
+        if char == "," and depth == 0:
+            schemes.append(text[start:at])
+            start = at + 1
+    schemes.append(text[start:])
+    for name in schemes:
+        if schemes.count(name) > 1:
+            raise ConfigError(f"scheme {name!r} is named twice")
+    return tuple(schemes)
+
+
 #: Every converge option once: config key -> (ExperimentConfig field, text
 #: parser, help).  The flag is the key with ``-`` for ``_``; options left
 #: unset fall back to the ExperimentConfig defaults.
 _OPTIONS = {
     "model": ("model", str, "heat-mult or heat-add"),
-    "scheme": ("scheme", str, "builtin scheme name or wood text"),
+    "scheme": ("scheme", _parse_schemes, "scheme name or wood text, or a comma-separated list"),
     "paths": ("paths", int, "Monte-Carlo path count"),
     "seed": ("seed", int, "master seed"),
     "fine": ("fine_log2", int, "log2 fine substeps over [0, t_end]"),
@@ -146,13 +167,16 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _converge_config(args: argparse.Namespace) -> ExperimentConfig:
+def _converge_config(args: argparse.Namespace) -> tuple[ExperimentConfig, tuple[str, ...]]:
+    """The study's config, whose scheme is the first, and its schemes."""
     values = load_config_file(args.config) if args.config else {}
     for key in _OPTIONS:
         text = getattr(args, key)
         if text is not None:
             values[key] = _parse_option(key, text, _flag(key))
-    return ExperimentConfig(**{_OPTIONS[key][0]: value for key, value in values.items()})
+    schemes = values.pop("scheme", (ExperimentConfig.scheme,))
+    fields = {_OPTIONS[key][0]: value for key, value in values.items()}
+    return ExperimentConfig(scheme=schemes[0], **fields), schemes
 
 
 def slope_text(report: ErrorReport) -> str:
@@ -176,19 +200,42 @@ def print_report(report: ErrorReport) -> None:
     )
 
 
+def print_study(reports: tuple[ErrorReport, ...], out_dir: str | None) -> None:
+    """Print each report under its scheme, writing its files to
+    ``out_dir/<scheme>`` if set, then a summary line per scheme."""
+    for report in reports:
+        print(f"\n== {report.config.scheme} ==")
+        print_report(report)
+        if out_dir:
+            report_emit(report, Path(out_dir) / report.config.scheme)
+    print("\n== summary ==")
+    for report in reports:
+        status = verdict_text(report.verdict) or report.reason or "none"
+        print(
+            f"  {report.config.scheme:<14} slope {slope_text(report)}  "
+            f"predicted {report.predicted:.4f}  {status}"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command == "symbolic":
             print(symbolic_report(args.wood))
             return 0
-        config = _converge_config(args)
-        report = run_convergence(config)
-        print_report(report)
-        if config.out_dir:
-            csv_path, json_path = report_emit(report, config.out_dir)
-            print(f"wrote {csv_path} and {json_path}")
-        return 2 if report.verdict is False else 0
+        config, schemes = _converge_config(args)
+        if len(schemes) == 1:
+            reports = run_study(config, schemes)
+            print_report(reports[0])
+            if config.out_dir:
+                csv_path, json_path = report_emit(reports[0], config.out_dir)
+                print(f"wrote {csv_path} and {json_path}")
+        else:
+            # Each scheme's reports go to a directory of its own, so its
+            # config names none.
+            reports = run_study(replace(config, out_dir=None), schemes)
+            print_study(reports, config.out_dir)
+        return 2 if any(report.verdict is False for report in reports) else 0
     except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

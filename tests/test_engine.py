@@ -739,6 +739,26 @@ def test_mesh_tables_are_keyed_by_eigenvalues_and_read_only():
             assert not table.flags.writeable
 
 
+@pytest.mark.parametrize("substeps", [1, 2, 17, 256])
+def test_running_sum_is_the_decayed_sum_of_earlier_rows(substeps):
+    # Row j of the trajectory is sum_{m<j} d^(j-m) row_m.  The rows are
+    # positive, so the closed form sums without cancellation and rtol
+    # bounds the recursion's rounding alone.
+    rng = np.random.default_rng(substeps)
+    modes = 8
+    decay = rng.uniform(0.5, 1.0, modes)
+    batch = rng.uniform(0.0, 1.0, (3, substeps, modes))
+    lags = np.subtract.outer(np.arange(substeps), np.arange(substeps))
+    weights = np.where((lags > 0)[..., None], decay ** np.maximum(lags, 0)[..., None], 0.0)
+    want = np.einsum("jmn,pmn->pjn", weights, batch)
+    got = engine._running_sum(batch, decay)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    for path in range(3):
+        alone = engine._running_sum(batch[path], decay)
+        np.testing.assert_allclose(alone, want[path], rtol=1e-13, atol=0)
+        assert alone.tobytes() == got[path].tobytes()
+
+
 def test_custom_wood_compiles_and_steps(mult):
     # A hand-built computable plan, the Milstein correction alone: its
     # increment is what milstein-b0 adds to exp-euler on the same path.

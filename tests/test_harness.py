@@ -4,10 +4,7 @@ import collections
 import dataclasses
 import json
 import re
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +47,10 @@ from spde_taylor.models import (
 from spde_taylor.trees import ParseError, order_wood
 
 W1_TEXT = "(0);(1*);(2);(2*[0]);(2*[1*]);(2*[2*])"
+
+CRITERION_3_SCHEMES = ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd")
+#: Wood text whose comma sits inside its brackets.
+BRACKETED_WOOD = "(0);(1*[0,2*]);(2*)"
 
 TINY = ExperimentConfig(
     model="heat-mult",
@@ -845,37 +846,64 @@ class TestCli:
             pytest.param(["--bogus", "1"], True, id="argv4"),
         ],
     )
-    def test_order_study_script_reports_bad_input(self, argv, usage):
+    def test_scheme_list_reports_bad_input(self, argv, usage, capsys):
         # Exit 2 is a failed verdict; bad input must not look like one.
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_order_study.py"
-        done = subprocess.run(
-            [sys.executable, str(script), *argv], capture_output=True, text=True
-        )
-        assert done.returncode == 1
-        assert done.stderr.startswith("usage: " if usage else "error: ")
-        assert done.stderr.splitlines()[-1].startswith("error: ")
-        assert "Traceback" not in done.stderr
+        code = main(["converge", "--scheme", ",".join(CRITERION_3_SCHEMES), *argv])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("usage: " if usage else "error: ")
+        assert err.splitlines()[-1].startswith("error: ")
 
-    def test_order_study_script_writes_each_schemes_one_scheme_report(self, tmp_path):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_order_study.py"
+    @pytest.mark.parametrize(
+        "schemes, failing",
+        [(CRITERION_3_SCHEMES, None), (("exp-euler", BRACKETED_WOOD), BRACKETED_WOOD)],
+        ids=["criterion-3", "wood-text"],
+    )
+    def test_scheme_list_writes_each_schemes_one_scheme_report(
+        self, schemes, failing, tmp_path, capsys
+    ):
         out = tmp_path / "study"
-        done = subprocess.run(
-            [sys.executable, str(script), "--paths", "8", "--fine", "9",
-             "--ladder", "3,4,5", "--out", str(out)],
-            capture_output=True, text=True,
-        )
-        assert done.stderr == ""
-        verdicts = []
-        for name in ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd"):
+        code = main([
+            "converge", "--scheme", ",".join(schemes), "--paths", "8", "--seed", "2024",
+            "--fine", "9", "--ladder", "3,4,5", "--out", str(out),
+        ])
+        stdout, err = capsys.readouterr()
+        assert err == ""
+        verdicts = {}
+        for name in schemes:
             report = run_convergence(ExperimentConfig(
                 model="heat-mult", scheme=name, paths=8, seed=2024, fine_log2=9,
                 ladder_log2=(3, 4, 5), r=0.005,
             ))
             assert (out / name / "report.json").read_text() == render_json(report)
             assert (out / name / "report.csv").read_text() == render_csv(report)
-            assert f"\n== {name} ==\n" in done.stdout
-            verdicts.append(report.verdict)
-        assert done.returncode == (2 if False in verdicts else 0)
+            assert f"\n== {name} ==\n" in stdout
+            verdicts[name] = report.verdict
+        summary = stdout.split("\n== summary ==\n")[1].splitlines()
+        assert [line.split()[0] for line in summary] == list(schemes)
+        assert code == (2 if False in verdicts.values() else 0)
+        if failing is not None:
+            assert verdicts[failing] is False
+
+    @pytest.mark.parametrize("source", ["--scheme", "--config"])
+    def test_a_scheme_named_twice_is_error(self, source, tmp_path, capsys):
+        # Its two reports would overwrite each other under --out.
+        listed = f"exp-euler,{BRACKETED_WOOD},exp-euler"
+        config = tmp_path / "twice.cfg"
+        config.write_text(f"scheme = {listed}\n")
+        code = main(["converge", source, listed if source == "--scheme" else str(config),
+                     "--paths", "4"])
+        out, err = capsys.readouterr()
+        where = "--scheme" if source == "--scheme" else f"{config}:1"
+        assert code == 1 and out == ""
+        assert err == f"error: {where}: scheme 'exp-euler' is named twice\n"
+
+    def test_a_config_scheme_list_splits_at_commas_outside_brackets(self, tmp_path):
+        config = tmp_path / "list.cfg"
+        config.write_text(f"scheme = exp-euler,(1[0,2[0,1]]);(2*),{BRACKETED_WOOD}\n")
+        assert load_config_file(str(config))["scheme"] == (
+            "exp-euler", "(1[0,2[0,1]]);(2*)", BRACKETED_WOOD,
+        )
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
