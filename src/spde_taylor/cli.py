@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -76,8 +75,8 @@ def _parse_schemes(text: str) -> tuple[str, ...]:
 
 
 #: Every converge option once: config key -> (ExperimentConfig field, text
-#: parser, help).  The flag is the key with ``-`` for ``_``; options left
-#: unset fall back to the ExperimentConfig defaults.
+#: parser, help), with no field for ``out``, which the study does not read.
+#: The flag is the key with ``-`` for ``_``; unset options take the defaults.
 _OPTIONS = {
     "model": ("model", str, "heat-mult or heat-add"),
     "scheme": ("scheme", _parse_schemes, "scheme name or wood text, or a comma-separated list"),
@@ -89,7 +88,7 @@ _OPTIONS = {
         _parse_ladder,
         "comma-separated log2 step denominators, e.g. 4,5,6,7,8",
     ),
-    "out": ("out_dir", str, "output directory for report files"),
+    "out": (None, str, "output directory for report files"),
     "multi_step": (
         "multi_step",
         _parse_bool,
@@ -167,16 +166,19 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _converge_config(args: argparse.Namespace) -> tuple[ExperimentConfig, tuple[str, ...]]:
-    """The study's config, whose scheme is the first, and its schemes."""
+def _converge_config(
+    args: argparse.Namespace,
+) -> tuple[ExperimentConfig, tuple[str, ...], str | None]:
+    """The study's config (its scheme the first), its schemes and output directory."""
     values = load_config_file(args.config) if args.config else {}
     for key in _OPTIONS:
         text = getattr(args, key)
         if text is not None:
             values[key] = _parse_option(key, text, _flag(key))
     schemes = values.pop("scheme", (ExperimentConfig.scheme,))
+    out_dir = values.pop("out", None)
     fields = {_OPTIONS[key][0]: value for key, value in values.items()}
-    return ExperimentConfig(scheme=schemes[0], **fields), schemes
+    return ExperimentConfig(scheme=schemes[0], **fields), schemes, out_dir
 
 
 def slope_text(report: ErrorReport) -> str:
@@ -223,18 +225,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "symbolic":
             print(symbolic_report(args.wood))
             return 0
-        config, schemes = _converge_config(args)
+        config, schemes, out_dir = _converge_config(args)
+        reports = run_study(config, schemes)
         if len(schemes) == 1:
-            reports = run_study(config, schemes)
             print_report(reports[0])
-            if config.out_dir:
-                csv_path, json_path = report_emit(reports[0], config.out_dir)
+            if out_dir:
+                csv_path, json_path = report_emit(reports[0], out_dir)
                 print(f"wrote {csv_path} and {json_path}")
         else:
-            # Each scheme's reports go to a directory of its own, so its
-            # config names none.
-            reports = run_study(replace(config, out_dir=None), schemes)
-            print_study(reports, config.out_dir)
+            print_study(reports, out_dir)
         return 2 if any(report.verdict is False for report in reports) else 0
     except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -664,11 +664,14 @@ def _one_step(
 
 
 def _check_inputs(
-    u0: SpectralState, path: NoisePath, model: ModelSpec, workspace: GridWorkspace | None
-) -> None:
-    """The state and the path fit the model; ``workspace`` is None or
-    ``model.workspace()``, the grid the model's diffusion owns, and any
-    other grid is an :class:`EngineError`."""
+    u0: SpectralState, path: NoisePath, model: ModelSpec, workspace: GridWorkspace | None,
+    span: float, message: str,
+) -> int:
+    """The path's substeps in [0, span].  The state and the path fit the
+    model, the path provides those substeps, and ``message`` (formatted
+    with span and h_fine) is the error when their count is not whole;
+    ``workspace`` is None or ``model.workspace()``, the grid the model's
+    diffusion owns, and any other grid is an :class:`EngineError`."""
     if u0.modes != model.modes:
         raise EngineError(f"state has {u0.modes} modes, model {model.modes}")
     if path.noise_modes != model.noise_modes:
@@ -680,6 +683,12 @@ def _check_inputs(
             f"the model computes on its own grid of {model.workspace().grid_points} "
             f"points, not on {workspace.grid_points}"
         )
+    substeps = _whole_count(span, path.h_fine, message)
+    if substeps > path.substeps:
+        raise MeshMismatchError(
+            f"[0, {span}] needs {substeps} substeps, path provides {path.substeps}"
+        )
+    return substeps
 
 
 def step(
@@ -701,12 +710,7 @@ def step(
     :class:`MeshMismatchError` before the plan is bound, a non-finite state
     :class:`NonfiniteValueError` naming the first non-finite term, and
     ``workspace`` is None or ``model.workspace()``."""
-    _check_inputs(u0, path, model, workspace)
-    substeps = _whole_count(h, path.h_fine, _STEP_MESSAGE)
-    if substeps > path.substeps:
-        raise MeshMismatchError(
-            f"[0, {h}] needs {substeps} substeps, path provides {path.substeps}"
-        )
+    _check_inputs(u0, path, model, workspace, h, _STEP_MESSAGE)
     plan = BoundPlan(scheme, model, h, path.h_fine)
     noise = path._prepared_noise(plan)
     store = path._window.stores.setdefault((model, u0.coeffs.tobytes()), {})
@@ -741,20 +745,15 @@ def reference_solve(
     result is not finite raises :class:`NonfiniteValueError` naming its
     first non-finite term.
     """
-    _check_inputs(u0, path, model, workspace)
-    plan = BoundPlan(_REFERENCE_SCHEME, model, path.h_fine, path.h_fine)
-    steps = _whole_count(
-        t_end, path.h_fine, "t_end {} is not a whole number of steps of h = {}"
+    steps = _check_inputs(
+        u0, path, model, workspace, t_end, "t_end {} is not a whole number of steps of h = {}"
     )
-    if steps > path.substeps:
-        raise MeshMismatchError(
-            f"[0, {t_end}] needs {steps} substeps, path provides {path.substeps}"
-        )
     outside = sorted(n for n in record_substeps if not 0 <= n <= steps)
     if outside:
         raise MeshMismatchError(
             f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
         )
+    plan = BoundPlan(_REFERENCE_SCHEME, model, path.h_fine, path.h_fine)
     noise = path._prepared_noise(plan)
     state, recorded = _run(plan, u0.coeffs, noise, steps, record_substeps)
     if not np.isfinite(state).all():

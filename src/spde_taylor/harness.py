@@ -11,7 +11,8 @@ bound to its h.  One-step errors take one evaluation of each plan per
 chunk over the chunk's window, on one store of rows: each distinct term's
 rows are built once per chunk, for all schemes and every h, and each plan
 contracts them for its h.  Multi-step errors run the stepping loop of each
-plan on a row prefix of the same prepared window.
+plan on a row prefix of the same prepared window.  Errors are kept per
+scheme, h and path, with NaN where the path is excluded at that h.
 :func:`run_convergence` is the study of one scheme.  The default
 horizon is h itself, so the experiment measures one-step errors; the L2 (or
 Lp) error per h is regressed against h in log-log coordinates and the slope
@@ -99,7 +100,6 @@ class ExperimentConfig:
     multi_step: bool = False
     modes: int = 64
     noise_modes: int = 64
-    out_dir: str | None = None
 
     def validate(self) -> None:
         if not 0.0 < self.t_end < math.inf:
@@ -131,7 +131,8 @@ class ExperimentConfig:
 
     @property
     def ladder(self) -> tuple[float, ...]:
-        return tuple(self.t_end / 2**k for k in self.ladder_log2)
+        """t_end / 2**k for each k of ``ladder_log2``, from the longest down."""
+        return tuple(self.t_end / 2**k for k in sorted(self.ladder_log2))
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,9 @@ _CHUNK_BYTES = 1 << 20
 
 def _ladder_errors(
     config: ExperimentConfig, schemes: tuple[CompiledScheme, ...], model: ModelSpec
-):
-    """Per-scheme, per-h absolute endpoint errors against the fine-mesh
-    reference.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute endpoint errors against the fine-mesh reference, and its
+    sizes, per scheme, h and path.
 
     Every scheme and every ladder entry h iterates the scheme with step h up
     to its horizon (h itself for one-step errors, t_end in multi-step mode)
@@ -198,65 +199,65 @@ def _ladder_errors(
     then runs: in one-step mode one step over the chunk's window, from the
     longest h down, on the chunk's one store of rows, so each distinct
     term's rows are built once per chunk and shared by every scheme and h;
-    in multi-step mode the stepping loop.  Returns, per scheme, each h's
-    Euclidean error norms of the included paths in path order, computed
-    with ``np.hypot`` so that finite differences never overflow, and each
-    h's count of excluded paths, those whose scheme state at that h is not
-    finite; then each h's Euclidean norms of the reference states of every
-    path.  A non-finite reference raises :class:`NonfiniteValueError`.
+    in multi-step mode the stepping loop.  Returns ``errors[scheme, h,
+    path]``, the Euclidean error norms, computed with ``np.hypot`` so that
+    finite differences never overflow, NaN exactly where the scheme's state
+    is not finite, and ``reference[h, path]``, the reference states' norms;
+    h runs down ``config.ladder``.  A non-finite reference raises
+    :class:`NonfiniteValueError`.
     """
     h_fine = config.h_fine
-    ladder = sorted(config.ladder, reverse=True)
-    steps = {h: round(config.t_end / h) if config.multi_step else 1 for h in ladder}
-    horizon = {h: steps[h] * round(h / h_fine) for h in ladder}  # in substeps
-    window = max(horizon.values())
-    reference = BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine)
-    plans = [{h: BoundPlan(s, model, h, h_fine) for h in ladder} for s in schemes]
+    steps = [round(config.t_end / h) if config.multi_step else 1 for h in config.ladder]
+    horizons = [n * round(h / h_fine) for n, h in zip(steps, config.ladder)]  # in substeps
+    window = max(horizons)
+    reference_plan = BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine)
+    plans = [[BoundPlan(s, model, h, h_fine) for h in config.ladder] for s in schemes]
     chunk = max(1, _CHUNK_BYTES // (8 * window * model.noise_modes))
-    results = [({h: [] for h in ladder}, {h: 0 for h in ladder}) for _ in schemes]
-    reference_norms: dict[float, list[float]] = {h: [] for h in ladder}
+    errors = np.empty((len(schemes), len(config.ladder), config.paths))
+    reference = np.empty((len(config.ladder), config.paths))
     for first in range(0, config.paths, chunk):
-        indices = range(first, min(first + chunk, config.paths))
+        columns = slice(first, min(first + chunk, config.paths))
         increments = np.stack([
             NoisePath.draw(
                 path_generator(config.seed, index), window, model.noise_modes, h_fine
             ).increments
-            for index in indices
+            for index in range(config.paths)[columns]
         ])
-        noise = reference.prepare_noise(increments)
-        u0 = np.tile(model.initial.coeffs, (len(indices), 1))
-        end, recorded = _run(reference, u0, noise, window, tuple(horizon.values()))
+        noise = reference_plan.prepare_noise(increments)
+        u0 = np.tile(model.initial.coeffs, (len(increments), 1))
+        end, recorded = _run(reference_plan, u0, noise, window, tuple(horizons))
         if not np.isfinite(end).all():
-            failed = _first_failures(reference, u0, noise, end, window)
+            failed = _first_failures(reference_plan, u0, noise, end, window)
             raise failed[min(failed)]
-        for h in ladder:
-            reference_norms[h].extend(np.hypot.reduce(recorded[horizon[h]], axis=-1).tolist())
+        for norms, k in zip(reference, horizons):
+            norms[columns] = np.hypot.reduce(recorded[k], axis=-1)
         store: dict = {}  # the chunk's term rows, shared by the one-step plans
-        for plan, (errors, excluded) in zip(plans, results):
-            for h in ladder:
+        for scheme_plans, scheme_errors in zip(plans, errors):
+            for plan, n, k, norms in zip(scheme_plans, steps, horizons, scheme_errors):
                 if config.multi_step:
-                    approx = _run(plan[h], u0, noise, steps[h])[0]
+                    approx = _run(plan, u0, noise, n)[0]
                 else:
-                    approx = _one_step(plan[h], u0, noise, store)[0]
-                finite = np.isfinite(approx).all(axis=-1)
-                excluded[h] += int(finite.size - finite.sum())
-                norms = np.hypot.reduce(approx - recorded[horizon[h]], axis=-1)
-                errors[h].extend(norms[finite].tolist())
-    return results, reference_norms
+                    approx = _one_step(plan, u0, noise, store)[0]
+                norms[columns] = np.hypot.reduce(approx - recorded[k], axis=-1)
+                norms[columns][~np.isfinite(approx).all(axis=-1)] = np.nan
+    return errors, reference
 
 
-def _row_statistics(h: float, values: list[float], n_excluded: int, p: float) -> ErrorRow:
+def _row_statistics(h: float, errors: np.ndarray, p: float) -> ErrorRow:
     """Lp error estimate with a delta-method standard error.
 
-    The mean of |e|^p over paths has standard error sqrt(var/n); mapping
-    through x -> x^(1/p) multiplies it by x^(1/p - 1)/p at the estimate.
-    Where the powers or their moments of finite errors overflow, both come
-    from the errors over the row's largest and are scaled back by it.
+    ``errors`` is one h's row of :func:`_ladder_errors`, NaN at excluded
+    paths.  The mean of |e|^p over paths has standard error sqrt(var/n);
+    mapping through x -> x^(1/p) multiplies it by x^(1/p - 1)/p at the
+    estimate.  Where the powers or their moments of finite errors overflow,
+    both come from the errors over the row's largest and are scaled back by it.
     """
-    if not values:
+    excluded = np.isnan(errors)
+    n_excluded = int(excluded.sum())
+    errors = errors[~excluded]
+    if not errors.size:
         return ErrorRow(h=h, error=float("nan"), stderr=float("nan"),
                         n_paths=0, n_excluded=n_excluded)
-    errors = np.asarray(values, dtype=float)
     try:
         with np.errstate(over="raise"):
             estimate, stderr = _lp_estimate(errors, p)
@@ -318,14 +319,14 @@ def run_study(config: ExperimentConfig, schemes: tuple[str, ...]) -> tuple[Error
     model = build_model(config.model, config.modes, config.noise_modes, config.r)
     resolved = [resolve_scheme(name) for name in schemes]
     predicted = [order_wood(wood).evaluate(model.gamma, model.delta) for _, wood in resolved]
-    results, references = _ladder_errors(config, tuple(s for s, _ in resolved), model)
-    ladder = sorted(references, reverse=True)
+    errors, reference = _ladder_errors(config, tuple(s for s, _ in resolved), model)
+    ladder, p = config.ladder, config.p_norm
     # Each row's floor scales the Lp size of the reference states it compares with.
     unit = ROUNDING_FLOOR_EPS * float(np.finfo(float).eps)
-    floors = [unit * _row_statistics(h, references[h], 0, config.p_norm).error for h in ladder]
+    floors = [unit * _row_statistics(h, row, p).error for h, row in zip(ladder, reference)]
     reports = []
-    for name, order, (errors, excluded) in zip(schemes, predicted, results):
-        rows = tuple(_row_statistics(h, errors[h], excluded[h], config.p_norm) for h in ladder)
+    for name, order, scheme_errors in zip(schemes, predicted, errors):
+        rows = tuple(_row_statistics(h, row, p) for h, row in zip(ladder, scheme_errors))
         slope, used, reason = _regression_slope(rows, floors, config.multi_step)
         verdict = margin = None
         if slope is not None and not config.multi_step:
@@ -373,7 +374,6 @@ def render_json(report: ErrorReport) -> str:
     if not report.rows:
         raise ReportError("no data rows")
     config = asdict(report.config)
-    config["ladder_log2"] = list(report.config.ladder_log2)
     run_id = sha256(
         json.dumps(config, sort_keys=True).encode("utf-8")
     ).hexdigest()[:16]

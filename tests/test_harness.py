@@ -119,6 +119,9 @@ class TestConfigValidation:
         config = ExperimentConfig(t_end=2.0, fine_log2=4, ladder_log2=(1, 2))
         assert config.ladder == (1.0, 0.5)
         assert config.h_fine == 0.125
+        # The ladder runs from the longest step down, whatever the order of
+        # its exponents.
+        assert dataclasses.replace(config, ladder_log2=(2, 1)).ladder == (1.0, 0.5)
 
 
 class TestRunConvergence:
@@ -283,8 +286,10 @@ class TestRunConvergence:
             multi_step=True,
         )
         model = build_model("heat-mult", 8, 8, 0.005)
-        [(errors, _)], _ = _ladder_errors(config, (builtin_scheme("exp-euler"),), model)
-        assert errors[config.ladder[0]] == [0.0, 0.0, 0.0]
+        errors, reference = _ladder_errors(config, (builtin_scheme("exp-euler"),), model)
+        assert errors.dtype == reference.dtype == float
+        assert errors.tolist() == [[[0.0, 0.0, 0.0]]]
+        assert reference.shape == (1, 3) and (reference > 0.0).all()
 
     def test_multi_step_mode_runs(self):
         # taylor-delta iterated is the pure semigroup flow, so the global
@@ -541,31 +546,35 @@ class TestChunks:
         scheme = builtin_scheme("full-2nd")
         with monkeypatch.context() as patch:
             chunk_runs(patch, 1, config)
-            [(alone, _)], _ = harness._ladder_errors(config, (scheme,), model)
+            [alone], _ = harness._ladder_errors(config, (scheme,), model)
         with monkeypatch.context() as patch:
             runs = chunk_runs(patch, config.paths, config)
             scale_path(patch, 2, 2.8e154)
-            [(errors, excluded)], _ = harness._ladder_errors(config, (scheme,), model)
+            [errors], _ = harness._ladder_errors(config, (scheme,), model)
         assert {height for _, height in runs} == {config.paths}
         path = NoisePath.draw(harness.path_generator(config.seed, 2), 64, 16, config.h_fine)
-        blown = {}
+        blown = []
         for h in config.ladder:
             scaled = path.increments[: round(h / config.h_fine)] * 2.8e154
             prefix = NoisePath(scaled, config.h_fine)
             try:
                 step(scheme, model.initial, h, prefix, model)
-                blown[h] = False
+                blown.append(False)
             except NonfiniteValueError:
-                blown[h] = True
-            assert excluded[h] == blown[h]
-            assert np.isfinite(errors[h]).all()
+                blown.append(True)
+        assert blown == [True, True, False]
+        # The path is NaN exactly at the h where its run blew up, and finite
+        # elsewhere; every other path keeps its column.
+        assert np.isnan(errors[:, 2]).tolist() == blown
+        assert np.isfinite(errors[:, 2]).tolist() == [not b for b in blown]
+        others = np.arange(config.paths) != 2
+        assert errors[:, others].tobytes() == alone[:, others].tobytes()
+        for h, row, excluded in zip(config.ladder, errors, blown):
             # Errors up to 3e307 square past the float range; their
             # statistics stay finite.
-            row = _row_statistics(h, errors[h], excluded[h], config.p_norm)
-            assert np.isfinite([row.error, row.stderr]).all()
-            others = errors[h] if blown[h] else errors[h][:2] + errors[h][3:]
-            assert others == alone[h][:2] + alone[h][3:]
-        assert set(blown.values()) == {True, False}
+            stats = _row_statistics(h, row, config.p_norm)
+            assert np.isfinite([stats.error, stats.stderr]).all()
+            assert (stats.n_paths, stats.n_excluded) == (config.paths - excluded, excluded)
 
     def test_a_multi_step_blow_up_is_excluded_without_a_replay(self, monkeypatch):
         # Path 2's increments, scaled by 2.8e154, overflow the multi-step
@@ -577,7 +586,7 @@ class TestChunks:
             heat_multiplicative_model(16, 16), diffusion=ConstantMultiplier(16, 16)
         )
         scheme = builtin_scheme("full-2nd")
-        [(alone, _)], _ = harness._ladder_errors(config, (scheme,), model)
+        [alone], _ = harness._ladder_errors(config, (scheme,), model)
         replays = []
         replay = engine._first_failures
         with monkeypatch.context() as patch:
@@ -585,11 +594,12 @@ class TestChunks:
             patch.setattr(
                 engine, "_first_failures", lambda *args: replays.append(args) or replay(*args)
             )
-            [(errors, excluded)], _ = harness._ladder_errors(config, (scheme,), model)
+            [errors], _ = harness._ladder_errors(config, (scheme,), model)
         assert replays == []
-        assert excluded == dict.fromkeys(config.ladder, 1)
-        for h in config.ladder:
-            assert errors[h] == alone[h][:2] + alone[h][3:]
+        assert np.isnan(errors[:, 2]).all()
+        others = np.arange(config.paths) != 2
+        assert not np.isnan(errors[:, others]).any()
+        assert errors[:, others].tobytes() == alone[:, others].tobytes()
 
     def test_reference_blow_up_fails_the_run(self, monkeypatch):
         scale_path(monkeypatch, 3, 1e200)
@@ -602,13 +612,18 @@ def test_row_statistics_of_errors_whose_powers_overflow():
     # The squares of 1e200 and 2e200 overflow; the row scales its errors by
     # the largest and gives the L2 mean sqrt(5 / 2) * 1e200, and the
     # standard error of the errors 1 and 2 scaled by 1e200, with no warning.
+    # A NaN is an excluded path, and a row of NaNs has no paths.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        row = _row_statistics(0.5, [1e200, 2e200], 0, 2.0)
-        unit = _row_statistics(0.5, [1.0, 2.0], 0, 2.0)
+        row = _row_statistics(0.5, np.array([1e200, np.nan, 2e200]), 2.0)
+        unit = _row_statistics(0.5, np.array([1.0, 2.0]), 2.0)
+        empty = _row_statistics(0.5, np.full(3, np.nan), 2.0)
     assert row.error == pytest.approx(1.5811388300841898e200, rel=1e-15)
     assert row.stderr == pytest.approx(unit.stderr * 1e200, rel=1e-15)
-    assert (row.n_paths, row.n_excluded) == (2, 0)
+    assert (row.n_paths, row.n_excluded) == (2, 1)
+    assert (unit.n_paths, unit.n_excluded) == (2, 0)
+    assert np.isnan(empty.error) and np.isnan(empty.stderr)
+    assert (empty.n_paths, empty.n_excluded) == (0, 3)
 
 
 class TestReports:
@@ -731,6 +746,23 @@ class TestCli:
         out, err = capsys.readouterr()
         assert err == "" and out.startswith("trees: 1\n")
         assert f"canonical text: {text}" in out
+
+    def test_a_report_does_not_depend_on_where_it_is_written(self, tmp_path):
+        # The output directory is no part of the study: the same study
+        # written to two directories, or as a member of a scheme list, gives
+        # one run_id and one report.json.
+        argv = ["converge", "--paths", "8", "--fine", "9", "--ladder", "3,4,5", "--seed", "3"]
+        for out in ("a", "b"):
+            main(argv + ["--scheme", "full-2nd", "--out", str(tmp_path / out)])
+        main(argv + ["--scheme", "exp-euler,full-2nd", "--out", str(tmp_path / "list")])
+        texts = [
+            (tmp_path / where / "report.json").read_bytes()
+            for where in ("a", "b", "list/full-2nd")
+        ]
+        assert texts[0] == texts[1] == texts[2]
+        payload = json.loads(texts[0])
+        assert "out_dir" not in payload["config"]
+        assert payload["config"]["ladder_log2"] == [3, 4, 5]
 
     def test_converge_exit_code_matches_verdict(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
