@@ -32,23 +32,29 @@ builds no rows.  The per-mode factors are built once per process for
 each (eigenvalues, h, h_fine) and shared read-only; a trajectory's factors
 are those of its window, looked up when it is made.
 
-Binding a plan turns each node into a step function ``(u0, noise, store)``
-that holds everything the node reads: its rows of those factors, its k!
-scale, the model operator bound to its order and the makers of its
-arguments' trajectories.  A node whose operator the model binds to None,
-identically zero (the zero drift's drift flow), or one of whose arguments
-vanishes, is dropped then: it costs nothing per step and reads nothing.
-A step runs the nodes' arithmetic and store lookups, with no dispatch on
-the node kind and no argument checks.  A plan that reads no trajectory
-steps without a store too, on scratch rows: for the reference at h =
-h_fine that is, per substep, the two matrix products of the diffusion,
-one pointwise and two per-mode products, and the sum of two terms.
+Binding a plan turns each node into a step function ``(u0, noise, store,
+out)`` that writes the node's end value into ``out`` and holds everything
+the node reads: its rows of those factors, its k! scale, the model
+operator bound to its order and the makers of its arguments' trajectories.
+A node whose operator the model binds to None, identically zero (the zero
+drift's drift flow), or one of whose arguments vanishes, is dropped then:
+it costs nothing per step and reads nothing.  A step runs the nodes' arithmetic and store
+lookups, with no dispatch on the node kind and no argument checks.
 
-Multi-step runs go through one stepping loop, for one path or for a batch
-of paths, one row each: a plan bound to one h advances the states through
-consecutive h-long row blocks of their noise windows, prepared once (for
-the multiplication model: moved to the grid), and tests the end states
-for inf and nan once per run.  The fine-mesh reference
+The stepping loop steps in place, for one path or for a batch of paths,
+one row each: a run allocates once a (nodes, ..., N) value array and two
+state buffers, and each step writes each node's end value into its row of
+the value array and u0 plus the terms, in term order, into the buffer the
+step before did not write.  A plan bound to one h advances the states
+through consecutive h-long row blocks of their noise windows, prepared
+once (for the multiplication model: moved to the grid), and tests the end
+states for inf and nan once per run.  A plan that reads no trajectory
+steps without a store, on scratch rows; at h = h_fine its one diffusion
+node has the model write its one row into the node's row of the value
+array and multiplies it by the end-weight column there.  For the reference
+that is, per substep, the two matrix products of the diffusion, one
+pointwise and two per-mode products, and the sum of two terms, with one
+fresh grid row and no other array made.  The fine-mesh reference
 :func:`reference_solve` is that loop over the exponential Euler plan at
 h = h_fine, which makes scheme-versus-reference comparisons on shared
 noise bit-consistent.  :func:`step` hands a plan of its h the whole
@@ -56,7 +62,10 @@ prepared window of a drawn :class:`NoisePath`, which is prepared once, and
 the path's store for the model and start state, so the steps of several h
 and schemes on its prefixes build each term's rows once and have the
 bytes of the order study (``harness``), which builds them once per chunk
-of paths over the chunk's whole window, in the chunk's store.
+of paths over the chunk's whole window, in the chunk's store.  Both take
+their plan from a small cache of bound plans, which hold no buffers: an
+order study's ops bind the same few (scheme, model, h, h_fine) again and
+again.
 
 Monte-Carlo streams come from a counter-based generator: path p draws from
 ``Philox(key=seed, counter=p << 128)``, so any path's noise can be
@@ -223,8 +232,23 @@ class RequiredOrders(NamedTuple):
 
 @dataclass(frozen=True)
 class CompiledScheme:
+    """A star-free term sum in canonical order.  Its hash is computed on
+    first use and kept, as :class:`~spde_taylor.trees.STree` keeps its own,
+    since every :func:`step` looks its plan up by the scheme; pickling
+    drops it."""
+
     terms: tuple[TermExpr, ...]
     source_wood: SWood | None = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return CompiledScheme, (self.terms, self.source_wood)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.terms, self.source_wood))
 
     def describe(self) -> str:
         return " + ".join(render_compact(t) for t in self.terms) or "0"
@@ -401,17 +425,23 @@ class BoundPlan:
     :meth:`advance` is handed, at least h / h_fine rows, and contracts h's
     end weights with the first h / h_fine rows; plans of several h and
     schemes handed one window share the rows through its store.  Binding
-    lowers each node once into a step that holds what the node reads: the
-    shared mesh tables of h, its k! scale, the model operator bound to its
-    order and the makers of the trajectories it reads, which it makes when
-    it builds its rows.  A node whose operator the model binds to None,
-    identically zero, or one of whose arguments vanishes (the operators
-    are multilinear) is dropped; a node is read where a kept node takes it
-    as an argument.  A trajectory's factors come from the tables of its
-    window, looked up when it is made.
+    lowers each node once into a step ``(u0, noise, store, out)`` that
+    writes the node's end value into ``out`` and holds what the node reads:
+    the shared mesh tables of h, its k! scale, the model operator bound to
+    its order and the makers of the trajectories it reads, which it makes
+    when it builds its rows.  A node whose operator the model binds to
+    None, identically zero, or one of whose arguments vanishes (the
+    operators are multilinear) is dropped; a node is read where a kept node
+    takes it as an argument.  A trajectory's factors come from the tables
+    of its window, looked up when it is made.
 
-    The stepping loop :func:`_run` hands the plan consecutive windows of
-    h / h_fine rows, so a run of exponential Euler at h_fine equals the
+    A plan holds no buffers: the value array and the states that a step
+    writes belong to the run (:func:`_run`) or to the call
+    (:meth:`advance`), so one plan steps any paths in any order, and
+    :func:`step` and :func:`reference_solve` share plans through a small
+    cache.  Every caller steps through the same node steps (see
+    :meth:`stepper`); the stepping loop hands the plan consecutive windows
+    of h / h_fine rows, so a run of exponential Euler at h_fine equals the
     reference by construction.
     """
 
@@ -443,7 +473,9 @@ class BoundPlan:
     def _operator(self, kind: str, order: int):
         """What a node of ``kind`` and ``order`` applies, None where the
         model binds it to None: the flow factor of h, F, or ``(u0, args,
-        noise) -> rows`` of B^(k) / k! or of F^(k) h_fine / k!."""
+        noise) -> rows`` of B^(k) / k! or of F^(k) h_fine / k!; the order-0
+        diffusion rows also take an ``out`` for a one-row window (see
+        ``DiffusionOperator``)."""
         if kind is _FLOW:
             return self.tables.flow
         if kind is _DRIFT_FLOW:
@@ -478,37 +510,48 @@ class BoundPlan:
     def _bind(
         self, operator, kind: str, order: int, args: list, term: TermExpr, read: bool
     ):
-        """The node that applies ``operator`` as a step ``(u0, noise, store)
-        -> value``, its end value at h (see :meth:`advance`), where ``args``
-        make the trajectories it reads (see :meth:`_trajectory`) and
-        ``read`` says whether a later node reads its own.  Sum nodes
-        reduce the first h / h_fine of their per-substep rows with h's end
-        weights; a diffusion node that no node reads takes the reduced sum
-        from the model, without the rows, where the model fuses it
+        """The node that applies ``operator`` as a step ``(u0, noise, store,
+        out)`` that writes its end value at h into ``out``, (..., N) (see
+        :meth:`stepper`), where ``args`` make the trajectories it reads (see
+        :meth:`_trajectory`) and ``read`` says whether a later node reads its
+        own.  Sum nodes reduce the first h / h_fine of their per-substep
+        rows with h's end weights into ``out``.  Without a store, which only
+        a run of a plan that reads nothing passes (see :func:`_run`), the
+        window has exactly h / h_fine rows and the rows are scratch; at h =
+        h_fine the model writes its one row into ``out`` and the node
+        multiplies it there by the end-weight column, the bytes of the
+        reduced sum.  A diffusion node that no node reads takes the reduced
+        sum from the model, without the rows, where the model fuses it
         (``bind_sum``)."""
         # The steps hold no reference to the plan, so a plan is freed as soon
         # as its last user drops it, not by the cycle collector.
         if kind is _FLOW:
-            return lambda u0, noise, store: operator * u0
+            return lambda u0, noise, store, out: np.multiply(operator, u0, out=out)
         if kind is _DRIFT_FLOW:
             drift_flow = self.tables.drift_flow
-            return lambda u0, noise, store: drift_flow * operator(u0)
+            return lambda u0, noise, store, out: np.multiply(drift_flow, operator(u0), out=out)
         fused = None if read else getattr(self.model.diffusion, "bind_sum", None)
         if kind is _DIFFUSION and fused is not None:
             total = _over_factorial(order, fused(order, self.tables.end_weights))
-            return lambda u0, noise, store: total(
-                u0, [make(u0, noise, store) for make in args], noise
+            return lambda u0, noise, store, out: np.copyto(
+                out, total(u0, [make(u0, noise, store) for make in args], noise)
             )
         end_sum = bind_end_sum(self.tables.end_weights)
+        column = self.tables.end_weights[:, 0] if self.substeps == 1 else None
 
-        def sum_step(u0, noise, store):
-            if store is None:  # a plan that reads nothing: scratch rows
-                return end_sum(operator(u0, (), noise))
+        def sum_step(u0, noise, store, out):
+            if store is None:  # a run of a plan that reads nothing: scratch rows
+                if column is None:
+                    end_sum(operator(u0, (), noise), out)
+                else:
+                    operator(u0, (), noise, out)
+                    out *= column
+                return
             rows = store.get(term)
             if rows is None:
                 paths = [make(u0, noise, store) for make in args]
                 rows = store[term] = _frozen(operator(u0, paths, noise))
-            return end_sum(rows)
+            end_sum(rows, out)
 
         return sum_step
 
@@ -520,50 +563,64 @@ class BoundPlan:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.model.diffusion.prepare_noise(increments)
 
+    def stepper(self, shape: tuple[int, ...]):
+        """A new value array of (nodes,) + ``shape`` and ``(u0, noise, store,
+        state) -> None``, one step of h from states of ``shape`` over the
+        window ``noise`` that writes each kept node's end value into its
+        slot of the value array and u0 plus the plan's terms, summed in term
+        order, into ``state``; a dropped node's slot is never written.  The
+        node steps run in slot order, and none writes u0 or the window.
+        ``store`` is that of :meth:`advance`, or None in a run of a plan
+        that reads nothing (see :func:`_run`)."""
+        values = np.empty((len(self.steps),) + shape)
+        nodes = [(run, values[slot]) for slot, run in enumerate(self.steps) if run is not None]
+        terms = [values[slot] for slot in self.term_slots if self.steps[slot] is not None]
+        if not terms:
+            return values, lambda u0, noise, store, state: np.copyto(state, u0)
+        first, rest = terms[0], terms[1:]
+
+        def step(u0, noise, store, state):
+            for run, out in nodes:
+                run(u0, noise, store, out)
+            np.add(u0, first, out=state)
+            for value in rest:
+                state += value
+
+        return values, step
+
     def advance(
         self, u0: np.ndarray, noise: np.ndarray, store: dict | None = None
-    ) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One step of h from ``u0`` over the window whose prepared noise is
-        ``noise``: u0 plus the sum of the plan's terms at h, and each node's
-        end value by slot, None where the node vanishes (see
-        :meth:`nonfinite`).  ``u0`` is one state, (N,), or one per path,
-        (paths, N), and ``noise`` the window of each, (S, ·) or (paths, S,
-        ·) for any S of at least h / h_fine: the nodes build their rows and
-        trajectories over all S rows and contract the first h / h_fine.
+        ``noise``: u0 plus the sum of the plan's terms at h, and the
+        (nodes, ..., N) value array of the call, each node's end value by
+        slot (see :meth:`nonfinite`), both new.  ``u0`` is one state, (N,),
+        or one per path, (paths, N), and ``noise`` the window of each, (S,
+        ·) or (paths, S, ·) for any S of at least h / h_fine: the nodes
+        build their rows and trajectories over all S rows and contract the
+        first h / h_fine.
 
         ``store`` is the dict of this window and start state, shared by the
         plans of any h and any scheme stepped on it: it holds each summed
         term's rows under the term, read-only.  A sum node takes its rows
         from there, or builds them and leaves them there, so each term's
         rows are built once, and the trajectories that it reads with them
-        are made once and kept by no one.  Without a store, a plan that
-        reads no trajectory builds scratch rows and touches no dict, as the
-        reference's substeps do; one that reads keeps its rows in a fresh
-        store for this step."""
-        if store is None and self.reads:
-            store = {}
-        values: list = []
-        for run in self.steps:  # a loop: cheaper than a comprehension's frame
-            values.append(None if run is None else run(u0, noise, store))
-        total = u0
-        for slot in self.term_slots:
-            value = values[slot]
-            if value is None:
-                continue
-            if total is u0:
-                total = u0 + value
-            else:
-                total += value
-        return total, values
+        are made once and kept by no one.  Without a store, the step keeps
+        its rows in a fresh store of its own."""
+        values, step = self.stepper(u0.shape)
+        state = np.empty(u0.shape)
+        step(u0, noise, {} if store is None else store, state)
+        return state, values
 
-    def nonfinite(self, values: list[np.ndarray | None], row: int) -> NonfiniteValueError:
+    def nonfinite(self, values: np.ndarray, row: int) -> NonfiniteValueError:
         """The error for the path in ``row`` of a batch (row 0 of a single
         path) whose state is not finite: names its first non-finite term,
-        from the node values that :meth:`advance` returns (``None`` for a
-        term that vanishes)."""
+        from the value array of the step (see :meth:`advance`), where a
+        dropped node's slot holds nothing."""
         for name, slot in zip(self.names, self.term_slots):
-            value = values[slot]
-            if value is not None and not np.isfinite(np.atleast_2d(value)[row]).all():
+            if self.steps[slot] is None:
+                continue
+            if not np.isfinite(np.atleast_2d(values[slot])[row]).all():
                 return NonfiniteValueError(name)
         return NonfiniteValueError("sum of plan terms")
 
@@ -610,23 +667,37 @@ def _run(
     unbatched, which spares it the cost of broadcasting against the (N,)
     mesh tables.
 
-    Returns the end states and the states after each step count in
-    ``record_steps``.  A path whose state goes non-finite runs on,
-    non-finite; the others never see it.  The loop runs only the plan's
-    arithmetic and no test: every step returns u0 plus its terms, and IEEE
-    addition never turns an inf or a nan finite, so a path that goes
-    non-finite at some step is non-finite at the end, where a caller that
-    needs the failing term tests the end states and calls
+    The loop steps in place.  The run allocates once a value array for the
+    plan's node steps (see :meth:`BoundPlan.stepper`) and two state
+    buffers, and each step writes into the buffer that the step before did
+    not write, so the caller's ``states`` are only read.  A plan that reads
+    no trajectory steps without a store, on scratch rows, and allocates no
+    array of its own per step; one that reads keeps its rows in a fresh
+    store per step.
+
+    Returns the end states, one of the run's buffers, and copies of the
+    states after each step count in ``record_steps`` (the caller's states
+    for 0, the end states themselves for ``steps``).  A path whose state
+    goes non-finite runs on, non-finite; the others never see it.  The loop
+    runs only the plan's arithmetic and no test: every step writes u0 plus
+    its terms, and IEEE addition never turns an inf or a nan finite, so a
+    path that goes non-finite at some step is non-finite at the end, where
+    a caller that needs the failing term tests the end states and calls
     :func:`_first_failures`.
     """
     recorded = {0: states} if 0 in record_steps else {}
+    step = plan.stepper(states.shape)[1]
+    buffers = (np.empty(states.shape), np.empty(states.shape))
+    reads = plan.reads
     # A blow-up surfaces in the end states, not as warnings from the array
     # operations that produced the inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
         for n, window in enumerate(_windows(plan, noise, steps), 1):
-            states = plan.advance(states, window)[0]
+            out = buffers[n & 1]
+            step(states, window, {} if reads else None, out)
+            states = out
             if n in record_steps:
-                recorded[n] = states
+                recorded[n] = out if n == steps else out.copy()
     return states, recorded
 
 
@@ -636,9 +707,11 @@ def _first_failures(
     """Keyed by row (0 for a single path), the error naming the first
     non-finite term of each row of the ``end`` states of a :func:`_run`
     from ``start`` that is not finite, at its first non-finite step.
-    Replays the run of those rows alone, step by step: a batch's products
-    are stacks of one-path products, so each row replays with the bytes it
-    ran with."""
+    Replays the run of those rows alone, step by step through
+    :meth:`BoundPlan.advance`, which runs the run's node steps, and names
+    the term from each step's value array: a batch's products are stacks
+    of one-path products, and a step's rows in a store have the bytes of
+    its scratch rows, so each row replays with the bytes it ran with."""
     rows = (0,)
     if end.ndim > 1:
         rows = np.flatnonzero(~np.isfinite(end).all(axis=-1))
@@ -654,13 +727,23 @@ def _first_failures(
 
 def _one_step(
     plan: BoundPlan, u0: np.ndarray, noise: np.ndarray, store: dict | None = None
-) -> tuple[np.ndarray, list[np.ndarray | None]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """:meth:`BoundPlan.advance`, one step of the plan's h from ``u0`` over
     the prepared window ``noise``, with no numpy warning: a blow-up leaves
     a non-finite state, and one confined to rows past h / h_fine leaves the
     state finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         return plan.advance(u0, noise, store)
+
+
+# An order-study op binds six plans, the reference's and one per h, and the
+# benchmark's cycle of four schemes 21; a plan holds no buffers, only its
+# node steps and the mesh tables of its h.
+@lru_cache(maxsize=32)
+def _plan(scheme: CompiledScheme, model: ModelSpec, h: float, h_fine: float) -> BoundPlan:
+    """The bound plan of (scheme, model, h, h_fine), shared by the calls of
+    :func:`step` and :func:`reference_solve`."""
+    return BoundPlan(scheme, model, h, h_fine)
 
 
 def _check_inputs(
@@ -707,11 +790,12 @@ def step(
     over the window once and keep them there (see :class:`NoisePath`); a
     step of any h on the path or its prefixes then contracts the first
     h / h_fine of them.  A step past the path raises
-    :class:`MeshMismatchError` before the plan is bound, a non-finite state
+    :class:`MeshMismatchError` before the plan is bound or looked up in
+    the cache of bound plans, a non-finite state
     :class:`NonfiniteValueError` naming the first non-finite term, and
     ``workspace`` is None or ``model.workspace()``."""
     _check_inputs(u0, path, model, workspace, h, _STEP_MESSAGE)
-    plan = BoundPlan(scheme, model, h, path.h_fine)
+    plan = _plan(scheme, model, h, path.h_fine)
     noise = path._prepared_noise(plan)
     store = path._window.stores.setdefault((model, u0.coeffs.tobytes()), {})
     state, values = _one_step(plan, u0.coeffs, noise, store)
@@ -753,7 +837,7 @@ def reference_solve(
         raise MeshMismatchError(
             f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
         )
-    plan = BoundPlan(_REFERENCE_SCHEME, model, path.h_fine, path.h_fine)
+    plan = _plan(_REFERENCE_SCHEME, model, path.h_fine, path.h_fine)
     noise = path._prepared_noise(plan)
     state, recorded = _run(plan, u0.coeffs, noise, steps, record_substeps)
     if not np.isfinite(state).all():

@@ -209,8 +209,9 @@ class DriftOperator(Protocol):
     ) -> Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray] | None: ...
 
 
-#: A bound B^(k): ``(base, arg_rows, noise) -> rows or their weighted sum``.
-BoundDiffusion = Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.ndarray]
+#: A bound B^(k): ``(base, arg_rows, noise) -> rows or their weighted sum``;
+#: the order-0 rows also take an optional ``out``.
+BoundDiffusion = Callable[..., np.ndarray]
 
 
 class DiffusionOperator(Protocol):
@@ -227,11 +228,15 @@ class DiffusionOperator(Protocol):
 
     ``bind_rows`` returns a function of ``(base, arg_rows, noise)``: the
     rows B^(k)(base)(args)(xi_s), (..., S, N), as a fresh array that the
-    caller may keep; ``None`` means identically zero.  The engine
-    builds a node's rows once over the window of noise it is handed,
-    contracts the first h / h_fine of them with the end weights of each
-    step size h and divides them by k!.  ``apply_diffusion`` and
-    ``diffusion_matrix`` apply the bound rows once, to unit noise vectors.
+    caller may keep; ``None`` means identically zero.  The engine builds a
+    node's rows once over the window of noise it is handed, contracts the
+    first h / h_fine of them with the end weights of each step size h and
+    divides them by k!.  The order-0 function also takes an optional
+    ``out``, an (..., N) array, for a window of one row (S = 1): it writes
+    that row into ``out`` and returns it.  The stepping loop at h = h_fine
+    passes the node's value there and multiplies it by the end weights in
+    place.  ``apply_diffusion`` and ``diffusion_matrix`` apply the bound
+    rows once, to unit noise vectors.
 
     An operator whose end-weighted sum is cheaper than its rows may also
     provide ``bind_sum(order, weights)``, a function of the same arguments
@@ -251,16 +256,19 @@ class DiffusionOperator(Protocol):
     def bind_rows(self, order: int) -> BoundDiffusion | None: ...
 
 
-def bind_end_sum(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """rows -> sum_s weights[n, s] rows[..., s, n] over the first S rows,
-    for (N, S) weights and at least S rows, as a new array; a single row is
-    multiplied by the weight column, which gives the einsum's bytes but for
-    the sign of a zero."""
+def bind_end_sum(weights: np.ndarray) -> Callable[..., np.ndarray]:
+    """``(rows, out=None) -> sum_s weights[n, s] rows[..., s, n]`` over the
+    first S rows, for (N, S) weights and at least S rows, written into
+    ``out``, (..., N), where it is given and else a new array; a single row
+    is multiplied by the weight column, which gives the einsum's bytes but
+    for the sign of a zero."""
     substeps = weights.shape[1]
     if substeps == 1:
         column = weights[:, 0]
-        return lambda rows: rows[..., 0, :] * column
-    return lambda rows: np.einsum("ns,...sn->...n", weights, rows[..., :substeps, :])
+        return lambda rows, out=None: np.multiply(rows[..., 0, :], column, out=out)
+    return lambda rows, out=None: np.einsum(
+        "ns,...sn->...n", weights, rows[..., :substeps, :], out=out
+    )
 
 
 class ZeroDrift:
@@ -282,7 +290,9 @@ class MultiplicationDiffusion:
     prepared noise is the grid values of the noise functions.  The bound
     rows evaluate B^(n)(base)(args)(xi) for that batch of noise functions
     xi, one per row, by collocation: two products with the sine matrices
-    fetched at construction.  Every order n >= 2 is identically zero.
+    fetched at construction.  A batch's products are the stacks of its
+    paths' products, so a path's rows have the same bytes in any batch.
+    Every order n >= 2 is identically zero.
     """
 
     def __init__(self, modes: int, noise_modes: int):
@@ -298,22 +308,37 @@ class MultiplicationDiffusion:
             return None
         sine, interpolant = self.sine, self.interpolant
         if order == 0:
-            def rows(base, arg_rows, noise):
-                # One path's products go to BLAS through np.dot, which costs
-                # less per call; a batch stays a stack of one-path products.
+            def rows(base, arg_rows, noise, out=None):
+                # One path's products go to BLAS through ndarray.dot, which
+                # costs less per call than @ and than np.dot's dispatch; a
+                # batch stays a stack of one-path products.  A one-row
+                # window's noise multiplies the grid row in place.
                 if base.ndim == 1:
-                    return np.dot(np.dot(base, sine) * noise, interpolant)
-                return ((base[..., None, :] @ sine) * noise) @ interpolant
+                    grid = base.dot(sine)
+                    if out is None:
+                        return (grid * noise).dot(interpolant)
+                    grid *= noise[0]
+                    return grid.dot(interpolant, out=out)
+                grid = base[..., None, :] @ sine
+                if out is None:
+                    return (grid * noise) @ interpolant
+                grid *= noise
+                np.matmul(grid, interpolant, out=out[..., None, :])
+                return out
         else:
             def rows(base, arg_rows, noise):
-                multiplier = arg_rows[0] @ sine
-                # A trajectory of the window's own rows gives a fresh window-
-                # sized multiplier, which the product can overwrite.
-                if multiplier.shape == noise.shape:
-                    multiplier *= noise
-                else:
-                    multiplier = multiplier * noise
-                return multiplier @ interpolant
+                multiplier = arg_rows[0]
+                if multiplier.shape[:-1] != noise.shape[:-1]:  # a state against noise rows
+                    return ((multiplier @ sine) * noise) @ interpolant
+                # Path by path through one (S, P) grid buffer, not a
+                # window-sized multiplier of the whole batch.
+                out = np.empty(noise.shape[:-1] + (interpolant.shape[1],))
+                grid = np.empty(noise.shape[-2:])
+                for path in np.ndindex(noise.shape[:-2]):
+                    np.matmul(multiplier[path], sine, out=grid)
+                    grid *= noise[path]
+                    np.matmul(grid, interpolant, out=out[path])
+                return out
         return rows
 
 
@@ -338,8 +363,12 @@ class DiagonalDiffusion:
         modes, k = self.modes, min(self.modes, self.weights.size)
         b = self.weights[:k]
 
-        def rows(base, arg_rows, noise):
-            out = np.zeros(noise.shape[:-1] + (modes,))
+        def rows(base, arg_rows, noise, out=None):
+            if out is None:
+                out = np.empty(noise.shape[:-1] + (modes,))
+            else:  # one row
+                noise = noise[..., 0, :]
+            out[..., k:] = 0.0
             np.multiply(noise[..., :k], b, out=out[..., :k])
             return out
 

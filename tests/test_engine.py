@@ -1,6 +1,7 @@
 """Scheme engine: compilation, stepping, reference coupling, noise streams."""
 
 import dataclasses
+import pickle
 import tracemalloc
 import warnings
 
@@ -565,6 +566,96 @@ class TestReference:
             fine_sq.append(np.sum((x_m.coeffs - x_f.coeffs) ** 2))
         ratio = np.sqrt(np.mean(coarse_sq) / np.mean(fine_sq))
         assert 2**0.05 < ratio < 2**0.5
+
+
+class TestInPlaceLoop:
+    """The stepping loop writes into buffers of its own run; every caller
+    steps through the same node steps, and a plan holds no buffers."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
+    @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
+    @pytest.mark.parametrize("substeps", [1, 4])
+    @pytest.mark.parametrize("paths", [None, 3], ids=["single", "batch"])
+    def test_run_equals_a_loop_of_advance(
+        self, name, model_name, substeps, paths, mult, additive
+    ):
+        # The run's scratch rows (a plan that reads nothing) and its fresh
+        # store per step (one that reads) have the bytes of advance's rows,
+        # which it keeps in a fresh store of each call.
+        model = {"heat-mult": mult, "heat-add": additive}[model_name]
+        plan = BoundPlan(builtin_scheme(name), model, substeps * H_FINE, H_FINE)
+        increments = chunk_increments(model, 3 if paths else 1, 4 * substeps, seed=16)
+        if paths is None:
+            increments = increments[0]
+        u0 = start_states(model, paths) if paths else model.initial.coeffs
+        noise = plan.prepare_noise(increments)
+        end, recorded = _run(plan, u0, noise, 4, (1, 3))
+        state, loop = u0, {}
+        for n in range(1, 5):
+            state, _ = plan.advance(state, noise[..., (n - 1) * substeps : n * substeps, :])
+            loop[n] = state
+        assert end.tobytes() == loop[4].tobytes()
+        assert {n: s.tobytes() for n, s in recorded.items()} == {
+            n: loop[n].tobytes() for n in (1, 3)
+        }
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
+    def test_a_run_only_reads_the_start_states(self, name, mult):
+        # The study hands one array of start states to every plan of a
+        # chunk; a run that wrote it would move every later plan's start.
+        u0 = start_states(mult, 3)
+        u0.flags.writeable = False
+        increments = chunk_increments(mult, 3, 16, seed=17)
+        for substeps in (1, 4):
+            plan = BoundPlan(builtin_scheme(name), mult, substeps * H_FINE, H_FINE)
+            noise = plan.prepare_noise(increments)
+            _run(plan, u0, noise, 16 // substeps, (0, 1))
+            plan.advance(u0, noise)
+        assert u0.tobytes() == start_states(mult, 3).tobytes()
+
+    def test_recorded_states_keep_their_bytes_after_later_steps(self, mult):
+        # The two state buffers alternate, so a snapshot is a copy; the end
+        # state is recorded as it is, since no step follows it.
+        plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
+        noise = plan.prepare_noise(chunk_increments(mult, 3, 8, seed=18))
+        u0 = start_states(mult, 3)
+        end, recorded = _run(plan, u0, noise, 8, tuple(range(9)))
+        assert recorded[0] is u0 and recorded[8] is end
+        for n in range(1, 9):
+            alone, _ = _run(plan, u0, noise, n)
+            assert recorded[n].tobytes() == alone.tobytes()
+        assert len({id(state) for state in recorded.values()}) == 9
+
+    def test_one_cached_plan_steps_paths_alternately_with_their_solo_bytes(self, mult):
+        # step() and reference_solve() take their plans from one cache;
+        # interleaving two paths through a shared plan gives each the bytes
+        # it gets from a plan of its own.
+        scheme, h = builtin_scheme("full-2nd"), 16 * H_FINE
+        increments = [draw_path(mult, 16, seed=19, index=i).increments for i in range(2)]
+
+        def run(i):
+            path = NoisePath(increments[i], h_fine=H_FINE)  # a fresh store
+            state = step(scheme, mult.initial, h, path, mult).state
+            reference, _ = reference_solve(mult.initial, h, path, mult)
+            return state.coeffs.tobytes() + reference.coeffs.tobytes()
+
+        solo = []
+        for i in range(2):
+            engine._plan.cache_clear()
+            solo.append(run(i))
+        engine._plan.cache_clear()
+        for i in (0, 1, 1, 0, 1):
+            assert run(i) == solo[i]
+        info = engine._plan.cache_info()
+        assert (info.misses, info.hits) == (2, 8)
+
+    def test_a_scheme_keeps_its_hash_and_pickles_without_it(self):
+        scheme = builtin_scheme("milstein-b0")
+        assert hash(scheme) == hash((scheme.terms, scheme.source_wood))
+        assert "_hash" in vars(scheme)
+        copy = pickle.loads(pickle.dumps(scheme))
+        assert "_hash" not in vars(copy)
+        assert copy == scheme and hash(copy) == hash(scheme)
 
 
 class TestLadder:

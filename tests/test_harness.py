@@ -361,7 +361,9 @@ class ConstantMultiplier(MultiplicationDiffusion):
     def bind_rows(self, order):
         if order == 0:
             interpolant = self.interpolant
-            return lambda base, arg_rows, noise: noise @ interpolant
+            return lambda base, arg_rows, noise, out=None: np.matmul(
+                noise, interpolant, out=None if out is None else out[..., None, :]
+            )
         return super().bind_rows(order)
 
 
@@ -417,10 +419,10 @@ class CountingMultiplier(MultiplicationDiffusion):
         if rows is None:
             return None
 
-        def counted(base, arg_rows, noise):
+        def counted(base, arg_rows, noise, *out):
             if noise.shape[-2] > 1:
                 self.builds[order] += 1
-            return rows(base, arg_rows, noise)
+            return rows(base, arg_rows, noise, *out)
 
         return counted
 

@@ -1,6 +1,7 @@
 """Spectral models: transforms, diffusion oracles, semigroup, initial data."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spde_taylor.models import (
     apply_diffusion,
     apply_semigroup,
     bind_end_sum,
+    build_model,
     convolution_variances,
     default_workspace,
     diffusion_matrix,
@@ -371,6 +373,46 @@ class TestWeightedSum:
         model = heat_multiplicative_model(modes, noise_modes)
         assert not hasattr(model.diffusion, "bind_sum")
         self.check(model, order, lead, substeps)
+
+
+class TestBoundRows:
+    """The bound rows' one-row ``out`` and the batched order-1 rows."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
+    def test_a_one_row_window_writes_the_row_into_out(self, lead, model_name):
+        # The stepping loop at h = h_fine has the order-0 row written into
+        # the node's value; it has the bytes of the fresh rows' one row.
+        model = build_model(model_name, 16, 8, 0.005)
+        bound = model.diffusion.bind_rows(0)
+        rng = np.random.default_rng(len(lead))
+        noise = model.diffusion.prepare_noise(rng.standard_normal(lead + (1, 8)))
+        base = rng.standard_normal(lead + (16,))
+        want = bound(base, (), noise)[..., 0, :]
+        out = np.full(lead + (16,), np.nan)
+        assert bound(base, (), noise, out) is out
+        assert out.tobytes() == want.tobytes()
+
+    def test_batched_order_one_rows_hold_no_window_sized_multiplier(self):
+        # Criterion 3's chunk: 8 paths of 256 substeps, P = 255.  The rows
+        # take 1 MiB; the grid multiplier is built path by path in one
+        # (S, P) buffer of 510 KiB, not as the batch's 4 MiB, and each
+        # path's rows have the bytes of that path alone.
+        diffusion = heat_multiplicative_model(64, 64).diffusion
+        rng = np.random.default_rng(21)
+        noise = diffusion.prepare_noise(rng.standard_normal((8, 256, 64)))
+        trajectory = rng.standard_normal((8, 256, 64))
+        rows = diffusion.bind_rows(1)
+        tracemalloc.start()
+        try:
+            batch = rows(None, [trajectory], noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batch.nbytes + 256 * 255 * 8 + 64 * 1024
+        for path in range(8):
+            alone = rows(None, [trajectory[path]], noise[path])
+            assert alone.tobytes() == batch[path].tobytes()
 
 
 class TestInitialConditions:
