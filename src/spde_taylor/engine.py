@@ -1,75 +1,54 @@
-"""Compilation of computable term sums into executable one-step maps.
+"""Compiled term sums as one-step maps, and the loop that steps them.
 
-A compiled scheme is an ordered list of star-free terms.  Evaluating a step
-of size h over a fine mesh of substeps r_j = j * h_fine works term by term:
+A compiled scheme is an ordered sum of star-free terms.  One step of size h
+from u0 on the fine mesh r_j = j h_fine, j < h / h_fine, evaluates each
+term per mode i:
 
-* ``I^0_0``            -> (e^{Ah} - I) u0, exact per mode.
-* ``I^0_1``            -> A^{-1}(e^{Ah} - I) F(u0), exact per mode.
-* ``I^0_2``, ``I^i_2`` -> left-point substep sums with the exact semigroup
-                          weight e^{-lambda_i (h - r_j)} applied per mode to
-                          each substep contribution.
-* ``I^i_1``            -> left-point Riemann sums with the same weights.
+* ``I^0_0``         -> (e^{-lambda_i h} - 1) u0
+* ``I^0_1``         -> (1 - e^{-lambda_i h}) / lambda_i F(u0)
+* ``I^k_2``, k >= 0 -> sum_j e^{-lambda_i (h - r_j)} B^(k)(u0)(args_j)(dW_j) / k!
+* ``I^k_1``, k >= 1 -> sum_j e^{-lambda_i (h - r_j)} F^(k)(u0)(args_j) h_fine / k!
 
-Arguments of multilinear terms are evaluated as trajectories on the same
-mesh (value at each left point), so iterated stochastic integrals reuse the
-increments that drive the outer integral.
+where args_j are the argument terms' values at the left point r_j, made
+from the increments strictly before r_j (Ito style).
 
-A scheme is lowered once into nodes in dependency order, one per distinct
-term or subterm, so a shared subterm (the I^0_0 inside a Milstein term and
-the plan's own I^0_0) is evaluated once per step.  A sum node's
-per-substep rows, and the trajectory a later node reads, depend on the left
-points r_j, the start state and the noise before r_j, not on h: only the
-end weights and the flow factors do.  So a plan binds (scheme, model, h,
-h_fine) alone: each node builds its rows over the window of noise it is
-handed and contracts h's end weights with the first h / h_fine of them.
-One store per window and start state, a dict handed to the plans of every
-h and every scheme on that window, holds each summed term's rows under the
-term, so each is built once.  A node makes the trajectories it reads
-while it builds its rows, from u0 or from their rows in the store, and
-keeps none: its rows are then stored.  A diffusion node that no node
-reads, of a model that fuses the end-weighted sum (the diagonal model),
-builds no rows.  The per-mode factors are built once per process for
-each (eigenvalues, h, h_fine) and shared read-only; a trajectory's factors
-are those of its window, looked up when it is made.
+Lowering and binding.  A scheme is lowered once into nodes in dependency
+order, one per distinct term or subterm, so a shared subterm is evaluated
+once per step.  Of a node's value only the end weights and the flow
+factors depend on h; its per-substep rows and its trajectory depend on
+r_j, u0 and the noise before r_j alone.  So a plan binds (scheme, model,
+h, h_fine) and nothing else, and each node builds its rows over whatever
+window of noise it is handed and contracts the first h / h_fine of them.
+Binding turns each node into a step ``(u0, noise, store, out)`` that
+writes its end value into ``out``.  A node whose operator the model binds
+to None (identically zero), or one of whose arguments is dropped, is
+dropped, since the operators are multilinear.  A diffusion node that no
+node reads takes its end-weighted sum from the model where the model fuses
+it (``bind_sum``).
 
-Binding a plan turns each node into a step function ``(u0, noise, store,
-out)`` that writes the node's end value into ``out`` and holds everything
-the node reads: its rows of those factors, its k! scale, the model
-operator bound to its order and the makers of its arguments' trajectories.
-A node whose operator the model binds to None, identically zero (the zero
-drift's drift flow), or one of whose arguments vanishes, is dropped then:
-it costs nothing per step and reads nothing.  A step runs the nodes' arithmetic and store
-lookups, with no dispatch on the node kind and no argument checks.
+One store per window.  A store is a dict for one window of noise and one
+start state, handed to the plans of every h and scheme stepped on that
+window; it holds each summed term's rows under the term, so each is built
+once.  A node makes the trajectories it reads while it builds its rows,
+from u0 or from rows in the store, and keeps none.
 
-The stepping loop steps in place, for one path or for a batch of paths,
-one row each: a run allocates once a (nodes, ..., N) value array and two
-state buffers, and each step writes each node's end value into its row of
-the value array and u0 plus the terms, in term order, into the buffer the
-step before did not write.  A plan bound to one h advances the states
-through consecutive h-long row blocks of their noise windows, prepared
-once (for the multiplication model: moved to the grid), and tests the end
-states for inf and nan once per run.  A plan that reads no trajectory
-steps without a store, on scratch rows; at h = h_fine its one diffusion
-node has the model write its one row into the node's row of the value
-array and multiplies it by the end-weight column there.  For the reference
-that is, per substep, the two matrix products of the diffusion, one
-pointwise and two per-mode products, and the sum of two terms, with one
-fresh grid row and no other array made.  The fine-mesh reference
-:func:`reference_solve` is that loop over the exponential Euler plan at
-h = h_fine, which makes scheme-versus-reference comparisons on shared
-noise bit-consistent.  :func:`step` hands a plan of its h the whole
-prepared window of a drawn :class:`NoisePath`, which is prepared once, and
-the path's store for the model and start state, so the steps of several h
-and schemes on its prefixes build each term's rows once and have the
-bytes of the order study (``harness``), which builds them once per chunk
-of paths over the chunk's whole window, in the chunk's store.  Both take
-their plan from a small cache of bound plans, which hold no buffers: an
-order study's ops bind the same few (scheme, model, h, h_fine) again and
-again.
+The in-place loop.  A run (:func:`_run`) allocates one (nodes, ..., N)
+value array and two state buffers.  Each step writes every kept node's end
+value into its slot, and u0 plus the terms, in term order, into the buffer
+the step before did not write.  A plan that reads no trajectory steps
+without a store, on scratch rows; at h = h_fine its diffusion node has the
+model write its one row into the node's slot and multiplies it there by
+the end-weight column.  IEEE addition never turns an inf or a nan finite,
+so a run tests only its end states, and the failed rows are replayed
+(:func:`_first_failures`) to name the term.
 
-Monte-Carlo streams come from a counter-based generator: path p draws from
-``Philox(key=seed, counter=p << 128)``, so any path's noise can be
-regenerated independently of evaluation order or threading.
+The reference.  :func:`reference_solve` is that loop over the exponential
+Euler plan at h = h_fine, so exponential Euler stepped at h_fine equals it
+bitwise.  :func:`step` hands its plan the whole prepared window of a drawn
+:class:`NoisePath` and the path's store, so a prefix steps with the bytes
+of the order study (``harness``), which builds rows over whole windows:
+BLAS blocks a product's rows by their count, so the rows of a prefix alone
+would differ by rounding.
 """
 
 from __future__ import annotations
@@ -116,7 +95,9 @@ class NonfiniteValueError(EngineError):
 
 
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one Monte-Carlo path."""
+    """Path ``path_index``'s stream, ``Philox(key=seed, counter=path_index
+    << 128)``, so any path's noise is regenerated independently of
+    evaluation order."""
     bits = np.random.Philox(key=seed, counter=path_index * PATH_COUNTER_STRIDE)
     return np.random.Generator(bits)
 
@@ -127,11 +108,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class _Window:
-    """A drawn path's increments and what is built from them on first use,
-    shared by the path and its prefixes: their prepared form per diffusion
-    operator, and per model and start state the store of the (S, N) rows of
-    each term that :func:`step` has evaluated over the whole window of S
-    substeps (see :meth:`BoundPlan.advance`)."""
+    """A drawn path's increments, shared with its prefixes, their prepared
+    form per diffusion operator and the stores of :func:`step`."""
 
     __slots__ = ("increments", "prepared", "stores")
 
@@ -143,35 +121,13 @@ class _Window:
 
 @dataclass(frozen=True, eq=False)
 class NoisePath:
-    """Gaussian increments of the driving cylindrical process on a fine mesh.
-
-    Row j holds the M per-mode increments over [j*h_fine, (j+1)*h_fine];
-    entries are i.i.d. N(0, h_fine).  The increments are read-only: a
-    writeable array is copied, one that is already read-only (such as the
-    fresh array of :meth:`draw` or the row view of :meth:`prefix`) is taken
-    over as it is.  Paths compare and hash by identity.
-
-    A path built from an array is its own root window; :meth:`prefix`
-    shares it.  The root's increments are prepared for a diffusion
-    operator once, on first use, and every plan stepped on the path or a
-    prefix is handed that whole prepared window.  :func:`step` builds each
-    term's per-substep rows over it once per model and start state, in the
-    path's store for them, and a plan of any h contracts the first
-    h / h_fine of them; the reference runs over its first t_end / h_fine
-    rows.  So a prefix stepped before or after the reference of the whole
-    path, or after a step of another h, gets the same bytes, and those of
-    the order study, which builds its rows over whole windows too.
-
-    The first use prepares the whole drawn window, however few rows it
-    reads, and the path keeps that form, and one (S, N) row block per
-    summed term and start state, as long as it lives.  For the
-    multiplication model the prepared form has one column per grid point,
-    about 4*max(N, M) of them against M for the increments: a 2^17-substep
-    path at N = M = 64 holds about 267 MB after one step on ``prefix(1)``,
-    and 64 MB more per summed term of the scheme (I^0_2 and every I^i_j
-    with i >= 1).  Draw a path only as long as the horizon it is stepped
-    over.
-    """
+    """Gaussian increments of the driving cylindrical process: row j holds
+    the M per-mode increments over [j h_fine, (j+1) h_fine], i.i.d.
+    N(0, h_fine), read-only (a writeable array is copied).  Paths compare
+    and hash by identity.  A path and its :meth:`prefix` share one window:
+    the whole drawn path prepared once per diffusion operator, and the
+    stores of :func:`step`, kept while the path lives, so draw a path only
+    as long as the horizon it is stepped over."""
 
     increments: np.ndarray
     h_fine: float
@@ -200,11 +156,13 @@ class NoisePath:
     def draw(
         rng: np.random.Generator, substeps: int, noise_modes: int, h_fine: float
     ) -> "NoisePath":
+        """``substeps`` rows of ``noise_modes`` N(0, h_fine) draws from ``rng``."""
         increments = rng.standard_normal((substeps, noise_modes))
         increments *= np.sqrt(h_fine)
         return NoisePath(increments=_frozen(increments), h_fine=h_fine)
 
     def prefix(self, substeps: int) -> "NoisePath":
+        """The path's first ``substeps`` rows, sharing its window."""
         if not 0 <= substeps <= self.substeps:
             raise MeshMismatchError(
                 f"requested {substeps} substeps from a path of {self.substeps}"
@@ -214,9 +172,8 @@ class NoisePath:
         return out
 
     def _prepared_noise(self, plan: "BoundPlan") -> np.ndarray:
-        """The root window's noise prepared by ``plan`` (see
-        :meth:`BoundPlan.prepare_noise`), read-only: prepared on first use
-        per diffusion operator and kept."""
+        """The window's increments prepared by ``plan``, read-only, made on
+        first use per diffusion operator and kept."""
         window, diffusion = self._window, plan.model.diffusion
         if diffusion not in window.prepared:
             window.prepared[diffusion] = _frozen(plan.prepare_noise(window.increments))
@@ -232,10 +189,9 @@ class RequiredOrders(NamedTuple):
 
 @dataclass(frozen=True)
 class CompiledScheme:
-    """A star-free term sum in canonical order.  Its hash is computed on
-    first use and kept, as :class:`~spde_taylor.trees.STree` keeps its own,
-    since every :func:`step` looks its plan up by the scheme; pickling
-    drops it."""
+    """A star-free term sum in canonical order.  Its hash is computed once
+    and kept, since every :func:`step` looks its plan up by the scheme;
+    pickling drops it."""
 
     terms: tuple[TermExpr, ...]
     source_wood: SWood | None = None
@@ -251,11 +207,12 @@ class CompiledScheme:
         return hash((self.terms, self.source_wood))
 
     def describe(self) -> str:
+        """The terms rendered compactly and joined by ``+``, or ``0``."""
         return " + ".join(render_compact(t) for t in self.terms) or "0"
 
     @cached_property
     def lowered(self) -> tuple[tuple[_Node, ...], tuple[int, ...], tuple[str, ...]]:
-        """The terms lowered once per scheme (see :func:`_lower`)."""
+        """:func:`_lower` of the terms, once per scheme."""
         return _lower(self.terms)
 
     @cached_property
@@ -275,10 +232,8 @@ class StepResult:
 
 
 def compile_scheme(expr: TermExpr, source_wood: SWood | None = None) -> CompiledScheme:
-    """Turn a star-free term sum into an executable plan.
-
-    Terms are kept in canonical order.
-    """
+    """The scheme of the term sum ``expr``, its terms in canonical order;
+    a starred term raises :class:`NotImplementableError`."""
     if contains_starred(expr):
         offending = next(
             render_compact(t) for t in summands(expr) if contains_starred(t)
@@ -346,9 +301,8 @@ def _lower(
     terms: tuple[TermExpr, ...],
 ) -> tuple[tuple[_Node, ...], tuple[int, ...], tuple[str, ...]]:
     """The distinct terms and subterms of ``terms`` as nodes in dependency
-    order, the slot and the name of each of ``terms``.  A node's argument
-    slots are all earlier.  The walk keeps its own stack, so any depth
-    works."""
+    order, each node's argument slots earlier than its own, and the slot
+    and name of each of ``terms``; the walk keeps its own stack."""
     slots: dict[TermExpr, int] = {}
     nodes: list[_Node] = []
     stack = list(reversed(terms))
@@ -414,36 +368,9 @@ def _mesh_tables(eigenvalues: bytes, h: float, h_fine: float, substeps: int) -> 
 
 
 class BoundPlan:
-    """A compiled scheme bound to a model and a step size h on a mesh of
-    h_fine, for one step from a start state over a window of noise.
-
-    A plan binds (scheme, model, h, h_fine) and nothing else.  Of a node's
-    one-step evaluation only the end weights e^{-lambda (h - r_j)} and the
-    flow factors depend on h; its per-substep rows and its trajectory
-    depend on the left points r_j, the start state and the noise before
-    r_j alone.  So each node builds them over whatever window of noise
-    :meth:`advance` is handed, at least h / h_fine rows, and contracts h's
-    end weights with the first h / h_fine rows; plans of several h and
-    schemes handed one window share the rows through its store.  Binding
-    lowers each node once into a step ``(u0, noise, store, out)`` that
-    writes the node's end value into ``out`` and holds what the node reads:
-    the shared mesh tables of h, its k! scale, the model operator bound to
-    its order and the makers of the trajectories it reads, which it makes
-    when it builds its rows.  A node whose operator the model binds to
-    None, identically zero, or one of whose arguments vanishes (the
-    operators are multilinear) is dropped; a node is read where a kept node
-    takes it as an argument.  A trajectory's factors come from the tables
-    of its window, looked up when it is made.
-
-    A plan holds no buffers: the value array and the states that a step
-    writes belong to the run (:func:`_run`) or to the call
-    (:meth:`advance`), so one plan steps any paths in any order, and
-    :func:`step` and :func:`reference_solve` share plans through a small
-    cache.  Every caller steps through the same node steps (see
-    :meth:`stepper`); the stepping loop hands the plan consecutive windows
-    of h / h_fine rows, so a run of exponential Euler at h_fine equals the
-    reference by construction.
-    """
+    """A compiled scheme bound to a model and a step h on a mesh of h_fine
+    (see the module docstring), with one node step per lowered node in
+    ``steps`` (None where the node is dropped) and no buffers of its own."""
 
     def __init__(self, scheme: CompiledScheme, model: ModelSpec, h: float, h_fine: float):
         self.scheme = scheme
@@ -473,9 +400,7 @@ class BoundPlan:
     def _operator(self, kind: str, order: int):
         """What a node of ``kind`` and ``order`` applies, None where the
         model binds it to None: the flow factor of h, F, or ``(u0, args,
-        noise) -> rows`` of B^(k) / k! or of F^(k) h_fine / k!; the order-0
-        diffusion rows also take an ``out`` for a one-row window (see
-        ``DiffusionOperator``)."""
+        noise) -> rows`` of B^(k) / k! or of F^(k) h_fine / k!."""
         if kind is _FLOW:
             return self.tables.flow
         if kind is _DRIFT_FLOW:
@@ -490,9 +415,8 @@ class BoundPlan:
 
     def _trajectory(self, operator, node: _Node):
         """``(u0, noise, store) -> trajectory`` of a read node that applies
-        ``operator``, over the window ``noise``: its values at the left
-        points r_0..r_{S-1}, Ito style (the row at r_j has the contributions
-        strictly before r_j), a sum node's made from its rows in the store."""
+        ``operator``: its values at the left points of the window ``noise``,
+        a sum node's made from its rows in ``store``."""
         kind, _, _, term = node
         lam, h_fine, decay = self.model.eigenvalues.tobytes(), self.h_fine, self.tables.decay_fine
 
@@ -510,19 +434,12 @@ class BoundPlan:
     def _bind(
         self, operator, kind: str, order: int, args: list, term: TermExpr, read: bool
     ):
-        """The node that applies ``operator`` as a step ``(u0, noise, store,
-        out)`` that writes its end value at h into ``out``, (..., N) (see
-        :meth:`stepper`), where ``args`` make the trajectories it reads (see
-        :meth:`_trajectory`) and ``read`` says whether a later node reads its
-        own.  Sum nodes reduce the first h / h_fine of their per-substep
-        rows with h's end weights into ``out``.  Without a store, which only
-        a run of a plan that reads nothing passes (see :func:`_run`), the
-        window has exactly h / h_fine rows and the rows are scratch; at h =
-        h_fine the model writes its one row into ``out`` and the node
-        multiplies it there by the end-weight column, the bytes of the
-        reduced sum.  A diffusion node that no node reads takes the reduced
-        sum from the model, without the rows, where the model fuses it
-        (``bind_sum``)."""
+        """The node step ``(u0, noise, store, out)``: writes the end value
+        at h of the node that applies ``operator`` into ``out``; ``args``
+        make the trajectories it reads, and ``read`` says whether a node
+        reads its own.  A sum node's rows come from ``store`` or go there;
+        with no store (:func:`_run` of a plan that reads nothing) they are
+        scratch rows over exactly h / h_fine rows of noise."""
         # The steps hold no reference to the plan, so a plan is freed as soon
         # as its last user drops it, not by the cycle collector.
         if kind is _FLOW:
@@ -564,14 +481,11 @@ class BoundPlan:
             return self.model.diffusion.prepare_noise(increments)
 
     def stepper(self, shape: tuple[int, ...]):
-        """A new value array of (nodes,) + ``shape`` and ``(u0, noise, store,
-        state) -> None``, one step of h from states of ``shape`` over the
-        window ``noise`` that writes each kept node's end value into its
-        slot of the value array and u0 plus the plan's terms, summed in term
-        order, into ``state``; a dropped node's slot is never written.  The
-        node steps run in slot order, and none writes u0 or the window.
-        ``store`` is that of :meth:`advance`, or None in a run of a plan
-        that reads nothing (see :func:`_run`)."""
+        """A new (nodes,) + ``shape`` value array and ``(u0, noise, store,
+        state) -> None``, one step of h from states of ``shape``: it writes
+        each kept node's end value into its slot, in slot order, and u0 plus
+        the terms, in term order, into ``state``.  It writes neither u0 nor
+        the window, and never a dropped node's slot."""
         values = np.empty((len(self.steps),) + shape)
         nodes = [(run, values[slot]) for slot, run in enumerate(self.steps) if run is not None]
         terms = [values[slot] for slot in self.term_slots if self.steps[slot] is not None]
@@ -591,32 +505,21 @@ class BoundPlan:
     def advance(
         self, u0: np.ndarray, noise: np.ndarray, store: dict | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One step of h from ``u0`` over the window whose prepared noise is
-        ``noise``: u0 plus the sum of the plan's terms at h, and the
-        (nodes, ..., N) value array of the call, each node's end value by
-        slot (see :meth:`nonfinite`), both new.  ``u0`` is one state, (N,),
-        or one per path, (paths, N), and ``noise`` the window of each, (S,
-        ·) or (paths, S, ·) for any S of at least h / h_fine: the nodes
-        build their rows and trajectories over all S rows and contract the
-        first h / h_fine.
-
-        ``store`` is the dict of this window and start state, shared by the
-        plans of any h and any scheme stepped on it: it holds each summed
-        term's rows under the term, read-only.  A sum node takes its rows
-        from there, or builds them and leaves them there, so each term's
-        rows are built once, and the trajectories that it reads with them
-        are made once and kept by no one.  Without a store, the step keeps
-        its rows in a fresh store of its own."""
+        """One step of h from ``u0``, (N,) or (paths, N), over the prepared
+        window ``noise``, (S, ·) or (paths, S, ·) with S >= h / h_fine: the
+        new state and the step's value array (see :meth:`stepper`).
+        ``store`` is the window's store for this start state, a fresh one if
+        None.  A blow-up leaves a non-finite state and no numpy warning."""
         values, step = self.stepper(u0.shape)
         state = np.empty(u0.shape)
-        step(u0, noise, {} if store is None else store, state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step(u0, noise, {} if store is None else store, state)
         return state, values
 
     def nonfinite(self, values: np.ndarray, row: int) -> NonfiniteValueError:
-        """The error for the path in ``row`` of a batch (row 0 of a single
-        path) whose state is not finite: names its first non-finite term,
-        from the value array of the step (see :meth:`advance`), where a
-        dropped node's slot holds nothing."""
+        """The error naming the first non-finite term in ``row`` (0 for a
+        single path) of a step's value array ``values``, or the sum of the
+        terms where every term is finite."""
         for name, slot in zip(self.names, self.term_slots):
             if self.steps[slot] is None:
                 continue
@@ -660,31 +563,13 @@ def _run(
     steps: int,
     record_steps: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The stepping loop: advances the states through ``steps``
-    consecutive h-long row blocks of the prepared noise ``noise``, which
-    may run on past the last block, handing the plan one block per step.
-    The shapes are those of :meth:`BoundPlan.advance`: a single path runs
-    unbatched, which spares it the cost of broadcasting against the (N,)
-    mesh tables.
-
-    The loop steps in place.  The run allocates once a value array for the
-    plan's node steps (see :meth:`BoundPlan.stepper`) and two state
-    buffers, and each step writes into the buffer that the step before did
-    not write, so the caller's ``states`` are only read.  A plan that reads
-    no trajectory steps without a store, on scratch rows, and allocates no
-    array of its own per step; one that reads keeps its rows in a fresh
-    store per step.
-
+    """The stepping loop (see the module docstring): advances ``states``,
+    which it only reads, through ``steps`` consecutive h-long row blocks of
+    the prepared noise ``noise``, shaped as for :meth:`BoundPlan.advance`.
     Returns the end states, one of the run's buffers, and copies of the
-    states after each step count in ``record_steps`` (the caller's states
-    for 0, the end states themselves for ``steps``).  A path whose state
-    goes non-finite runs on, non-finite; the others never see it.  The loop
-    runs only the plan's arithmetic and no test: every step writes u0 plus
-    its terms, and IEEE addition never turns an inf or a nan finite, so a
-    path that goes non-finite at some step is non-finite at the end, where
-    a caller that needs the failing term tests the end states and calls
-    :func:`_first_failures`.
-    """
+    states after each step count in ``record_steps`` (``states`` itself for
+    0, the end states for ``steps``).  A row that goes non-finite runs on,
+    non-finite, and the other rows never see it."""
     recorded = {0: states} if 0 in record_steps else {}
     step = plan.stepper(states.shape)[1]
     buffers = (np.empty(states.shape), np.empty(states.shape))
@@ -705,35 +590,21 @@ def _first_failures(
     plan: BoundPlan, start: np.ndarray, noise: np.ndarray, end: np.ndarray, steps: int
 ) -> dict[int, NonfiniteValueError]:
     """Keyed by row (0 for a single path), the error naming the first
-    non-finite term of each row of the ``end`` states of a :func:`_run`
-    from ``start`` that is not finite, at its first non-finite step.
-    Replays the run of those rows alone, step by step through
-    :meth:`BoundPlan.advance`, which runs the run's node steps, and names
-    the term from each step's value array: a batch's products are stacks
-    of one-path products, and a step's rows in a store have the bytes of
-    its scratch rows, so each row replays with the bytes it ran with."""
+    non-finite term of each non-finite row of ``end``, the end states of a
+    :func:`_run` from ``start``, at its first non-finite step.  Replays
+    those rows alone through :meth:`BoundPlan.advance`: a batch's products
+    are stacks of one-path products, and stored rows have the bytes of
+    scratch rows, so each row replays with the bytes it ran with."""
     rows = (0,)
     if end.ndim > 1:
         rows = np.flatnonzero(~np.isfinite(end).all(axis=-1))
         start, noise = start[rows], noise[rows]
     failed: dict[int, NonfiniteValueError] = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for window in _windows(plan, noise, steps):
-            start, values = plan.advance(start, window)
-            for row in np.flatnonzero(~np.isfinite(start).all(axis=-1)):
-                failed.setdefault(int(rows[row]), plan.nonfinite(values, row))
+    for window in _windows(plan, noise, steps):
+        start, values = plan.advance(start, window)
+        for row in np.flatnonzero(~np.isfinite(start).all(axis=-1)):
+            failed.setdefault(int(rows[row]), plan.nonfinite(values, row))
     return failed
-
-
-def _one_step(
-    plan: BoundPlan, u0: np.ndarray, noise: np.ndarray, store: dict | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`BoundPlan.advance`, one step of the plan's h from ``u0`` over
-    the prepared window ``noise``, with no numpy warning: a blow-up leaves
-    a non-finite state, and one confined to rows past h / h_fine leaves the
-    state finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return plan.advance(u0, noise, store)
 
 
 # An order-study op binds six plans, the reference's and one per h, and the
@@ -750,11 +621,10 @@ def _check_inputs(
     u0: SpectralState, path: NoisePath, model: ModelSpec, workspace: GridWorkspace | None,
     span: float, message: str,
 ) -> int:
-    """The path's substeps in [0, span].  The state and the path fit the
-    model, the path provides those substeps, and ``message`` (formatted
-    with span and h_fine) is the error when their count is not whole;
-    ``workspace`` is None or ``model.workspace()``, the grid the model's
-    diffusion owns, and any other grid is an :class:`EngineError`."""
+    """The count of the path's substeps in [0, span], once the state and
+    the path fit the model and the path provides them; ``message``, with
+    span and h_fine, is the error for a count that is not whole.
+    ``workspace`` must be None or ``model.workspace()``."""
     if u0.modes != model.modes:
         raise EngineError(f"state has {u0.modes} modes, model {model.modes}")
     if path.noise_modes != model.noise_modes:
@@ -782,23 +652,16 @@ def step(
     model: ModelSpec,
     workspace: GridWorkspace | None = None,
 ) -> StepResult:
-    """The one-step approximation at time h from u0 on the first h / h_fine
-    increments of the path, as the result's state.
-
-    The plan of h is handed the path's whole prepared root window and the
-    path's store for the model and start state: its nodes build their rows
-    over the window once and keep them there (see :class:`NoisePath`); a
-    step of any h on the path or its prefixes then contracts the first
-    h / h_fine of them.  A step past the path raises
-    :class:`MeshMismatchError` before the plan is bound or looked up in
-    the cache of bound plans, a non-finite state
-    :class:`NonfiniteValueError` naming the first non-finite term, and
-    ``workspace`` is None or ``model.workspace()``."""
+    """The one-step approximation at h from ``u0`` on the first h / h_fine
+    increments of ``path``, as the result's state (see the module docstring
+    for the path's window and store).  A step past the path raises
+    :class:`MeshMismatchError` before a plan is bound, a non-finite state
+    :class:`NonfiniteValueError` naming the first non-finite term."""
     _check_inputs(u0, path, model, workspace, h, _STEP_MESSAGE)
     plan = _plan(scheme, model, h, path.h_fine)
     noise = path._prepared_noise(plan)
     store = path._window.stores.setdefault((model, u0.coeffs.tobytes()), {})
-    state, values = _one_step(plan, u0.coeffs, noise, store)
+    state, values = plan.advance(u0.coeffs, noise, store)
     if not np.isfinite(state).all():
         raise plan.nonfinite(values, 0)
     return StepResult(state=SpectralState(state))
@@ -815,20 +678,12 @@ def reference_solve(
     workspace: GridWorkspace | None = None,
     record_substeps: tuple[int, ...] = (),
 ) -> tuple[SpectralState, dict[int, SpectralState]]:
-    """Fine-mesh surrogate for the exact solution.
-
-    Iterates the exponential one-step scheme (semigroup flow, frozen-drift
-    convolution, frozen-diffusion stochastic convolution) over every fine
-    substep of [0, t_end]: the stepping loop with that scheme at
-    h = h_fine, on the first t_end / h_fine rows of the path's prepared
-    root window (see :class:`NoisePath`).  A coarse run of the scheme at
-    h_fine is therefore bitwise identical to this reference.
-    ``record_substeps`` requests snapshots after the given substep counts;
-    a t_end off the fine mesh or past the path, or a count outside
-    0..t_end / h_fine, raises :class:`MeshMismatchError`.  A substep whose
-    result is not finite raises :class:`NonfiniteValueError` naming its
-    first non-finite term.
-    """
+    """The fine-mesh surrogate of the exact solution at ``t_end``, and
+    snapshots after the substep counts in ``record_substeps``: exponential
+    Euler stepped at h_fine over ``path``.  A t_end off the mesh or past
+    the path, or a count outside 0..t_end / h_fine, raises
+    :class:`MeshMismatchError`; a non-finite state
+    :class:`NonfiniteValueError` naming the first non-finite term."""
     steps = _check_inputs(
         u0, path, model, workspace, t_end, "t_end {} is not a whole number of steps of h = {}"
     )

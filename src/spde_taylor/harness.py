@@ -1,26 +1,16 @@
-"""Monte-Carlo strong-order experiments and machine-readable reports.
+"""Monte-Carlo strong-order studies and machine-readable reports.
 
 A study couples each of its schemes with the fine-mesh reference on every
-path: for each h on a dyadic ladder it iterates a scheme with step h from a
+path: for each h of a dyadic ladder it steps the scheme with step h from a
 fixed start state up to a horizon and compares the end state with the
-reference snapshot at that horizon, on the same increments.  It runs the
-engine on chunks of paths: each chunk's increments are drawn and prepared
-once and the reference runs once over them, so the schemes of a study
-share one noise draw and one reference run.  Every (scheme, h) has a plan
-bound to its h.  One-step errors take one evaluation of each plan per
-chunk over the chunk's window, on one store of rows: each distinct term's
-rows are built once per chunk, for all schemes and every h, and each plan
-contracts them for its h.  Multi-step errors run the stepping loop of each
-plan on a row prefix of the same prepared window.  Errors are kept per
-scheme, h and path, with NaN where the path is excluded at that h.
-:func:`run_convergence` is the study of one scheme.  The default
-horizon is h itself, so the experiment measures one-step errors; the L2 (or
-Lp) error per h is regressed against h in log-log coordinates and the slope
-is compared with the order predicted by the scheme's wood.  Behind a flag
-the horizon is t_end for every h, which measures global errors of the
-iterated scheme; the wood predicts no order for those, so a multi-step run
+reference at that horizon, on the same increments (see
+:func:`_ladder_errors`).  The default horizon is h itself, which measures
+one-step errors; the Lp error per h is regressed against h in log-log
+coordinates and the slope compared with the order the scheme's wood
+predicts.  Behind a flag the horizon is t_end for every h, which measures
+global errors; the wood predicts no order for those, so a multi-step run
 reports no verdict and no margin.  A scheme whose rows lie at or below a
-rounding floor equals the reference to rounding: its report gives the
+rounding floor equals the reference to rounding: its report gives that
 reason instead of a slope and a verdict.  So does a multi-step run with
 under two rows three standard errors above zero; in a one-step run that
 shortfall is an error.
@@ -44,7 +34,6 @@ from .engine import (
     CompiledScheme,
     NoisePath,
     _first_failures,
-    _one_step,
     _run,
     compile_scheme,
     path_generator,
@@ -88,6 +77,8 @@ SHORTFALL_REASON = "under two finite ladder rows lie three standard errors above
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One order study: model, scheme, ladder, fine mesh, paths and seed."""
+
     model: str = "heat-mult"
     scheme: str = "exp-euler"
     t_end: float = 1.0
@@ -102,6 +93,7 @@ class ExperimentConfig:
     noise_modes: int = 64
 
     def validate(self) -> None:
+        """Raise :class:`ConfigError` for a config no study can run."""
         if not 0.0 < self.t_end < math.inf:
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if self.paths < 2:
@@ -127,6 +119,7 @@ class ExperimentConfig:
 
     @property
     def h_fine(self) -> float:
+        """t_end / 2**fine_log2."""
         return self.t_end / 2**self.fine_log2
 
     @property
@@ -137,6 +130,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ErrorRow:
+    """The Lp error of one h, its standard error and the path counts."""
+
     h: float
     error: float
     stderr: float
@@ -146,6 +141,8 @@ class ErrorRow:
 
 @dataclass(frozen=True)
 class ErrorReport:
+    """One scheme's rows, regression slope and verdict."""
+
     config: ExperimentConfig
     rows: tuple[ErrorRow, ...]
     #: None when under two rows are fit for the regression (see ``reason``).
@@ -186,25 +183,20 @@ _CHUNK_BYTES = 1 << 20
 def _ladder_errors(
     config: ExperimentConfig, schemes: tuple[CompiledScheme, ...], model: ModelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Absolute endpoint errors against the fine-mesh reference, and its
-    sizes, per scheme, h and path.
-
-    Every scheme and every ladder entry h iterates the scheme with step h up
-    to its horizon (h itself for one-step errors, t_end in multi-step mode)
-    and compares with the reference snapshot at that horizon, on the same
-    increments.  Paths run in chunks of a fixed byte budget: the reference
-    and the plans are bound once, and each chunk's increments, drawn path by
-    path with :meth:`NoisePath.draw` and stacked, are prepared once and run
-    through the reference once for all schemes.  A plan per (scheme, h)
-    then runs: in one-step mode one step over the chunk's window, from the
-    longest h down, on the chunk's one store of rows, so each distinct
-    term's rows are built once per chunk and shared by every scheme and h;
-    in multi-step mode the stepping loop.  Returns ``errors[scheme, h,
-    path]``, the Euclidean error norms, computed with ``np.hypot`` so that
-    finite differences never overflow, NaN exactly where the scheme's state
-    is not finite, and ``reference[h, path]``, the reference states' norms;
-    h runs down ``config.ladder``.  A non-finite reference raises
+    """``errors[scheme, h, path]``, the Euclidean norms of the end-state
+    errors against the reference, NaN exactly where the scheme's state is
+    not finite, and ``reference[h, path]``, the reference states' norms,
+    for h down ``config.ladder``; both norms use ``np.hypot``, so finite
+    differences never overflow.  A non-finite reference raises
     :class:`NonfiniteValueError`.
+
+    Paths run in chunks of ``_CHUNK_BYTES`` of increments, drawn path by
+    path with :meth:`NoisePath.draw`, stacked, prepared once and run through
+    the reference once for every scheme.  Plans are bound once per study.
+    In one-step mode each plan takes one step over the chunk's whole
+    window, from the longest h down, on the chunk's one store, so each
+    distinct term's rows are built once per chunk; in multi-step mode each
+    runs the stepping loop to t_end.
     """
     h_fine = config.h_fine
     steps = [round(config.t_end / h) if config.multi_step else 1 for h in config.ladder]
@@ -237,7 +229,7 @@ def _ladder_errors(
                 if config.multi_step:
                     approx = _run(plan, u0, noise, n)[0]
                 else:
-                    approx = _one_step(plan, u0, noise, store)[0]
+                    approx = plan.advance(u0, noise, store)[0]
                 norms[columns] = np.hypot.reduce(approx - recorded[k], axis=-1)
                 norms[columns][~np.isfinite(approx).all(axis=-1)] = np.nan
     return errors, reference
@@ -360,6 +352,7 @@ def verdict_text(verdict: bool | None) -> str | None:
 
 
 def render_csv(report: ErrorReport) -> str:
+    """The report's rows under ``CSV_HEADER``, floats in repr form."""
     if not report.rows:
         raise ReportError("no data rows")
     lines = [CSV_HEADER]
@@ -371,6 +364,8 @@ def render_csv(report: ErrorReport) -> str:
 
 
 def render_json(report: ErrorReport) -> str:
+    """The report as sorted JSON, with a ``run_id`` hashed from its config;
+    ``reason`` appears only in a report without a slope."""
     if not report.rows:
         raise ReportError("no data rows")
     config = asdict(report.config)

@@ -11,22 +11,13 @@ The multiplication model collocates on the grid of ``default_workspace(N,
 M)``, which it owns: both factors go to the grid x_m = m/(P+1), are
 multiplied pointwise, and the product is replaced by the sine coefficients
 of its odd trigonometric interpolant on that grid, truncated to N modes.
-This is not the Galerkin projection.  A product of two sine series is a
-cosine series, so its sine coefficients
-<e_i e_k, e_n> are an infinite series that no grid of any size resolves
-exactly; the collocated coefficients converge to them like P^-4.  Against
-the closed-form triple products, the relative error of the N x M diffusion
-matrix at the default P = 255 for N = M = 64 is at most 2e-4 for white
-base states and 4e-6 for the smooth start state (measured in
-``tests/test_models.py``), far below the Monte-Carlo error of the order
-studies.
-
+This is not the Galerkin projection: a product of two sine series is a
+cosine series, whose sine coefficients <e_i e_k, e_n> are an infinite
+series that no grid resolves exactly.  The collocated coefficients
+converge to them like P^-4; ``tests/test_models.py`` bounds the error at
+the default P = 255 far below the Monte-Carlo error of the order studies.
 The grid transforms are products with cached sine matrices (see
-:class:`GridWorkspace`) and equal the type-I discrete sine transform up to
-rounding.  On the single rows of the fine-mesh reference a product is
-several times faster than an FFT call, whose cost at these sizes is mostly
-dispatch; from about N = 200 up the O(N P) product loses, and no study here
-goes above N = 64.
+:class:`GridWorkspace`), equal to the type-I DST up to rounding.
 
 Two concrete models are provided: the heat equation with multiplication
 noise (B(v)(w) = v*w pointwise, F = 0, lambda_i = pi^2 i^2) and an additive
@@ -118,20 +109,12 @@ def _interpolant_matrix(grid_points: int, modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridWorkspace:
-    """Collocation grid x_m = m/(P+1), m = 1..P, with its sine transforms.
-
-    The transforms are the (N, P) matrix [sqrt(2) sin(i pi x_m)], which
-    takes coefficients to grid values, and its (P, N) transpose over P + 1,
-    which takes grid values to the coefficients of their odd interpolant;
-    both are cached per (P, N) for the process, so every workspace of one
-    size shares them.  On the grid the sine vectors are orthogonal with
-    squared norm P + 1, which makes the second the left inverse of the
-    first.  ``to_grid`` applies the first; the multiplication model, which
-    owns its grid, fetches both once, when built, through ``transforms``.
-    Products of functions are collocated on this grid (see the module
-    docstring): the result converges to the Galerkin product as P grows
-    but never equals it.
-    """
+    """Collocation grid x_m = m/(P+1), m = 1..P, with its sine transforms:
+    the (N, P) matrix [sqrt(2) sin(i pi x_m)], coefficients to grid values,
+    and its (P, N) transpose over P + 1, grid values to the coefficients of
+    their odd interpolant.  On the grid the sine vectors are orthogonal
+    with squared norm P + 1, so the second is the left inverse of the
+    first.  Both are cached per (P, N) for the process."""
 
     grid_points: int
 
@@ -141,6 +124,7 @@ class GridWorkspace:
 
     @property
     def nodes(self) -> np.ndarray:
+        """The grid points x_1..x_P."""
         p = self.grid_points
         return np.arange(1, p + 1) / (p + 1)
 
@@ -155,8 +139,7 @@ class GridWorkspace:
     def transforms(self, modes: int) -> tuple[np.ndarray, np.ndarray]:
         """The sine matrix of ``to_grid`` and the interpolant matrix, grid
         values to the first ``modes`` coefficients, for states of ``modes``
-        modes: the one accessor of both, for a caller that fetches them
-        once."""
+        modes."""
         if modes > self.grid_points:
             raise ValueError(f"{modes} modes exceed {self.grid_points} grid points")
         return _sine_matrix(self.grid_points, modes), _interpolant_matrix(self.grid_points, modes)
@@ -192,15 +175,10 @@ def default_workspace(modes: int, noise_modes: int = 0) -> GridWorkspace:
 
 
 class DriftOperator(Protocol):
-    """F and its derivatives, bound once per plan node.
-
-    ``bind_value()`` returns ``base -> F(base)``, and ``bind_rows(order)``
-    returns ``(base, arg_rows) -> rows`` F^(k)(base)(args), (..., S, N),
-    for argument trajectories of shape (..., S, N).  ``None`` means
-    identically zero, as for the diffusion's ``bind_rows``:
-    the engine then drops the node when it binds the plan, and every node
-    that takes it as an argument, since the derivatives are multilinear.
-    """
+    """F and its derivatives, bound once per plan node: ``bind_value()``
+    returns ``base -> F(base)`` and ``bind_rows(order)`` returns ``(base,
+    arg_rows) -> rows``, F^(k)(base)(args) for argument trajectories of
+    shape (..., S, N).  None means identically zero."""
 
     def bind_value(self) -> Callable[[np.ndarray], np.ndarray] | None: ...
 
@@ -215,37 +193,24 @@ BoundDiffusion = Callable[..., np.ndarray]
 
 
 class DiffusionOperator(Protocol):
-    """B and its derivatives against batches of noise functions, for the
-    N = ``modes`` state modes and M = ``noise_modes`` noise modes of the
-    model the operator is built for (the multiplication model also builds
-    its grid then); :class:`ModelSpec` checks that they are its own.
+    """B and its derivatives against batches of noise functions, built for
+    the N = ``modes`` state and M = ``noise_modes`` noise modes of one model.
 
-    ``prepare_noise`` turns noise coefficient rows (one row per noise
-    function) into the form the other methods consume, keeping one row per
-    noise function, so a caller can prepare a whole window of increments
-    once and hand out row slices of it.  Leading axes are batch axes: a
+    ``prepare_noise`` turns noise coefficient rows into the form the bound
+    functions consume, one row per noise function, so a window of
+    increments is prepared once and sliced.  Leading axes are batch axes: a
     base of shape (..., N) goes with noise rows of shape (..., S, ·).
 
-    ``bind_rows`` returns a function of ``(base, arg_rows, noise)``: the
-    rows B^(k)(base)(args)(xi_s), (..., S, N), as a fresh array that the
-    caller may keep; ``None`` means identically zero.  The engine builds a
-    node's rows once over the window of noise it is handed, contracts the
-    first h / h_fine of them with the end weights of each step size h and
-    divides them by k!.  The order-0 function also takes an optional
-    ``out``, an (..., N) array, for a window of one row (S = 1): it writes
-    that row into ``out`` and returns it.  The stepping loop at h = h_fine
-    passes the node's value there and multiplies it by the end weights in
-    place.  ``apply_diffusion`` and ``diffusion_matrix`` apply the bound
-    rows once, to unit noise vectors.
+    ``bind_rows(order)`` returns ``(base, arg_rows, noise) -> rows``, the
+    rows B^(k)(base)(args)(xi_s), (..., S, N), as a fresh array the caller
+    may keep, or None where B^(k) is identically zero.  The order-0
+    function also takes an optional ``out``, (..., N), for a window of one
+    row: it writes that row there and returns it.
 
     An operator whose end-weighted sum is cheaper than its rows may also
-    provide ``bind_sum(order, weights)``, a function of the same arguments
-    that gives only sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n],
-    (..., N), over the first S noise rows for the (N, S) weights it was
-    bound to, or None where ``bind_rows`` is None.  The engine takes it for
-    a node whose trajectory no later node reads, once per step size, and
-    divides it by k!; the diagonal model has one, the multiplication model,
-    whose sum is only its rows reduced, has none.
+    provide ``bind_sum(order, weights)``: with the same arguments, only
+    sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n], (..., N), over the first
+    S noise rows for (N, S) weights, or None where ``bind_rows`` is None.
     """
 
     modes: int
@@ -282,17 +247,13 @@ class ZeroDrift:
 
 
 class MultiplicationDiffusion:
-    """B(v)(w) = v*w pointwise; linear in v, so B' is v-independent.
-
-    Built for N state and M noise modes on the grid of
-    ``default_workspace(N, M)``, P >= 4 max(N, M) - 1 points, so no
-    frequency of a product folds back onto the retained modes.  The
-    prepared noise is the grid values of the noise functions.  The bound
-    rows evaluate B^(n)(base)(args)(xi) for that batch of noise functions
-    xi, one per row, by collocation: two products with the sine matrices
-    fetched at construction.  A batch's products are the stacks of its
-    paths' products, so a path's rows have the same bytes in any batch.
-    Every order n >= 2 is identically zero.
+    """B(v)(w) = v*w pointwise, collocated on the grid of
+    ``default_workspace(N, M)``, P >= 4 max(N, M) - 1, so no frequency of a
+    product folds back onto the kept modes.  The prepared noise is the
+    noise functions' grid values, and the bound rows are two products with
+    the sine matrices fetched at construction.  A batch's products are
+    stacks of its paths' products, so a path's rows have the same bytes in
+    any batch.  B' does not depend on v, and every order n >= 2 is zero.
     """
 
     def __init__(self, modes: int, noise_modes: int):
@@ -435,6 +396,7 @@ class ModelSpec:
 
 
 def dirichlet_eigenvalues(modes: int) -> np.ndarray:
+    """pi^2 i^2 for i = 1..modes, the Dirichlet eigenvalues of -d^2/dx^2 on (0, 1)."""
     i = np.arange(1, modes + 1, dtype=float)
     return (np.pi * i) ** 2
 
@@ -509,6 +471,7 @@ def heat_additive_model(modes: int = 64, noise_modes: int = 64) -> ModelSpec:
 
 
 def build_model(name: str, modes: int, noise_modes: int, r: float) -> ModelSpec:
+    """The model ``heat-mult`` or ``heat-add`` by name."""
     if name == "heat-mult":
         return heat_multiplicative_model(modes, noise_modes, r=r)
     if name == "heat-add":

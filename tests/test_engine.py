@@ -1,7 +1,9 @@
 """Scheme engine: compilation, stepping, reference coupling, noise streams."""
 
 import dataclasses
+import math
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -19,7 +21,6 @@ from spde_taylor.engine import (
     NotImplementableError,
     _first_failures,
     _mesh_tables,
-    _one_step,
     _run,
     builtin_scheme,
     compile_scheme,
@@ -38,8 +39,8 @@ from spde_taylor.models import (
     heat_multiplicative_model,
     initial_condition,
 )
-from spde_taylor.terms import I0, integral, phi_wood
-from spde_taylor.trees import NodeLabel, initial_wood
+from spde_taylor.terms import I0, integral, phi_wood, psi
+from spde_taylor.trees import NodeLabel, initial_wood, parse
 
 L = {name.value: name for name in NodeLabel}
 
@@ -171,7 +172,7 @@ class TestNoisePath:
                 path.prefix(substeps)
 
     def test_a_short_prefix_prepares_and_keeps_the_whole_path(self):
-        # The cost the docstring of NoisePath names: one step on a prefix of
+        # The cost NoisePath's docstring warns of: one step on a prefix of
         # 4 substeps prepares the path's whole window, P = 63 grid columns
         # a row against M = 16 increments at N = M = 16, and builds the rows
         # of the scheme's one diffusion term over it, N = 16 a row; the
@@ -379,7 +380,7 @@ class TestReference:
             h = substeps * H_FINE
             plan = BoundPlan(scheme, mult, h, H_FINE)
             noise = plan.prepare_noise(increments)
-            chunk, _ = _one_step(plan, start_states(mult, 3), noise, {})
+            chunk, _ = plan.advance(start_states(mult, 3), noise, {})
             exact, _ = _run(
                 plan, start_states(mult, 3), plan.prepare_noise(increments[:, :substeps]), 1
             )
@@ -388,7 +389,7 @@ class TestReference:
                 path = NoisePath(increments[row], h_fine=H_FINE)
                 single = step(scheme, mult.initial, h, path, mult).state
                 alone = plan.prepare_noise(increments[row : row + 1])
-                solo, _ = _one_step(plan, start_states(mult, 1), alone, {})
+                solo, _ = plan.advance(start_states(mult, 1), alone, {})
                 loop, _ = _run(plan, start_states(mult, 1), alone, 1)
                 assert chunk[row].tobytes() == solo[0].tobytes()
                 assert single.coeffs.tobytes() == solo[0].tobytes()
@@ -685,7 +686,7 @@ class TestLadder:
         plans = self.ladder(scheme, model)
         noise, rows = plans[0].prepare_noise(increments), {}
         for k, plan in zip(self.SUBSTEPS, plans):
-            state, _ = _one_step(plan, start_states(model, 3), noise, rows)
+            state, _ = plan.advance(start_states(model, 3), noise, rows)
             loop, _ = _run(plan, start_states(model, 3), plan.prepare_noise(increments[:, :k]), 1)
             np.testing.assert_allclose(state, loop, rtol=1e-13, atol=1e-16)
             if name in self.BITWISE[model_name]:
@@ -704,7 +705,7 @@ class TestLadder:
         noise, rows = plans[0].prepare_noise(increments), {}
         path = NoisePath(increments[0], h_fine=H_FINE)
         for k, plan in zip(self.SUBSTEPS, plans):
-            state, _ = _one_step(plan, start_states(model, 3), noise, rows)
+            state, _ = plan.advance(start_states(model, 3), noise, rows)
             loop, _ = _run(plan, start_states(model, 3), plan.prepare_noise(increments[:, :k]), 1)
             np.testing.assert_allclose(state, loop, rtol=1e-13, atol=1e-16)
             stepped = step(scheme, model.initial, k * H_FINE, path.prefix(k), model).state
@@ -731,10 +732,10 @@ class TestLadder:
         running_sum = engine._running_sum
         monkeypatch.setattr(engine, "_running_sum", counted)
         store = {}
-        shared = [_one_step(p, start_states(model, 3), noise, store)[0] for p in plans]
+        shared = [p.advance(start_states(model, 3), noise, store)[0] for p in plans]
         assert len(sums) == (model_name == "heat-mult")
         for plan, got in zip(plans, shared):
-            alone, _ = _one_step(plan, start_states(model, 3), noise, {})
+            alone, _ = plan.advance(start_states(model, 3), noise, {})
             assert got.tobytes() == alone.tobytes()
 
     def test_a_blow_up_past_an_h_leaves_that_h_finite(self, mult):
@@ -751,7 +752,7 @@ class TestLadder:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             wild_full, wild_euler = (
-                [_one_step(p, start_states(mult, 3), noise, rows)[0] for p in plans]
+                [p.advance(start_states(mult, 3), noise, rows)[0] for p in plans]
                 for plans in (full, euler)
             )
         clean = full[0].prepare_noise(increments)
@@ -760,7 +761,7 @@ class TestLadder:
         ]
         assert all(np.isfinite(s).all() for s in wild_euler)
         for k, plan, got in zip(self.SUBSTEPS, full, wild_full):
-            want, _ = _one_step(plan, start_states(mult, 3), clean)
+            want, _ = plan.advance(start_states(mult, 3), clean)
             paths = [0, 2] if k > 64 else [0, 1, 2]
             assert got[paths].tobytes() == want[paths].tobytes()
 
@@ -773,7 +774,7 @@ class TestLadder:
         plan = BoundPlan(builtin_scheme("exp-euler"), model, 16 * H_FINE, H_FINE)
         noise = plan.prepare_noise(chunk_increments(model, 1, 8)[0])
         with pytest.raises(ValueError):
-            _one_step(plan, model.initial.coeffs, noise)
+            plan.advance(model.initial.coeffs, noise)
 
     def test_step_on_a_prefix_before_a_blow_up_is_finite(self, mult):
         # The same through step(): the path's rows overflow past substep
@@ -939,3 +940,82 @@ def test_first_order_drift_term_matches_quadrature():
         h * np.exp(-lam * h) + np.expm1(-lam * h) / lam
     )
     np.testing.assert_allclose(got, want, rtol=2e-2, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda m: NoisePath(np.zeros(4), h_fine=H_FINE), ValueError,
+         "increments must be a (substeps, modes) array"),
+        (lambda m: step(builtin_scheme("exp-euler"), SpectralState(np.ones(m.modes + 1)),
+                        H_FINE, draw_path(m, 1), m), EngineError,
+         "state has 33 modes, model 32"),
+        (lambda m: reference_solve(m.initial, H_FINE,
+                                   NoisePath(np.zeros((1, m.noise_modes - 1)), h_fine=H_FINE), m),
+         EngineError, "path drives 31 noise modes, model 32"),
+    ],
+    ids=["flat-increments", "state-modes", "noise-modes"],
+)
+def test_malformed_engine_input_is_rejected(call, error, message, mult):
+    with pytest.raises(error, match=re.escape(message)):
+        call(mult)
+
+
+class KnownRows:
+    """A test double: the multiplication model's truncation, whose B'' rows
+    are fixed numbers, whatever the base, the arguments and the noise."""
+
+    def __init__(self, modes, noise_modes, substeps):
+        self.modes, self.noise_modes = modes, noise_modes
+        self.rows = np.arange(1.0, substeps * modes + 1).reshape(substeps, modes) / substeps
+
+    def prepare_noise(self, noise_rows):
+        return np.asarray(noise_rows, dtype=float)
+
+    def bind_rows(self, order):
+        if order != 2:
+            return None
+        return lambda base, arg_rows, noise: self.rows.copy()
+
+
+def test_a_repeated_argument_is_lowered_once_and_its_node_divides_by_two_factorial(mult):
+    # (2[0,0]) compiles to I^2_2[I^0_0,I^0_0]: one I^0_0 node serves both
+    # arguments, and the I^2_2 node's value is the end-weighted sum of its
+    # rows over 2!.
+    scheme = compile_scheme(psi(parse("(2[0,0]);(2*)")))
+    assert scheme.describe() == "I^2_2[I^0_0,I^0_0]"
+    assert [kind for kind, *_ in scheme.lowered[0]] == ["flow", "diffusion"]
+    substeps = 8
+    model = dataclasses.replace(
+        mult, diffusion=KnownRows(mult.modes, mult.noise_modes, substeps)
+    )
+    plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE)
+    noise = plan.prepare_noise(np.zeros((substeps, model.noise_modes)))
+    state, values = plan.advance(model.initial.coeffs, noise)
+    times = np.arange(substeps) * H_FINE
+    weights = np.exp(-model.eigenvalues[:, None] * (substeps * H_FINE - times[None, :]))
+    want = np.einsum("ns,sn->n", weights, model.diffusion.rows) / math.factorial(2)
+    np.testing.assert_allclose(values[plan.term_slots[0]], want, rtol=1e-15)
+    assert state.tobytes() == (model.initial.coeffs + values[plan.term_slots[0]]).tobytes()
+
+
+def test_a_drift_node_of_the_zero_drift_is_dropped(mult):
+    # On heat-mult F = 0, so I^1_1[I^0_0] binds to no step, and the state
+    # is u0 plus I^0_0 alone.
+    scheme = compile_scheme(psi(parse("(1[0]);(0);(2*)")))
+    assert scheme.describe() == "I^0_0 + I^1_1[I^0_0]"
+    plan = BoundPlan(scheme, mult, 4 * H_FINE, H_FINE)
+    flow_slot, drift_slot = plan.term_slots
+    assert plan.steps[drift_slot] is None and plan.steps[flow_slot] is not None
+    noise = plan.prepare_noise(np.zeros((4, mult.noise_modes)))
+    state, values = plan.advance(mult.initial.coeffs, noise)
+    assert state.tobytes() == (mult.initial.coeffs + values[flow_slot]).tobytes()
+
+
+def test_finite_terms_whose_sum_overflows_name_the_sum(mult):
+    plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
+    values = np.full((len(plan.steps), 2, mult.modes), 1e308)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(values[list(plan.term_slots)].sum(axis=0)).all()
+    for row in (0, 1):
+        assert plan.nonfinite(values, row).term == "sum of plan terms"

@@ -14,6 +14,7 @@ from spde_taylor.cli import load_config_file, main
 from spde_taylor.engine import (
     BUILTIN_WOODS,
     _REFERENCE_SCHEME,
+    BoundPlan,
     NoisePath,
     NonfiniteValueError,
     builtin_scheme,
@@ -35,6 +36,7 @@ from spde_taylor.harness import (
     run_study,
     symbolic_report,
     _ladder_errors,
+    _lp_estimate,
     _row_statistics,
 )
 from spde_taylor.models import (
@@ -113,6 +115,18 @@ class TestConfigValidation:
     )
     def test_rejections(self, kwargs):
         with pytest.raises(ConfigError):
+            ExperimentConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(fine_log2=-1), "fine_log2 must be >= 0"),
+            (dict(modes=0), "mode counts must be >= 1"),
+            (dict(noise_modes=0), "mode counts must be >= 1"),
+        ],
+    )
+    def test_rejection_messages(self, kwargs, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig(**kwargs).validate()
 
     def test_ladder_values(self):
@@ -394,14 +408,14 @@ def chunk_runs(monkeypatch, paths_per_chunk, config):
         harness, "_CHUNK_BYTES", paths_per_chunk * 8 * window * config.noise_modes
     )
     runs = []
-    for name in ("_run", "_one_step"):
-        run = getattr(harness, name)
+    for owner, name in ((harness, "_run"), (BoundPlan, "advance")):
+        run = getattr(owner, name)
 
         def spy(plan, states, *args, run=run):
             runs.append((plan.scheme, len(states)))
             return run(plan, states, *args)
 
-        monkeypatch.setattr(harness, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     return runs
 
 
@@ -464,7 +478,7 @@ class TestChunks:
         study: dict = {}
         with monkeypatch.context() as patch:
             chunk_runs(patch, per_chunk, config)
-            run, one_step = harness._run, harness._one_step
+            run, advance = harness._run, BoundPlan.advance
 
             def keep_reference(plan, states, noise, steps, record_steps=()):
                 out = run(plan, states, noise, steps, record_steps)
@@ -474,13 +488,13 @@ class TestChunks:
                 return out
 
             def keep_one_step(plan, states, noise, rows):
-                out = one_step(plan, states, noise, rows)
+                out = advance(plan, states, noise, rows)
                 name = names[schemes.index(plan.scheme)]
                 study.setdefault((name, plan.substeps), []).extend(out[0])
                 return out
 
             patch.setattr(harness, "_run", keep_reference)
-            patch.setattr(harness, "_one_step", keep_one_step)
+            patch.setattr(BoundPlan, "advance", keep_one_step)
             harness._ladder_errors(config, schemes, model)
         window = max(k for _, k in study)
         horizons = sorted({k for name, k in study if name != "reference"})
@@ -608,6 +622,15 @@ class TestChunks:
         with pytest.raises(NonfiniteValueError) as info:
             run_convergence(TINY)
         assert info.value.term == "I^0_2"
+
+
+@pytest.mark.parametrize(
+    "errors, want",
+    [([0.5], (0.5, 0.0)), ([0.0, 0.0, 0.0], (0.0, 0.0))],
+    ids=["one-path", "zero-mean"],
+)
+def test_lp_estimate_without_a_spread_has_no_standard_error(errors, want):
+    assert _lp_estimate(np.array(errors), 2.0) == want
 
 
 def test_row_statistics_of_errors_whose_powers_overflow():
@@ -987,6 +1010,7 @@ class TestCli:
             ("multi_step = maybe", "expected a boolean, got 'maybe'"),
             ("paths = many", "invalid literal for int()"),
             ("ladder = 4,x", "bad ladder '4,x'"),
+            ("paths 8", "expected key = value"),
         ],
     )
     def test_config_file_value_error_names_the_line(self, tmp_path, line, message):
@@ -994,6 +1018,12 @@ class TestCli:
         config.write_text(f"seed = 5\n{line}\n")
         with pytest.raises(ConfigError, match=re.escape(f"{config}:2: {message}")):
             load_config_file(str(config))
+
+    @pytest.mark.parametrize("word", ["0", "false", "No", " off "])
+    def test_config_file_false_words(self, tmp_path, word):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"multi_step = {word}\n")
+        assert load_config_file(str(config))["multi_step"] is False
 
     @pytest.mark.parametrize("source", ["--scheme", "--config"])
     def test_wood_text_scheme_via_cli(self, source, tmp_path, capsys):

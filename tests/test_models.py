@@ -1,6 +1,7 @@
 """Spectral models: transforms, diffusion oracles, semigroup, initial data."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -555,3 +556,31 @@ def test_smoothing_hs_norm_rejects_negative_time(mult):
     # e^{At} at t < 0 grows like e^{lambda_N |t|}: 4.7e26 at t = -0.1.
     with pytest.raises(ValueError, match="smoothing time must be >= 0"):
         smoothed_diffusion_hs_norm(mult, mult.initial, -0.1)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda m: SpectralState(np.ones((2, 2))), ValueError,
+         "coefficients must form a nonempty 1-d vector"),
+        (lambda m: SpectralState(np.array([])), ValueError,
+         "coefficients must form a nonempty 1-d vector"),
+        (lambda m: GridWorkspace(0), ValueError, "need at least one grid point"),
+        (lambda m: dataclasses.replace(m, eigenvalues=np.ones((2, 2))), ValueError,
+         "eigenvalues must form a nonempty vector"),
+        (lambda m: dataclasses.replace(m, gamma=1.0), BadParameterError,
+         "gamma must lie in (0, 1), got 1.0"),
+        (lambda m: dataclasses.replace(m, delta=0.6), BadParameterError,
+         "delta must lie in (0, 1/2], got 0.6"),
+        (lambda m: heat_multiplicative_model(0, 8), BadParameterError,
+         "mode counts must be >= 1"),
+        (lambda m: heat_additive_model(8, 0), BadParameterError, "mode counts must be >= 1"),
+        (lambda m: apply_diffusion(m, 1, m.initial, [], 1), ValueError,
+         "order 1 needs exactly 1 argument states"),
+    ],
+    ids=["matrix-state", "empty-state", "no-grid", "matrix-eigenvalues", "gamma", "delta",
+         "mult-modes", "add-noise-modes", "diffusion-args"],
+)
+def test_malformed_model_input_is_rejected(build, error, message, mult):
+    with pytest.raises(error, match=re.escape(message)):
+        build(mult)

@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from spde_taylor.terms import (
     BadPathError,
     In,
     NotStarredError,
+    TermSum,
     _tree_table,
     contains_starred,
     expansion_matches_rewrite,
@@ -345,3 +347,36 @@ def test_symbolic_digest_is_unchanged():
     assert module.slots_digest(100) == (
         "149fe249087cde4024bc5ad471dcbd6db252f23d6a371e1570e12e7708a79ecc"
     )
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: In(order=0, j=L["2"], args=()), ValueError, "multilinear order must be >= 1"),
+        (lambda: In(order=1, j=L["0"], args=(I0(L["0"]),)), ValueError,
+         "I^i_0 is not an operator for i >= 1"),
+        (lambda: In(order=2, j=L["2"], args=(I0(L["0"]),)), ValueError,
+         "I^2_2 expects 2 arguments, got 1"),
+        (lambda: integral(0, L["2"], (I0(L["0"]),)), ValueError, "I^0 takes no arguments"),
+        (lambda: phi_with_slot(STree.single(L["2*"]), 2), BadPathError,
+         "node 2 outside tree of 1 nodes"),
+        (lambda: expansion_of(TermSum((I0(L["1*"]), I0(L["2*"])))), NotStarredError,
+         "a sum cannot be expanded; address one of its terms"),
+        (lambda: rewrite_expand(integral(1, L["2"], (I0(L["2*"]),)), (1,)), BadPathError,
+         "argument index 1 out of range"),
+    ],
+    ids=["order-0", "zero-label", "argument-count", "order-0-arguments", "node-outside",
+         "expand-sum", "argument-index"],
+)
+def test_malformed_term_input_is_rejected(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
+def test_the_slot_in_a_single_tree_wood_is_the_path_in_its_term():
+    # The term of a one-tree wood is no sum, so no summand index leads the
+    # path.
+    wood = parse("(2[2*])")
+    at = ActiveNode(1, 2)
+    assert wood_slot(wood, at) == (0,)
+    assert expansion_matches_rewrite(wood, at, expand(wood, at))

@@ -1,6 +1,7 @@
 """Tree algebra: construction, expansion, orders, serialization."""
 
 import pickle
+import re
 import sys
 import tracemalloc
 
@@ -17,6 +18,7 @@ from spde_taylor.trees import (
     ParseError,
     STree,
     SWood,
+    WoodOrder,
     active_nodes,
     expand,
     initial_wood,
@@ -438,3 +440,39 @@ def test_pickling_drops_the_cached_queries():
     assert tree.children_of(1) == (2,) and tree.is_active
     copy = pickle.loads(pickle.dumps(tree))
     assert copy == tree and not {"_hash", "_active"} & set(vars(copy))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: L["0"].destarred(), "label 0 carries no star"),
+        (lambda: SWood(()), "a wood holds at least one tree"),
+        (lambda: order_wood(initial_wood()).evaluate(1.0, 0.25), "gamma must lie in (0, 1), got 1.0"),
+        (lambda: order_wood(initial_wood()).evaluate(0.25, 0.75),
+         "delta must lie in (0, 1/2], got 0.75"),
+    ],
+    ids=["destar-unstarred", "empty-wood", "gamma", "delta"],
+)
+def test_malformed_tree_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (STree(labels=(), parents=()), "tree has no nodes"),
+        (STree(labels=(L["0"], L["2"]), parents=(5,)), "parent(2) = 5 is not a node"),
+    ],
+    ids=["no-nodes", "parent-outside"],
+)
+def test_validate_names_a_malformed_parent_map(tree, message):
+    result = validate(tree)
+    assert not result and result.message == message
+
+
+def test_symbolic_order_of_forms_with_a_drift_count_and_no_common_part():
+    # 1 and 2 gamma each attain the minimum somewhere (gamma above and
+    # below 1/2), and share no part.
+    order = WoodOrder(candidates=((1, (1, 0, 0)), (2, (0, 2, 0))))
+    assert order.symbolic() == "min(1, 2γ)"
