@@ -84,27 +84,35 @@ class SpectralState:
         return hash((self.coeffs + 0.0).tobytes())
 
 
+def _aligned(array: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered copy of ``array`` whose data start on a 64-byte
+    boundary, a cache line: BLAS streams the products' matrices faster from
+    there, with the same bytes."""
+    buffer = np.empty(array.nbytes + 64, dtype=np.uint8)
+    start = -buffer.ctypes.data % 64
+    out = buffer[start : start + array.nbytes].view(array.dtype).reshape(array.shape)
+    out[...] = array
+    out.flags.writeable = False
+    return out
+
+
 # A model needs at most three (P, modes) pairs; the bound keeps a sweep over
 # sizes from holding every matrix it has built.
 @lru_cache(maxsize=16)
 def _sine_matrix(grid_points: int, modes: int) -> np.ndarray:
     """[sqrt(2) sin(i pi x_m)], i = 1..modes, m = 1..P: coefficients to grid
-    values.  The index product i m is reduced mod 2(P+1) before the sine, so
-    high modes are as accurate as low ones."""
+    values, 64-byte aligned.  The index product i m is reduced mod 2(P+1)
+    before the sine, so high modes are as accurate as low ones."""
     p1 = grid_points + 1
     phase = np.outer(np.arange(1, modes + 1), np.arange(1, p1)) % (2 * p1)
-    out = SQRT2 * np.sin(np.pi * phase / p1)
-    out.flags.writeable = False
-    return out
+    return _aligned(SQRT2 * np.sin(np.pi * phase / p1))
 
 
 @lru_cache(maxsize=16)
 def _interpolant_matrix(grid_points: int, modes: int) -> np.ndarray:
-    """The sine matrix transposed over P + 1: grid values to the first
-    ``modes`` coefficients of their odd interpolant."""
-    out = np.ascontiguousarray(_sine_matrix(grid_points, modes).T) / (grid_points + 1)
-    out.flags.writeable = False
-    return out
+    """The sine matrix transposed over P + 1, 64-byte aligned: grid values
+    to the first ``modes`` coefficients of their odd interpolant."""
+    return _aligned(_sine_matrix(grid_points, modes).T / (grid_points + 1))
 
 
 @dataclass(frozen=True)

@@ -518,6 +518,38 @@ class TestSineMatrixTransforms:
         )
 
 
+def at_offset(matrix: np.ndarray, offset: int) -> np.ndarray:
+    """A C-ordered copy of ``matrix`` whose data start ``offset`` bytes past
+    a 64-byte boundary."""
+    buffer = np.empty(matrix.nbytes + 128, dtype=np.uint8)
+    start = -buffer.ctypes.data % 64 + offset
+    copy = buffer[start : start + matrix.nbytes].view(float).reshape(matrix.shape)
+    copy[...] = matrix
+    return copy
+
+
+def assert_aligned_with_the_bytes_of_any_offset(matrix: np.ndarray) -> None:
+    """``matrix`` starts on a 64-byte boundary, read-only, and its one-row
+    (gemv) and 256-row (GEMM) products have the bytes of copies that start
+    8 to 56 bytes past one: alignment moves the products' speed, not their
+    rounding."""
+    assert matrix.ctypes.data % 64 == 0 and matrix.flags.c_contiguous
+    assert not matrix.flags.writeable
+    rng = np.random.default_rng(matrix.shape)
+    row, rows = rng.standard_normal(matrix.shape[0]), rng.standard_normal((256, matrix.shape[0]))
+    want = (row.dot(matrix).tobytes(), (rows @ matrix).tobytes())
+    for offset in range(8, 64, 8):
+        copy = at_offset(matrix, offset)
+        assert copy.ctypes.data % 64 == offset
+        assert (row.dot(copy).tobytes(), (rows @ copy).tobytes()) == want, offset
+
+
+@pytest.mark.parametrize("grid_points, modes", [(63, 16), (255, 64), (255, 8)])
+def test_cached_transforms_are_cache_aligned_with_the_bytes_of_any_offset(grid_points, modes):
+    for matrix in GridWorkspace(grid_points).transforms(modes):
+        assert_aligned_with_the_bytes_of_any_offset(matrix)
+
+
 class TestDefaultWorkspace:
     def test_grid_is_large_enough_with_smooth_dst_length(self):
         # P + 1 has no prime factor above 11 (P = 4 * 64 = 256 would give
