@@ -46,10 +46,13 @@ With ``--values DIR`` the script also writes each family's float64
 values to ``DIR/<family>.npy``: the states of a state or shape family in
 digest order, and each report's slope, margin and rows' errors and
 standard errors for a report family (NaN for None).  ``--compare DIR_A
-DIR_B`` prints, for each family dumped in both, the largest relative
-change |b - a| / |a| of any value: the number a change that moves a
-digest states.  It exits 1 when a family moved, is missing from DIR_B or
-changed its count of values, and 0 when every family kept its values.
+DIR_B`` prints, for each family dumped in both, two numbers that a change
+that moves a digest states: the largest change of any value relative to
+that value, max |b - a| / |a|, and relative to the family's scale,
+max |b - a| / max |a|.  The first reads huge where a value that cancelled
+to nearly zero moves by rounding; the second does not.  It exits 1 when a
+family moved, is missing from DIR_B or changed its count of values, and 0
+when every family kept its values.
 
     python3 scripts/numeric_digest.py            # every family
     python3 scripts/numeric_digest.py add8 mult16x8
@@ -240,18 +243,23 @@ def digests(names=None, values_dir: Path | None = None) -> dict[str, str]:
     return out
 
 
-def largest_relative_change(before: np.ndarray, after: np.ndarray) -> float:
-    """max |after - before| / |before| over the values; equal values,
-    NaNs included, change by 0, and a zero that moves by inf."""
+def largest_relative_changes(before: np.ndarray, after: np.ndarray) -> tuple[float, float]:
+    """max |after - before| / |before| and max |after - before| / max
+    |before|, the scale taken over the finite values; equal values, NaNs
+    included, change by 0, and a zero that moves, or a NaN that comes or
+    goes, by inf."""
     same = (before == after) | (np.isnan(before) & np.isnan(after))
+    scale = np.max(np.abs(before), where=np.isfinite(before), initial=0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        change = np.where(same, 0.0, np.abs(after - before) / np.abs(before))
-    return float(np.nan_to_num(change, nan=np.inf).max(initial=0.0))
+        moved = np.abs(after - before)
+        changes = (np.where(same, 0.0, moved / np.abs(before)), np.where(same, 0.0, moved / scale))
+    return tuple(float(np.nan_to_num(c, nan=np.inf).max(initial=0.0)) for c in changes)
 
 
 def compare(before_dir: Path, after_dir: Path) -> tuple[list[str], bool]:
     """One line per family dumped in ``before_dir``: its name and the
-    largest relative change of any of its values, or why there is none;
+    largest change of its values relative to each value and to the
+    family's scale, or why there are none;
     and whether any family moved, is missing from ``after_dir`` or changed
     its count of values."""
     lines, differ = [], False
@@ -266,9 +274,9 @@ def compare(before_dir: Path, after_dir: Path) -> tuple[list[str], bool]:
             lines.append(f"{path.stem} has {before.size} values, then {after.size}")
             differ = True
             continue
-        change = largest_relative_change(before, after)
-        lines.append(f"{path.stem} {change:.3g}")
-        differ = differ or change != 0.0
+        per_value, scaled = largest_relative_changes(before, after)
+        lines.append(f"{path.stem} {per_value:.3g} {scaled:.3g}")
+        differ = differ or per_value != 0.0
     return lines, differ
 
 
@@ -280,8 +288,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--values", type=Path, metavar="DIR",
                         help="also write each family's float64 values to DIR/<family>.npy")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
-                        help="print each family's largest relative change from DIR_A to "
-                             "DIR_B; exit 1 if any family differs")
+                        help="print each family's largest change from DIR_A to DIR_B, "
+                             "relative to each value and to the family's scale; exit 1 if "
+                             "any family differs")
     args = parser.parse_args(argv)
     if args.compare:
         lines, differ = compare(*args.compare)

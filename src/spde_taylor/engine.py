@@ -4,7 +4,8 @@ A compiled scheme is an ordered sum of star-free terms.  One step of size h
 from u0 on the fine mesh r_j = j h_fine, j < h / h_fine, evaluates each
 term per mode i:
 
-* ``I^0_0``         -> (e^{-lambda_i h} - 1) u0
+* ``I^0_0``         -> (e^{-lambda_i h} - 1) u0, which a step adds to u0 as
+                       one product, the exact semigroup e^{-lambda_i h} u0
 * ``I^0_1``         -> (1 - e^{-lambda_i h}) / lambda_i F(u0)
 * ``I^k_2``, k >= 0 -> sum_j e^{-lambda_i (h - r_j)} B^(k)(u0)(args_j)(dW_j) / k!
 * ``I^k_1``, k >= 1 -> sum_j e^{-lambda_i (h - r_j)} F^(k)(u0)(args_j) h_fine / k!
@@ -34,13 +35,17 @@ from u0 or from rows in the store, and keeps none.
 
 The in-place loop.  A run (:func:`_run`) allocates one (nodes, ..., N)
 value array and two state buffers.  Each step writes every kept node's end
-value into its slot, and u0 plus the terms, in term order, into the buffer
-the step before did not write.  A plan that reads no trajectory steps
-without a store, on scratch rows; at h = h_fine its diffusion node has the
-model write its one row into the node's slot and multiplies it there by
-the end-weight column.  IEEE addition never turns an inf or a nan finite,
-so a run tests only its end states, and the failed rows are replayed
-(:func:`_first_failures`) to name the term.
+value into its slot, and its start, e^{-lambda h} u0 where the scheme has
+an I^0_0 term and else u0, plus the other terms, in term order, into the
+buffer the step before did not write; the folded I^0_0's slot stays
+unwritten.  A plan that reads no trajectory steps without a store, on
+scratch rows, and a sum the model fuses is written into its slot with no
+rows: the diagonal model's at every h, the multiplication model's order-0
+sum at h = h_fine, one row times the interpolant with the weight column
+folded in.  So a reference substep is five array calls.  IEEE arithmetic
+never turns an inf or a nan finite, so a run tests only its end states,
+and the failed rows are replayed (:func:`_first_failures`) to name the
+term.
 
 The reference.  :func:`reference_solve` is that loop over the exponential
 Euler plan at h = h_fine, so exponential Euler stepped at h_fine equals it
@@ -338,6 +343,7 @@ class _MeshTables:
         self.lam, self.h = lam, h
         self.times = _frozen(np.arange(substeps) * h_fine)
         self.decay_fine = _frozen(np.exp(-lam * h_fine))
+        self.semigroup = _frozen(np.exp(-lam * h))
         self.flow = _frozen(np.expm1(-lam * h))
         self.drift_flow = _frozen(-self.flow / lam)
 
@@ -370,7 +376,8 @@ def _mesh_tables(eigenvalues: bytes, h: float, h_fine: float, substeps: int) -> 
 class BoundPlan:
     """A compiled scheme bound to a model and a step h on a mesh of h_fine
     (see the module docstring), with one node step per lowered node in
-    ``steps`` (None where the node is dropped) and no buffers of its own."""
+    ``steps`` (None where the node is dropped or is the I^0_0 term folded
+    into the start) and no buffers of its own."""
 
     def __init__(self, scheme: CompiledScheme, model: ModelSpec, h: float, h_fine: float):
         self.scheme = scheme
@@ -388,14 +395,24 @@ class BoundPlan:
                 read.update(arg_slots)
         #: Whether a node reads a trajectory, which needs a store.
         self.reads = bool(read)
+        # u0 plus one I^0_0 term is stepped as e^{-lambda h} u0, so that
+        # term's node runs only for a further I^0_0 term.
+        summed = list(self.term_slots)
+        flows = [slot for slot in summed if nodes[slot][0] is _FLOW]
+        #: Whether a step starts from e^{-lambda h} u0 rather than u0.
+        self.folds_flow = bool(flows)
+        if flows:
+            summed.remove(flows[0])
         steps = []
         for slot, (operator, (kind, order, arg_slots, term)) in enumerate(zip(operators, nodes)):
             run = None
-            if operator is not None:
+            if operator is not None and (kind is not _FLOW or slot in summed):
                 args = [self._trajectory(operators[a], nodes[a]) for a in arg_slots]
                 run = self._bind(operator, kind, order, args, term, slot in read)
             steps.append(run)
         self.steps = tuple(steps)
+        #: The slots the step adds to its start, in term order.
+        self.summed = tuple(slot for slot in summed if steps[slot] is not None)
 
     def _operator(self, kind: str, order: int):
         """What a node of ``kind`` and ``order`` applies, None where the
@@ -437,9 +454,11 @@ class BoundPlan:
         """The node step ``(u0, noise, store, out)``: writes the end value
         at h of the node that applies ``operator`` into ``out``; ``args``
         make the trajectories it reads, and ``read`` says whether a node
-        reads its own.  A sum node's rows come from ``store`` or go there;
-        with no store (:func:`_run` of a plan that reads nothing) they are
-        scratch rows over exactly h / h_fine rows of noise."""
+        reads its own.  An unread diffusion node whose sum the model fuses
+        has the model write it; otherwise a sum node's rows come from
+        ``store`` or go there, and with no store (:func:`_run` of a plan
+        that reads nothing) they are scratch rows over exactly h / h_fine
+        rows of noise."""
         # The steps hold no reference to the plan, so a plan is freed as soon
         # as its last user drops it, not by the cycle collector.
         if kind is _FLOW:
@@ -447,22 +466,22 @@ class BoundPlan:
         if kind is _DRIFT_FLOW:
             drift_flow = self.tables.drift_flow
             return lambda u0, noise, store, out: np.multiply(drift_flow, operator(u0), out=out)
+        weights = self.tables.end_weights
         fused = None if read else getattr(self.model.diffusion, "bind_sum", None)
         if kind is _DIFFUSION and fused is not None:
-            total = _over_factorial(order, fused(order, self.tables.end_weights))
-            return lambda u0, noise, store, out: np.copyto(
-                out, total(u0, [make(u0, noise, store) for make in args], noise)
-            )
-        end_sum = bind_end_sum(self.tables.end_weights)
-        column = self.tables.end_weights[:, 0] if self.substeps == 1 else None
+            # The weights carry the 1 / k!, so the model writes the value.
+            total = fused(order, weights / math.factorial(order) if order > 1 else weights)
+            if total is not None and not args:  # no list to build per step
+                return lambda u0, noise, store, out: total(u0, (), noise, out)
+            if total is not None:
+                return lambda u0, noise, store, out: total(
+                    u0, [make(u0, noise, store) for make in args], noise, out
+                )
+        end_sum = bind_end_sum(weights)
 
         def sum_step(u0, noise, store, out):
             if store is None:  # a run of a plan that reads nothing: scratch rows
-                if column is None:
-                    end_sum(operator(u0, (), noise), out)
-                else:
-                    operator(u0, (), noise, out)
-                    out *= column
+                end_sum(operator(u0, (), noise), out)
                 return
             rows = store.get(term)
             if rows is None:
@@ -483,20 +502,25 @@ class BoundPlan:
     def stepper(self, shape: tuple[int, ...]):
         """A new (nodes,) + ``shape`` value array and ``(u0, noise, store,
         state) -> None``, one step of h from states of ``shape``: it writes
-        each kept node's end value into its slot, in slot order, and u0 plus
-        the terms, in term order, into ``state``.  It writes neither u0 nor
-        the window, and never a dropped node's slot."""
+        each kept node's end value into its slot, in slot order, and its
+        start, e^{-lambda h} u0 or u0 (see :attr:`folds_flow`), plus the
+        terms of :attr:`summed`, in term order, into ``state``.  It writes
+        neither u0 nor the window, and never the slot of a node without a
+        step."""
         values = np.empty((len(self.steps),) + shape)
         nodes = [(run, values[slot]) for slot, run in enumerate(self.steps) if run is not None]
-        terms = [values[slot] for slot in self.term_slots if self.steps[slot] is not None]
-        if not terms:
+        terms = [values[slot] for slot in self.summed]
+        if self.folds_flow:
+            start, first, rest = np.multiply, self.tables.semigroup, terms
+        elif terms:
+            start, first, rest = np.add, terms[0], terms[1:]
+        else:
             return values, lambda u0, noise, store, state: np.copyto(state, u0)
-        first, rest = terms[0], terms[1:]
 
         def step(u0, noise, store, state):
             for run, out in nodes:
                 run(u0, noise, store, out)
-            np.add(u0, first, out=state)
+            start(u0, first, out=state)
             for value in rest:
                 state += value
 
@@ -519,7 +543,9 @@ class BoundPlan:
     def nonfinite(self, values: np.ndarray, row: int) -> NonfiniteValueError:
         """The error naming the first non-finite term in ``row`` (0 for a
         single path) of a step's value array ``values``, or the sum of the
-        terms where every term is finite."""
+        terms where every term is finite.  Slots without a step are
+        skipped: a dropped term is zero, and the folded I^0_0 is finite
+        wherever u0 is."""
         for name, slot in zip(self.names, self.term_slots):
             if self.steps[slot] is None:
                 continue
@@ -664,7 +690,7 @@ def step(
     state, values = plan.advance(u0.coeffs, noise, store)
     if not np.isfinite(state).all():
         raise plan.nonfinite(values, 0)
-    return StepResult(state=SpectralState(state))
+    return StepResult(state=SpectralState._adopt(state))
 
 
 _REFERENCE_SCHEME = builtin_scheme("exp-euler")
@@ -697,4 +723,4 @@ def reference_solve(
     state, recorded = _run(plan, u0.coeffs, noise, steps, record_substeps)
     if not np.isfinite(state).all():
         raise _first_failures(plan, u0.coeffs, noise, state, steps)[0]
-    return SpectralState(state), {n: SpectralState(s) for n, s in recorded.items()}
+    return SpectralState._adopt(state), {n: SpectralState._adopt(s) for n, s in recorded.items()}

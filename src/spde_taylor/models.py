@@ -64,6 +64,15 @@ class SpectralState:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray) -> "SpectralState":
+        """The state of ``coeffs``, a finite float64 vector the caller made
+        and writes no more, frozen in place: no conversion, check or copy."""
+        coeffs.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "coeffs", coeffs)
+        return state
+
     @property
     def modes(self) -> int:
         return self.coeffs.size
@@ -195,9 +204,9 @@ class DriftOperator(Protocol):
     ) -> Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray] | None: ...
 
 
-#: A bound B^(k): ``(base, arg_rows, noise) -> rows or their weighted sum``;
-#: the order-0 rows also take an optional ``out``.
-BoundDiffusion = Callable[..., np.ndarray]
+#: A bound B^(k): ``(base, arg_rows, noise) -> rows``, or ``(base, arg_rows,
+#: noise, out)`` writing their weighted sum into ``out``.
+BoundDiffusion = Callable[..., np.ndarray | None]
 
 
 class DiffusionOperator(Protocol):
@@ -211,14 +220,14 @@ class DiffusionOperator(Protocol):
 
     ``bind_rows(order)`` returns ``(base, arg_rows, noise) -> rows``, the
     rows B^(k)(base)(args)(xi_s), (..., S, N), as a fresh array the caller
-    may keep, or None where B^(k) is identically zero.  The order-0
-    function also takes an optional ``out``, (..., N), for a window of one
-    row: it writes that row there and returns it.
+    may keep, or None where B^(k) is identically zero.
 
     An operator whose end-weighted sum is cheaper than its rows may also
-    provide ``bind_sum(order, weights)``: with the same arguments, only
-    sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n], (..., N), over the first
-    S noise rows for (N, S) weights, or None where ``bind_rows`` is None.
+    provide ``bind_sum(order, weights)``: ``(base, arg_rows, noise, out)``,
+    which writes sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n] over the
+    first S noise rows, for (N, S) weights, into ``out``, (..., N).  It
+    returns None where it does not fuse that order and width, and always
+    where ``bind_rows`` is None; the caller then sums the rows.
     """
 
     modes: int
@@ -262,6 +271,9 @@ class MultiplicationDiffusion:
     the sine matrices fetched at construction.  A batch's products are
     stacks of its paths' products, so a path's rows have the same bytes in
     any batch.  B' does not depend on v, and every order n >= 2 is zero.
+    The order-0 sum of a one-row window (``bind_sum``) is ((v S) * xi)
+    (Ip * w), the weight column folded into a copy of the interpolant once
+    per binding; it equals the row times the column up to rounding.
     """
 
     def __init__(self, modes: int, noise_modes: int):
@@ -277,23 +289,13 @@ class MultiplicationDiffusion:
             return None
         sine, interpolant = self.sine, self.interpolant
         if order == 0:
-            def rows(base, arg_rows, noise, out=None):
+            def rows(base, arg_rows, noise):
                 # One path's products go to BLAS through ndarray.dot, which
                 # costs less per call than @ and than np.dot's dispatch; a
-                # batch stays a stack of one-path products.  A one-row
-                # window's noise multiplies the grid row in place.
+                # batch stays a stack of one-path products.
                 if base.ndim == 1:
-                    grid = base.dot(sine)
-                    if out is None:
-                        return (grid * noise).dot(interpolant)
-                    grid *= noise[0]
-                    return grid.dot(interpolant, out=out)
-                grid = base[..., None, :] @ sine
-                if out is None:
-                    return (grid * noise) @ interpolant
-                grid *= noise
-                np.matmul(grid, interpolant, out=out[..., None, :])
-                return out
+                    return (base.dot(sine) * noise).dot(interpolant)
+                return ((base[..., None, :] @ sine) * noise) @ interpolant
         else:
             def rows(base, arg_rows, noise):
                 multiplier = arg_rows[0]
@@ -309,6 +311,25 @@ class MultiplicationDiffusion:
                     np.matmul(grid, interpolant, out=out[path])
                 return out
         return rows
+
+    def bind_sum(self, order, weights):
+        if order != 0 or weights.shape[1] != 1:
+            return None
+        sine, weighted = self.sine, _aligned(self.interpolant * weights[:, 0])
+
+        def weighted_sum(base, arg_rows, noise, out):
+            # The grid row takes the noise in place; a batch is a stack of
+            # one-path products, as in the rows.
+            if base.ndim == 1:
+                grid = base.dot(sine)
+                grid *= noise[0]
+                grid.dot(weighted, out=out)
+            else:
+                grid = base[..., None, :] @ sine
+                grid *= noise[..., :1, :]
+                np.matmul(grid, weighted, out=out[..., None, :])
+
+        return weighted_sum
 
 
 class DiagonalDiffusion:
@@ -332,11 +353,8 @@ class DiagonalDiffusion:
         modes, k = self.modes, min(self.modes, self.weights.size)
         b = self.weights[:k]
 
-        def rows(base, arg_rows, noise, out=None):
-            if out is None:
-                out = np.empty(noise.shape[:-1] + (modes,))
-            else:  # one row
-                noise = noise[..., 0, :]
+        def rows(base, arg_rows, noise):
+            out = np.empty(noise.shape[:-1] + (modes,))
             out[..., k:] = 0.0
             np.multiply(noise[..., :k], b, out=out[..., :k])
             return out
@@ -351,10 +369,9 @@ class DiagonalDiffusion:
         modes, k = self.modes, min(self.modes, self.weights.size)
         b, w, substeps = self.weights[:k], weights[:k], weights.shape[1]
 
-        def weighted_sum(base, arg_rows, noise):
-            out = np.zeros(noise.shape[:-2] + (modes,))
+        def weighted_sum(base, arg_rows, noise, out):
+            out[..., k:] = 0.0
             np.einsum("n,...sn,ns->...n", b, noise[..., :substeps, :k], w, out=out[..., :k])
-            return out
 
         return weighted_sum
 

@@ -39,7 +39,7 @@ from spde_taylor.models import (
     heat_multiplicative_model,
     initial_condition,
 )
-from spde_taylor.terms import I0, integral, phi_wood, psi
+from spde_taylor.terms import I0, integral, phi_wood, psi, term_sum
 from spde_taylor.trees import NodeLabel, initial_wood, parse
 
 L = {name.value: name for name in NodeLabel}
@@ -496,20 +496,21 @@ class TestReference:
         assert info.value.term == "I^0_2"
 
     def test_reference_is_the_exponential_euler_recurrence(self):
-        # Pins the reference's arithmetic: the same products, summed in the
-        # same order, give the same bytes.
+        # Pins the reference's arithmetic: u0 + I^0_0 is the semigroup
+        # product e^{-lambda h_fine} u0, the zero drift's I^0_1 is dropped,
+        # and I^0_2 is the grid row times the noise times the interpolant
+        # with the end-weight column folded in; the same products, summed
+        # in the same order, give the same bytes.
         model = heat_multiplicative_model(64, 64)
         ws = model.workspace()
         h_fine = 2.0**-12
         path = NoisePath.draw(path_generator(2024, 0), 64, 64, h_fine)
         lam = model.eigenvalues
-        flow, weight = np.expm1(-lam * h_fine), np.exp(-lam[:, None] * h_fine)
+        semigroup, column = np.exp(-lam * h_fine), np.exp(-lam[:, None] * h_fine)[:, 0]
+        weighted = ws.transforms(model.modes)[1] * column
         u = model.initial.coeffs
-        interpolant = ws.transforms(model.modes)[1]
         for row in ws.to_grid(path.increments):
-            rows = (ws.to_grid(u) * row[None, :]) @ interpolant
-            drift = np.zeros(model.modes)
-            u = u + flow * u + drift + np.einsum("ns,sn->n", weight, rows)
+            u = semigroup * u + (ws.to_grid(u) * row) @ weighted
         got, _ = reference_solve(model.initial, 64 * h_fine, path, model, ws)
         assert got.coeffs.tobytes() == u.tobytes()
 
@@ -649,6 +650,28 @@ class TestInPlaceLoop:
             assert run(i) == solo[i]
         info = engine._plan.cache_info()
         assert (info.misses, info.hits) == (2, 8)
+
+    def test_returned_states_wrap_the_runs_arrays_with_no_second_check(self, mult, monkeypatch):
+        # step() and reference_solve() wrap the arrays their run made and
+        # tested: no state is converted, checked or copied again, the end
+        # state and the snapshot at t_end share one array, the snapshot at
+        # 0 is u0's, and none can be written.
+        path = draw_path(mult, 16, seed=22)
+        checked = []
+        post_init = SpectralState.__post_init__
+        monkeypatch.setattr(
+            SpectralState, "__post_init__", lambda state: checked.append(post_init(state))
+        )
+        end, snapshots = reference_solve(
+            mult.initial, 16 * H_FINE, path, mult, record_substeps=(0, 4, 16)
+        )
+        stepped = step(builtin_scheme("full-2nd"), mult.initial, 16 * H_FINE, path, mult).state
+        assert checked == []
+        assert snapshots[16].coeffs is end.coeffs
+        assert snapshots[0].coeffs is mult.initial.coeffs
+        for state in (end, stepped, *snapshots.values()):
+            assert state.coeffs.dtype == float and not state.coeffs.flags.writeable
+        assert end == SpectralState(end.coeffs) and checked == [None]
 
     def test_a_scheme_keeps_its_hash_and_pickles_without_it(self):
         scheme = builtin_scheme("milstein-b0")
@@ -825,7 +848,7 @@ def test_mesh_tables_are_keyed_by_eigenvalues_and_read_only():
     for plan in plans:
         tables = plan.tables
         for table in (
-            tables.times, tables.decay_fine, tables.end_weights, tables.flow,
+            tables.times, tables.decay_fine, tables.semigroup, tables.end_weights, tables.flow,
             tables.drift_flow, tables.flow_at, tables.drift_flow_at,
         ):
             assert not table.flags.writeable
@@ -999,17 +1022,78 @@ def test_a_repeated_argument_is_lowered_once_and_its_node_divides_by_two_factori
     assert state.tobytes() == (model.initial.coeffs + values[plan.term_slots[0]]).tobytes()
 
 
+class KnownSums(KnownRows):
+    """KnownRows that also fuses the sum of its B'' rows, keeping the
+    argument trajectories it is handed."""
+
+    def bind_sum(self, order, weights):
+        if order != 2:
+            return None
+
+        def weighted_sum(base, arg_rows, noise, out):
+            self.arg_rows = arg_rows
+            np.einsum("ns,sn->n", weights, self.rows, out=out)
+
+        return weighted_sum
+
+
+def test_a_fused_sum_of_order_two_is_handed_its_factorial_in_the_weights(mult):
+    # The engine divides the weights of a fused I^2_2 by 2! and hands it
+    # both trajectories of I^0_0; halving is exact, so its value has the
+    # bytes of the rows' sum over 2!.
+    scheme = compile_scheme(psi(parse("(2[0,0]);(2*)")))
+    substeps = 8
+    states = []
+    for diffusion in (KnownRows, KnownSums):
+        model = dataclasses.replace(
+            mult, diffusion=diffusion(mult.modes, mult.noise_modes, substeps)
+        )
+        plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE)
+        noise = plan.prepare_noise(np.zeros((substeps, model.noise_modes)))
+        states.append(plan.advance(model.initial.coeffs, noise)[0])
+    assert states[0].tobytes() == states[1].tobytes()
+    flow = plan.tables.flow_at * model.initial.coeffs
+    assert [a.tobytes() for a in model.diffusion.arg_rows] == [flow.tobytes()] * 2
+
+
 def test_a_drift_node_of_the_zero_drift_is_dropped(mult):
-    # On heat-mult F = 0, so I^1_1[I^0_0] binds to no step, and the state
-    # is u0 plus I^0_0 alone.
+    # On heat-mult F = 0, so I^1_1[I^0_0] binds to no step; u0 plus I^0_0
+    # is the semigroup product, so its node runs no step either, and the
+    # state is e^{-lambda h} u0 alone.
     scheme = compile_scheme(psi(parse("(1[0]);(0);(2*)")))
     assert scheme.describe() == "I^0_0 + I^1_1[I^0_0]"
     plan = BoundPlan(scheme, mult, 4 * H_FINE, H_FINE)
-    flow_slot, drift_slot = plan.term_slots
-    assert plan.steps[drift_slot] is None and plan.steps[flow_slot] is not None
+    assert plan.steps == (None, None) and plan.folds_flow and plan.summed == ()
     noise = plan.prepare_noise(np.zeros((4, mult.noise_modes)))
-    state, values = plan.advance(mult.initial.coeffs, noise)
-    assert state.tobytes() == (mult.initial.coeffs + values[flow_slot]).tobytes()
+    state, _ = plan.advance(mult.initial.coeffs, noise)
+    lam = mult.eigenvalues
+    assert state.tobytes() == (np.exp(-lam * 4 * H_FINE) * mult.initial.coeffs).tobytes()
+
+
+def test_a_second_flow_term_is_added_to_the_semigroup_product(mult):
+    # Only one I^0_0 folds into the start: u0 + 2 I^0_0 steps as
+    # e^{-lambda h} u0 + (e^{-lambda h} - 1) u0.
+    scheme = compile_scheme(term_sum([I0(L["0"]), I0(L["0"])]))
+    plan = BoundPlan(scheme, mult, 4 * H_FINE, H_FINE)
+    assert plan.summed == (0,) and plan.steps[0] is not None
+    noise = plan.prepare_noise(np.zeros((4, mult.noise_modes)))
+    u0, lam = mult.initial.coeffs, mult.eigenvalues
+    state, _ = plan.advance(u0, noise)
+    want = np.exp(-lam * 4 * H_FINE) * u0 + np.expm1(-lam * 4 * H_FINE) * u0
+    assert state.tobytes() == want.tobytes()
+
+
+def test_the_unwritten_flow_slot_does_not_name_a_term(mult):
+    # The step never writes I^0_0's slot; a NaN left there changes nothing
+    # that nonfinite reports, which names the terms it added.
+    plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
+    flow_slot, _, diffusion_slot = plan.term_slots
+    values = np.zeros((len(plan.steps), 2, mult.modes))
+    values[diffusion_slot, 1, 3] = np.inf
+    want = [plan.nonfinite(values, row).term for row in (0, 1)]
+    values[flow_slot] = np.nan
+    assert [plan.nonfinite(values, row).term for row in (0, 1)] == want
+    assert want == ["sum of plan terms", "I^0_2"]
 
 
 def test_finite_terms_whose_sum_overflows_name_the_sum(mult):

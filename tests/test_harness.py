@@ -370,15 +370,17 @@ class ConstantMultiplier(MultiplicationDiffusion):
     """A test double: B(v) multiplies by 1 whatever v, while B' multiplies
     as for multiplication noise.  The reference is then linear in the noise
     and the iterated term I^1_2[I^0_2] quadratic, so scaled increments can
-    overflow a coarse run and leave the reference finite."""
+    overflow a coarse run and leave the reference finite.  It fuses no sum,
+    so the reference, too, sums these rows."""
 
     def bind_rows(self, order):
         if order == 0:
             interpolant = self.interpolant
-            return lambda base, arg_rows, noise, out=None: np.matmul(
-                noise, interpolant, out=None if out is None else out[..., None, :]
-            )
+            return lambda base, arg_rows, noise: noise @ interpolant
         return super().bind_rows(order)
+
+    def bind_sum(self, order, weights):
+        return None
 
 
 def scale_path(monkeypatch, index, factor):
@@ -433,10 +435,10 @@ class CountingMultiplier(MultiplicationDiffusion):
         if rows is None:
             return None
 
-        def counted(base, arg_rows, noise, *out):
+        def counted(base, arg_rows, noise):
             if noise.shape[-2] > 1:
                 self.builds[order] += 1
-            return rows(base, arg_rows, noise, *out)
+            return rows(base, arg_rows, noise)
 
         return counted
 

@@ -1,8 +1,10 @@
 """Spectral models: transforms, diffusion oracles, semigroup, initial data."""
 
 import dataclasses
+import inspect
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -326,14 +328,17 @@ def grid_values(lead, substeps, modes, noise_modes):
 
 
 class TestWeightedSum:
-    """The end-weighted sum the engine takes of a diffusion node, the
-    model's fused ``bind_sum`` where it has one and else ``bind_end_sum``
-    of the bound rows, gives the bytes of the rows reduced by the einsum
-    with the end weights, at orders 0 and 1, with ``None`` for both where
-    the derivative vanishes."""
+    """The end-weighted sum the engine takes of a diffusion node:
+    ``bind_end_sum`` of the bound rows gives the bytes of the rows reduced
+    by the einsum with the end weights, at orders 0 and 1, and the model's
+    fused ``bind_sum``, where it fuses, writes that sum into ``out``.  Both
+    are None where the derivative vanishes."""
 
     @staticmethod
     def check(model, order, lead, substeps):
+        """The einsum of the rows, ``want``, and the fused sum written into
+        ``out``, ``fused`` (None where the model does not fuse), with the
+        inputs; None where B^(order) is zero."""
         diffusion, modes = model.diffusion, model.modes
         rng = np.random.default_rng([order, substeps, modes, model.noise_modes, len(lead)])
         raw = rng.standard_normal(lead + (substeps, model.noise_modes))
@@ -342,24 +347,30 @@ class TestWeightedSum:
         args = [rng.standard_normal(lead + (substeps, modes))][:order]
         weights = rng.uniform(0.5, 1.0, (modes, substeps))
         bound = diffusion.bind_rows(order)
-        fused = getattr(diffusion, "bind_sum", None)
-        total = fused and fused(order, weights)
+        total = diffusion.bind_sum(order, weights)
         if bound is None:
             assert total is None
-            return
+            return None
         rows = bound(base, args, noise)
         want = np.einsum("ns,...sn->...n", weights, rows)
-        sums = [bind_end_sum(weights)(rows)]
-        if fused is not None:
-            sums.append(total(base, args, noise))
-        for got in sums:
-            assert got.shape == want.shape == lead + (modes,)
-            assert got.tobytes() == want.tobytes()
+        got = bind_end_sum(weights)(rows)
+        assert got.shape == want.shape == lead + (modes,)
+        assert got.tobytes() == want.tobytes()
+        out = None
+        if total is not None:
+            out = np.full(lead + (modes,), np.nan)
+            assert total(base, args, noise, out) is None
+        return SimpleNamespace(want=want, fused=out, base=base, noise=noise, weights=weights)
 
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("lead, substeps, modes, noise_modes", SHAPES)
     def test_diagonal(self, order, lead, substeps, modes, noise_modes):
-        self.check(heat_additive_model(modes, noise_modes), order, lead, substeps)
+        # Its order-0 sum fuses at every width, with the einsum's bytes.
+        sums = self.check(heat_additive_model(modes, noise_modes), order, lead, substeps)
+        if order == 0:
+            assert sums.fused.tobytes() == sums.want.tobytes()
+        else:
+            assert sums is None
 
     # The multiplication rows live on the grid: windows above 2^21 grid
     # values (16 MiB; the two batched 8192-substep windows at 64 modes)
@@ -370,28 +381,39 @@ class TestWeightedSum:
         [shape for shape in SHAPES if grid_values(*shape) <= 2**21],
     )
     def test_multiplication(self, order, lead, substeps, modes, noise_modes):
-        # Its sum is only its rows reduced: the engine keeps the rows.
+        # It fuses the order-0 sum of one row alone, folding the weight
+        # column into the interpolant: equal to the einsum up to rounding,
+        # to 1e-15 of the sum of the products' magnitudes, since an entry
+        # can cancel to far below them.  Wider windows and order 1 return
+        # None, so the engine keeps their rows in the store and shares them
+        # across h.
         model = heat_multiplicative_model(modes, noise_modes)
-        assert not hasattr(model.diffusion, "bind_sum")
-        self.check(model, order, lead, substeps)
+        sums = self.check(model, order, lead, substeps)
+        if order == 0 and substeps == 1:
+            sine, interpolant = model.diffusion.sine, model.diffusion.interpolant
+            grid = np.abs((sums.base @ sine)[..., None, :] * sums.noise)
+            magnitudes = (grid @ np.abs(interpolant))[..., 0, :] * sums.weights[:, 0]
+            assert np.all(np.abs(sums.fused - sums.want) <= 1e-15 * magnitudes)
+        else:
+            assert sums.fused is None
 
 
 class TestBoundRows:
-    """The bound rows' one-row ``out`` and the batched order-1 rows."""
+    """The fused sum of a one-row window and the batched order-1 rows."""
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
     def test_a_one_row_window_writes_the_row_into_out(self, lead, model_name):
-        # The stepping loop at h = h_fine has the order-0 row written into
-        # the node's value; it has the bytes of the fresh rows' one row.
+        # The stepping loop at h = h_fine has the fused order-0 sum written
+        # into the node's value; under a unit weight column it has the bytes
+        # of the fresh rows' one row, on the whole window of a path too.
         model = build_model(model_name, 16, 8, 0.005)
-        bound = model.diffusion.bind_rows(0)
         rng = np.random.default_rng(len(lead))
-        noise = model.diffusion.prepare_noise(rng.standard_normal(lead + (1, 8)))
+        noise = model.diffusion.prepare_noise(rng.standard_normal(lead + (4, 8)))
         base = rng.standard_normal(lead + (16,))
-        want = bound(base, (), noise)[..., 0, :]
+        want = model.diffusion.bind_rows(0)(base, (), noise[..., :1, :])[..., 0, :]
         out = np.full(lead + (16,), np.nan)
-        assert bound(base, (), noise, out) is out
+        model.diffusion.bind_sum(0, np.ones((16, 1)))(base, (), noise, out)
         assert out.tobytes() == want.tobytes()
 
     def test_batched_order_one_rows_hold_no_window_sized_multiplier(self):
@@ -546,7 +568,13 @@ def assert_aligned_with_the_bytes_of_any_offset(matrix: np.ndarray) -> None:
 
 @pytest.mark.parametrize("grid_points, modes", [(63, 16), (255, 64), (255, 8)])
 def test_cached_transforms_are_cache_aligned_with_the_bytes_of_any_offset(grid_points, modes):
-    for matrix in GridWorkspace(grid_points).transforms(modes):
+    # So is the interpolant with the weight column of a one-row sum folded in.
+    diffusion = MultiplicationDiffusion(modes, (grid_points + 1) // 4)
+    assert diffusion.workspace.grid_points == grid_points
+    column = np.random.default_rng(modes).uniform(0.5, 1.0, (modes, 1))
+    weighted = inspect.getclosurevars(diffusion.bind_sum(0, column)).nonlocals["weighted"]
+    assert weighted.tobytes() == (diffusion.interpolant * column[:, 0]).tobytes()
+    for matrix in (*GridWorkspace(grid_points).transforms(modes), weighted):
         assert_aligned_with_the_bytes_of_any_offset(matrix)
 
 
