@@ -5,9 +5,12 @@ Separate processes on one host can time the same code tens of percent
 apart; rounds that alternate between two trees loaded side by side share
 the host's state, so their differences are the code's.  Each round imports
 both trees afresh under names of its own (the package imports itself
-relatively), with BLAS on one thread: two copies of one tree loaded once
-time up to 15 % apart for as long as they live, so each round draws the
-copies' layout anew and the medians average it out.  After a warm-up, each
+relatively), with BLAS on one thread, so each round draws the copies'
+memory layout anew and the medians average it out.  Two copies of one tree
+loaded once used to time up to 15 % apart for as long as they lived, while
+their sine matrices started at varying offsets from a cache line; with the
+matrices aligned, a tree against itself reads median ratios of 0.97 to
+1.01 over 20 rounds of 32 paths (2-vCPU Xeon host).  After a warm-up, each
 round times, on each side, with the side that goes first alternating from
 round to round:
 

@@ -366,7 +366,7 @@ class DiagonalDiffusion:
         # min(N, M) modes: no rows.
         if order >= 1:
             return None
-        modes, k = self.modes, min(self.modes, self.weights.size)
+        k = min(self.modes, self.weights.size)
         b, w, substeps = self.weights[:k], weights[:k], weights.shape[1]
 
         def weighted_sum(base, arg_rows, noise, out):
