@@ -58,17 +58,19 @@ def _parse_ladder(text: str) -> tuple[int, ...]:
 
 def _parse_schemes(text: str) -> tuple[str, ...]:
     """The scheme names or wood texts in ``text``, split at the commas
-    outside ``[...]``: a wood's own commas all sit inside brackets.  A
-    scheme named twice is an error, since its reports would overwrite each
-    other."""
+    outside ``[...]``, where a wood's own commas all sit, and stripped.  An
+    empty entry is an error, and so is a scheme named twice, since its
+    reports would overwrite each other."""
     schemes, depth, start = [], 0, 0
     for at, char in enumerate(text):
         depth += (char == "[") - (char == "]")
         if char == "," and depth == 0:
-            schemes.append(text[start:at])
+            schemes.append(text[start:at].strip())
             start = at + 1
-    schemes.append(text[start:])
-    for name in schemes:
+    schemes.append(text[start:].strip())
+    for number, name in enumerate(schemes, 1):
+        if not name:
+            raise ConfigError(f"entry {number} of the scheme list {text!r} is empty")
         if schemes.count(name) > 1:
             raise ConfigError(f"scheme {name!r} is named twice")
     return tuple(schemes)

@@ -33,27 +33,26 @@ window; it holds each summed term's rows under the term, so each is built
 once.  A node makes the trajectories it reads while it builds its rows,
 from u0 or from rows in the store, and keeps none.
 
-The in-place loop.  A run (:func:`_run`) allocates one (nodes, ..., N)
-value array and two state buffers.  Each step writes every kept node's end
-value into its slot, and its start, e^{-lambda h} u0 where the scheme has
-an I^0_0 term and else u0, plus the other terms, in term order, into the
-buffer the step before did not write; the folded I^0_0's slot stays
-unwritten.  A plan that reads no trajectory steps without a store, on
-scratch rows, and a sum the model fuses is written into its slot with no
-rows: the diagonal model's at every h, the multiplication model's order-0
-sum at h = h_fine, one row times the interpolant with the weight column
-folded in.  So a reference substep is five array calls.  IEEE arithmetic
-never turns an inf or a nan finite, so a run tests only its end states,
-and the failed rows are replayed (:func:`_first_failures`) to name the
-term.
+The in-place loop.  A run (:func:`_run`) is the one way a plan is stepped.
+It allocates one (nodes, ..., N) value array and two state buffers.  Each
+step writes every kept node's end value into its slot, and its start,
+e^{-lambda h} u0 where the scheme has an I^0_0 term and else u0, plus the
+other terms, in term order, into the buffer the step before did not
+write; the folded I^0_0's slot stays unwritten.  A sum the model fuses is
+written into its slot with no rows: the diagonal model's at every h, the
+multiplication model's order-0 sum at h = h_fine, one row times the
+interpolant with the weight column folded in.  So a reference substep is
+five array calls.  IEEE arithmetic never turns an inf or a nan finite, so
+a run tests only its end states, and the failed rows are replayed
+(:func:`_first_failures`) to name the term.
 
 The reference.  :func:`reference_solve` is that loop over the exponential
 Euler plan at h = h_fine, so exponential Euler stepped at h_fine equals it
-bitwise.  :func:`step` hands its plan the whole prepared window of a drawn
-:class:`NoisePath` and the path's store, so a prefix steps with the bytes
-of the order study (``harness``), which builds rows over whole windows:
-BLAS blocks a product's rows by their count, so the rows of a prefix alone
-would differ by rounding.
+bitwise.  The one-step order study (``harness``) and :func:`step` run
+:func:`_run` for one step over the whole window with a shared store, the
+chunk's or the drawn :class:`NoisePath`'s, so a prefix steps with the
+bytes of the study: BLAS blocks a product's rows by their count, so the
+rows of a prefix alone would differ by rounding.
 """
 
 from __future__ import annotations
@@ -131,8 +130,9 @@ class NoisePath:
     N(0, h_fine), read-only (a writeable array is copied).  Paths compare
     and hash by identity.  A path and its :meth:`prefix` share one window:
     the whole drawn path prepared once per diffusion operator, and the
-    stores of :func:`step`, kept while the path lives, so draw a path only
-    as long as the horizon it is stepped over."""
+    stores that :func:`step` hands its one-step runs, one per model and
+    start state, kept while the path lives, so draw a path only as long as
+    the horizon it is stepped over."""
 
     increments: np.ndarray
     h_fine: float
@@ -393,8 +393,6 @@ class BoundPlan:
             operators.append(self._operator(kind, order) if live else None)
             if operators[-1] is not None:
                 read.update(arg_slots)
-        #: Whether a node reads a trajectory, which needs a store.
-        self.reads = bool(read)
         # u0 plus one I^0_0 term is stepped as e^{-lambda h} u0, so that
         # term's node runs only for a further I^0_0 term.
         summed = list(self.term_slots)
@@ -456,9 +454,7 @@ class BoundPlan:
         make the trajectories it reads, and ``read`` says whether a node
         reads its own.  An unread diffusion node whose sum the model fuses
         has the model write it; otherwise a sum node's rows come from
-        ``store`` or go there, and with no store (:func:`_run` of a plan
-        that reads nothing) they are scratch rows over exactly h / h_fine
-        rows of noise."""
+        ``store`` or go there."""
         # The steps hold no reference to the plan, so a plan is freed as soon
         # as its last user drops it, not by the cycle collector.
         if kind is _FLOW:
@@ -480,9 +476,6 @@ class BoundPlan:
         end_sum = bind_end_sum(weights)
 
         def sum_step(u0, noise, store, out):
-            if store is None:  # a run of a plan that reads nothing: scratch rows
-                end_sum(operator(u0, (), noise), out)
-                return
             rows = store.get(term)
             if rows is None:
                 paths = [make(u0, noise, store) for make in args]
@@ -526,20 +519,6 @@ class BoundPlan:
 
         return values, step
 
-    def advance(
-        self, u0: np.ndarray, noise: np.ndarray, store: dict | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One step of h from ``u0``, (N,) or (paths, N), over the prepared
-        window ``noise``, (S, ·) or (paths, S, ·) with S >= h / h_fine: the
-        new state and the step's value array (see :meth:`stepper`).
-        ``store`` is the window's store for this start state, a fresh one if
-        None.  A blow-up leaves a non-finite state and no numpy warning."""
-        values, step = self.stepper(u0.shape)
-        state = np.empty(u0.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            step(u0, noise, {} if store is None else store, state)
-        return state, values
-
     def nonfinite(self, values: np.ndarray, row: int) -> NonfiniteValueError:
         """The error naming the first non-finite term in ``row`` (0 for a
         single path) of a step's value array ``values``, or the sum of the
@@ -575,8 +554,11 @@ def _over_factorial(order: int, bound):
 
 def _windows(plan: BoundPlan, noise: np.ndarray, steps: int):
     """The prepared noise of each of ``steps`` consecutive steps of the
-    plan's h: view n of the leading axis is step n's window of h / h_fine
-    rows, with no copies."""
+    plan's h: for one step the whole window ``noise``, else views of its
+    h / h_fine-row blocks, step n's the nth of the leading axis, with no
+    copies."""
+    if steps == 1:
+        return (noise,)
     blocks = noise[..., : steps * plan.substeps, :]
     blocks = blocks.reshape(blocks.shape[:-2] + (steps, plan.substeps, blocks.shape[-1]))
     return blocks.swapaxes(-3, 0)
@@ -588,24 +570,27 @@ def _run(
     noise: np.ndarray,
     steps: int,
     record_steps: tuple[int, ...] = (),
+    store: dict | None = None,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """The stepping loop (see the module docstring): advances ``states``,
-    which it only reads, through ``steps`` consecutive h-long row blocks of
-    the prepared noise ``noise``, shaped as for :meth:`BoundPlan.advance`.
-    Returns the end states, one of the run's buffers, and copies of the
-    states after each step count in ``record_steps`` (``states`` itself for
-    0, the end states for ``steps``).  A row that goes non-finite runs on,
-    non-finite, and the other rows never see it."""
+    (N,) or (paths, N), which it only reads, by ``steps`` steps of h over
+    the :func:`_windows` of the prepared noise ``noise``, (S, ·) or
+    (paths, S, ·).  ``store`` is the window's store for this start state,
+    given to a one-step run alone; a step keeps its rows there, or in a
+    fresh store if None.  Returns the end states, one of the run's
+    buffers, and copies of the states after each step count in
+    ``record_steps`` (``states`` itself for 0, the end states for
+    ``steps``).  A row that goes non-finite runs on, non-finite, and the
+    other rows never see it."""
     recorded = {0: states} if 0 in record_steps else {}
     step = plan.stepper(states.shape)[1]
     buffers = (np.empty(states.shape), np.empty(states.shape))
-    reads = plan.reads
     # A blow-up surfaces in the end states, not as warnings from the array
     # operations that produced the inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
         for n, window in enumerate(_windows(plan, noise, steps), 1):
             out = buffers[n & 1]
-            step(states, window, {} if reads else None, out)
+            step(states, window, {} if store is None else store, out)
             states = out
             if n in record_steps:
                 recorded[n] = out if n == steps else out.copy()
@@ -617,19 +602,24 @@ def _first_failures(
 ) -> dict[int, NonfiniteValueError]:
     """Keyed by row (0 for a single path), the error naming the first
     non-finite term of each non-finite row of ``end``, the end states of a
-    :func:`_run` from ``start``, at its first non-finite step.  Replays
-    those rows alone through :meth:`BoundPlan.advance`: a batch's products
-    are stacks of one-path products, and stored rows have the bytes of
-    scratch rows, so each row replays with the bytes it ran with."""
+    :func:`_run` of ``steps`` steps from ``start`` over ``noise``, at its
+    first non-finite step.  Replays those rows alone over the run's
+    windows, each step in a fresh store: a batch's products are stacks of
+    one-path products, and a store holds the rows the step would build, so
+    each row replays with the bytes it ran with."""
     rows = (0,)
     if end.ndim > 1:
         rows = np.flatnonzero(~np.isfinite(end).all(axis=-1))
         start, noise = start[rows], noise[rows]
+    values, step = plan.stepper(start.shape)
     failed: dict[int, NonfiniteValueError] = {}
-    for window in _windows(plan, noise, steps):
-        start, values = plan.advance(start, window)
-        for row in np.flatnonzero(~np.isfinite(start).all(axis=-1)):
-            failed.setdefault(int(rows[row]), plan.nonfinite(values, row))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for window in _windows(plan, noise, steps):
+            state = np.empty(start.shape)
+            step(start, window, {}, state)
+            start = state
+            for row in np.flatnonzero(~np.isfinite(state).all(axis=-1)):
+                failed.setdefault(int(rows[row]), plan.nonfinite(values, row))
     return failed
 
 
@@ -687,9 +677,9 @@ def step(
     plan = _plan(scheme, model, h, path.h_fine)
     noise = path._prepared_noise(plan)
     store = path._window.stores.setdefault((model, u0.coeffs.tobytes()), {})
-    state, values = plan.advance(u0.coeffs, noise, store)
+    state, _ = _run(plan, u0.coeffs, noise, 1, store=store)
     if not np.isfinite(state).all():
-        raise plan.nonfinite(values, 0)
+        raise _first_failures(plan, u0.coeffs, noise, state, 1)[0]
     return StepResult(state=SpectralState._adopt(state))
 
 

@@ -192,11 +192,11 @@ def _ladder_errors(
 
     Paths run in chunks of ``_CHUNK_BYTES`` of increments, drawn path by
     path with :meth:`NoisePath.draw`, stacked, prepared once and run through
-    the reference once for every scheme.  Plans are bound once per study.
-    In one-step mode each plan takes one step over the chunk's whole
-    window, from the longest h down, on the chunk's one store, so each
-    distinct term's rows are built once per chunk; in multi-step mode each
-    runs the stepping loop to t_end.
+    the reference once for every scheme.  Plans are bound once per study,
+    and each runs the stepping loop.  In one-step mode each takes one step
+    over the chunk's whole window, from the longest h down, on the chunk's
+    one store, so each distinct term's rows are built once per chunk; in
+    multi-step mode each steps to t_end.
     """
     h_fine = config.h_fine
     steps = [round(config.t_end / h) if config.multi_step else 1 for h in config.ladder]
@@ -223,13 +223,10 @@ def _ladder_errors(
             raise failed[min(failed)]
         for norms, k in zip(reference, horizons):
             norms[columns] = np.hypot.reduce(recorded[k], axis=-1)
-        store: dict = {}  # the chunk's term rows, shared by the one-step plans
+        store = None if config.multi_step else {}  # the chunk's rows, for one-step plans
         for scheme_plans, scheme_errors in zip(plans, errors):
             for plan, n, k, norms in zip(scheme_plans, steps, horizons, scheme_errors):
-                if config.multi_step:
-                    approx = _run(plan, u0, noise, n)[0]
-                else:
-                    approx = plan.advance(u0, noise, store)[0]
+                approx = _run(plan, u0, noise, n, store=store)[0]
                 norms[columns] = np.hypot.reduce(approx - recorded[k], axis=-1)
                 norms[columns][~np.isfinite(approx).all(axis=-1)] = np.nan
     return errors, reference

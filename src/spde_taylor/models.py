@@ -241,13 +241,8 @@ class DiffusionOperator(Protocol):
 def bind_end_sum(weights: np.ndarray) -> Callable[..., np.ndarray]:
     """``(rows, out=None) -> sum_s weights[n, s] rows[..., s, n]`` over the
     first S rows, for (N, S) weights and at least S rows, written into
-    ``out``, (..., N), where it is given and else a new array; a single row
-    is multiplied by the weight column, which gives the einsum's bytes but
-    for the sign of a zero."""
+    ``out``, (..., N), where it is given and else a new array."""
     substeps = weights.shape[1]
-    if substeps == 1:
-        column = weights[:, 0]
-        return lambda rows, out=None: np.multiply(rows[..., 0, :], column, out=out)
     return lambda rows, out=None: np.einsum(
         "ns,...sn->...n", weights, rows[..., :substeps, :], out=out
     )

@@ -12,7 +12,7 @@ SCRIPT = ROOT / "scripts" / "ab_timing.py"
 def test_a_tree_against_itself_prints_every_workload():
     src = str(ROOT / "src")
     run = subprocess.run(
-        [sys.executable, str(SCRIPT), src, src, "--paths", "8", "--rounds", "2"],
+        [sys.executable, str(SCRIPT), src, src, "--paths", "2", "--rounds", "2"],
         capture_output=True, text=True, check=True,
     )
     rows = [line.rsplit(maxsplit=4) for line in run.stdout.splitlines()[1:]]

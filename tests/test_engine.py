@@ -367,33 +367,32 @@ class TestReference:
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
     def test_single_step_run_equals_step_bitwise(self, name, mult):
-        # step() contracts rows built over the prepared window of the whole
-        # drawn path, as the one-step order study contracts rows built over
-        # the prepared window of its chunk: a path gets the same bytes
-        # alone, in a chunk and from step().  The stepping loop on a window
-        # of h / h_fine rows builds its rows there; it agrees up to
-        # rounding, since BLAS blocks a product's rows by their count, and
-        # its batched and single runs agree bitwise.
+        # A one-step run contracts rows built over the whole window it is
+        # handed: step() over the prepared window of the whole drawn path,
+        # the one-step order study over its chunk's, so a path gets the
+        # same bytes alone, in a chunk, with or without a store, and from
+        # step().  A run on a window of h / h_fine rows builds its rows
+        # there; it agrees up to rounding, since BLAS blocks a product's
+        # rows by their count.
         scheme = builtin_scheme(name)
         increments = chunk_increments(mult, 3, 256, seed=9)
         for substeps in (1, 16, 256):
             h = substeps * H_FINE
             plan = BoundPlan(scheme, mult, h, H_FINE)
             noise = plan.prepare_noise(increments)
-            chunk, _ = plan.advance(start_states(mult, 3), noise, {})
+            chunk, _ = _run(plan, start_states(mult, 3), noise, 1, store={})
+            shared, _ = _run(plan, start_states(mult, 3), noise, 1)
             exact, _ = _run(
                 plan, start_states(mult, 3), plan.prepare_noise(increments[:, :substeps]), 1
             )
-            shared, _ = _run(plan, start_states(mult, 3), noise, 1)
             for row in range(3):
                 path = NoisePath(increments[row], h_fine=H_FINE)
                 single = step(scheme, mult.initial, h, path, mult).state
                 alone = plan.prepare_noise(increments[row : row + 1])
-                solo, _ = plan.advance(start_states(mult, 1), alone, {})
-                loop, _ = _run(plan, start_states(mult, 1), alone, 1)
-                assert chunk[row].tobytes() == solo[0].tobytes()
+                solo, _ = _run(plan, start_states(mult, 1), alone, 1, store={})
                 assert single.coeffs.tobytes() == solo[0].tobytes()
-                assert shared[row].tobytes() == loop[0].tobytes()
+                assert single.coeffs.tobytes() == chunk[row].tobytes()
+                assert single.coeffs.tobytes() == shared[row].tobytes()
                 np.testing.assert_allclose(exact[row], single.coeffs, rtol=1e-13, atol=1e-16)
 
     def test_blow_up_stays_in_its_row(self, mult):
@@ -581,9 +580,9 @@ class TestInPlaceLoop:
     def test_run_equals_a_loop_of_advance(
         self, name, model_name, substeps, paths, mult, additive
     ):
-        # The run's scratch rows (a plan that reads nothing) and its fresh
-        # store per step (one that reads) have the bytes of advance's rows,
-        # which it keeps in a fresh store of each call.
+        # A run of four steps equals a loop that advances the state by four
+        # one-step runs, each on its h-long block: the run hands each step
+        # that block and a fresh store, as a one-step run does.
         model = {"heat-mult": mult, "heat-add": additive}[model_name]
         plan = BoundPlan(builtin_scheme(name), model, substeps * H_FINE, H_FINE)
         increments = chunk_increments(model, 3 if paths else 1, 4 * substeps, seed=16)
@@ -594,7 +593,7 @@ class TestInPlaceLoop:
         end, recorded = _run(plan, u0, noise, 4, (1, 3))
         state, loop = u0, {}
         for n in range(1, 5):
-            state, _ = plan.advance(state, noise[..., (n - 1) * substeps : n * substeps, :])
+            state, _ = _run(plan, state, noise[..., (n - 1) * substeps : n * substeps, :], 1)
             loop[n] = state
         assert end.tobytes() == loop[4].tobytes()
         assert {n: s.tobytes() for n, s in recorded.items()} == {
@@ -612,7 +611,7 @@ class TestInPlaceLoop:
             plan = BoundPlan(builtin_scheme(name), mult, substeps * H_FINE, H_FINE)
             noise = plan.prepare_noise(increments)
             _run(plan, u0, noise, 16 // substeps, (0, 1))
-            plan.advance(u0, noise)
+            _run(plan, u0, noise, 1, store={})
         assert u0.tobytes() == start_states(mult, 3).tobytes()
 
     def test_recorded_states_keep_their_bytes_after_later_steps(self, mult):
@@ -709,7 +708,7 @@ class TestLadder:
         plans = self.ladder(scheme, model)
         noise, rows = plans[0].prepare_noise(increments), {}
         for k, plan in zip(self.SUBSTEPS, plans):
-            state, _ = plan.advance(start_states(model, 3), noise, rows)
+            state, _ = _run(plan, start_states(model, 3), noise, 1, store=rows)
             loop, _ = _run(plan, start_states(model, 3), plan.prepare_noise(increments[:, :k]), 1)
             np.testing.assert_allclose(state, loop, rtol=1e-13, atol=1e-16)
             if name in self.BITWISE[model_name]:
@@ -728,7 +727,7 @@ class TestLadder:
         noise, rows = plans[0].prepare_noise(increments), {}
         path = NoisePath(increments[0], h_fine=H_FINE)
         for k, plan in zip(self.SUBSTEPS, plans):
-            state, _ = plan.advance(start_states(model, 3), noise, rows)
+            state, _ = _run(plan, start_states(model, 3), noise, 1, store=rows)
             loop, _ = _run(plan, start_states(model, 3), plan.prepare_noise(increments[:, :k]), 1)
             np.testing.assert_allclose(state, loop, rtol=1e-13, atol=1e-16)
             stepped = step(scheme, model.initial, k * H_FINE, path.prefix(k), model).state
@@ -755,10 +754,10 @@ class TestLadder:
         running_sum = engine._running_sum
         monkeypatch.setattr(engine, "_running_sum", counted)
         store = {}
-        shared = [p.advance(start_states(model, 3), noise, store)[0] for p in plans]
+        shared = [_run(p, start_states(model, 3), noise, 1, store=store)[0] for p in plans]
         assert len(sums) == (model_name == "heat-mult")
         for plan, got in zip(plans, shared):
-            alone, _ = plan.advance(start_states(model, 3), noise, {})
+            alone, _ = _run(plan, start_states(model, 3), noise, 1, store={})
             assert got.tobytes() == alone.tobytes()
 
     def test_a_blow_up_past_an_h_leaves_that_h_finite(self, mult):
@@ -775,7 +774,7 @@ class TestLadder:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             wild_full, wild_euler = (
-                [p.advance(start_states(mult, 3), noise, rows)[0] for p in plans]
+                [_run(p, start_states(mult, 3), noise, 1, store=rows)[0] for p in plans]
                 for plans in (full, euler)
             )
         clean = full[0].prepare_noise(increments)
@@ -784,7 +783,7 @@ class TestLadder:
         ]
         assert all(np.isfinite(s).all() for s in wild_euler)
         for k, plan, got in zip(self.SUBSTEPS, full, wild_full):
-            want, _ = plan.advance(start_states(mult, 3), clean)
+            want, _ = _run(plan, start_states(mult, 3), clean, 1)
             paths = [0, 2] if k > 64 else [0, 1, 2]
             assert got[paths].tobytes() == want[paths].tobytes()
 
@@ -797,7 +796,7 @@ class TestLadder:
         plan = BoundPlan(builtin_scheme("exp-euler"), model, 16 * H_FINE, H_FINE)
         noise = plan.prepare_noise(chunk_increments(model, 1, 8)[0])
         with pytest.raises(ValueError):
-            plan.advance(model.initial.coeffs, noise)
+            _run(plan, model.initial.coeffs, noise, 1)
 
     def test_step_on_a_prefix_before_a_blow_up_is_finite(self, mult):
         # The same through step(): the path's rows overflow past substep
@@ -1014,7 +1013,9 @@ def test_a_repeated_argument_is_lowered_once_and_its_node_divides_by_two_factori
     )
     plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE)
     noise = plan.prepare_noise(np.zeros((substeps, model.noise_modes)))
-    state, values = plan.advance(model.initial.coeffs, noise)
+    values, run = plan.stepper((model.modes,))
+    state = np.empty(model.modes)
+    run(model.initial.coeffs, noise, {}, state)
     times = np.arange(substeps) * H_FINE
     weights = np.exp(-model.eigenvalues[:, None] * (substeps * H_FINE - times[None, :]))
     want = np.einsum("ns,sn->n", weights, model.diffusion.rows) / math.factorial(2)
@@ -1050,7 +1051,7 @@ def test_a_fused_sum_of_order_two_is_handed_its_factorial_in_the_weights(mult):
         )
         plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE)
         noise = plan.prepare_noise(np.zeros((substeps, model.noise_modes)))
-        states.append(plan.advance(model.initial.coeffs, noise)[0])
+        states.append(_run(plan, model.initial.coeffs, noise, 1)[0])
     assert states[0].tobytes() == states[1].tobytes()
     flow = plan.tables.flow_at * model.initial.coeffs
     assert [a.tobytes() for a in model.diffusion.arg_rows] == [flow.tobytes()] * 2
@@ -1065,7 +1066,7 @@ def test_a_drift_node_of_the_zero_drift_is_dropped(mult):
     plan = BoundPlan(scheme, mult, 4 * H_FINE, H_FINE)
     assert plan.steps == (None, None) and plan.folds_flow and plan.summed == ()
     noise = plan.prepare_noise(np.zeros((4, mult.noise_modes)))
-    state, _ = plan.advance(mult.initial.coeffs, noise)
+    state, _ = _run(plan, mult.initial.coeffs, noise, 1)
     lam = mult.eigenvalues
     assert state.tobytes() == (np.exp(-lam * 4 * H_FINE) * mult.initial.coeffs).tobytes()
 
@@ -1078,7 +1079,7 @@ def test_a_second_flow_term_is_added_to_the_semigroup_product(mult):
     assert plan.summed == (0,) and plan.steps[0] is not None
     noise = plan.prepare_noise(np.zeros((4, mult.noise_modes)))
     u0, lam = mult.initial.coeffs, mult.eigenvalues
-    state, _ = plan.advance(u0, noise)
+    state, _ = _run(plan, u0, noise, 1)
     want = np.exp(-lam * 4 * H_FINE) * u0 + np.expm1(-lam * 4 * H_FINE) * u0
     assert state.tobytes() == want.tobytes()
 

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from spde_taylor import engine, harness
-from spde_taylor.cli import load_config_file, main
+from spde_taylor.cli import _converge_config, build_parser, load_config_file, main
 from spde_taylor.engine import (
     BUILTIN_WOODS,
     _REFERENCE_SCHEME,
-    BoundPlan,
     NoisePath,
     NonfiniteValueError,
     builtin_scheme,
@@ -404,20 +403,19 @@ def scale_path(monkeypatch, index, factor):
 def chunk_runs(monkeypatch, paths_per_chunk, config):
     """Set the chunk budget to ``paths_per_chunk`` paths of ``config``'s
     window and record the scheme and the height of every batch the stepping
-    loop or a one-step plan runs."""
+    loop runs."""
     window = 2 ** (config.fine_log2 - min(config.ladder_log2))
     monkeypatch.setattr(
         harness, "_CHUNK_BYTES", paths_per_chunk * 8 * window * config.noise_modes
     )
     runs = []
-    for owner, name in ((harness, "_run"), (BoundPlan, "advance")):
-        run = getattr(owner, name)
+    run = harness._run
 
-        def spy(plan, states, *args, run=run):
-            runs.append((plan.scheme, len(states)))
-            return run(plan, states, *args)
+    def spy(plan, states, *args, **kwargs):
+        runs.append((plan.scheme, len(states)))
+        return run(plan, states, *args, **kwargs)
 
-        monkeypatch.setattr(owner, name, spy)
+    monkeypatch.setattr(harness, "_run", spy)
     return runs
 
 
@@ -480,23 +478,20 @@ class TestChunks:
         study: dict = {}
         with monkeypatch.context() as patch:
             chunk_runs(patch, per_chunk, config)
-            run, advance = harness._run, BoundPlan.advance
+            run = harness._run
 
-            def keep_reference(plan, states, noise, steps, record_steps=()):
-                out = run(plan, states, noise, steps, record_steps)
-                assert plan.scheme is _REFERENCE_SCHEME
-                for k in record_steps:
-                    study.setdefault(("reference", k), []).extend(out[1][k])
+            def keep(plan, states, noise, steps, record_steps=(), store=None):
+                out = run(plan, states, noise, steps, record_steps, store=store)
+                if plan.scheme is _REFERENCE_SCHEME:
+                    for k in record_steps:
+                        study.setdefault(("reference", k), []).extend(out[1][k])
+                else:
+                    assert steps == 1 and store is not None
+                    name = names[schemes.index(plan.scheme)]
+                    study.setdefault((name, plan.substeps), []).extend(out[0])
                 return out
 
-            def keep_one_step(plan, states, noise, rows):
-                out = advance(plan, states, noise, rows)
-                name = names[schemes.index(plan.scheme)]
-                study.setdefault((name, plan.substeps), []).extend(out[0])
-                return out
-
-            patch.setattr(harness, "_run", keep_reference)
-            patch.setattr(BoundPlan, "advance", keep_one_step)
+            patch.setattr(harness, "_run", keep)
             harness._ladder_errors(config, schemes, model)
         window = max(k for _, k in study)
         horizons = sorted({k for name, k in study if name != "reference"})
@@ -957,12 +952,45 @@ class TestCli:
         assert code == 1 and out == ""
         assert err == f"error: {where}: scheme 'exp-euler' is named twice\n"
 
+    @pytest.mark.parametrize("source", ["--scheme", "--config"])
+    @pytest.mark.parametrize(
+        "listed, number",
+        [("exp-euler,,full-2nd", 2), ("exp-euler, ,full-2nd", 2), ("exp-euler,full-2nd,", 3)],
+        ids=["between", "blank", "trailing"],
+    )
+    def test_an_empty_scheme_entry_is_error(self, source, listed, number, tmp_path, capsys):
+        config = tmp_path / "empty.cfg"
+        config.write_text(f"scheme = {listed}\n")
+        code = main(["converge", source, listed if source == "--scheme" else str(config),
+                     "--paths", "4"])
+        out, err = capsys.readouterr()
+        where = "--scheme" if source == "--scheme" else f"{config}:1"
+        assert code == 1 and out == ""
+        assert err == f"error: {where}: entry {number} of the scheme list {listed!r} is empty\n"
+
+    def test_a_flag_scheme_list_strips_its_entries(self):
+        # As the ladder does: "taylor-delta, exp-euler" names two builtins.
+        args = build_parser().parse_args([
+            "converge", "--scheme", f"taylor-delta, exp-euler ,  {BRACKETED_WOOD}",
+            "--ladder", "2, 3, 4",
+        ])
+        config, schemes, _ = _converge_config(args)
+        assert schemes == ("taylor-delta", "exp-euler", BRACKETED_WOOD)
+        assert (config.scheme, config.ladder_log2) == ("taylor-delta", (2, 3, 4))
+
     def test_a_config_scheme_list_splits_at_commas_outside_brackets(self, tmp_path):
         config = tmp_path / "list.cfg"
-        config.write_text(f"scheme = exp-euler,(1[0,2[0,1]]);(2*),{BRACKETED_WOOD}\n")
-        assert load_config_file(str(config))["scheme"] == (
-            "exp-euler", "(1[0,2[0,1]]);(2*)", BRACKETED_WOOD,
-        )
+        for separator in (",", " , "):
+            config.write_text(
+                f"scheme = exp-euler{separator}(1[0,2[0,1]]);(2*){separator}{BRACKETED_WOOD}\n"
+            )
+            assert load_config_file(str(config))["scheme"] == (
+                "exp-euler", "(1[0,2[0,1]]);(2*)", BRACKETED_WOOD,
+            )
+        config.write_text("scheme = exp-euler,,full-2nd\n")
+        message = "entry 2 of the scheme list 'exp-euler,,full-2nd' is empty"
+        with pytest.raises(ConfigError, match=re.escape(f"{config}:1: {message}")):
+            load_config_file(str(config))
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
