@@ -575,14 +575,16 @@ def _run(
     """The stepping loop (see the module docstring): advances ``states``,
     (N,) or (paths, N), which it only reads, by ``steps`` steps of h over
     the :func:`_windows` of the prepared noise ``noise``, (S, ·) or
-    (paths, S, ·).  ``store`` is the window's store for this start state,
-    given to a one-step run alone; a step keeps its rows there, or in a
-    fresh store if None.  Returns the end states, one of the run's
-    buffers, and copies of the states after each step count in
+    (paths, S, ·).  A one-step run keeps its rows in ``store``, the
+    window's store for this start state, when one is given; every other
+    step keeps them in a fresh store.  Returns the end states, one of the
+    run's buffers, and copies of the states after each step count in
     ``record_steps`` (``states`` itself for 0, the end states for
     ``steps``).  A row that goes non-finite runs on, non-finite, and the
     other rows never see it."""
     recorded = {0: states} if 0 in record_steps else {}
+    if steps > 1:
+        store = None
     step = plan.stepper(states.shape)[1]
     buffers = (np.empty(states.shape), np.empty(states.shape))
     # A blow-up surfaces in the end states, not as warnings from the array
@@ -709,7 +711,7 @@ def reference_solve(
             f"cannot record after {outside} steps: [0, {t_end}] has {steps}"
         )
     plan = _plan(_REFERENCE_SCHEME, model, path.h_fine, path.h_fine)
-    noise = path._prepared_noise(plan)
+    noise = path._prepared_noise(plan)[:steps]
     state, recorded = _run(plan, u0.coeffs, noise, steps, record_substeps)
     if not np.isfinite(state).all():
         raise _first_failures(plan, u0.coeffs, noise, state, steps)[0]

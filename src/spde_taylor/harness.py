@@ -223,7 +223,7 @@ def _ladder_errors(
             raise failed[min(failed)]
         for norms, k in zip(reference, horizons):
             norms[columns] = np.hypot.reduce(recorded[k], axis=-1)
-        store = None if config.multi_step else {}  # the chunk's rows, for one-step plans
+        store = {}  # the chunk's rows, for one-step plans
         for scheme_plans, scheme_errors in zip(plans, errors):
             for plan, n, k, norms in zip(scheme_plans, steps, horizons, scheme_errors):
                 approx = _run(plan, u0, noise, n, store=store)[0]

@@ -31,6 +31,7 @@ from spde_taylor.engine import (
 from spde_taylor.models import (
     GridWorkspace,
     ModelSpec,
+    MultiplicationDiffusion,
     SpectralState,
     apply_semigroup,
     convolution_variances,
@@ -373,7 +374,8 @@ class TestReference:
         # same bytes alone, in a chunk, with or without a store, and from
         # step().  A run on a window of h / h_fine rows builds its rows
         # there; it agrees up to rounding, since BLAS blocks a product's
-        # rows by their count.
+        # rows by their count, and its batched and single runs agree
+        # bitwise.
         scheme = builtin_scheme(name)
         increments = chunk_increments(mult, 3, 256, seed=9)
         for substeps in (1, 16, 256):
@@ -390,9 +392,16 @@ class TestReference:
                 single = step(scheme, mult.initial, h, path, mult).state
                 alone = plan.prepare_noise(increments[row : row + 1])
                 solo, _ = _run(plan, start_states(mult, 1), alone, 1, store={})
+                loop, _ = _run(
+                    plan,
+                    start_states(mult, 1),
+                    plan.prepare_noise(increments[row : row + 1, :substeps]),
+                    1,
+                )
                 assert single.coeffs.tobytes() == solo[0].tobytes()
                 assert single.coeffs.tobytes() == chunk[row].tobytes()
                 assert single.coeffs.tobytes() == shared[row].tobytes()
+                assert exact[row].tobytes() == loop[0].tobytes()
                 np.testing.assert_allclose(exact[row], single.coeffs, rtol=1e-13, atol=1e-16)
 
     def test_blow_up_stays_in_its_row(self, mult):
@@ -539,6 +548,21 @@ class TestReference:
         np.testing.assert_array_equal(recorded[8].coeffs, direct.coeffs)
         assert set(recorded) == {8, 32}
 
+    def test_one_substep_of_a_longer_path_has_the_bytes_of_a_longer_run(self, mult):
+        # The reference steps over the substeps it spans alone: on a model
+        # that fuses no sum, its one substep builds rows over one row of
+        # noise, not over the whole path, as the first substep of a longer
+        # run does.
+        model = dataclasses.replace(
+            mult, diffusion=UnfusedMultiplier(mult.modes, mult.noise_modes)
+        )
+        path = draw_path(model, 64, seed=3)
+        one, _ = reference_solve(model.initial, H_FINE, path, model)
+        _, recorded = reference_solve(
+            model.initial, 8 * H_FINE, path, model, record_substeps=(1,)
+        )
+        assert one.coeffs.tobytes() == recorded[1].coeffs.tobytes()
+
     def test_recording_past_the_window_is_rejected(self, mult):
         # A snapshot after 16 substeps of an 8-substep run cannot exist.
         path = draw_path(mult, 8)
@@ -599,6 +623,17 @@ class TestInPlaceLoop:
         assert {n: s.tobytes() for n, s in recorded.items()} == {
             n: loop[n].tobytes() for n in (1, 3)
         }
+
+    def test_a_longer_run_keeps_its_rows_out_of_a_given_store(self, mult):
+        # Each step of a longer run builds its rows over its own block from
+        # its own start state, so a store handed to the run goes unused.
+        plan = BoundPlan(builtin_scheme("full-2nd"), mult, 16 * H_FINE, H_FINE)
+        noise = plan.prepare_noise(chunk_increments(mult, 3, 64, seed=5))
+        store = {}
+        given, _ = _run(plan, start_states(mult, 3), noise, 4, store=store)
+        fresh, _ = _run(plan, start_states(mult, 3), noise, 4)
+        assert given.tobytes() == fresh.tobytes()
+        assert store == {}
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
     def test_a_run_only_reads_the_start_states(self, name, mult):
@@ -981,6 +1016,14 @@ def test_first_order_drift_term_matches_quadrature():
 def test_malformed_engine_input_is_rejected(call, error, message, mult):
     with pytest.raises(error, match=re.escape(message)):
         call(mult)
+
+
+class UnfusedMultiplier(MultiplicationDiffusion):
+    """A test double: multiplication noise that fuses no sum, so every
+    plan, the reference's too, builds its rows."""
+
+    def bind_sum(self, order, weights):
+        return None
 
 
 class KnownRows:
