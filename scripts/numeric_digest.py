@@ -40,7 +40,10 @@ listed below, with no separators: a state as its float64 coefficients
 BLAS products of one shape can round differently with the thread count,
 so the script runs BLAS and its kin on one thread, as ``perfbench/run.py``
 does: it imports ``blas_threads`` before numpy, which sets each of that
-script's ``THREAD_VARS`` to 1.
+script's ``THREAD_VARS`` to 1.  They also round differently with the BLAS
+kernel, so the script writes one line to stderr, ``blas kernel: <name>``:
+the kernel numpy's bundled OpenBLAS runs (``SkylakeX``, say), or
+``unknown``.
 
 With ``--values DIR`` the script also writes each family's float64
 values to ``DIR/<family>.npy``: the states of a state or shape family in
@@ -62,6 +65,7 @@ when every family kept its values.
 """
 
 import argparse
+import ctypes
 import hashlib
 import sys
 from dataclasses import replace
@@ -111,6 +115,20 @@ STATE_FAMILIES = {
     "add8x4": (heat_additive_model, 8, 4),
     "add4x8": (heat_additive_model, 4, 8),
 }
+
+
+def blas_kernel() -> str:
+    """The kernel that numpy's bundled OpenBLAS runs, read through its
+    ``scipy_openblas_get_corename64_``, or ``unknown`` where numpy's core
+    has no such function."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def _digest(chunks) -> str:
@@ -302,6 +320,7 @@ def main(argv: list[str]) -> int:
         return 1
     if args.values is not None:
         args.values.mkdir(parents=True, exist_ok=True)
+    print(f"blas kernel: {blas_kernel()}", file=sys.stderr)
     for name, hexdigest in digests(args.families, args.values).items():
         print(f"{name} {hexdigest}")
     return 0

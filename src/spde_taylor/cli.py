@@ -50,10 +50,18 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_ladder(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.replace(" ", "").split(",") if part)
-    except ValueError as exc:
-        raise ConfigError(f"bad ladder {text!r}: {exc}") from exc
+    """The log2 step denominators in ``text``, split at commas and
+    stripped; an empty entry is an error, as in the scheme list, and so is
+    an entry that is not one whole number, such as ``4 5``."""
+    ladder = []
+    for number, part in enumerate(text.split(","), 1):
+        if not part.strip():
+            raise ConfigError(f"entry {number} of the ladder {text!r} is empty")
+        try:
+            ladder.append(int(part))
+        except ValueError as exc:
+            raise ConfigError(f"bad ladder {text!r}: {exc}") from exc
+    return tuple(ladder)
 
 
 def _parse_schemes(text: str) -> tuple[str, ...]:

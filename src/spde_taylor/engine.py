@@ -23,9 +23,9 @@ window of noise it is handed and contracts the first h / h_fine of them.
 Binding turns each node into a step ``(u0, noise, store, out)`` that
 writes its end value into ``out``.  A node whose operator the model binds
 to None (identically zero), or one of whose arguments is dropped, is
-dropped, since the operators are multilinear.  A diffusion node that no
-node reads takes its end-weighted sum from the model where the model fuses
-it (``bind_sum``).
+dropped, since the operators are multilinear.  A sum node contracts its
+rows with the end weights; an ``I^0_2`` node that no node reads has the
+model write that sum where the model fuses it (``bind_sum``).
 
 One store per window.  A store is a dict for one window of noise and one
 start state, handed to the plans of every h and scheme stepped on that
@@ -40,7 +40,7 @@ e^{-lambda h} u0 where the scheme has an I^0_0 term and else u0, plus the
 other terms, in term order, into the buffer the step before did not
 write; the folded I^0_0's slot stays unwritten.  A sum the model fuses is
 written into its slot with no rows: the diagonal model's at every h, the
-multiplication model's order-0 sum at h = h_fine, one row times the
+multiplication model's at h = h_fine, one row times the
 interpolant with the weight column folded in.  So a reference substep is
 five array calls.  IEEE arithmetic never turns an inf or a nan finite, so
 a run tests only its end states, and the failed rows are replayed
@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import GridWorkspace, ModelSpec, SpectralState, bind_end_sum
+from .models import GridWorkspace, ModelSpec, SpectralState
 from .terms import (
     I0,
     TermExpr,
@@ -452,9 +452,9 @@ class BoundPlan:
         """The node step ``(u0, noise, store, out)``: writes the end value
         at h of the node that applies ``operator`` into ``out``; ``args``
         make the trajectories it reads, and ``read`` says whether a node
-        reads its own.  An unread diffusion node whose sum the model fuses
+        reads its own.  An unread ``I^0_2`` node whose sum the model fuses
         has the model write it; otherwise a sum node's rows come from
-        ``store`` or go there."""
+        ``store`` or go there, and it contracts them with the end weights."""
         # The steps hold no reference to the plan, so a plan is freed as soon
         # as its last user drops it, not by the cycle collector.
         if kind is _FLOW:
@@ -463,24 +463,19 @@ class BoundPlan:
             drift_flow = self.tables.drift_flow
             return lambda u0, noise, store, out: np.multiply(drift_flow, operator(u0), out=out)
         weights = self.tables.end_weights
-        fused = None if read else getattr(self.model.diffusion, "bind_sum", None)
-        if kind is _DIFFUSION and fused is not None:
-            # The weights carry the 1 / k!, so the model writes the value.
-            total = fused(order, weights / math.factorial(order) if order > 1 else weights)
-            if total is not None and not args:  # no list to build per step
-                return lambda u0, noise, store, out: total(u0, (), noise, out)
+        fuse = getattr(self.model.diffusion, "bind_sum", None)
+        if kind is _DIFFUSION and order == 0 and not read and fuse is not None:
+            total = fuse(weights)
             if total is not None:
-                return lambda u0, noise, store, out: total(
-                    u0, [make(u0, noise, store) for make in args], noise, out
-                )
-        end_sum = bind_end_sum(weights)
+                return lambda u0, noise, store, out: total(u0, noise, out)
+        substeps = weights.shape[1]
 
         def sum_step(u0, noise, store, out):
             rows = store.get(term)
             if rows is None:
                 paths = [make(u0, noise, store) for make in args]
                 rows = store[term] = _frozen(operator(u0, paths, noise))
-            end_sum(rows, out)
+            np.einsum("ns,...sn->...n", weights, rows[..., :substeps, :], out=out)
 
         return sum_step
 

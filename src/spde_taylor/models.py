@@ -181,7 +181,7 @@ def next_smooth(target: int) -> int:
         n += 1
 
 
-def default_workspace(modes: int, noise_modes: int = 0) -> GridWorkspace:
+def default_workspace(modes: int, noise_modes: int) -> GridWorkspace:
     """At least 4 max(N, M) - 1 grid points, with P + 1 11-smooth.
 
     P + 1 = ``next_smooth(4 max(N, M))`` dates from FFT-based transforms
@@ -193,9 +193,9 @@ def default_workspace(modes: int, noise_modes: int = 0) -> GridWorkspace:
 
 class DriftOperator(Protocol):
     """F and its derivatives, bound once per plan node: ``bind_value()``
-    returns ``base -> F(base)`` and ``bind_rows(order)`` returns ``(base,
-    arg_rows) -> rows``, F^(k)(base)(args) for argument trajectories of
-    shape (..., S, N).  None means identically zero."""
+    returns ``base -> F(base)``, of base's shape, and ``bind_rows(order)``
+    returns ``(base, arg_rows) -> rows``, F^(k)(base)(args) for argument
+    trajectories of shape (..., S, N).  None means identically zero."""
 
     def bind_value(self) -> Callable[[np.ndarray], np.ndarray] | None: ...
 
@@ -204,9 +204,8 @@ class DriftOperator(Protocol):
     ) -> Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray] | None: ...
 
 
-#: A bound B^(k): ``(base, arg_rows, noise) -> rows``, or ``(base, arg_rows,
-#: noise, out)`` writing their weighted sum into ``out``.
-BoundDiffusion = Callable[..., np.ndarray | None]
+#: A bound B^(k): ``(base, arg_rows, noise) -> rows``.
+BoundDiffusion = Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.ndarray]
 
 
 class DiffusionOperator(Protocol):
@@ -216,18 +215,18 @@ class DiffusionOperator(Protocol):
     ``prepare_noise`` turns noise coefficient rows into the form the bound
     functions consume, one row per noise function, so a window of
     increments is prepared once and sliced.  Leading axes are batch axes: a
-    base of shape (..., N) goes with noise rows of shape (..., S, ·).
+    base of shape (..., N) goes with argument rows of shape (..., S, N) and
+    noise rows of shape (..., S, ·).
 
     ``bind_rows(order)`` returns ``(base, arg_rows, noise) -> rows``, the
     rows B^(k)(base)(args)(xi_s), (..., S, N), as a fresh array the caller
     may keep, or None where B^(k) is identically zero.
 
-    An operator whose end-weighted sum is cheaper than its rows may also
-    provide ``bind_sum(order, weights)``: ``(base, arg_rows, noise, out)``,
-    which writes sum_s weights[n, s] B^(k)(base)(args)(xi_s)[n] over the
-    first S noise rows, for (N, S) weights, into ``out``, (..., N).  It
-    returns None where it does not fuse that order and width, and always
-    where ``bind_rows`` is None; the caller then sums the rows.
+    An operator whose order-0 end-weighted sum is cheaper than its rows may
+    also provide ``bind_sum(weights)``: ``(base, noise, out)``, which writes
+    sum_s weights[n, s] B(base)(xi_s)[n] over the first S noise rows, for
+    (N, S) weights, into ``out``, (..., N).  It returns None where it does
+    not fuse that width; the caller then sums the rows.
     """
 
     modes: int
@@ -236,16 +235,6 @@ class DiffusionOperator(Protocol):
     def prepare_noise(self, noise_rows: np.ndarray) -> np.ndarray: ...
 
     def bind_rows(self, order: int) -> BoundDiffusion | None: ...
-
-
-def bind_end_sum(weights: np.ndarray) -> Callable[..., np.ndarray]:
-    """``(rows, out=None) -> sum_s weights[n, s] rows[..., s, n]`` over the
-    first S rows, for (N, S) weights and at least S rows, written into
-    ``out``, (..., N), where it is given and else a new array."""
-    substeps = weights.shape[1]
-    return lambda rows, out=None: np.einsum(
-        "ns,...sn->...n", weights, rows[..., :substeps, :], out=out
-    )
 
 
 class ZeroDrift:
@@ -266,9 +255,9 @@ class MultiplicationDiffusion:
     the sine matrices fetched at construction.  A batch's products are
     stacks of its paths' products, so a path's rows have the same bytes in
     any batch.  B' does not depend on v, and every order n >= 2 is zero.
-    The order-0 sum of a one-row window (``bind_sum``) is ((v S) * xi)
-    (Ip * w), the weight column folded into a copy of the interpolant once
-    per binding; it equals the row times the column up to rounding.
+    The sum of a one-row window (``bind_sum``) is ((v S) * xi) (Ip * w),
+    the weight column folded into a copy of the interpolant once per
+    binding; it equals the row times the column up to rounding.
     """
 
     def __init__(self, modes: int, noise_modes: int):
@@ -284,37 +273,34 @@ class MultiplicationDiffusion:
             return None
         sine, interpolant = self.sine, self.interpolant
         if order == 0:
-            def rows(base, arg_rows, noise):
-                # One path's products go to BLAS through ndarray.dot, which
-                # costs less per call than @ and than np.dot's dispatch; a
-                # batch stays a stack of one-path products.
-                if base.ndim == 1:
-                    return (base.dot(sine) * noise).dot(interpolant)
-                return ((base[..., None, :] @ sine) * noise) @ interpolant
-        else:
-            def rows(base, arg_rows, noise):
-                multiplier = arg_rows[0]
-                if multiplier.shape[:-1] != noise.shape[:-1]:  # a state against noise rows
-                    return ((multiplier @ sine) * noise) @ interpolant
-                # Path by path through one (S, P) grid buffer, not a
-                # window-sized multiplier of the whole batch.
-                out = np.empty(noise.shape[:-1] + (interpolant.shape[1],))
-                grid = np.empty(noise.shape[-2:])
-                for path in np.ndindex(noise.shape[:-2]):
-                    np.matmul(multiplier[path], sine, out=grid)
-                    grid *= noise[path]
-                    np.matmul(grid, interpolant, out=out[path])
-                return out
+            return lambda base, arg_rows, noise: (
+                ((base[..., None, :] @ sine) * noise) @ interpolant
+            )
+
+        def rows(base, arg_rows, noise):
+            # Path by path through one (S, P) grid buffer, not a window-sized
+            # multiplier of the whole batch.
+            multiplier = arg_rows[0]
+            out = np.empty(noise.shape[:-1] + (interpolant.shape[1],))
+            grid = np.empty(noise.shape[-2:])
+            for path in np.ndindex(noise.shape[:-2]):
+                np.matmul(multiplier[path], sine, out=grid)
+                grid *= noise[path]
+                np.matmul(grid, interpolant, out=out[path])
+            return out
+
         return rows
 
-    def bind_sum(self, order, weights):
-        if order != 0 or weights.shape[1] != 1:
+    def bind_sum(self, weights):
+        if weights.shape[1] != 1:
             return None
         sine, weighted = self.sine, _aligned(self.interpolant * weights[:, 0])
 
-        def weighted_sum(base, arg_rows, noise, out):
-            # The grid row takes the noise in place; a batch is a stack of
-            # one-path products, as in the rows.
+        def weighted_sum(base, noise, out):
+            # The grid row takes the noise in place.  One path's products go
+            # to BLAS through ndarray.dot, which costs less per call than @
+            # and than np.dot's dispatch; a batch is a stack of one-path
+            # products, as in the rows.
             if base.ndim == 1:
                 grid = base.dot(sine)
                 grid *= noise[0]
@@ -356,15 +342,13 @@ class DiagonalDiffusion:
 
         return rows
 
-    def bind_sum(self, order, weights):
+    def bind_sum(self, weights):
         # One contraction over views into the first S substeps and the first
         # min(N, M) modes: no rows.
-        if order >= 1:
-            return None
         k = min(self.modes, self.weights.size)
         b, w, substeps = self.weights[:k], weights[:k], weights.shape[1]
 
-        def weighted_sum(base, arg_rows, noise, out):
+        def weighted_sum(base, noise, out):
             out[..., k:] = 0.0
             np.einsum("n,...sn,ns->...n", b, noise[..., :substeps, :k], w, out=out[..., :k])
 
@@ -513,11 +497,15 @@ def _rows_against_unit_noise(
     noise_rows: np.ndarray,
 ) -> np.ndarray | None:
     """The rows B^(order)(base)(args)(xi_s), (S, N), for the noise
-    coefficient rows xi_s of ``noise_rows``, (S, M); None where the
-    derivative vanishes identically."""
+    coefficient rows xi_s of ``noise_rows``, (S, M), each argument state
+    the same on every row; None where the derivative vanishes
+    identically."""
     noise = spec.diffusion.prepare_noise(noise_rows)
     rows = spec.diffusion.bind_rows(order)
-    return None if rows is None else rows(base.coeffs, [a.coeffs for a in args], noise)
+    if rows is None:
+        return None
+    arg_rows = [np.broadcast_to(a.coeffs, (len(noise_rows), spec.modes)) for a in args]
+    return rows(base.coeffs, arg_rows, noise)
 
 
 def apply_diffusion(

@@ -927,7 +927,7 @@ class ConstantDrift:
         self.f0 = np.asarray(f0, dtype=float)
 
     def bind_value(self):
-        return lambda base: self.f0
+        return lambda base: np.broadcast_to(self.f0, base.shape)
 
     def bind_rows(self, order):
         return None
@@ -1022,7 +1022,7 @@ class UnfusedMultiplier(MultiplicationDiffusion):
     """A test double: multiplication noise that fuses no sum, so every
     plan, the reference's too, builds its rows."""
 
-    def bind_sum(self, order, weights):
+    def bind_sum(self, weights):
         return None
 
 
@@ -1064,40 +1064,6 @@ def test_a_repeated_argument_is_lowered_once_and_its_node_divides_by_two_factori
     want = np.einsum("ns,sn->n", weights, model.diffusion.rows) / math.factorial(2)
     np.testing.assert_allclose(values[plan.term_slots[0]], want, rtol=1e-15)
     assert state.tobytes() == (model.initial.coeffs + values[plan.term_slots[0]]).tobytes()
-
-
-class KnownSums(KnownRows):
-    """KnownRows that also fuses the sum of its B'' rows, keeping the
-    argument trajectories it is handed."""
-
-    def bind_sum(self, order, weights):
-        if order != 2:
-            return None
-
-        def weighted_sum(base, arg_rows, noise, out):
-            self.arg_rows = arg_rows
-            np.einsum("ns,sn->n", weights, self.rows, out=out)
-
-        return weighted_sum
-
-
-def test_a_fused_sum_of_order_two_is_handed_its_factorial_in_the_weights(mult):
-    # The engine divides the weights of a fused I^2_2 by 2! and hands it
-    # both trajectories of I^0_0; halving is exact, so its value has the
-    # bytes of the rows' sum over 2!.
-    scheme = compile_scheme(psi(parse("(2[0,0]);(2*)")))
-    substeps = 8
-    states = []
-    for diffusion in (KnownRows, KnownSums):
-        model = dataclasses.replace(
-            mult, diffusion=diffusion(mult.modes, mult.noise_modes, substeps)
-        )
-        plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE)
-        noise = plan.prepare_noise(np.zeros((substeps, model.noise_modes)))
-        states.append(_run(plan, model.initial.coeffs, noise, 1)[0])
-    assert states[0].tobytes() == states[1].tobytes()
-    flow = plan.tables.flow_at * model.initial.coeffs
-    assert [a.tobytes() for a in model.diffusion.arg_rows] == [flow.tobytes()] * 2
 
 
 def test_a_drift_node_of_the_zero_drift_is_dropped(mult):

@@ -378,7 +378,7 @@ class ConstantMultiplier(MultiplicationDiffusion):
             return lambda base, arg_rows, noise: noise @ interpolant
         return super().bind_rows(order)
 
-    def bind_sum(self, order, weights):
+    def bind_sum(self, weights):
         return None
 
 
@@ -977,6 +977,30 @@ class TestCli:
         config, schemes, _ = _converge_config(args)
         assert schemes == ("taylor-delta", "exp-euler", BRACKETED_WOOD)
         assert (config.scheme, config.ladder_log2) == ("taylor-delta", (2, 3, 4))
+
+    @pytest.mark.parametrize("source", ["--ladder", "--config"])
+    @pytest.mark.parametrize(
+        "listed, message",
+        [
+            ("4,,5", "entry 2 of the ladder '4,,5' is empty"),
+            ("4, ,5", "entry 2 of the ladder '4, ,5' is empty"),
+            ("4,5,", "entry 3 of the ladder '4,5,' is empty"),
+            ("4 5", "bad ladder '4 5': invalid literal for int() with base 10: '4 5'"),
+        ],
+        ids=["between", "blank", "trailing", "spaced"],
+    )
+    def test_a_ladder_entry_that_is_not_one_number_is_error(
+        self, source, listed, message, tmp_path, capsys
+    ):
+        # "4 5" is two numbers with no comma, not 45.
+        config = tmp_path / "ladder.cfg"
+        config.write_text(f"ladder = {listed}\n")
+        code = main(["converge", source, listed if source == "--ladder" else str(config),
+                     "--paths", "4"])
+        out, err = capsys.readouterr()
+        where = "--ladder" if source == "--ladder" else f"{config}:1"
+        assert code == 1 and out == ""
+        assert err == f"error: {where}: {message}\n"
 
     def test_a_config_scheme_list_splits_at_commas_outside_brackets(self, tmp_path):
         config = tmp_path / "list.cfg"

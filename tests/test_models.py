@@ -22,7 +22,6 @@ from spde_taylor.models import (
     SpectralState,
     apply_diffusion,
     apply_semigroup,
-    bind_end_sum,
     build_model,
     convolution_variances,
     default_workspace,
@@ -328,17 +327,16 @@ def grid_values(lead, substeps, modes, noise_modes):
 
 
 class TestWeightedSum:
-    """The end-weighted sum the engine takes of a diffusion node:
-    ``bind_end_sum`` of the bound rows gives the bytes of the rows reduced
-    by the einsum with the end weights, at orders 0 and 1, and the model's
-    fused ``bind_sum``, where it fuses, writes that sum into ``out``.  Both
-    are None where the derivative vanishes."""
+    """The end-weighted sum the engine takes of a diffusion node: the
+    einsum of the bound rows with the end weights, at orders 0 and 1, and
+    the model's fused order-0 ``bind_sum``, where it fuses, writes that sum
+    into ``out``.  The rows are None where the derivative vanishes."""
 
     @staticmethod
     def check(model, order, lead, substeps):
-        """The einsum of the rows, ``want``, and the fused sum written into
-        ``out``, ``fused`` (None where the model does not fuse), with the
-        inputs; None where B^(order) is zero."""
+        """The einsum of the rows, ``want``, and the order-0 fused sum
+        written into ``out``, ``fused`` (None where the model does not
+        fuse), with the inputs; None where B^(order) is zero."""
         diffusion, modes = model.diffusion, model.modes
         rng = np.random.default_rng([order, substeps, modes, model.noise_modes, len(lead)])
         raw = rng.standard_normal(lead + (substeps, model.noise_modes))
@@ -347,19 +345,16 @@ class TestWeightedSum:
         args = [rng.standard_normal(lead + (substeps, modes))][:order]
         weights = rng.uniform(0.5, 1.0, (modes, substeps))
         bound = diffusion.bind_rows(order)
-        total = diffusion.bind_sum(order, weights)
         if bound is None:
-            assert total is None
             return None
         rows = bound(base, args, noise)
         want = np.einsum("ns,...sn->...n", weights, rows)
-        got = bind_end_sum(weights)(rows)
-        assert got.shape == want.shape == lead + (modes,)
-        assert got.tobytes() == want.tobytes()
+        assert want.shape == lead + (modes,)
+        total = diffusion.bind_sum(weights) if order == 0 else None
         out = None
         if total is not None:
             out = np.full(lead + (modes,), np.nan)
-            assert total(base, args, noise, out) is None
+            assert total(base, noise, out) is None
         return SimpleNamespace(want=want, fused=out, base=base, noise=noise, weights=weights)
 
     @pytest.mark.parametrize("order", [0, 1])
@@ -384,9 +379,9 @@ class TestWeightedSum:
         # It fuses the order-0 sum of one row alone, folding the weight
         # column into the interpolant: equal to the einsum up to rounding,
         # to 1e-15 of the sum of the products' magnitudes, since an entry
-        # can cancel to far below them.  Wider windows and order 1 return
-        # None, so the engine keeps their rows in the store and shares them
-        # across h.
+        # can cancel to far below them.  Wider windows return None, and no
+        # order-1 sum is fused, so the engine keeps their rows in the store
+        # and shares them across h.
         model = heat_multiplicative_model(modes, noise_modes)
         sums = self.check(model, order, lead, substeps)
         if order == 0 and substeps == 1:
@@ -399,7 +394,7 @@ class TestWeightedSum:
 
 
 class TestBoundRows:
-    """The fused sum of a one-row window and the batched order-1 rows."""
+    """The fused sum of a one-row window and the batched rows."""
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
@@ -413,8 +408,21 @@ class TestBoundRows:
         base = rng.standard_normal(lead + (16,))
         want = model.diffusion.bind_rows(0)(base, (), noise[..., :1, :])[..., 0, :]
         out = np.full(lead + (16,), np.nan)
-        model.diffusion.bind_sum(0, np.ones((16, 1)))(base, (), noise, out)
+        model.diffusion.bind_sum(np.ones((16, 1)))(base, noise, out)
         assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("substeps", [1, 256])
+    def test_a_batch_of_order_zero_rows_stacks_the_rows_of_each_path(self, substeps):
+        # A path's rows from a one-path base (N,) have the bytes of its rows
+        # in a batch: the products are a stack of one-path products.
+        diffusion = heat_multiplicative_model(64, 64).diffusion
+        rng = np.random.default_rng(substeps)
+        noise = diffusion.prepare_noise(rng.standard_normal((8, substeps, 64)))
+        base = rng.standard_normal((8, 64))
+        rows = diffusion.bind_rows(0)
+        batch = rows(base, (), noise)
+        for path in range(8):
+            assert rows(base[path], (), noise[path]).tobytes() == batch[path].tobytes()
 
     def test_batched_order_one_rows_hold_no_window_sized_multiplier(self):
         # Criterion 3's chunk: 8 paths of 256 substeps, P = 255.  The rows
@@ -572,7 +580,7 @@ def test_cached_transforms_are_cache_aligned_with_the_bytes_of_any_offset(grid_p
     diffusion = MultiplicationDiffusion(modes, (grid_points + 1) // 4)
     assert diffusion.workspace.grid_points == grid_points
     column = np.random.default_rng(modes).uniform(0.5, 1.0, (modes, 1))
-    weighted = inspect.getclosurevars(diffusion.bind_sum(0, column)).nonlocals["weighted"]
+    weighted = inspect.getclosurevars(diffusion.bind_sum(column)).nonlocals["weighted"]
     assert weighted.tobytes() == (diffusion.interpolant * column[:, 0]).tobytes()
     for matrix in (*GridWorkspace(grid_points).transforms(modes), weighted):
         assert_aligned_with_the_bytes_of_any_offset(matrix)

@@ -7,6 +7,7 @@ A change that moves a digest moves numbers: it says which family moved
 and why, and takes the new pin.
 """
 
+import re
 import shutil
 import subprocess
 import sys
@@ -55,14 +56,14 @@ PINNED = {
 
 @pytest.fixture(scope="module")
 def dump(tmp_path_factory):
-    """The script's output, with every family's values written to a
-    directory, and that directory."""
+    """The script's stdout, with every family's values written to a
+    directory, that directory and the script's stderr."""
     values = tmp_path_factory.mktemp("values")
     run = subprocess.run(
         [sys.executable, str(SCRIPT), "--values", str(values)],
         capture_output=True, text=True, check=True,
     )
-    return run.stdout, values
+    return run.stdout, values, run.stderr
 
 
 def changes(stdout: str) -> dict[str, list[str]]:
@@ -72,12 +73,18 @@ def changes(stdout: str) -> dict[str, list[str]]:
 
 
 def test_every_family_is_pinned(dump):
-    stdout, _ = dump
+    stdout, _, _ = dump
     assert dict(line.split() for line in stdout.splitlines()) == PINNED
 
 
+def test_the_blas_kernel_is_named_on_stderr(dump):
+    # The pins hold on one kernel; the line says which one a run used.
+    _, _, stderr = dump
+    assert re.fullmatch(r"blas kernel: \w+\n", stderr)
+
+
 def test_a_dump_compared_with_itself_changes_by_zero(dump):
-    _, values = dump
+    _, values, _ = dump
     run = subprocess.run(
         [sys.executable, str(SCRIPT), "--compare", str(values), str(values)],
         capture_output=True, text=True, check=True,
@@ -88,7 +95,7 @@ def test_a_dump_compared_with_itself_changes_by_zero(dump):
 
 def test_a_value_moved_by_one_ulp_fails_the_compare(dump, tmp_path):
     # Every line is still printed; the exit status says that one moved.
-    _, values = dump
+    _, values, _ = dump
     moved = tmp_path / "moved"
     shutil.copytree(values, moved)
     family = np.load(moved / "mult32.npy")
