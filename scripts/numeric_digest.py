@@ -43,7 +43,7 @@ does: it imports ``blas_threads`` before numpy, which sets each of that
 script's ``THREAD_VARS`` to 1.  They also round differently with the BLAS
 kernel, so the script writes one line to stderr, ``blas kernel: <name>``:
 the kernel numpy's bundled OpenBLAS runs (``SkylakeX``, say), or
-``unknown``.
+``unknown``; ``tests/test_numeric_digest.py`` keys its pins by that name.
 
 With ``--values DIR`` the script also writes each family's float64
 values to ``DIR/<family>.npy``: the states of a state or shape family in

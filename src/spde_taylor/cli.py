@@ -52,15 +52,18 @@ def _parse_bool(text: str) -> bool:
 def _parse_ladder(text: str) -> tuple[int, ...]:
     """The log2 step denominators in ``text``, split at commas and
     stripped; an empty entry is an error, as in the scheme list, and so is
-    an entry that is not one whole number, such as ``4 5``."""
+    an entry that is not plain decimal digits, such as ``4 5`` or ``4_5``,
+    which ``int`` reads as 45."""
     ladder = []
     for number, part in enumerate(text.split(","), 1):
-        if not part.strip():
+        entry = part.strip()
+        if not entry:
             raise ConfigError(f"entry {number} of the ladder {text!r} is empty")
-        try:
-            ladder.append(int(part))
-        except ValueError as exc:
-            raise ConfigError(f"bad ladder {text!r}: {exc}") from exc
+        if not (entry.isascii() and entry.isdigit()):
+            raise ConfigError(
+                f"bad ladder {text!r}: entry {number}, {entry!r}, is not plain decimal digits"
+            )
+        ladder.append(int(entry))
     return tuple(ladder)
 
 

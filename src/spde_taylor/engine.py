@@ -24,8 +24,9 @@ Binding turns each node into a step ``(u0, noise, store, out)`` that
 writes its end value into ``out``.  A node whose operator the model binds
 to None (identically zero), or one of whose arguments is dropped, is
 dropped, since the operators are multilinear.  A sum node contracts its
-rows with the end weights; an ``I^0_2`` node that no node reads has the
-model write that sum where the model fuses it (``bind_sum``).
+rows with the end weights.  A plan whose step is e^{-lambda h} u0 plus one
+order-0 diffusion sum that the model fuses (``bind_sum``) is *fused*: the
+model writes that sum with no rows and no node step.
 
 One store per window.  A store is a dict for one window of noise and one
 start state, handed to the plans of every h and scheme stepped on that
@@ -34,17 +35,22 @@ once.  A node makes the trajectories it reads while it builds its rows,
 from u0 or from rows in the store, and keeps none.
 
 The in-place loop.  A run (:func:`_run`) is the one way a plan is stepped.
-It allocates one (nodes, ..., N) value array and two state buffers.  Each
-step writes every kept node's end value into its slot, and its start,
-e^{-lambda h} u0 where the scheme has an I^0_0 term and else u0, plus the
-other terms, in term order, into the buffer the step before did not
-write; the folded I^0_0's slot stays unwritten.  A sum the model fuses is
-written into its slot with no rows: the diagonal model's at every h, the
-multiplication model's at h = h_fine, one row times the
-interpolant with the weight column folded in.  So a reference substep is
-five array calls.  IEEE arithmetic never turns an inf or a nan finite, so
-a run tests only its end states, and the failed rows are replayed
-(:func:`_first_failures`) to name the term.
+It allocates one (nodes, ..., N) value array and one state buffer, and a
+second for more than one step.  Each step writes every kept node's end
+value into its slot, and its start, e^{-lambda h} u0 where the scheme has
+an I^0_0 term and else u0, plus the other terms, in term order, into the
+buffer the step before did not write; the folded I^0_0's slot stays
+unwritten.  A fused plan steps flat: the model writes its sum into the
+sum's slot, then the step writes e^{-lambda h} u0 and adds the sum.  The
+diagonal model fuses at every h, the multiplication model at h = h_fine,
+where the run hands each step its noise row rather than a window.  So a
+reference substep is five array calls under two Python calls: the
+transposed sine matrix times u, times the noise row, times the
+interpolant with the weight column folded in, the semigroup product and
+one add.  Between the step counts it records, the loop tests nothing.
+IEEE arithmetic never turns an inf or a nan finite, so a run tests only
+its end states, and the failed rows are replayed (:func:`_first_failures`)
+to name the term.
 
 The reference.  :func:`reference_solve` is that loop over the exponential
 Euler plan at h = h_fine, so exponential Euler stepped at h_fine equals it
@@ -57,6 +63,7 @@ rows of a prefix alone would differ by rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -387,12 +394,9 @@ class BoundPlan:
         nodes, self.term_slots, self.names = scheme.lowered
         self.tables = _mesh_tables(model.eigenvalues.tobytes(), h, h_fine, self.substeps)
         operators: list = []
-        read: set[int] = set()
         for kind, order, arg_slots, _ in nodes:
             live = all(operators[a] is not None for a in arg_slots)
             operators.append(self._operator(kind, order) if live else None)
-            if operators[-1] is not None:
-                read.update(arg_slots)
         # u0 plus one I^0_0 term is stepped as e^{-lambda h} u0, so that
         # term's node runs only for a further I^0_0 term.
         summed = list(self.term_slots)
@@ -406,11 +410,20 @@ class BoundPlan:
             run = None
             if operator is not None and (kind is not _FLOW or slot in summed):
                 args = [self._trajectory(operators[a], nodes[a]) for a in arg_slots]
-                run = self._bind(operator, kind, order, args, term, slot in read)
+                run = self._bind(operator, kind, order, args, term)
             steps.append(run)
         self.steps = tuple(steps)
         #: The slots the step adds to its start, in term order.
         self.summed = tuple(slot for slot in summed if steps[slot] is not None)
+        #: The model's fused sum (``bind_sum``) where a step is e^{-lambda h}
+        #: u0 plus one order-0 diffusion sum that the model fuses, else None.
+        self.fused = None
+        kept = [slot for slot, run in enumerate(steps) if run is not None]
+        fuse = getattr(model.diffusion, "bind_sum", None)
+        if self.folds_flow and len(kept) == 1 and self.summed == (kept[0],) and fuse:
+            kind, order, _, _ = nodes[kept[0]]
+            if kind is _DIFFUSION and order == 0:
+                self.fused = fuse(self.tables.end_weights)
 
     def _operator(self, kind: str, order: int):
         """What a node of ``kind`` and ``order`` applies, None where the
@@ -446,14 +459,10 @@ class BoundPlan:
             )
         return lambda u0, noise, store: _running_sum(store[term], decay)
 
-    def _bind(
-        self, operator, kind: str, order: int, args: list, term: TermExpr, read: bool
-    ):
+    def _bind(self, operator, kind: str, order: int, args: list, term: TermExpr):
         """The node step ``(u0, noise, store, out)``: writes the end value
         at h of the node that applies ``operator`` into ``out``; ``args``
-        make the trajectories it reads, and ``read`` says whether a node
-        reads its own.  An unread ``I^0_2`` node whose sum the model fuses
-        has the model write it; otherwise a sum node's rows come from
+        make the trajectories it reads.  A sum node's rows come from
         ``store`` or go there, and it contracts them with the end weights."""
         # The steps hold no reference to the plan, so a plan is freed as soon
         # as its last user drops it, not by the cycle collector.
@@ -463,11 +472,6 @@ class BoundPlan:
             drift_flow = self.tables.drift_flow
             return lambda u0, noise, store, out: np.multiply(drift_flow, operator(u0), out=out)
         weights = self.tables.end_weights
-        fuse = getattr(self.model.diffusion, "bind_sum", None)
-        if kind is _DIFFUSION and order == 0 and not read and fuse is not None:
-            total = fuse(weights)
-            if total is not None:
-                return lambda u0, noise, store, out: total(u0, noise, out)
         substeps = weights.shape[1]
 
         def sum_step(u0, noise, store, out):
@@ -493,9 +497,20 @@ class BoundPlan:
         each kept node's end value into its slot, in slot order, and its
         start, e^{-lambda h} u0 or u0 (see :attr:`folds_flow`), plus the
         terms of :attr:`summed`, in term order, into ``state``.  It writes
-        neither u0 nor the window, and never the slot of a node without a
-        step."""
+        neither u0 nor the noise, and never the slot of a node without a
+        step.  A plan with a :attr:`fused` sum steps with no node steps:
+        the model writes the sum into its slot, from the noise row where h
+        is one substep (see :func:`_windows`)."""
         values = np.empty((len(self.steps),) + shape)
+        if self.fused is not None:
+            total, value, semigroup = self.fused, values[self.summed[0]], self.tables.semigroup
+
+            def flat_step(u0, noise, store, state):
+                total(u0, noise, value)
+                np.multiply(u0, semigroup, out=state)
+                state += value
+
+            return values, flat_step
         nodes = [(run, values[slot]) for slot, run in enumerate(self.steps) if run is not None]
         terms = [values[slot] for slot in self.summed]
         if self.folds_flow:
@@ -530,12 +545,30 @@ class BoundPlan:
 
 def _running_sum(rows: np.ndarray, decay: np.ndarray) -> np.ndarray:
     """Trajectory of a sum node: the sum of the rows before each left point,
-    decayed by ``decay`` per substep, per path."""
-    out = np.zeros(rows.shape)
-    running = out[..., 0, :]
-    by_substep = zip(rows.swapaxes(-2, 0)[:-1], out.swapaxes(-2, 0)[1:])
-    for row, after in by_substep:
-        running = np.multiply(decay, running + row, out=after)
+    decayed by ``decay`` per substep, per path.  The S rows run in blocks
+    of w = ceil(sqrt(S)): one pass steps the running sum within every block
+    at once, a second carries each block's end into the next, and a third
+    adds each block's carry, decayed, to its rows; so the loops take about
+    3 sqrt(S) steps, not S.  All of it is elementwise, so a path's values
+    do not depend on its batch."""
+    substeps = rows.shape[-2]
+    width = math.isqrt(max(substeps - 1, 0)) + 1
+    out = np.empty(rows.shape)
+    out[..., ::width, :] = 0.0
+    for t in range(1, width):
+        within = out[..., t::width, :]
+        count = within.shape[-2]
+        before = out[..., t - 1 :: width, :][..., :count, :]
+        np.multiply(decay, before + rows[..., t - 1 :: width, :][..., :count, :], out=within)
+    powers = decay ** np.arange(width + 1)[:, None]
+    ends = decay * (out[..., width - 1 :: width, :] + rows[..., width - 1 :: width, :])
+    # carry[..., k, :]: the sum before block k's first row, of the earlier blocks.
+    carry = np.zeros(rows.shape[:-2] + (-(-substeps // width), rows.shape[-1]))
+    for k in range(1, carry.shape[-2]):
+        np.add(powers[width] * carry[..., k - 1, :], ends[..., k - 1, :], out=carry[..., k, :])
+    for t in range(width):
+        later = out[..., width + t :: width, :]
+        later += powers[t] * carry[..., 1 : 1 + later.shape[-2], :]
     return out
 
 
@@ -549,16 +582,23 @@ def _over_factorial(order: int, bound):
 
 def _windows(plan: BoundPlan, noise: np.ndarray, steps: int):
     """The prepared noise of each of ``steps`` consecutive steps of the
-    plan's h: for one step the whole window ``noise``, else views of its
-    h / h_fine-row blocks, step n's the nth of the leading axis, with no
-    copies."""
+    plan's h, step n's the nth of the leading axis, as views with no
+    copies: for one step the whole window ``noise``, else its h /
+    h_fine-row blocks; a :attr:`~BoundPlan.fused` plan of one substep
+    takes each block's one row."""
+    rows = plan.fused is not None and plan.substeps == 1
     if steps == 1:
-        return (noise,)
+        return (noise[..., 0, :] if rows else noise,)
     blocks = noise[..., : steps * plan.substeps, :]
     blocks = blocks.reshape(blocks.shape[:-2] + (steps, plan.substeps, blocks.shape[-1]))
-    return blocks.swapaxes(-3, 0)
+    blocks = blocks.swapaxes(-3, 0)
+    return blocks[..., 0, :] if rows else blocks
 
 
+# A blow-up surfaces in the end states, not as warnings from the array
+# operations that produced the inf or nan.  As a decorator, errstate costs
+# half of what its with statement does per call.
+@np.errstate(over="ignore", invalid="ignore")
 def _run(
     plan: BoundPlan,
     states: np.ndarray,
@@ -573,24 +613,27 @@ def _run(
     (paths, S, ·).  A one-step run keeps its rows in ``store``, the
     window's store for this start state, when one is given; every other
     step keeps them in a fresh store.  Returns the end states, one of the
-    run's buffers, and copies of the states after each step count in
-    ``record_steps`` (``states`` itself for 0, the end states for
-    ``steps``).  A row that goes non-finite runs on, non-finite, and the
-    other rows never see it."""
-    recorded = {0: states} if 0 in record_steps else {}
-    if steps > 1:
-        store = None
+    run's buffers, and the states after each step count in
+    ``record_steps``: ``states`` itself for 0, the end states for
+    ``steps`` and copies between.  A row that goes non-finite runs on,
+    non-finite, and the other rows never see it."""
     step = plan.stepper(states.shape)[1]
-    buffers = (np.empty(states.shape), np.empty(states.shape))
-    # A blow-up surfaces in the end states, not as warnings from the array
-    # operations that produced the inf or nan.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, window in enumerate(_windows(plan, noise, steps), 1):
-            out = buffers[n & 1]
-            step(states, window, {} if store is None else store, out)
+    windows = _windows(plan, noise, steps)
+    out = np.empty(states.shape)
+    if steps == 1:
+        step(states, windows[0], {} if store is None else store, out)
+        return out, {n: (states, out)[n] for n in record_steps} if record_steps else {}
+    recorded = {0: states} if 0 in record_steps else {}
+    buffers, done = itertools.cycle((out, np.empty(states.shape))), 0
+    # The loop between two recorded counts tests nothing per step; zip
+    # draws a buffer only for a window, so the two keep alternating.
+    for stop in sorted({*record_steps, steps} - {0}):
+        for window, out in zip(windows[done:stop], buffers):
+            step(states, window, {}, out)
             states = out
-            if n in record_steps:
-                recorded[n] = out if n == steps else out.copy()
+        if stop in record_steps:
+            recorded[stop] = states if stop == steps else states.copy()
+        done = stop
     return states, recorded
 
 

@@ -225,8 +225,9 @@ class DiffusionOperator(Protocol):
     An operator whose order-0 end-weighted sum is cheaper than its rows may
     also provide ``bind_sum(weights)``: ``(base, noise, out)``, which writes
     sum_s weights[n, s] B(base)(xi_s)[n] over the first S noise rows, for
-    (N, S) weights, into ``out``, (..., N).  It returns None where it does
-    not fuse that width; the caller then sums the rows.
+    (N, S) weights, into ``out``, (..., N).  For one column ``noise`` is
+    the one substep's noise row, (..., ·), not a window.  It returns None
+    where it does not fuse that width; the caller then sums the rows.
     """
 
     modes: int
@@ -255,15 +256,19 @@ class MultiplicationDiffusion:
     the sine matrices fetched at construction.  A batch's products are
     stacks of its paths' products, so a path's rows have the same bytes in
     any batch.  B' does not depend on v, and every order n >= 2 is zero.
-    The sum of a one-row window (``bind_sum``) is ((v S) * xi) (Ip * w),
-    the weight column folded into a copy of the interpolant once per
-    binding; it equals the row times the column up to rounding.
+    The sum of one substep (``bind_sum``) is ((S^T v) * xi) (Ip * w) for
+    the noise row xi: S^T is an aligned transposed copy of the sine matrix,
+    made at construction, since BLAS runs the forward product faster that
+    way round, and the weight column is folded into a copy of the
+    interpolant once per binding.  It equals the row times the column up
+    to rounding.
     """
 
     def __init__(self, modes: int, noise_modes: int):
         self.modes, self.noise_modes = modes, noise_modes
         self.workspace = default_workspace(modes, noise_modes)
         self.sine, self.interpolant = self.workspace.transforms(modes)
+        self.sine_transposed = _aligned(self.sine.T)
 
     def prepare_noise(self, noise_rows):
         return self.workspace.to_grid(noise_rows)
@@ -294,21 +299,22 @@ class MultiplicationDiffusion:
     def bind_sum(self, weights):
         if weights.shape[1] != 1:
             return None
-        sine, weighted = self.sine, _aligned(self.interpolant * weights[:, 0])
+        sine_transposed = self.sine_transposed
+        weighted = _aligned(self.interpolant * weights[:, 0])
 
-        def weighted_sum(base, noise, out):
-            # The grid row takes the noise in place.  One path's products go
-            # to BLAS through ndarray.dot, which costs less per call than @
-            # and than np.dot's dispatch; a batch is a stack of one-path
-            # products, as in the rows.
+        def weighted_sum(base, row, out):
+            # The grid row takes the noise row in place.  One path's products
+            # go to BLAS through ndarray.dot, which costs less per call than @
+            # and than np.dot's dispatch.  A batch is a stack of one-path
+            # products: matmul runs each as that path's matrix-vector product.
             if base.ndim == 1:
-                grid = base.dot(sine)
-                grid *= noise[0]
+                grid = sine_transposed.dot(base)
+                grid *= row
                 grid.dot(weighted, out=out)
             else:
-                grid = base[..., None, :] @ sine
-                grid *= noise[..., :1, :]
-                np.matmul(grid, weighted, out=out[..., None, :])
+                grid = np.matmul(sine_transposed, base[..., :, None])[..., 0]
+                grid *= row
+                np.matmul(grid[..., None, :], weighted, out=out[..., None, :])
 
         return weighted_sum
 
@@ -344,13 +350,15 @@ class DiagonalDiffusion:
 
     def bind_sum(self, weights):
         # One contraction over views into the first S substeps and the first
-        # min(N, M) modes: no rows.
+        # min(N, M) modes: no rows.  The noise row of one substep is viewed
+        # as a window of one row, so the contraction has the same bytes.
         k = min(self.modes, self.weights.size)
         b, w, substeps = self.weights[:k], weights[:k], weights.shape[1]
+        window = np.s_[..., None, :k] if substeps == 1 else np.s_[..., :substeps, :k]
 
         def weighted_sum(base, noise, out):
             out[..., k:] = 0.0
-            np.einsum("n,...sn,ns->...n", b, noise[..., :substeps, :k], w, out=out[..., :k])
+            np.einsum("n,...sn,ns->...n", b, noise[window], w, out=out[..., :k])
 
         return weighted_sum
 

@@ -506,19 +506,21 @@ class TestReference:
     def test_reference_is_the_exponential_euler_recurrence(self):
         # Pins the reference's arithmetic: u0 + I^0_0 is the semigroup
         # product e^{-lambda h_fine} u0, the zero drift's I^0_1 is dropped,
-        # and I^0_2 is the grid row times the noise times the interpolant
-        # with the end-weight column folded in; the same products, summed
-        # in the same order, give the same bytes.
+        # and I^0_2 is the grid row, the transposed sine matrix times u,
+        # times the noise times the interpolant with the end-weight column
+        # folded in; the same products, summed in the same order, give the
+        # same bytes.
         model = heat_multiplicative_model(64, 64)
         ws = model.workspace()
         h_fine = 2.0**-12
         path = NoisePath.draw(path_generator(2024, 0), 64, 64, h_fine)
         lam = model.eigenvalues
         semigroup, column = np.exp(-lam * h_fine), np.exp(-lam[:, None] * h_fine)[:, 0]
-        weighted = ws.transforms(model.modes)[1] * column
+        sine, interpolant = ws.transforms(model.modes)
+        transposed, weighted = np.ascontiguousarray(sine.T), interpolant * column
         u = model.initial.coeffs
         for row in ws.to_grid(path.increments):
-            u = semigroup * u + (ws.to_grid(u) * row) @ weighted
+            u = semigroup * u + ((transposed @ u) * row) @ weighted
         got, _ = reference_solve(model.initial, 64 * h_fine, path, model, ws)
         assert got.coeffs.tobytes() == u.tobytes()
 

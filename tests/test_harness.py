@@ -985,14 +985,17 @@ class TestCli:
             ("4,,5", "entry 2 of the ladder '4,,5' is empty"),
             ("4, ,5", "entry 2 of the ladder '4, ,5' is empty"),
             ("4,5,", "entry 3 of the ladder '4,5,' is empty"),
-            ("4 5", "bad ladder '4 5': invalid literal for int() with base 10: '4 5'"),
+            ("4 5", "bad ladder '4 5': entry 1, '4 5', is not plain decimal digits"),
+            ("4_5", "bad ladder '4_5': entry 1, '4_5', is not plain decimal digits"),
+            ("3, 4_5", "bad ladder '3, 4_5': entry 2, '4_5', is not plain decimal digits"),
         ],
-        ids=["between", "blank", "trailing", "spaced"],
+        ids=["between", "blank", "trailing", "spaced", "underscored", "underscored-second"],
     )
     def test_a_ladder_entry_that_is_not_one_number_is_error(
         self, source, listed, message, tmp_path, capsys
     ):
-        # "4 5" is two numbers with no comma, not 45.
+        # "4 5" is two numbers with no comma, not 45, and so is "4_5",
+        # although int() reads its digit-group underscore as 45.
         config = tmp_path / "ladder.cfg"
         config.write_text(f"ladder = {listed}\n")
         code = main(["converge", source, listed if source == "--ladder" else str(config),

@@ -336,7 +336,9 @@ class TestWeightedSum:
     def check(model, order, lead, substeps):
         """The einsum of the rows, ``want``, and the order-0 fused sum
         written into ``out``, ``fused`` (None where the model does not
-        fuse), with the inputs; None where B^(order) is zero."""
+        fuse), with the inputs; None where B^(order) is zero.  The fused sum
+        of one substep reads the noise row itself, as a one-substep step
+        hands it."""
         diffusion, modes = model.diffusion, model.modes
         rng = np.random.default_rng([order, substeps, modes, model.noise_modes, len(lead)])
         raw = rng.standard_normal(lead + (substeps, model.noise_modes))
@@ -354,7 +356,7 @@ class TestWeightedSum:
         out = None
         if total is not None:
             out = np.full(lead + (modes,), np.nan)
-            assert total(base, noise, out) is None
+            assert total(base, noise[..., 0, :] if substeps == 1 else noise, out) is None
         return SimpleNamespace(want=want, fused=out, base=base, noise=noise, weights=weights)
 
     @pytest.mark.parametrize("order", [0, 1])
@@ -399,16 +401,24 @@ class TestBoundRows:
     @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
     def test_a_one_row_window_writes_the_row_into_out(self, lead, model_name):
-        # The stepping loop at h = h_fine has the fused order-0 sum written
-        # into the node's value; under a unit weight column it has the bytes
-        # of the fresh rows' one row, on the whole window of a path too.
+        # The stepping loop at h = h_fine has the fused order-0 sum of the
+        # noise row written into the node's value; under a unit weight
+        # column it has the bytes of that row's product: the diagonal's one
+        # fresh row, and for multiplication noise the grid row, taken as
+        # the transposed sine matrix times the base, times the noise times
+        # the interpolant, path by path.
         model = build_model(model_name, 16, 8, 0.005)
         rng = np.random.default_rng(len(lead))
         noise = model.diffusion.prepare_noise(rng.standard_normal(lead + (4, 8)))
         base = rng.standard_normal(lead + (16,))
-        want = model.diffusion.bind_rows(0)(base, (), noise[..., :1, :])[..., 0, :]
+        if model_name == "heat-mult":
+            transposed = np.ascontiguousarray(model.diffusion.sine.T)
+            grid = (transposed @ base[..., None])[..., 0] * noise[..., 0, :]
+            want = (grid[..., None, :] @ model.diffusion.interpolant)[..., 0, :]
+        else:
+            want = model.diffusion.bind_rows(0)(base, (), noise[..., :1, :])[..., 0, :]
         out = np.full(lead + (16,), np.nan)
-        model.diffusion.bind_sum(np.ones((16, 1)))(base, noise, out)
+        model.diffusion.bind_sum(np.ones((16, 1)))(base, noise[..., 0, :], out)
         assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("substeps", [1, 256])
