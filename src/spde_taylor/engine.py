@@ -25,8 +25,8 @@ writes its end value into ``out``.  A node whose operator the model binds
 to None (identically zero), or one of whose arguments is dropped, is
 dropped, since the operators are multilinear.  A sum node contracts its
 rows with the end weights.  A plan whose step is e^{-lambda h} u0 plus one
-order-0 diffusion sum that the model fuses (``bind_sum``) is *fused*: the
-model writes that sum with no rows and no node step.
+order-0 diffusion sum that the model fuses (``bind_step``) is *fused*: the
+model writes the whole step, with no rows and no node step.
 
 One store per window.  A store is a dict for one window of noise and one
 start state, handed to the plans of every h and scheme stepped on that
@@ -40,14 +40,16 @@ second for more than one step.  Each step writes every kept node's end
 value into its slot, and its start, e^{-lambda h} u0 where the scheme has
 an I^0_0 term and else u0, plus the other terms, in term order, into the
 buffer the step before did not write; the folded I^0_0's slot stays
-unwritten.  A fused plan steps flat: the model writes its sum into the
-sum's slot, then the step writes e^{-lambda h} u0 and adds the sum.  The
-diagonal model fuses at every h, the multiplication model at h = h_fine,
-where the run hands each step its noise row rather than a window.  So a
-reference substep is five array calls under two Python calls: the
-transposed sine matrix times u, times the noise row, times the
-interpolant with the weight column folded in, the semigroup product and
-one add.  Between the step counts it records, the loop tests nothing.
+unwritten.  A fused plan steps flat and writes no slot: the model's step
+writes e^{-lambda h} u0 plus the sum into the state buffer, from the
+noise in the model's form, which the run makes once over the rows it
+reads.  The diagonal model fuses at every h, the multiplication model at
+h = h_fine, where the run hands each step its one row rather than a
+window, and that row is 1 + the grid noise: the model folds the
+semigroup into its grid product.  So a reference substep is three array
+calls under two Python calls: the transposed sine matrix times u, times
+the shifted noise row, times the interpolant with the weight column
+folded in.  Between the step counts it records, the loop tests nothing.
 IEEE arithmetic never turns an inf or a nan finite, so a run tests only
 its end states, and the failed rows are replayed (:func:`_first_failures`)
 to name the term.
@@ -358,8 +360,9 @@ class _MeshTables:
     # an inner I^0_0 or I^0_1 the window's trajectory factors.
     @cached_property
     def end_weights(self) -> np.ndarray:
-        """e^{-lambda_i (h - r_j)}, indexed [i, j]."""
-        return _frozen(np.exp(-self.lam[:, None] * (self.h - self.times[None, :])))
+        """e^{-lambda_i (h - r_j)}, indexed [j, i]: rows contract with them
+        along contiguous memory."""
+        return _frozen(np.exp(-self.lam[None, :] * (self.h - self.times[:, None])))
 
     @cached_property
     def flow_at(self) -> np.ndarray:
@@ -415,11 +418,12 @@ class BoundPlan:
         self.steps = tuple(steps)
         #: The slots the step adds to its start, in term order.
         self.summed = tuple(slot for slot in summed if steps[slot] is not None)
-        #: The model's fused sum (``bind_sum``) where a step is e^{-lambda h}
-        #: u0 plus one order-0 diffusion sum that the model fuses, else None.
+        #: The model's :class:`~spde_taylor.models.FusedStep` (``bind_step``)
+        #: where a step is e^{-lambda h} u0 plus one order-0 diffusion sum
+        #: that the model fuses, else None.
         self.fused = None
         kept = [slot for slot, run in enumerate(steps) if run is not None]
-        fuse = getattr(model.diffusion, "bind_sum", None)
+        fuse = getattr(model.diffusion, "bind_step", None)
         if self.folds_flow and len(kept) == 1 and self.summed == (kept[0],) and fuse:
             kind, order, _, _ = nodes[kept[0]]
             if kind is _DIFFUSION and order == 0:
@@ -472,14 +476,14 @@ class BoundPlan:
             drift_flow = self.tables.drift_flow
             return lambda u0, noise, store, out: np.multiply(drift_flow, operator(u0), out=out)
         weights = self.tables.end_weights
-        substeps = weights.shape[1]
+        substeps = weights.shape[0]
 
         def sum_step(u0, noise, store, out):
             rows = store.get(term)
             if rows is None:
                 paths = [make(u0, noise, store) for make in args]
                 rows = store[term] = _frozen(operator(u0, paths, noise))
-            np.einsum("ns,...sn->...n", weights, rows[..., :substeps, :], out=out)
+            np.einsum("sn,...sn->...n", weights, rows[..., :substeps, :], out=out)
 
         return sum_step
 
@@ -498,19 +502,13 @@ class BoundPlan:
         start, e^{-lambda h} u0 or u0 (see :attr:`folds_flow`), plus the
         terms of :attr:`summed`, in term order, into ``state``.  It writes
         neither u0 nor the noise, and never the slot of a node without a
-        step.  A plan with a :attr:`fused` sum steps with no node steps:
-        the model writes the sum into its slot, from the noise row where h
-        is one substep (see :func:`_windows`)."""
+        step.  A :attr:`fused` plan writes no slot: the model's step writes
+        the state, from the noise in the model's form (see
+        :func:`_windows`)."""
         values = np.empty((len(self.steps),) + shape)
         if self.fused is not None:
-            total, value, semigroup = self.fused, values[self.summed[0]], self.tables.semigroup
-
-            def flat_step(u0, noise, store, state):
-                total(u0, noise, value)
-                np.multiply(u0, semigroup, out=state)
-                state += value
-
-            return values, flat_step
+            fused = self.fused.step
+            return values, lambda u0, noise, store, state: fused(u0, noise, state)
         nodes = [(run, values[slot]) for slot, run in enumerate(self.steps) if run is not None]
         terms = [values[slot] for slot in self.summed]
         if self.folds_flow:
@@ -580,19 +578,22 @@ def _over_factorial(order: int, bound):
     return lambda *args: bound(*args) / divisor
 
 
-def _windows(plan: BoundPlan, noise: np.ndarray, steps: int):
+def _windows(plan: BoundPlan, noise: np.ndarray, steps: int) -> np.ndarray:
     """The prepared noise of each of ``steps`` consecutive steps of the
-    plan's h, step n's the nth of the leading axis, as views with no
-    copies: for one step the whole window ``noise``, else its h /
-    h_fine-row blocks; a :attr:`~BoundPlan.fused` plan of one substep
-    takes each block's one row."""
-    rows = plan.fused is not None and plan.substeps == 1
+    plan's h, step n's the nth of the leading axis: for one step the whole
+    window ``noise``, else its h / h_fine-row blocks, as views with no
+    copies.  A :attr:`~BoundPlan.fused` plan takes them in the model's
+    form, its ``rows`` made once over the rows the run reads: for h of one
+    substep, each block's one row."""
     if steps == 1:
-        return (noise[..., 0, :] if rows else noise,)
-    blocks = noise[..., : steps * plan.substeps, :]
-    blocks = blocks.reshape(blocks.shape[:-2] + (steps, plan.substeps, blocks.shape[-1]))
-    blocks = blocks.swapaxes(-3, 0)
-    return blocks[..., 0, :] if rows else blocks
+        windows = noise[None]
+    else:
+        windows = noise[..., : steps * plan.substeps, :]
+        windows = windows.reshape(windows.shape[:-2] + (steps, plan.substeps, windows.shape[-1]))
+        windows = windows.swapaxes(-3, 0)
+    if plan.fused is None:
+        return windows
+    return plan.fused.rows(windows[..., 0, :] if plan.substeps == 1 else windows)
 
 
 # A blow-up surfaces in the end states, not as warnings from the array
@@ -646,7 +647,9 @@ def _first_failures(
     first non-finite step.  Replays those rows alone over the run's
     windows, each step in a fresh store: a batch's products are stacks of
     one-path products, and a store holds the rows the step would build, so
-    each row replays with the bytes it ran with."""
+    each row replays with the bytes it ran with.  A fused step writes no
+    slot, so at a non-finite step the sum's own node step fills its slot
+    from the step's h / h_fine rows of ``noise``, in a fresh store."""
     rows = (0,)
     if end.ndim > 1:
         rows = np.flatnonzero(~np.isfinite(end).all(axis=-1))
@@ -654,12 +657,17 @@ def _first_failures(
     values, step = plan.stepper(start.shape)
     failed: dict[int, NonfiniteValueError] = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for window in _windows(plan, noise, steps):
+        for n, window in enumerate(_windows(plan, noise, steps)):
             state = np.empty(start.shape)
             step(start, window, {}, state)
-            start = state
-            for row in np.flatnonzero(~np.isfinite(state).all(axis=-1)):
+            bad = np.flatnonzero(~np.isfinite(state).all(axis=-1))
+            if bad.size and plan.fused is not None:
+                slot = plan.summed[0]
+                block = noise[..., n * plan.substeps : (n + 1) * plan.substeps, :]
+                plan.steps[slot](start, block, {}, values[slot])
+            for row in bad:
                 failed.setdefault(int(rows[row]), plan.nonfinite(values, row))
+            start = state
     return failed
 
 

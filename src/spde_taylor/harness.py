@@ -175,8 +175,9 @@ def resolve_scheme(name_or_wood: str) -> tuple[CompiledScheme, SWood]:
 #: Bytes of increments drawn per chunk of paths: 8 paths of the one-step
 #: study at h_fine = 2^-12 (256 substeps of 64 modes), one path of a
 #: multi-step run over 2^12 substeps.  At P = 255 a path's prepared grid
-#: noise and step temporaries take about 2.4 MB, so such a chunk holds
-#: about 20 MB.
+#: noise and step temporaries take about 2.4 MB, and while the reference
+#: runs, its shifted grid rows, 1 + the noise, 0.5 MB more, so such a chunk
+#: holds about 24 MB.
 _CHUNK_BYTES = 1 << 20
 
 

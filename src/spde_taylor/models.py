@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -208,6 +208,16 @@ class DriftOperator(Protocol):
 BoundDiffusion = Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.ndarray]
 
 
+class FusedStep(NamedTuple):
+    """A model's whole step of e^{-lambda h} base plus one order-0 sum
+    (``bind_step``, see :class:`DiffusionOperator`): ``rows`` turns prepared
+    noise into the form that ``step(base, noise, out)`` reads, and ``step``
+    writes the step into ``out``."""
+
+    rows: Callable[[np.ndarray], np.ndarray]
+    step: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+
+
 class DiffusionOperator(Protocol):
     """B and its derivatives against batches of noise functions, built for
     the N = ``modes`` state and M = ``noise_modes`` noise modes of one model.
@@ -222,12 +232,17 @@ class DiffusionOperator(Protocol):
     rows B^(k)(base)(args)(xi_s), (..., S, N), as a fresh array the caller
     may keep, or None where B^(k) is identically zero.
 
-    An operator whose order-0 end-weighted sum is cheaper than its rows may
-    also provide ``bind_sum(weights)``: ``(base, noise, out)``, which writes
-    sum_s weights[n, s] B(base)(xi_s)[n] over the first S noise rows, for
-    (N, S) weights, into ``out``, (..., N).  For one column ``noise`` is
-    the one substep's noise row, (..., ·), not a window.  It returns None
-    where it does not fuse that width; the caller then sums the rows.
+    An operator whose step of e^{-lambda h} base plus the order-0
+    end-weighted sum is cheaper than its rows may also provide
+    ``bind_step(weights)``, for the (S, N) end weights w[s, n] =
+    e^{-lambda_n (h - r_s)}: a :class:`FusedStep` whose ``step(base, noise,
+    out)`` writes e^{-lambda h} base + sum_s w[s, n] B(base)(xi_s)[n] over
+    the first S noise rows into ``out``, (..., N), with e^{-lambda h} the
+    first weight row (r_0 = 0).  Its ``noise`` is ``rows`` of the prepared
+    noise, which the caller applies once per run to the rows the run
+    reads; for S = 1 it is the one substep's row, (..., ·), not a window.
+    ``bind_step`` returns None where it does not fuse that width; the
+    caller then sums the rows.
     """
 
     modes: int
@@ -256,12 +271,20 @@ class MultiplicationDiffusion:
     the sine matrices fetched at construction.  A batch's products are
     stacks of its paths' products, so a path's rows have the same bytes in
     any batch.  B' does not depend on v, and every order n >= 2 is zero.
-    The sum of one substep (``bind_sum``) is ((S^T v) * xi) (Ip * w) for
-    the noise row xi: S^T is an aligned transposed copy of the sine matrix,
-    made at construction, since BLAS runs the forward product faster that
-    way round, and the weight column is folded into a copy of the
-    interpolant once per binding.  It equals the row times the column up
-    to rounding.
+
+    The step of one substep (``bind_step``) folds the semigroup into the
+    grid product.  The sine matrix times the interpolant is I_N, so v =
+    (S^T v) Ip up to rounding, and the weight row w = e^{-lambda h_fine} is
+    the semigroup itself; so
+
+        e^{-lambda h} v + ((S^T v) * xi) Ip diag(w) = ((S^T v) * (1 + xi)) Ip diag(w).
+
+    The step takes the right side: S^T, an aligned transposed copy of the
+    sine matrix made at construction (BLAS runs the forward product faster
+    that way round), times v, times the shifted noise row 1 + xi (its
+    ``rows``), times a copy of the interpolant with w folded in, made once
+    per binding.  It differs from the left side by rounding alone, the
+    grid round trip's: a few ulps of the state's largest entries.
     """
 
     def __init__(self, modes: int, noise_modes: int):
@@ -296,17 +319,18 @@ class MultiplicationDiffusion:
 
         return rows
 
-    def bind_sum(self, weights):
-        if weights.shape[1] != 1:
+    def bind_step(self, weights):
+        if weights.shape[0] != 1:
             return None
         sine_transposed = self.sine_transposed
-        weighted = _aligned(self.interpolant * weights[:, 0])
+        weighted = _aligned(self.interpolant * weights[0])
 
-        def weighted_sum(base, row, out):
-            # The grid row takes the noise row in place.  One path's products
-            # go to BLAS through ndarray.dot, which costs less per call than @
-            # and than np.dot's dispatch.  A batch is a stack of one-path
-            # products: matmul runs each as that path's matrix-vector product.
+        def fused_step(base, row, out):
+            # The grid row takes the shifted noise row in place.  One path's
+            # products go to BLAS through ndarray.dot, which costs less per
+            # call than @ and than np.dot's dispatch.  A batch is a stack of
+            # one-path products: matmul runs each as that path's
+            # matrix-vector product.
             if base.ndim == 1:
                 grid = sine_transposed.dot(base)
                 grid *= row
@@ -316,15 +340,15 @@ class MultiplicationDiffusion:
                 grid *= row
                 np.matmul(grid[..., None, :], weighted, out=out[..., None, :])
 
-        return weighted_sum
+        return FusedStep(rows=lambda noise: 1.0 + noise, step=fused_step)
 
 
 class DiagonalDiffusion:
     """Constant B mapping noise mode k to b_k times state mode k, for
     states of ``modes`` modes and one noise mode per weight; it needs no
     grid, and the prepared noise is the rows themselves, with no copy.  Its
-    end-weighted sum (``bind_sum``) is one contraction over views of the
-    first S noise rows, with no rows."""
+    step (``bind_step``) fuses at every width: one contraction over views
+    of the first S noise rows, with no rows, plus the semigroup product."""
 
     def __init__(self, weights: np.ndarray, modes: int):
         self.weights = np.asarray(weights, dtype=float)
@@ -348,19 +372,25 @@ class DiagonalDiffusion:
 
         return rows
 
-    def bind_sum(self, weights):
+    def bind_step(self, weights):
         # One contraction over views into the first S substeps and the first
         # min(N, M) modes: no rows.  The noise row of one substep is viewed
         # as a window of one row, so the contraction has the same bytes.
+        # The contraction runs about a third faster on a mode-major copy of
+        # the weights, [i, j], than on [j, i], with the same bytes.  The sum
+        # plus the start has the bytes of the start plus the sum: a float
+        # addition commutes exactly.
         k = min(self.modes, self.weights.size)
-        b, w, substeps = self.weights[:k], weights[:k], weights.shape[1]
+        b, w, substeps = self.weights[:k], np.ascontiguousarray(weights[:, :k].T), len(weights)
         window = np.s_[..., None, :k] if substeps == 1 else np.s_[..., :substeps, :k]
+        semigroup = weights[0]
 
-        def weighted_sum(base, noise, out):
+        def fused_step(base, noise, out):
             out[..., k:] = 0.0
             np.einsum("n,...sn,ns->...n", b, noise[window], w, out=out[..., :k])
+            out += base * semigroup
 
-        return weighted_sum
+        return FusedStep(rows=lambda noise: noise, step=fused_step)
 
 
 @dataclass(frozen=True, eq=False)

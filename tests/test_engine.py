@@ -482,6 +482,40 @@ class TestReference:
         assert finite == [[True] * 9, [True] * 3 + [False] * 6, [True] * 6 + [False] * 3]
         assert recorded[8] is states
 
+    @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
+    def test_a_fused_steps_finite_start_and_sum_that_overflow_name_the_sum(
+        self, model_name, mult, additive
+    ):
+        # Path 1 starts near the largest double in mode 1, and its first
+        # increment drives mode 1 near it too: its sum, e^{-lambda h} u0
+        # and u0 are finite, the fused step is not.  The step writes no
+        # slot, so the replay fills the sum's slot from the step's own row
+        # and names neither term but their sum.  On heat-mult the center
+        # of the grid holds 1.2e308 (1 + 0.7): the folded grid product
+        # overflows where the sum's does not.
+        model = {"heat-mult": mult, "heat-add": additive}[model_name]
+        plan = BoundPlan(builtin_scheme("exp-euler"), model, H_FINE, H_FINE)
+        assert plan.fused is not None
+        size, kick = (1.5e308, 1.5e308)
+        if model is mult:  # a sine mode's grid values peak at sqrt(2) times its coefficient
+            size, kick = 1.2e308 / math.sqrt(2), 0.7 / math.sqrt(2)
+        increments = chunk_increments(model, 3, 4, seed=23)
+        increments[1, 0] = 0.0
+        increments[1, 0, 0] = kick
+        u0 = start_states(model, 3)
+        u0[1] = 0.0
+        u0[1, 0] = size
+        noise = plan.prepare_noise(increments)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, _ = _run(plan, u0, noise, 4)
+            failed = _first_failures(plan, u0, noise, states, 4)
+            total = np.empty(model.modes)
+            plan.steps[plan.summed[0]](u0[1], noise[1, :1], {}, total)
+        assert np.isfinite(total).all()
+        assert np.isfinite(states[[0, 2]]).all()
+        assert {row: error.term for row, error in failed.items()} == {1: "sum of plan terms"}
+
     def test_multi_step_rejects_partial_last_step(self, mult):
         # 4.5 substeps end off the fine mesh: no silent truncation.
         path = draw_path(mult, 8)
@@ -505,11 +539,15 @@ class TestReference:
 
     def test_reference_is_the_exponential_euler_recurrence(self):
         # Pins the reference's arithmetic: u0 + I^0_0 is the semigroup
-        # product e^{-lambda h_fine} u0, the zero drift's I^0_1 is dropped,
-        # and I^0_2 is the grid row, the transposed sine matrix times u,
-        # times the noise times the interpolant with the end-weight column
-        # folded in; the same products, summed in the same order, give the
-        # same bytes.
+        # e^{-lambda h_fine} u0, the zero drift's I^0_1 is dropped, and
+        # I^0_2 is the grid row times the interpolant with the end-weight
+        # column folded in.  That column is the semigroup, and the grid
+        # round trip (S^T u) Ip is u up to rounding, so a substep is three
+        # products: the transposed sine matrix times u, times 1 + the noise
+        # row, times the weighted interpolant; the same products give the
+        # same bytes.  The recurrence with its own semigroup product and
+        # add, taken from each recorded state, gives the next one to
+        # rounding, 1e-14 of the state's scale.
         model = heat_multiplicative_model(64, 64)
         ws = model.workspace()
         h_fine = 2.0**-12
@@ -519,10 +557,17 @@ class TestReference:
         sine, interpolant = ws.transforms(model.modes)
         transposed, weighted = np.ascontiguousarray(sine.T), interpolant * column
         u = model.initial.coeffs
-        for row in ws.to_grid(path.increments):
-            u = semigroup * u + ((transposed @ u) * row) @ weighted
-        got, _ = reference_solve(model.initial, 64 * h_fine, path, model, ws)
+        grid = ws.to_grid(path.increments)
+        for row in grid:
+            u = ((transposed @ u) * (1.0 + row)) @ weighted
+        got, states = reference_solve(
+            model.initial, 64 * h_fine, path, model, ws, record_substeps=tuple(range(65))
+        )
         assert got.coeffs.tobytes() == u.tobytes()
+        for n, row in enumerate(grid):
+            v = states[n].coeffs
+            unfolded = semigroup * v + ((transposed @ v) * row) @ weighted
+            assert np.abs(states[n + 1].coeffs - unfolded).max() <= 1e-14 * np.abs(v).max()
 
     def test_a_grid_other_than_the_models_is_rejected(self):
         # The diffusion computes on the model's own grid of 127 points; the
@@ -890,6 +935,29 @@ def test_mesh_tables_are_keyed_by_eigenvalues_and_read_only():
             assert not table.flags.writeable
 
 
+@pytest.mark.parametrize("lead", [(), (8,)], ids=["path", "chunk"])
+@pytest.mark.parametrize("substeps", [16, 128, 256])
+def test_a_sum_node_contracts_its_rows_with_the_bytes_of_mode_major_weights(substeps, lead):
+    # The end weights are stored [j, i], so a sum node contracts its rows
+    # along contiguous memory, faster than with the [i, j] layout; a
+    # criterion-3 path's and chunk's rows, 256 of 64 modes, contract to the
+    # same bytes either way.
+    model = heat_multiplicative_model(64, 64)
+    scheme = compile_scheme(I0(L["2"]))
+    plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE)
+    weights = plan.tables.end_weights
+    assert weights.shape == (substeps, 64) and weights.flags.c_contiguous
+    times = np.arange(substeps) * H_FINE
+    mode_major = np.exp(-model.eigenvalues[:, None] * (substeps * H_FINE - times[None, :]))
+    assert mode_major.T.tobytes() == weights.tobytes()
+    rows = np.random.default_rng(substeps).standard_normal(lead + (256, 64))
+    values, _ = plan.stepper(lead + (64,))
+    slot = plan.term_slots[0]
+    plan.steps[slot](model.initial.coeffs, None, {scheme.terms[0]: rows}, values[slot])
+    want = np.einsum("ns,...sn->...n", mode_major, rows[..., :substeps, :])
+    assert values[slot].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("substeps", [1, 2, 17, 256])
 def test_running_sum_is_the_decayed_sum_of_earlier_rows(substeps):
     # Row j of the trajectory is sum_{m<j} d^(j-m) row_m.  The rows are
@@ -1021,10 +1089,10 @@ def test_malformed_engine_input_is_rejected(call, error, message, mult):
 
 
 class UnfusedMultiplier(MultiplicationDiffusion):
-    """A test double: multiplication noise that fuses no sum, so every
+    """A test double: multiplication noise that fuses no step, so every
     plan, the reference's too, builds its rows."""
 
-    def bind_sum(self, weights):
+    def bind_step(self, weights):
         return None
 
 

@@ -369,7 +369,7 @@ class ConstantMultiplier(MultiplicationDiffusion):
     """A test double: B(v) multiplies by 1 whatever v, while B' multiplies
     as for multiplication noise.  The reference is then linear in the noise
     and the iterated term I^1_2[I^0_2] quadratic, so scaled increments can
-    overflow a coarse run and leave the reference finite.  It fuses no sum,
+    overflow a coarse run and leave the reference finite.  It fuses no step,
     so the reference, too, sums these rows."""
 
     def bind_rows(self, order):
@@ -378,7 +378,7 @@ class ConstantMultiplier(MultiplicationDiffusion):
             return lambda base, arg_rows, noise: noise @ interpolant
         return super().bind_rows(order)
 
-    def bind_sum(self, weights):
+    def bind_step(self, weights):
         return None
 
 

@@ -328,41 +328,45 @@ def grid_values(lead, substeps, modes, noise_modes):
 
 class TestWeightedSum:
     """The end-weighted sum the engine takes of a diffusion node: the
-    einsum of the bound rows with the end weights, at orders 0 and 1, and
-    the model's fused order-0 ``bind_sum``, where it fuses, writes that sum
-    into ``out``.  The rows are None where the derivative vanishes."""
+    einsum of the bound rows with the (S, N) end weights, at orders 0 and
+    1, and the model's fused order-0 step (``bind_step``), where it fuses,
+    which writes the semigroup start, the first weight row times the base,
+    plus that sum into ``out``.  The rows are None where the derivative
+    vanishes."""
 
     @staticmethod
     def check(model, order, lead, substeps):
-        """The einsum of the rows, ``want``, and the order-0 fused sum
-        written into ``out``, ``fused`` (None where the model does not
-        fuse), with the inputs; None where B^(order) is zero.  The fused sum
-        of one substep reads the noise row itself, as a one-substep step
-        hands it."""
+        """The start plus the einsum of the rows, ``want``, and the fused
+        step written into ``out``, ``fused`` (None where the model does not
+        fuse), with the inputs; None where B^(order) is zero.  The fused
+        step reads the model's rows of the prepared noise, of one substep
+        its noise row itself, as a run hands them."""
         diffusion, modes = model.diffusion, model.modes
         rng = np.random.default_rng([order, substeps, modes, model.noise_modes, len(lead)])
         raw = rng.standard_normal(lead + (substeps, model.noise_modes))
         noise = diffusion.prepare_noise(raw)
         base = rng.standard_normal(lead + (modes,))
         args = [rng.standard_normal(lead + (substeps, modes))][:order]
-        weights = rng.uniform(0.5, 1.0, (modes, substeps))
+        weights = rng.uniform(0.5, 1.0, (substeps, modes))
         bound = diffusion.bind_rows(order)
         if bound is None:
             return None
         rows = bound(base, args, noise)
-        want = np.einsum("ns,...sn->...n", weights, rows)
+        want = weights[0] * base + np.einsum("sn,...sn->...n", weights, rows)
         assert want.shape == lead + (modes,)
-        total = diffusion.bind_sum(weights) if order == 0 else None
+        fused = diffusion.bind_step(weights) if order == 0 else None
         out = None
-        if total is not None:
+        if fused is not None:
             out = np.full(lead + (modes,), np.nan)
-            assert total(base, noise[..., 0, :] if substeps == 1 else noise, out) is None
+            taken = fused.rows(noise[..., 0, :] if substeps == 1 else noise)
+            assert fused.step(base, taken, out) is None
         return SimpleNamespace(want=want, fused=out, base=base, noise=noise, weights=weights)
 
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize("lead, substeps, modes, noise_modes", SHAPES)
     def test_diagonal(self, order, lead, substeps, modes, noise_modes):
-        # Its order-0 sum fuses at every width, with the einsum's bytes.
+        # Its order-0 step fuses at every width, with the bytes of the
+        # semigroup product plus the einsum.
         sums = self.check(heat_additive_model(modes, noise_modes), order, lead, substeps)
         if order == 0:
             assert sums.fused.tobytes() == sums.want.tobytes()
@@ -378,47 +382,49 @@ class TestWeightedSum:
         [shape for shape in SHAPES if grid_values(*shape) <= 2**21],
     )
     def test_multiplication(self, order, lead, substeps, modes, noise_modes):
-        # It fuses the order-0 sum of one row alone, folding the weight
-        # column into the interpolant: equal to the einsum up to rounding,
-        # to 1e-15 of the sum of the products' magnitudes, since an entry
-        # can cancel to far below them.  Wider windows return None, and no
-        # order-1 sum is fused, so the engine keeps their rows in the store
-        # and shares them across h.
+        # It fuses the order-0 step of one row alone, folding the start
+        # into the grid product, (S^T v)(1 + xi), and the weight row into
+        # the interpolant: equal to the start plus the einsum up to
+        # rounding, to 1e-15 of the magnitudes of the folded products,
+        # since an entry can cancel to far below them.  Wider windows
+        # return None, and no order-1 sum is fused, so the engine keeps
+        # their rows in the store and shares them across h.
         model = heat_multiplicative_model(modes, noise_modes)
         sums = self.check(model, order, lead, substeps)
         if order == 0 and substeps == 1:
             sine, interpolant = model.diffusion.sine, model.diffusion.interpolant
-            grid = np.abs((sums.base @ sine)[..., None, :] * sums.noise)
-            magnitudes = (grid @ np.abs(interpolant))[..., 0, :] * sums.weights[:, 0]
+            grid = (np.abs(sums.base) @ np.abs(sine))[..., None, :] * np.abs(1.0 + sums.noise)
+            magnitudes = (grid @ np.abs(interpolant))[..., 0, :] * sums.weights[0]
             assert np.all(np.abs(sums.fused - sums.want) <= 1e-15 * magnitudes)
         else:
             assert sums.fused is None
 
 
 class TestBoundRows:
-    """The fused sum of a one-row window and the batched rows."""
+    """The fused step of a one-row window and the batched rows."""
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
     def test_a_one_row_window_writes_the_row_into_out(self, lead, model_name):
-        # The stepping loop at h = h_fine has the fused order-0 sum of the
-        # noise row written into the node's value; under a unit weight
-        # column it has the bytes of that row's product: the diagonal's one
-        # fresh row, and for multiplication noise the grid row, taken as
-        # the transposed sine matrix times the base, times the noise times
-        # the interpolant, path by path.
+        # The stepping loop at h = h_fine has the fused order-0 step of the
+        # noise row written into the state; under a unit weight row it
+        # has the bytes of the base plus that row's product: the
+        # diagonal's one fresh row, and for multiplication noise the grid
+        # row, the transposed sine matrix times the base, times 1 + the
+        # noise, times the interpolant, path by path.
         model = build_model(model_name, 16, 8, 0.005)
         rng = np.random.default_rng(len(lead))
         noise = model.diffusion.prepare_noise(rng.standard_normal(lead + (4, 8)))
         base = rng.standard_normal(lead + (16,))
         if model_name == "heat-mult":
             transposed = np.ascontiguousarray(model.diffusion.sine.T)
-            grid = (transposed @ base[..., None])[..., 0] * noise[..., 0, :]
+            grid = (transposed @ base[..., None])[..., 0] * (1.0 + noise[..., 0, :])
             want = (grid[..., None, :] @ model.diffusion.interpolant)[..., 0, :]
         else:
-            want = model.diffusion.bind_rows(0)(base, (), noise[..., :1, :])[..., 0, :]
+            want = base + model.diffusion.bind_rows(0)(base, (), noise[..., :1, :])[..., 0, :]
         out = np.full(lead + (16,), np.nan)
-        model.diffusion.bind_sum(np.ones((16, 1)))(base, noise[..., 0, :], out)
+        fused = model.diffusion.bind_step(np.ones((1, 16)))
+        fused.step(base, fused.rows(noise[..., 0, :]), out)
         assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("substeps", [1, 256])
@@ -586,12 +592,12 @@ def assert_aligned_with_the_bytes_of_any_offset(matrix: np.ndarray) -> None:
 
 @pytest.mark.parametrize("grid_points, modes", [(63, 16), (255, 64), (255, 8)])
 def test_cached_transforms_are_cache_aligned_with_the_bytes_of_any_offset(grid_points, modes):
-    # So is the interpolant with the weight column of a one-row sum folded in.
+    # So is the interpolant with the weight row of a one-row step folded in.
     diffusion = MultiplicationDiffusion(modes, (grid_points + 1) // 4)
     assert diffusion.workspace.grid_points == grid_points
-    column = np.random.default_rng(modes).uniform(0.5, 1.0, (modes, 1))
-    weighted = inspect.getclosurevars(diffusion.bind_sum(column)).nonlocals["weighted"]
-    assert weighted.tobytes() == (diffusion.interpolant * column[:, 0]).tobytes()
+    row = np.random.default_rng(modes).uniform(0.5, 1.0, (1, modes))
+    weighted = inspect.getclosurevars(diffusion.bind_step(row).step).nonlocals["weighted"]
+    assert weighted.tobytes() == (diffusion.interpolant * row[0]).tobytes()
     for matrix in (*GridWorkspace(grid_points).transforms(modes), weighted):
         assert_aligned_with_the_bytes_of_any_offset(matrix)
 

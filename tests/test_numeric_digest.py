@@ -8,16 +8,21 @@ and why, and takes the new pins.
 
 The bytes follow the order of a product's operations, which the BLAS
 kernel chooses, so the pins are keyed by the kernel the script names on
-stderr.  Pins of another kernel are taken on the same host by setting
-``OPENBLAS_CORETYPE`` in the script's process alone, for example::
+stderr.  Pins of another kernel are taken, and checked, on the same host
+by setting ``OPENBLAS_CORETYPE`` in the script's process alone, for
+example::
 
     OPENBLAS_CORETYPE=Haswell python3 scripts/numeric_digest.py
+
+So a host that runs every pinned kernel (an AVX-512 one runs all three)
+checks every pin.
 
 On a kernel with no pin, the values are compared with ``--compare``
 against the committed dump in ``numeric_values/``, SkylakeX's, at
 :data:`BOUND` of each family's scale, and a failure names the kernel.
 """
 
+import os
 import re
 import shutil
 import subprocess
@@ -35,7 +40,7 @@ VALUES = Path(__file__).resolve().parent / "numeric_values"
 #: The largest change of a family's values from :data:`VALUES`, relative
 #: to the family's scale (``--compare``'s second number), that a kernel
 #: with no pin may show.  The pinned kernels differ from SkylakeX by at
-#: most 7.1e-15 of a family's scale; a change of the code that moves
+#: most 7.0e-15 of a family's scale; a change of the code that moves
 #: numbers moves them by far more than rounding.
 BOUND = 1e-12
 
@@ -52,57 +57,57 @@ def pins(text: str) -> dict[str, str]:
 # versions, so its digests move with either.
 PINNED = {
     "SkylakeX": pins("""
-    mult32 430d7004f90b973a0b1ad74b5d331598a99bb9463247d2cde76daaa1da61604f
-    mult16x8 c3000b49221c33f3600030769995b6c8ef7d636d2483a50e2618b9d1bf176781
-    mult8x16 e09f3d476608153b3a3fb51ca23546bc01a3e4c524da64627833844bafac16ea
-    mult64 f280a03f06dcabd9aff826a49bfe451689a51bf8ca35d0e55bb88864b17d1250
+    mult32 79f32b9928b5cf4b2b222b37ffe2b123e3514ff1a81fcfc635bef5823b2f4829
+    mult16x8 081f5fda0f50204109c57cad242556aa683688ffb78253b1473b8dd34be143d3
+    mult8x16 a98fe91d528fca7349939b74db065cf3914bb935ad27d80b66d56d68395787dd
+    mult64 a76038324cb49c915376b72b7db356419690cdb219f76e89c89e0d03aaf85029
     add8 e515f9c67d571cb3230b44b8852bf8c0eb1cda2fe6fade336c04c91afb5db583
     add8x4 68b51f33c3bab8374b949a1a14684546940f6800c338d60a0baf826b62b7d804
     add4x8 47dd5276ebd5f1cddd2d472ff698b024bc02b7354b717369a6d6085fdc9ac751
-    order_shape f5c3e4f6811846f1d886f8fe14035336f0014791e1146a2169e5b5ea24e3e817
+    order_shape 4e2fe74af9d3808810c51a07546cd63eef0ca018e8bb7edbb4b638af880a2bd4
     variance_shape dd191cab5360d005ba3160a90eff258737aa7df2143f873e858fc27dc398a4d0
-    report-heat-mult-False-json 8bb9e78c1f682a3ad2f1cda8b132ca2d95d013ba3d4c3906c09126f7aba31191
-    report-heat-mult-False-csv bac3e4c6caaff73ff34a9ec70e025ee47799a0fe9230a0da808b643378ccf18a
-    report-heat-mult-True-json 2c94538cfc3a55a087e525150d0044d10da31f37f9746afb1c57dc817a7def4d
-    report-heat-mult-True-csv 7c29f696262a48875708d63ce75dcdac5a8f6ef0ac1096ae4eb934460846fd47
+    report-heat-mult-False-json 915cb0317098d9d12b2a0177066e72f7024f75c799b603435f06b8e2e447061b
+    report-heat-mult-False-csv ec1b2cbccd3f32dc836c7294c4c2a637d8d792f116b816ec0644c5de3aa61eb2
+    report-heat-mult-True-json ebf4752956f088f84b2dc404c1ea45aae58af1e761a7592ecb9b1755175830fe
+    report-heat-mult-True-csv 54442ed08c647eefa62cbc331209bc4640c6fb3d8aad5cb7d02ce6a48913d23a
     report-heat-add-False-json c7140dfa7705335d3de25a281c09179d8b36f2e57c0c490377b88674ed224cd8
     report-heat-add-False-csv dc6c96b14a6a9faf708d3a922b3e45c99ddaa5aa453f8ac3d91c25249f00184c
     report-heat-add-True-json a800eb0bc77360c8c2a09fbae3e251ad8737f1dd59dd23ebbecac0fb73349e1d
     report-heat-add-True-csv 2d09be17c9655efb1e930287945ad4200a0aafdc0be695ac884612952ae4c410
     """),
     "Haswell": pins("""
-    mult32 5de73186d763995e077144422322b3b3f91886b0a2f5b8f62c13f1c9e95934f7
-    mult16x8 b4191856d9c6319e7068e1fdab39de356953dde11f98f2083ed3c80784092191
-    mult8x16 6ca1ddee7e22bcdfb0b78c08279d6c6d7275cc44d52354a2b50eca19dfd248ef
-    mult64 cfdf7b7e0973fbee7e847f16610d226875923789125cab11cae46493be9249ff
+    mult32 968904020a55b59b88cb12ffce65401ab9ec79f8ce6e569fbfd39784751f4c55
+    mult16x8 2fd606dadb76fc69680ae6867387e94c956596581cec541bd841cd01fcb97d4c
+    mult8x16 33ce53f2c36e19549ce8fa6b74be0b1ff3d207274ccd87c0dd9811ee5e477cd9
+    mult64 e6c9935303df8d9596cf1ac53cfd9165e04392e20adbf1192a92d6b9e2a32723
     add8 e515f9c67d571cb3230b44b8852bf8c0eb1cda2fe6fade336c04c91afb5db583
     add8x4 68b51f33c3bab8374b949a1a14684546940f6800c338d60a0baf826b62b7d804
     add4x8 47dd5276ebd5f1cddd2d472ff698b024bc02b7354b717369a6d6085fdc9ac751
-    order_shape 3e3b93b06acc7480a7cc3689d0cfa0b6308832943f699b58c6cc6e2215c18446
+    order_shape 3064cf2f9875b3ef3ac36926245c1884fb439c5101edeea502d8b0ad3ccd3237
     variance_shape dd191cab5360d005ba3160a90eff258737aa7df2143f873e858fc27dc398a4d0
-    report-heat-mult-False-json 6af0be8b4f3f30cd19b824d354c67e4c493a5f193fa1c7e81d0f64c0dc762fc5
-    report-heat-mult-False-csv 322c5c169503768294b2ac54bdd5771d2880a5dced85b523778339e6666e6eb0
-    report-heat-mult-True-json 46878f66fcd0f7ee1b3431e6a30978636c00bc2b144a83b2c5f8e5bbe015de4b
-    report-heat-mult-True-csv 45efe0e6115f96cdbb5405c1e97ada101cfc79c8423ce6233563f2ce0e31926e
+    report-heat-mult-False-json 322db3f6091299cade76a6495b3d554f60bb29a678dd95a37b98114248bc3634
+    report-heat-mult-False-csv 7dcc8190fbeade34845e0b4c21a0570b41b658021af16ada3fcecfa1744e80c8
+    report-heat-mult-True-json c889fc4e7c5949bab100c49978f431ed222f424a30ebb16bda447673875c61ba
+    report-heat-mult-True-csv 6cbafa99adc7b9ae230545232ad4169e6fa60c50ce19dd1c17b530f129982481
     report-heat-add-False-json 30701b77c406de34e15949d1a7843bdac965ad5d0f858c6b765485e1f25be8b2
     report-heat-add-False-csv dc6c96b14a6a9faf708d3a922b3e45c99ddaa5aa453f8ac3d91c25249f00184c
     report-heat-add-True-json e1c495054db92783c32e9882aca6d64a6177b031fbca7a06354c31c8b8411d30
     report-heat-add-True-csv 2d09be17c9655efb1e930287945ad4200a0aafdc0be695ac884612952ae4c410
     """),
     "Sandybridge": pins("""
-    mult32 b150db4a72e051d4257c4e3ac990bb2ffe01dba20812d97945c8bdf20dc4ed7b
-    mult16x8 460902a1a46de6541fb2a0f6a37e0605051544cffd679a5073d35aac72f66f09
-    mult8x16 b369a50076d51880736ebe403a2a20dce8483e312745f89e2ca3749d41135b85
-    mult64 b07248f2f3266bc59e0a1124f364f912798f51bd2e4d3263e43dc197a99214a7
+    mult32 124696c2b22b8d8a8278f04d3c928d3f45e442de2767808e7b45f391e6852752
+    mult16x8 d6972e20e23c338fe1850139320fcead551a8470f8799f31ea9de0b60ed13efe
+    mult8x16 82b95580915802b3d761f8970e80beafbed090845b6495bf9c589990012cb575
+    mult64 a1297c6ddbacd21d79702aa9034c99781dfd427c7f8adc18820f04e199e48964
     add8 e515f9c67d571cb3230b44b8852bf8c0eb1cda2fe6fade336c04c91afb5db583
     add8x4 68b51f33c3bab8374b949a1a14684546940f6800c338d60a0baf826b62b7d804
     add4x8 47dd5276ebd5f1cddd2d472ff698b024bc02b7354b717369a6d6085fdc9ac751
-    order_shape 0c109070b896a9c59f4f3f599f05687f0cab7141165ba20a57fbdcb43d499638
+    order_shape def9c2608a753b45b4f978fbd8dc099eaa7b3f444ea57f40ae9f210dd0a8a5f7
     variance_shape dd191cab5360d005ba3160a90eff258737aa7df2143f873e858fc27dc398a4d0
-    report-heat-mult-False-json 1c7fe946241318cf8ec73b22e1da8b112f894e1409d8c42c7e36920724521788
-    report-heat-mult-False-csv 4132a0d53b258595e90cee0ffa2b1475b1de69909015feeeae3b71163cf45278
-    report-heat-mult-True-json 2c4f0798b3cb28a07529fb0d658a63bce934a8bcb6192588db5c9849f04ca705
-    report-heat-mult-True-csv abfa11d58d5e2ca7d69b8cb4ea564690d7052e709722fee02c887b7354305c22
+    report-heat-mult-False-json 6a52c603fd8d778f479558a4d7c8d56f7343e1acb28cd50fe6a7afc4b3f96f90
+    report-heat-mult-False-csv 6bc28e10ee427454f81a1294a3a641a150b6033ab82110a9622135f9648ab465
+    report-heat-mult-True-json 7df20b1901cd5385a2cfc6ed7c99dc6732acb16f0cd5db2910c5a47edf84fc31
+    report-heat-mult-True-csv 3596a60e94b0f4eb8d0131b28cac2e5b7877e2d37c162f8ccf9041a008527444
     report-heat-add-False-json a07606d91a7c9c80ae39ec59b07ad1500d72a0dbaa19b6c9f8f3cc40b69c1b0c
     report-heat-add-False-csv dc6c96b14a6a9faf708d3a922b3e45c99ddaa5aa453f8ac3d91c25249f00184c
     report-heat-add-True-json ad2a427009a43fc5a70623134a8cf1d8f8aae52bbc8dce56693f0c69c09b6d30
@@ -152,6 +157,25 @@ def test_every_family_is_pinned(dump):
         assert digests == PINNED[kernel]
     else:
         assert digests.keys() == PINNED["SkylakeX"].keys(), f"BLAS kernel {kernel}"
+
+
+@pytest.mark.parametrize("kernel", sorted(PINNED))
+def test_every_pinned_kernel_the_host_runs_keeps_its_pins(kernel, dump):
+    # The host's own kernel is the dump's; any other runs in a child with
+    # OPENBLAS_CORETYPE set for it alone.  A host that cannot run the
+    # kernel falls back to another, which the script names, or dies of
+    # an illegal instruction.
+    stdout, _, stderr = dump
+    if stderr != f"blas kernel: {kernel}\n":
+        run = subprocess.run(
+            [sys.executable, str(SCRIPT)], capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+        )
+        assert run.returncode <= 0, run.stderr
+        if run.returncode < 0 or run.stderr != f"blas kernel: {kernel}\n":
+            pytest.skip(f"this host does not run the {kernel} kernel")
+        stdout = run.stdout
+    assert pins(stdout) == PINNED[kernel]
 
 
 def test_the_blas_kernel_is_named_on_stderr(dump):
