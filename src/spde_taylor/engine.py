@@ -20,23 +20,26 @@ factors depend on h; its per-substep rows and its trajectory depend on
 r_j, u0 and the noise before r_j alone.  So a plan binds (scheme, model,
 h, h_fine) and nothing else, and each node builds its rows over whatever
 window of noise it is handed and contracts the first h / h_fine of them.
-Binding turns each node into a step ``(u0, noise, store, out)`` that
-writes its end value into ``out``.  A node whose operator the model binds
-to None (identically zero), or one of whose arguments is dropped, is
-dropped, since the operators are multilinear.  A sum node contracts its
-rows with the end weights.  A plan whose step is e^{-lambda h} u0 plus one
-order-0 diffusion sum that the model fuses (``bind_step``) is *fused*: the
-model writes the whole step, with no rows and no node step.
+Binding turns each node into a pair: a step ``(u0, noise, store, out)``
+that writes its end value into ``out``, and a trajectory ``(u0, noise,
+store)`` of its values at the window's left points.  A node whose
+operator the model binds to None (identically zero), or one of whose
+arguments is dropped, is dropped, since the operators are multilinear.
+Only the terms step: a node that is only an argument runs no step and
+writes no slot; its readers pull its trajectory.  A sum node contracts
+its rows with the end weights.  A plan whose step is e^{-lambda h} u0
+plus one order-0 diffusion sum that the model fuses (``bind_step``) is
+*fused*: the model writes the whole step, with no rows and no node step.
 
 One store per window.  A store is a dict for one window of noise and one
 start state, handed to the plans of every h and scheme stepped on that
-window; it holds each summed term's rows under the term, so each is built
-once.  A node makes the trajectories it reads while it builds its rows,
-from u0 or from rows in the store, and keeps none.
+window.  It holds each sum node's rows under its term, built on first
+read, by the term's step or by the first trajectory that reads them, so
+each is built once; no trajectory is kept.
 
 The in-place loop.  A run (:func:`_run`) is the one way a plan is stepped.
 It allocates one (nodes, ..., N) value array and one state buffer, and a
-second for more than one step.  Each step writes every kept node's end
+second for more than one step.  Each step writes every summed term's end
 value into its slot, and its start, e^{-lambda h} u0 where the scheme has
 an I^0_0 term and else u0, plus the other terms, in term order, into the
 buffer the step before did not write; the folded I^0_0's slot stays
@@ -385,9 +388,9 @@ def _mesh_tables(eigenvalues: bytes, h: float, h_fine: float, substeps: int) -> 
 
 class BoundPlan:
     """A compiled scheme bound to a model and a step h on a mesh of h_fine
-    (see the module docstring), with one node step per lowered node in
-    ``steps`` (None where the node is dropped or is the I^0_0 term folded
-    into the start) and no buffers of its own."""
+    (see the module docstring), with a node step in ``steps`` at each slot
+    of :attr:`summed` and None at every other slot, and no buffers of its
+    own."""
 
     def __init__(self, scheme: CompiledScheme, model: ModelSpec, h: float, h_fine: float):
         self.scheme = scheme
@@ -396,96 +399,83 @@ class BoundPlan:
         self.substeps = _whole_count(h, h_fine, _STEP_MESSAGE)
         nodes, self.term_slots, self.names = scheme.lowered
         self.tables = _mesh_tables(model.eigenvalues.tobytes(), h, h_fine, self.substeps)
-        operators: list = []
-        for kind, order, arg_slots, _ in nodes:
-            live = all(operators[a] is not None for a in arg_slots)
-            operators.append(self._operator(kind, order) if live else None)
+        bound: list = []
+        for node in nodes:
+            bound.append(self._bind(node, bound))
         # u0 plus one I^0_0 term is stepped as e^{-lambda h} u0, so that
-        # term's node runs only for a further I^0_0 term.
+        # term's node steps only for a further I^0_0 term.
         summed = list(self.term_slots)
         flows = [slot for slot in summed if nodes[slot][0] is _FLOW]
         #: Whether a step starts from e^{-lambda h} u0 rather than u0.
         self.folds_flow = bool(flows)
         if flows:
             summed.remove(flows[0])
-        steps = []
-        for slot, (operator, (kind, order, arg_slots, term)) in enumerate(zip(operators, nodes)):
-            run = None
-            if operator is not None and (kind is not _FLOW or slot in summed):
-                args = [self._trajectory(operators[a], nodes[a]) for a in arg_slots]
-                run = self._bind(operator, kind, order, args, term)
-            steps.append(run)
-        self.steps = tuple(steps)
         #: The slots the step adds to its start, in term order.
-        self.summed = tuple(slot for slot in summed if steps[slot] is not None)
+        self.summed = tuple(slot for slot in summed if bound[slot] is not None)
+        self.steps = tuple(p[0] if s in self.summed else None for s, p in enumerate(bound))
         #: The model's :class:`~spde_taylor.models.FusedStep` (``bind_step``)
         #: where a step is e^{-lambda h} u0 plus one order-0 diffusion sum
         #: that the model fuses, else None.
         self.fused = None
-        kept = [slot for slot, run in enumerate(steps) if run is not None]
         fuse = getattr(model.diffusion, "bind_step", None)
-        if self.folds_flow and len(kept) == 1 and self.summed == (kept[0],) and fuse:
-            kind, order, _, _ = nodes[kept[0]]
-            if kind is _DIFFUSION and order == 0:
-                self.fused = fuse(self.tables.end_weights)
+        if fuse and self.folds_flow and [nodes[s][:2] for s in self.summed] == [(_DIFFUSION, 0)]:
+            self.fused = fuse(self.tables.end_weights)
 
-    def _operator(self, kind: str, order: int):
-        """What a node of ``kind`` and ``order`` applies, None where the
-        model binds it to None: the flow factor of h, F, or ``(u0, args,
-        noise) -> rows`` of B^(k) / k! or of F^(k) h_fine / k!."""
-        if kind is _FLOW:
-            return self.tables.flow
-        if kind is _DRIFT_FLOW:
-            return self.model.drift.bind_value()
-        if kind is _DIFFUSION:
-            return _over_factorial(order, self.model.diffusion.bind_rows(order))
-        derivative = self.model.drift.bind_rows(order)
-        if derivative is None:
+    def _bind(self, node: _Node, bound: list):
+        """The pair (step, trajectory) of ``node``, or None where the model
+        binds its operator to None or an argument's pair in ``bound`` is
+        None.  The step ``(u0, noise, store, out)`` writes the node's end
+        value at h into ``out``; the trajectory ``(u0, noise, store)``
+        returns its values at the left points of the window ``noise``.  A
+        sum node's rows, B^(k) / k! or F^(k) h_fine / k! of its arguments'
+        trajectories, are fetched from ``store`` or built there on first
+        read; its step contracts them with the end weights."""
+        # The closures hold no reference to the plan, so a plan is freed as
+        # soon as its last user drops it, not by the cycle collector.
+        kind, order, arg_slots, term = node
+        args = [bound[a] for a in arg_slots]
+        if None in args:
             return None
-        scale = self.h_fine / math.factorial(order)
-        return lambda u0, args, noise: derivative(u0, args) * scale
-
-    def _trajectory(self, operator, node: _Node):
-        """``(u0, noise, store) -> trajectory`` of a read node that applies
-        ``operator``: its values at the left points of the window ``noise``,
-        a sum node's made from its rows in ``store``."""
-        kind, _, _, term = node
-        lam, h_fine, decay = self.model.eigenvalues.tobytes(), self.h_fine, self.tables.decay_fine
+        lam, h_fine, tables = self.model.eigenvalues.tobytes(), self.h_fine, self.tables
 
         def window(noise):  # the trajectory factors of the window
             return _mesh_tables(lam, noise.shape[-2] * h_fine, h_fine, noise.shape[-2])
 
         if kind is _FLOW:
-            return lambda u0, noise, store: window(noise).flow_at * u0[..., None, :]
+            flow = tables.flow
+            return (lambda u0, noise, store, out: np.multiply(flow, u0, out=out),
+                    lambda u0, noise, store: window(noise).flow_at * u0[..., None, :])
         if kind is _DRIFT_FLOW:
-            return lambda u0, noise, store: (
-                window(noise).drift_flow_at * operator(u0)[..., None, :]
-            )
-        return lambda u0, noise, store: _running_sum(store[term], decay)
-
-    def _bind(self, operator, kind: str, order: int, args: list, term: TermExpr):
-        """The node step ``(u0, noise, store, out)``: writes the end value
-        at h of the node that applies ``operator`` into ``out``; ``args``
-        make the trajectories it reads.  A sum node's rows come from
-        ``store`` or go there, and it contracts them with the end weights."""
-        # The steps hold no reference to the plan, so a plan is freed as soon
-        # as its last user drops it, not by the cycle collector.
-        if kind is _FLOW:
-            return lambda u0, noise, store, out: np.multiply(operator, u0, out=out)
-        if kind is _DRIFT_FLOW:
-            drift_flow = self.tables.drift_flow
-            return lambda u0, noise, store, out: np.multiply(drift_flow, operator(u0), out=out)
-        weights = self.tables.end_weights
+            drift, drift_flow = self.model.drift.bind_value(), tables.drift_flow
+            return None if drift is None else (
+                lambda u0, noise, store, out: np.multiply(drift_flow, drift(u0), out=out),
+                lambda u0, noise, store: window(noise).drift_flow_at * drift(u0)[..., None, :])
+        operator = self.model.diffusion if kind is _DIFFUSION else self.model.drift
+        derivative = operator.bind_rows(order)
+        if derivative is None:
+            return None
+        trajectories = [trajectory for _, trajectory in args]
+        weights, decay, divisor = tables.end_weights, tables.decay_fine, math.factorial(order)
         substeps = weights.shape[0]
 
-        def sum_step(u0, noise, store, out):
-            rows = store.get(term)
-            if rows is None:
-                paths = [make(u0, noise, store) for make in args]
-                rows = store[term] = _frozen(operator(u0, paths, noise))
-            np.einsum("sn,...sn->...n", weights, rows[..., :substeps, :], out=out)
+        def rows(u0, noise, store):
+            found = store.get(term)
+            if found is None:
+                paths = [trajectory(u0, noise, store) for trajectory in trajectories]
+                if kind is _DRIFT:
+                    found = derivative(u0, paths) * (h_fine / divisor)
+                else:
+                    found = derivative(u0, paths, noise)
+                    found = found / divisor if order >= 2 else found
+                found = store[term] = _frozen(found)
+            return found
 
-        return sum_step
+        return (
+            lambda u0, noise, store, out: np.einsum(
+                "sn,...sn->...n", weights, rows(u0, noise, store)[..., :substeps, :], out=out
+            ),
+            lambda u0, noise, store: _running_sum(rows(u0, noise, store), decay),
+        )
 
     def prepare_noise(self, increments: np.ndarray) -> np.ndarray:
         """The increments, (substeps, M) or (paths, substeps, M), in the
@@ -498,13 +488,13 @@ class BoundPlan:
     def stepper(self, shape: tuple[int, ...]):
         """A new (nodes,) + ``shape`` value array and ``(u0, noise, store,
         state) -> None``, one step of h from states of ``shape``: it writes
-        each kept node's end value into its slot, in slot order, and its
-        start, e^{-lambda h} u0 or u0 (see :attr:`folds_flow`), plus the
-        terms of :attr:`summed`, in term order, into ``state``.  It writes
-        neither u0 nor the noise, and never the slot of a node without a
-        step.  A :attr:`fused` plan writes no slot: the model's step writes
-        the state, from the noise in the model's form (see
-        :func:`_windows`)."""
+        the end value of each term of :attr:`summed` into its slot, and
+        its start, e^{-lambda h} u0 or u0 (see :attr:`folds_flow`), plus
+        those terms, in term order, into ``state``.  It writes neither u0
+        nor the noise, and no other slot: an argument's rows are built in
+        the store by the first trajectory that reads them.  A :attr:`fused`
+        plan writes no slot: the model's step writes the state, from the
+        noise in the model's form (see :func:`_windows`)."""
         values = np.empty((len(self.steps),) + shape)
         if self.fused is not None:
             fused = self.fused.step
@@ -568,14 +558,6 @@ def _running_sum(rows: np.ndarray, decay: np.ndarray) -> np.ndarray:
         later = out[..., width + t :: width, :]
         later += powers[t] * carry[..., 1 : 1 + later.shape[-2], :]
     return out
-
-
-def _over_factorial(order: int, bound):
-    """A bound diffusion function divided by ``order``! from order 2 up."""
-    if bound is None or order < 2:
-        return bound
-    divisor = math.factorial(order)
-    return lambda *args: bound(*args) / divisor
 
 
 def _windows(plan: BoundPlan, noise: np.ndarray, steps: int) -> np.ndarray:
@@ -646,10 +628,12 @@ def _first_failures(
     :func:`_run` of ``steps`` steps from ``start`` over ``noise``, at its
     first non-finite step.  Replays those rows alone over the run's
     windows, each step in a fresh store: a batch's products are stacks of
-    one-path products, and a store holds the rows the step would build, so
-    each row replays with the bytes it ran with.  A fused step writes no
-    slot, so at a non-finite step the sum's own node step fills its slot
-    from the step's h / h_fine rows of ``noise``, in a fresh store."""
+    one-path products, and a store holds the rows the step would build, its
+    terms' and their arguments', so each row replays with the bytes it ran
+    with.  :meth:`BoundPlan.nonfinite` reads the slots of the summed terms,
+    which a step writes; a fused step writes none, so at a non-finite step
+    the summed term's own node step fills its slot from the step's h /
+    h_fine rows of ``noise``, in a fresh store."""
     rows = (0,)
     if end.ndim > 1:
         rows = np.flatnonzero(~np.isfinite(end).all(axis=-1))

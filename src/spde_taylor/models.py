@@ -356,7 +356,7 @@ class DiagonalDiffusion:
         self.noise_modes = self.weights.size
 
     def prepare_noise(self, noise_rows):
-        return np.atleast_2d(np.asarray(noise_rows, dtype=float))
+        return np.asarray(noise_rows, dtype=float)
 
     def bind_rows(self, order):
         if order >= 1:

@@ -1,5 +1,6 @@
 """Scheme engine: compilation, stepping, reference coupling, noise streams."""
 
+import collections
 import dataclasses
 import math
 import pickle
@@ -648,7 +649,7 @@ class TestInPlaceLoop:
     @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
     @pytest.mark.parametrize("substeps", [1, 4])
     @pytest.mark.parametrize("paths", [None, 3], ids=["single", "batch"])
-    def test_run_equals_a_loop_of_advance(
+    def test_run_equals_a_loop_of_one_step_runs(
         self, name, model_name, substeps, paths, mult, additive
     ):
         # A run of four steps equals a loop that advances the state by four
@@ -1148,6 +1149,63 @@ def test_a_drift_node_of_the_zero_drift_is_dropped(mult):
     state, _ = _run(plan, mult.initial.coeffs, noise, 1)
     lam = mult.eigenvalues
     assert state.tobytes() == (np.exp(-lam * 4 * H_FINE) * mult.initial.coeffs).tobytes()
+
+
+@pytest.mark.parametrize("substeps", [1, 16])
+def test_an_argument_read_only_by_a_dropped_term_runs_no_step(substeps):
+    # The diagonal model's B' is zero, so I^1_2[I^1_1[I^0_0]] is dropped.
+    # Its argument is live under a linear drift, but only an argument: it
+    # has no step, and the plan fuses with the bytes of I^0_0 + I^0_2.
+    model = drift_model(DiagonalLinearDrift(np.linspace(0.5, 2.0, 8)))
+    argument = integral(1, L["1"], (I0(L["0"]),))
+    dropped = integral(1, L["2"], (argument,))
+    terms = [I0(L["0"]), I0(L["2"])]
+    plans = [
+        BoundPlan(compile_scheme(term_sum(t)), model, substeps * H_FINE, H_FINE)
+        for t in (terms + [dropped], terms)
+    ]
+    slots = {node[3]: slot for slot, node in enumerate(plans[0].scheme.lowered[0])}
+    assert plans[0].steps[slots[argument]] is None
+    assert [slot for slot, run in enumerate(plans[0].steps) if run] == [slots[I0(L["2"])]]
+    assert plans[0].fused is not None
+    noise = plans[0].prepare_noise(chunk_increments(model, 3, 4 * substeps, seed=19))
+    for steps in (1, 4):
+        got, want = (_run(plan, start_states(model, 3), noise, steps)[0] for plan in plans)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_reader_builds_its_arguments_rows_once_in_the_store(mult):
+    # I^0_0 + I^1_2[I^1_2[I^0_2]] steps only at its summed slot.  The outer
+    # term's rows read the trajectory of I^1_2[I^0_2], whose rows read
+    # I^0_2's: one run builds the rows of all three sum terms, each once,
+    # and leaves them in its store, where a second run finds them.
+    diffusion = MultiplicationDiffusion(mult.modes, mult.noise_modes)
+    builds, bind_rows = collections.Counter(), diffusion.bind_rows
+
+    def counted_bind_rows(order):
+        rows = bind_rows(order)
+
+        def counted(base, arg_rows, noise):
+            builds[order] += 1
+            return rows(base, arg_rows, noise)
+
+        return counted
+
+    diffusion.bind_rows = counted_bind_rows
+    model = dataclasses.replace(mult, diffusion=diffusion)
+    inner = integral(1, L["2"], (I0(L["2"]),))
+    outer = integral(1, L["2"], (inner,))
+    plan = BoundPlan(compile_scheme(term_sum([I0(L["0"]), outer])), model, 16 * H_FINE, H_FINE)
+    slots = {node[3]: slot for slot, node in enumerate(plan.scheme.lowered[0])}
+    assert [slot for slot, run in enumerate(plan.steps) if run] == [slots[outer]]
+    assert plan.summed == (slots[outer],) and plan.fused is None
+    noise = plan.prepare_noise(chunk_increments(model, 3, 16, seed=20))
+    store = {}
+    first, _ = _run(plan, start_states(model, 3), noise, 1, store=store)
+    assert set(store) == {I0(L["2"]), inner, outer}
+    assert builds == {0: 1, 1: 2}
+    again, _ = _run(plan, start_states(model, 3), noise, 1, store=store)
+    assert builds == {0: 1, 1: 2} and again.tobytes() == first.tobytes()
 
 
 def test_a_second_flow_term_is_added_to_the_semigroup_product(mult):
