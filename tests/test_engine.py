@@ -646,7 +646,9 @@ class TestInPlaceLoop:
     steps through the same node steps, and a plan holds no buffers."""
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_WOODS))
-    @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
+    # Short model IDs keep every case's ID distinct in the first 100
+    # characters of its dotted test name.
+    @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"], ids=["mult", "add"])
     @pytest.mark.parametrize("substeps", [1, 4])
     @pytest.mark.parametrize("paths", [None, 3], ids=["single", "batch"])
     def test_run_equals_a_loop_of_one_step_runs(
