@@ -23,7 +23,14 @@ round to round:
   reference and the five ``step()`` calls), per path: a piece's gain
   shrinks at the op by the share of the op that the piece takes;
 * ``ladder``: criterion 3's ``harness._ladder_errors`` over ``--paths``
-  paths, the four schemes at once.
+  paths, the four schemes at once;
+* ``symbolic``: the symbolic-expand op of ``perfbench/worker.py`` (ten
+  seeded expansions of the initial wood, ``psi``, ``compile_scheme``,
+  ``order_wood``, the text round trip and the rewrite check), per wood,
+  over ``SYMBOLIC_WOODS`` woods per path.  Every call takes woods that no
+  earlier call of its side took, so the timed woods follow a warm-up on
+  other woods: the tree table is warm, but not every timed tree is in it,
+  as in the benchmark.
 
 Each line prints the medians over the rounds, parent then change, the
 median of the rounds' ratios change / parent, and in how many rounds the
@@ -37,6 +44,7 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import random
 import statistics
 import sys
 import time
@@ -46,6 +54,7 @@ import blas_threads  # noqa: F401  (before the trees import numpy)
 
 SCHEMES = ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd")
 H_FINE, SUBSTEPS = 2.0**-12, (256, 128, 64, 32, 16)
+SYMBOLIC_WOODS, SYMBOLIC_DEPTH = 8, 10  # woods per path, expansions per wood
 
 
 def load(name: str, src: Path):
@@ -68,6 +77,8 @@ class Side:
         load(name, src)
         self.engine = importlib.import_module(f"{name}.engine")
         self.harness = importlib.import_module(f"{name}.harness")
+        self.trees = importlib.import_module(f"{name}.trees")
+        self.terms = importlib.import_module(f"{name}.terms")
         models = importlib.import_module(f"{name}.models")
         self.model = models.heat_multiplicative_model(64, 64)
         self.schemes = {s: self.engine.builtin_scheme(s) for s in SCHEMES}
@@ -76,6 +87,7 @@ class Side:
             paths=paths, seed=2024, r=0.005, modes=64, noise_modes=64,
         )
         self.paths = paths
+        self.woods_taken = 0
 
     def _path(self, index: int):
         engine = self.engine
@@ -111,6 +123,27 @@ class Side:
         self.harness._ladder_errors(self.config, schemes, self.model)
         return time.perf_counter() - start
 
+    def symbolic(self) -> float:
+        trees, terms, engine = self.trees, self.terms, self.engine
+        count = SYMBOLIC_WOODS * self.paths
+        first, self.woods_taken = self.woods_taken, self.woods_taken + count
+        seed = trees.initial_wood()
+        start = time.perf_counter()
+        for index in range(first, first + count):
+            rnd = random.Random(f"2024/{index}")
+            wood = seed
+            for _ in range(SYMBOLIC_DEPTH):
+                wood = trees.expand(wood, rnd.choice(trees.active_nodes(wood)))
+            kept = terms.psi(wood)
+            engine.compile_scheme(kept, source_wood=wood)
+            trees.order_wood(wood)
+            text = trees.serialize(wood)
+            round_trip = trees.serialize(trees.parse(text))
+            at = rnd.choice(trees.active_nodes(wood))
+            matches = terms.expansion_matches_rewrite(wood, at, trees.expand(wood, at))
+            assert matches and not terms.contains_starred(kept) and round_trip == text
+        return (time.perf_counter() - start) / count
+
     def unload(self) -> None:
         for module in [m for m in sys.modules if m.split(".")[0] == self.name]:
             del sys.modules[module]
@@ -142,6 +175,7 @@ def main(argv: list[str]) -> int:
         workloads[f"steps {name}"] = lambda side, name=name: side.steps(name)
         workloads[f"op {name}"] = lambda side, name=name: side.steps(name, whole=True)
     workloads["ladder"] = lambda side: side.ladder()
+    workloads["symbolic"] = lambda side: side.symbolic()
     times = {name: ([], []) for name in workloads}
     for round_ in range(args.rounds):
         order = (0, 1) if round_ % 2 == 0 else (1, 0)

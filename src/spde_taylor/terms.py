@@ -25,15 +25,17 @@ sorting, ``==`` and ``hash`` never walk a subterm, and any depth works.
 The tree-to-term maps read one table per tree, built in one pass from the
 last node to the root: the term of every node's subtree and every node's
 argument slot in its parent's term.  The table is a pure function of an
-immutable tree and is memoised across calls in a bounded
-least-recently-used cache, since :func:`psi`, :func:`phi_wood` and
-:func:`phi_with_slot` meet the same trees again.  The maps take any depth.
+immutable tree, and :func:`psi`, :func:`phi_wood` and :func:`phi_with_slot`
+meet the same trees again, so each tree keeps its table once built (in
+``_table``, as it keeps its other derived data).  The bound lies with the
+trees: the tree table of :mod:`.trees` keeps the last ``TREE_TABLE_SIZE``
+trees built, and a table lives as long as its tree.  The maps take any
+depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Union
 
 from .trees import ActiveNode, NodeLabel, STree, SWood
@@ -160,10 +162,18 @@ def contains_starred(expr: TermExpr) -> bool:
 _LEAVES = {label: I0(label) for label in NodeLabel}
 
 
-# 1024 entries hold the trees of the last thirty or so depth-10 woods and
-# keep a long run over distinct woods from holding every term it built.
-@lru_cache(maxsize=1024)
-def _tree_table(tree: STree) -> tuple[tuple[TermExpr, ...], tuple[int | None, ...]]:
+_TreeTable = tuple[tuple[TermExpr, ...], tuple[int | None, ...]]
+
+
+def _tree_table(tree: STree) -> _TreeTable:
+    """The tree's table, built on first use and kept by the tree."""
+    table = tree.__dict__.get("_table")
+    if table is None:
+        table = tree.__dict__["_table"] = _build_tree_table(tree)
+    return table
+
+
+def _build_tree_table(tree: STree) -> _TreeTable:
     """The term of every node's subtree and every node's argument slot.
 
     ``terms[j - 1]`` is the term of the subtree rooted at node ``j``: ``I^0_k``

@@ -9,6 +9,13 @@ appends three copies of its tree, each with one extra child (labelled 0, 1*
 and 2* respectively) attached below the expanded node.
 
 Everything here is an immutable value; all operations are pure functions.
+Expanding a wood keeps meeting trees it has just built, so every tree built
+here (by :meth:`STree.single`, :meth:`STree.with_label`,
+:meth:`STree.with_appended_child`, :func:`expand` or :func:`parse`) comes
+from one table keyed by (labels, parents) that keeps the last
+``TREE_TABLE_SIZE`` trees built: among them, equal trees are one object.
+A tree makes the data derived from it on first use and keeps them (see
+:class:`STree`), so a recurring tree derives them once.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as _np
@@ -29,13 +37,9 @@ class NodeLabel(enum.Enum):
     TWO_STAR = "2*"
 
     def __init__(self, text: str) -> None:
-        # Plain member attributes, not properties: the tree queries read
-        # them once per node.
+        # A plain member attribute, not a property: the tree queries read
+        # it once per node.
         self.is_active = text.endswith("*")
-        #: Counts toward the unit weight of the order functional.
-        self.is_drift = text.startswith("1")
-        #: Counts toward the delta weight of the order functional.
-        self.is_diffusion = text.startswith("2")
 
     # Identity hash: enum's own __hash__ is a Python-level call.
     __hash__ = object.__hash__
@@ -103,14 +107,28 @@ class STree:
     not validate the parent map (so that :func:`validate` has something to
     diagnose); every other operation assumes a valid tree.
 
-    The hash and the starred node ids are computed on first use and stored
-    in the instance ``__dict__`` (``_hash``, ``_active``) by a lock-free
-    non-data descriptor, so later reads are plain attribute hits; pickling
+    The trees this module builds come from the tree table, so there is one
+    live tree per (labels, parents) among the last ``TREE_TABLE_SIZE``
+    built, and ``==`` tests identity first.  A tree made directly with
+    ``STree(labels, parents)`` stays outside the table; it equals, hashes
+    and derives as the table's tree does.  The hash, the starred node ids,
+    the text (:func:`serialize_tree`), the order triple (:func:`order_wood`)
+    and the term table of :mod:`.terms` are computed on first use and
+    stored in the instance ``__dict__``: ``_hash``, ``_active``, ``_text``
+    and ``_triple`` by a lock-free non-data descriptor here, ``_table`` by
+    :mod:`.terms`.  Later reads are plain attribute or dict hits; pickling
     drops them.
     """
 
     labels: tuple[NodeLabel, ...]
     parents: tuple[int, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not STree:
+            return NotImplemented
+        return self.labels == other.labels and self.parents == other.parents
 
     def __hash__(self) -> int:
         return self._hash
@@ -127,9 +145,17 @@ class STree:
         """Ids of the starred nodes, increasing."""
         return tuple(j for j, label in enumerate(self.labels, start=1) if label.is_active)
 
+    @_cached
+    def _text(self) -> str:
+        return _tree_text(self)
+
+    @_cached
+    def _triple(self) -> "OrderTriple":
+        return order_tree(self).triple
+
     @staticmethod
     def single(label: NodeLabel) -> "STree":
-        return STree(labels=(label,))
+        return _interned((label,), ())
 
     @property
     def length(self) -> int:
@@ -148,11 +174,23 @@ class STree:
     def with_label(self, node: int, label: NodeLabel) -> "STree":
         labels = list(self.labels)
         labels[node - 1] = label
-        return STree(labels=tuple(labels), parents=self.parents)
+        return _interned(tuple(labels), self.parents)
 
     def with_appended_child(self, parent: int, label: NodeLabel) -> "STree":
-        """New tree with one extra node (id length+1) hanging below ``parent``."""
-        return STree(labels=self.labels + (label,), parents=self.parents + (parent,))
+        """Tree with one extra node (id length+1) hanging below ``parent``."""
+        return _interned(self.labels + (label,), self.parents + (parent,))
+
+
+#: Trees the table keeps: the trees of the last thirty or so depth-10
+#: woods, few enough that a long run over distinct woods does not keep
+#: every tree it built, with its derived data.
+TREE_TABLE_SIZE = 1024
+
+
+@lru_cache(maxsize=TREE_TABLE_SIZE)
+def _interned(labels: tuple[NodeLabel, ...], parents: tuple[int, ...]) -> STree:
+    """The tree table: the table's tree of these maps, built on a miss."""
+    return STree(labels, parents)
 
 
 @dataclass(frozen=True)
@@ -295,12 +333,15 @@ def _check_exponents(gamma: float, delta: float) -> None:
 
 
 def order_tree(tree: STree) -> OrderValue:
-    if tree.label_of(1) is NodeLabel.ZERO:
+    """The label counts: drift labels (1, 1*) weigh 1, 0 weighs gamma and
+    diffusion labels (2, 2*) weigh delta."""
+    labels = tree.labels
+    if labels[0] is NodeLabel.ZERO:
         return OrderValue(0, 0, 0, root_is_zero=True)
-    n1 = sum(1 for label in tree.labels if label.is_drift)
-    n0 = sum(1 for label in tree.labels if label is NodeLabel.ZERO)
-    n2 = sum(1 for label in tree.labels if label.is_diffusion)
-    return OrderValue(n1, n0, n2, root_is_zero=False)
+    count = labels.count
+    n1 = count(NodeLabel.ONE) + count(NodeLabel.ONE_STAR)
+    n2 = count(NodeLabel.TWO) + count(NodeLabel.TWO_STAR)
+    return OrderValue(n1, count(NodeLabel.ZERO), n2, root_is_zero=False)
 
 
 def _triple_value(triple: OrderTriple, gamma, delta):
@@ -389,8 +430,9 @@ class WoodOrder:
 
 
 def order_wood(wood: SWood) -> WoodOrder:
+    """One candidate per active tree: its triple, which the tree keeps."""
     candidates = tuple(
-        (i, order_tree(tree).triple)
+        (i, tree._triple)
         for i, tree in enumerate(wood.trees, start=1)
         if tree.is_active
     )
@@ -417,6 +459,11 @@ def order_wood(wood: SWood) -> WoodOrder:
 
 
 def serialize_tree(tree: STree) -> str:
+    """The tree's text, which the tree keeps once made."""
+    return tree._text
+
+
+def _tree_text(tree: STree) -> str:
     # Parents have smaller ids than their children, so one pass from the
     # last node to the root finishes every subtree's text before its
     # parent's; ``inner`` collects child texts, last child first.  A text
@@ -492,7 +539,7 @@ def parse(text: str) -> SWood:
                 break
         if tokens[i] != ")":
             raise _parse_error(text, i, "')'")
-        trees.append(STree(labels=tuple(labels), parents=tuple(parents)))
+        trees.append(_interned(tuple(labels), tuple(parents)))
         i += 1
         if not tokens[i]:
             return SWood(trees=tuple(trees))

@@ -18,7 +18,7 @@ def test_a_tree_against_itself_prints_every_workload():
     rows = [line.rsplit(maxsplit=4) for line in run.stdout.splitlines()[1:]]
     schemes = ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd")
     pieces = [f"{piece} {name}" for name in schemes for piece in ("steps", "op")]
-    assert [row[0] for row in rows] == ["reference", *pieces, "ladder"]
+    assert [row[0] for row in rows] == ["reference", *pieces, "ladder", "symbolic"]
     for _, parent, change, ratio, won in rows:
         assert float(parent) > 0 and float(change) > 0 and float(ratio) > 0
         assert won in ("0/2", "1/2", "2/2")

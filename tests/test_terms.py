@@ -5,6 +5,8 @@ import importlib.util
 import random
 import re
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,6 @@ from spde_taylor.terms import (
     In,
     NotStarredError,
     TermSum,
-    _tree_table,
     contains_starred,
     expansion_matches_rewrite,
     expansion_of,
@@ -31,13 +32,18 @@ from spde_taylor.terms import (
     term_sum,
     wood_slot,
 )
+from spde_taylor import terms, trees
 from spde_taylor.trees import (
+    TREE_TABLE_SIZE,
     ActiveNode,
     NodeLabel,
     STree,
+    SWood,
+    _interned,
     active_nodes,
     expand,
     initial_wood,
+    order_wood,
     parse,
     reachable_woods,
     serialize,
@@ -275,13 +281,17 @@ def random_wood(rnd, depth):
     return wood
 
 
+def outside_the_table(wood):
+    """The wood over fresh trees made outside the tree table: nothing derived."""
+    return SWood(tuple(STree(tree.labels, tree.parents) for tree in wood.trees))
+
+
 @given(st.integers(min_value=0, max_value=2**30), st.integers(0, 7))
 @settings(max_examples=40, deadline=None)
 def test_stored_keys_and_phi_memo_match_a_cold_computation(seed, depth):
     wood = random_wood(random.Random(seed), depth)
     warm = symbolic_pass(wood)
-    _tree_table.cache_clear()
-    cold = symbolic_pass(wood)
+    cold = symbolic_pass(outside_the_table(wood))
     assert warm == cold
     assert [render_compact(t) for t in warm[0]] == [rendered(t) for t in cold[0]]
     for term in operators(warm[0][-2]):
@@ -300,14 +310,60 @@ def test_stored_keys_and_phi_memo_match_a_cold_computation(seed, depth):
 
 
 def test_phi_memo_stays_within_its_bound():
-    info = _tree_table.cache_info
-    bound = info().maxsize
-    _tree_table.cache_clear()
+    # A tree keeps its term table, so the tree table bounds the tables too:
+    # a tree dropped from it and from every wood takes its table along.
+    info = _interned.cache_info
+    assert info().maxsize == TREE_TABLE_SIZE == 1024
+    _interned.cache_clear()
     rnd = random.Random(11)
-    while info().misses <= 3 * bound:
+    first = random_wood(rnd, 8)
+    phi_wood(first)
+    gone = weakref.ref(max(first.trees, key=lambda tree: tree.length))
+    del first
+    while info().misses <= 3 * TREE_TABLE_SIZE:
         phi_wood(random_wood(rnd, 8))
-        assert info().currsize <= bound
-    assert info().currsize == bound
+        assert info().currsize <= TREE_TABLE_SIZE
+    assert info().currsize == TREE_TABLE_SIZE
+    assert gone() is None
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a spy; the counts are per (labels, parents)."""
+    calls = Counter()
+    wrapped = getattr(module, name)
+
+    def spy(tree):
+        calls[tree.labels, tree.parents] += 1
+        return wrapped(tree)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_equal_woods_reached_apart_derive_each_distinct_tree_once(monkeypatch):
+    # The trees of the expanded wood and of its parsed text are the same
+    # objects, and each keeps its table, text and order triple once made.
+    _interned.cache_clear()  # none of the trees below is built yet
+    tables = counting(monkeypatch, terms, "_build_tree_table")
+    texts = counting(monkeypatch, trees, "_tree_text")
+    triples = counting(monkeypatch, trees, "order_tree")
+    wood = random_wood(random.Random(3), 6)
+    twin = parse(serialize(wood))
+    for reached in (wood, twin, wood):
+        psi(reached)
+        phi_wood(reached)
+        for at in active_nodes(reached):
+            wood_slot(reached, at)
+        order_wood(reached)
+        assert serialize(reached) == serialize(twin)
+    # A tree whose ids are not in preorder comes back from its text
+    # renumbered: another tree, with data of its own.
+    both = wood.trees + twin.trees
+    distinct = {(tree.labels, tree.parents) for tree in both}
+    active = {(tree.labels, tree.parents) for tree in both if tree.is_active}
+    assert wood.length < len(distinct) < 2 * wood.length
+    assert tables == texts == Counter(distinct)
+    assert triples == Counter(active)
 
 
 def test_tree_to_term_maps_take_any_depth():
@@ -327,8 +383,9 @@ def test_tree_to_term_maps_take_any_depth():
         owner, path = phi_with_slot(tree, nodes)
         assert owner is term and path == (0,) * (nodes - 1)
     finally:
-        # The chain's stored keys take about 90 MB; do not keep them.
-        _tree_table.cache_clear()
+        # The chain keeps its term table, whose stored keys take about
+        # 90 MB; the tree table must not keep the chain.
+        _interned.cache_clear()
 
 
 def test_symbolic_digest_is_unchanged():

@@ -442,6 +442,49 @@ def test_pickling_drops_the_cached_queries():
     assert copy == tree and not {"_hash", "_active"} & set(vars(copy))
 
 
+# --------------------------------------------------------------------------
+# The tree table
+# --------------------------------------------------------------------------
+
+
+@given(expansion_sequences(max_depth=7))
+@settings(max_examples=60, deadline=None)
+def test_parsing_a_woods_text_returns_its_own_trees(wood):
+    # The wood's trees were built within the table's bound, so they are
+    # still the table's trees, and parsing their text finds them.  Parsing
+    # numbers nodes in preorder, so a tree numbered otherwise comes back
+    # renumbered, as another tree; its text's next round trip finds it.
+    twin = parse(serialize(wood))
+    for tree, parsed in zip(wood.trees, twin.trees):
+        assert (parsed is tree) == (parsed == tree)
+    assert any(parsed is tree for tree, parsed in zip(wood.trees, twin.trees))
+    for tree, parsed in zip(twin.trees, parse(serialize(twin)).trees):
+        assert parsed is tree
+
+
+def test_a_tree_made_outside_the_table_equals_and_derives_as_the_tables():
+    text = "(1*[2[0,1*],2*[2*]])"
+    interned = parse(text).tree(1)
+    assert parse(text).tree(1) is interned
+    direct = STree(interned.labels, interned.parents)
+    assert direct is not interned
+    assert direct == interned and interned == direct and hash(direct) == hash(interned)
+    assert direct != STree(interned.labels[:1]) and direct != text
+    assert phi(direct) == phi(interned)
+    assert serialize_tree(direct) == serialize_tree(interned) == text
+    assert order_tree(direct) == order_tree(interned)
+    assert order_wood(SWood((direct,))) == order_wood(SWood((interned,)))
+    # Each tree keeps data of its own; none is shared through the table.
+    derived = {"_hash", "_text", "_triple", "_table"}
+    assert derived <= set(vars(direct)) and derived <= set(vars(interned))
+    assert vars(direct)["_table"] is not vars(interned)["_table"]
+    # A pickle carries the maps only and loads as an equal tree.
+    copy = pickle.loads(pickle.dumps(interned))
+    assert not derived & set(vars(copy))
+    assert copy == interned and hash(copy) == hash(interned)
+    assert serialize_tree(copy) == text
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
