@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spde_taylor import terms, trees
 from spde_taylor.terms import (
     I0,
     BadPathError,
@@ -32,7 +33,6 @@ from spde_taylor.terms import (
     term_sum,
     wood_slot,
 )
-from spde_taylor import terms, trees
 from spde_taylor.trees import (
     TREE_TABLE_SIZE,
     ActiveNode,
