@@ -25,11 +25,14 @@ that writes its end value into ``out``, and a trajectory ``(u0, noise,
 store)`` of its values at the window's left points.  A node whose
 operator the model binds to None (identically zero), or one of whose
 arguments is dropped, is dropped, since the operators are multilinear.
-Only the terms step: a node that is only an argument runs no step and
-writes no slot; its readers pull its trajectory.  A sum node contracts
-its rows with the end weights.  A plan whose step is e^{-lambda h} u0
-plus one order-0 diffusion sum that the model fuses (``bind_step``) is
-*fused*: the model writes the whole step, with no rows and no node step.
+Only the terms step: a node that is only an argument runs no step; its
+readers pull its trajectory.  A sum node contracts its rows with the end
+weights.  A plan is its start, e^{-lambda h} u0 where the scheme has an
+I^0_0 term and else u0, plus its terms: the name and node step of each
+other term that is kept, in term order.  A plan whose start is e^{-lambda
+h} u0 and whose one term is an order-0 diffusion sum that the model fuses
+(``bind_step``) is *fused*: the model writes the whole step, with no rows
+and no node step.
 
 One store per window.  A store is a dict for one window of noise and one
 start state, handed to the plans of every h and scheme stepped on that
@@ -38,24 +41,22 @@ read, by the term's step or by the first trajectory that reads them, so
 each is built once; no trajectory is kept.
 
 The in-place loop.  A run (:func:`_run`) is the one way a plan is stepped.
-It allocates one (nodes, ..., N) value array and one state buffer, and a
-second for more than one step.  Each step writes every summed term's end
-value into its slot, and its start, e^{-lambda h} u0 where the scheme has
-an I^0_0 term and else u0, plus the other terms, in term order, into the
-buffer the step before did not write; the folded I^0_0's slot stays
-unwritten.  A fused plan steps flat and writes no slot: the model's step
-writes e^{-lambda h} u0 plus the sum into the state buffer, from the
-noise in the model's form, which the run makes once over the rows it
-reads.  The diagonal model fuses at every h, the multiplication model at
-h = h_fine, where the run hands each step its one row rather than a
-window, and that row is 1 + the grid noise: the model folds the
-semigroup into its grid product.  So a reference substep is three array
-calls under two Python calls: the transposed sine matrix times u, times
-the shifted noise row, times the interpolant with the weight column
-folded in.  Between the step counts it records, the loop tests nothing.
-IEEE arithmetic never turns an inf or a nan finite, so a run tests only
-its end states, and the failed rows are replayed (:func:`_first_failures`)
-to name the term.
+It allocates one state buffer, and a second for more than one step.  Each
+step writes its terms' end values into scratch arrays of its own, and
+its start plus those terms, in term order, into the buffer the step
+before did not write.  A fused plan's step is the model's: it writes
+e^{-lambda h} u0 plus the sum into the state buffer, from the noise in
+the model's form, the model's ``rows`` of the windows, which the run
+makes once.  The diagonal model fuses at every h and reads the windows
+as they are.  The multiplication model fuses at h = h_fine, and its rows
+are 1 + each window's one row of grid noise: it folds the semigroup into
+its grid product.  So a reference substep is three array calls under two
+Python calls: the transposed sine matrix times u, times the shifted noise
+row, times the interpolant with the weight column folded in.  Between
+the step counts it records, the loop tests nothing.  IEEE arithmetic
+never turns an inf or a nan finite, so a run tests only its end states,
+and the failed rows are replayed (:func:`_first_failures`) to name the
+term.
 
 The reference.  :func:`reference_solve` is that loop over the exponential
 Euler plan at h = h_fine, so exponential Euler stepped at h_fine equals it
@@ -228,7 +229,7 @@ class CompiledScheme:
         return " + ".join(render_compact(t) for t in self.terms) or "0"
 
     @cached_property
-    def lowered(self) -> tuple[tuple[_Node, ...], tuple[int, ...], tuple[str, ...]]:
+    def lowered(self) -> tuple[tuple[_Node, ...], tuple[int, ...]]:
         """:func:`_lower` of the terms, once per scheme."""
         return _lower(self.terms)
 
@@ -314,12 +315,10 @@ _FLOW, _DRIFT_FLOW, _DIFFUSION, _DRIFT = "flow", "drift flow", "diffusion", "dri
 _Node = tuple[str, int, tuple[int, ...], TermExpr]
 
 
-def _lower(
-    terms: tuple[TermExpr, ...],
-) -> tuple[tuple[_Node, ...], tuple[int, ...], tuple[str, ...]]:
+def _lower(terms: tuple[TermExpr, ...]) -> tuple[tuple[_Node, ...], tuple[int, ...]]:
     """The distinct terms and subterms of ``terms`` as nodes in dependency
     order, each node's argument slots earlier than its own, and the slot
-    and name of each of ``terms``; the walk keeps its own stack."""
+    of each of ``terms``; the walk keeps its own stack."""
     slots: dict[TermExpr, int] = {}
     nodes: list[_Node] = []
     stack = list(reversed(terms))
@@ -344,8 +343,7 @@ def _lower(
             raise NotImplementableError(f"cannot evaluate starred {term.j}")
         slots[term] = len(nodes)
         nodes.append((kind, order, tuple(slots[a] for a in args), term))
-    term_slots = tuple(slots[t] for t in terms)
-    return tuple(nodes), term_slots, tuple(render_compact(t) for t in terms)
+    return tuple(nodes), tuple(slots[t] for t in terms)
 
 
 class _MeshTables:
@@ -388,37 +386,37 @@ def _mesh_tables(eigenvalues: bytes, h: float, h_fine: float, substeps: int) -> 
 
 class BoundPlan:
     """A compiled scheme bound to a model and a step h on a mesh of h_fine
-    (see the module docstring), with a node step in ``steps`` at each slot
-    of :attr:`summed` and None at every other slot, and no buffers of its
-    own."""
+    (see the module docstring): a start, e^{-lambda h} u0 or u0, plus the
+    node step of each term in :attr:`terms`, and no buffers of its own."""
 
     def __init__(self, scheme: CompiledScheme, model: ModelSpec, h: float, h_fine: float):
         self.scheme = scheme
         self.model = model
         self.h_fine = h_fine
         self.substeps = _whole_count(h, h_fine, _STEP_MESSAGE)
-        nodes, self.term_slots, self.names = scheme.lowered
+        nodes, term_slots = scheme.lowered
         self.tables = _mesh_tables(model.eigenvalues.tobytes(), h, h_fine, self.substeps)
         bound: list = []
         for node in nodes:
             bound.append(self._bind(node, bound))
         # u0 plus one I^0_0 term is stepped as e^{-lambda h} u0, so that
         # term's node steps only for a further I^0_0 term.
-        summed = list(self.term_slots)
+        summed = list(term_slots)
         flows = [slot for slot in summed if nodes[slot][0] is _FLOW]
         #: Whether a step starts from e^{-lambda h} u0 rather than u0.
         self.folds_flow = bool(flows)
         if flows:
             summed.remove(flows[0])
-        #: The slots the step adds to its start, in term order.
-        self.summed = tuple(slot for slot in summed if bound[slot] is not None)
-        self.steps = tuple(p[0] if s in self.summed else None for s, p in enumerate(bound))
+        summed = [slot for slot in summed if bound[slot] is not None]
+        #: The (name, node step) of each term a step adds to its start, in
+        #: term order.
+        self.terms = tuple((render_compact(nodes[s][3]), bound[s][0]) for s in summed)
         #: The model's :class:`~spde_taylor.models.FusedStep` (``bind_step``)
         #: where a step is e^{-lambda h} u0 plus one order-0 diffusion sum
         #: that the model fuses, else None.
         self.fused = None
         fuse = getattr(model.diffusion, "bind_step", None)
-        if fuse and self.folds_flow and [nodes[s][:2] for s in self.summed] == [(_DIFFUSION, 0)]:
+        if fuse and self.folds_flow and [nodes[s][:2] for s in summed] == [(_DIFFUSION, 0)]:
             self.fused = fuse(self.tables.end_weights)
 
     def _bind(self, node: _Node, bound: list):
@@ -486,27 +484,25 @@ class BoundPlan:
             return self.model.diffusion.prepare_noise(increments)
 
     def stepper(self, shape: tuple[int, ...]):
-        """A new (nodes,) + ``shape`` value array and ``(u0, noise, store,
-        state) -> None``, one step of h from states of ``shape``: it writes
-        the end value of each term of :attr:`summed` into its slot, and
-        its start, e^{-lambda h} u0 or u0 (see :attr:`folds_flow`), plus
-        those terms, in term order, into ``state``.  It writes neither u0
-        nor the noise, and no other slot: an argument's rows are built in
-        the store by the first trajectory that reads them.  A :attr:`fused`
-        plan writes no slot: the model's step writes the state, from the
-        noise in the model's form (see :func:`_windows`)."""
-        values = np.empty((len(self.steps),) + shape)
+        """``(u0, noise, store, state) -> None``, one step of h from states
+        of ``shape``: it writes its start, e^{-lambda h} u0 or u0 (see
+        :attr:`folds_flow`), plus the end value of each of :attr:`terms`,
+        in term order, into ``state``, through scratch arrays of those
+        values of its own.  It writes neither u0 nor the noise: an
+        argument's rows are built in the store by the first trajectory that
+        reads them.  A :attr:`fused` plan's step is the model's, and reads
+        the noise in the model's form, ``fused.rows`` of the window."""
         if self.fused is not None:
             fused = self.fused.step
-            return values, lambda u0, noise, store, state: fused(u0, noise, state)
-        nodes = [(run, values[slot]) for slot, run in enumerate(self.steps) if run is not None]
-        terms = [values[slot] for slot in self.summed]
+            return lambda u0, noise, store, state: fused(u0, noise, state)
+        terms = [np.empty(shape) for _ in self.terms]
+        nodes = [(run, out) for (_, run), out in zip(self.terms, terms)]
         if self.folds_flow:
             start, first, rest = np.multiply, self.tables.semigroup, terms
         elif terms:
             start, first, rest = np.add, terms[0], terms[1:]
         else:
-            return values, lambda u0, noise, store, state: np.copyto(state, u0)
+            return lambda u0, noise, store, state: np.copyto(state, u0)
 
         def step(u0, noise, store, state):
             for run, out in nodes:
@@ -515,20 +511,7 @@ class BoundPlan:
             for value in rest:
                 state += value
 
-        return values, step
-
-    def nonfinite(self, values: np.ndarray, row: int) -> NonfiniteValueError:
-        """The error naming the first non-finite term in ``row`` (0 for a
-        single path) of a step's value array ``values``, or the sum of the
-        terms where every term is finite.  Slots without a step are
-        skipped: a dropped term is zero, and the folded I^0_0 is finite
-        wherever u0 is."""
-        for name, slot in zip(self.names, self.term_slots):
-            if self.steps[slot] is None:
-                continue
-            if not np.isfinite(np.atleast_2d(values[slot])[row]).all():
-                return NonfiniteValueError(name)
-        return NonfiniteValueError("sum of plan terms")
+        return step
 
 
 def _running_sum(rows: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -564,18 +547,12 @@ def _windows(plan: BoundPlan, noise: np.ndarray, steps: int) -> np.ndarray:
     """The prepared noise of each of ``steps`` consecutive steps of the
     plan's h, step n's the nth of the leading axis: for one step the whole
     window ``noise``, else its h / h_fine-row blocks, as views with no
-    copies.  A :attr:`~BoundPlan.fused` plan takes them in the model's
-    form, its ``rows`` made once over the rows the run reads: for h of one
-    substep, each block's one row."""
+    copies."""
     if steps == 1:
-        windows = noise[None]
-    else:
-        windows = noise[..., : steps * plan.substeps, :]
-        windows = windows.reshape(windows.shape[:-2] + (steps, plan.substeps, windows.shape[-1]))
-        windows = windows.swapaxes(-3, 0)
-    if plan.fused is None:
-        return windows
-    return plan.fused.rows(windows[..., 0, :] if plan.substeps == 1 else windows)
+        return noise[None]
+    windows = noise[..., : steps * plan.substeps, :]
+    windows = windows.reshape(windows.shape[:-2] + (steps, plan.substeps, windows.shape[-1]))
+    return windows.swapaxes(-3, 0)
 
 
 # A blow-up surfaces in the end states, not as warnings from the array
@@ -593,15 +570,18 @@ def _run(
     """The stepping loop (see the module docstring): advances ``states``,
     (N,) or (paths, N), which it only reads, by ``steps`` steps of h over
     the :func:`_windows` of the prepared noise ``noise``, (S, ·) or
-    (paths, S, ·).  A one-step run keeps its rows in ``store``, the
-    window's store for this start state, when one is given; every other
-    step keeps them in a fresh store.  Returns the end states, one of the
-    run's buffers, and the states after each step count in
-    ``record_steps``: ``states`` itself for 0, the end states for
-    ``steps`` and copies between.  A row that goes non-finite runs on,
-    non-finite, and the other rows never see it."""
-    step = plan.stepper(states.shape)[1]
+    (paths, S, ·), which a :attr:`~BoundPlan.fused` plan reads in the
+    model's form, ``fused.rows`` of them all, made once.  A one-step run
+    keeps its rows in ``store``, the window's store for this start state,
+    when one is given; every other step keeps them in a fresh store.
+    Returns the end states, one of the run's buffers, and the states after
+    each step count in ``record_steps``: ``states`` itself for 0, the end
+    states for ``steps`` and copies between.  A row that goes non-finite
+    runs on, non-finite, and the other rows never see it."""
+    step = plan.stepper(states.shape)
     windows = _windows(plan, noise, steps)
+    if plan.fused is not None:
+        windows = plan.fused.rows(windows)
     out = np.empty(states.shape)
     if steps == 1:
         step(states, windows[0], {} if store is None else store, out)
@@ -626,31 +606,35 @@ def _first_failures(
     """Keyed by row (0 for a single path), the error naming the first
     non-finite term of each non-finite row of ``end``, the end states of a
     :func:`_run` of ``steps`` steps from ``start`` over ``noise``, at its
-    first non-finite step.  Replays those rows alone over the run's
-    windows, each step in a fresh store: a batch's products are stacks of
-    one-path products, and a store holds the rows the step would build, its
-    terms' and their arguments', so each row replays with the bytes it ran
-    with.  :meth:`BoundPlan.nonfinite` reads the slots of the summed terms,
-    which a step writes; a fused step writes none, so at a non-finite step
-    the summed term's own node step fills its slot from the step's h /
-    h_fine rows of ``noise``, in a fresh store."""
+    first non-finite step.  Replays those rows alone with the plan's step
+    over the run's windows, each step in a fresh store: a batch's products
+    are stacks of one-path products, and a store holds the rows the step
+    would build, so each row replays with the bytes it ran with.  At a
+    row's first non-finite step, each of :attr:`BoundPlan.terms` runs on
+    that step's window in a fresh store, and the error names the first
+    term that is not finite there, else the sum of the terms: the folded
+    I^0_0 is finite wherever u0 is, and a dropped term is zero."""
+    def nonfinite(states):  # the rows, or the one state, with an inf or a nan
+        return np.flatnonzero(~np.isfinite(states).all(axis=-1))
+
     rows = (0,)
     if end.ndim > 1:
-        rows = np.flatnonzero(~np.isfinite(end).all(axis=-1))
+        rows = nonfinite(end)
         start, noise = start[rows], noise[rows]
-    values, step = plan.stepper(start.shape)
-    failed: dict[int, NonfiniteValueError] = {}
+    step, failed = plan.stepper(start.shape), {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, window in enumerate(_windows(plan, noise, steps)):
+        for window in _windows(plan, noise, steps):
             state = np.empty(start.shape)
-            step(start, window, {}, state)
-            bad = np.flatnonzero(~np.isfinite(state).all(axis=-1))
-            if bad.size and plan.fused is not None:
-                slot = plan.summed[0]
-                block = noise[..., n * plan.substeps : (n + 1) * plan.substeps, :]
-                plan.steps[slot](start, block, {}, values[slot])
-            for row in bad:
-                failed.setdefault(int(rows[row]), plan.nonfinite(values, row))
+            step(start, window if plan.fused is None else plan.fused.rows(window), {}, state)
+            new = [row for row in nonfinite(state) if rows[row] not in failed]
+            if new:
+                store, value, names = {}, np.empty(start.shape), {}
+                for name, term in plan.terms:
+                    term(start, window, store, value)
+                    for row in nonfinite(value):
+                        names.setdefault(row, name)
+                for row in new:
+                    failed[int(rows[row])] = NonfiniteValueError(names.get(row, "sum of plan terms"))
             start = state
     return failed
 

@@ -131,7 +131,7 @@ class GridWorkspace:
     and its (P, N) transpose over P + 1, grid values to the coefficients of
     their odd interpolant.  On the grid the sine vectors are orthogonal
     with squared norm P + 1, so the second is the left inverse of the
-    first.  Both are cached per (P, N) for the process."""
+    first.  Both are cached per (P, N), the last 16 pairs of each."""
 
     grid_points: int
 
@@ -211,7 +211,7 @@ BoundDiffusion = Callable[[np.ndarray, Sequence[np.ndarray], np.ndarray], np.nda
 class FusedStep(NamedTuple):
     """A model's whole step of e^{-lambda h} base plus one order-0 sum
     (``bind_step``, see :class:`DiffusionOperator`): ``rows`` turns prepared
-    noise into the form that ``step(base, noise, out)`` reads, and ``step``
+    windows into the form that ``step(base, noise, out)`` reads, and ``step``
     writes the step into ``out``."""
 
     rows: Callable[[np.ndarray], np.ndarray]
@@ -239,8 +239,8 @@ class DiffusionOperator(Protocol):
     out)`` writes e^{-lambda h} base + sum_s w[s, n] B(base)(xi_s)[n] over
     the first S noise rows into ``out``, (..., N), with e^{-lambda h} the
     first weight row (r_0 = 0).  Its ``noise`` is ``rows`` of the prepared
-    noise, which the caller applies once per run to the rows the run
-    reads; for S = 1 it is the one substep's row, (..., ·), not a window.
+    windows, (..., S', ·) with S' >= S, which the caller applies once per
+    run: the model's ``rows`` chooses the form that ``step`` reads.
     ``bind_step`` returns None where it does not fuse that width; the
     caller then sums the rows.
     """
@@ -282,9 +282,10 @@ class MultiplicationDiffusion:
     The step takes the right side: S^T, an aligned transposed copy of the
     sine matrix made at construction (BLAS runs the forward product faster
     that way round), times v, times the shifted noise row 1 + xi (its
-    ``rows``), times a copy of the interpolant with w folded in, made once
-    per binding.  It differs from the left side by rounding alone, the
-    grid round trip's: a few ulps of the state's largest entries.
+    ``rows``, of each window's first row), times a copy of the interpolant
+    with w folded in, made once per binding.  It differs from the left side
+    by rounding alone, the grid round trip's: a few ulps of the state's
+    largest entries.
     """
 
     def __init__(self, modes: int, noise_modes: int):
@@ -340,7 +341,7 @@ class MultiplicationDiffusion:
                 grid *= row
                 np.matmul(grid[..., None, :], weighted, out=out[..., None, :])
 
-        return FusedStep(rows=lambda noise: 1.0 + noise, step=fused_step)
+        return FusedStep(rows=lambda noise: 1.0 + noise[..., 0, :], step=fused_step)
 
 
 class DiagonalDiffusion:
@@ -374,20 +375,17 @@ class DiagonalDiffusion:
 
     def bind_step(self, weights):
         # One contraction over views into the first S substeps and the first
-        # min(N, M) modes: no rows.  The noise row of one substep is viewed
-        # as a window of one row, so the contraction has the same bytes.
-        # The contraction runs about a third faster on a mode-major copy of
-        # the weights, [i, j], than on [j, i], with the same bytes.  The sum
-        # plus the start has the bytes of the start plus the sum: a float
-        # addition commutes exactly.
+        # min(N, M) modes: no rows.  The contraction runs about a third
+        # faster on a mode-major copy of the weights, [i, j], than on [j, i],
+        # with the same bytes.  The sum plus the start has the bytes of the
+        # start plus the sum: a float addition commutes exactly.
         k = min(self.modes, self.weights.size)
         b, w, substeps = self.weights[:k], np.ascontiguousarray(weights[:, :k].T), len(weights)
-        window = np.s_[..., None, :k] if substeps == 1 else np.s_[..., :substeps, :k]
         semigroup = weights[0]
 
         def fused_step(base, noise, out):
             out[..., k:] = 0.0
-            np.einsum("n,...sn,ns->...n", b, noise[window], w, out=out[..., :k])
+            np.einsum("n,...sn,ns->...n", b, noise[..., :substeps, :k], w, out=out[..., :k])
             out += base * semigroup
 
         return FusedStep(rows=lambda noise: noise, step=fused_step)

@@ -9,8 +9,9 @@ times B^(k)(u0)(args_j)(dW_j) / k! or F^(k)(u0)(args_j) h_fine / k!, where
 each argument is its own term evaluated afresh at horizon j, not through
 a running sum.  B is applied through the model's ``bind_rows`` on the unit
 noise functions, so B(dW) is the increments times those rows.  The engine
-must give each kept term's value, zero for each dropped one, and the end
-state, fused plans' too, to rounding of the state's scale.
+must give each term a plan adds to its start, fused plans' too, the value
+of each dropped one zero, and the end state, to rounding of the state's
+scale.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from test_engine import ConstantDrift, DiagonalLinearDrift
 
-from spde_taylor.engine import BoundPlan, _windows, compile_scheme
+from spde_taylor.engine import BoundPlan, _run, compile_scheme
 from spde_taylor.models import (
     ModelSpec,
     dirichlet_eigenvalues,
@@ -28,7 +29,7 @@ from spde_taylor.models import (
     heat_multiplicative_model,
     initial_condition,
 )
-from spde_taylor.terms import I0, integral, psi, term_sum
+from spde_taylor.terms import I0, integral, psi, render_compact, term_sum
 from spde_taylor.trees import NodeLabel, reachable_woods
 
 H_FINE = 2.0**-10
@@ -148,7 +149,7 @@ SCHEMES = sorted(
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
 def test_every_plan_steps_as_the_formulas(model_name):
-    # Each kept term's slot of an unfused plan, zero for a dropped term but
+    # Each term that a plan adds to its start, zero for a dropped term but
     # the I^0_0 folded into the start, and the end state of every plan, at
     # each horizon, within 1e-14 of the state's scale.  On the square model
     # the second-order terms and their 2! are checked at nonzero values.
@@ -161,18 +162,18 @@ def test_every_plan_steps_as_the_formulas(model_name):
     for scheme in SCHEMES:
         for n in HORIZONS:
             plan = BoundPlan(scheme, model, n * H_FINE, H_FINE)
-            values, step = plan.stepper(u0.shape)
-            state = np.empty(N)
-            step(u0, _windows(plan, noise, 1)[0], {}, state)
-            terms = [evaluate(term, n, u0, model, increments, memo) for term in scheme.terms]
-            want = u0 + sum(terms)
+            state, _ = _run(plan, u0, noise, 1)
+            values = [evaluate(t, n, u0, model, increments, memo) for t in scheme.terms]
+            terms = dict(zip(map(render_compact, scheme.terms), values))
+            want = u0 + sum(values)
             bound = 1e-14 * np.abs(want).max()
             assert np.abs(state - want).max() <= bound, (scheme.describe(), n)
-            for term, value, slot in zip(scheme.terms, terms, plan.term_slots):
-                if plan.steps[slot] is None:
-                    assert term == I0(ZERO) or not value.any(), (term.key, n)
-                elif plan.fused is None:
-                    assert np.abs(values[slot] - value).max() <= bound, (term.key, n)
-                    nonzero.update([term.key] if value.any() else [])
+            for name, term in plan.terms:
+                value = np.empty(N)
+                term(u0, noise, {}, value)
+                assert np.abs(value - terms[name]).max() <= bound, (name, n)
+                nonzero.update([name] if terms[name].any() else [])
+            for name in terms.keys() - {name for name, _ in plan.terms}:
+                assert name == "I^0_0" or not terms[name].any(), (name, n)
     if model_name == "square":
         assert {"I^2_1[I^0_0,I^0_0]", "I^2_2[I^0_0,I^0_0]"} <= nonzero

@@ -489,11 +489,11 @@ class TestReference:
     ):
         # Path 1 starts near the largest double in mode 1, and its first
         # increment drives mode 1 near it too: its sum, e^{-lambda h} u0
-        # and u0 are finite, the fused step is not.  The step writes no
-        # slot, so the replay fills the sum's slot from the step's own row
-        # and names neither term but their sum.  On heat-mult the center
-        # of the grid holds 1.2e308 (1 + 0.7): the folded grid product
-        # overflows where the sum's does not.
+        # and u0 are finite, the fused step is not.  The replay runs the
+        # plan's one term, I^0_2, on the step's window, finds it finite and
+        # names neither term but their sum.  On heat-mult the center of the
+        # grid holds 1.2e308 (1 + 0.7): the folded grid product overflows
+        # where the sum's does not.
         model = {"heat-mult": mult, "heat-add": additive}[model_name]
         plan = BoundPlan(builtin_scheme("exp-euler"), model, H_FINE, H_FINE)
         assert plan.fused is not None
@@ -511,11 +511,36 @@ class TestReference:
             warnings.simplefilter("error")
             states, _ = _run(plan, u0, noise, 4)
             failed = _first_failures(plan, u0, noise, states, 4)
+            [(name, term)] = plan.terms
             total = np.empty(model.modes)
-            plan.steps[plan.summed[0]](u0[1], noise[1, :1], {}, total)
-        assert np.isfinite(total).all()
+            term(u0[1], noise[1], {}, total)
+        assert name == "I^0_2" and np.isfinite(total).all()
         assert np.isfinite(states[[0, 2]]).all()
         assert {row: error.term for row, error in failed.items()} == {1: "sum of plan terms"}
+
+    @pytest.mark.parametrize("substep, named", [(2, {1: "I^0_2"}), (10, {})])
+    def test_a_one_step_replay_of_a_wide_fused_plan_reads_its_steps_rows(
+        self, substep, named, additive
+    ):
+        # One exp-euler step of 4 substeps on heat-add fuses and reads the
+        # first 4 rows of a 16-row window.  A NaN in path 1's increments
+        # at substep 2 makes its state non-finite, and the replay names
+        # I^0_2; paths 0 and 2 keep their solo bytes.  A NaN at substep 10,
+        # past h, leaves every state finite.
+        plan = BoundPlan(builtin_scheme("exp-euler"), additive, 4 * H_FINE, H_FINE)
+        assert plan.fused is not None
+        increments = chunk_increments(additive, 3, 16, seed=29)
+        increments[1, substep, 2] = np.nan
+        noise = plan.prepare_noise(increments)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, _ = _run(plan, start_states(additive, 3), noise, 1)
+            failed = _first_failures(plan, start_states(additive, 3), noise, states, 1)
+        assert {row: error.term for row, error in failed.items()} == named
+        assert [bool(np.isfinite(row).all()) for row in states] == [True, not named, True]
+        for row in (0, 2):
+            solo, _ = _run(plan, start_states(additive, 1), noise[row : row + 1], 1)
+            assert states[row].tobytes() == solo[0].tobytes()
 
     def test_multi_step_rejects_partial_last_step(self, mult):
         # 4.5 substeps end off the fine mesh: no silent truncation.
@@ -954,11 +979,11 @@ def test_a_sum_node_contracts_its_rows_with_the_bytes_of_mode_major_weights(subs
     mode_major = np.exp(-model.eigenvalues[:, None] * (substeps * H_FINE - times[None, :]))
     assert mode_major.T.tobytes() == weights.tobytes()
     rows = np.random.default_rng(substeps).standard_normal(lead + (256, 64))
-    values, _ = plan.stepper(lead + (64,))
-    slot = plan.term_slots[0]
-    plan.steps[slot](model.initial.coeffs, None, {scheme.terms[0]: rows}, values[slot])
+    [(_, term)] = plan.terms
+    value = np.empty(lead + (64,))
+    term(model.initial.coeffs, None, {scheme.terms[0]: rows}, value)
     want = np.einsum("ns,...sn->...n", mode_major, rows[..., :substeps, :])
-    assert values[slot].tobytes() == want.tobytes()
+    assert value.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("substeps", [1, 2, 17, 256])
@@ -1129,24 +1154,26 @@ def test_a_repeated_argument_is_lowered_once_and_its_node_divides_by_two_factori
     )
     plan = BoundPlan(scheme, model, substeps * H_FINE, H_FINE)
     noise = plan.prepare_noise(np.zeros((substeps, model.noise_modes)))
-    values, run = plan.stepper((model.modes,))
-    state = np.empty(model.modes)
-    run(model.initial.coeffs, noise, {}, state)
+    [(name, term)] = plan.terms
+    value = np.empty(model.modes)
+    term(model.initial.coeffs, noise, {}, value)
     times = np.arange(substeps) * H_FINE
     weights = np.exp(-model.eigenvalues[:, None] * (substeps * H_FINE - times[None, :]))
     want = np.einsum("ns,sn->n", weights, model.diffusion.rows) / math.factorial(2)
-    np.testing.assert_allclose(values[plan.term_slots[0]], want, rtol=1e-15)
-    assert state.tobytes() == (model.initial.coeffs + values[plan.term_slots[0]]).tobytes()
+    assert name == "I^2_2[I^0_0,I^0_0]"
+    np.testing.assert_allclose(value, want, rtol=1e-15)
+    state, _ = _run(plan, model.initial.coeffs, noise, 1)
+    assert state.tobytes() == (model.initial.coeffs + value).tobytes()
 
 
 def test_a_drift_node_of_the_zero_drift_is_dropped(mult):
     # On heat-mult F = 0, so I^1_1[I^0_0] binds to no step; u0 plus I^0_0
-    # is the semigroup product, so its node runs no step either, and the
-    # state is e^{-lambda h} u0 alone.
+    # is the semigroup product, so the plan adds no term to its start, and
+    # the state is e^{-lambda h} u0 alone.
     scheme = compile_scheme(psi(parse("(1[0]);(0);(2*)")))
     assert scheme.describe() == "I^0_0 + I^1_1[I^0_0]"
     plan = BoundPlan(scheme, mult, 4 * H_FINE, H_FINE)
-    assert plan.steps == (None, None) and plan.folds_flow and plan.summed == ()
+    assert plan.terms == () and plan.folds_flow
     noise = plan.prepare_noise(np.zeros((4, mult.noise_modes)))
     state, _ = _run(plan, mult.initial.coeffs, noise, 1)
     lam = mult.eigenvalues
@@ -1156,8 +1183,9 @@ def test_a_drift_node_of_the_zero_drift_is_dropped(mult):
 @pytest.mark.parametrize("substeps", [1, 16])
 def test_an_argument_read_only_by_a_dropped_term_runs_no_step(substeps):
     # The diagonal model's B' is zero, so I^1_2[I^1_1[I^0_0]] is dropped.
-    # Its argument is live under a linear drift, but only an argument: it
-    # has no step, and the plan fuses with the bytes of I^0_0 + I^0_2.
+    # Its argument is live under a linear drift, but only an argument: the
+    # plan adds I^0_2 alone to its start, and fuses with the bytes of
+    # I^0_0 + I^0_2.
     model = drift_model(DiagonalLinearDrift(np.linspace(0.5, 2.0, 8)))
     argument = integral(1, L["1"], (I0(L["0"]),))
     dropped = integral(1, L["2"], (argument,))
@@ -1166,9 +1194,7 @@ def test_an_argument_read_only_by_a_dropped_term_runs_no_step(substeps):
         BoundPlan(compile_scheme(term_sum(t)), model, substeps * H_FINE, H_FINE)
         for t in (terms + [dropped], terms)
     ]
-    slots = {node[3]: slot for slot, node in enumerate(plans[0].scheme.lowered[0])}
-    assert plans[0].steps[slots[argument]] is None
-    assert [slot for slot, run in enumerate(plans[0].steps) if run] == [slots[I0(L["2"])]]
+    assert [name for name, _ in plans[0].terms] == ["I^0_2"]
     assert plans[0].fused is not None
     noise = plans[0].prepare_noise(chunk_increments(model, 3, 4 * substeps, seed=19))
     for steps in (1, 4):
@@ -1177,7 +1203,7 @@ def test_an_argument_read_only_by_a_dropped_term_runs_no_step(substeps):
 
 
 def test_a_reader_builds_its_arguments_rows_once_in_the_store(mult):
-    # I^0_0 + I^1_2[I^1_2[I^0_2]] steps only at its summed slot.  The outer
+    # I^0_0 + I^1_2[I^1_2[I^0_2]] adds one term to its start.  The outer
     # term's rows read the trajectory of I^1_2[I^0_2], whose rows read
     # I^0_2's: one run builds the rows of all three sum terms, each once,
     # and leaves them in its store, where a second run finds them.
@@ -1198,9 +1224,8 @@ def test_a_reader_builds_its_arguments_rows_once_in_the_store(mult):
     inner = integral(1, L["2"], (I0(L["2"]),))
     outer = integral(1, L["2"], (inner,))
     plan = BoundPlan(compile_scheme(term_sum([I0(L["0"]), outer])), model, 16 * H_FINE, H_FINE)
-    slots = {node[3]: slot for slot, node in enumerate(plan.scheme.lowered[0])}
-    assert [slot for slot, run in enumerate(plan.steps) if run] == [slots[outer]]
-    assert plan.summed == (slots[outer],) and plan.fused is None
+    assert [name for name, _ in plan.terms] == ["I^1_2[I^1_2[I^0_2]]"]
+    assert plan.fused is None
     noise = plan.prepare_noise(chunk_increments(model, 3, 16, seed=20))
     store = {}
     first, _ = _run(plan, start_states(model, 3), noise, 1, store=store)
@@ -1215,7 +1240,7 @@ def test_a_second_flow_term_is_added_to_the_semigroup_product(mult):
     # e^{-lambda h} u0 + (e^{-lambda h} - 1) u0.
     scheme = compile_scheme(term_sum([I0(L["0"]), I0(L["0"])]))
     plan = BoundPlan(scheme, mult, 4 * H_FINE, H_FINE)
-    assert plan.summed == (0,) and plan.steps[0] is not None
+    assert [name for name, _ in plan.terms] == ["I^0_0"] and plan.folds_flow
     noise = plan.prepare_noise(np.zeros((4, mult.noise_modes)))
     u0, lam = mult.initial.coeffs, mult.eigenvalues
     state, _ = _run(plan, u0, noise, 1)
@@ -1223,23 +1248,41 @@ def test_a_second_flow_term_is_added_to_the_semigroup_product(mult):
     assert state.tobytes() == want.tobytes()
 
 
-def test_the_unwritten_flow_slot_does_not_name_a_term(mult):
-    # The step never writes I^0_0's slot; a NaN left there changes nothing
-    # that nonfinite reports, which names the terms it added.
-    plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
-    flow_slot, _, diffusion_slot = plan.term_slots
-    values = np.zeros((len(plan.steps), 2, mult.modes))
-    values[diffusion_slot, 1, 3] = np.inf
-    want = [plan.nonfinite(values, row).term for row in (0, 1)]
-    values[flow_slot] = np.nan
-    assert [plan.nonfinite(values, row).term for row in (0, 1)] == want
-    assert want == ["sum of plan terms", "I^0_2"]
+def unfused_exp_euler_failures(mult):
+    """The named failures of one unfused exp-euler step of 4 substeps over
+    3 paths.  Path 1 starts near the largest double in mode 1, and its
+    first increment drives mode 1 near it too: e^{-lambda h} u0 and I^0_2
+    are finite, their sum is not.  A NaN in path 2's increments at substep
+    2 makes its I^0_2 non-finite."""
+    model = dataclasses.replace(mult, diffusion=UnfusedMultiplier(mult.modes, mult.noise_modes))
+    plan = BoundPlan(builtin_scheme("exp-euler"), model, 4 * H_FINE, H_FINE)
+    assert plan.fused is None
+    increments = chunk_increments(model, 3, 4, seed=23)
+    increments[1] = 0.0
+    increments[1, 0, 0] = 0.7 / math.sqrt(2)
+    increments[2, 2, 3] = np.nan
+    u0 = start_states(model, 3)
+    u0[1] = 0.0
+    u0[1, 0] = 1.2e308
+    noise = plan.prepare_noise(increments)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, _ = _run(plan, u0, noise, 1)
+        failed = _first_failures(plan, u0, noise, states, 1)
+    assert np.isfinite(states[0]).all()
+    return plan, {row: error.term for row, error in failed.items()}
+
+
+def test_the_folded_flow_does_not_name_a_term(mult):
+    # I^0_0, the scheme's first term, is folded into the start, which is
+    # finite wherever u0 is: the replay names the first of the plan's
+    # terms that is not finite, never I^0_0.
+    plan, failed = unfused_exp_euler_failures(mult)
+    assert plan.scheme.terms[0] == I0(L["0"]) and plan.folds_flow
+    assert [name for name, _ in plan.terms] == ["I^0_2"]
+    assert failed[2] == "I^0_2"
 
 
 def test_finite_terms_whose_sum_overflows_name_the_sum(mult):
-    plan = BoundPlan(builtin_scheme("exp-euler"), mult, H_FINE, H_FINE)
-    values = np.full((len(plan.steps), 2, mult.modes), 1e308)
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(values[list(plan.term_slots)].sum(axis=0)).all()
-    for row in (0, 1):
-        assert plan.nonfinite(values, row).term == "sum of plan terms"
+    plan, failed = unfused_exp_euler_failures(mult)
+    assert failed == {1: "sum of plan terms", 2: "I^0_2"}

@@ -339,8 +339,8 @@ class TestWeightedSum:
         """The start plus the einsum of the rows, ``want``, and the fused
         step written into ``out``, ``fused`` (None where the model does not
         fuse), with the inputs; None where B^(order) is zero.  The fused
-        step reads the model's rows of the prepared noise, of one substep
-        its noise row itself, as a run hands them."""
+        step reads the model's rows of the prepared window, as a run hands
+        them."""
         diffusion, modes = model.diffusion, model.modes
         rng = np.random.default_rng([order, substeps, modes, model.noise_modes, len(lead)])
         raw = rng.standard_normal(lead + (substeps, model.noise_modes))
@@ -358,8 +358,7 @@ class TestWeightedSum:
         out = None
         if fused is not None:
             out = np.full(lead + (modes,), np.nan)
-            taken = fused.rows(noise[..., 0, :] if substeps == 1 else noise)
-            assert fused.step(base, taken, out) is None
+            assert fused.step(base, fused.rows(noise), out) is None
         return SimpleNamespace(want=want, fused=out, base=base, noise=noise, weights=weights)
 
     @pytest.mark.parametrize("order", [0, 1])
@@ -407,8 +406,9 @@ class TestBoundRows:
     @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
     def test_a_one_row_window_writes_the_row_into_out(self, lead, model_name):
         # The stepping loop at h = h_fine has the fused order-0 step of the
-        # noise row written into the state; under a unit weight row it
-        # has the bytes of the base plus that row's product: the
+        # window's first noise row written into the state, from the model's
+        # rows of the whole window; under a unit weight row it has the
+        # bytes of the base plus that row's product: the
         # diagonal's one fresh row, and for multiplication noise the grid
         # row, the transposed sine matrix times the base, times 1 + the
         # noise, times the interpolant, path by path.
@@ -424,7 +424,7 @@ class TestBoundRows:
             want = base + model.diffusion.bind_rows(0)(base, (), noise[..., :1, :])[..., 0, :]
         out = np.full(lead + (16,), np.nan)
         fused = model.diffusion.bind_step(np.ones((1, 16)))
-        fused.step(base, fused.rows(noise[..., 0, :]), out)
+        fused.step(base, fused.rows(noise), out)
         assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("substeps", [1, 256])
