@@ -34,10 +34,13 @@ round to round:
 
 Each line prints the medians over the rounds, parent then change, the
 median of the rounds' ratios change / parent, and in how many rounds the
-change was faster::
+change was faster.  ``--rows`` runs only the rows it names, comma-separated
+(every row by default), so a change to one layer is timed on its own rows::
 
     python3 scripts/ab_timing.py PARENT/src src
     python3 scripts/ab_timing.py PARENT/src src --paths 8 --rounds 4
+    python3 scripts/ab_timing.py PARENT/src src --rows symbolic
+    python3 scripts/ab_timing.py PARENT/src src --rows "reference,steps exp-euler"
 """
 
 import argparse
@@ -167,6 +170,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("change", type=Path, help="the change's src directory")
     parser.add_argument("--paths", type=int, default=32, help="paths per workload and round")
     parser.add_argument("--rounds", type=int, default=20, help="rounds (alternating order)")
+    parser.add_argument("--rows", metavar="NAME[,NAME...]",
+                        help="the rows to run, comma-separated (default: all)")
     args = parser.parse_args(argv)
     if args.paths < 1 or args.rounds < 1:
         parser.error("--paths and --rounds must be at least 1")
@@ -176,6 +181,12 @@ def main(argv: list[str]) -> int:
         workloads[f"op {name}"] = lambda side, name=name: side.steps(name, whole=True)
     workloads["ladder"] = lambda side: side.ladder()
     workloads["symbolic"] = lambda side: side.symbolic()
+    if args.rows is not None:
+        rows = [name.strip() for name in args.rows.split(",")]
+        unknown = [name for name in rows if name not in workloads]
+        if unknown:
+            parser.error(f"unknown rows {unknown}; available: {list(workloads)}")
+        workloads = {name: workloads[name] for name in rows}
     times = {name: ([], []) for name in workloads}
     for round_ in range(args.rounds):
         order = (0, 1) if round_ % 2 == 0 else (1, 0)

@@ -1,7 +1,8 @@
 """BLAS and its kin on one thread, as ``perfbench/run.py`` runs its workers.
 
 Importing this module reads that script's ``THREAD_VARS`` from its source
-and sets each of them to 1; import it before numpy.  BLAS products of one
+and sets each of them to 1; import it before numpy.  :func:`use` sets them
+to another count, also before numpy is imported.  BLAS products of one
 shape can round differently with the thread count, and timings spread
 less on one thread.
 """
@@ -16,4 +17,11 @@ THREAD_VARS = next(
     for node in ast.parse((ROOT / "perfbench" / "run.py").read_text()).body
     if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "THREAD_VARS"
 )
-os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+
+
+def use(threads: int) -> None:
+    """Set each of ``THREAD_VARS`` to ``threads``."""
+    os.environ.update(dict.fromkeys(THREAD_VARS, str(threads)))
+
+
+use(1)

@@ -40,10 +40,12 @@ listed below, with no separators: a state as its float64 coefficients
 BLAS products of one shape can round differently with the thread count,
 so the script runs BLAS and its kin on one thread, as ``perfbench/run.py``
 does: it imports ``blas_threads`` before numpy, which sets each of that
-script's ``THREAD_VARS`` to 1.  They also round differently with the BLAS
-kernel, so the script writes one line to stderr, ``blas kernel: <name>``:
-the kernel numpy's bundled OpenBLAS runs (``SkylakeX``, say), or
-``unknown``; ``tests/test_numeric_digest.py`` keys its pins by that name.
+script's ``THREAD_VARS`` to 1.  ``--threads N`` sets them to N instead,
+before numpy is imported; the pins hold on one thread.  They also round
+differently with the BLAS kernel, so the script writes one line to
+stderr, ``blas kernel: <name>``: the kernel numpy's bundled OpenBLAS runs
+(``SkylakeX``, say), or ``unknown``; ``tests/test_numeric_digest.py``
+keys its pins by that name.
 
 With ``--values DIR`` the script also writes each family's float64
 values to ``DIR/<family>.npy``: the states of a state or shape family in
@@ -62,6 +64,7 @@ when every family kept its values.
     python3 scripts/numeric_digest.py --values before/    # at the parent
     python3 scripts/numeric_digest.py --values after/     # at the change
     python3 scripts/numeric_digest.py --compare before/ after/
+    python3 scripts/numeric_digest.py --threads 2 --values two/
 """
 
 import argparse
@@ -72,7 +75,35 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-import blas_threads  # noqa: F401  (before numpy)
+import blas_threads
+
+
+def _positive(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{count} is not a positive count")
+    return count
+
+
+def arguments(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        description="Print the numeric digests, dump or compare the values behind them."
+    )
+    parser.add_argument("families", nargs="*", help="families to run (default: all)")
+    parser.add_argument("--values", type=Path, metavar="DIR",
+                        help="also write each family's float64 values to DIR/<family>.npy")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="print each family's largest change from DIR_A to DIR_B, "
+                             "relative to each value and to the family's scale; exit 1 if "
+                             "any family differs")
+    parser.add_argument("--threads", type=_positive, default=1, metavar="N",
+                        help="threads of BLAS and its kin (default: 1)")
+    return parser.parse_args(argv)
+
+
+if __name__ == "__main__":  # the thread count reaches BLAS only before numpy loads
+    blas_threads.use(arguments(sys.argv[1:]).threads)
+
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -299,17 +330,7 @@ def compare(before_dir: Path, after_dir: Path) -> tuple[list[str], bool]:
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        description="Print the numeric digests, dump or compare the values behind them."
-    )
-    parser.add_argument("families", nargs="*", help="families to run (default: all)")
-    parser.add_argument("--values", type=Path, metavar="DIR",
-                        help="also write each family's float64 values to DIR/<family>.npy")
-    parser.add_argument("--compare", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
-                        help="print each family's largest change from DIR_A to DIR_B, "
-                             "relative to each value and to the family's scale; exit 1 if "
-                             "any family differs")
-    args = parser.parse_args(argv)
+    args = arguments(argv)
     if args.compare:
         lines, differ = compare(*args.compare)
         print("\n".join(lines))

@@ -19,9 +19,10 @@ term sets a structural comparison.
 
 The sort key is the canonical rendering of :func:`render_compact`.  Every
 ``I0`` and ``In`` computes it once, at construction, from its arguments'
-stored keys, and keeps it in the field ``key``.  The rendering is
-injective, so terms compare and hash by their keys alone: rendering,
-sorting, ``==`` and ``hash`` never walk a subterm, and any depth works.
+stored keys, and keeps it in the field ``key``; a ``TermSum``'s ``key``
+renders the sum.  The rendering is injective, so terms compare and hash by
+their keys alone: rendering, sorting, ``==`` and ``hash`` never walk a
+subterm, and any depth works.
 The tree-to-term maps read one table per tree, built in one pass from the
 last node to the root: the term of every node's subtree and every node's
 argument slot in its parent's term.  The table is a pure function of an
@@ -29,13 +30,16 @@ immutable tree, and :func:`psi`, :func:`phi_wood` and :func:`phi_with_slot`
 meet the same trees again, so each tree keeps its table once built (in
 ``_table``, as it keeps its other derived data).  The bound lies with the
 trees: the tree table of :mod:`.trees` keeps the last ``TREE_TABLE_SIZE``
-trees built, and a table lives as long as its tree.  The maps take any
+trees built, and a table lives as long as its tree.  A table's terms skip
+the checks of ``In(...)``, which a tree's maps satisfy by construction;
+the public ``In(...)`` and :func:`integral` keep them.  The maps take any
 depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Union
 
 from .trees import ActiveNode, NodeLabel, STree, SWood
@@ -98,9 +102,29 @@ class In:
         return self.j.is_active
 
 
+def _in(order: int, j: NodeLabel, args: tuple[TermExpr, ...]) -> In:
+    """``In(order, j, args)`` without its checks, for the tree table, whose
+    arguments are valid by construction; the key joins the arguments'
+    stored keys."""
+    term = object.__new__(In)
+    term.__dict__.update(
+        order=order, j=j, args=args,
+        key=f"I^{order}_{j._value_}[{','.join([a.key for a in args])}]",
+    )
+    return term
+
+
 @dataclass(frozen=True)
 class TermSum:
     terms: tuple[TermExpr, ...]
+
+    @property
+    def key(self) -> str:
+        """The sum's rendering: a nested sum sorts by it, as a term does."""
+        return render_compact(self)
+
+
+_by_key = attrgetter("key")
 
 
 def integral(order: int, j: NodeLabel, args: tuple[TermExpr, ...] = ()) -> TermExpr:
@@ -109,7 +133,7 @@ def integral(order: int, j: NodeLabel, args: tuple[TermExpr, ...] = ()) -> TermE
         if args:
             raise ValueError("I^0 takes no arguments")
         return I0(j)
-    return In(order=order, j=j, args=tuple(sorted(args, key=render_compact)))
+    return In(order=order, j=j, args=tuple(sorted(args, key=_by_key)))
 
 
 def term_sum(terms) -> TermExpr:
@@ -120,7 +144,7 @@ def term_sum(terms) -> TermExpr:
             flat.extend(term.terms)
         else:
             flat.append(term)
-    flat.sort(key=render_compact)
+    flat.sort(key=_by_key)
     if len(flat) == 1:
         return flat[0]
     return TermSum(terms=tuple(flat))
@@ -198,8 +222,7 @@ def _build_tree_table(tree: STree) -> _TreeTable:
             below = sorted(reversed(below), key=lambda c: terms[c - 1].key)
             for slot, child in enumerate(below):
                 slots[child - 1] = slot
-            args = tuple(terms[c - 1] for c in below)
-            terms[j - 1] = In(order=len(args), j=label, args=args)
+            terms[j - 1] = _in(len(below), label, tuple([terms[c - 1] for c in below]))
         if j > 1:
             children.setdefault(parents[j - 2], []).append(j)
     return tuple(terms), tuple(slots)

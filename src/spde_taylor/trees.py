@@ -15,13 +15,18 @@ here (by :meth:`STree.single`, :meth:`STree.with_label`,
 from one table keyed by (labels, parents) that keeps the last
 ``TREE_TABLE_SIZE`` trees built: among them, equal trees are one object.
 A tree makes the data derived from it on first use and keeps them (see
-:class:`STree`), so a recurring tree derives them once.
+:class:`STree`), so a recurring tree derives them once, and a wood keeps its
+active (tree, node) pairs (see :class:`SWood`).  :func:`expand` hands both
+forward rather than have them derived again: the new wood gets its pairs
+from the old wood's, and each new tree gets its starred node ids from the
+expanded tree's.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -117,7 +122,8 @@ class STree:
     stored in the instance ``__dict__``: ``_hash``, ``_active``, ``_text``
     and ``_triple`` by a lock-free non-data descriptor here, ``_table`` by
     :mod:`.terms`.  Later reads are plain attribute or dict hits; pickling
-    drops them.
+    drops them.  :func:`expand` gives each tree it builds its ``_active``
+    from the expanded tree's, unless the table's tree already has it.
     """
 
     labels: tuple[NodeLabel, ...]
@@ -151,7 +157,7 @@ class STree:
 
     @_cached
     def _triple(self) -> "OrderTriple":
-        return order_tree(self).triple
+        return _order_triple(self)
 
     @staticmethod
     def single(label: NodeLabel) -> "STree":
@@ -195,11 +201,32 @@ def _interned(labels: tuple[NodeLabel, ...], parents: tuple[int, ...]) -> STree:
 
 @dataclass(frozen=True)
 class SWood:
+    """Ordered tuple of trees.
+
+    A wood keeps its active pairs, :func:`active_nodes`, in ``_active_nodes``:
+    a wood from :func:`parse` or ``SWood(...)`` walks its trees for them on
+    first use, and :func:`expand` gives the wood it builds its pairs from
+    the expanded wood's.  Pickling drops them.
+    """
+
     trees: tuple[STree, ...]
 
     def __post_init__(self) -> None:
         if not self.trees:
             raise ValueError("a wood holds at least one tree")
+
+    def __reduce__(self):
+        return SWood, (self.trees,)
+
+    @_cached
+    def _active_nodes(self) -> "tuple[ActiveNode, ...]":
+        # tuple.__new__ skips the named tuple's Python-level constructor.
+        new = tuple.__new__
+        return tuple([
+            new(ActiveNode, (i, j))
+            for i, tree in enumerate(self.trees, start=1)
+            for j in tree._active
+        ])
 
     @property
     def length(self) -> int:
@@ -255,14 +282,9 @@ def validate(tree: STree) -> ValidationResult:
 
 
 def active_nodes(wood: SWood) -> tuple[ActiveNode, ...]:
-    """All starred (tree, node) pairs in lexicographic order."""
-    # tuple.__new__ skips the named tuple's Python-level constructor.
-    new = tuple.__new__
-    return tuple([
-        new(ActiveNode, (i, j))
-        for i, tree in enumerate(wood.trees, start=1)
-        for j in tree._active
-    ])
+    """All starred (tree, node) pairs in lexicographic order, which the wood
+    keeps."""
+    return wood._active_nodes
 
 
 def expand(wood: SWood, at: ActiveNode) -> SWood:
@@ -272,10 +294,16 @@ def expand(wood: SWood, at: ActiveNode) -> SWood:
     modified copies of the original tree are appended, each with a new node
     (labelled 0, 1*, 2* in order) attached as a child of the expanded node.
     The result has three more trees than the input; the input is unchanged.
+
+    The new trees get their starred ids from the expanded tree's, and the
+    new wood gets its active pairs from the input's: the pair ``(i, j)``
+    goes, the destarred tree keeps index i, and the pairs of the appended
+    trees come last, so the pairs stay in lexicographic order.
     """
     i, j = at
-    if not 1 <= i <= wood.length:
-        raise OutOfRangeError(f"tree index {i} outside wood of {wood.length} trees")
+    n = wood.length
+    if not 1 <= i <= n:
+        raise OutOfRangeError(f"tree index {i} outside wood of {n} trees")
     tree = wood.tree(i)
     if not 1 <= j <= tree.length:
         raise OutOfRangeError(f"node index {j} outside tree of {tree.length} nodes")
@@ -287,8 +315,19 @@ def expand(wood: SWood, at: ActiveNode) -> SWood:
         tree.with_appended_child(j, new_label)
         for new_label in (NodeLabel.ZERO, NodeLabel.ONE_STAR, NodeLabel.TWO_STAR)
     )
-    trees = wood.trees[: i - 1] + (relabelled,) + wood.trees[i:] + appended
-    return SWood(trees=trees)
+    # setdefault: a tree the table already held keeps what it has.
+    active = tree._active
+    relabelled.__dict__.setdefault("_active", tuple([k for k in active if k != j]))
+    grown = active + (tree.length + 1,)
+    pairs = list(active_nodes(wood))
+    del pairs[bisect_left(pairs, (i, j))]
+    new = tuple.__new__  # skips the named tuple's Python-level constructor
+    for index, (copy, starred) in enumerate(zip(appended, (active, grown, grown)), start=n + 1):
+        starred = copy.__dict__.setdefault("_active", starred)
+        pairs += [new(ActiveNode, (index, k)) for k in starred]
+    result = SWood(trees=wood.trees[: i - 1] + (relabelled,) + wood.trees[i:] + appended)
+    result.__dict__["_active_nodes"] = tuple(pairs)
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -333,15 +372,22 @@ def _check_exponents(gamma: float, delta: float) -> None:
 
 
 def order_tree(tree: STree) -> OrderValue:
+    """The label counts of the tree's triple, which the tree keeps."""
+    if tree.labels[0] is NodeLabel.ZERO:
+        return OrderValue(0, 0, 0, root_is_zero=True)
+    return OrderValue(*tree._triple, root_is_zero=False)
+
+
+def _order_triple(tree: STree) -> OrderTriple:
     """The label counts: drift labels (1, 1*) weigh 1, 0 weighs gamma and
-    diffusion labels (2, 2*) weigh delta."""
+    diffusion labels (2, 2*) weigh delta; a 0 root makes the order gamma."""
     labels = tree.labels
     if labels[0] is NodeLabel.ZERO:
-        return OrderValue(0, 0, 0, root_is_zero=True)
+        return ROOT_ZERO_TRIPLE
     count = labels.count
     n1 = count(NodeLabel.ONE) + count(NodeLabel.ONE_STAR)
     n2 = count(NodeLabel.TWO) + count(NodeLabel.TWO_STAR)
-    return OrderValue(n1, count(NodeLabel.ZERO), n2, root_is_zero=False)
+    return (n1, count(NodeLabel.ZERO), n2)
 
 
 def _triple_value(triple: OrderTriple, gamma, delta):

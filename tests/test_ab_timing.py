@@ -22,3 +22,24 @@ def test_a_tree_against_itself_prints_every_workload():
     for _, parent, change, ratio, won in rows:
         assert float(parent) > 0 and float(change) > 0 and float(ratio) > 0
         assert won in ("0/2", "1/2", "2/2")
+
+
+def test_rows_runs_only_the_named_rows():
+    src = str(ROOT / "src")
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), src, src, "--paths", "1", "--rounds", "1",
+         "--rows", "symbolic, steps exp-euler"],
+        capture_output=True, text=True, check=True,
+    )
+    rows = [line.rsplit(maxsplit=4)[0] for line in run.stdout.splitlines()[1:]]
+    assert rows == ["symbolic", "steps exp-euler"]
+
+
+def test_an_unknown_row_is_an_error():
+    src = str(ROOT / "src")
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), src, src, "--rows", "symbolic,bogus"],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert "unknown rows ['bogus']" in run.stderr

@@ -224,3 +224,18 @@ def test_the_unpinned_check_fails_past_its_bound(factor, failed, tmp_path):
     family[7] += factor * BOUND * np.abs(family).max()
     np.save(moved / "mult32.npy", family)
     assert [line.split()[0] for line in past_bound(VALUES, moved)] == failed
+
+
+def test_two_blas_threads_stay_within_the_bound_of_the_dump(tmp_path):
+    # The thread count is checked as an unpinned kernel is: BLAS products
+    # can round differently on two threads, by far less than BOUND of a
+    # family's scale.
+    values = tmp_path / "two"
+    subprocess.run(
+        [sys.executable, str(SCRIPT), "--threads", "2", "--values", str(values)],
+        capture_output=True, text=True, check=True,
+    )
+    assert {path.stem for path in values.glob("*.npy")} == {
+        path.stem for path in VALUES.glob("*.npy")
+    }
+    assert past_bound(VALUES, values) == []

@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import pickle
 import random
 import re
 import sys
@@ -346,7 +347,7 @@ def test_equal_woods_reached_apart_derive_each_distinct_tree_once(monkeypatch):
     _interned.cache_clear()  # none of the trees below is built yet
     tables = counting(monkeypatch, terms, "_build_tree_table")
     texts = counting(monkeypatch, trees, "_tree_text")
-    triples = counting(monkeypatch, trees, "order_tree")
+    triples = counting(monkeypatch, trees, "_order_triple")
     wood = random_wood(random.Random(3), 6)
     twin = parse(serialize(wood))
     for reached in (wood, twin, wood):
@@ -437,3 +438,83 @@ def test_the_slot_in_a_single_tree_wood_is_the_path_in_its_term():
     at = ActiveNode(1, 2)
     assert wood_slot(wood, at) == (0,)
     assert expansion_matches_rewrite(wood, at, expand(wood, at))
+
+
+# --------------------------------------------------------------------------
+# Data that expand hands forward
+# --------------------------------------------------------------------------
+
+
+def check_handed_forward(wood):
+    """The wood's kept pairs and each tree's starred ids, triple and table
+    terms equal their values computed from scratch."""
+    walked = tuple(
+        (i, j)
+        for i, tree in enumerate(wood.trees, start=1)
+        for j, label in enumerate(tree.labels, start=1)
+        if label.is_active
+    )
+    assert active_nodes(wood) == walked
+    assert all(type(pair) is ActiveNode for pair in active_nodes(wood))
+    for tree in wood.trees:
+        labels = tree.labels
+        assert tree._active == tuple(j for j, label in enumerate(labels, 1) if label.is_active)
+        counts = Counter(label.value.rstrip("*") for label in labels)
+        triple = (0, 1, 0) if labels[0] is L["0"] else (counts["1"], counts["0"], counts["2"])
+        assert tree._triple == triple == trees.order_tree(tree).triple
+        phi(tree)
+        for term in vars(tree)["_table"][0]:
+            if isinstance(term, In):
+                # The table's unchecked constructor builds the term that
+                # the checked one builds from the same arguments.
+                assert vars(term) == vars(integral(term.order, term.j, term.args))
+
+
+def handed_forward_sequence(seed):
+    """A seeded depth-12 expansion sequence, every wood checked.  ``at``
+    goes in as an ``ActiveNode``, a tuple or a list in turn; after the
+    fourth expansion the wood is re-parsed from its text, and after the
+    eighth it is rebuilt over trees made outside the tree table."""
+    rnd = random.Random(f"handed-forward/{seed}")
+    wood, woods = initial_wood(), []
+    for step in range(12):
+        if step == 4:
+            wood = parse(serialize(wood))
+        elif step == 8:
+            wood = outside_the_table(wood)
+        check_handed_forward(wood)
+        at = (ActiveNode._make, tuple, list)[step % 3](rnd.choice(active_nodes(wood)))
+        wood = expand(wood, at)
+        woods.append(wood)
+    check_handed_forward(wood)
+    return [serialize(w) for w in woods]
+
+
+def test_expansion_hands_forward_what_a_fresh_walk_derives():
+    for wood in reachable_woods(3):
+        check_handed_forward(wood)
+    # First mostly table misses, then the same sequences again on table
+    # hits, then again after the table is emptied.
+    _interned.cache_clear()
+    runs = [[handed_forward_sequence(seed) for seed in range(50)] for _ in range(2)]
+    _interned.cache_clear()
+    runs.append([handed_forward_sequence(seed) for seed in range(50)])
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_a_pickled_wood_drops_its_pairs_and_derives_them_again():
+    wood = expand(expand(initial_wood(), ActiveNode(3, 1)), ActiveNode(2, 1))
+    assert "_active_nodes" in vars(wood)
+    copy = pickle.loads(pickle.dumps(wood))
+    assert copy == wood and "_active_nodes" not in vars(copy)
+    assert active_nodes(copy) == active_nodes(wood)
+    assert vars(copy)["_active_nodes"] == active_nodes(wood)
+
+
+def test_a_nested_sum_sorts_among_arguments_by_its_rendering():
+    nested = TermSum((I0(L["0"]), I0(L["1"])))
+    args = (I0(L["2"]), nested, I0(L["0"]))
+    term = integral(3, L["2"], args)
+    assert nested.key == render_compact(nested) == "I^0_0 + I^0_1"
+    assert term.args == tuple(sorted(args, key=render_compact))
+    assert term.key == "I^3_2[I^0_0,I^0_0 + I^0_1,I^0_2]"
