@@ -33,8 +33,17 @@ round to round:
   as in the benchmark.
 
 Each line prints the medians over the rounds, parent then change, the
-median of the rounds' ratios change / parent, and in how many rounds the
-change was faster.  ``--rows`` runs only the rows it names, comma-separated
+median of the rounds' ratios change / parent, in how many rounds the
+change was faster, and the medians of the minor page faults of one call
+(``ru_minflt`` of ``getrusage``, the call's fresh paths included), parent
+then change: memory handed back and taken anew shows there.  A count also
+depends on the heap the call finds: on the ``ladder`` row at 32 paths a
+call reads about 2300-2550 faults while glibc still holds the top of its
+heap, and 3550-3750 once it has trimmed it (about 5 MB, which from the
+second round on the round's first timed call does), whichever tree runs.
+So the two medians can differ by up to about 1000 from the order of the
+calls alone; a change that frees and retakes a chunk's arrays reads
+about 9600.  ``--rows`` runs only the rows it names, comma-separated
 (every row by default), so a change to one layer is timed on its own rows::
 
     python3 scripts/ab_timing.py PARENT/src src
@@ -48,6 +57,7 @@ import gc
 import importlib
 import importlib.util
 import random
+import resource
 import statistics
 import sys
 import time
@@ -152,14 +162,16 @@ class Side:
             del sys.modules[module]
 
 
-def timed(run, side) -> float:
-    """``run(side)`` with the garbage collector off, as ``timeit`` runs: a
+def timed(run, side) -> tuple[float, int]:
+    """``run(side)`` with the garbage collector off, as ``timeit`` runs (a
     collection's cost depends on every object alive, both trees' included,
-    not on the code timed."""
+    not on the code timed), and the minor page faults the call took."""
     gc.collect()
     gc.disable()
     try:
-        return run(side)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        seconds = run(side)
+        return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     finally:
         gc.enable()
 
@@ -202,12 +214,16 @@ def main(argv: list[str]) -> int:
                 times[name][which].append(timed(run, sides[which]))
         for side in sides.values():
             side.unload()
-    print(f"{'workload':22} {'parent ms':>10} {'change ms':>10} {'ratio':>7}  change won")
-    for name, (parent, change) in times.items():
+    print(f"{'workload':22} {'parent ms':>10} {'change ms':>10} {'ratio':>7}  change won"
+          f"  {'parent flt':>10} {'change flt':>10}")
+    for name, calls in times.items():
+        (parent, parent_faults), (change, change_faults) = (zip(*runs) for runs in calls)
         a, b = statistics.median(parent), statistics.median(change)
         ratio = statistics.median(c / p for p, c in zip(parent, change))
-        won = sum(c < p for p, c in zip(parent, change))
-        print(f"{name:22} {a * 1e3:10.3f} {b * 1e3:10.3f} {ratio:7.3f}  {won}/{args.rounds}")
+        won = f"{sum(c < p for p, c in zip(parent, change))}/{args.rounds}"
+        fa, fb = statistics.median(parent_faults), statistics.median(change_faults)
+        print(f"{name:22} {a * 1e3:10.3f} {b * 1e3:10.3f} {ratio:7.3f}  {won:<10}"
+              f"  {fa:10.0f} {fb:10.0f}")
     return 0
 
 

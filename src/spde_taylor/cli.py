@@ -199,25 +199,33 @@ def slope_text(report: ErrorReport) -> str:
     return "none" if report.slope is None else f"{report.slope:.4f}"
 
 
+def failed_side(report: ErrorReport) -> str:
+    """``below`` or ``above``: the side of its window a failed slope lies on."""
+    return "below" if report.slope < report.lower_bound else "above"
+
+
 def print_report(report: ErrorReport) -> None:
-    """Print the report's per-h rows and its slope verdict, or the reason
-    it has none."""
+    """Print the report's per-h rows and its slope verdict, with the side of
+    the window for a fail, or the reason it has none."""
     for row in report.rows:
         print(
             f"h={row.h:.6g}  error={row.error:.6e}  stderr={row.stderr:.2e}  "
             f"paths={row.n_paths}  excluded={row.n_excluded}"
         )
     missing = report.reason or "multi-step: no predicted order"
+    verdict = verdict_text(report.verdict) or f"none ({missing})"
+    if report.verdict is False:
+        verdict += f" ({failed_side(report)} the window)"
     print(
         f"slope={slope_text(report)}  predicted={report.predicted:.4f}  "
-        f"window=[{report.lower_bound:.4f}, {report.upper_bound:.4f}]  "
-        f"verdict={verdict_text(report.verdict) or f'none ({missing})'}"
+        f"window=[{report.lower_bound:.4f}, {report.upper_bound:.4f}]  verdict={verdict}"
     )
 
 
 def print_study(reports: tuple[ErrorReport, ...], out_dir: str | None) -> None:
     """Print each report under its scheme, writing its files to
-    ``out_dir/<scheme>`` if set, then a summary line per scheme."""
+    ``out_dir/<scheme>`` if set, then a summary line per scheme, whose
+    status names the side of the window of a failed slope."""
     for report in reports:
         print(f"\n== {report.config.scheme} ==")
         print_report(report)
@@ -226,6 +234,8 @@ def print_study(reports: tuple[ErrorReport, ...], out_dir: str | None) -> None:
     print("\n== summary ==")
     for report in reports:
         status = verdict_text(report.verdict) or report.reason or "none"
+        if report.verdict is False:
+            status += f" ({failed_side(report)})"
         print(
             f"  {report.config.scheme:<14} slope {slope_text(report)}  "
             f"predicted {report.predicted:.4f}  {status}"

@@ -4,10 +4,12 @@ A study couples each of its schemes with the fine-mesh reference on every
 path: for each h of a dyadic ladder it steps the scheme with step h from a
 fixed start state up to a horizon and compares the end state with the
 reference at that horizon, on the same increments (see
-:func:`_ladder_errors`).  The default horizon is h itself, which measures
-one-step errors; the Lp error per h is regressed against h in log-log
-coordinates and the slope compared with the order the scheme's wood
-predicts.  Behind a flag the horizon is t_end for every h, which measures
+:func:`_ladder_errors`).  Paths run in ranges: :func:`_range_errors` gives
+a range's columns from the path indices alone, through per-path Philox
+streams, so no split of the paths changes a byte.  The default horizon is
+h itself, which measures one-step errors; the Lp error per h is regressed
+against h in log-log coordinates and the slope compared with the order
+the scheme's wood predicts.  Behind a flag the horizon is t_end for every h, which measures
 global errors; the wood predicts no order for those, so a multi-step run
 reports no verdict and no margin.  A scheme whose rows lie at or below a
 rounding floor equals the reference to rounding: its report gives that
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, replace
 from hashlib import sha256
 from pathlib import Path
@@ -174,10 +177,12 @@ def resolve_scheme(name_or_wood: str) -> tuple[CompiledScheme, SWood]:
 
 #: Bytes of increments drawn per chunk of paths: 8 paths of the one-step
 #: study at h_fine = 2^-12 (256 substeps of 64 modes), one path of a
-#: multi-step run over 2^12 substeps.  At P = 255 a path's prepared grid
-#: noise and step temporaries take about 2.4 MB, and while the reference
-#: runs, its shifted grid rows, 1 + the noise, 0.5 MB more, so such a chunk
-#: holds about 24 MB.
+#: multi-step run over 2^12 substeps.  tracemalloc puts the peak of the
+#: arrays a study of criterion 3's four schemes (N = M = 64) allocates at
+#: 10.2 MiB for one such chunk and 12.2 MiB for two or more, as a chunk's
+#: arrays live until the next chunk's replace them (:func:`_range_errors`):
+#: its increments (1 MiB), prepared grid noise (P = 255, 4 MiB), reference
+#: states and records, rows and step temporaries.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -191,46 +196,65 @@ def _ladder_errors(
     differences never overflow.  A non-finite reference raises
     :class:`NonfiniteValueError`.
 
-    Paths run in chunks of ``_CHUNK_BYTES`` of increments, drawn path by
-    path with :meth:`NoisePath.draw`, stacked, prepared once and run through
-    the reference once for every scheme.  Plans are bound once per study,
-    and each runs the stepping loop.  In one-step mode each takes one step
-    over the chunk's whole window, from the longest h down, on the chunk's
-    one store, so each distinct term's rows are built once per chunk; in
-    multi-step mode each steps to t_end.
+    Binds the runs once per study, as (plan, steps, horizon): first the
+    reference, one substep per step over the window, whose horizon is the
+    tuple of the ladder's horizons it records; then each scheme's plan per
+    h, one step in one-step mode or steps to t_end in multi-step mode, with
+    its horizon in substeps.  Cuts the paths into ranges of ``_CHUNK_BYTES``
+    of increments and concatenates the columns :func:`_range_errors` yields
+    for them in path order.
     """
     h_fine = config.h_fine
     steps = [round(config.t_end / h) if config.multi_step else 1 for h in config.ladder]
     horizons = [n * round(h / h_fine) for n, h in zip(steps, config.ladder)]  # in substeps
     window = max(horizons)
-    reference_plan = BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine)
-    plans = [[BoundPlan(s, model, h, h_fine) for h in config.ladder] for s in schemes]
+    runs = [(BoundPlan(_REFERENCE_SCHEME, model, h_fine, h_fine), window, tuple(horizons))]
+    runs += [(BoundPlan(scheme, model, h, h_fine), n, k)
+             for scheme in schemes for h, n, k in zip(config.ladder, steps, horizons)]
     chunk = max(1, _CHUNK_BYTES // (8 * window * model.noise_modes))
-    errors = np.empty((len(schemes), len(config.ladder), config.paths))
-    reference = np.empty((len(config.ladder), config.paths))
-    for first in range(0, config.paths, chunk):
-        columns = slice(first, min(first + chunk, config.paths))
-        increments = np.stack([
-            NoisePath.draw(
-                path_generator(config.seed, index), window, model.noise_modes, h_fine
-            ).increments
-            for index in range(config.paths)[columns]
-        ])
+    ranges = [(first, min(first + chunk, config.paths)) for first in range(0, config.paths, chunk)]
+    errors, reference = map(np.hstack, zip(*_range_errors(config, model, runs, ranges)))
+    return errors.reshape(len(schemes), len(horizons), config.paths), reference
+
+
+def _range_errors(config: ExperimentConfig, model: ModelSpec, runs: list, ranges: Iterable):
+    """For each path range ``(first, stop)`` of ``ranges``, yields the
+    columns of paths first..stop-1: ``errors[run, path]`` of the scheme runs
+    and ``reference[h, path]``, for the ``runs`` that :func:`_ladder_errors`
+    binds.  Each range's increments are drawn path by path with
+    :meth:`NoisePath.draw`, stacked, prepared once and run through the
+    reference once; every scheme run then steps from the range's start
+    states on its one store, so each distinct term's rows are built once per
+    range.  Philox's per-path streams make a path's columns the same under
+    any split into ranges.  A non-finite reference raises when its range is
+    reached, after the earlier ranges' columns.
+    """
+    # A generator, not a function per range: each range's arrays stay alive
+    # until the next range's replace them, one by one in the order they are
+    # made, so the allocator reuses their memory.  Freeing them at each
+    # return handed the memory back and faulted it in again: a 32-path
+    # criterion-3 study (four ranges) took about 9600 minor page faults
+    # instead of 2500-3600 and ran 6 % slower (2-vCPU Xeon, BLAS on one
+    # thread).
+    (reference_plan, window, horizons), *scheme_runs = runs
+    for first, stop in ranges:
+        increments = np.stack([NoisePath.draw(
+            path_generator(config.seed, index), window, model.noise_modes, config.h_fine
+        ).increments for index in range(first, stop)])
         noise = reference_plan.prepare_noise(increments)
         u0 = np.tile(model.initial.coeffs, (len(increments), 1))
-        end, recorded = _run(reference_plan, u0, noise, window, tuple(horizons))
+        end, recorded = _run(reference_plan, u0, noise, window, horizons)
         if not np.isfinite(end).all():
             failed = _first_failures(reference_plan, u0, noise, end, window)
             raise failed[min(failed)]
-        for norms, k in zip(reference, horizons):
-            norms[columns] = np.hypot.reduce(recorded[k], axis=-1)
-        store = {}  # the chunk's rows, for one-step plans
-        for scheme_plans, scheme_errors in zip(plans, errors):
-            for plan, n, k, norms in zip(scheme_plans, steps, horizons, scheme_errors):
-                approx = _run(plan, u0, noise, n, store=store)[0]
-                norms[columns] = np.hypot.reduce(approx - recorded[k], axis=-1)
-                norms[columns][~np.isfinite(approx).all(axis=-1)] = np.nan
-    return errors, reference
+        reference = np.array([np.hypot.reduce(recorded[k], axis=-1) for k in horizons])
+        store = {}  # the range's rows, for one-step plans
+        errors = np.empty((len(scheme_runs), stop - first))
+        for norms, (plan, n, k) in zip(errors, scheme_runs):
+            approx = _run(plan, u0, noise, n, store=store)[0]
+            norms[:] = np.hypot.reduce(approx - recorded[k], axis=-1)
+            norms[~np.isfinite(approx).all(axis=-1)] = np.nan
+        yield errors, reference
 
 
 def _row_statistics(h: float, errors: np.ndarray, p: float) -> ErrorRow:
@@ -362,8 +386,10 @@ def render_csv(report: ErrorReport) -> str:
 
 
 def render_json(report: ErrorReport) -> str:
-    """The report as sorted JSON, with a ``run_id`` hashed from its config;
-    ``reason`` appears only in a report without a slope."""
+    """The report as sorted, strict JSON (RFC 8259), with a ``run_id``
+    hashed from its config; ``reason`` appears only in a report without a
+    slope.  A row's non-finite error or stderr, as of a row with no paths,
+    is ``null``; the CSV keeps ``nan``."""
     if not report.rows:
         raise ReportError("no data rows")
     config = asdict(report.config)
@@ -386,11 +412,15 @@ def render_json(report: ErrorReport) -> str:
         "verdict": verdict_text(report.verdict),
         "margin": report.margin,
         "bounds": [report.lower_bound, report.upper_bound],
-        "rows": [asdict(row) for row in report.rows],
+        "rows": [
+            {key: None if isinstance(value, float) and not math.isfinite(value) else value
+             for key, value in asdict(row).items()}
+            for row in report.rows
+        ],
     }
     if report.reason is not None:  # the key is absent from reports with a slope
         payload["reason"] = report.reason
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def report_emit(report: ErrorReport, out_dir: str | Path) -> tuple[Path, Path]:

@@ -419,6 +419,27 @@ def chunk_runs(monkeypatch, paths_per_chunk, config):
     return runs
 
 
+def study_runs(monkeypatch, config, paths_per_chunk):
+    """The runs that ``_ladder_errors`` binds for three builtins, the path
+    ranges it cuts at a budget of ``paths_per_chunk`` paths, and its two
+    arrays."""
+    window = 2 ** (config.fine_log2 - (0 if config.multi_step else min(config.ladder_log2)))
+    schemes = tuple(builtin_scheme(name) for name in ("full-2nd", "milstein-b0", "exp-euler"))
+    model = build_model(config.model, config.modes, config.noise_modes, config.r)
+    routine, calls = harness._range_errors, []
+
+    def spy(config, model, runs, ranges):
+        calls.append((runs, list(ranges)))
+        return routine(config, model, runs, calls[-1][1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_CHUNK_BYTES", paths_per_chunk * 8 * window * config.noise_modes)
+        patch.setattr(harness, "_range_errors", spy)
+        errors, reference = harness._ladder_errors(config, schemes, model)
+    [(runs, ranges)] = calls
+    return runs, ranges, errors, reference
+
+
 class CountingMultiplier(MultiplicationDiffusion):
     """A test double: multiplication noise that counts, by derivative
     order, the row blocks it builds over more than one substep (the
@@ -460,6 +481,44 @@ class TestChunks:
         assert studies[0] == studies[1] == studies[2]
         for report in studies[0]:
             assert report == run_convergence(report.config)
+
+    @pytest.mark.parametrize("multi_step", [False, True], ids=["one-step", "multi-step"])
+    @pytest.mark.parametrize("model_name", ["heat-mult", "heat-add"])
+    def test_any_split_of_the_paths_gives_the_studys_columns(
+        self, monkeypatch, model_name, multi_step
+    ):
+        # The routine of a path range reads nothing but the path indices:
+        # over any split of [0, n), some cuts inside the study's chunks of
+        # three, its columns concatenate to the bytes of the study's arrays.
+        config = dataclasses.replace(TINY, model=model_name, multi_step=multi_step)
+        runs, ranges, errors, reference = study_runs(monkeypatch, config, 3)
+        assert ranges == [(0, 3), (3, 6), (6, 8)]
+        assert runs[0][0].scheme is _REFERENCE_SCHEME and len(runs) == 1 + errors[..., 0].size
+        columns, model = errors.reshape(-1, config.paths), runs[0][0].model
+        for cuts in ([0, 8], [0, 5, 8], [0, 1, 2, 7, 8], [0, 4, 5, 6, 8]):
+            pieces = list(harness._range_errors(config, model, runs, zip(cuts, cuts[1:])))
+            assert [e.shape[-1] for e, _ in pieces] == np.diff(cuts).tolist()
+            assert np.hstack([e for e, _ in pieces]).tobytes() == columns.tobytes()
+            assert np.hstack([r for _, r in pieces]).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("multi_step", [False, True], ids=["one-step", "multi-step"])
+    def test_a_reference_blow_up_in_a_later_range_raises_as_in_one_range(
+        self, monkeypatch, multi_step
+    ):
+        # Path 6's reference blows up: a split yields the earlier range's
+        # columns, then raises the one-range study's error.
+        config = dataclasses.replace(TINY, multi_step=multi_step)
+        runs, _, errors, _ = study_runs(monkeypatch, config, config.paths)
+        model = runs[0][0].model
+        scale_path(monkeypatch, 6, 1e200)
+        with pytest.raises(NonfiniteValueError) as alone:
+            run_convergence(config)
+        pieces = harness._range_errors(config, model, runs, [(0, 5), (5, config.paths)])
+        assert next(pieces)[0].tobytes() == errors.reshape(-1, config.paths)[:, :5].tobytes()
+        with pytest.raises(NonfiniteValueError) as later:
+            next(pieces)
+        assert alone.value.term == later.value.term == "I^0_2"
+        assert str(alone.value) == str(later.value)
 
     @pytest.mark.parametrize("per_chunk", [1, 8])
     def test_step_has_the_studys_bytes_in_either_call_order(self, monkeypatch, per_chunk):
@@ -667,6 +726,33 @@ class TestReports:
         assert payload["bounds"][0] == pytest.approx(0.495 - 0.10)
         assert payload["bounds"][1] == pytest.approx(0.495 + 0.20)
 
+    def test_json_of_rows_with_no_paths_is_strict(self, monkeypatch):
+        # Every path scaled by 2.8e154 overflows the test double's
+        # multi-step full-2nd runs at every h while its reference stays
+        # finite, so every row has no paths and a NaN error and stderr.
+        # RFC 8259 has no NaN: the JSON writes null, and the CSV keeps nan.
+        config = dataclasses.replace(TINY, multi_step=True)
+        model = dataclasses.replace(
+            heat_multiplicative_model(16, 16), diffusion=ConstantMultiplier(16, 16)
+        )
+        draw = NoisePath.draw
+        monkeypatch.setattr(harness, "build_model", lambda *args: model)
+        monkeypatch.setattr(NoisePath, "draw", staticmethod(
+            lambda *args: NoisePath(draw(*args).increments * 2.8e154, h_fine=config.h_fine)
+        ))
+        [report] = run_study(config, ("full-2nd",))
+        assert report.reason == harness.SHORTFALL_REASON
+        assert [row.n_paths for row in report.rows] == [0, 0, 0]
+
+        def reject(constant):
+            raise ValueError(f"not RFC 8259 JSON: {constant}")
+
+        payload = json.loads(render_json(report), parse_constant=reject)
+        assert [(row["error"], row["stderr"]) for row in payload["rows"]] == [(None, None)] * 3
+        assert [row["n_excluded"] for row in payload["rows"]] == [config.paths] * 3
+        csv_rows = render_csv(report).splitlines()[1:]
+        assert [line.split(",")[1:3] for line in csv_rows] == [["nan", "nan"]] * 3
+
     def test_empty_report_rejected(self):
         empty = ErrorReport(
             config=TINY,
@@ -852,6 +938,36 @@ class TestCli:
         assert "slope=none" in out and f"verdict=none ({harness.ROUNDING_REASON})" in out
         assert main(argv + ["--scheme", "taylor-delta"]) == 2
         assert "slope=0.2836" in capsys.readouterr().out
+
+    def test_a_failed_verdict_names_the_side_of_its_window(self, tmp_path, capsys):
+        # At seed 2, full-2nd's slope lies above its window and
+        # milstein-b0's below.  The printed verdicts say so; report.json
+        # keeps "fail" and the bytes of the scheme's own report, and the
+        # exit code stays 2.
+        out = tmp_path / "study"
+        argv = [
+            "converge", "--scheme", "full-2nd,milstein-b0", "--paths", "8", "--seed", "2",
+            "--fine", "9", "--ladder", "3,4,5", "--modes", "16", "--noise-modes", "16",
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        stdout = capsys.readouterr().out
+        above, rest = stdout.split("\n== milstein-b0 ==\n")
+        below, summary = rest.split("\n== summary ==\n")
+        assert "verdict=fail (above the window)" in above
+        assert "verdict=fail (below the window)" in below
+        assert [line.split(maxsplit=5)[5] for line in summary.splitlines()] == [
+            "fail (above)", "fail (below)",
+        ]
+        for name, side in (("full-2nd", 1), ("milstein-b0", -1)):
+            report = run_convergence(ExperimentConfig(
+                scheme=name, paths=8, seed=2, fine_log2=9, ladder_log2=(3, 4, 5),
+                modes=16, noise_modes=16,
+            ))
+            bound = report.upper_bound if side > 0 else report.lower_bound
+            assert report.verdict is False and side * (report.slope - bound) > 0
+            text = (out / name / "report.json").read_text()
+            assert text == render_json(report) and json.loads(text)["verdict"] == "fail"
 
     def test_converge_bad_model_is_error(self, capsys):
         code = main(["converge", "--model", "wave", "--paths", "4"])
