@@ -24,6 +24,10 @@ round to round:
   shrinks at the op by the share of the op that the piece takes;
 * ``ladder``: criterion 3's ``harness._ladder_errors`` over ``--paths``
   paths, the four schemes at once;
+* ``variance``: the variance-heat-add op of ``perfbench/worker.py``
+  (criterion 4's shape: a fresh path's 8192 x 8 Philox increments at
+  h_fine = 2^-17, then one ``exp-euler-nodrift`` ``step()`` of h = 2^-4
+  on heat-add at N = M = 8 from zero), per path;
 * ``symbolic``: the symbolic-expand op of ``perfbench/worker.py`` (ten
   seeded expansions of the initial wood, ``psi``, ``compile_scheme``,
   ``order_wood``, the text round trip and the rewrite check), per wood,
@@ -68,6 +72,7 @@ import blas_threads  # noqa: F401  (before the trees import numpy)
 SCHEMES = ("taylor-delta", "exp-euler", "milstein-b0", "full-2nd")
 H_FINE, SUBSTEPS = 2.0**-12, (256, 128, 64, 32, 16)
 SYMBOLIC_WOODS, SYMBOLIC_DEPTH = 8, 10  # woods per path, expansions per wood
+VARIANCE_H, VARIANCE_H_FINE, VARIANCE_MODES = 2.0**-4, 2.0**-17, 8
 
 
 def load(name: str, src: Path):
@@ -94,6 +99,10 @@ class Side:
         self.terms = importlib.import_module(f"{name}.terms")
         models = importlib.import_module(f"{name}.models")
         self.model = models.heat_multiplicative_model(64, 64)
+        self.additive = models.build_model("heat-add", VARIANCE_MODES, VARIANCE_MODES, 0.005)
+        self.additive_grid = self.additive.workspace()
+        self.zero = models.SpectralState([0.0] * VARIANCE_MODES)
+        self.nodrift = self.engine.builtin_scheme("exp-euler-nodrift")
         self.schemes = {s: self.engine.builtin_scheme(s) for s in SCHEMES}
         self.config = self.harness.ExperimentConfig(
             model="heat-mult", t_end=1.0, fine_log2=12, ladder_log2=(4, 5, 6, 7, 8),
@@ -135,6 +144,17 @@ class Side:
         start = time.perf_counter()
         self.harness._ladder_errors(self.config, schemes, self.model)
         return time.perf_counter() - start
+
+    def variance(self) -> float:
+        engine, substeps = self.engine, round(VARIANCE_H / VARIANCE_H_FINE)
+        start = time.perf_counter()
+        for index in range(self.paths):
+            path = engine.NoisePath.draw(
+                engine.path_generator(2024, index), substeps, VARIANCE_MODES, VARIANCE_H_FINE
+            )
+            engine.step(self.nodrift, self.zero, VARIANCE_H, path, self.additive,
+                        self.additive_grid)
+        return (time.perf_counter() - start) / self.paths
 
     def symbolic(self) -> float:
         trees, terms, engine = self.trees, self.terms, self.engine
@@ -192,6 +212,7 @@ def main(argv: list[str]) -> int:
         workloads[f"steps {name}"] = lambda side, name=name: side.steps(name)
         workloads[f"op {name}"] = lambda side, name=name: side.steps(name, whole=True)
     workloads["ladder"] = lambda side: side.ladder()
+    workloads["variance"] = lambda side: side.variance()
     workloads["symbolic"] = lambda side: side.symbolic()
     if args.rows is not None:
         rows = [name.strip() for name in args.rows.split(",")]

@@ -249,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
             print(symbolic_report(args.wood))
             return 0
         config, schemes, out_dir = _converge_config(args)
+        if out_dir and len(schemes) > 1:  # a name no directory can take fails first
+            for name in schemes:
+                (Path(out_dir) / name).mkdir(parents=True, exist_ok=True)
         reports = run_study(config, schemes)
         if len(schemes) == 1:
             print_report(reports[0])

@@ -54,9 +54,10 @@ its grid product.  So a reference substep is three array calls under two
 Python calls: the transposed sine matrix times u, times the shifted noise
 row, times the interpolant with the weight column folded in.  Between
 the step counts it records, the loop tests nothing.  IEEE arithmetic
-never turns an inf or a nan finite, so a run tests only its end states,
-and the failed rows are replayed (:func:`_first_failures`) to name the
-term.
+never turns an inf or a nan finite, so a run tests only its end states.
+To name the term, the first failed row is replayed alone
+(:func:`_first_failure`) as one-step runs, one per window, so the replay
+steps through :func:`_run` too.
 
 The reference.  :func:`reference_solve` is that loop over the exponential
 Euler plan at h = h_fine, so exponential Euler stepped at h_fine equals it
@@ -567,7 +568,8 @@ def _run(
     record_steps: tuple[int, ...] = (),
     store: dict | None = None,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The stepping loop (see the module docstring): advances ``states``,
+    """The stepping loop (see the module docstring), the only code that
+    steps a plan, the failure replay's steps included: advances ``states``,
     (N,) or (paths, N), which it only reads, by ``steps`` steps of h over
     the :func:`_windows` of the prepared noise ``noise``, (S, ·) or
     (paths, S, ·), which a :attr:`~BoundPlan.fused` plan reads in the
@@ -600,43 +602,33 @@ def _run(
     return states, recorded
 
 
-def _first_failures(
+@np.errstate(over="ignore", invalid="ignore")
+def _first_failure(
     plan: BoundPlan, start: np.ndarray, noise: np.ndarray, end: np.ndarray, steps: int
-) -> dict[int, NonfiniteValueError]:
-    """Keyed by row (0 for a single path), the error naming the first
-    non-finite term of each non-finite row of ``end``, the end states of a
-    :func:`_run` of ``steps`` steps from ``start`` over ``noise``, at its
-    first non-finite step.  Replays those rows alone with the plan's step
-    over the run's windows, each step in a fresh store: a batch's products
-    are stacks of one-path products, and a store holds the rows the step
-    would build, so each row replays with the bytes it ran with.  At a
-    row's first non-finite step, each of :attr:`BoundPlan.terms` runs on
-    that step's window in a fresh store, and the error names the first
-    term that is not finite there, else the sum of the terms: the folded
-    I^0_0 is finite wherever u0 is, and a dropped term is zero."""
-    def nonfinite(states):  # the rows, or the one state, with an inf or a nan
-        return np.flatnonzero(~np.isfinite(states).all(axis=-1))
-
-    rows = (0,)
-    if end.ndim > 1:
-        rows = nonfinite(end)
-        start, noise = start[rows], noise[rows]
-    step, failed = plan.stepper(start.shape), {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for window in _windows(plan, noise, steps):
-            state = np.empty(start.shape)
-            step(start, window if plan.fused is None else plan.fused.rows(window), {}, state)
-            new = [row for row in nonfinite(state) if rows[row] not in failed]
-            if new:
-                store, value, names = {}, np.empty(start.shape), {}
-                for name, term in plan.terms:
-                    term(start, window, store, value)
-                    for row in nonfinite(value):
-                        names.setdefault(row, name)
-                for row in new:
-                    failed[int(rows[row])] = NonfiniteValueError(names.get(row, "sum of plan terms"))
-            start = state
-    return failed
+) -> NonfiniteValueError:
+    """The error naming the first non-finite term of the first non-finite
+    row of ``end``, the (paths, N) end states of a :func:`_run` of ``steps``
+    steps from ``start`` over ``noise``, at that row's first non-finite
+    step.  Replays the row alone, one :func:`_run` of one step per window
+    of the run, each in a fresh store: a batch's products are stacks of
+    one-path products, and a store holds the rows the step would build, so
+    the row replays with the bytes it ran with.  At its first non-finite
+    step, each of :attr:`BoundPlan.terms` runs on that step's window in a
+    fresh store, and the error names the first term that is not finite
+    there, else the sum of the terms: the folded I^0_0 is finite wherever
+    u0 is, and a dropped term is zero."""
+    row = np.flatnonzero(~np.isfinite(end).all(axis=-1))[0]
+    start, noise = start[row : row + 1], noise[row : row + 1]
+    for window in _windows(plan, noise, steps):
+        state, _ = _run(plan, start, window, 1)
+        if not np.isfinite(state).all():
+            store, value = {}, np.empty(start.shape)
+            for name, term in plan.terms:
+                term(start, window, store, value)
+                if not np.isfinite(value).all():
+                    return NonfiniteValueError(name)
+            return NonfiniteValueError("sum of plan terms")
+        start = state
 
 
 # An order-study op binds six plans, the reference's and one per h, and the
@@ -695,7 +687,7 @@ def step(
     store = path._window.stores.setdefault((model, u0.coeffs.tobytes()), {})
     state, _ = _run(plan, u0.coeffs, noise, 1, store=store)
     if not np.isfinite(state).all():
-        raise _first_failures(plan, u0.coeffs, noise, state, 1)[0]
+        raise _first_failure(plan, u0.coeffs[None], noise[None], state[None], 1)
     return StepResult(state=SpectralState._adopt(state))
 
 
@@ -728,5 +720,5 @@ def reference_solve(
     noise = path._prepared_noise(plan)[:steps]
     state, recorded = _run(plan, u0.coeffs, noise, steps, record_substeps)
     if not np.isfinite(state).all():
-        raise _first_failures(plan, u0.coeffs, noise, state, steps)[0]
+        raise _first_failure(plan, u0.coeffs[None], noise[None], state[None], steps)
     return SpectralState._adopt(state), {n: SpectralState._adopt(s) for n, s in recorded.items()}

@@ -36,7 +36,7 @@ from .engine import (
     BoundPlan,
     CompiledScheme,
     NoisePath,
-    _first_failures,
+    _first_failure,
     _run,
     compile_scheme,
     path_generator,
@@ -245,8 +245,7 @@ def _range_errors(config: ExperimentConfig, model: ModelSpec, runs: list, ranges
         u0 = np.tile(model.initial.coeffs, (len(increments), 1))
         end, recorded = _run(reference_plan, u0, noise, window, horizons)
         if not np.isfinite(end).all():
-            failed = _first_failures(reference_plan, u0, noise, end, window)
-            raise failed[min(failed)]
+            raise _first_failure(reference_plan, u0, noise, end, window)
         reference = np.array([np.hypot.reduce(recorded[k], axis=-1) for k in horizons])
         store = {}  # the range's rows, for one-step plans
         errors = np.empty((len(scheme_runs), stop - first))

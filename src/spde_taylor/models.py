@@ -167,28 +167,11 @@ class GridWorkspace:
         return float(np.sqrt(np.sum(values * values) / (self.grid_points + 1)))
 
 
-def next_smooth(target: int) -> int:
-    """The least n >= target, for target >= 1, with no prime factor above
-    11: the length ``scipy.fft.next_fast_len`` gives for complex FFTs."""
-    n = target
-    while True:
-        rest = n
-        for p in (2, 3, 5, 7, 11):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return n
-        n += 1
-
-
 def default_workspace(modes: int, noise_modes: int) -> GridWorkspace:
-    """At least 4 max(N, M) - 1 grid points, with P + 1 11-smooth.
-
-    P + 1 = ``next_smooth(4 max(N, M))`` dates from FFT-based transforms
-    and stays so that the collocation grid, and every number computed on
-    it, is unchanged (P = 255 for N = M = 64).
-    """
-    return GridWorkspace(grid_points=next_smooth(4 * max(modes, noise_modes)) - 1)
+    """The grid of 4 max(N, M) - 1 points, at least twice the band of N and
+    M, so no frequency of a product of a state and a noise function folds
+    back onto the kept modes (P = 255 for N = M = 64)."""
+    return GridWorkspace(grid_points=4 * max(modes, noise_modes) - 1)
 
 
 class DriftOperator(Protocol):
@@ -265,7 +248,7 @@ class ZeroDrift:
 
 class MultiplicationDiffusion:
     """B(v)(w) = v*w pointwise, collocated on the grid of
-    ``default_workspace(N, M)``, P >= 4 max(N, M) - 1, so no frequency of a
+    ``default_workspace(N, M)``, P = 4 max(N, M) - 1, so no frequency of a
     product folds back onto the kept modes.  The prepared noise is the
     noise functions' grid values, and the bound rows are two products with
     the sine matrices fetched at construction.  A batch's products are
@@ -394,9 +377,9 @@ class DiagonalDiffusion:
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Immutable bundle of the model data over a fixed truncation; models
-    compare and hash by identity."""
+    compare and hash by identity and carry no name (``build_model`` maps
+    the names ``heat-mult`` and ``heat-add`` to their builders)."""
 
-    name: str
     eigenvalues: np.ndarray
     drift: DriftOperator
     diffusion: DiffusionOperator
@@ -475,7 +458,6 @@ def heat_multiplicative_model(
     if not 0.0 < r < 0.25:
         raise BadParameterError(f"r must lie in (0, 1/4), got {r}")
     return ModelSpec(
-        name="heat-mult",
         eigenvalues=dirichlet_eigenvalues(modes),
         drift=ZeroDrift(),
         diffusion=MultiplicationDiffusion(modes, noise_modes),
@@ -499,7 +481,6 @@ def heat_additive_model(modes: int = 64, noise_modes: int = 64) -> ModelSpec:
         raise BadParameterError("mode counts must be >= 1")
     weights = 1.0 / np.arange(1, noise_modes + 1, dtype=float)
     return ModelSpec(
-        name="heat-add",
         eigenvalues=dirichlet_eigenvalues(modes),
         drift=ZeroDrift(),
         diffusion=DiagonalDiffusion(weights, modes),

@@ -118,7 +118,7 @@ class SquareDiffusion:
 
 def square_model():
     return ModelSpec(
-        name="square-test", eigenvalues=dirichlet_eigenvalues(N),
+        eigenvalues=dirichlet_eigenvalues(N),
         drift=SquareDrift(np.linspace(0.5, 2.0, N)), diffusion=SquareDiffusion(N, M),
         gamma=0.5, delta=0.5, noise_modes=M, initial=initial_condition("first_mode", N),
     )

@@ -20,7 +20,7 @@ from spde_taylor.engine import (
     NoisePath,
     NonfiniteValueError,
     NotImplementableError,
-    _first_failures,
+    _first_failure,
     _mesh_tables,
     _run,
     builtin_scheme,
@@ -71,6 +71,15 @@ def chunk_increments(model, paths, substeps, seed=0):
 
 def start_states(model, paths):
     return np.tile(model.initial.coeffs, (paths, 1))
+
+
+def named_failures(plan, start, noise, end, steps):
+    """Keyed by row, the term :func:`_first_failure` names for each
+    non-finite row of ``end``, replayed on that row alone."""
+    rows = np.flatnonzero(~np.isfinite(end).all(axis=-1))
+    return {int(row): _first_failure(
+        plan, start[row : row + 1], noise[row : row + 1], end[row : row + 1], steps
+    ).term for row in rows}
 
 
 def coarsened(path, factor):
@@ -415,9 +424,8 @@ class TestReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, _ = _run(plan, start_states(mult, 3), noise, 1)
-            failed = _first_failures(plan, start_states(mult, 3), noise, states, 1)
-        assert set(failed) == {1}
-        assert failed[1].term == "I^1_2[I^0_2]"
+            failed = named_failures(plan, start_states(mult, 3), noise, states, 1)
+        assert failed == {1: "I^1_2[I^0_2]"}
         for row in (0, 2):
             solo, _ = _run(
                 plan, start_states(mult, 1), plan.prepare_noise(increments[row : row + 1]), 1
@@ -449,9 +457,9 @@ class TestReference:
             warnings.simplefilter("error")
             before, _ = _run(plan, start_states(mult, 3), noise, 5)
             states, recorded = _run(plan, start_states(mult, 3), noise, 8, (5, 6))
-            failed = _first_failures(plan, start_states(mult, 3), noise, states, 8)
+            failed = named_failures(plan, start_states(mult, 3), noise, states, 8)
         assert np.isfinite(before).all()
-        assert set(failed) == {1} and failed[1].term == "I^0_2"
+        assert failed == {1: "I^0_2"}
         assert np.isfinite(recorded[5][1]).all()
         assert not np.isfinite(recorded[6][1]).any()
         for row in (0, 2):
@@ -475,10 +483,8 @@ class TestReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, recorded = _run(plan, start_states(mult, 3), noise, 8, tuple(range(9)))
-            failed = _first_failures(plan, start_states(mult, 3), noise, states, 8)
-        assert {row: error.term for row, error in failed.items()} == {
-            1: "I^1_2[I^0_2]", 2: "I^0_2",
-        }
+            failed = named_failures(plan, start_states(mult, 3), noise, states, 8)
+        assert failed == {1: "I^1_2[I^0_2]", 2: "I^0_2"}
         finite = [[bool(np.isfinite(recorded[n][row]).all()) for n in range(9)] for row in range(3)]
         assert finite == [[True] * 9, [True] * 3 + [False] * 6, [True] * 6 + [False] * 3]
         assert recorded[8] is states
@@ -510,13 +516,13 @@ class TestReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, _ = _run(plan, u0, noise, 4)
-            failed = _first_failures(plan, u0, noise, states, 4)
+            failed = named_failures(plan, u0, noise, states, 4)
             [(name, term)] = plan.terms
             total = np.empty(model.modes)
             term(u0[1], noise[1], {}, total)
         assert name == "I^0_2" and np.isfinite(total).all()
         assert np.isfinite(states[[0, 2]]).all()
-        assert {row: error.term for row, error in failed.items()} == {1: "sum of plan terms"}
+        assert failed == {1: "sum of plan terms"}
 
     @pytest.mark.parametrize("substep, named", [(2, {1: "I^0_2"}), (10, {})])
     def test_a_one_step_replay_of_a_wide_fused_plan_reads_its_steps_rows(
@@ -535,8 +541,8 @@ class TestReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, _ = _run(plan, start_states(additive, 3), noise, 1)
-            failed = _first_failures(plan, start_states(additive, 3), noise, states, 1)
-        assert {row: error.term for row, error in failed.items()} == named
+            failed = named_failures(plan, start_states(additive, 3), noise, states, 1)
+        assert failed == named
         assert [bool(np.isfinite(row).all()) for row in states] == [True, not named, True]
         for row in (0, 2):
             solo, _ = _run(plan, start_states(additive, 1), noise[row : row + 1], 1)
@@ -548,20 +554,40 @@ class TestReference:
         with pytest.raises(MeshMismatchError, match="t_end .* whole number of steps of h"):
             reference_solve(mult.initial, 4.5 * H_FINE, path, mult)
 
-    def test_blow_up_raises_nonfinite(self, mult):
-        # Increments of order 1e198 overflow the state within two substeps,
-        # and the iterated term of one full-2nd step.  The blow-up surfaces
-        # as the error alone, with no numpy warning on the way.
-        path = draw_path(mult, 8, seed=4)
-        wild = NoisePath(path.increments * 1e200, h_fine=H_FINE)
+    @pytest.mark.parametrize("model_name, named", [
+        ("heat-mult", ["I^1_2[I^0_2]", "I^0_2"]), ("heat-add", ["I^0_2", "I^0_2"]),
+    ], ids=["heat-mult", "heat-add"])
+    def test_blow_up_raises_nonfinite(self, model_name, named, mult, additive):
+        # On heat-mult, increments of order 1e198 overflow the state within
+        # two substeps, and the iterated term of one full-2nd step; on
+        # heat-add, whose full-2nd step is its I^0_2, a NaN increment makes
+        # that term NaN.  The blow-up surfaces as the error alone, with no
+        # numpy warning on the way.  step() and reference_solve replay the
+        # path as a batch of one, and name the term that _first_failure
+        # names for it as row 1 of a 3-path chunk whose other rows are clean.
+        model = {"heat-mult": mult, "heat-add": additive}[model_name]
+        increments = chunk_increments(model, 3, 8, seed=4)
+        if model is mult:
+            increments[1] *= 1e200
+        else:
+            increments[1, 1, 2] = np.nan
+        wild = NoisePath(increments[1], h_fine=H_FINE)
+        scheme = builtin_scheme("full-2nd")
+        runs = [(BoundPlan(scheme, model, 8 * H_FINE, H_FINE), 1),
+                (BoundPlan(builtin_scheme("exp-euler"), model, H_FINE, H_FINE), 8)]
+        chunk = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonfiniteValueError) as stepped:
-                step(builtin_scheme("full-2nd"), mult.initial, 8 * H_FINE, wild, mult)
-            with pytest.raises(NonfiniteValueError) as info:
-                reference_solve(mult.initial, 8 * H_FINE, wild, mult)
-        assert stepped.value.term == "I^1_2[I^0_2]"
-        assert info.value.term == "I^0_2"
+                step(scheme, model.initial, 8 * H_FINE, wild, model)
+            with pytest.raises(NonfiniteValueError) as solved:
+                reference_solve(model.initial, 8 * H_FINE, wild, model)
+            for plan, steps in runs:
+                noise = plan.prepare_noise(increments)
+                states, _ = _run(plan, start_states(model, 3), noise, steps)
+                assert np.isfinite(states[[0, 2]]).all() and not np.isfinite(states[1]).all()
+                chunk.append(_first_failure(plan, start_states(model, 3), noise, states, steps))
+        assert [stepped.value.term, solved.value.term] == [e.term for e in chunk] == named
 
     def test_reference_is_the_exponential_euler_recurrence(self):
         # Pins the reference's arithmetic: u0 + I^0_0 is the semigroup
@@ -1048,7 +1074,6 @@ class DiagonalLinearDrift:
 
 def drift_model(drift, modes=8):
     return ModelSpec(
-        name="drift-test",
         eigenvalues=dirichlet_eigenvalues(modes),
         drift=drift,
         diffusion=heat_additive_model(modes, modes).diffusion,
@@ -1268,9 +1293,9 @@ def unfused_exp_euler_failures(mult):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         states, _ = _run(plan, u0, noise, 1)
-        failed = _first_failures(plan, u0, noise, states, 1)
+        failed = named_failures(plan, u0, noise, states, 1)
     assert np.isfinite(states[0]).all()
-    return plan, {row: error.term for row, error in failed.items()}
+    return plan, failed
 
 
 def test_the_folded_flow_does_not_name_a_term(mult):

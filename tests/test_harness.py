@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import errno
 import json
 import re
 import warnings
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spde_taylor import engine, harness
+from spde_taylor import cli, engine, harness
 from spde_taylor.cli import _converge_config, build_parser, load_config_file, main
 from spde_taylor.engine import (
     BUILTIN_WOODS,
@@ -45,7 +46,9 @@ from spde_taylor.models import (
     heat_multiplicative_model,
     smoothed_diffusion_hs_norm,
 )
-from spde_taylor.trees import ParseError, order_wood
+from spde_taylor.trees import (
+    ParseError, active_nodes, expand, initial_wood, order_wood, serialize,
+)
 
 W1_TEXT = "(0);(1*);(2);(2*[0]);(2*[1*]);(2*[2*])"
 
@@ -660,12 +663,13 @@ class TestChunks:
         scheme = builtin_scheme("full-2nd")
         [alone], _ = harness._ladder_errors(config, (scheme,), model)
         replays = []
-        replay = engine._first_failures
+        replay = engine._first_failure
         with monkeypatch.context() as patch:
             scale_path(patch, 2, 2.8e154)
-            patch.setattr(
-                engine, "_first_failures", lambda *args: replays.append(args) or replay(*args)
-            )
+            for module in (engine, harness):  # the harness calls its own import
+                patch.setattr(
+                    module, "_first_failure", lambda *args: replays.append(args) or replay(*args)
+                )
             [errors], _ = harness._ladder_errors(config, (scheme,), model)
         assert replays == []
         assert np.isnan(errors[:, 2]).all()
@@ -1054,6 +1058,27 @@ class TestCli:
         assert code == (2 if False in verdicts.values() else 0)
         if failing is not None:
             assert verdicts[failing] is False
+
+    def test_a_scheme_list_names_a_directory_too_long_before_it_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A depth-8 expansion's wood text is longer than the usual 255-byte
+        # limit on a file name: the list study's error comes before any
+        # path is drawn, and no report is written.
+        wood = initial_wood()
+        for _ in range(8):
+            wood = expand(wood, active_nodes(wood)[0])
+        text = serialize(wood)
+        assert len(text.encode()) > 255
+        studies = []
+        monkeypatch.setattr(cli, "run_study", lambda *args: studies.append(args))
+        out = tmp_path / "study"
+        code = main(["converge", "--scheme", f"exp-euler,{text}", "--paths", "4",
+                     "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 1 and stdout == "" and studies == []
+        assert err.startswith(f"error: [Errno {errno.ENAMETOOLONG}] ")
+        assert not list(out.rglob("report.*"))
 
     @pytest.mark.parametrize("source", ["--scheme", "--config"])
     def test_a_scheme_named_twice_is_error(self, source, tmp_path, capsys):

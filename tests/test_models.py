@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.fft import dst, next_fast_len
+from scipy.fft import dst
 from scipy.integrate import quad
 
 from spde_taylor.models import (
@@ -29,7 +29,6 @@ from spde_taylor.models import (
     heat_additive_model,
     heat_multiplicative_model,
     initial_condition,
-    next_smooth,
     smoothed_diffusion_hs_norm,
 )
 
@@ -73,13 +72,6 @@ def galerkin_triple_products(modes: int, noise_modes: int) -> np.ndarray:
     k = np.arange(1, noise_modes + 1)[None, :, None]
     n = np.arange(1, modes + 1)[None, None, :]
     return SQRT2 * (sine_cosine(n, np.abs(j - k)) - sine_cosine(n, j + k))
-
-
-def is_11_smooth(n: int) -> bool:
-    for p in (2, 3, 5, 7, 11):
-        while n % p == 0:
-            n //= p
-    return n == 1
 
 
 class TestSpectralState:
@@ -241,15 +233,36 @@ class TestMultiplicativeDiffusion:
         want = np.einsum("j,jkn->nk", mult.initial.coeffs, tensor)
         assert np.linalg.norm(got - want) < 1e-5 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("modes, noise_modes", [(64, 64), (32, 16), (8, 16), (1, 1)])
+    def test_collocation_at_13_modes_against_galerkin_triple_products(self):
+        # 13 has a prime factor above 11, so the grid is P = 51 where the
+        # FFT-era rule gave 53.  Measured over seeds 0..19: relative
+        # Frobenius error at most 6.5e-4 for white bases (5.6e-4 at P = 53,
+        # the P^-4 law's rise), 4.1e-5 for the smooth start state.
+        model = heat_multiplicative_model(13, 13)
+        tensor = galerkin_triple_products(13, 13)
+        assert model.workspace().grid_points == 51
+        errors = []
+        for seed in range(20):
+            v = np.random.default_rng(seed).standard_normal(13)
+            got = diffusion_matrix(model, SpectralState(v))
+            want = np.einsum("j,jkn->nk", v, tensor)
+            errors.append(np.linalg.norm(got - want) / np.linalg.norm(want))
+        assert 1e-5 < max(errors) < 1e-3
+        got = diffusion_matrix(model, model.initial)
+        want = np.einsum("j,jkn->nk", model.initial.coeffs, tensor)
+        assert np.linalg.norm(got - want) < 1e-4 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "modes, noise_modes", [(64, 64), (32, 16), (8, 16), (1, 1), (13, 13), (17, 13)]
+    )
     def test_products_run_on_the_models_grid(self, modes, noise_modes):
-        # The diffusion owns its grid: the model's, with at least twice the
-        # band of N and M in points, so no frequency of a product folds back
-        # onto the retained ones.
+        # The diffusion owns its grid: the model's, of 4 max(N, M) - 1
+        # points, at least twice the band of N and M, so no frequency of a
+        # product folds back onto the retained ones.
         model = heat_multiplicative_model(modes, noise_modes)
         grid = model.diffusion.workspace
         assert grid == model.workspace()
-        assert grid.grid_points >= 2 * max(modes, noise_modes)
+        assert grid.grid_points == 4 * max(modes, noise_modes) - 1
         noise = model.diffusion.prepare_noise(np.eye(noise_modes))
         assert noise.shape == (noise_modes, grid.grid_points)
 
@@ -603,20 +616,15 @@ def test_cached_transforms_are_cache_aligned_with_the_bytes_of_any_offset(grid_p
 
 
 class TestDefaultWorkspace:
-    def test_grid_is_large_enough_with_smooth_dst_length(self):
-        # P + 1 has no prime factor above 11 (P = 4 * 64 = 256 would give
-        # 257), as when the transforms were FFTs; keeping that rule keeps
-        # the collocation grid, and every result computed on it, unchanged.
+    def test_grid_has_four_times_the_larger_mode_count_less_one(self):
+        # P = 4 max(N, M) - 1, at least twice the band of N and M; at N = M
+        # = 64 that is 255, the grid of every pinned number.
         for modes in range(1, 129):
             for noise_modes in range(1, 129):
                 p = default_workspace(modes, noise_modes).grid_points
+                assert p == 4 * max(modes, noise_modes) - 1, (modes, noise_modes, p)
                 assert p >= 2 * max(modes, noise_modes)
-                assert is_11_smooth(p + 1), (modes, noise_modes, p)
-
-    def test_smooth_length_is_scipys_fast_length(self):
-        assert [next_smooth(n) for n in range(1, 20001)] == [
-            next_fast_len(n) for n in range(1, 20001)
-        ]
+        assert default_workspace(64, 64).grid_points == 255
 
 
 def test_multiplication_on_grid_values(mult):
